@@ -8,6 +8,7 @@ Koszulness verdicts, and seeded verification suites.
 """
 
 from .errors import (
+    CertificateError,
     ConfigError,
     GorlabError,
     InsufficientDegree,
@@ -59,8 +60,8 @@ from .verify import TrialConfig, VerificationReport, run_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "GorlabError", "InsufficientDegree", "NotMaterialized",
-    "SchemaError", "ext", "iota_vanishing", "length_count_audit", "tor",
+    "CertificateError", "ConfigError", "GorlabError", "InsufficientDegree",
+    "NotMaterialized", "SchemaError", "ext", "iota_vanishing", "length_count_audit", "tor",
     "tor_induced", "KoszulVerdict", "is_koszul", "koszul_series_check",
     "FiniteModule", "ModuleMap", "Presentation", "cyclic_module",
     "direct_sum", "from_presentation", "hilbert_function", "hom_space",

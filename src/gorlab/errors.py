@@ -77,3 +77,9 @@ class SchemaError(GorlabError):
 
 class NotMaterialized(GorlabError):
     """Requested resolution data beyond the materialized window."""
+
+
+class CertificateError(GorlabError):
+    """An internal consistency check behind a served value failed: a tail
+    certificate, a minimality guard or a lift that must exist.  Raised
+    instead of serving a number that the check could not vouch for."""

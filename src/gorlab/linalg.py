@@ -48,51 +48,6 @@ class PrimeField:
         return pow(a % self.p, self.p - 2, self.p)
 
 
-class FMatrix:
-    """Immutable dense matrix over a prime field, row-major."""
-
-    __slots__ = ("field", "rows", "cols", "a")
-
-    def __init__(self, field: PrimeField, data):
-        a = np.asarray(data, dtype=np.int64) % field.p
-        if a.ndim != 2:
-            raise ValueError("FMatrix needs a 2-d array")
-        a.setflags(write=False)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", a.shape[0])
-        object.__setattr__(self, "cols", a.shape[1])
-        object.__setattr__(self, "a", a)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FMatrix is immutable")
-
-    @property
-    def entries(self):
-        return [int(x) for x in self.a.reshape(-1)]
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "FMatrix":
-        return cls(field, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "FMatrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FMatrix)
-            and self.field.p == other.field.p
-            and self.a.shape == other.a.shape
-            and np.array_equal(self.a, other.a)
-        )
-
-    def __matmul__(self, other: "FMatrix") -> "FMatrix":
-        return FMatrix(self.field, (self.a @ other.a) % self.field.p)
-
-    def __repr__(self):
-        return f"FMatrix(p={self.field.p}, {self.rows}x{self.cols})"
-
-
 def rref_inplace(R: np.ndarray, p: int, block: int = _BLOCK):
     """Reduce R to reduced row-echelon form in place; return pivot columns.
 
@@ -215,15 +170,31 @@ def kernel_array(A: np.ndarray, p: int) -> np.ndarray:
 
     Deterministic: free columns in increasing order, each set to 1 in turn.
     """
-    m, n = A.shape
+    n = A.shape[1]
     R, pivots, rank = rref_array(A, p)
-    free = [c for c in range(n) if c not in set(pivots)]
+    pivset = set(pivots)
+    free = [c for c in range(n) if c not in pivset]
     K = np.zeros((len(free), n), dtype=np.int64)
-    for i, c in enumerate(free):
-        K[i, c] = 1
-        if rank:
-            K[i, pivots] = (-R[:rank, c]) % p
+    K[np.arange(len(free)), free] = 1
+    K[:, pivots] = (-R[:rank, free].T) % p
     return K
+
+
+def kernel_rref(A: np.ndarray, p: int):
+    """Canonical rref basis of the right kernel of A: (rows, pivots).
+
+    Equal to rref_array(kernel_array(A)) restricted to its rank, from one
+    elimination.  kernel_array of the column-reversed matrix gives each
+    kernel vector a unit entry at its own free column and zeros at the other
+    free columns, and nonzero entries elsewhere only to the left of it; read
+    back in the original column order, that free column is the leading
+    entry, so reversing the rows sorts them by pivot and the result is
+    reduced.
+    """
+    n = A.shape[1]
+    K = np.ascontiguousarray(kernel_array(A[:, ::-1], p)[::-1, ::-1])
+    pivots = [int(c) for c in np.argmax(K != 0, axis=1)] if n else []
+    return K, pivots
 
 
 def solve_many(A: np.ndarray, B: np.ndarray, p: int):
@@ -279,22 +250,3 @@ def reduce_mod_rowspace(R: np.ndarray, pivots, V: np.ndarray, p: int):
 
 def in_rowspace(R: np.ndarray, pivots, V: np.ndarray, p: int) -> bool:
     return not reduce_mod_rowspace(R, pivots, V, p).any()
-
-
-# ---------------------------------------------------------------------------
-# spec-level wrappers on FMatrix
-
-
-def rref(A: FMatrix):
-    """(reduced matrix, pivot columns, rank)."""
-    R, pivots, rank = rref_array(A.a, A.field.p)
-    return FMatrix(A.field, R), pivots, rank
-
-
-def kernel_basis(A: FMatrix) -> FMatrix:
-    return FMatrix(A.field, kernel_array(A.a, A.field.p))
-
-
-def solve(A: FMatrix, b):
-    x = solve_array(A.a, np.asarray(b, dtype=np.int64), A.field.p)
-    return None if x is None else [int(v) for v in x]

@@ -7,7 +7,27 @@ values of the certified tail: once the syzygy M_J is past the junction index
 J (no later syzygy can split off a copy of k, by the dimension bound
 dim k_{-j} = dim k_j), M_J is Koszul and the Lescot formulas force
 beta_{i+1} = e*beta_i - beta_{i-1}.  The certificate is cross-checked against
-every materialized degree past the junction before any tail value is served.
+every materialized degree past the junction before any tail value is served;
+a mismatch raises CertificateError.
+
+Every honest step after the first is a linear-part problem.  The rings have
+m^3 = 0 and m^2 = (w) one-dimensional, and a minimal differential del_i has
+its entries in m, so del_i kills wF_i and sends x_g gen_a to a vector whose
+only nonzero coordinates are w-slots: x_g * x_h = form[g, h] w.  F_i is a
+minimal cover of M_i, so ker del_i lies in m F_i, and therefore
+
+    ker del_i = ker(L) + w F_i,   L[j, a*e + g] = sum_h form[g, h] G[a, j, 1+h]
+
+where G is the entry array of del_i and L is the beta_{i-1} x e*beta_i matrix
+of w-coefficients of del_i on the x-slots.  The step eliminates L instead of
+the (e+2)-fold k-matrix of del_i.  The rows of rref(ker L), placed in the
+x-slots, together with one unit row per w-slot, sorted by pivot, are a
+reduced echelon basis: no row has a nonzero entry in another row's pivot
+column, because the two kinds of rows live on disjoint slots.  The rref of a
+subspace is unique, so this is the matrix a generic elimination of the
+k-matrix would give, and every differential, presentation and serialized
+byte is the same.  Only the first step, the kernel of the cover F_0 -> M,
+eliminates a generic k-matrix: it need not contain w F_0.
 """
 
 from __future__ import annotations
@@ -17,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import NotMaterialized, RadicalSquareNonzero
+from .errors import CertificateError, NotMaterialized, RadicalSquareNonzero
 from .modules import (
     FiniteModule,
     ModuleMap,
@@ -53,9 +73,19 @@ def _radical_image_w(ring: ShortGorensteinRing, K: np.ndarray) -> np.ndarray:
     """
     n = K.shape[0]
     e, D = ring.e, ring.dim
-    K3 = K.reshape(n, -1, D)
+    K3 = K.reshape(n, K.shape[1] // D, D)
     img = np.einsum("njc,gc->gnj", K3[:, :, 1:e + 1], ring.form) % ring.p
     return img.reshape(e * n, K3.shape[1])
+
+
+def _linear_part(ring: ShortGorensteinRing, G: np.ndarray) -> np.ndarray:
+    """The matrix L with ker del = ker(L) + wF for a minimal differential
+    with entry array G (shape (a, j, e+2)): entry [j, a*e + g] is the
+    w-coefficient in block j of del(x_g * gen a)."""
+    a, j, _ = G.shape
+    e = ring.e
+    L = np.einsum("ajh,gh->jag", G[:, :, 1:e + 1], ring.form) % ring.p
+    return L.reshape(j, a * e)
 
 
 @dataclass
@@ -97,7 +127,6 @@ class MinimalFreeResolution:
         self.betti_head = [b0]
         self.diffs: list[np.ndarray] = []    # diffs[i-1] = del_i, shape (b_i, b_{i-1}, D)
         self.syz: list[SyzygyData] = []      # syz[i-1] = data of M_i in F_{i-1}
-        self._pending = self.cover_matrix if b0 else None
         self.finite = b0 == 0
         self._tail: TailCertificate | None = None
 
@@ -108,45 +137,77 @@ class MinimalFreeResolution:
         """Number of materialized differentials."""
         return len(self.diffs)
 
+    def _cover_kernel(self):
+        """rref basis of the kernel of the cover F_0 -> M, by generic
+        elimination: (rows, pivots, rows with possibly nonzero x_g-images)."""
+        p = self.ring.p
+        D = self.ring.dim
+        K = linalg.kernel_array(self.cover_matrix, p)
+        if K[:, ::D].any():
+            raise CertificateError(
+                "kernel escapes the radical; cover not minimal")
+        R, kpiv, nk = linalg.rref_array(K, p)
+        Kr = R[:nk]
+        return Kr, kpiv, Kr
+
+    def _graded_kernel(self, G: np.ndarray):
+        """rref basis of ker del = ker(L) + wF for the minimal differential
+        with entry array G: (rows, pivots, the ker L rows).  The w-unit rows
+        are left out of the third item: m kills them."""
+        ring = self.ring
+        e, D = ring.e, ring.dim
+        b = G.shape[0]
+        KL, lpiv = linalg.kernel_rref(_linear_part(ring, G), ring.p)
+        # column a*e + g of L is the x_{g+1}-slot a*D + 1 + g of F; both
+        # kinds of rows keep their pivots, so sorting by pivot merges them
+        # into the rref of the direct sum
+        xpiv = [c // e * D + 1 + c % e for c in lpiv]
+        wpiv = [a * D + D - 1 for a in range(b)]
+        kpiv = sorted(xpiv + wpiv)
+        at = {c: t for t, c in enumerate(kpiv)}
+        xrows = [at[c] for c in xpiv]
+        Kr = np.zeros((len(kpiv), b, D), dtype=np.int64)
+        Kr[xrows, :, 1:e + 1] = KL.reshape(len(xpiv), b, e)
+        Kr[[at[c] for c in wpiv], np.arange(b), D - 1] = 1
+        Kr = Kr.reshape(len(kpiv), b * D)
+        return Kr, kpiv, Kr[xrows]
+
     def _step(self):
         ring = self.ring
         p = ring.p
         D = ring.dim
         bprev = self.betti_head[-1]
-        K = linalg.kernel_array(self._pending, p)
-        # the cover is minimal, so the kernel lies in m*F: unit components 0
-        assert not K[:, ::D].any(), "kernel escapes the radical; cover not minimal"
-        R, kpiv, nk = linalg.rref_array(K, p)
-        Kr = R[:nk]
+        if self.diffs:
+            Kr, kpiv, Kx = self._graded_kernel(self.diffs[-1])
+        else:
+            Kr, kpiv, Kx = self._cover_kernel()
+        nk = len(kpiv)
         if nk == 0:
             self.syz.append(SyzygyData(Kr, kpiv, 0, 0))
             self.diffs.append(np.zeros((0, bprev, D), dtype=np.int64))
             self.betti_head.append(0)
             self.finite = True
-            self._pending = None
             return
         # m*K lies inside the row space of Kr, so its rank and a complement
         # are visible in coordinates w.r.t. Kr (the pivot-column entries);
         # generators = rows of Kr complementary to the row space of m*K.
-        # w kills K (K is in m*F), so m*K is spanned by the x_g images,
-        # which are supported on the w-slots alone.
-        imgw = _radical_image_w(ring, Kr)
+        # w kills K (K is in m*F), so m*K is spanned by the x_g images of
+        # the rows Kx, which are supported on the w-slots alone.
+        imgw = _radical_image_w(ring, Kx)
         wcols = [t for t in range(nk) if kpiv[t] % D == D - 1]
         W = imgw[:, [kpiv[t] // D for t in wcols]]
         _, wpiv, wrank = linalg.rref_array(W, p)
         drop = {wcols[t] for t in wpiv}
         sel = [t for t in range(nk) if t not in drop]
         nu = len(sel)
-        assert nu == nk - wrank
+        if nu != nk - wrank:
+            raise CertificateError(
+                f"syzygy generators: {nu} selected, {nk} - {wrank} expected")
         self.syz.append(SyzygyData(Kr, kpiv, nu, wrank))
-        G = Kr[sel].reshape(nu, bprev, D)
-        self.diffs.append(G)
+        self.diffs.append(Kr[sel].reshape(nu, bprev, D))
         self.betti_head.append(nu)
         if nu == 0:
             self.finite = True
-            self._pending = None
-        else:
-            self._pending = free_kmat(ring, G)
 
     def extend(self, steps: int, ignore_budget: bool = False):
         """Materialize differentials up to index `steps` (subject to budget)."""
@@ -195,10 +256,13 @@ class MinimalFreeResolution:
         # the recurrence and the Lescot formulas must hold on every honest
         # degree past the junction; any mismatch falsifies the certificate
         for j in range(J, self.head):
-            assert b[j + 1] == e * b[j] - self.syz[j - 1].nu_m, (
-                "Lescot formula fails past the junction")
-            assert self.syz[j].nu_m == b[j], (
-                "nu(m M_{j+1}) != nu(M_j) past the junction")
+            if b[j + 1] != e * b[j] - self.syz[j - 1].nu_m:
+                raise CertificateError(
+                    f"Lescot formula fails past the junction J={J} "
+                    f"at degree {j + 1}")
+            if self.syz[j].nu_m != b[j]:
+                raise CertificateError(
+                    f"nu(m M_{j + 1}) != nu(M_{j}) past the junction J={J}")
         self._tail = TailCertificate(J, i_max, self.head,
                                      (b[self.head - 1], b[self.head]))
 
@@ -317,7 +381,8 @@ def lift_chain_map(phi: ModuleMap, n: int,
     sols = linalg.solve_many(rb.cover_matrix, rhs, p)
     f = np.zeros((ga, rb.betti_head[0], D), dtype=np.int64)
     for a, x in enumerate(sols):
-        assert x is not None, "cover is surjective; lift must exist"
+        if x is None:
+            raise CertificateError("cover is surjective, yet no degree-0 lift")
         f[a] = x.reshape(rb.betti_head[0], D)
     lift.maps.append(f)
     for i in range(1, depth + 1):
@@ -330,7 +395,9 @@ def lift_chain_map(phi: ModuleMap, n: int,
         sols = linalg.solve_many(rb.kmat(i), rhs, p)
         arr = np.zeros((bi_a, bi_b, D), dtype=np.int64)
         for a, x in enumerate(sols):
-            assert x is not None, "acyclicity guarantees the lift"
+            if x is None:
+                raise CertificateError(
+                    f"resolution is acyclic, yet no lift in degree {i}")
             arr[a] = x.reshape(bi_b, D)
         lift.maps.append(arr)
     return lift

@@ -23,7 +23,7 @@ from .errors import (
     RingMismatch,
     SocleRankNot1,
 )
-from .linalg import FMatrix, PrimeField
+from .linalg import PrimeField
 
 
 class ShortGorensteinRing:
@@ -180,11 +180,6 @@ def make_ring(p: int, e: int, form) -> ShortGorensteinRing:
 
 def mul(a: RingElement, b: RingElement) -> RingElement:
     return a * b
-
-
-def regular_representation(a: RingElement) -> FMatrix:
-    """Matrix of left multiplication by a in the basis (1, x_1..x_e, w)."""
-    return FMatrix(a.ring.field, a.ring.rep(a.coeffs))
 
 
 def identity_form(e: int) -> np.ndarray:

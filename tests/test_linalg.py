@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from gorlab.linalg import (
     kernel_array,
+    kernel_rref,
     rank_array,
     reduce_mod_rowspace,
     row_space,
@@ -73,6 +74,30 @@ def test_rank_nullity_and_kernel_annihilation(mp):
     if K.size:
         assert not (A @ K.T % p).any()
     assert rank_array(K, p) == K.shape[0]
+
+
+def _kernel_loop(A, p):
+    """Reference kernel basis: one free column at a time."""
+    R, pivots, rank = rref_array(A, p)
+    free = [c for c in range(A.shape[1]) if c not in pivots]
+    K = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+    for i, c in enumerate(free):
+        K[i, c] = 1
+        if rank:
+            K[i, pivots] = (-R[:rank, c]) % p
+    return K
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_and_prime())
+def test_kernel_rref_is_rref_of_kernel(mp):
+    A, p = mp
+    assert np.array_equal(kernel_array(A, p), _kernel_loop(A, p))
+    # the column-reversed kernel read backwards is the canonical rref basis
+    K, piv = kernel_rref(A, p)
+    R, rpiv, rank = rref_array(kernel_array(A, p), p)
+    assert np.array_equal(K, R[:rank])
+    assert piv == list(rpiv)
 
 
 @settings(max_examples=40, deadline=None)

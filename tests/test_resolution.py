@@ -1,8 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gorlab import FiniteModule, expand_rational, random_module, resolve
+from gorlab import (
+    FiniteModule,
+    expand_rational,
+    hyperbolic_form,
+    identity_form,
+    make_ring,
+    random_module,
+    random_nondegenerate_form,
+    resolve,
+)
+from gorlab.errors import CertificateError
+from gorlab.linalg import kernel_array, rank_array, rref_array
 from gorlab.resolution import (
+    TAIL_OVERLAP,
+    MinimalFreeResolution,
     betti_numbers,
     free_kmat,
     k_resolution,
@@ -95,7 +115,6 @@ def test_lift_chain_map_identity(R3):
         b = res.betti(4)[i]
         assert F.shape == (b * R3.dim, b * R3.dim)
         # lifting the identity gives an isomorphism in every degree
-        from gorlab.linalg import rank_array
         assert rank_array(F, 101) == b * R3.dim
 
 
@@ -106,3 +125,78 @@ def test_free_kmat_is_block_regular_representation(R3):
     v = np.zeros(5, dtype=np.int64)
     v[0] = 1
     assert np.array_equal(K @ v % 101, R3.x(1).coeffs % 101)
+
+
+def _generic_step(ring, A):
+    """Oracle for one resolution step: the kernel of the k-matrix A by
+    generic elimination, its pivots, nu and nu_m.  nu_m = dim m*K is the rank
+    of the images of K under x_1..x_e, w acting blockwise on the free
+    module."""
+    p, D = ring.p, ring.dim
+    R, piv, nk = rref_array(kernel_array(A, p), p)
+    K = R[:nk]
+    blocks = np.eye(A.shape[1] // D, dtype=np.int64)
+    mK = np.concatenate([K @ np.kron(blocks, ring.basis_reg[c]).T % p
+                         for c in range(1, D)])
+    nu_m = rank_array(mK, p)
+    return K, list(piv), nk - nu_m, nu_m
+
+
+@st.composite
+def small_modules(draw):
+    e = draw(st.sampled_from((2, 3, 4)))
+    p = draw(st.sampled_from((3, 101)))
+    seed = draw(st.integers(0, 10**6))
+    form = draw(st.sampled_from((
+        identity_form(e), hyperbolic_form(e),
+        random_nondegenerate_form(e, p, np.random.default_rng(seed)))))
+    ring = make_ring(p, e, form)
+    return random_module(ring, draw(st.integers(1, 3)),
+                         draw(st.integers(1, 3)), seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_modules())
+def test_graded_step_matches_generic_kernel(M):
+    # every step past the cover takes ker(L) + wF; the k-matrix route agrees
+    res = MinimalFreeResolution(M)
+    res.extend(4, ignore_budget=True)
+    for s in range(res.head):
+        K, piv, nu, nu_m = _generic_step(M.ring, res.kmat(s))
+        data = res.syz[s]
+        assert np.array_equal(data.rows, K)
+        assert list(data.pivots) == piv
+        assert (data.nu, data.nu_m) == (nu, nu_m)
+
+
+def _certify_corrupted_tail():
+    """Certify a fresh resolution whose nu(m M_{J+1}) past the junction J
+    has been corrupted."""
+    R = make_ring(101, 3, identity_form(3))
+    res = MinimalFreeResolution(random_module(R, 2, 2, seed=33))
+    J = res.junction()[0]
+    res.extend(J + TAIL_OVERLAP, ignore_budget=True)
+    res.syz[J].nu_m += 1
+    res.tail_certificate()
+
+
+def test_corrupted_tail_raises_certificate_error():
+    with pytest.raises(CertificateError):
+        _certify_corrupted_tail()
+
+
+def test_corrupted_tail_raises_under_python_O():
+    # the certificate checks must not be asserts that -O strips
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    code = ("import test_resolution as t\n"
+            "try:\n"
+            "    t._certify_corrupted_tail()\n"
+            "except t.CertificateError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('no CertificateError')\n")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], cwd=here, capture_output=True,
+        text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    assert proc.returncode == 0, proc.stderr
