@@ -43,13 +43,12 @@ def _parse_range(text: str) -> tuple:
 
 
 def _emit(obj: dict, args) -> None:
-    text = io.canonical_json(obj)
     if getattr(args, "out", None):
-        io.write_text(args.out, text)
+        io.write_text(args.out, io.canonical_json(obj))
     elif getattr(args, "pretty", False):
         _pretty(obj)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(io.canonical_json(obj))
 
 
 def _pretty(obj, indent: str = "") -> None:

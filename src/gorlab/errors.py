@@ -81,5 +81,6 @@ class NotMaterialized(GorlabError):
 
 class CertificateError(GorlabError):
     """An internal consistency check behind a served value failed: a tail
-    certificate, a minimality guard or a lift that must exist.  Raised
+    certificate, a minimality guard, a lift that must exist, a homology
+    length that must be nonnegative or the Ext/Tor duality.  Raised
     instead of serving a number that the check could not vouch for."""

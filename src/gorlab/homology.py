@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InsufficientDegree, RadicalSquareNonzero, RingMismatch
+from .errors import (
+    CertificateError,
+    InsufficientDegree,
+    RadicalSquareNonzero,
+    RingMismatch,
+)
 from .modules import (
     FiniteModule,
     ModuleMap,
@@ -100,14 +105,16 @@ def _ext_diff(G: np.ndarray, N: FiniteModule) -> np.ndarray:
 def _radical_excess(N: FiniteModule, Z: np.ndarray, Bnd: np.ndarray,
                     piv, chunk: int = 1024) -> int:
     """Rank added to the row space of Bnd (rref rows, pivot columns piv) by
-    the images of the rows of Z (vectors in N^b) under x_1..x_e, w.  The
-    images are absorbed in chunks so peak memory stays bounded by the basis
-    plus one chunk, and each chunk is reduced against the basis first."""
+    m times the span of the rows of Z (vectors in N^b).  That span must be an
+    R-submodule (callers pass cycles); as w = x_g x_h / form[g, h], the
+    images under x_1..x_e alone then span that product.  The images are
+    absorbed in chunks so peak memory stays bounded by the basis plus one
+    chunk, and each chunk is reduced against the basis first."""
     if Z.size == 0:
         return 0
     p = N.ring.p
     d = N.dim
-    ops = np.concatenate([N.actions, N.action_w[None]], axis=0)
+    ops = N.actions
     B = Bnd % p
     piv = list(piv)
     base = Bnd.shape[0]
@@ -183,7 +190,8 @@ def _homology_window(res: MinimalFreeResolution, N: FiniteModule,
             if i == w:
                 Dmats.pop(i + 1, None)   # top boundary is not needed again
         li = ci - ri - Bnd.shape[0]
-        assert li >= 0
+        if li < 0:
+            raise CertificateError(f"negative Tor length {li} in degree {i}")
         extra = _radical_excess(N, Z, Bnd, bpiv) if ci else 0
         out.append(_Homology(li, li - extra, extra == 0, Z, Bnd, bpiv))
         Dmats.pop(i, None)   # degree i's differential is no longer needed
@@ -293,7 +301,9 @@ def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
                    for i, h in enumerate(hom)]
             for i in range(w + 1, n + 1):
                 li = _expected_tail(res, resN, J, nu_x, nu_mx, i)
-                assert li >= 0
+                if li < 0:
+                    raise CertificateError(
+                        f"negative length count {li} in degree {i}")
                 ent.append(TorEntry(i, li, li, True, CERTIFIED))
             return kind(M, N, ent, w, J)
         target_w += 1
@@ -335,7 +345,8 @@ def _cohomology_window(res: MinimalFreeResolution, N: FiniteModule,
         else:
             Bnd, bpiv = linalg.row_space(prev_im.T, p)
         li = Z.shape[0] - Bnd.shape[0]
-        assert li >= 0
+        if li < 0:
+            raise CertificateError(f"negative Ext length {li} in degree {i}")
         extra = _radical_excess(N, Z, Bnd, bpiv) if ci else 0
         out.append(_Homology(li, li - extra, extra == 0, Z, Bnd, []))
         prev_im = emat(i)
@@ -363,8 +374,8 @@ def ext(M: FiniteModule, N: FiniteModule, n: int) -> ExtTable:
     entries = [TorEntry(i, h.length, h.nu, h.m_annihilated, COMPUTED)
                for i, h in enumerate(hom[: min(n, w) + 1])]
     for i in range(len(entries)):
-        assert entries[i].length == tdual.entries[i].length, (
-            "Ext/Tor duality violated at degree %d" % i)
+        if entries[i].length != tdual.entries[i].length:
+            raise CertificateError(f"Ext/Tor duality violated at degree {i}")
     entries += tdual.entries[w + 1: n + 1]
     return ExtTable(M, N, entries, w, tdual.junction)
 

@@ -4,6 +4,14 @@ All files are UTF-8 JSON with sorted keys, two-space indentation and a
 trailing newline; storing a loaded file reproduces it byte for byte.  Every
 number is an integer — no floating point appears in any artifact.  Schema
 violations raise SchemaError carrying a JSON pointer to the offending spot.
+
+Byte contract: ``canonical_json(obj)`` is exactly
+``json.dumps(obj, sort_keys=True, indent=2) + "\n"``.  It does not call that
+encoder, though: ``json.dumps`` drops to its pure-Python path whenever
+``indent`` is set.  Dicts and lists are walked here instead, and each block
+of scalars (a list of them, or a list of non-empty lists of them, such as
+one row of a differential) is encoded in one call of the C encoder and then
+re-spaced with ``str.replace``.
 """
 
 from __future__ import annotations
@@ -21,8 +29,85 @@ from .ring import ShortGorensteinRing, make_ring
 from .series import RationalityCertificate, TruncatedIntegerSeries
 
 
+_compact = json.JSONEncoder().encode   # C-accelerated: separators ", " and ": "
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(x, nl: str, out: list):
+    """Append the indented text of x; nl is a newline plus x's indent."""
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(x.items()):
+            out.append(sep + json.dumps(_key(key)) + ": ")
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        block = _scalar_block(x, nl)
+        if block is not None:
+            out.append(block)
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for value in x:
+            out.append(sep)
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(json.dumps(x))
+
+
+def _key(key) -> str:
+    # json.dumps turns these key types into strings the same way
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _scalar_block(x, nl: str):
+    """Indented text of a non-empty list of non-string scalars, or of a list
+    of non-empty lists of them, from one compact C encoding; None for any
+    other list.  Without strings the separators are purely structural, so
+    re-spacing them with str.replace is exact."""
+    first = x[0]
+    rows = isinstance(first, (list, tuple))
+    if rows:
+        if (not first or isinstance(first[0], (str, dict, list, tuple))
+                or not set(map(type, x)) <= {list, tuple}):
+            return None
+    elif isinstance(first, (str, dict)):
+        return None
+    text = _compact(x)
+    if '"' in text or "{" in text:
+        return None
+    i1 = nl + "  "
+    if not rows:
+        if text.count("[") != 1:
+            return None
+        return "[" + i1 + text[1:-1].replace(", ", "," + i1) + nl + "]"
+    if text.count("[") != len(x) + 1 or "[]" in text:
+        return None
+    i2 = i1 + "  "
+    body = (text[2:-2].replace("], [", i1 + "]," + i1 + "[" + i2)
+            .replace(", ", "," + i2))
+    return "[" + i1 + "[" + i2 + body + i1 + "]" + nl + "]"
 
 
 def write_text(path: str, text: str):
@@ -110,9 +195,7 @@ def module_to_dict(M: FiniteModule, ring_ref=None) -> dict:
     P = canonical_presentation(M)
     return {
         "ring": ring_ref if ring_ref is not None else ring_to_dict(M.ring),
-        "presentation": [[[int(c) for c in P.entries[i, j]]
-                          for j in range(P.relations)]
-                         for i in range(P.generators)],
+        "presentation": P.entries.tolist(),
     }
 
 
@@ -170,13 +253,8 @@ def store_module(M: FiniteModule, path: str, ring_ref=None):
 def resolution_to_dict(res: MinimalFreeResolution, steps: int) -> dict:
     betti = [int(b) for b in res.betti(steps)]
     head = min(steps, res.head)
-    mats = []
-    for i in range(1, head + 1):
-        G = res.diff(i)
-        mats.append([[[int(c) for c in G[a, j]] for j in range(G.shape[1])]
-                     for a in range(G.shape[0])])
     return {"betti": betti, "materialized_through": head,
-            "differentials": mats}
+            "differentials": [res.diff(i).tolist() for i in range(1, head + 1)]}
 
 
 def table_to_dict(table, induced=None) -> dict:

@@ -197,10 +197,16 @@ def hyperbolic_form(e: int) -> np.ndarray:
 
 
 def random_nondegenerate_form(e: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    """Resample random symmetric matrices until one is nondegenerate."""
+    """Resample random symmetric matrices until one is nondegenerate.
+
+    Over GF(2), U + U^T has a zero diagonal, so it is alternating and hence
+    degenerate in odd dimension; there the diagonal is drawn from U too."""
     while True:
         U = rng.integers(0, p, size=(e, e))
-        B = (U + U.T) % p
+        if p == 2 and e % 2:
+            B = np.triu(U) + np.triu(U, 1).T
+        else:
+            B = (U + U.T) % p
         if _det_mod(B.astype(np.int64), p) != 0:
             return B.astype(np.int64)
 

@@ -1,10 +1,19 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gorlab import (
     ext,
+    hyperbolic_form,
+    identity_form,
     iota_vanishing,
     length_count_audit,
+    make_ring,
     matlis_dual,
     nu,
     random_module,
@@ -12,8 +21,10 @@ from gorlab import (
     tor,
     tor_induced,
 )
-from gorlab.errors import RadicalSquareNonzero
+import gorlab.homology as hm
+from gorlab.errors import CertificateError, RadicalSquareNonzero
 from gorlab.homology import CERTIFIED, COMPUTED, TOR_MARGIN
+from gorlab.linalg import rank_array
 from gorlab.modules import ModuleMap, radical_rows, submodule
 
 
@@ -137,3 +148,104 @@ def test_tor_induced_of_zero_map_has_zero_rank(R3):
     N = random_module(R3, 1, 1, seed=18)
     zero = ModuleMap(M, M, np.zeros((M.dim, M.dim), dtype=np.int64))
     assert all(r.rank == 0 for r in tor_induced(zero, N, 5))
+
+
+def _radical_excess_with_w(N, Z, Bnd):
+    """Reference count: rank added to Bnd by the images of the rows of Z
+    under x_1..x_e and w, from one rank of the whole stack."""
+    if Z.size == 0:
+        return 0
+    p, d = N.ring.p, N.dim
+    ops = np.concatenate([N.actions, N.action_w[None]], axis=0)
+    img = np.einsum("zjd,oxd->ozjx", Z.reshape(Z.shape[0], -1, d), ops)
+    img = img.reshape(-1, Z.shape[1]) % p
+    return rank_array(np.concatenate([Bnd % p, img], axis=0), p) - Bnd.shape[0]
+
+
+@pytest.mark.parametrize("p", [3, 101])
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_radical_excess_without_w_images(p, e):
+    # cycles form an R-submodule and w is a multiple of x_g x_h, so dropping
+    # the w-images leaves the added rank unchanged
+    forms = [identity_form(e)] + ([hyperbolic_form(e)] if e % 2 == 0 else [])
+    for form in forms:
+        R = make_ring(p, e, form)
+        for seed in range(3):
+            M = random_module(R, 1 + seed % 2, 1 + seed // 2, seed=seed)
+            N = random_module(R, 1 + seed // 2, 1, seed=seed + 50)
+            res = resolve(M, 4)
+            w = min(3, res.head - 1)
+            for h in hm._homology_window(res, N, w):
+                Z, B = h.cycles, h.boundary_rows
+                assert hm._radical_excess(N, Z, B, h.boundary_pivots) == \
+                    _radical_excess_with_w(N, Z, B)
+            for h in hm._cohomology_window(res, N, w):
+                Z, B = h.cycles, h.boundary_rows
+                piv = [int(np.flatnonzero(r)[0]) for r in B]
+                assert hm._radical_excess(N, Z, B, piv) == \
+                    _radical_excess_with_w(N, Z, B)
+
+
+CORRUPTIONS = ["tor-window", "ext-window", "tail", "duality"]
+
+
+def _serve_corrupted(kind):
+    """Serve a table from deliberately corrupted data.  The windows get
+    identity blocks for their differentials (so D_i D_{i+1} != 0 and a
+    homology length goes negative), the tail a negative length count past
+    the materialized head, and the duality check a Tor_0(M, N*) one too
+    long."""
+    R = make_ring(101, 3, identity_form(3))
+    M = random_module(R, 1, 1, seed=41)
+    N = random_module(R, 1, 1, seed=42)
+    if kind.endswith("window"):
+        name = "_tor_diff" if kind == "tor-window" else "_ext_diff"
+        orig = getattr(hm, name)
+
+        def fake(G, N):
+            return np.eye(*orig(G, N).shape, dtype=np.int64)
+    elif kind == "tail":
+        name, orig = "_expected_tail", hm._expected_tail
+
+        def fake(res, *args):
+            return orig(res, *args) if args[-1] < res.head else -1
+    else:
+        name, orig = "tor", hm.tor
+
+        def fake(M, N, n):
+            table = orig(M, N, n)
+            table.entries[0] = replace(table.entries[0],
+                                       length=table.entries[0].length + 1)
+            return table
+    setattr(hm, name, fake)
+    try:
+        if kind.startswith("tor") or kind == "tail":
+            tor(M, N, 12)
+        else:
+            ext(M, N, 12)
+    finally:
+        setattr(hm, name, orig)
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_corrupted_homology_raises_certificate_error(kind):
+    with pytest.raises(CertificateError):
+        _serve_corrupted(kind)
+
+
+def test_corrupted_homology_raises_under_python_O():
+    # the homology checks must not be asserts that -O strips
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    code = ("import test_homology as t\n"
+            "for kind in t.CORRUPTIONS:\n"
+            "    try:\n"
+            "        t._serve_corrupted(kind)\n"
+            "    except t.CertificateError:\n"
+            "        continue\n"
+            "    raise SystemExit('no CertificateError: ' + kind)\n")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], cwd=here, capture_output=True,
+        text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    assert proc.returncode == 0, proc.stderr

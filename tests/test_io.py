@@ -1,14 +1,87 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gorlab import io, random_module, resolve, tor
+from gorlab.cli import main
 from gorlab.errors import SchemaError
+
+
+def _oracle(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def test_canonical_json_is_sorted_and_terminated():
     text = io.canonical_json({"b": 1, "a": [2, 3]})
     assert text == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
+
+
+_ints = st.integers(min_value=-2**70, max_value=2**70)
+_int_rows = st.lists(st.lists(_ints | st.booleans(), max_size=4), max_size=4)
+_json_values = st.recursive(
+    st.none() | st.booleans() | _ints | st.floats() | st.text()
+    | st.lists(_ints | st.booleans(), max_size=6) | _int_rows
+    | _int_rows.map(lambda rows: tuple(tuple(r) for r in rows)),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values)
+def test_canonical_json_matches_json_dumps(obj):
+    assert io.canonical_json(obj) == _oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, [[]], [[], [1]], [[1], []], [[1, 2], [3]], [[1], 2, [[3]]],
+    [1, [2]], [True, 1, False], [[True], [0]], ((1, 2), (3,)),
+    ["a, b", "], ["], [["x"]], [{}, 1], [1, {}], [[1], [{}]],
+    {"é\"q": [[2**65, -1]], "a": None}, {10: [2], 9: "t"}, {True: 1},
+    {None: [0]}, {1.5: 2, -0.5: 3},
+])
+def test_canonical_json_edge_cases(obj):
+    assert io.canonical_json(obj) == _oracle(obj)
+
+
+def test_canonical_json_rejects_what_json_dumps_rejects():
+    for bad in ({(1, 2): 3}, [object()], {"a": {1j}}):
+        with pytest.raises(TypeError):
+            _oracle(bad)
+        with pytest.raises(TypeError):
+            io.canonical_json(bad)
+
+
+def _resolution_dict_by_entry(res, steps):
+    """resolution_to_dict as it was built before tolist(): one int() per
+    entry."""
+    head = min(steps, res.head)
+    mats = []
+    for i in range(1, head + 1):
+        G = res.diff(i)
+        mats.append([[[int(c) for c in G[a, j]] for j in range(G.shape[1])]
+                     for a in range(G.shape[0])])
+    return {"betti": [int(b) for b in res.betti(steps)],
+            "materialized_through": head, "differentials": mats}
+
+
+def test_resolution_bytes_match_per_entry_conversion(tmp_path, capsys, R3):
+    M = random_module(R3, 2, 2, seed=5)
+    res = resolve(M, 7)
+    want = _oracle(_resolution_dict_by_entry(res, 7))
+    assert io.canonical_json(io.resolution_to_dict(res, 7)) == want
+    P = io.canonical_presentation(M)
+    assert io.module_to_dict(M)["presentation"] == \
+        [[[int(c) for c in P.entries[i, j]] for j in range(P.relations)]
+         for i in range(P.generators)]
+    # the CLI writes the same bytes for a fresh copy of the module
+    path = str(tmp_path / "m.json")
+    io.store_module(M, path)
+    assert main(["resolve", path, "--steps", "7"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_ring_round_trip(tmp_path, R3):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,7 @@ from gorlab.ring import (
     hyperbolic_form,
     identity_form,
     mul,
+    _det_mod,
     random_nondegenerate_form,
     structure_constants,
 )
@@ -70,6 +76,37 @@ def test_random_form_is_symmetric_nondegenerate_and_seeded():
     assert np.array_equal(a, b)
     assert np.array_equal(a, a.T % 101)
     make_ring(101, 4, a)  # nondegeneracy: constructor accepts it
+
+
+def test_random_form_over_gf2_in_odd_dimension_terminates():
+    # U + U^T is alternating over GF(2); a hang must fail, not stall the suite
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    code = ("import numpy as np\n"
+            "from gorlab.ring import _det_mod, random_nondegenerate_form\n"
+            "for e in (1, 3, 5):\n"
+            "    for seed in range(20):\n"
+            "        B = random_nondegenerate_form(e, 2, np.random.default_rng(seed))\n"
+            "        assert B.shape == (e, e) and np.array_equal(B, B.T)\n"
+            "        assert set(B.flat) <= {0, 1} and _det_mod(B, 2) == 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("e, p", [(2, 2), (4, 2), (3, 3), (3, 101), (4, 101)])
+def test_random_form_keeps_its_draws_where_they_terminated(e, p):
+    # the first nondegenerate U + U^T, as drawn before the GF(2) fix
+    rng = np.random.default_rng(17)
+    while True:
+        U = rng.integers(0, p, size=(e, e))
+        want = (U + U.T) % p
+        if _det_mod(want, p):
+            break
+    assert np.array_equal(
+        random_nondegenerate_form(e, p, np.random.default_rng(17)), want)
 
 
 def test_structure_constants_round_trip(R3):
