@@ -159,7 +159,7 @@ def _cmd_module_info(args) -> int:
 def _cmd_resolve(args) -> int:
     M = io.load_module(args.module)
     res = resolve(M, args.steps)
-    res.extend(args.steps)
+    res.extend(args.steps, budget_stop=True)
     _emit(io.resolution_to_dict(res, args.steps), args)
     return 0
 

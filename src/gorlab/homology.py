@@ -34,6 +34,7 @@ from .modules import (
     radical_square_rows,
 )
 from .resolution import (
+    DEFAULT_BUDGET,
     MinimalFreeResolution,
     lift_chain_map,
     resolve,
@@ -270,8 +271,8 @@ def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
     # prefer honest materialization through degree n when it is affordable
     # (slow-growing resolutions, e.g. e = 2, may never need a certificate)
     cost = max(res.betti(n + 1))
-    if cost * res.ring.dim <= res.budget and cost * N.dim <= TOR_BUDGET:
-        res.extend(n + 1, ignore_budget=True)
+    if cost * res.ring.dim <= DEFAULT_BUDGET and cost * N.dim <= TOR_BUDGET:
+        res.extend(n + 1)
     # the length-count equality can start at J + 2 at the earliest (degree
     # J + 1 may legitimately disagree), so the floor leaves room for a full
     # margin above it
@@ -281,7 +282,7 @@ def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
     for attempt in range(WINDOW_RETRIES + 1):
         if attempt and res.betti(target_w + 1)[target_w + 1] * N.dim > MAX_WINDOW_ROWS:
             break   # refuse runaway windows; fail honestly below instead
-        res.extend(target_w + 1, ignore_budget=True)
+        res.extend(target_w + 1)
         w = min(n, res.head - 1, max(target_w, floor))
         hom = diff_builder(res, N, w)
         if n <= w:
@@ -348,7 +349,7 @@ def _cohomology_window(res: MinimalFreeResolution, N: FiniteModule,
         if li < 0:
             raise CertificateError(f"negative Ext length {li} in degree {i}")
         extra = _radical_excess(N, Z, Bnd, bpiv) if ci else 0
-        out.append(_Homology(li, li - extra, extra == 0, Z, Bnd, []))
+        out.append(_Homology(li, li - extra, extra == 0, Z, Bnd, bpiv))
         prev_im = emat(i)
     return out
 
@@ -368,7 +369,7 @@ def ext(M: FiniteModule, N: FiniteModule, n: int) -> ExtTable:
         return t
     tdual = tor(M, matlis_dual(N), n)
     w = min(tdual.window, _size_capped_window(res, N.dim, n))
-    res.extend(w + 1, ignore_budget=True)
+    res.extend(w + 1)
     w = min(w, res.head if res.finite else res.head - 1)
     hom = _cohomology_window(res, N, w)
     entries = [TorEntry(i, h.length, h.nu, h.m_annihilated, COMPUTED)
@@ -400,8 +401,8 @@ def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResul
     w = min(n,
             _size_capped_window(ra, N.dim, n),
             _size_capped_window(rb, N.dim, n))
-    ra.extend(w + 1, ignore_budget=True)
-    rb.extend(w + 1, ignore_budget=True)
+    ra.extend(w + 1)
+    rb.extend(w + 1)
     wa = ra.head if ra.finite else ra.head - 1
     wb = rb.head if rb.finite else rb.head - 1
     w = min(w, wa, wb)

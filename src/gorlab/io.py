@@ -180,7 +180,7 @@ def canonical_presentation(M: FiniteModule) -> Presentation:
     """Minimal cover plus first-syzygy relation matrix."""
     res = resolve(M, 1)
     if not res.finite and len(res.betti_head) < 2:
-        res.extend(1, ignore_budget=True)
+        res.extend(1)
     g = res.betti_head[0]
     r = res.betti_head[1] if len(res.betti_head) > 1 else 0
     if r == 0:

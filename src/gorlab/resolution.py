@@ -1,14 +1,19 @@
 """Minimal free resolutions, syzygies and chain-map lifting.
 
 Resolutions have two regimes.  A materialized head is computed honestly, one
-k-linear kernel per homological degree; matrix sizes grow like e^i, so the
-head is bounded by a column budget.  Beyond the head, Betti numbers are exact
-values of the certified tail: once the syzygy M_J is past the junction index
-J (no later syzygy can split off a copy of k, by the dimension bound
-dim k_{-j} = dim k_j), M_J is Koszul and the Lescot formulas force
-beta_{i+1} = e*beta_i - beta_{i-1}.  The certificate is cross-checked against
-every materialized degree past the junction before any tail value is served;
-a mismatch raises CertificateError.
+k-linear kernel per homological degree.  Matrix sizes grow like e^i, so a
+step whose kernel problem would have more than HARD_COLUMN_CAP columns is
+refused, and the head holds only the degrees that the tail certificate, the
+homology windows and the syzygy and lifting calls ask for.  The column budget
+DEFAULT_BUDGET applies only to the CLI `resolve` verb, which stops silently
+before the first kernel problem past it (and, in the homology layer, to the
+test of whether an honest Tor/Ext window through degree n is affordable).
+Beyond the head, Betti numbers are exact values of the certified tail: once
+the syzygy M_J is past the junction index J (no later syzygy can split off a
+copy of k, by the dimension bound dim k_{-j} = dim k_j), M_J is Koszul and
+the Lescot formulas force beta_{i+1} = e*beta_i - beta_{i-1}.  The
+certificate is cross-checked against every materialized degree past the
+junction before any tail value is served; a mismatch raises CertificateError.
 
 Every honest step after the first is a linear-part problem.  The rings have
 m^3 = 0 and m^2 = (w) one-dimensional, and a minimal differential del_i has
@@ -48,7 +53,7 @@ from .modules import (
 )
 from .ring import ShortGorensteinRing
 
-DEFAULT_BUDGET = 6000     # max columns of a materialized kernel problem
+DEFAULT_BUDGET = 6000     # kernel columns: CLI `resolve` stop, honest-window test
 HARD_COLUMN_CAP = 60000   # absolute safety cap, beyond which we refuse
 TAIL_OVERLAP = 2          # honest degrees past the junction required for a tail
 HEAD_SLACK = 3            # extra head degrees materialized past the junction
@@ -112,11 +117,10 @@ class TailCertificate:
 class MinimalFreeResolution:
     """Growable minimal free resolution of a finite module."""
 
-    def __init__(self, module: FiniteModule, budget: int = DEFAULT_BUDGET):
+    def __init__(self, module: FiniteModule):
         ring = module.ring
         self.module = module
         self.ring = ring
-        self.budget = budget
         U, piv = radical_rows(module)
         pivset = set(piv)
         self.gen_cols = [c for c in range(module.dim) if c not in pivset]
@@ -209,14 +213,18 @@ class MinimalFreeResolution:
         if nu == 0:
             self.finite = True
 
-    def extend(self, steps: int, ignore_budget: bool = False):
-        """Materialize differentials up to index `steps` (subject to budget)."""
+    def extend(self, steps: int, budget_stop: bool = False):
+        """Materialize differentials up to index `steps`.  A kernel problem
+        past HARD_COLUMN_CAP columns raises NotMaterialized.  With
+        budget_stop, passed only by the CLI `resolve` verb, the head also
+        stops, without an error, before a kernel problem past DEFAULT_BUDGET
+        columns."""
         while self.head < steps and not self.finite:
             cols = self.betti_head[-1] * self.ring.dim
             if cols > HARD_COLUMN_CAP:
                 raise NotMaterialized(
                     f"next kernel has {cols} columns, over the hard cap")
-            if cols > self.budget and not ignore_budget:
+            if budget_stop and cols > DEFAULT_BUDGET:
                 break
             self._step()
 
@@ -245,7 +253,7 @@ class MinimalFreeResolution:
             return
         J, i_max = self.junction()
         need = J + TAIL_OVERLAP
-        self.extend(need, ignore_budget=True)
+        self.extend(need)
         # extra honest degrees help downstream homology windows, but they are
         # optional: take them only while the kernel problems stay desk-scale
         while (self.head < need + HEAD_SLACK and not self.finite
@@ -304,20 +312,19 @@ class MinimalFreeResolution:
         return ModuleMap(F, self.module, self.cover_matrix)
 
 
-def resolve(M: FiniteModule, n: int, budget: int = DEFAULT_BUDGET,
+def resolve(M: FiniteModule, n: int,
             min_head: int | None = None) -> MinimalFreeResolution:
     """Resolution of M with exact Betti numbers through degree n.
 
-    Cached on the module; the head is materialized up to the budget and at
-    least through the junction overlap so the tail is certified.
+    Cached on the module; the head is materialized through min(min_head, n)
+    and at least through the junction overlap so the tail is certified.
     """
     res = M._cache.get("resolution")
     if res is None:
-        res = MinimalFreeResolution(M, budget)
+        res = MinimalFreeResolution(M)
         M._cache["resolution"] = res
-    res.budget = max(res.budget, budget)
     if min_head is not None:
-        res.extend(min(min_head, n), ignore_budget=True)
+        res.extend(min(min_head, n))
     res.betti(n)  # materializes the head and certifies the tail as needed
     return res
 
@@ -326,11 +333,11 @@ def betti_numbers(M: FiniteModule, n: int) -> list[int]:
     return resolve(M, n).betti(n)
 
 
-def syzygy(M: FiniteModule, i: int, budget: int = DEFAULT_BUDGET) -> FiniteModule:
+def syzygy(M: FiniteModule, i: int) -> FiniteModule:
     """The i-th syzygy module M_i, realized inside F_{i-1}."""
     if i == 0:
         return M
-    res = resolve(M, i, budget, min_head=i)
+    res = resolve(M, i, min_head=i)
     if res.finite and i > res.head:
         return FiniteModule.zero(M.ring)
     if i > res.head:
@@ -362,16 +369,15 @@ class ChainMapLift:
         return free_kmat(self.source.ring, self.maps[i])
 
 
-def lift_chain_map(phi: ModuleMap, n: int,
-                   budget: int = DEFAULT_BUDGET) -> ChainMapLift:
+def lift_chain_map(phi: ModuleMap, n: int) -> ChainMapLift:
     """Lift phi: A -> B to chain maps between minimal resolutions, degrees
     0..n (capped at the materialized heads)."""
     A, B = phi.source, phi.target
     ring = A.ring
     p = ring.p
     D = ring.dim
-    ra = resolve(A, n, budget, min_head=n)
-    rb = resolve(B, n, budget, min_head=n)
+    ra = resolve(A, n, min_head=n)
+    rb = resolve(B, n, min_head=n)
     depth = min(n, ra.head, rb.head)
     lift = ChainMapLift(phi, ra, rb)
     # degree 0: cover_B . f0 = phi . cover_A, solved on the free generators
@@ -435,7 +441,7 @@ def k_syzygy_dims(ring: ShortGorensteinRing, bound: int) -> list[int]:
     dims = [1]
     j = 1
     while dims[-1] <= bound:
-        res.extend(j - 1, ignore_budget=True)
+        res.extend(j - 1)
         dims.append(res.betti_head[j - 1] * ring.dim - dims[-1])
         j += 1
     return dims

@@ -11,9 +11,7 @@ holding on [s, cutoff].
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -134,23 +132,6 @@ def _fingerprint(M: FiniteModule) -> dict:
             "hilbert": [int(h) for h in hilbert_function(M)]}
 
 
-def _thread_count() -> int:
-    try:
-        return max(int(os.environ.get("GORLAB_THREADS", "0")), 0)
-    except ValueError:
-        return 0
-
-
-def _run_trials(fn, count: int):
-    """Run fn(index) for each trial; parallel when GORLAB_THREADS > 1, with
-    results always reduced in index order."""
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
-
-
 def _finish(check: str, cfg: TrialConfig, trials: list, t0: float) -> VerificationReport:
     failures = [t for t in trials if t.get("status") == "fail"]
     return VerificationReport(check, asdict(cfg), not failures, trials,
@@ -170,9 +151,7 @@ def verify_lofwall(cfg: TrialConfig) -> VerificationReport:
     def one(i):
         ring = _ring_for(cfg, i)
         k = FiniteModule.residue_field(ring)
-        # the tail past the (tiny) junction of k is certified, so a modest
-        # budget keeps deep cutoffs at e = 4, 5 from grinding huge kernels
-        b = [int(x) for x in resolve(k, cfg.cutoff, budget=600).betti(cfg.cutoff)]
+        b = [int(x) for x in resolve(k, cfg.cutoff).betti(cfg.cutoff)]
         expected = series.expand_rational([1], cfg.e, cfg.cutoff)
         ok = (b == expected and b[0] == 1 and b[1] == cfg.e
               and all(b[i + 1] == cfg.e * b[i] - b[i - 1]
@@ -180,7 +159,7 @@ def verify_lofwall(cfg: TrialConfig) -> VerificationReport:
         return {"trial": i, "status": "pass" if ok else "fail",
                 "betti": b, "expected": expected}
 
-    return _finish("lofwall", cfg, _run_trials(one, count), t0)
+    return _finish("lofwall", cfg, [one(i) for i in range(count)], t0)
 
 
 def verify_main_theorem(cfg: TrialConfig) -> VerificationReport:
@@ -236,7 +215,7 @@ def verify_main_theorem(cfg: TrialConfig) -> VerificationReport:
             rec["problems"] = [f"{type(ex).__name__}: {ex}"]
         return rec
 
-    return _finish("main_theorem", cfg, _run_trials(one, cfg.trials), t0)
+    return _finish("main_theorem", cfg, [one(t) for t in range(cfg.trials)], t0)
 
 
 def verify_vanishing_proposition(cfg: TrialConfig) -> VerificationReport:
@@ -291,7 +270,8 @@ def verify_vanishing_proposition(cfg: TrialConfig) -> VerificationReport:
             rec["problems"] = problems
         return rec
 
-    return _finish("vanishing_proposition", cfg, _run_trials(one, cfg.trials), t0)
+    return _finish("vanishing_proposition", cfg,
+                   [one(t) for t in range(cfg.trials)], t0)
 
 
 def verify_counterexample_e2(cfg: TrialConfig) -> VerificationReport:
@@ -336,109 +316,89 @@ def verify_counterexample_e2(cfg: TrialConfig) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # lemma suite
+#
+# Each lemma is one per-trial function (cfg, ring, t, rng) -> record; the
+# suite adds the "check" name and the trial index to every record.
 
 
-def _check_lescot(cfg: TrialConfig, ring) -> list:
+def _first_syzygy_off_k(M: FiniteModule) -> FiniteModule | None:
+    """M_1 = syzygy(M, 1) when m^2 M = 0, M_1 != 0 and M_1 does not split
+    off k (the hypotheses of the Lescot formulas); otherwise None."""
+    if radical_square_rows(M)[0].shape[0]:
+        return None
+    M1 = syzygy(M, 1)
+    if M1.dim == 0 or koszul.split_off_k_witness(M1) is not None:
+        return None
+    return M1
+
+
+def _lescot(cfg: TrialConfig, ring, t: int, rng) -> dict:
     """nu(M_1) = nu(M) e - nu(mM) and nu(m M_1) = nu(M), for m^2 M = 0 and
     M_1 not splitting off k."""
-
-    def one(t):
-        rng = np.random.default_rng(cfg.seed + 1000 + t)
-        M = _draw_module(ring, cfg, rng)
-        rec = {"check": "lescot", "trial": t, "M": _fingerprint(M)}
-        if radical_square_rows(M)[0].shape[0]:
-            rec["status"] = "skipped"
-            return rec
-        M1 = syzygy(M, 1)
-        if M1.dim == 0 or koszul.split_off_k_witness(M1) is not None:
-            rec["status"] = "skipped"
-            return rec
-        U, _ = radical_rows(M)
-        lhs1, rhs1 = nu(M1), nu(M) * ring.e - U.shape[0]
-        # nu(m M_1) = dim m M_1: it is a vector space since m^2 M_1 = 0
-        U1, _ = radical_rows(M1)
-        lhs2, rhs2 = U1.shape[0], nu(M)
-        ok = lhs1 == rhs1 and lhs2 == rhs2
-        rec.update(status="pass" if ok else "fail",
-                   values=[int(lhs1), int(rhs1), int(lhs2), int(rhs2)])
-        return rec
-
-    return _run_trials(one, 4 * cfg.trials)
+    M = _draw_module(ring, cfg, rng)
+    rec = {"M": _fingerprint(M)}
+    M1 = _first_syzygy_off_k(M)
+    if M1 is None:
+        return dict(rec, status="skipped")
+    U, _ = radical_rows(M)
+    lhs1, rhs1 = nu(M1), nu(M) * ring.e - U.shape[0]
+    # nu(m M_1) = dim m M_1: it is a vector space since m^2 M_1 = 0
+    U1, _ = radical_rows(M1)
+    lhs2, rhs2 = U1.shape[0], nu(M)
+    ok = lhs1 == rhs1 and lhs2 == rhs2
+    return dict(rec, status="pass" if ok else "fail",
+                values=[int(lhs1), int(rhs1), int(lhs2), int(rhs2)])
 
 
-def _check_betti_growth(cfg: TrialConfig) -> list:
+def _edge(t: int) -> int:
+    """Every tenth ideal is m^2 (t = 0 mod 10) or m (t = 5 mod 10)."""
+    return 0 if t % 10 == 0 else 1 if t % 10 == 5 else -1
+
+
+def _betti_growth(cfg: TrialConfig, _ring, t: int, rng) -> dict:
     """For proper ideals I and e > 2: beta_i(R/I) strictly increasing from
-    i = 1 and beta_i >= i."""
-
-    def one(t):
-        e = 3 if t % 2 == 0 else 4
-        ring = make_ring(cfg.p, e, identity_form(e))
-        rng = np.random.default_rng(cfg.seed + 2000 + t)
-        gens = _draw_ideal_gens(ring, rng, include_edge=(0 if t % 10 == 0 else
-                                                         1 if t % 10 == 5 else -1))
-        M, _ = cyclic_module(ring, gens)
-        rec = {"check": "betti_growth", "trial": t, "e": e,
-               "M": _fingerprint(M)}
-        if M.dim == ring.dim:   # I = 0 is not proper-interesting: R is free
-            rec["status"] = "skipped"
-            return rec
-        n = min(cfg.cutoff, 12)
-        b = [int(x) for x in resolve(M, n).betti(n)]
-        ok = (all(b[i] >= i for i in range(n + 1))
-              and all(b[i + 1] > b[i] for i in range(1, n)))
-        rec.update(status="pass" if ok else "fail", betti=b)
-        return rec
-
-    return _run_trials(one, 2 * cfg.trials)
+    i = 1 and beta_i >= i, over identity-form rings with e = 3 and e = 4 in
+    turn (not over the suite's ring)."""
+    e = 3 if t % 2 == 0 else 4
+    ring = make_ring(cfg.p, e, identity_form(e))
+    gens = _draw_ideal_gens(ring, rng, include_edge=_edge(t))
+    M, _ = cyclic_module(ring, gens)
+    rec = {"e": e, "M": _fingerprint(M)}
+    if M.dim == ring.dim:   # I = 0 is not proper-interesting: R is free
+        return dict(rec, status="skipped")
+    n = min(cfg.cutoff, 12)
+    b = [int(x) for x in resolve(M, n).betti(n)]
+    ok = (all(b[i] >= i for i in range(n + 1))
+          and all(b[i + 1] > b[i] for i in range(1, n)))
+    return dict(rec, status="pass" if ok else "fail", betti=b)
 
 
-def _check_koszul_iff(cfg: TrialConfig, ring) -> list:
+def _koszul_iff(cfg: TrialConfig, ring, t: int, rng) -> dict:
     """R/I is not Koszul exactly when I = m^2."""
-
-    def one(t):
-        rng = np.random.default_rng(cfg.seed + 3000 + t)
-        edge = 0 if t % 10 == 0 else 1 if t % 10 == 5 else -1
-        gens = _draw_ideal_gens(ring, rng, include_edge=edge)
-        M, _ = cyclic_module(ring, gens)
-        rec = {"check": "koszul_iff", "trial": t, "M": _fingerprint(M)}
-        if M.dim == ring.dim:
-            rec["status"] = "skipped"   # I = 0: R/I free, Koszulness trivial
-            return rec
-        is_m2 = hilbert_function(M) == [1, ring.e]
-        verdict = koszul.is_koszul(M)
-        ok = verdict.is_koszul() == (not is_m2)
-        rec.update(status="pass" if ok else "fail", i_eq_m2=is_m2,
-                   verdict=verdict.verdict)
-        return rec
-
-    return _run_trials(one, 8 * cfg.trials)
+    M, _ = cyclic_module(ring, _draw_ideal_gens(ring, rng, include_edge=_edge(t)))
+    rec = {"M": _fingerprint(M)}
+    if M.dim == ring.dim:   # I = 0: R/I free, Koszulness trivial
+        return dict(rec, status="skipped")
+    is_m2 = hilbert_function(M) == [1, ring.e]
+    verdict = koszul.is_koszul(M)
+    ok = verdict.is_koszul() == (not is_m2)
+    return dict(rec, status="pass" if ok else "fail", i_eq_m2=is_m2,
+                verdict=verdict.verdict)
 
 
-def _check_tail_equivalence(cfg: TrialConfig, ring) -> list:
+def _tail_equivalence(cfg: TrialConfig, ring, t: int, rng) -> dict:
     """Tor_i(iota_M, N) vanishes for i >> 0 iff the same holds for M_1,
     when m^2 M = 0 and M_1 does not split off k."""
+    M = _draw_module(ring, cfg, rng)
+    N = _draw_module(ring, cfg, rng)
+    rec = {"M": _fingerprint(M), "N": _fingerprint(N)}
+    M1 = _first_syzygy_off_k(M)
+    if M1 is None:
+        return dict(rec, status="skipped")
     n = min(cfg.cutoff, 12)
-
-    def one(t):
-        rng = np.random.default_rng(cfg.seed + 4000 + t)
-        M = _draw_module(ring, cfg, rng)
-        N = _draw_module(ring, cfg, rng)
-        rec = {"check": "tail_equivalence", "trial": t, "M": _fingerprint(M),
-               "N": _fingerprint(N)}
-        if radical_square_rows(M)[0].shape[0]:
-            rec["status"] = "skipped"
-            return rec
-        M1 = syzygy(M, 1)
-        if M1.dim == 0 or koszul.split_off_k_witness(M1) is not None:
-            rec["status"] = "skipped"
-            return rec
-        vm = _tail_vanishes(M, N, n, cfg.margin)
-        v1 = _tail_vanishes(M1, N, n, cfg.margin)
-        rec.update(status="pass" if vm == v1 else "fail",
-                   vanishing=[vm, v1])
-        return rec
-
-    return _run_trials(one, cfg.trials)
+    vm = _tail_vanishes(M, N, n, cfg.margin)
+    v1 = _tail_vanishes(M1, N, n, cfg.margin)
+    return dict(rec, status="pass" if vm == v1 else "fail", vanishing=[vm, v1])
 
 
 def _tail_vanishes(M: FiniteModule, N: FiniteModule, n: int, margin: int) -> bool:
@@ -453,92 +413,68 @@ def _tail_vanishes(M: FiniteModule, N: FiniteModule, n: int, margin: int) -> boo
     return certified >= n and s <= n - margin
 
 
-def _check_length_count(cfg: TrialConfig, ring) -> list:
+def _length_count(cfg: TrialConfig, ring, t: int, rng) -> dict:
     """Length-count equality at degree i holds iff the induced maps vanish
     at i and i-1 (Remark conditions), plus the companion inequality."""
-
-    def one(t):
-        rng = np.random.default_rng(cfg.seed + 5000 + t)
-        M = _draw_module(ring, cfg, rng)
-        N = _draw_module(ring, cfg, rng)
-        rec = {"check": "length_count", "trial": t, "M": _fingerprint(M),
-               "N": _fingerprint(N)}
-        if radical_square_rows(M)[0].shape[0]:
-            rec["status"] = "skipped"
-            return rec
-        rep = homology.length_count_audit(M, N, min(cfg.cutoff, 10))
-        ok = all(r["equality"] and r["inequality"]
-                 and r["equality_iff_vanishing"] for r in rep.degrees)
-        rec.update(status="pass" if ok else "fail",
-                   degrees_checked=len(rep.degrees))
-        return rec
-
-    return _run_trials(one, cfg.trials)
+    M = _draw_module(ring, cfg, rng)
+    N = _draw_module(ring, cfg, rng)
+    rec = {"M": _fingerprint(M), "N": _fingerprint(N)}
+    if radical_square_rows(M)[0].shape[0]:
+        return dict(rec, status="skipped")
+    rep = homology.length_count_audit(M, N, min(cfg.cutoff, 10))
+    ok = all(r["equality"] and r["inequality"]
+             and r["equality_iff_vanishing"] for r in rep.degrees)
+    return dict(rec, status="pass" if ok else "fail",
+                degrees_checked=len(rep.degrees))
 
 
-def _check_hom_vanishing(cfg: TrialConfig, ring) -> list:
+def _hom_vanishing(cfg: TrialConfig, ring, t: int, rng) -> dict:
     """For cyclic Koszul M and beta_i(M) > beta_i(N) at some i: every
     phi: M -> N lands in mN, and (when m^2 N = 0) phi kills mM."""
-
-    def one(t):
-        rng = np.random.default_rng(cfg.seed + 6000 + t)
-        M, _ = cyclic_module(ring, _draw_ideal_gens(ring, rng))
-        N = _draw_module(ring, cfg, rng)
-        rec = {"check": "hom_vanishing", "trial": t, "M": _fingerprint(M),
-               "N": _fingerprint(N)}
-        if M.dim == 0 or M.dim == ring.dim or not koszul.is_koszul(M).is_koszul():
-            rec["status"] = "skipped"
-            return rec
-        n = min(cfg.cutoff, 12)
-        bM = resolve(M, n).betti(n)
-        bN = resolve(N, n).betti(n)
-        if not any(bM[i] > bN[i] for i in range(n + 1)):
-            rec["status"] = "skipped"
-            rec["reason"] = "no degree with beta_i(M) > beta_i(N)"
-            return rec
-        UN, pivN = radical_rows(N)
-        UM, _ = radical_rows(M)
-        p = ring.p
-        problems = []
-        for phi in hom_space(M, N):
-            img = phi.matrix.T % p   # rows are images of the basis of M
-            if not linalg.in_rowspace(UN, pivN, img, p):
-                problems.append("phi(M) not inside mN")
-            if radical_square_rows(N)[0].shape[0] == 0 and UM.shape[0]:
-                if (phi.matrix @ UM.T % p).any():
-                    problems.append("phi does not kill mM")
-        rec["status"] = "fail" if problems else "pass"
-        if problems:
-            rec["problems"] = problems
-        return rec
-
-    return _run_trials(one, cfg.trials)
+    M, _ = cyclic_module(ring, _draw_ideal_gens(ring, rng))
+    N = _draw_module(ring, cfg, rng)
+    rec = {"M": _fingerprint(M), "N": _fingerprint(N)}
+    if M.dim == 0 or M.dim == ring.dim or not koszul.is_koszul(M).is_koszul():
+        return dict(rec, status="skipped")
+    n = min(cfg.cutoff, 12)
+    bM = resolve(M, n).betti(n)
+    bN = resolve(N, n).betti(n)
+    if not any(bM[i] > bN[i] for i in range(n + 1)):
+        return dict(rec, status="skipped",
+                    reason="no degree with beta_i(M) > beta_i(N)")
+    UN, pivN = radical_rows(N)
+    UM, _ = radical_rows(M)
+    p = ring.p
+    problems = []
+    for phi in hom_space(M, N):
+        img = phi.matrix.T % p   # rows are images of the basis of M
+        if not linalg.in_rowspace(UN, pivN, img, p):
+            problems.append("phi(M) not inside mN")
+        if radical_square_rows(N)[0].shape[0] == 0 and UM.shape[0]:
+            if (phi.matrix @ UM.T % p).any():
+                problems.append("phi does not kill mM")
+    if problems:
+        return dict(rec, status="fail", problems=problems)
+    return dict(rec, status="pass")
 
 
-def _check_three_parts(cfg: TrialConfig, ring) -> list:
+def _three_parts(cfg: TrialConfig, ring, t: int, rng) -> dict:
     """Split extensions 0 -> Rx -> M -> B -> 0 with x outside mM: when
     m^2 M = 0 and M is Koszul, B is Koszul."""
-
-    def one(t):
-        rng = np.random.default_rng(cfg.seed + 8000 + t)
-        M = _draw_module(ring, cfg, rng)
-        rec = {"check": "three_parts", "trial": t, "M": _fingerprint(M)}
-        if radical_square_rows(M)[0].shape[0] or not koszul.is_koszul(M).is_koszul():
-            rec["status"] = "skipped"
-            return rec
-        # x = the first minimal generator of M
-        U, piv = radical_rows(M)
-        pivset = set(piv)
-        free_cols = [c for c in range(M.dim) if c not in pivset]
-        x = np.zeros(M.dim, dtype=np.int64)
-        x[free_cols[0]] = 1
-        data = split_extension(M, x)
-        verdict = koszul.is_koszul(data.B)
-        rec.update(status="pass" if verdict.is_koszul() else "fail",
-                   B_dim=int(data.B.dim))
-        return rec
-
-    return _run_trials(one, cfg.trials)
+    M = _draw_module(ring, cfg, rng)
+    rec = {"M": _fingerprint(M)}
+    if radical_square_rows(M)[0].shape[0] or not koszul.is_koszul(M).is_koszul():
+        return dict(rec, status="skipped")
+    # x = the first minimal generator of M
+    U, piv = radical_rows(M)
+    pivset = set(piv)
+    free_cols = [c for c in range(M.dim) if c not in pivset]
+    x = np.zeros(M.dim, dtype=np.int64)
+    x[free_cols[0]] = 1
+    data = split_extension(M, x)
+    verdict = koszul.is_koszul(data.B)
+    return dict(rec, status="pass" if verdict.is_koszul() else "fail",
+                B_dim=int(data.B.dim))
 
 
 def _ann_is_m2(ann: np.ndarray, p: int) -> bool:
@@ -549,40 +485,47 @@ def _ann_is_m2(ann: np.ndarray, p: int) -> bool:
     return not v[:-1].any() and v[-1] != 0
 
 
-def _check_annihilator(cfg: TrialConfig, ring) -> list:
+def _annihilator(cfg: TrialConfig, ring, t: int, rng) -> dict:
     """Search for x outside mM with ann(x) != m^2 (exists over algebraically
     closed k when m^2 M = 0 and nu(M) >= nu(mM)); over GF(p) a not-found is a
     soft outcome, reported but never failing."""
+    M = _draw_module(ring, cfg, rng)
+    rec = {"M": _fingerprint(M)}
+    U, piv = radical_rows(M)
+    if radical_square_rows(M)[0].shape[0] or nu(M) < U.shape[0]:
+        return dict(rec, status="skipped")
+    pivset = set(piv)
+    free_cols = [c for c in range(M.dim) if c not in pivset]
+    p = ring.p
+    found = False
+    candidates = 0
+    for _ in range(60):
+        x = np.zeros(M.dim, dtype=np.int64)
+        x[free_cols] = rng.integers(0, p, size=len(free_cols))
+        if not x.any():
+            continue
+        candidates += 1
+        T = np.stack([M.all_ops[b] @ x % p for b in range(ring.dim)], axis=1)
+        ann = linalg.kernel_array(T, p)
+        if not _ann_is_m2(ann, p):
+            found = True
+            break
+    return dict(rec, status="pass" if found else "soft_not_found",
+                candidates=candidates)
 
-    def one(t):
-        rng = np.random.default_rng(cfg.seed + 9000 + t)
-        M = _draw_module(ring, cfg, rng)
-        rec = {"check": "annihilator", "trial": t, "M": _fingerprint(M)}
-        U, piv = radical_rows(M)
-        if radical_square_rows(M)[0].shape[0] or nu(M) < U.shape[0]:
-            rec["status"] = "skipped"
-            return rec
-        pivset = set(piv)
-        free_cols = [c for c in range(M.dim) if c not in pivset]
-        p = ring.p
-        found = False
-        candidates = 0
-        for _ in range(60):
-            x = np.zeros(M.dim, dtype=np.int64)
-            x[free_cols] = rng.integers(0, p, size=len(free_cols))
-            if not x.any():
-                continue
-            candidates += 1
-            T = np.stack([M.all_ops[b] @ x % p for b in range(ring.dim)], axis=1)
-            ann = linalg.kernel_array(T, p)
-            if not _ann_is_m2(ann, p):
-                found = True
-                break
-        rec.update(status="pass" if found else "soft_not_found",
-                   candidates=candidates)
-        return rec
 
-    return _run_trials(one, cfg.trials)
+# check name -> (per-trial function, seed offset, trials per cfg.trials);
+# trial t of a lemma draws from default_rng(cfg.seed + offset + t)
+LEMMAS = {
+    "lescot": (_lescot, 1000, 4),
+    "betti_growth": (_betti_growth, 2000, 2),
+    "koszul_iff": (_koszul_iff, 3000, 8),
+    "tail_equivalence": (_tail_equivalence, 4000, 1),
+    "length_count": (_length_count, 5000, 1),
+    "hom_vanishing": (_hom_vanishing, 6000, 1),
+    "three_parts": (_three_parts, 8000, 1),
+    "annihilator": (_annihilator, 9000, 1),
+}
 
 
 def verify_lemma_suite(cfg: TrialConfig) -> VerificationReport:
@@ -592,15 +535,10 @@ def verify_lemma_suite(cfg: TrialConfig) -> VerificationReport:
     the (soft) annihilator search."""
     t0 = time.time()
     ring = _ring_for(cfg)
-    trials: list = []
-    trials += _check_lescot(cfg, ring)
-    trials += _check_betti_growth(cfg)
-    trials += _check_koszul_iff(cfg, ring)
-    trials += _check_tail_equivalence(cfg, ring)
-    trials += _check_length_count(cfg, ring)
-    trials += _check_hom_vanishing(cfg, ring)
-    trials += _check_three_parts(cfg, ring)
-    trials += _check_annihilator(cfg, ring)
+    trials = [{"check": name, "trial": t,
+               **fn(cfg, ring, t, np.random.default_rng(cfg.seed + offset + t))}
+              for name, (fn, offset, per) in LEMMAS.items()
+              for t in range(per * cfg.trials)]
     return _finish("lemma_suite", cfg, trials, t0)
 
 

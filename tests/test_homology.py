@@ -175,15 +175,14 @@ def test_radical_excess_without_w_images(p, e):
             N = random_module(R, 1 + seed // 2, 1, seed=seed + 50)
             res = resolve(M, 4)
             w = min(3, res.head - 1)
-            for h in hm._homology_window(res, N, w):
-                Z, B = h.cycles, h.boundary_rows
-                assert hm._radical_excess(N, Z, B, h.boundary_pivots) == \
-                    _radical_excess_with_w(N, Z, B)
-            for h in hm._cohomology_window(res, N, w):
-                Z, B = h.cycles, h.boundary_rows
-                piv = [int(np.flatnonzero(r)[0]) for r in B]
-                assert hm._radical_excess(N, Z, B, piv) == \
-                    _radical_excess_with_w(N, Z, B)
+            for window in (hm._homology_window, hm._cohomology_window):
+                for h in window(res, N, w):
+                    Z, B = h.cycles, h.boundary_rows
+                    # the stored pivots are the leading columns of the rows
+                    assert [int(c) for c in h.boundary_pivots] == \
+                        [int(np.flatnonzero(r)[0]) for r in B]
+                    assert hm._radical_excess(N, Z, B, h.boundary_pivots) == \
+                        _radical_excess_with_w(N, Z, B)
 
 
 CORRUPTIONS = ["tor-window", "ext-window", "tail", "duality"]

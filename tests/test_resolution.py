@@ -21,6 +21,7 @@ from gorlab import (
 from gorlab.errors import CertificateError
 from gorlab.linalg import kernel_array, rank_array, rref_array
 from gorlab.resolution import (
+    DEFAULT_BUDGET,
     TAIL_OVERLAP,
     MinimalFreeResolution,
     betti_numbers,
@@ -60,7 +61,7 @@ def test_cyclic_rx_betti(Rx3):
 def test_differentials_compose_to_zero(R3):
     M = random_module(R3, 2, 2, seed=21)
     res = resolve(M, 5)
-    res.extend(5, ignore_budget=True)
+    res.extend(5)
     for i in range(1, min(5, res.head)):
         prod = res.kmat(i) @ res.kmat(i + 1) % 101
         assert not prod.any()
@@ -78,12 +79,26 @@ def test_certified_tail_matches_recurrence(R3):
         assert b[i + 1] == e * b[i] - b[i - 1]
 
 
-def test_small_budget_agrees_with_large_budget(R3):
-    # dual-route check: certified tail vs honest materialization
+def test_certified_betti_agree_with_honest_extension(R3):
+    # dual-route check: the certified tail of a cached resolution against an
+    # honest materialization of a fresh one
     M = random_module(R3, 2, 1, seed=5)
-    frugal = resolve(M, 12, budget=60).betti(12)
-    honest = resolve(M, 12, budget=10**6).betti(12)
-    assert frugal == honest
+    certified = resolve(M, 10)
+    assert certified.head == 7
+    honest = MinimalFreeResolution(M)
+    honest.extend(10)
+    assert honest.head > 7
+    # betti_head holds only the honestly computed degrees, here 0..10
+    assert honest.betti_head == certified.betti(10)
+
+
+def test_budget_stop_ends_the_head_silently(R3):
+    # the CLI `resolve m1.json --steps 10` writes 8 differentials: the
+    # kernel problem of the ninth would exceed DEFAULT_BUDGET columns
+    res = MinimalFreeResolution(random_module(R3, 2, 2, seed=5))
+    res.extend(10, budget_stop=True)
+    assert res.head == 8
+    assert res.betti_head[-1] * R3.dim > DEFAULT_BUDGET
 
 
 def test_betti_match_geometric_expansion(k3, R3):
@@ -160,7 +175,7 @@ def small_modules(draw):
 def test_graded_step_matches_generic_kernel(M):
     # every step past the cover takes ker(L) + wF; the k-matrix route agrees
     res = MinimalFreeResolution(M)
-    res.extend(4, ignore_budget=True)
+    res.extend(4)
     for s in range(res.head):
         K, piv, nu, nu_m = _generic_step(M.ring, res.kmat(s))
         data = res.syz[s]
@@ -175,7 +190,7 @@ def _certify_corrupted_tail():
     R = make_ring(101, 3, identity_form(3))
     res = MinimalFreeResolution(random_module(R, 2, 2, seed=33))
     J = res.junction()[0]
-    res.extend(J + TAIL_OVERLAP, ignore_budget=True)
+    res.extend(J + TAIL_OVERLAP)
     res.syz[J].nu_m += 1
     res.tail_certificate()
 

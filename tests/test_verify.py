@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from gorlab import TrialConfig, run_check
+from gorlab import TrialConfig, io, run_check
 from gorlab.errors import ConfigError
 from gorlab.verify import CHECKS
 
@@ -11,19 +13,31 @@ def small(**kw):
     return TrialConfig(**base)
 
 
+def sha256(report) -> str:
+    """Digest of the canonical report bytes; the values pinned below fix
+    every output byte of these runs."""
+    return hashlib.sha256(io.canonical_json(report.to_dict()).encode()).hexdigest()
+
+
 def test_lofwall_passes():
     report = run_check("lofwall", small(e=4))
     assert report.passed and not report.failures
+    assert sha256(report) == \
+        "9f1631e3a1cdc8caf4c47651e08678a39b77d6b08ac574603e22c5e93e9e3b4f"
 
 
 def test_main_theorem_passes():
     report = run_check("main-theorem", small(trials=2, cutoff=15))
     assert report.passed, report.failures
+    assert sha256(report) == \
+        "4b6aa01c964337a4a70bf68998c63a98d1f03239e5ce0be90176afe3e29a5803"
 
 
 def test_vanishing_passes():
     report = run_check("vanishing", small(trials=4, cutoff=14))
     assert report.passed, report.failures
+    assert sha256(report) == \
+        "84eda75c65dd9e5fdd017d0311576c634fdd2285eb6c4525e38aa50cec9ae49a"
 
 
 def test_counterexample_e2_passes():
@@ -31,11 +45,15 @@ def test_counterexample_e2_passes():
     assert report.passed
     rec = report.trials[0]
     assert rec["lengths"][1:] == [2] * (len(rec["lengths"]) - 1)
+    assert sha256(report) == \
+        "338a980aabc81aedc68dc8015b427624516985a59b6583ceaadb466240c4d197"
 
 
 def test_lemma_suite_passes():
     report = run_check("lemma-suite", small(trials=2, cutoff=10))
     assert report.passed, report.failures
+    assert sha256(report) == \
+        "786a4f5365fabb8c9e3571622d64111853a6354feff91fcc04aa25d442c5a615"
 
 
 def test_unknown_check_raises():
@@ -60,15 +78,6 @@ def test_reports_are_deterministic():
     assert a == b
     c = run_check("vanishing", small(trials=2, cutoff=10, seed=1)).to_dict()
     assert c != a
-
-
-def test_threaded_run_matches_sequential(monkeypatch):
-    cfg = small(trials=4, cutoff=10)
-    monkeypatch.delenv("GORLAB_THREADS", raising=False)
-    seq = run_check("vanishing", cfg).to_dict()
-    monkeypatch.setenv("GORLAB_THREADS", "3")
-    par = run_check("vanishing", cfg).to_dict()
-    assert seq == par
 
 
 def test_timing_excluded_from_canonical_dict():
