@@ -15,12 +15,7 @@ import numpy as np
 
 from . import homology, io, koszul, series, verify
 from .errors import GorlabError
-from .modules import (
-    FiniteModule,
-    radical_rows,
-    random_module,
-    submodule,
-)
+from .modules import matlis_dual, radical_submodule, random_module
 from .resolution import resolve
 from .ring import (
     hyperbolic_form,
@@ -164,13 +159,6 @@ def _cmd_resolve(args) -> int:
     return 0
 
 
-def _iota(M: FiniteModule):
-    U, piv = radical_rows(M)
-    if U.shape[0] == 0:
-        return None
-    return submodule(M, U, piv)[1]
-
-
 def _cmd_tor(args) -> int:
     M = io.load_module(args.m)
     N = io.load_module(args.n_mod)
@@ -178,8 +166,8 @@ def _cmd_tor(args) -> int:
     table = homology.tor(M, N, b)
     induced = None
     if args.induced:
-        iota = _iota(M)
-        if iota is not None:
+        mM, iota = radical_submodule(M)
+        if mM.dim:
             induced = homology.tor_induced(iota, N, min(b, table.window))
     out = io.table_to_dict(table, induced)
     out["entries"] = [r for r in out["entries"] if a <= r["i"] <= b]
@@ -188,15 +176,14 @@ def _cmd_tor(args) -> int:
 
 
 def _cmd_ext(args) -> int:
-    from .modules import matlis_dual
     M = io.load_module(args.m)
     N = io.load_module(args.n_mod)
     a, b = _parse_range(args.range)
     table = homology.ext(M, N, b)
     induced = None
     if args.induced:
-        iota = _iota(M)
-        if iota is not None:
+        mM, iota = radical_submodule(M)
+        if mM.dim:
             # Ext^i(iota, N) has the rank of Tor_i(iota, N*) by Matlis duality
             induced = homology.tor_induced(iota, matlis_dual(N),
                                            min(b, table.window))

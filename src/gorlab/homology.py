@@ -1,7 +1,10 @@
 """Tor and Ext tables, induced maps on homology, and length bookkeeping.
 
 Materialized degrees are honest homology computations on F_*(M) tensor N
-(resp. Hom(F_*(M), N)).  Degrees past the materialized window are certified:
+(resp. Hom(F_*(M), N)).  The chain and the cochain complex share one loop,
+`_window`, for cycles, boundaries and radical excess; each builds its own
+differentials, so Ext through the Hom complex stays an independent check on
+Tor against the Matlis dual.  Degrees past the materialized window are certified:
 writing X = M_J for the junction syzygy (which is Koszul), the length count
 
     l(Tor_t(X, N)) = nu(X) beta_t(N) - nu(mX) beta_{t-1}(N) + l(L_t) + l(L_{t-1})
@@ -29,9 +32,10 @@ from .modules import (
     FiniteModule,
     ModuleMap,
     matlis_dual,
-    minimal_generators,
+    nu,
     radical_rows,
     radical_square_rows,
+    submodule,
 )
 from .resolution import (
     DEFAULT_BUDGET,
@@ -110,27 +114,15 @@ def _radical_excess(N: FiniteModule, Z: np.ndarray, Bnd: np.ndarray,
     R-submodule (callers pass cycles); as w = x_g x_h / form[g, h], the
     images under x_1..x_e alone then span that product.  The images are
     absorbed in chunks so peak memory stays bounded by the basis plus one
-    chunk, and each chunk is reduced against the basis first."""
-    if Z.size == 0:
-        return 0
+    chunk."""
     p = N.ring.p
     d = N.dim
-    ops = N.actions
-    B = Bnd % p
-    piv = list(piv)
-    base = Bnd.shape[0]
+    B, piv = Bnd, list(piv)
     for lo in range(0, Z.shape[0], chunk):
         Z3 = Z[lo:lo + chunk].reshape(-1, Z.shape[1] // d, d)
-        img = np.einsum("zjd,oxd->ozjx", Z3, ops).reshape(-1, Z.shape[1]) % p
-        if piv:
-            img = linalg.reduce_mod_rowspace(B, piv, img, p)
-            img = img[img.any(axis=1)]
-        if img.shape[0] == 0:
-            continue
-        S = np.concatenate([B, img], axis=0)
-        piv = linalg.rref_inplace(S, p)
-        B = S[: len(piv)].copy()
-    return B.shape[0] - base
+        img = np.einsum("zjd,oxd->ozjx", Z3, N.actions).reshape(-1, Z.shape[1]) % p
+        B, piv = linalg.absorb_rows(B, piv, img, p)
+    return len(piv) - Bnd.shape[0]
 
 
 @dataclass
@@ -140,64 +132,60 @@ class _Homology:
     length: int
     nu: int
     m_annihilated: bool
-    cycles: np.ndarray        # rows: basis of ker D_i (all of C_i at i = 0)
-    boundary_rows: np.ndarray  # rref rows of im D_{i+1}
+    cycles: np.ndarray        # rows: basis of the kernel of the map out
+    boundary_rows: np.ndarray  # rref rows of the image of the map in
     boundary_pivots: list
+
+
+def _window(N: FiniteModule, w: int, diff, step: int) -> list[_Homology]:
+    """Honest homology in degrees 0..w of a complex of k-spaces built on N.
+    diff(i) is the matrix of the map out of degree i, diff(i + step) the map
+    into it (step +1 for a chain complex, -1 for a cochain complex).  At most
+    two differentials are held: before the radical excess, every one that
+    degree i + 1 will not read is dropped."""
+    p = N.ring.p
+    mats: dict = {}
+
+    def mat(j):
+        # built on first use: the map into degree i is not yet alive while
+        # the kernel of the map out is eliminated
+        if j not in mats:
+            mats[j] = diff(j)
+        return mats[j]
+
+    out = []
+    for i in range(w + 1):
+        Z = linalg.kernel_array(mat(i), p)
+        Bnd, bpiv = linalg.row_space(mat(i + step).T, p)
+        li = Z.shape[0] - Bnd.shape[0]
+        if li < 0:
+            kind = "Tor" if step > 0 else "Ext"
+            raise CertificateError(f"negative {kind} length {li} in degree {i}")
+        for j in [j for j in mats if i == w or j not in (i + 1, i + 1 + step)]:
+            del mats[j]
+        extra = _radical_excess(N, Z, Bnd, bpiv)
+        out.append(_Homology(li, li - extra, extra == 0, Z, Bnd, bpiv))
+    return out
+
+
+def _complex_dims(res: MinimalFreeResolution, d: int):
+    """dim C_i = beta_i * d on the materialized head, 0 elsewhere."""
+    return lambda i: res.betti_head[i] * d if 0 <= i <= res.head else 0
 
 
 def _homology_window(res: MinimalFreeResolution, N: FiniteModule,
                      w: int) -> list[_Homology]:
     """Honest Tor homology of F_*(res.module) tensor N in degrees 0..w.
     Needs res.head >= w + 1 unless the resolution is finite."""
-    p = N.ring.p
-    d = N.dim
-    out = []
-    dims = [b * d for b in res.betti_head]
-    Dmats = {}
+    dim = _complex_dims(res, N.dim)
 
-    def dmat(i):
-        if i not in Dmats:
-            if i > res.head:
-                Dmats[i] = np.zeros((dims[res.head] if i == res.head + 1 else 0, 0),
-                                    dtype=np.int64)
-            else:
-                Dmats[i] = _tor_diff(res.diff(i), N)
-        return Dmats[i]
+    def diff(i):
+        # D_i: C_i -> C_{i-1}, zero outside 1 <= i <= head
+        if 1 <= i <= res.head:
+            return _tor_diff(res.diff(i), N)
+        return np.zeros((dim(i - 1), dim(i)), dtype=np.int64)
 
-    kern = {}
-
-    def kernel_of(i):
-        # (rank, kernel rows) of D_i; D_0 is the zero map out of C_0
-        if i not in kern:
-            if i == 0:
-                kern[i] = (0, np.eye(dims[0], dtype=np.int64))
-            elif i > res.head:
-                ncols = 0
-                kern[i] = (0, np.zeros((0, ncols), dtype=np.int64))
-            else:
-                Dm = dmat(i)
-                Z = linalg.kernel_array(Dm, p)
-                kern[i] = (Dm.shape[1] - Z.shape[0], Z)
-        return kern[i]
-
-    for i in range(w + 1):
-        ci = dims[i] if i <= res.head else 0
-        ri, Z = kernel_of(i)
-        if i + 1 > res.head:
-            Bnd = np.zeros((0, ci), dtype=np.int64)
-            bpiv: list = []
-        else:
-            Bnd, bpiv = linalg.row_space(dmat(i + 1).T, p)
-            if i == w:
-                Dmats.pop(i + 1, None)   # top boundary is not needed again
-        li = ci - ri - Bnd.shape[0]
-        if li < 0:
-            raise CertificateError(f"negative Tor length {li} in degree {i}")
-        extra = _radical_excess(N, Z, Bnd, bpiv) if ci else 0
-        out.append(_Homology(li, li - extra, extra == 0, Z, Bnd, bpiv))
-        Dmats.pop(i, None)   # degree i's differential is no longer needed
-        kern.pop(i - 1, None)
-    return out
+    return _window(N, w, diff, 1)
 
 
 def _size_capped_window(res: MinimalFreeResolution, d: int, n: int,
@@ -321,37 +309,15 @@ def tor(M: FiniteModule, N: FiniteModule, n: int) -> TorTable:
 def _cohomology_window(res: MinimalFreeResolution, N: FiniteModule,
                        w: int) -> list[_Homology]:
     """Honest Ext cohomology of Hom(F_*(res.module), N) in degrees 0..w."""
-    p = N.ring.p
-    d = N.dim
-    out = []
-    dims = [b * d for b in res.betti_head]
-    Emats = {}
+    dim = _complex_dims(res, N.dim)
 
-    def emat(i):
-        # E_i: C^i -> C^{i+1}, built from del_{i+1}
-        if i not in Emats:
-            if i + 1 > res.head:
-                Emats[i] = np.zeros((0, dims[i]), dtype=np.int64)
-            else:
-                Emats[i] = _ext_diff(res.diff(i + 1), N)
-        return Emats[i]
+    def diff(i):
+        # E_i: C^i -> C^{i+1}, built from del_{i+1}, zero outside 0 <= i < head
+        if 0 <= i < res.head:
+            return _ext_diff(res.diff(i + 1), N)
+        return np.zeros((dim(i + 1), dim(i)), dtype=np.int64)
 
-    prev_im: np.ndarray | None = None
-    for i in range(w + 1):
-        ci = dims[i] if i <= res.head else 0
-        Z = linalg.kernel_array(emat(i), p)
-        if prev_im is None:
-            Bnd = np.zeros((0, ci), dtype=np.int64)
-            bpiv: list = []
-        else:
-            Bnd, bpiv = linalg.row_space(prev_im.T, p)
-        li = Z.shape[0] - Bnd.shape[0]
-        if li < 0:
-            raise CertificateError(f"negative Ext length {li} in degree {i}")
-        extra = _radical_excess(N, Z, Bnd, bpiv) if ci else 0
-        out.append(_Homology(li, li - extra, extra == 0, Z, Bnd, bpiv))
-        prev_im = emat(i)
-    return out
+    return _window(N, w, diff, -1)
 
 
 def ext(M: FiniteModule, N: FiniteModule, n: int) -> ExtTable:
@@ -381,14 +347,6 @@ def ext(M: FiniteModule, N: FiniteModule, n: int) -> ExtTable:
     return ExtTable(M, N, entries, w, tdual.junction)
 
 
-def _induced_block(F: np.ndarray, N: FiniteModule) -> np.ndarray:
-    """k-matrix of f_i tensor N: N^a -> N^b for the lift entry array F."""
-    a, b, _ = F.shape
-    d = N.dim
-    out = np.einsum("abc,cxy->bxay", F, N.all_ops) % N.ring.p
-    return out.reshape(b * d, a * d)
-
-
 def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResult]:
     """Ranks of Tor_i(phi, N): Tor_i(A, N) -> Tor_i(B, N) for honest degrees
     0..min(n, window)."""
@@ -411,16 +369,14 @@ def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResul
     hb = _homology_window(rb, N, w)
     out = []
     for i in range(w + 1):
-        Za = ha[i].cycles
-        if Za.size == 0 or hb[i].length == 0:
-            rank = 0
-        else:
-            U = _induced_block(lift.maps[i], N)
-            img = Za @ U.T % p
+        h = hb[i]
+        rank = 0
+        if h.length:
+            img = ha[i].cycles @ _tor_diff(lift.maps[i], N).T % p
             # rank of the induced map on homology: images modulo boundaries
-            Bnd = hb[i].boundary_rows
-            stacked = np.concatenate([Bnd, img], axis=0)
-            rank = linalg.rank_array(stacked, p) - Bnd.shape[0]
+            _, piv = linalg.absorb_rows(h.boundary_rows, h.boundary_pivots,
+                                        img, p)
+            rank = len(piv) - len(h.boundary_pivots)
         out.append(InducedMapResult(i, rank, ha[i].length, hb[i].length,
                                     COMPUTED))
     return out
@@ -443,10 +399,9 @@ def length_count_audit(M: FiniteModule, N: FiniteModule, n: int) -> LengthCountR
     Tor_i(iota_M, N).  Requires m^2 M = 0."""
     if radical_square_rows(M)[0].shape[0]:
         raise RadicalSquareNonzero("length count requires m^2 M = 0")
-    nuM, _ = minimal_generators(M)
+    nuM = nu(M)
     U, piv = radical_rows(M)
     nu_mM = U.shape[0]  # m M is a k-vector space here
-    from .modules import submodule
     mM, iota = submodule(M, U, piv) if U.shape[0] else (None, None)
     table = tor(M, N, n)
     w = table.window
@@ -489,7 +444,6 @@ def iota_vanishing(M: FiniteModule, N: FiniteModule, n: int):
     U, piv = radical_rows(M)
     if U.shape[0] == 0:
         return [0] * (n + 1), n  # mM = 0: the inclusion is the zero map
-    from .modules import submodule
     _, iota = submodule(M, U, piv)
     table = tor(M, N, n)
     results = tor_induced(iota, N, min(n, table.window))
@@ -502,7 +456,7 @@ def iota_vanishing(M: FiniteModule, N: FiniteModule, n: int):
     # nu(M) b_i(N) - nu(mM) b_{i-1}(N) equivalent to rank_i = rank_{i-1} = 0,
     # so equality on a margin of honest degrees plus every certified degree
     # through n proves the ranks vanish there
-    nuM, _ = minimal_generators(M)
+    nuM = nu(M)
     nu_mM = U.shape[0]
     wt = table.window
     bN = resolve(N, n).betti(n)

@@ -23,7 +23,14 @@ import numpy as np
 
 from .errors import SchemaError
 from .koszul import KoszulVerdict
-from .modules import FiniteModule, Presentation, from_presentation, nu, radical_rows
+from .modules import (
+    FiniteModule,
+    Presentation,
+    from_presentation,
+    hilbert_function,
+    nu,
+    radical_rows,
+)
 from .resolution import MinimalFreeResolution, resolve
 from .ring import ShortGorensteinRing, make_ring
 from .series import RationalityCertificate, TruncatedIntegerSeries
@@ -179,8 +186,6 @@ def store_ring(ring: ShortGorensteinRing, path: str):
 def canonical_presentation(M: FiniteModule) -> Presentation:
     """Minimal cover plus first-syzygy relation matrix."""
     res = resolve(M, 1)
-    if not res.finite and len(res.betti_head) < 2:
-        res.extend(1)
     g = res.betti_head[0]
     r = res.betti_head[1] if len(res.betti_head) > 1 else 0
     if r == 0:
@@ -292,7 +297,6 @@ def verdict_to_dict(v: KoszulVerdict) -> dict:
 
 
 def module_info(M: FiniteModule) -> dict:
-    from .modules import hilbert_function
     U, _ = radical_rows(M)
     return {
         "dim": int(M.dim),

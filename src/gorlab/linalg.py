@@ -137,6 +137,26 @@ def rank_array(A: np.ndarray, p: int) -> int:
     return rref_array(A, p)[2]
 
 
+def absorb_rows(B: np.ndarray, pivots, C: np.ndarray, p: int):
+    """Canonical rref basis of the row space of B plus the rows of C, where B
+    holds rref rows with pivot columns `pivots` and C has entries in [0, p):
+    (basis rows, pivots).
+
+    C is reduced against B and its zero rows dropped before the stack is
+    eliminated, so rows that add no new direction cost one matmul instead of
+    a full elimination.  Against an empty basis C is stacked as it is, with
+    no filtered copy.
+    """
+    if len(pivots):
+        C = reduce_mod_rowspace(B, pivots, C, p)
+        C = C[C.any(axis=1)]
+    if C.shape[0] == 0:
+        return B, list(pivots)
+    S = np.concatenate([B, C], axis=0)
+    pivots = rref_inplace(S, p)
+    return S[: len(pivots)].copy(), pivots
+
+
 def row_space(A: np.ndarray, p: int, chunk: int = 2048):
     """Canonical rref basis of the row space of A: (basis rows, pivots).
 
@@ -145,23 +165,10 @@ def row_space(A: np.ndarray, p: int, chunk: int = 2048):
     to rref_array(A)[0][:rank] because the rref of a row space is unique.
     """
     A = np.asarray(A, dtype=np.int64)
-    m, n = A.shape
-    if A.size == 0:
-        return np.zeros((0, n), dtype=np.int64), []
-    B = np.zeros((0, n), dtype=np.int64)
+    B = np.zeros((0, A.shape[1]), dtype=np.int64)
     pivots: list[int] = []
-    for lo in range(0, m, chunk):
-        C = A[lo:lo + chunk] % p
-        if pivots:
-            # reduce against the current basis first so chunks that add no
-            # new directions cost one matmul instead of a full elimination
-            C = reduce_mod_rowspace(B, pivots, C, p)
-            C = C[C.any(axis=1)]
-        if C.shape[0] == 0:
-            continue
-        S = np.concatenate([B, C], axis=0)
-        pivots = rref_inplace(S, p)
-        B = S[: len(pivots)].copy()
+    for lo in range(0, A.shape[0], chunk):
+        B, pivots = absorb_rows(B, pivots, A[lo:lo + chunk] % p, p)
     return B, pivots
 
 

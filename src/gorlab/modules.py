@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import GeneratorInRadical, RingMismatch, UnitIdeal
-from .ring import RingElement, ShortGorensteinRing
+from .ring import ShortGorensteinRing
 
 
 class FiniteModule:
@@ -65,10 +65,6 @@ class FiniteModule:
         return cls(ring, actions, action_w, validate=False)
 
     @classmethod
-    def regular(cls, ring: ShortGorensteinRing) -> "FiniteModule":
-        return cls.free(ring, 1)
-
-    @classmethod
     def residue_field(cls, ring: ShortGorensteinRing) -> "FiniteModule":
         z = np.zeros((ring.e, 1, 1), dtype=np.int64)
         return cls(ring, z, np.zeros((1, 1), dtype=np.int64), validate=False)
@@ -79,19 +75,6 @@ class FiniteModule:
         return cls(ring, z, np.zeros((0, 0), dtype=np.int64), validate=False)
 
     # -- basics -------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
-    def op(self, coeffs) -> np.ndarray:
-        """Action matrix of the ring element with these coefficients."""
-        c = np.asarray(coeffs, dtype=np.int64) % self.ring.p
-        return np.tensordot(c, self.all_ops, axes=1) % self.ring.p
-
-    def act(self, r: RingElement, v: np.ndarray) -> np.ndarray:
-        if r.ring != self.ring:
-            raise RingMismatch("element and module over different rings")
-        return self.op(r.coeffs) @ (np.asarray(v, dtype=np.int64) % self.ring.p) % self.ring.p
 
     def __eq__(self, other):
         return (
@@ -249,10 +232,7 @@ def nu(M: FiniteModule) -> int:
 
 def socle(M: FiniteModule) -> tuple[FiniteModule, ModuleMap]:
     """soc(M) = {z : m z = 0} as a submodule with inclusion."""
-    stacked = np.concatenate(list(M.actions) + [M.action_w], axis=0)
-    K = linalg.kernel_array(stacked, M.ring.p)
-    U, piv = _rref_span(M, K)
-    return submodule(M, U, piv)
+    return submodule(M, *socle_rows(M))
 
 
 def socle_rows(M: FiniteModule):
@@ -305,10 +285,6 @@ class Presentation:
     @property
     def relations(self) -> int:
         return self.entries.shape[1]
-
-    def is_minimal(self) -> bool:
-        """All relation entries in m."""
-        return not self.entries[:, :, 0].any()
 
 
 def from_presentation(P: Presentation) -> tuple[FiniteModule, ModuleMap]:

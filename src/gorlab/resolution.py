@@ -307,10 +307,6 @@ class MinimalFreeResolution:
             return self.cover_matrix
         return free_kmat(self.ring, self.diff(i))
 
-    def cover_map(self) -> ModuleMap:
-        F = FiniteModule.free(self.ring, self.betti_head[0])
-        return ModuleMap(F, self.module, self.cover_matrix)
-
 
 def resolve(M: FiniteModule, n: int,
             min_head: int | None = None) -> MinimalFreeResolution:

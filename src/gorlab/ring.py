@@ -161,9 +161,6 @@ class RingElement:
     def is_unit(self) -> bool:
         return int(self.coeffs[0]) != 0
 
-    def in_radical(self) -> bool:
-        return int(self.coeffs[0]) == 0
-
     def __repr__(self):
         return f"RingElement({list(int(v) for v in self.coeffs)})"
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 
 from gorlab import (
+    FiniteModule,
     ext,
     hyperbolic_form,
     identity_form,
+    io,
     iota_vanishing,
     length_count_audit,
     make_ring,
@@ -54,7 +57,6 @@ def test_tor_is_balanced(R3):
 
 
 def test_tor_zero_module(R3, k3):
-    from gorlab import FiniteModule
     Z = FiniteModule.zero(R3)
     assert tor(Z, k3, 5).lengths() == [0] * 6
 
@@ -104,7 +106,6 @@ def test_provenance_and_window(R3):
 def test_certified_tail_cross_checked_against_honest(R3, monkeypatch):
     # dual-route: force the certificate with a tiny budget and compare it
     # against the default (honest within its window) computation
-    import gorlab.homology as hm
     M = random_module(R3, 1, 2, seed=30)
     N = random_module(R3, 1, 1, seed=31)
     honest = tor(M, N, 12)
@@ -112,6 +113,53 @@ def test_certified_tail_cross_checked_against_honest(R3, monkeypatch):
     frugal = tor(M, N, 12)
     assert frugal.lengths() == honest.lengths()
     assert frugal.nus() == honest.nus()
+
+
+def test_free_module_takes_the_finite_resolution_edges(R3):
+    # F_*(R^2) stops at degree 0, so the windows run on the zero
+    # differentials past the head: D_1 and E_0 have an empty side
+    F = FiniteModule.free(R3, 2)
+    N = random_module(R3, 2, 1, seed=14)
+    for table in (tor(F, N, 6), ext(F, N, 6)):
+        assert table.lengths() == [14, 0, 0, 0, 0, 0, 0]
+        assert table.nus() == [4, 0, 0, 0, 0, 0, 0]
+        assert [t.m_annihilated for t in table.entries] == [False] + [True] * 6
+        assert table.window == 1 and table.junction is None
+        assert all(t.provenance == COMPUTED for t in table.entries)
+
+
+# sha256 of the canonical JSON of tor (with its tor_induced ranks) and of
+# ext, recorded before Tor and Ext shared one homology loop; every table
+# has a certified tail
+PINNED_TABLES = [
+    (3, (2, 2, 21), (2, 1, 22), 12,
+     "a9d12a738c9c6d04214e042d96c5b6e8fa417e233b10bf519b1342662e9aa622",
+     "6bcb8c117e25359279546c16a43c9f4a5d4e7b91a193e3b72f3d282d0bf6e56b"),
+    (3, (1, 2, 23), (2, 2, 24), 10,
+     "ed550cc1d2fdc54e89a49c38569a4177220bd20c92ddff35983d8fb58315159d",
+     "3b0c0ad3de82068c118b0ee4fb5bb14d7e08508e106719ffa81e64ed7841be07"),
+    (4, (1, 1, 27), (1, 1, 28), 10,
+     "a277c754280150cce5e5ce5c8b41dafc5d296a6ffef2e38e6c9f1347a59cafef",
+     "455a76dae426f83eaa2303a7110fa050a552ed2e4f2476a2d1b0b60b6c45ee44"),
+]
+
+
+@pytest.mark.parametrize("e, m, n_mod, n, tor_sha, ext_sha", PINNED_TABLES)
+def test_table_bytes_are_pinned(e, m, n_mod, n, tor_sha, ext_sha):
+    R = make_ring(101, e, identity_form(e))
+    M = random_module(R, m[0], m[1], seed=m[2])
+    N = random_module(R, n_mod[0], n_mod[1], seed=n_mod[2])
+    T = tor(M, N, n)
+    induced = tor_induced(_iota(M), N, T.window)
+    E = ext(M, N, n)
+    assert T.window < n and E.window < n
+
+    def sha(table, induced=None):
+        text = io.canonical_json(io.table_to_dict(table, induced))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert sha(T, induced) == tor_sha
+    assert sha(E) == ext_sha
 
 
 def test_length_count_audit(R3, Rx3):
@@ -123,7 +171,6 @@ def test_length_count_audit(R3, Rx3):
 
 
 def test_length_count_requires_m2_zero(R3):
-    from gorlab import FiniteModule
     with pytest.raises(RadicalSquareNonzero):
         length_count_audit(FiniteModule.free(R3, 1), FiniteModule.free(R3, 1), 5)
 

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gorlab.linalg import (
+    absorb_rows,
     kernel_array,
     kernel_rref,
     rank_array,
@@ -138,6 +139,22 @@ def test_row_space_matches_full_rref(mp, chunk):
     B, bpiv = row_space(A, p, chunk=chunk)
     assert np.array_equal(B, R[:rank])
     assert list(bpiv) == list(piv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_and_prime(), st.integers(0, 10**6))
+def test_absorb_rows_matches_rref_of_stack(mp, seed):
+    A, p = mp
+    B, piv = row_space(A, p)
+    C = np.random.default_rng(seed).integers(0, p, size=(3, A.shape[1]))
+    C[1] = 0
+    R, rpiv, rank = rref_array(np.vstack([A, C]), p)
+    S, spiv = absorb_rows(B, piv, C, p)
+    assert np.array_equal(S, R[:rank])
+    assert list(spiv) == list(rpiv)
+    # rows already in the span leave the basis as it is
+    S2, spiv2 = absorb_rows(S, spiv, S[:2], p)
+    assert np.array_equal(S2, S) and list(spiv2) == list(spiv)
 
 
 def test_solve_array_rejects_inconsistent_system():
