@@ -4,7 +4,22 @@ Materialized degrees are honest homology computations on F_*(M) tensor N
 (resp. Hom(F_*(M), N)).  The chain and the cochain complex share one loop,
 `_window`, for cycles, boundaries and radical excess; each builds its own
 differentials, so Ext through the Hom complex stays an independent check on
-Tor against the Matlis dual.  Degrees past the materialized window are certified:
+Tor against the Matlis dual.
+
+Tor runs on the Loewy copy of N (`_loewy`), written in a basis adapted to
+N > mN > m^2 N with layers N_0, N_1, N_2.  The entries of a minimal
+differential lie in m and m^3 = 0, so del tensor N maps N into mN and kills
+the last nonzero layer: only the layer block F_i (N_0 + N_1) -> F_{i-1} mN
+(F_i N_0 -> F_{i-1} N_1 when m^2 N = 0) is eliminated, the dropped columns
+are cycles, and boundaries and radical excess live in F_i mN.  The full
+matrices are still built, and `_window` refuses with `CertificateError` any
+differential that is nonzero outside its block: that support check is the
+guard of the Tor windows, since a block complex over m^2 N = 0 has no
+negative length to detect.  Ext keeps N's own basis and the full Hom-complex
+matrices (the trivial block), so its honest degrees do not share the Loewy
+copy or the block with the Tor route it is checked against.
+
+Degrees past the materialized window are certified:
 writing X = M_J for the junction syzygy (which is Koszul), the length count
 
     l(Tor_t(X, N)) = nu(X) beta_t(N) - nu(mX) beta_{t-1}(N) + l(L_t) + l(L_{t-1})
@@ -108,84 +123,136 @@ def _ext_diff(G: np.ndarray, N: FiniteModule) -> np.ndarray:
 
 
 def _radical_excess(N: FiniteModule, Z: np.ndarray, Bnd: np.ndarray,
-                    piv, chunk: int = 1024) -> int:
+                    piv, block, chunk: int = 1024) -> int:
     """Rank added to the row space of Bnd (rref rows, pivot columns piv) by
-    m times the span of the rows of Z (vectors in N^b).  That span must be an
-    R-submodule (callers pass cycles); as w = x_g x_h / form[g, h], the
-    images under x_1..x_e alone then span that product.  The images are
-    absorbed in chunks so peak memory stays bounded by the basis plus one
-    chunk."""
-    p = N.ring.p
-    d = N.dim
+    m times the span of the rows of Z, both written in the coordinates of
+    the layer block (s, t) (see `_window`): Z in the first s coordinates of
+    each copy of N, Bnd in the last t.  That span must be an R-submodule
+    modulo the dropped coordinates, which m kills (callers pass cycles); as
+    w = x_g x_h / form[g, h], the images under x_1..x_e alone then span
+    that product.  The images are absorbed in chunks so peak memory stays
+    bounded by the basis plus one chunk."""
+    p, d = N.ring.p, N.dim
+    s, t = block
+    ops = N.actions[:, d - t:, :s]
     B, piv = Bnd, list(piv)
     for lo in range(0, Z.shape[0], chunk):
-        Z3 = Z[lo:lo + chunk].reshape(-1, Z.shape[1] // d, d)
-        img = np.einsum("zjd,oxd->ozjx", Z3, N.actions).reshape(-1, Z.shape[1]) % p
-        B, piv = linalg.absorb_rows(B, piv, img, p)
+        Z3 = Z[lo:lo + chunk].reshape(-1, Z.shape[1] // s, s)
+        img = np.einsum("zjs,ots->ozjt", Z3, ops)
+        B, piv = linalg.absorb_rows(B, piv, img.reshape(-1, Bnd.shape[1]) % p, p)
     return len(piv) - Bnd.shape[0]
+
+
+def _loewy(N: FiniteModule):
+    """(L, h): N written in a k-basis adapted to N > mN > m^2 N, cached on N.
+    The first h[0] coordinates of L span a complement of mN, the next h[1] a
+    complement of m^2 N in mN and the last h[2] span m^2 N, so x_1..x_e and
+    w map each of these layers into the ones after it."""
+    if "loewy" not in N._cache:
+        p, d = N.ring.p, N.dim
+        U1, piv1 = radical_rows(N)
+        U2, piv2 = radical_square_rows(N)
+        # m^2 N < mN, so the pivot columns of U2 are among those of U1 and
+        # the rows of Q below have distinct leading columns: a basis of N
+        top = sorted(set(range(d)) - set(piv1))
+        mid = [k for k, c in enumerate(piv1) if c not in set(piv2)]
+        L, h = N, (len(top), len(mid), U2.shape[0])
+        if d:
+            I = np.eye(d, dtype=np.int64)
+            Q = np.concatenate([I[top], U1[mid], U2]).T
+            Qinv = np.stack(linalg.solve_many(Q, I, p), axis=1)
+            ops = np.einsum("ab,ibc,cd->iad", Qinv, N.all_ops[1:], Q) % p
+            L = FiniteModule(N.ring, ops[:-1], ops[-1])
+        N._cache["loewy"] = (L, h)
+    return N._cache["loewy"]
+
+
+def _block(h) -> tuple[int, int]:
+    """Layer block (s, t) of the Loewy layer sizes h: m maps the first s
+    coordinates into the last t, and kills the last nonzero layer."""
+    h0, h1, h2 = h
+    return h0 + h1 + h2 - (h2 or h1 or h0), h1 + h2
 
 
 @dataclass
 class _Homology:
-    """Honest homology data of one complex degree."""
+    """Honest homology data of one complex degree, in the coordinates of the
+    window's layer block (s, t)."""
 
     length: int
     nu: int
     m_annihilated: bool
-    cycles: np.ndarray        # rows: basis of the kernel of the map out
-    boundary_rows: np.ndarray  # rref rows of the image of the map in
+    cycles: np.ndarray        # rows: kernel of the block out (first s coords)
+    boundary_rows: np.ndarray  # rref rows of the image of the map in (last t)
     boundary_pivots: list
 
 
-def _window(N: FiniteModule, w: int, diff, step: int) -> list[_Homology]:
+def _window(N: FiniteModule, w: int, diff, step: int, block) -> list[_Homology]:
     """Honest homology in degrees 0..w of a complex of k-spaces built on N.
-    diff(i) is the matrix of the map out of degree i, diff(i + step) the map
-    into it (step +1 for a chain complex, -1 for a cochain complex).  At most
-    two differentials are held: before the radical excess, every one that
-    degree i + 1 will not read is dropped."""
-    p = N.ring.p
+    diff(i) is the map out of degree i, diff(i + step) the map into it (step
+    +1 for a chain complex, -1 for a cochain complex), each as an array
+    (copies of N in the target, dim N, copies of N in the source, dim N).
+
+    block = (s, t): every differential must vanish outside the first s
+    columns and the last t rows of each N-block (`CertificateError`
+    otherwise), and only that block A_i is eliminated.  The cycles are
+    ker A_i plus the dropped columns, the boundaries lie in the last t
+    coordinates.  At most two blocks are held: before the radical excess,
+    every one that degree i + 1 will not read is dropped."""
+    p, d = N.ring.p, N.dim
+    s, t = block
     mats: dict = {}
 
     def mat(j):
         # built on first use: the map into degree i is not yet alive while
         # the kernel of the map out is eliminated
         if j not in mats:
-            mats[j] = diff(j)
+            D = diff(j)
+            if D[:, :d - t].any() or D[:, :, :, s:].any():
+                raise CertificateError(
+                    f"differential {j} is nonzero outside its layer block")
+            A = np.ascontiguousarray(D[:, d - t:, :, :s])
+            mats[j] = A.reshape(A.shape[0] * t, A.shape[2] * s), A.shape[2]
         return mats[j]
 
     out = []
     for i in range(w + 1):
-        Z = linalg.kernel_array(mat(i), p)
-        Bnd, bpiv = linalg.row_space(mat(i + step).T, p)
-        li = Z.shape[0] - Bnd.shape[0]
+        A, copies = mat(i)
+        Z = linalg.kernel_array(A, p)
+        Bnd, bpiv = linalg.row_space(mat(i + step)[0].T, p)
+        li = Z.shape[0] + copies * (d - s) - Bnd.shape[0]
         if li < 0:
             kind = "Tor" if step > 0 else "Ext"
             raise CertificateError(f"negative {kind} length {li} in degree {i}")
         for j in [j for j in mats if i == w or j not in (i + 1, i + 1 + step)]:
             del mats[j]
-        extra = _radical_excess(N, Z, Bnd, bpiv)
+        extra = _radical_excess(N, Z, Bnd, bpiv, block)
         out.append(_Homology(li, li - extra, extra == 0, Z, Bnd, bpiv))
     return out
 
 
-def _complex_dims(res: MinimalFreeResolution, d: int):
-    """dim C_i = beta_i * d on the materialized head, 0 elsewhere."""
-    return lambda i: res.betti_head[i] * d if 0 <= i <= res.head else 0
+def _ranks(res: MinimalFreeResolution):
+    """beta_i on the materialized head, 0 elsewhere."""
+    return lambda i: res.betti_head[i] if 0 <= i <= res.head else 0
 
 
 def _homology_window(res: MinimalFreeResolution, N: FiniteModule,
                      w: int) -> list[_Homology]:
-    """Honest Tor homology of F_*(res.module) tensor N in degrees 0..w.
-    Needs res.head >= w + 1 unless the resolution is finite."""
-    dim = _complex_dims(res, N.dim)
+    """Honest Tor homology of F_*(res.module) tensor N in degrees 0..w, on
+    the Loewy copy of N.  Needs res.head >= w + 1 unless the resolution is
+    finite."""
+    L, layers = _loewy(N)
+    d = L.dim
+    beta = _ranks(res)
 
     def diff(i):
         # D_i: C_i -> C_{i-1}, zero outside 1 <= i <= head
         if 1 <= i <= res.head:
-            return _tor_diff(res.diff(i), N)
-        return np.zeros((dim(i - 1), dim(i)), dtype=np.int64)
+            G = res.diff(i)
+            return _tor_diff(G, L).reshape(G.shape[1], d, G.shape[0], d)
+        return np.zeros((beta(i - 1), d, beta(i), d), dtype=np.int64)
 
-    return _window(N, w, diff, 1)
+    return _window(L, w, diff, 1, _block(layers))
 
 
 def _size_capped_window(res: MinimalFreeResolution, d: int, n: int,
@@ -308,16 +375,19 @@ def tor(M: FiniteModule, N: FiniteModule, n: int) -> TorTable:
 
 def _cohomology_window(res: MinimalFreeResolution, N: FiniteModule,
                        w: int) -> list[_Homology]:
-    """Honest Ext cohomology of Hom(F_*(res.module), N) in degrees 0..w."""
-    dim = _complex_dims(res, N.dim)
+    """Honest Ext cohomology of Hom(F_*(res.module), N) in degrees 0..w, on
+    N's own basis with the full matrices (the trivial block)."""
+    d = N.dim
+    beta = _ranks(res)
 
     def diff(i):
         # E_i: C^i -> C^{i+1}, built from del_{i+1}, zero outside 0 <= i < head
         if 0 <= i < res.head:
-            return _ext_diff(res.diff(i + 1), N)
-        return np.zeros((dim(i + 1), dim(i)), dtype=np.int64)
+            G = res.diff(i + 1)
+            return _ext_diff(G, N).reshape(G.shape[0], d, G.shape[1], d)
+        return np.zeros((beta(i + 1), d, beta(i), d), dtype=np.int64)
 
-    return _window(N, w, diff, -1)
+    return _window(N, w, diff, -1, (d, d))
 
 
 def ext(M: FiniteModule, N: FiniteModule, n: int) -> ExtTable:
@@ -347,6 +417,14 @@ def ext(M: FiniteModule, N: FiniteModule, n: int) -> ExtTable:
     return ExtTable(M, N, entries, w, tdual.junction)
 
 
+def _embed(X: np.ndarray, copies: int, lo: int, hi: int, d: int) -> np.ndarray:
+    """The rows of X, written in coordinates lo..hi-1 of each of `copies`
+    copies of a d-dimensional module, in all d coordinates."""
+    out = np.zeros((X.shape[0], copies, d), dtype=np.int64)
+    out[:, :, lo:hi] = X.reshape(X.shape[0], copies, hi - lo)
+    return out.reshape(X.shape[0], copies * d)
+
+
 def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResult]:
     """Ranks of Tor_i(phi, N): Tor_i(A, N) -> Tor_i(B, N) for honest degrees
     0..min(n, window)."""
@@ -367,16 +445,25 @@ def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResul
     lift = lift_chain_map(phi, w)
     ha = _homology_window(ra, N, w)
     hb = _homology_window(rb, N, w)
+    L, layers = _loewy(N)
+    s, t = _block(layers)
+    d = L.dim
     out = []
     for i in range(w + 1):
         h = hb[i]
         rank = 0
         if h.length:
-            img = ha[i].cycles @ _tor_diff(lift.maps[i], N).T % p
+            a, b = ra.betti_head[i], rb.betti_head[i]
+            # the cycles of A and the boundaries of B in all coordinates of L
+            Z = np.concatenate([_embed(ha[i].cycles, a, 0, s, d),
+                                _embed(np.eye(a * (d - s), dtype=np.int64),
+                                       a, s, d, d)])
+            Bnd = _embed(h.boundary_rows, b, d - t, d, d)
+            bpiv = [c // t * d + d - t + c % t for c in h.boundary_pivots]
+            img = Z @ _tor_diff(lift.maps[i], L).T % p
             # rank of the induced map on homology: images modulo boundaries
-            _, piv = linalg.absorb_rows(h.boundary_rows, h.boundary_pivots,
-                                        img, p)
-            rank = len(piv) - len(h.boundary_pivots)
+            _, piv = linalg.absorb_rows(Bnd, bpiv, img, p)
+            rank = len(piv) - len(bpiv)
         out.append(InducedMapResult(i, rank, ha[i].length, hb[i].length,
                                     COMPUTED))
     return out

@@ -142,19 +142,26 @@ def absorb_rows(B: np.ndarray, pivots, C: np.ndarray, p: int):
     holds rref rows with pivot columns `pivots` and C has entries in [0, p):
     (basis rows, pivots).
 
-    C is reduced against B and its zero rows dropped before the stack is
-    eliminated, so rows that add no new direction cost one matmul instead of
-    a full elimination.  Against an empty basis C is stacked as it is, with
-    no filtered copy.
+    C is reduced against B and its zero rows dropped; only that residue C'
+    is eliminated.  C' vanishes on the pivot columns of B, so its rref rows
+    do too, and clearing their pivot columns out of B (one matmul) leaves B
+    reduced with its own pivots; the two sets of rows, merged by pivot, are
+    the rref of the stack, which is unique.  The caller's C is never
+    modified.
     """
     if len(pivots):
         C = reduce_mod_rowspace(B, pivots, C, p)
         C = C[C.any(axis=1)]
+    else:
+        C = C.copy()
     if C.shape[0] == 0:
         return B, list(pivots)
-    S = np.concatenate([B, C], axis=0)
-    pivots = rref_inplace(S, p)
-    return S[: len(pivots)].copy(), pivots
+    cpiv = rref_inplace(C, p)
+    C = C[: len(cpiv)]
+    B = reduce_mod_rowspace(C, cpiv, B, p)
+    merged = list(pivots) + cpiv
+    order = np.argsort(merged, kind="stable")
+    return np.concatenate([B, C], axis=0)[order], [merged[k] for k in order]
 
 
 def row_space(A: np.ndarray, p: int, chunk: int = 2048):

@@ -27,8 +27,9 @@ from gorlab import (
 import gorlab.homology as hm
 from gorlab.errors import CertificateError, RadicalSquareNonzero
 from gorlab.homology import CERTIFIED, COMPUTED, TOR_MARGIN
-from gorlab.linalg import rank_array
-from gorlab.modules import ModuleMap, radical_rows, submodule
+from gorlab.linalg import kernel_array, rank_array, rref_array, solve_many
+from gorlab.modules import ModuleMap, hilbert_function, radical_rows, submodule
+from gorlab.resolution import lift_chain_map
 
 
 def _iota(M):
@@ -197,15 +198,18 @@ def test_tor_induced_of_zero_map_has_zero_rank(R3):
     assert all(r.rank == 0 for r in tor_induced(zero, N, 5))
 
 
-def _radical_excess_with_w(N, Z, Bnd):
+def _radical_excess_with_w(N, Z, Bnd, block):
     """Reference count: rank added to Bnd by the images of the rows of Z
-    under x_1..x_e and w, from one rank of the whole stack."""
+    under x_1..x_e and w, from one rank of the whole stack.  Z is written in
+    the first s coordinates of each copy of N and Bnd in the last t, for
+    block = (s, t); (dim N, dim N) is N's own basis."""
     if Z.size == 0:
         return 0
     p, d = N.ring.p, N.dim
-    ops = np.concatenate([N.actions, N.action_w[None]], axis=0)
-    img = np.einsum("zjd,oxd->ozjx", Z.reshape(Z.shape[0], -1, d), ops)
-    img = img.reshape(-1, Z.shape[1]) % p
+    s, t = block
+    ops = np.concatenate([N.actions, N.action_w[None]], axis=0)[:, d - t:, :s]
+    img = np.einsum("zjs,ots->ozjt", Z.reshape(Z.shape[0], -1, s), ops)
+    img = img.reshape(-1, Bnd.shape[1]) % p
     return rank_array(np.concatenate([Bnd % p, img], axis=0), p) - Bnd.shape[0]
 
 
@@ -213,7 +217,8 @@ def _radical_excess_with_w(N, Z, Bnd):
 @pytest.mark.parametrize("e", [2, 3, 4])
 def test_radical_excess_without_w_images(p, e):
     # cycles form an R-submodule and w is a multiple of x_g x_h, so dropping
-    # the w-images leaves the added rank unchanged
+    # the w-images leaves the added rank unchanged; the reference runs in
+    # the coordinates each window ran in
     forms = [identity_form(e)] + ([hyperbolic_form(e)] if e % 2 == 0 else [])
     for form in forms:
         R = make_ring(p, e, form)
@@ -222,25 +227,120 @@ def test_radical_excess_without_w_images(p, e):
             N = random_module(R, 1 + seed // 2, 1, seed=seed + 50)
             res = resolve(M, 4)
             w = min(3, res.head - 1)
-            for window in (hm._homology_window, hm._cohomology_window):
+            L, layers = hm._loewy(N)
+            for window, X, block in ((hm._homology_window, L, hm._block(layers)),
+                                     (hm._cohomology_window, N, (N.dim, N.dim))):
                 for h in window(res, N, w):
                     Z, B = h.cycles, h.boundary_rows
                     # the stored pivots are the leading columns of the rows
                     assert [int(c) for c in h.boundary_pivots] == \
                         [int(np.flatnonzero(r)[0]) for r in B]
-                    assert hm._radical_excess(N, Z, B, h.boundary_pivots) == \
-                        _radical_excess_with_w(N, Z, B)
+                    assert hm._radical_excess(X, Z, B, h.boundary_pivots, block) == \
+                        _radical_excess_with_w(X, Z, B, block)
 
 
-CORRUPTIONS = ["tor-window", "ext-window", "tail", "duality"]
+def _in_random_basis(N, seed):
+    """N with its action matrices conjugated by a random invertible matrix."""
+    p, d = N.ring.p, N.dim
+    rng = np.random.default_rng(seed)
+    while True:
+        P = rng.integers(0, p, size=(d, d), dtype=np.int64)
+        if rank_array(P, p) == d:
+            break
+    Pinv = np.stack(solve_many(P, np.eye(d, dtype=np.int64), p), axis=1)
+    ops = np.einsum("ab,ibc,cd->iad", P, N.all_ops[1:], Pinv) % p
+    return FiniteModule(N.ring, ops[:-1], ops[-1])
+
+
+def _layered_modules(R, seed):
+    """N with one, two and three Loewy layers, each also in a random basis:
+    k^2, R^1, a random module with m^2 N = 0 and one with m^2 N != 0."""
+    e = R.e
+    mods = [FiniteModule(R, np.zeros((e, 2, 2), dtype=np.int64)),
+            FiniteModule.free(R, 1),
+            random_module(R, 2, 2, seed=seed),
+            random_module(R, e + 1, 1, seed=seed + 1)]
+    assert [len(hilbert_function(N)) for N in mods] == [1, 3, 2, 3]
+    return mods + [_in_random_basis(N, seed + k) for k, N in enumerate(mods)]
+
+
+def _reference_homology(res, N, w):
+    """(length, nu, m-annihilated, cycles, boundaries) of F_*(M) tensor N in
+    degrees 0..w from the full matrices on N's own basis."""
+    p, d = N.ring.p, N.dim
+
+    def D(i):
+        if 1 <= i <= res.head:
+            return hm._tor_diff(res.diff(i), N)
+        dims = [res.betti_head[j] * d if 0 <= j <= res.head else 0
+                for j in (i - 1, i)]
+        return np.zeros(dims, dtype=np.int64)
+
+    out = []
+    for i in range(w + 1):
+        Z = kernel_array(D(i), p)
+        R, _, rank = rref_array(D(i + 1).T, p)
+        li = Z.shape[0] - rank
+        extra = _radical_excess_with_w(N, Z, R[:rank], (d, d))
+        out.append((li, li - extra, extra == 0, Z, R[:rank]))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_layer_windows_match_full_matrix_reference(p, e):
+    R = make_ring(p, e, identity_form(e))
+    M = random_module(R, 1, 1, seed=60 + e)
+    # the lift of iota has its entries in m, that of the identity does not
+    maps = [_iota(M), ModuleMap(M, M, np.eye(M.dim, dtype=np.int64))]
+    for N in _layered_modules(R, 70 + e):
+        res = resolve(M, 4)
+        w = min(3, res.head - 1)
+        got = [(h.length, h.nu, h.m_annihilated)
+               for h in hm._homology_window(res, N, w)]
+        assert got == [r[:3] for r in _reference_homology(res, N, w)]
+        for phi in maps:
+            ranks = [r.rank for r in tor_induced(phi, N, 3)]
+            wi = len(ranks) - 1
+            ra, rb = resolve(phi.source, wi + 1), resolve(M, wi + 1)
+            ha, hb = _reference_homology(ra, N, wi), _reference_homology(rb, N, wi)
+            lift = lift_chain_map(phi, wi)
+            want = []
+            for i in range(wi + 1):
+                img = ha[i][3] @ hm._tor_diff(lift.maps[i], N).T % p
+                B = hb[i][4]
+                want.append(rank_array(np.concatenate([B, img]), p) - B.shape[0])
+            assert ranks == want
+
+
+@pytest.mark.parametrize("p", [2, 101])
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_loewy_copy_is_adapted(p, e):
+    R = make_ring(p, e, identity_form(e))
+    for N in _layered_modules(R, 80 + e):
+        L, h = hm._loewy(N)
+        assert hm._loewy(N)[0] is L
+        assert list(h[:len(hilbert_function(N))]) == hilbert_function(N)
+        assert hilbert_function(L) == hilbert_function(N)
+        h0, h1, _ = h
+        for op in L.all_ops[1:]:
+            # m maps each layer into the layers after it
+            assert not op[:h0].any()
+            assert not op[h0:h0 + h1, h0:].any()
+            assert not op[:, h0 + h1:].any()
+
+
+CORRUPTIONS = ["tor-window", "ext-window", "tail", "duality", "tor-block"]
 
 
 def _serve_corrupted(kind):
     """Serve a table from deliberately corrupted data.  The windows get
-    identity blocks for their differentials (so D_i D_{i+1} != 0 and a
-    homology length goes negative), the tail a negative length count past
-    the materialized head, and the duality check a Tor_0(M, N*) one too
-    long."""
+    identity blocks for their differentials: the Tor one is nonzero outside
+    its layer block, which the window's support check refuses, and the Ext
+    one has D_i D_{i+1} != 0, so a homology length goes negative.  The tail
+    gets a negative length count past the materialized head, the duality
+    check a Tor_0(M, N*) one too long, and "tor-block" a unit entry in a
+    differential of the resolution, which escapes the Tor layer block."""
     R = make_ring(101, 3, identity_form(3))
     M = random_module(R, 1, 1, seed=41)
     N = random_module(R, 1, 1, seed=42)
@@ -250,6 +350,13 @@ def _serve_corrupted(kind):
 
         def fake(G, N):
             return np.eye(*orig(G, N).shape, dtype=np.int64)
+    elif kind == "tor-block":
+        name, orig = "_tor_diff", hm._tor_diff
+
+        def fake(G, N):
+            G = G.copy()
+            G[0, 0, 0] = 1
+            return orig(G, N)
     elif kind == "tail":
         name, orig = "_expected_tail", hm._expected_tail
 

@@ -157,6 +157,21 @@ def test_absorb_rows_matches_rref_of_stack(mp, seed):
     assert np.array_equal(S2, S) and list(spiv2) == list(spiv)
 
 
+def test_absorb_rows_leaves_its_arguments_unchanged():
+    # only the residue is eliminated in place, and against an empty basis
+    # the residue is the caller's C itself unless it is copied first
+    p = 7
+    C = np.array([[0, 2, 4, 1], [3, 1, 0, 5], [3, 3, 4, 6]], dtype=np.int64)
+    B0 = np.zeros((0, 4), dtype=np.int64)
+    keep = C.copy()
+    B, piv = absorb_rows(B0, [], C, p)
+    assert np.array_equal(C, keep)
+    basis = B.copy()
+    absorb_rows(B, piv, C, p)
+    absorb_rows(B[:1], piv[:1], C, p)
+    assert np.array_equal(C, keep) and np.array_equal(B, basis)
+
+
 def test_solve_array_rejects_inconsistent_system():
     A = np.array([[1, 2], [2, 4]])
     b = np.array([1, 1])  # second row forces 2 = 1
