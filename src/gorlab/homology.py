@@ -12,12 +12,15 @@ differential lie in m and m^3 = 0, so del tensor N maps N into mN and kills
 the last nonzero layer: only the layer block F_i (N_0 + N_1) -> F_{i-1} mN
 (F_i N_0 -> F_{i-1} N_1 when m^2 N = 0) is eliminated, the dropped columns
 are cycles, and boundaries and radical excess live in F_i mN.  The full
-matrices are still built, and `_window` refuses with `CertificateError` any
-differential that is nonzero outside its block: that support check is the
-guard of the Tor windows, since a block complex over m^2 N = 0 has no
+matrix del tensor N is never built: `_tor_block` forms the block from the
+m-part of del and the corners of the action matrices, and refuses with
+`CertificateError` the two causes of a differential nonzero outside its
+block, a unit entry in del and a copy not adapted to its layers.  That is
+the guard of the Tor windows, since a block complex over m^2 N = 0 has no
 negative length to detect.  Ext keeps N's own basis and the full Hom-complex
 matrices (the trivial block), so its honest degrees do not share the Loewy
-copy or the block with the Tor route it is checked against.
+copy or the block with the Tor route it is checked against; `tor_induced`
+also builds full matrices, because the lift of a map may have unit entries.
 
 Degrees past the materialized window are certified:
 writing X = M_J for the junction syzygy (which is Koszul), the length count
@@ -131,15 +134,25 @@ def _radical_excess(N: FiniteModule, Z: np.ndarray, Bnd: np.ndarray,
     modulo the dropped coordinates, which m kills (callers pass cycles); as
     w = x_g x_h / form[g, h], the images under x_1..x_e alone then span
     that product.  The images are absorbed in chunks so peak memory stays
-    bounded by the basis plus one chunk."""
+    bounded by the basis plus one chunk.
+
+    Each chunk's images come from one float64 product whose entries are
+    sums of s <= dim N terms below p^2, exact while s (p-1)^2 < 2^53 (for
+    every p < 2^16 that needs dim N < 2^21, far beyond the e dim N^2
+    entries of N's actions that fit in memory).  Only the rank of the
+    stack is read, so the images are absorbed in the row order the product
+    leaves them in."""
     p, d = N.ring.p, N.dim
     s, t = block
-    ops = N.actions[:, d - t:, :s]
+    opsT = N.actions[:, d - t:, :s].transpose(0, 2, 1).astype(np.float64)
     B, piv = Bnd, list(piv)
     for lo in range(0, Z.shape[0], chunk):
-        Z3 = Z[lo:lo + chunk].reshape(-1, Z.shape[1] // s, s)
-        img = np.einsum("zjs,ots->ozjt", Z3, ops)
-        B, piv = linalg.absorb_rows(B, piv, img.reshape(-1, Bnd.shape[1]) % p, p)
+        Zc = Z[lo:lo + chunk]
+        Z3 = Zc.reshape(Zc.shape[0], 1, -1, s).astype(np.float64)
+        # (z, 1, j, s) @ (e, s, t): one row (j, t) per cycle z and x_g
+        img = np.matmul(Z3, opsT).astype(np.int64)
+        img %= p
+        B, piv = linalg.absorb_rows(B, piv, img.reshape(-1, Bnd.shape[1]), p)
     return len(piv) - Bnd.shape[0]
 
 
@@ -174,6 +187,36 @@ def _block(h) -> tuple[int, int]:
     return h0 + h1 + h2 - (h2 or h1 or h0), h1 + h2
 
 
+def _tor_block(G: np.ndarray, L: FiniteModule, layers) -> np.ndarray:
+    """Layer block of del tensor L for the entry array G (a, j, D) and the
+    Loewy copy (L, layers) of `_loewy`: the (j, t, a, s) array of the maps
+    from the first s coordinates of each source copy of L into the last t
+    of each target copy, for (s, t) = `_block(layers)`.  The full matrix is
+    never built.
+
+    del tensor L vanishes outside the block when del has no unit entry and
+    x_1..x_e, w map each layer of L into the layers after it; either
+    failure raises `CertificateError`.  The block is one batched float64
+    product of G's m-part with the t x s corners of the actions; its
+    entries are sums of e + 1 terms below p^2, exact while
+    (e + 1)(p - 1)^2 < 2^53 (for every p < 2^16 that needs e + 1 < 2^21,
+    far beyond the e x e form a ring holds in memory)."""
+    p, d = L.ring.p, L.dim
+    s, t = _block(layers)
+    h0, h1, _ = layers
+    if G[:, :, 0].any():
+        raise CertificateError("differential has a unit entry")
+    ops = L.all_ops[1:]
+    if ops[:, :h0].any() or ops[:, h0:h0 + h1, h0:].any() or ops[:, :, h0 + h1:].any():
+        raise CertificateError("module copy is not adapted to its Loewy layers")
+    Gm = G[:, :, 1:].transpose(1, 0, 2).astype(np.float64)
+    corners = ops[:, d - t:, :s].transpose(1, 0, 2).astype(np.float64)
+    # (j, 1, a, e+1) @ (1, t, e+1, s): the block in its final layout
+    A = np.matmul(Gm[:, None], corners[None]).astype(np.int64)
+    A %= p
+    return A
+
+
 @dataclass
 class _Homology:
     """Honest homology data of one complex degree, in the coordinates of the
@@ -190,15 +233,16 @@ class _Homology:
 def _window(N: FiniteModule, w: int, diff, step: int, block) -> list[_Homology]:
     """Honest homology in degrees 0..w of a complex of k-spaces built on N.
     diff(i) is the map out of degree i, diff(i + step) the map into it (step
-    +1 for a chain complex, -1 for a cochain complex), each as an array
-    (copies of N in the target, dim N, copies of N in the source, dim N).
+    +1 for a chain complex, -1 for a cochain complex).
 
-    block = (s, t): every differential must vanish outside the first s
-    columns and the last t rows of each N-block (`CertificateError`
-    otherwise), and only that block A_i is eliminated.  The cycles are
-    ker A_i plus the dropped columns, the boundaries lie in the last t
-    coordinates.  At most two blocks are held: before the radical excess,
-    every one that degree i + 1 will not read is dropped."""
+    block = (s, t): every differential vanishes outside the first s columns
+    and the last t rows of each N-block, and diff(j) returns only that
+    block A_j, as an array (copies of N in the target, t, copies of N in
+    the source, s); the caller guarantees the support (`_tor_block` checks
+    it, and the trivial block (dim N, dim N) of Ext has nothing outside).
+    The cycles are ker A_i plus the dropped columns, the boundaries lie in
+    the last t coordinates.  At most two blocks are held: before the
+    radical excess, every one that degree i + 1 will not read is dropped."""
     p, d = N.ring.p, N.dim
     s, t = block
     mats: dict = {}
@@ -207,11 +251,7 @@ def _window(N: FiniteModule, w: int, diff, step: int, block) -> list[_Homology]:
         # built on first use: the map into degree i is not yet alive while
         # the kernel of the map out is eliminated
         if j not in mats:
-            D = diff(j)
-            if D[:, :d - t].any() or D[:, :, :, s:].any():
-                raise CertificateError(
-                    f"differential {j} is nonzero outside its layer block")
-            A = np.ascontiguousarray(D[:, d - t:, :, :s])
+            A = diff(j)
             mats[j] = A.reshape(A.shape[0] * t, A.shape[2] * s), A.shape[2]
         return mats[j]
 
@@ -242,17 +282,16 @@ def _homology_window(res: MinimalFreeResolution, N: FiniteModule,
     the Loewy copy of N.  Needs res.head >= w + 1 unless the resolution is
     finite."""
     L, layers = _loewy(N)
-    d = L.dim
+    s, t = block = _block(layers)
     beta = _ranks(res)
 
     def diff(i):
-        # D_i: C_i -> C_{i-1}, zero outside 1 <= i <= head
+        # block of D_i: C_i -> C_{i-1}, zero outside 1 <= i <= head
         if 1 <= i <= res.head:
-            G = res.diff(i)
-            return _tor_diff(G, L).reshape(G.shape[1], d, G.shape[0], d)
-        return np.zeros((beta(i - 1), d, beta(i), d), dtype=np.int64)
+            return _tor_block(res.diff(i), L, layers)
+        return np.zeros((beta(i - 1), t, beta(i), s), dtype=np.int64)
 
-    return _window(L, w, diff, 1, _block(layers))
+    return _window(L, w, diff, 1, block)
 
 
 def _size_capped_window(res: MinimalFreeResolution, d: int, n: int,

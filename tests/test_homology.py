@@ -330,33 +330,78 @@ def test_loewy_copy_is_adapted(p, e):
             assert not op[:, h0 + h1:].any()
 
 
+def _not_adapted(L):
+    """L with its first and last basis vectors swapped: when mN != 0 some
+    action has a nonzero entry in the last row, which lands in the top
+    layer."""
+    perm = list(range(L.dim))
+    perm[0], perm[-1] = perm[-1], perm[0]
+    ops = L.all_ops[1:][:, perm][:, :, perm]
+    return FiniteModule(L.ring, ops[:-1], ops[-1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_tor_block_matches_full_matrix(p, e):
+    R = make_ring(p, e, identity_form(e))
+    rng = np.random.default_rng(90 + e)
+    for N in _layered_modules(R, 90 + e):
+        L, layers = hm._loewy(N)
+        s, t = hm._block(layers)
+        d = L.dim
+        for a, j in ((3, 2), (1, 4), (0, 2), (2, 0), (0, 0)):
+            G = rng.integers(0, p, size=(a, j, R.dim), dtype=np.int64)
+            G[:, :, 0] = 0
+            full = hm._tor_diff(G, L).reshape(j, d, a, d)
+            block = hm._tor_block(G, L, layers)
+            assert block.shape == (j, t, a, s) and block.dtype == np.int64
+            assert np.array_equal(block, full[:, d - t:, :, :s])
+            full[:, d - t:, :, :s] = 0
+            assert not full.any()
+        G = rng.integers(0, p, size=(2, 3, R.dim), dtype=np.int64)
+        G[:, :, 0] = 0
+        G[1, 2, 0] = 1
+        with pytest.raises(CertificateError):
+            hm._tor_block(G, L, layers)
+        if layers[1]:
+            G[1, 2, 0] = 0
+            with pytest.raises(CertificateError):
+                hm._tor_block(G, _not_adapted(L), layers)
+
+
 CORRUPTIONS = ["tor-window", "ext-window", "tail", "duality", "tor-block"]
 
 
 def _serve_corrupted(kind):
-    """Serve a table from deliberately corrupted data.  The windows get
-    identity blocks for their differentials: the Tor one is nonzero outside
-    its layer block, which the window's support check refuses, and the Ext
-    one has D_i D_{i+1} != 0, so a homology length goes negative.  The tail
-    gets a negative length count past the materialized head, the duality
-    check a Tor_0(M, N*) one too long, and "tor-block" a unit entry in a
-    differential of the resolution, which escapes the Tor layer block."""
+    """Serve a table from deliberately corrupted data.  The Tor window gets
+    a copy of N in a random basis with the Loewy layer sizes of the true
+    copy, which `_tor_block`'s adaptedness check refuses, and "tor-block"
+    a unit entry in a differential of the resolution, which `_tor_block`
+    refuses too.  The Ext window gets identity matrices for its
+    differentials, so D_i D_{i+1} != 0 and a homology length goes
+    negative.  The tail gets a negative length count past the materialized
+    head, and the duality check a Tor_0(M, N*) one too long."""
     R = make_ring(101, 3, identity_form(3))
     M = random_module(R, 1, 1, seed=41)
     N = random_module(R, 1, 1, seed=42)
-    if kind.endswith("window"):
-        name = "_tor_diff" if kind == "tor-window" else "_ext_diff"
-        orig = getattr(hm, name)
+    if kind == "tor-window":
+        name, orig = "_loewy", hm._loewy
+
+        def fake(N):
+            L, layers = orig(N)
+            return _in_random_basis(L, 43), layers
+    elif kind == "ext-window":
+        name, orig = "_ext_diff", hm._ext_diff
 
         def fake(G, N):
             return np.eye(*orig(G, N).shape, dtype=np.int64)
     elif kind == "tor-block":
-        name, orig = "_tor_diff", hm._tor_diff
+        name, orig = "_tor_block", hm._tor_block
 
-        def fake(G, N):
+        def fake(G, L, layers):
             G = G.copy()
             G[0, 0, 0] = 1
-            return orig(G, N)
+            return orig(G, L, layers)
     elif kind == "tail":
         name, orig = "_expected_tail", hm._expected_tail
 
