@@ -39,11 +39,11 @@ def _parse_range(text: str) -> tuple:
 
 def _emit(obj: dict, args) -> None:
     if getattr(args, "out", None):
-        io.write_text(args.out, io.canonical_json(obj))
+        io.store_json(obj, args.out)
     elif getattr(args, "pretty", False):
         _pretty(obj)
     else:
-        sys.stdout.write(io.canonical_json(obj))
+        io.write_json(obj, sys.stdout)
 
 
 def _pretty(obj, indent: str = "") -> None:

@@ -22,6 +22,20 @@ matrices (the trivial block), so its honest degrees do not share the Loewy
 copy or the block with the Tor route it is checked against; `tor_induced`
 also builds full matrices, because the lift of a map may have unit entries.
 
+`_plan` is the one place that chooses a window, from M's certified Betti
+numbers, its junction J, dim N and n alone, so a table never depends on how
+deep an earlier call pushed the cached resolution.  A Tor table is honest
+through n when every chain module F_j (x) N, j <= n + 1, has at most
+TOR_BUDGET dimensions; otherwise its window starts at J + TOR_MARGIN + 1 and
+deepens one degree at a time while the next module has at most
+MAX_WINDOW_ROWS.  Ext and `tor_induced` take the largest window within
+TOR_BUDGET.  `_window` computes one degree at a time and keeps it, and the
+head is extended only when a window reads a differential, so a deeper window
+computes only its new degree.  Before each degree `_window` estimates the
+bytes it will hold from the Betti numbers and the layer block, and
+`guard_memory` refuses it with NotMaterialized when the process cannot get
+them, the same guard that refuses resolution steps.
+
 Degrees past the materialized window are certified:
 writing X = M_J for the junction syzygy (which is Koszul), the length count
 
@@ -56,16 +70,16 @@ from .modules import (
     submodule,
 )
 from .resolution import (
-    DEFAULT_BUDGET,
     MinimalFreeResolution,
+    guard_memory,
     lift_chain_map,
     resolve,
 )
 
 TOR_MARGIN = 3       # consecutive equality degrees required for a tail
-WINDOW_RETRIES = 3   # how many times to deepen the window before giving up
-TOR_BUDGET = 1500    # max rows/columns of a materialized homology problem
-MAX_WINDOW_ROWS = 12000   # absolute ceiling on a retry window's row count
+TOR_BUDGET = 1500    # max dimension of a chain module in a window taken whole
+MAX_WINDOW_ROWS = 12000   # max dimension of the next module when deepening
+SLICE_BYTES = 1 << 26     # float64 bytes of one slice of a Tor layer block
 
 COMPUTED = "computed"
 CERTIFIED = "certified"
@@ -196,8 +210,10 @@ def _tor_block(G: np.ndarray, L: FiniteModule, layers) -> np.ndarray:
 
     del tensor L vanishes outside the block when del has no unit entry and
     x_1..x_e, w map each layer of L into the layers after it; either
-    failure raises `CertificateError`.  The block is one batched float64
-    product of G's m-part with the t x s corners of the actions; its
+    failure raises `CertificateError`.  The block is filled one slice of
+    target copies at a time: each slice is a batched float64 product, of at
+    most SLICE_BYTES, of G's m-part with the t x s corners of the actions,
+    so no product coexists with a full int64 copy of the block.  Its
     entries are sums of e + 1 terms below p^2, exact while
     (e + 1)(p - 1)^2 < 2^53 (for every p < 2^16 that needs e + 1 < 2^21,
     far beyond the e x e form a ring holds in memory)."""
@@ -209,11 +225,15 @@ def _tor_block(G: np.ndarray, L: FiniteModule, layers) -> np.ndarray:
     ops = L.all_ops[1:]
     if ops[:, :h0].any() or ops[:, h0:h0 + h1, h0:].any() or ops[:, :, h0 + h1:].any():
         raise CertificateError("module copy is not adapted to its Loewy layers")
-    Gm = G[:, :, 1:].transpose(1, 0, 2).astype(np.float64)
+    a, j, _ = G.shape
     corners = ops[:, d - t:, :s].transpose(1, 0, 2).astype(np.float64)
-    # (j, 1, a, e+1) @ (1, t, e+1, s): the block in its final layout
-    A = np.matmul(Gm[:, None], corners[None]).astype(np.int64)
-    A %= p
+    A = np.empty((j, t, a, s), dtype=np.int64)
+    rows = max(1, SLICE_BYTES // max(1, 8 * t * a * s))
+    for lo in range(0, j, rows):
+        Gm = G[:, lo:lo + rows, 1:].transpose(1, 0, 2).astype(np.float64)
+        # (j', 1, a, e+1) @ (1, t, e+1, s): the slice in its final layout
+        A[lo:lo + rows] = np.matmul(Gm[:, None], corners[None])
+        A[lo:lo + rows] %= p
     return A
 
 
@@ -230,10 +250,14 @@ class _Homology:
     boundary_pivots: list
 
 
-def _window(N: FiniteModule, w: int, diff, step: int, block) -> list[_Homology]:
-    """Honest homology in degrees 0..w of a complex of k-spaces built on N.
-    diff(i) is the map out of degree i, diff(i + step) the map into it (step
-    +1 for a chain complex, -1 for a cochain complex).
+def _window(N: FiniteModule, diff, ranks, step: int, block, windows):
+    """Honest homology of a complex of k-spaces built on N, for each window
+    w of the increasing `windows` in turn: yields (w, degrees 0..w).  The
+    degrees are computed one at a time and kept, so a deeper window computes
+    only its new ones, and `windows` is read lazily.  diff(i) is the map out
+    of degree i, diff(i + step) the map into it (step +1 for a chain
+    complex, -1 for a cochain complex); ranks(i) is the number of copies of
+    N in degree i, 0 outside the complex.
 
     block = (s, t): every differential vanishes outside the first s columns
     and the last t rows of each N-block, and diff(j) returns only that
@@ -242,9 +266,13 @@ def _window(N: FiniteModule, w: int, diff, step: int, block) -> list[_Homology]:
     it, and the trivial block (dim N, dim N) of Ext has nothing outside).
     The cycles are ker A_i plus the dropped columns, the boundaries lie in
     the last t coordinates.  At most two blocks are held: before the
-    radical excess, every one that degree i + 1 will not read is dropped."""
+    radical excess, every one that degree i + 1 will not read is dropped,
+    and at the last degree of a window all of them (a deeper window builds
+    the one it reads again).  Before a degree builds anything,
+    `guard_memory` checks the bytes it will hold (`_degree_bytes`)."""
     p, d = N.ring.p, N.dim
     s, t = block
+    kind = "Tor" if step > 0 else "Ext"
     mats: dict = {}
 
     def mat(j):
@@ -255,56 +283,96 @@ def _window(N: FiniteModule, w: int, diff, step: int, block) -> list[_Homology]:
             mats[j] = A.reshape(A.shape[0] * t, A.shape[2] * s), A.shape[2]
         return mats[j]
 
-    out = []
-    for i in range(w + 1):
-        A, copies = mat(i)
-        Z = linalg.kernel_array(A, p)
-        Bnd, bpiv = linalg.row_space(mat(i + step)[0].T, p)
-        li = Z.shape[0] + copies * (d - s) - Bnd.shape[0]
-        if li < 0:
-            kind = "Tor" if step > 0 else "Ext"
-            raise CertificateError(f"negative {kind} length {li} in degree {i}")
-        for j in [j for j in mats if i == w or j not in (i + 1, i + 1 + step)]:
-            del mats[j]
-        extra = _radical_excess(N, Z, Bnd, bpiv, block)
-        out.append(_Homology(li, li - extra, extra == 0, Z, Bnd, bpiv))
-    return out
+    out: list[_Homology] = []
+    for w in windows:
+        for i in range(len(out), w + 1):
+            guard_memory(_degree_bytes(ranks(i - step), ranks(i),
+                                       ranks(i + step), block, N.ring.e),
+                         f"{kind} degree {i}")
+            A, copies = mat(i)
+            Z = linalg.kernel_array(A, p)
+            Bnd, bpiv = linalg.row_space(mat(i + step)[0].T, p)
+            li = Z.shape[0] + copies * (d - s) - Bnd.shape[0]
+            if li < 0:
+                raise CertificateError(f"negative {kind} length {li} in degree {i}")
+            for j in [j for j in mats if i == w or j not in (i + 1, i + 1 + step)]:
+                del mats[j]
+            extra = _radical_excess(N, Z, Bnd, bpiv, block)
+            out.append(_Homology(li, li - extra, extra == 0, Z, Bnd, bpiv))
+        yield w, out
+
+
+def _degree_bytes(a: int, b: int, c: int, block, e: int) -> int:
+    """Bytes one degree of `_window` holds at its peak over e actions, for
+    a copies of N in the target of the map out, b in the degree and c in
+    the source of the map in.  With the blocks X1 (a t x b s) and X2
+    (b t x c s), at most (b s)^2 cycle and (b t)^2 boundary entries, it is
+    the largest of three phases, in int64 entries: the kernel (X1, its
+    elimination copy, the cycles), the boundaries (X1, the cycles, X2 and
+    its float64 product, the row-space chunks, the basis) and the radical
+    excess (X2, the cycles, the basis, and one chunk of images with its
+    elimination).  On the benchmark's degrees of more than 1 MiB the
+    measured (tracemalloc) peak is 0.63 to 0.97 of this."""
+    s, t = block
+    X1, X2, Z, Bd = a * t * b * s, b * t * c * s, (b * s) ** 2, (b * t) ** 2
+    # 2048 and 1024 rows: the chunks of linalg.row_space and _radical_excess
+    return 8 * max(2 * X1 + Z,
+                   X1 + Z + 2 * X2 + 2 * min(2048, c * s) * b * t + Bd,
+                   X2 + Z + Bd + min(1024, b * s) * (b * s + 4 * e * b * t))
+
+
+def _honest(window, res: MinimalFreeResolution, N: FiniteModule,
+            w: int) -> list[_Homology]:
+    """Degrees 0..w of the one window w of `_homology_window` or
+    `_cohomology_window`."""
+    return next(window(res, N, [w]))[1]
 
 
 def _ranks(res: MinimalFreeResolution):
-    """beta_i on the materialized head, 0 elsewhere."""
-    return lambda i: res.betti_head[i] if 0 <= i <= res.head else 0
+    """beta_i for i >= 0 (certified past the head), 0 below."""
+    return lambda i: res.betti(i)[i] if i >= 0 else 0
 
 
-def _homology_window(res: MinimalFreeResolution, N: FiniteModule,
-                     w: int) -> list[_Homology]:
-    """Honest Tor homology of F_*(res.module) tensor N in degrees 0..w, on
-    the Loewy copy of N.  Needs res.head >= w + 1 unless the resolution is
-    finite."""
+def _homology_window(res: MinimalFreeResolution, N: FiniteModule, windows):
+    """Honest Tor homology of F_*(res.module) tensor N, on the Loewy copy of
+    N, over each of `windows` in turn (see `_window`); each differential is
+    materialized when a window first reads it."""
     L, layers = _loewy(N)
     s, t = block = _block(layers)
     beta = _ranks(res)
 
     def diff(i):
         # block of D_i: C_i -> C_{i-1}, zero outside 1 <= i <= head
+        res.extend(i)
         if 1 <= i <= res.head:
             return _tor_block(res.diff(i), L, layers)
         return np.zeros((beta(i - 1), t, beta(i), s), dtype=np.int64)
 
-    return _window(L, w, diff, 1, block)
+    return _window(L, diff, beta, 1, block, windows)
 
 
-def _size_capped_window(res: MinimalFreeResolution, d: int, n: int,
-                        floor: int = 0) -> int:
-    """Largest w <= n such that every complex degree j <= w + 1 satisfies
-    beta_j * d <= TOR_BUDGET (but at least `floor`): keeps the boundary
-    matrices of the honest homology window at desk scale even when the
-    cached resolution head has been driven deeper by other callers."""
-    bs = [b * d for b in res.betti(n + 2)]
+def _plan(beta, J: int | None, d: int, n: int) -> range:
+    """The windows to try for a table through degree n, in order: a pure
+    function of M's certified Betti numbers beta (through n + 1), its
+    junction J, d = dim N and n, reading TOR_BUDGET and MAX_WINDOW_ROWS
+    when called.  Chain module j has dimension beta_j d.
+
+    With J None (Ext and tor_induced) the one window is the largest w <= n
+    whose modules j <= w + 1 fit TOR_BUDGET, or 0.  With J it is n when that
+    largest w is n; else J + TOR_MARGIN + 1 (capped at n), the first window
+    with room for a full margin above J + 1, where the length count may
+    legitimately fail, followed by one degree more at a time, through n,
+    while the next module, of dimension beta_{w+1} d, fits MAX_WINDOW_ROWS."""
+    dims = [b * d for b in beta[:n + 2]]
     w = n
-    while w > floor and max(bs[: w + 2]) > TOR_BUDGET:
+    while w > 0 and max(dims[:w + 2]) > TOR_BUDGET:
         w -= 1
-    return w
+    if J is None or w == n:
+        return range(w, w + 1)
+    first = last = min(n, J + TOR_MARGIN + 1)
+    while last < n and dims[last + 2] <= MAX_WINDOW_ROWS:
+        last += 1
+    return range(first, last + 1)
 
 
 def _tail_parameters(res: MinimalFreeResolution):
@@ -323,8 +391,13 @@ def _expected_tail(res, resN, J, nu_x, nu_mx, i):
     return nu_x * bN[t] - nu_mx * prev
 
 
+def _computed(hom) -> list[TorEntry]:
+    return [TorEntry(i, h.length, h.nu, h.m_annihilated, COMPUTED)
+            for i, h in enumerate(hom)]
+
+
 def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
-                 diff_builder) -> TorTable:
+                 window) -> TorTable:
     if M.ring != N.ring:
         raise RingMismatch("modules over different rings")
     res = resolve(M, max(n, 1))
@@ -333,19 +406,18 @@ def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
         return kind(M, N, ent, n, None)
     if res.finite:
         w = min(n, res.head)
-        hom = diff_builder(res, N, w)
-        ent = [TorEntry(i, h.length, h.nu, h.m_annihilated, COMPUTED)
-               for i, h in enumerate(hom)]
+        ent = _computed(_honest(window, res, N, w))
         ent += [TorEntry(i, 0, 0, True, COMPUTED) for i in range(w + 1, n + 1)]
         return kind(M, N, ent, w, None)
 
     if kind is TorTable and radical_rows(M)[0].shape[0] == 0:
         # M is a k-vector space k^a: tensoring the minimal resolution of N
-        # with k kills every differential, so Tor_i(M, N) = k^(a b_i(N))
+        # with k kills every differential, so Tor_i(M, N) = k^(a b_i(N));
+        # the entries are computed on the head tail certification reads
         a = M.dim
         resN = resolve(N, n)
         bN = resN.betti(n)
-        wN = min(n, resN.head if resN.finite else resN.head - 1)
+        wN = min(n, resN.head if resN.finite else resN.tail_certificate().head - 1)
         ent = [TorEntry(i, a * bN[i], a * bN[i], True,
                         COMPUTED if i <= wN else CERTIFIED)
                for i in range(n + 1)]
@@ -355,34 +427,14 @@ def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
         # finite projective dimension over an artinian local ring forces N
         # free, and a free module is also injective here (R is self-injective)
         # so both Tor and Ext vanish exactly in positive degrees
-        hom = diff_builder(res, N, 0)
-        ent = [TorEntry(0, hom[0].length, hom[0].nu, hom[0].m_annihilated,
-                        COMPUTED)]
+        ent = _computed(_honest(window, res, N, 0))
         ent += [TorEntry(i, 0, 0, True, COMPUTED) for i in range(1, n + 1)]
         return kind(M, N, ent, n, None)
 
     J, nu_x, nu_mx = _tail_parameters(res)
-    # prefer honest materialization through degree n when it is affordable
-    # (slow-growing resolutions, e.g. e = 2, may never need a certificate)
-    cost = max(res.betti(n + 1))
-    if cost * res.ring.dim <= DEFAULT_BUDGET and cost * N.dim <= TOR_BUDGET:
-        res.extend(n + 1)
-    # the length-count equality can start at J + 2 at the earliest (degree
-    # J + 1 may legitimately disagree), so the floor leaves room for a full
-    # margin above it
-    floor = J + TOR_MARGIN + 1
-    cap = _size_capped_window(res, N.dim, n, floor=floor)
-    target_w = min(n, max(min(res.head - 1, cap), floor))
-    for attempt in range(WINDOW_RETRIES + 1):
-        if attempt and res.betti(target_w + 1)[target_w + 1] * N.dim > MAX_WINDOW_ROWS:
-            break   # refuse runaway windows; fail honestly below instead
-        res.extend(target_w + 1)
-        w = min(n, res.head - 1, max(target_w, floor))
-        hom = diff_builder(res, N, w)
+    for w, hom in window(res, N, _plan(res.betti(n + 1), J, N.dim, n)):
         if n <= w:
-            ent = [TorEntry(i, h.length, h.nu, h.m_annihilated, COMPUTED)
-                   for i, h in enumerate(hom[: n + 1])]
-            return kind(M, N, ent, w, None)
+            return kind(M, N, _computed(hom), w, None)
         # certify: equality of honest lengths with the junction length count
         resN = resolve(N, n - J + 1)
         t0 = None
@@ -390,10 +442,8 @@ def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
             if hom[i].length != _expected_tail(res, resN, J, nu_x, nu_mx, i):
                 break
             t0 = i
-        ok = t0 is not None and w - t0 + 1 >= TOR_MARGIN
-        if ok:
-            ent = [TorEntry(i, h.length, h.nu, h.m_annihilated, COMPUTED)
-                   for i, h in enumerate(hom)]
+        if t0 is not None and w - t0 + 1 >= TOR_MARGIN:
+            ent = _computed(hom)
             for i in range(w + 1, n + 1):
                 li = _expected_tail(res, resN, J, nu_x, nu_mx, i)
                 if li < 0:
@@ -401,7 +451,6 @@ def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
                         f"negative length count {li} in degree {i}")
                 ent.append(TorEntry(i, li, li, True, CERTIFIED))
             return kind(M, N, ent, w, J)
-        target_w += 1
     raise InsufficientDegree(
         f"no length-count equality margin of {TOR_MARGIN} within the "
         f"materialized window (degrees through {w})", violating_index=w)
@@ -412,21 +461,22 @@ def tor(M: FiniteModule, N: FiniteModule, n: int) -> TorTable:
     return _build_table(M, N, n, TorTable, _homology_window)
 
 
-def _cohomology_window(res: MinimalFreeResolution, N: FiniteModule,
-                       w: int) -> list[_Homology]:
-    """Honest Ext cohomology of Hom(F_*(res.module), N) in degrees 0..w, on
-    N's own basis with the full matrices (the trivial block)."""
+def _cohomology_window(res: MinimalFreeResolution, N: FiniteModule, windows):
+    """Honest Ext cohomology of Hom(F_*(res.module), N), on N's own basis
+    with the full matrices (the trivial block), over each of `windows` in
+    turn (see `_window`)."""
     d = N.dim
     beta = _ranks(res)
 
     def diff(i):
         # E_i: C^i -> C^{i+1}, built from del_{i+1}, zero outside 0 <= i < head
+        res.extend(i + 1)
         if 0 <= i < res.head:
             G = res.diff(i + 1)
             return _ext_diff(G, N).reshape(G.shape[0], d, G.shape[1], d)
         return np.zeros((beta(i + 1), d, beta(i), d), dtype=np.int64)
 
-    return _window(N, w, diff, -1, (d, d))
+    return _window(N, diff, beta, -1, (d, d), windows)
 
 
 def ext(M: FiniteModule, N: FiniteModule, n: int) -> ExtTable:
@@ -443,12 +493,10 @@ def ext(M: FiniteModule, N: FiniteModule, n: int) -> ExtTable:
         t = _build_table(M, N, n, ExtTable, _cohomology_window)
         return t
     tdual = tor(M, matlis_dual(N), n)
-    w = min(tdual.window, _size_capped_window(res, N.dim, n))
-    res.extend(w + 1)
-    w = min(w, res.head if res.finite else res.head - 1)
-    hom = _cohomology_window(res, N, w)
-    entries = [TorEntry(i, h.length, h.nu, h.m_annihilated, COMPUTED)
-               for i, h in enumerate(hom[: min(n, w) + 1])]
+    # honest degrees only through the dual table's window: past it, the
+    # entries are the dual's certified ones
+    w, = _plan(res.betti(n + 1), None, N.dim, tdual.window)
+    entries = _computed(_honest(_cohomology_window, res, N, w))
     for i in range(len(entries)):
         if entries[i].length != tdual.entries[i].length:
             raise CertificateError(f"Ext/Tor duality violated at degree {i}")
@@ -473,17 +521,12 @@ def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResul
     p = N.ring.p
     ra = resolve(A, max(n, 1))
     rb = resolve(B, max(n, 1))
-    w = min(n,
-            _size_capped_window(ra, N.dim, n),
-            _size_capped_window(rb, N.dim, n))
-    ra.extend(w + 1)
-    rb.extend(w + 1)
-    wa = ra.head if ra.finite else ra.head - 1
-    wb = rb.head if rb.finite else rb.head - 1
-    w = min(w, wa, wb)
+    w = min([n] + [r.head for r in (ra, rb) if r.finite])
+    for r in (ra, rb):
+        w, = _plan(r.betti(n + 1), None, N.dim, w)
     lift = lift_chain_map(phi, w)
-    ha = _homology_window(ra, N, w)
-    hb = _homology_window(rb, N, w)
+    ha = _honest(_homology_window, ra, N, w)
+    hb = _honest(_homology_window, rb, N, w)
     L, layers = _loewy(N)
     s, t = _block(layers)
     d = L.dim

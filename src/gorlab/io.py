@@ -11,7 +11,8 @@ encoder, though: ``json.dumps`` drops to its pure-Python path whenever
 ``indent`` is set.  Dicts and lists are walked here instead, and each block
 of scalars (a list of them, or a list of non-empty lists of them, such as
 one row of a differential) is encoded in one call of the C encoder and then
-re-spaced with ``str.replace``.
+re-spaced with ``str.replace``.  ``write_json`` writes the same chunks
+straight to a text stream, so a large document is never held as one string.
 """
 
 from __future__ import annotations
@@ -41,41 +42,57 @@ _compact = json.JSONEncoder().encode   # C-accelerated: separators ", " and ": "
 
 def canonical_json(obj) -> str:
     out: list[str] = []
-    _encode(obj, "\n", out)
+    _encode(obj, "\n", out.append)
     out.append("\n")
     return "".join(out)
 
 
-def _encode(x, nl: str, out: list):
-    """Append the indented text of x; nl is a newline plus x's indent."""
+def write_json(obj, fh) -> None:
+    """Write canonical_json(obj) to the text stream fh chunk by chunk, so a
+    large document is never held as one string.  An object that cannot be
+    encoded raises only after the chunks before it are written."""
+    _encode(obj, "\n", fh.write)
+    fh.write("\n")
+
+
+def store_json(obj, path: str):
+    """Write canonical_json(obj) to path (truncated first: see
+    `write_json` for an object that cannot be encoded)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        write_json(obj, fh)
+
+
+def _encode(x, nl: str, emit):
+    """Emit the indented text of x in chunks; nl is a newline plus x's
+    indent."""
     if isinstance(x, dict):
         if not x:
-            out.append("{}")
+            emit("{}")
             return
         inner = nl + "  "
         sep = "{" + inner
         for key, value in sorted(x.items()):
-            out.append(sep + json.dumps(_key(key)) + ": ")
-            _encode(value, inner, out)
+            emit(sep + json.dumps(_key(key)) + ": ")
+            _encode(value, inner, emit)
             sep = "," + inner
-        out.append(nl + "}")
+        emit(nl + "}")
     elif isinstance(x, (list, tuple)):
         if not x:
-            out.append("[]")
+            emit("[]")
             return
         block = _scalar_block(x, nl)
         if block is not None:
-            out.append(block)
+            emit(block)
             return
         inner = nl + "  "
         sep = "[" + inner
         for value in x:
-            out.append(sep)
-            _encode(value, inner, out)
+            emit(sep)
+            _encode(value, inner, emit)
             sep = "," + inner
-        out.append(nl + "]")
+        emit(nl + "]")
     else:
-        out.append(json.dumps(x))
+        emit(json.dumps(x))
 
 
 def _key(key) -> str:
@@ -115,11 +132,6 @@ def _scalar_block(x, nl: str):
     body = (text[2:-2].replace("], [", i1 + "]," + i1 + "[" + i2)
             .replace(", ", "," + i2))
     return "[" + i1 + "[" + i2 + body + i1 + "]" + nl + "]"
-
-
-def write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def load_json(path: str):
@@ -176,7 +188,7 @@ def load_ring(path: str) -> ShortGorensteinRing:
 
 
 def store_ring(ring: ShortGorensteinRing, path: str):
-    write_text(path, canonical_json(ring_to_dict(ring)))
+    store_json(ring_to_dict(ring), path)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +260,7 @@ def load_module(path: str) -> FiniteModule:
 
 
 def store_module(M: FiniteModule, path: str, ring_ref=None):
-    write_text(path, canonical_json(module_to_dict(M, ring_ref)))
+    store_json(module_to_dict(M, ring_ref), path)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from gorlab import (
     FiniteModule,
+    cyclic_module,
     ext,
     hyperbolic_form,
     identity_form,
@@ -25,11 +26,14 @@ from gorlab import (
     tor_induced,
 )
 import gorlab.homology as hm
-from gorlab.errors import CertificateError, RadicalSquareNonzero
+import gorlab.resolution as rs
+from gorlab import linalg
+from gorlab.errors import CertificateError, NotMaterialized, RadicalSquareNonzero
 from gorlab.homology import CERTIFIED, COMPUTED, TOR_MARGIN
 from gorlab.linalg import kernel_array, rank_array, rref_array, solve_many
 from gorlab.modules import ModuleMap, hilbert_function, radical_rows, submodule
 from gorlab.resolution import lift_chain_map
+from gorlab.verify import TrialConfig, _draw_ideal_gens, _draw_module, _ring_for
 
 
 def _iota(M):
@@ -129,6 +133,87 @@ def test_free_module_takes_the_finite_resolution_edges(R3):
         assert all(t.provenance == COMPUTED for t in table.entries)
 
 
+def _sha(table, induced=None):
+    text = io.canonical_json(io.table_to_dict(table, induced))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_table_bytes_do_not_depend_on_history():
+    # a resolution driven deeper by an earlier call must not move a window
+    def serve(warm):
+        R = make_ring(101, 3, identity_form(3))
+        tables = []
+        for build in (tor, ext):
+            M = cyclic_module(R, [R.x(1)])[0]
+            if warm:
+                resolve(M, 9, min_head=9)
+            tables.append(build(M, FiniteModule.residue_field(R), 20))
+        return tables
+
+    cold, warm = serve(False), serve(True)
+    assert [t.window for t in cold] == [5, 5]
+    assert [_sha(t) for t in warm] == [_sha(t) for t in cold]
+
+
+class _CountingLinalg:
+    """linalg as homology sees it, recording the shape of every matrix whose
+    kernel it eliminates."""
+
+    def __init__(self):
+        self.kernels = []
+
+    def __getattr__(self, name):
+        return getattr(linalg, name)
+
+    def kernel_array(self, A, p):
+        self.kernels.append(A.shape)
+        return linalg.kernel_array(A, p)
+
+
+def _retrying_pair():
+    """Trial 14 of the vanishing check at its acceptance settings: dim M 3
+    (junction 1), dim N 11, a table through degree 20 that certifies only
+    after deepening its first window 5 to 6."""
+    cfg = TrialConfig(trials=26, cutoff=20, margin=5)
+    ring = _ring_for(cfg)
+    rng = np.random.default_rng(cfg.seed + 14)
+    M, _ = cyclic_module(ring, _draw_ideal_gens(ring, rng))
+    return M, _draw_module(ring, cfg, rng)
+
+
+def test_deeper_window_resumes(monkeypatch):
+    M, N = _retrying_pair()
+    counting = _CountingLinalg()
+    monkeypatch.setattr(hm, "linalg", counting)
+    table = tor(M, N, 20)
+    assert (M.dim, N.dim, table.window, table.junction) == (3, 11, 6, 1)
+    # recorded when every retry recomputed degrees 0..w
+    assert _sha(table) == \
+        "b3e3fcb84d09ae40d045fd5e1f6a6b830aff8beaf668b8b269b8a31d2395ce39"
+    # each of the degrees 0..6 is eliminated once
+    assert len(counting.kernels) == table.window + 1
+
+
+def test_window_degree_refused_before_allocation(monkeypatch):
+    # the guard checks each degree's own shapes before the degree builds
+    # anything: with room for degree 2 only, degrees 0..2 are computed and
+    # degree 3 is refused
+    R = make_ring(101, 3, identity_form(3))
+    M = cyclic_module(R, [R.x(1)])[0]
+    N = cyclic_module(R, [R.x(2)])[0]
+    beta = resolve(M, 20, min_head=7).betti(21)
+    resolve(N, 20)
+    block = hm._block(hm._loewy(N)[1])
+    room = hm._degree_bytes(beta[1], beta[2], beta[3], block, 3)
+    assert room < hm._degree_bytes(beta[2], beta[3], beta[4], block, 3)
+    counting = _CountingLinalg()
+    monkeypatch.setattr(hm, "linalg", counting)
+    monkeypatch.setattr(rs, "_available_bytes", lambda: room)
+    with pytest.raises(NotMaterialized, match="Tor degree 3"):
+        tor(M, N, 20)
+    assert len(counting.kernels) == 3
+
+
 # sha256 of the canonical JSON of tor (with its tor_induced ranks) and of
 # ext, recorded before Tor and Ext shared one homology loop; every table
 # has a certified tail
@@ -154,13 +239,8 @@ def test_table_bytes_are_pinned(e, m, n_mod, n, tor_sha, ext_sha):
     induced = tor_induced(_iota(M), N, T.window)
     E = ext(M, N, n)
     assert T.window < n and E.window < n
-
-    def sha(table, induced=None):
-        text = io.canonical_json(io.table_to_dict(table, induced))
-        return hashlib.sha256(text.encode()).hexdigest()
-
-    assert sha(T, induced) == tor_sha
-    assert sha(E) == ext_sha
+    assert _sha(T, induced) == tor_sha
+    assert _sha(E) == ext_sha
 
 
 def test_length_count_audit(R3, Rx3):
@@ -230,7 +310,7 @@ def test_radical_excess_without_w_images(p, e):
             L, layers = hm._loewy(N)
             for window, X, block in ((hm._homology_window, L, hm._block(layers)),
                                      (hm._cohomology_window, N, (N.dim, N.dim))):
-                for h in window(res, N, w):
+                for h in hm._honest(window, res, N, w):
                     Z, B = h.cycles, h.boundary_rows
                     # the stored pivots are the leading columns of the rows
                     assert [int(c) for c in h.boundary_pivots] == \
@@ -297,7 +377,7 @@ def test_layer_windows_match_full_matrix_reference(p, e):
         res = resolve(M, 4)
         w = min(3, res.head - 1)
         got = [(h.length, h.nu, h.m_annihilated)
-               for h in hm._homology_window(res, N, w)]
+               for h in hm._honest(hm._homology_window, res, N, w)]
         assert got == [r[:3] for r in _reference_homology(res, N, w)]
         for phi in maps:
             ranks = [r.rank for r in tor_induced(phi, N, 3)]
@@ -342,7 +422,7 @@ def _not_adapted(L):
 
 @pytest.mark.parametrize("p", [2, 3, 101, 65521])
 @pytest.mark.parametrize("e", [2, 3, 4])
-def test_tor_block_matches_full_matrix(p, e):
+def test_tor_block_matches_full_matrix(p, e, monkeypatch):
     R = make_ring(p, e, identity_form(e))
     rng = np.random.default_rng(90 + e)
     for N in _layered_modules(R, 90 + e):
@@ -356,6 +436,10 @@ def test_tor_block_matches_full_matrix(p, e):
             block = hm._tor_block(G, L, layers)
             assert block.shape == (j, t, a, s) and block.dtype == np.int64
             assert np.array_equal(block, full[:, d - t:, :, :s])
+            # one target copy per slice
+            with monkeypatch.context() as mp:
+                mp.setattr(hm, "SLICE_BYTES", 1)
+                assert np.array_equal(hm._tor_block(G, L, layers), block)
             full[:, d - t:, :, :s] = 0
             assert not full.any()
         G = rng.integers(0, p, size=(2, 3, R.dim), dtype=np.int64)

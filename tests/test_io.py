@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,16 @@ def test_resolution_bytes_match_per_entry_conversion(tmp_path, capsys, R3):
     io.store_module(M, path)
     assert main(["resolve", path, "--steps", "7"]) == 0
     assert capsys.readouterr().out == want
+
+
+def test_write_json_streams_the_canonical_bytes(R3):
+    obj = io.resolution_to_dict(resolve(random_module(R3, 2, 2, seed=5), 5), 5)
+    writes = []
+    io.write_json(obj, SimpleNamespace(write=writes.append))
+    text = io.canonical_json(obj)
+    assert "".join(writes) == text
+    # the document reaches the stream in pieces, never as one string
+    assert max(map(len, writes)) < len(text) // 2
 
 
 def test_ring_round_trip(tmp_path, R3):

@@ -18,7 +18,8 @@ from gorlab import (
     random_nondegenerate_form,
     resolve,
 )
-from gorlab.errors import CertificateError
+import gorlab.resolution as rs
+from gorlab.errors import CertificateError, NotMaterialized
 from gorlab.linalg import kernel_array, rank_array, rref_array
 from gorlab.resolution import (
     DEFAULT_BUDGET,
@@ -99,6 +100,42 @@ def test_budget_stop_ends_the_head_silently(R3):
     res.extend(10, budget_stop=True)
     assert res.head == 8
     assert res.betti_head[-1] * R3.dim > DEFAULT_BUDGET
+
+
+def test_step_refused_before_allocation(R3, monkeypatch):
+    # the memory guard refuses a step that would not fit, before the step
+    # allocates anything
+    res = MinimalFreeResolution(random_module(R3, 2, 2, seed=5))
+    res.extend(4)
+    need = res._step_bytes()
+    monkeypatch.setattr(rs, "_available_bytes", lambda: need - 1)
+
+    def step(self):
+        raise AssertionError("the step ran")
+
+    monkeypatch.setattr(MinimalFreeResolution, "_step", step)
+    with pytest.raises(NotMaterialized, match="resolution step 5"):
+        res.extend(6)
+    assert res.head == 4
+
+
+def test_available_bytes_reads_the_memory_cgroup(tmp_path, monkeypatch):
+    limit, usage, stat = (tmp_path / f for f in ("limit", "usage", "stat"))
+    usage.write_text("600000\n")
+    stat.write_text("cache 300000\ninactive_file 100000\n")
+    v2 = (str(limit), str(usage), str(stat), "inactive_file")
+    monkeypatch.setattr(rs, "_CGROUP_FILES", ((str(tmp_path / "none"),) * 4, v2))
+    limit.write_text("max\n")
+    assert rs._cgroup_room(2**60) == float("inf")
+    # the page cache the kernel can reclaim counts as room
+    limit.write_text("1000000\n")
+    assert rs._cgroup_room(2**60) == 500000
+    assert rs._available_bytes() <= 500000
+    # a limit at or above the RAM binds nothing the RAM does not
+    assert rs._cgroup_room(1000000) == float("inf")
+    # where sysconf and resource are missing, only the cgroup is read
+    monkeypatch.delattr(os, "sysconf")
+    assert rs._available_bytes() == 500000
 
 
 def test_betti_match_geometric_expansion(k3, R3):
