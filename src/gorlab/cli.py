@@ -10,27 +10,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
+from dataclasses import fields
 
 from . import homology, io, koszul, series, verify
 from .errors import GorlabError
 from .modules import matlis_dual, radical_submodule, random_module
 from .resolution import resolve
-from .ring import (
-    hyperbolic_form,
-    identity_form,
-    make_ring,
-    random_nondegenerate_form,
-    validate_general_algebra,
-)
+from .ring import FORM_CHOICES, make_ring, named_form, validate_general_algebra
 
 
 def _parse_range(text: str) -> tuple:
     parts = text.split("..")
     try:
-        a, b = (int(parts[0]), int(parts[1])) if len(parts) == 2 else (0, int(parts[0]))
-    except (ValueError, IndexError):
+        a, b = map(int, parts) if len(parts) > 1 else (0, int(text))
+    except ValueError:
         raise GorlabError(f"bad range {text!r}; expected a..b")
     if a < 0 or b < a:
         raise GorlabError(f"bad range {text!r}; need 0 <= a <= b")
@@ -82,22 +75,12 @@ def _is_flat(v) -> bool:
     return False
 
 
-def _form_for(name: str, e: int, p: int, seed: int) -> np.ndarray:
-    if name == "identity":
-        return identity_form(e)
-    if name == "hyperbolic":
-        return hyperbolic_form(e)
-    if name == "random":
-        return random_nondegenerate_form(e, p, np.random.default_rng(seed))
-    raise GorlabError(f"unknown form {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def _cmd_ring_new(args) -> int:
-    ring = make_ring(args.p, args.e, _form_for(args.form, args.e, args.p, args.seed))
+    ring = make_ring(args.p, args.e, named_form(args.form, args.e, args.p, args.seed))
     _emit(io.ring_to_dict(ring), args)
     return 0
 
@@ -159,34 +142,20 @@ def _cmd_resolve(args) -> int:
     return 0
 
 
-def _cmd_tor(args) -> int:
+def _cmd_table(args) -> int:
+    """The `tor` and `ext` verbs: homology.tor or homology.ext by name."""
     M = io.load_module(args.m)
     N = io.load_module(args.n_mod)
     a, b = _parse_range(args.range)
-    table = homology.tor(M, N, b)
-    induced = None
-    if args.induced:
-        mM, iota = radical_submodule(M)
-        if mM.dim:
-            induced = homology.tor_induced(iota, N, min(b, table.window))
-    out = io.table_to_dict(table, induced)
-    out["entries"] = [r for r in out["entries"] if a <= r["i"] <= b]
-    _emit(out, args)
-    return 0
-
-
-def _cmd_ext(args) -> int:
-    M = io.load_module(args.m)
-    N = io.load_module(args.n_mod)
-    a, b = _parse_range(args.range)
-    table = homology.ext(M, N, b)
+    table = getattr(homology, args.verb)(M, N, b)
     induced = None
     if args.induced:
         mM, iota = radical_submodule(M)
         if mM.dim:
             # Ext^i(iota, N) has the rank of Tor_i(iota, N*) by Matlis duality
-            induced = homology.tor_induced(iota, matlis_dual(N),
-                                           min(b, table.window))
+            induced = homology.tor_induced(
+                iota, N if args.verb == "tor" else matlis_dual(N),
+                min(b, table.window))
     out = io.table_to_dict(table, induced)
     out["entries"] = [r for r in out["entries"] if a <= r["i"] <= b]
     _emit(out, args)
@@ -226,11 +195,8 @@ def _cmd_koszul(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = verify.TrialConfig(
-        seed=args.seed, trials=args.trials, p=args.p, e=args.e,
-        form=args.form, max_generators=args.max_generators,
-        max_relations=args.max_relations, max_dim=args.max_dim,
-        cutoff=args.cutoff, margin=args.margin)
+    cfg = verify.TrialConfig(**{f.name: getattr(args, f.name)
+                                for f in fields(verify.TrialConfig)})
     report = verify.run_check(args.check, cfg)
     _emit(report.to_dict(), args)
     if not report.passed:
@@ -261,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     rn = rsub.add_parser("new")
     rn.add_argument("--p", type=int, default=101)
     rn.add_argument("--e", type=int, required=True)
-    rn.add_argument("--form", default="identity",
-                    choices=("identity", "hyperbolic", "random"))
+    rn.add_argument("--form", default="identity", choices=FORM_CHOICES)
     rn.add_argument("--seed", type=int, default=0)
     add_common(rn)
     rn.set_defaults(fn=_cmd_ring_new)
@@ -297,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(rv)
     rv.set_defaults(fn=_cmd_resolve)
 
-    for name, handler in (("tor", _cmd_tor), ("ext", _cmd_ext)):
+    for name in ("tor", "ext"):
         tp = sub.add_parser(name, help=f"{name} table for a pair of modules")
         tp.add_argument("--m", required=True)
         tp.add_argument("--n-mod", required=True)
@@ -305,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         tp.add_argument("--induced", action="store_true",
                         help="include ranks of the maps induced by mM -> M")
         add_common(tp)
-        tp.set_defaults(fn=handler)
+        tp.set_defaults(fn=_cmd_table)
 
     sp = sub.add_parser("series", help="generating series, optionally certified")
     sp.add_argument("kind", choices=("poincare", "hilbert", "tor-nu",
@@ -326,17 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="seeded property suites")
     vp.add_argument("check", choices=sorted(verify.CHECKS))
-    vp.add_argument("--trials", type=int, default=25)
-    vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--cutoff", type=int, default=20)
-    vp.add_argument("--p", type=int, default=101)
-    vp.add_argument("--e", type=int, default=3)
-    vp.add_argument("--form", default="identity",
-                    choices=("identity", "hyperbolic", "random"))
-    vp.add_argument("--margin", type=int, default=5)
-    vp.add_argument("--max-generators", type=int, default=3)
-    vp.add_argument("--max-relations", type=int, default=3)
-    vp.add_argument("--max-dim", type=int, default=12)
+    for f in fields(verify.TrialConfig):
+        if f.name == "form":
+            vp.add_argument("--form", default=f.default, choices=FORM_CHOICES)
+        else:
+            vp.add_argument("--" + f.name.replace("_", "-"), type=int,
+                            default=f.default)
     add_common(vp)
     vp.set_defaults(fn=_cmd_verify)
 

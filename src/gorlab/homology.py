@@ -71,6 +71,7 @@ from .modules import (
 )
 from .resolution import (
     MinimalFreeResolution,
+    free_kmat,
     guard_memory,
     lift_chain_map,
     resolve,
@@ -121,14 +122,6 @@ class InducedMapResult:
     source_length: int
     target_length: int
     provenance: str
-
-
-def _tor_diff(G: np.ndarray, N: FiniteModule) -> np.ndarray:
-    """k-matrix of del tensor N: N^a -> N^j for the entry array G (a, j, D)."""
-    a, j, _ = G.shape
-    d = N.dim
-    out = np.einsum("ajc,cxy->jxay", G, N.all_ops) % N.ring.p
-    return out.reshape(j * d, a * d)
 
 
 def _ext_diff(G: np.ndarray, N: FiniteModule) -> np.ndarray:
@@ -379,7 +372,7 @@ def _tail_parameters(res: MinimalFreeResolution):
     cert = res.tail_certificate()
     J = cert.junction
     nu_x = res.betti_head[J]
-    nu_mx = res.syz[J - 1].nu_m
+    nu_mx = res.nu_m[J - 1]
     return J, nu_x, nu_mx
 
 
@@ -542,7 +535,7 @@ def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResul
                                        a, s, d, d)])
             Bnd = _embed(h.boundary_rows, b, d - t, d, d)
             bpiv = [c // t * d + d - t + c % t for c in h.boundary_pivots]
-            img = Z @ _tor_diff(lift.maps[i], L).T % p
+            img = Z @ free_kmat(lift.maps[i], L.all_ops, p).T % p
             # rank of the induced map on homology: images modulo boundaries
             _, piv = linalg.absorb_rows(Bnd, bpiv, img, p)
             rank = len(piv) - len(bpiv)

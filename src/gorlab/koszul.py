@@ -22,7 +22,6 @@ from .modules import (
     radical_rows,
     radical_square_rows,
     socle_rows,
-    submodule,
 )
 from .resolution import (
     k_syzygy_dims,
@@ -80,11 +79,9 @@ def is_koszul(M: FiniteModule) -> KoszulVerdict:
         return KoszulVerdict(M, KOSZUL, None, i_max)
     res = resolve(M, max(i_max, 1), min_head=i_max)
     for j in range(1, i_max + 1):
-        if j > len(res.syz) or res.syz[j - 1].rows.shape[0] == 0:
+        if res.betti_head[j] == 0:
             break   # the resolution has terminated; later syzygies vanish
-        data = res.syz[j - 1]
-        F = FiniteModule.free(ring, res.betti_head[j - 1])
-        Mj, incl = submodule(F, data.rows, data.pivots)
+        Mj, incl = res.syzygy(j)
         v = split_off_k_witness(Mj)
         if v is not None:
             element = incl.matrix @ v % ring.p

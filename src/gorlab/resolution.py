@@ -39,6 +39,14 @@ subspace is unique, so this is the matrix a generic elimination of the
 k-matrix would give, and every differential, presentation and serialized
 byte is the same.  Only the first step, the kernel of the cover F_0 -> M,
 eliminates a generic k-matrix: it need not contain w F_0.
+
+A resolution stores its differentials, the cover matrix, the Betti numbers
+and nu(m M_i) of each syzygy, the one syzygy number the tail certificate
+reads; nothing else of a syzygy is kept.  M_i is the kernel of del_{i-1}
+(of the cover for i = 1), so `syzygy` rebuilds its rref basis on demand by
+running the step's own kernel routine again (`_kernel`): the same input
+gives the same rows and pivots, and dim M_i follows from exactness,
+dim M_i = beta_{i-1} (e+2) - dim M_{i-1} (`syzygy_dims`).
 """
 
 from __future__ import annotations
@@ -130,12 +138,15 @@ def guard_memory(nbytes: int, what: str) -> None:
             f"the process can get {max(avail, 0) / 2**20:.0f} MiB")
 
 
-def free_kmat(ring: ShortGorensteinRing, G: np.ndarray) -> np.ndarray:
-    """k-matrix of the map R^a -> R^j given by the ring-entry array G
-    (shape (a, j, e+2): row a is the image of generator a)."""
-    a, j, D = G.shape
-    out = np.einsum("ajc,cyb->jyab", G, ring.basis_reg) % ring.p
-    return out.reshape(j * D, a * D)
+def free_kmat(G: np.ndarray, ops: np.ndarray, p: int) -> np.ndarray:
+    """k-matrix of del tensor N: N^a -> N^j for the ring-entry array G
+    (shape (a, j, e+2): row a is del(gen a)) of a map del: R^a -> R^j and
+    the action matrices ops = N.all_ops of N; ops = ring.basis_reg, the
+    action matrices of R itself, gives the k-matrix of del."""
+    a, j, _ = G.shape
+    d = ops.shape[1]
+    out = np.einsum("ajc,cxy->jxay", G, ops) % p
+    return out.reshape(j * d, a * d)
 
 
 def _radical_image_w(ring: ShortGorensteinRing, K: np.ndarray) -> np.ndarray:
@@ -164,25 +175,12 @@ def _linear_part(ring: ShortGorensteinRing, G: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SyzygyData:
-    """The i-th syzygy as a subspace of F_{i-1} (rref rows + pivots)."""
-
-    rows: np.ndarray
-    pivots: list
-    nu: int      # nu(M_i) = beta_i
-    nu_m: int    # nu(m M_i) = dim m M_i  (m^2 M_i = 0 for i >= 1)
-
-
-@dataclass
 class TailCertificate:
     """Witness that the Betti sequence obeys the two-term recurrence from
     the junction J on, checked on every materialized degree past J."""
 
     junction: int
-    i_max: int
-    verified_through: int
     head: int    # the head certification materializes on a fresh resolution
-    seeds: tuple[int, int]
 
 
 class MinimalFreeResolution:
@@ -201,7 +199,7 @@ class MinimalFreeResolution:
         self.cover_matrix = C % ring.p
         self.betti_head = [b0]
         self.diffs: list[np.ndarray] = []    # diffs[i-1] = del_i, shape (b_i, b_{i-1}, D)
-        self.syz: list[SyzygyData] = []      # syz[i-1] = data of M_i in F_{i-1}
+        self.nu_m: list[int] = []            # nu_m[i-1] = nu(m M_i) = dim m M_i
         self.finite = b0 == 0
         self._tail: TailCertificate | None = None
 
@@ -211,6 +209,30 @@ class MinimalFreeResolution:
     def head(self) -> int:
         """Number of materialized differentials."""
         return len(self.diffs)
+
+    def _kernel(self, i: int):
+        """rref basis of M_i, the kernel of del_{i-1}: F_{i-1} -> F_{i-2}
+        (del_0 the cover), for 1 <= i <= head + 1: (rows, pivots, rows with
+        possibly nonzero x_g-images)."""
+        if i == 1:
+            return self._cover_kernel()
+        return self._graded_kernel(self.diffs[i - 2])
+
+    def syzygy(self, i: int) -> tuple[FiniteModule, ModuleMap]:
+        """M_i inside F_{i-1} and its inclusion, for 1 <= i <= head + 1,
+        on the rref basis `_kernel` rebuilds: the one the step that made
+        del_i eliminated."""
+        rows, pivots, _ = self._kernel(i)
+        return submodule(FiniteModule.free(self.ring, self.betti_head[i - 1]),
+                         rows, pivots)
+
+    def syzygy_dims(self) -> list[int]:
+        """dim M_0, ..., dim M_{head+1}, by exactness of
+        0 -> M_{i+1} -> F_i -> M_i -> 0: dim M_{i+1} = beta_i (e+2) - dim M_i."""
+        dims = [self.module.dim]
+        for b in self.betti_head:
+            dims.append(b * self.ring.dim - dims[-1])
+        return dims
 
     def _cover_kernel(self):
         """rref basis of the kernel of the cover F_0 -> M, by generic
@@ -252,13 +274,10 @@ class MinimalFreeResolution:
         p = ring.p
         D = ring.dim
         bprev = self.betti_head[-1]
-        if self.diffs:
-            Kr, kpiv, Kx = self._graded_kernel(self.diffs[-1])
-        else:
-            Kr, kpiv, Kx = self._cover_kernel()
+        Kr, kpiv, Kx = self._kernel(self.head + 1)
         nk = len(kpiv)
         if nk == 0:
-            self.syz.append(SyzygyData(Kr, kpiv, 0, 0))
+            self.nu_m.append(0)
             self.diffs.append(np.zeros((0, bprev, D), dtype=np.int64))
             self.betti_head.append(0)
             self.finite = True
@@ -278,7 +297,7 @@ class MinimalFreeResolution:
         if nu != nk - wrank:
             raise CertificateError(
                 f"syzygy generators: {nu} selected, {nk} - {wrank} expected")
-        self.syz.append(SyzygyData(Kr, kpiv, nu, wrank))
+        self.nu_m.append(wrank)
         self.diffs.append(Kr[sel].reshape(nu, bprev, D))
         self.betti_head.append(nu)
         if nu == 0:
@@ -298,26 +317,25 @@ class MinimalFreeResolution:
             self._step()
 
     def _step_bytes(self) -> int:
-        """Bytes the next `_step` holds at its peak.  The image of the last
-        differential is the last syzygy, so the kernel it eliminates has
-        nk = cols - dim M_head rows of cols = b D entries, nx = nk - b of
-        them on the x-slots.  The step holds the kernel rows, their x-slot
-        copy and the new differential (at most nk rows), and e nx b
-        w-images a few times over while it eliminates them.  On the
-        benchmark's steps of more than 1 MiB, and steps 1-9 of the
-        README's module, the measured (tracemalloc) peak is 0.88 to 0.96
-        of this."""
+        """Bytes the next `_step` holds at its peak.  The kernel it
+        eliminates is M_{head+1}, of nk = cols - dim M_head rows of
+        cols = b D entries, nx = nk - b of them on the x-slots.  The step
+        holds the kernel rows, their x-slot copy and the new differential
+        (at most nk rows), and e nx b w-images a few times over while it
+        eliminates them.  On the benchmark's steps of more than 1 MiB, and
+        steps 1-9 of the README's module, the measured (tracemalloc) peak is
+        0.88 to 0.96 of this."""
         b, e = self.betti_head[-1], self.ring.e
         cols = b * self.ring.dim
-        nk = cols - (len(self.syz[-1].pivots) if self.syz else self.module.dim)
+        nk = self.syzygy_dims()[-1]
         nx = nk - b
         return 8 * (cols * (2 * nk + nx) + 5 * e * nx * b)
 
     # -- tail certification --------------------------------------------------
 
-    def junction(self) -> tuple[int, int]:
-        """(J, i_max): no syzygy M_j with j > i_max can split off k, so M_J
-        with J = i_max + 1 is Koszul.  A split at index j needs a summand
+    def junction(self) -> int:
+        """J = i_max + 1, where no syzygy M_j with j > i_max can split off
+        k, so M_J is Koszul.  A split at index j needs a summand
         k_{-j'} of M (or of M_1 when m^2 M != 0) with dim k_{j'} below the
         module's dimension."""
         M = self.module
@@ -331,12 +349,12 @@ class MinimalFreeResolution:
         dims = k_syzygy_dims(self.ring, bound)
         i_max = shift + max([j for j in range(1, len(dims)) if dims[j] <= bound],
                             default=0)
-        return i_max + 1, i_max
+        return i_max + 1
 
     def _ensure_tail(self):
         if self._tail is not None or self.finite:
             return
-        J, i_max = self.junction()
+        J = self.junction()
         # the head through J + TAIL_OVERLAP, then optional slack degrees
         # while their kernel problems stay desk-scale: a function of the
         # Betti numbers alone, however deep the head already is
@@ -351,15 +369,14 @@ class MinimalFreeResolution:
         # the recurrence and the Lescot formulas must hold on every honest
         # degree past the junction; any mismatch falsifies the certificate
         for j in range(J, self.head):
-            if b[j + 1] != e * b[j] - self.syz[j - 1].nu_m:
+            if b[j + 1] != e * b[j] - self.nu_m[j - 1]:
                 raise CertificateError(
                     f"Lescot formula fails past the junction J={J} "
                     f"at degree {j + 1}")
-            if self.syz[j].nu_m != b[j]:
+            if self.nu_m[j] != b[j]:
                 raise CertificateError(
                     f"nu(m M_{j + 1}) != nu(M_{j}) past the junction J={J}")
-        self._tail = TailCertificate(J, i_max, self.head, min(head, self.head),
-                                     (b[self.head - 1], b[self.head]))
+        self._tail = TailCertificate(J, min(head, self.head))
 
     def tail_certificate(self) -> TailCertificate | None:
         self._ensure_tail()
@@ -392,7 +409,7 @@ class MinimalFreeResolution:
         """k-matrix of del_i: F_i -> F_{i-1}; del_0 means the cover."""
         if i == 0:
             return self.cover_matrix
-        return free_kmat(self.ring, self.diff(i))
+        return free_kmat(self.diff(i), self.ring.basis_reg, self.ring.p)
 
 
 def resolve(M: FiniteModule, n: int,
@@ -425,10 +442,7 @@ def syzygy(M: FiniteModule, i: int) -> FiniteModule:
         return FiniteModule.zero(M.ring)
     if i > res.head:
         raise NotMaterialized(f"syzygy {i} beyond the materialized head")
-    data = res.syz[i - 1]
-    F = FiniteModule.free(M.ring, res.betti_head[i - 1])
-    S, _ = submodule(F, data.rows, data.pivots)
-    return S
+    return res.syzygy(i)[0]
 
 
 def negative_syzygy(M: FiniteModule, i: int) -> FiniteModule:
@@ -449,7 +463,8 @@ class ChainMapLift:
     maps: list[np.ndarray] = field(default_factory=list)
 
     def kmat(self, i: int) -> np.ndarray:
-        return free_kmat(self.source.ring, self.maps[i])
+        ring = self.source.ring
+        return free_kmat(self.maps[i], ring.basis_reg, ring.p)
 
 
 def lift_chain_map(phi: ModuleMap, n: int) -> ChainMapLift:
@@ -479,7 +494,7 @@ def lift_chain_map(phi: ModuleMap, n: int) -> ChainMapLift:
         # k-matrix of del_i is del_i(gen a), i.e. row a of the entry array
         Ga = ra.diff(i)
         bi_a, bi_b = ra.betti_head[i], rb.betti_head[i]
-        fprev = free_kmat(ring, lift.maps[i - 1])
+        fprev = free_kmat(lift.maps[i - 1], ring.basis_reg, p)
         rhs = fprev @ Ga.reshape(bi_a, -1).T % p
         sols = linalg.solve_many(rb.kmat(i), rhs, p)
         arr = np.zeros((bi_a, bi_b, D), dtype=np.int64)
@@ -522,9 +537,7 @@ def k_syzygy_dims(ring: ShortGorensteinRing, bound: int) -> list[int]:
     materialized Betti numbers of k."""
     res = k_resolution(ring)
     dims = [1]
-    j = 1
     while dims[-1] <= bound:
-        res.extend(j - 1)
-        dims.append(res.betti_head[j - 1] * ring.dim - dims[-1])
-        j += 1
+        res.extend(len(dims) - 1)
+        dims = res.syzygy_dims()[:len(dims) + 1]
     return dims

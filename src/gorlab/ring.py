@@ -14,6 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    ConfigError,
     CubeNotZero,
     Degenerate,
     EmbeddingDimTooSmall,
@@ -206,6 +207,21 @@ def random_nondegenerate_form(e: int, p: int, rng: np.random.Generator) -> np.nd
             B = (U + U.T) % p
         if _det_mod(B.astype(np.int64), p) != 0:
             return B.astype(np.int64)
+
+
+FORM_CHOICES = ("identity", "hyperbolic", "random")
+
+
+def named_form(name: str, e: int, p: int, seed: int) -> np.ndarray:
+    """The form of FORM_CHOICES called `name`; "random" is drawn from
+    numpy's default_rng(seed)."""
+    if name == "identity":
+        return identity_form(e)
+    if name == "hyperbolic":
+        return hyperbolic_form(e)
+    if name == "random":
+        return random_nondegenerate_form(e, p, np.random.default_rng(seed))
+    raise ConfigError(f"form must be one of {FORM_CHOICES}")
 
 
 @dataclass

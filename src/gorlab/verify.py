@@ -33,14 +33,13 @@ from .modules import (
 )
 from .resolution import resolve, syzygy
 from .ring import (
+    FORM_CHOICES,
     ShortGorensteinRing,
     hyperbolic_form,
     identity_form,
     make_ring,
-    random_nondegenerate_form,
+    named_form,
 )
-
-FORM_CHOICES = ("identity", "hyperbolic", "random")
 
 
 @dataclass(frozen=True)
@@ -90,14 +89,8 @@ class VerificationReport:
 
 
 def _ring_for(cfg: TrialConfig, index: int = 0) -> ShortGorensteinRing:
-    if cfg.form == "identity":
-        form = identity_form(cfg.e)
-    elif cfg.form == "hyperbolic":
-        form = hyperbolic_form(cfg.e)
-    else:
-        rng = np.random.default_rng(cfg.seed + 7919 * index)
-        form = random_nondegenerate_form(cfg.e, cfg.p, rng)
-    return make_ring(cfg.p, cfg.e, form)
+    return make_ring(cfg.p, cfg.e,
+                     named_form(cfg.form, cfg.e, cfg.p, cfg.seed + 7919 * index))
 
 
 def _draw_module(ring, cfg: TrialConfig, rng) -> FiniteModule:

@@ -140,8 +140,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
     ring = make_ring_file(tmp_path, capsys)
     a = make_module_file(tmp_path, capsys, ring, "a.json")
-    code, _, err = run(capsys, "tor", "--m", a, "--n-mod", a, "--range", "9..2")
-    assert code == 2 and "range" in err
+    for bad in ("9..2", "1..2..3"):
+        code, _, err = run(capsys, "tor", "--m", a, "--n-mod", a, "--range", bad)
+        assert code == 2 and "range" in err
     code, _, err = run(capsys, "module", "info", str(tmp_path / "absent.json"))
     assert code == 2
 

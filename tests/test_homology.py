@@ -32,7 +32,7 @@ from gorlab.errors import CertificateError, NotMaterialized, RadicalSquareNonzer
 from gorlab.homology import CERTIFIED, COMPUTED, TOR_MARGIN
 from gorlab.linalg import kernel_array, rank_array, rref_array, solve_many
 from gorlab.modules import ModuleMap, hilbert_function, radical_rows, submodule
-from gorlab.resolution import lift_chain_map
+from gorlab.resolution import free_kmat, lift_chain_map
 from gorlab.verify import TrialConfig, _draw_ideal_gens, _draw_module, _ring_for
 
 
@@ -351,7 +351,7 @@ def _reference_homology(res, N, w):
 
     def D(i):
         if 1 <= i <= res.head:
-            return hm._tor_diff(res.diff(i), N)
+            return free_kmat(res.diff(i), N.all_ops, p)
         dims = [res.betti_head[j] * d if 0 <= j <= res.head else 0
                 for j in (i - 1, i)]
         return np.zeros(dims, dtype=np.int64)
@@ -387,7 +387,7 @@ def test_layer_windows_match_full_matrix_reference(p, e):
             lift = lift_chain_map(phi, wi)
             want = []
             for i in range(wi + 1):
-                img = ha[i][3] @ hm._tor_diff(lift.maps[i], N).T % p
+                img = ha[i][3] @ free_kmat(lift.maps[i], N.all_ops, p).T % p
                 B = hb[i][4]
                 want.append(rank_array(np.concatenate([B, img]), p) - B.shape[0])
             assert ranks == want
@@ -432,7 +432,7 @@ def test_tor_block_matches_full_matrix(p, e, monkeypatch):
         for a, j in ((3, 2), (1, 4), (0, 2), (2, 0), (0, 0)):
             G = rng.integers(0, p, size=(a, j, R.dim), dtype=np.int64)
             G[:, :, 0] = 0
-            full = hm._tor_diff(G, L).reshape(j, d, a, d)
+            full = free_kmat(G, L.all_ops, p).reshape(j, d, a, d)
             block = hm._tor_block(G, L, layers)
             assert block.shape == (j, t, a, s) and block.dtype == np.int64
             assert np.array_equal(block, full[:, d - t:, :, :s])

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 
 from gorlab import (
     FiniteModule,
+    cyclic_module,
     expand_rational,
     hyperbolic_form,
     identity_form,
+    io,
+    is_koszul,
     make_ring,
     random_module,
     random_nondegenerate_form,
@@ -75,7 +79,7 @@ def test_certified_tail_matches_recurrence(R3):
     M = random_module(R3, 2, 2, seed=33)
     b = resolve(M, 40).betti(40)
     e = R3.e
-    J = resolve(M, 40).junction()[0]
+    J = resolve(M, 40).junction()
     for i in range(J + 1, 40):
         assert b[i + 1] == e * b[i] - b[i - 1]
 
@@ -173,7 +177,7 @@ def test_lift_chain_map_identity(R3):
 def test_free_kmat_is_block_regular_representation(R3):
     G = np.zeros((1, 1, 5), dtype=np.int64)
     G[0, 0, 1] = 1  # multiplication by x_1 on R
-    K = free_kmat(R3, G)
+    K = free_kmat(G, R3.basis_reg, R3.p)
     v = np.zeros(5, dtype=np.int64)
     v[0] = 1
     assert np.array_equal(K @ v % 101, R3.x(1).coeffs % 101)
@@ -210,15 +214,40 @@ def small_modules(draw):
 @settings(max_examples=30, deadline=None)
 @given(small_modules())
 def test_graded_step_matches_generic_kernel(M):
-    # every step past the cover takes ker(L) + wF; the k-matrix route agrees
+    # every step past the cover takes ker(L) + wF; the k-matrix route agrees,
+    # and so does the syzygy basis rebuilt from the differentials
     res = MinimalFreeResolution(M)
     res.extend(4)
     for s in range(res.head):
         K, piv, nu, nu_m = _generic_step(M.ring, res.kmat(s))
-        data = res.syz[s]
-        assert np.array_equal(data.rows, K)
-        assert list(data.pivots) == piv
-        assert (data.nu, data.nu_m) == (nu, nu_m)
+        rows, pivots, _ = res._kernel(s + 1)
+        assert np.array_equal(rows, K)
+        assert list(pivots) == piv
+        assert (res.betti_head[s + 1], res.nu_m[s]) == (nu, nu_m)
+        assert res.syzygy_dims()[s + 1] == len(piv)
+
+
+def test_resolution_holds_only_its_differentials(R3):
+    # the syzygy bases are rebuilt on demand, never kept: the only arrays a
+    # resolution holds are its differentials and the cover matrix
+    M = random_module(R3, 2, 2, seed=5)
+    res = resolve(M, 6)
+    res.extend(6)
+    syzygy(M, 3)
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            for x in obj:
+                yield from arrays(x)
+        # the module it resolves is its input, not its state
+        elif hasattr(obj, "__dict__") and not isinstance(obj, FiniteModule):
+            yield from arrays(list(vars(obj).values()))
+
+    held = list(arrays(list(vars(res).values())))
+    assert len(res.diffs) >= 6
+    assert sorted(map(id, held)) == sorted(map(id, [res.cover_matrix, *res.diffs]))
 
 
 def _certify_corrupted_tail():
@@ -226,9 +255,9 @@ def _certify_corrupted_tail():
     has been corrupted."""
     R = make_ring(101, 3, identity_form(3))
     res = MinimalFreeResolution(random_module(R, 2, 2, seed=33))
-    J = res.junction()[0]
+    J = res.junction()
     res.extend(J + TAIL_OVERLAP)
-    res.syz[J].nu_m += 1
+    res.nu_m[J] += 1
     res.tail_certificate()
 
 
@@ -252,3 +281,84 @@ def test_corrupted_tail_raises_under_python_O():
         text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
     assert proc.returncode == 0, proc.stderr
+
+
+def _module_sha(modules) -> str:
+    """sha256 of the action matrices of each module, shapes included."""
+    h = hashlib.sha256()
+    for S in modules:
+        h.update(repr(S.all_ops.shape).encode())
+        h.update(np.ascontiguousarray(S.all_ops).tobytes())
+    return h.hexdigest()
+
+
+def _pinned_module(name):
+    R3 = make_ring(101, 3, identity_form(3))
+    R2 = make_ring(3, 2, hyperbolic_form(2))
+    R4 = make_ring(101, 4, hyperbolic_form(4))
+    return {
+        "m1": lambda: random_module(R3, 2, 2, seed=5),
+        "rx": lambda: cyclic_module(R3, [R3.x(1)])[0],
+        "rm2": lambda: cyclic_module(R3, [R3.w()])[0],
+        "r3": lambda: random_module(R3, 3, 1, seed=0),
+        "k2": lambda: FiniteModule.residue_field(R2),
+        "r2": lambda: random_module(R2, 3, 2, seed=1),
+        "r2b": lambda: random_module(R2, 2, 1, seed=1),
+        "r4": lambda: random_module(R4, 2, 2, seed=7),
+        "free": lambda: FiniteModule.free(R3, 1),
+    }[name]()
+
+
+# sha256 of the syzygies M_1..M_4 and of the negative syzygies M_{-1}..M_{-3}
+# (m^2 M = 0 only), recorded while every syzygy basis was cached
+PINNED_SYZYGIES = [
+    ("m1",
+     "b7d4708eb6ca265eba2d336ef99fa488a79ee7e5d58d5dd62d4183710c1641ec",
+     "fa5d6037c5db08bb855dff16666025814c0ac0b7bf470cb2f489af555e0a0098"),
+    ("rx",
+     "0bed61fdfdba9d6cb194e7e1b70792020a20cad59d1eeec42966f0cad57a138d",
+     "a8cb02ed8254ba2ddca7bd01da37474b5d5101296278d2833425c8f1817ca219"),
+    ("k2",
+     "13eecfbf53fdce1256af309d2d16e16c7a3a6d93882d2fc2ffd72ff257c38ba4",
+     "7a63df1253e8babef4c6a3c610a543a08a679f5086a1d756325ffccde6dd4915"),
+    ("r2",
+     "f15966bd582f405bbde893363271b551aa79e2de0a76684cae2f57c5ca6f5422",
+     "0006ce0b24cd9e20899729ba4e1662f0e2cb0ee12e296e7bd377f901a8efdb17"),
+    ("r4",
+     "3ab551373ac5c65adf7045469ac25b33520f71c20fd2df2774235e68a34ed179",
+     "c398af9f27db7ba0bbbacfc4925725fce65352ffb33fd59e98502c44d73b8568"),
+    ("free",
+     "4f392f47b47b0119e310265a5cf3eeb7367b19f0cb858d32f72f1defb4edd025",
+     None),
+]
+
+
+@pytest.mark.parametrize("name, syz_sha, neg_sha", PINNED_SYZYGIES)
+def test_syzygy_bytes_are_pinned(name, syz_sha, neg_sha):
+    M = _pinned_module(name)
+    assert _module_sha(syzygy(M, i) for i in range(1, 5)) == syz_sha
+    if neg_sha is not None:
+        assert _module_sha(negative_syzygy(M, i) for i in (1, 2, 3)) == neg_sha
+
+
+# sha256 of the canonical JSON of the Koszul verdict, witness included
+PINNED_VERDICTS = [
+    ("rm2", 1,
+     "8dee41b24c18c91969dd087851ec5e402a8457e5ae0d5f067789363b78d03153"),
+    ("r3", 2,
+     "4396643ac3fc7971d68e41c46fc6c2ecfb5b01482c674768dc984722197bab85"),
+    ("r2", 3,
+     "d91df18a21fd51ddc0a99682f37766f4ef44d62d5ac7574c5a8b0abd5f372403"),
+    ("r2b", 2,
+     "e5013ca86bf3f04a387e2cd69f9611354dd56fc2e52e7f157fec078061a676aa"),
+    ("m1", None,
+     "2937eb468dca99f1f1d1f996f4b8c3c398202c8182783e7ee0d491ac749f422d"),
+]
+
+
+@pytest.mark.parametrize("name, j, sha", PINNED_VERDICTS)
+def test_koszul_witness_bytes_are_pinned(name, j, sha):
+    v = is_koszul(_pinned_module(name))
+    assert (v.witness[0] if v.witness else None) == j
+    text = io.canonical_json(io.verdict_to_dict(v))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha

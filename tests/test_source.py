@@ -1,4 +1,7 @@
 import ast
+import importlib
+import importlib.util
+from operator import attrgetter
 from pathlib import Path
 
 import gorlab
@@ -15,3 +18,21 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in gorlab: {found}"
+
+
+def test_perfbench_trace_targets_resolve():
+    # the benchmark's tracer wraps gorlab functions by name; a rename must
+    # fail here, since the benchmark's own tests are not collected with these
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for layer, names in tracing.TARGETS.items():
+        module = importlib.import_module(f"gorlab.{layer}")
+        for name in names:
+            try:
+                attrgetter(name)(module)
+            except AttributeError:
+                missing.append(f"{layer}.{name}")
+    assert tracing.TARGETS and not missing, f"unresolved trace targets: {missing}"
