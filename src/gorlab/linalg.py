@@ -1,13 +1,23 @@
-"""Exact dense linear algebra over prime fields GF(p).
+"""Exact linear algebra over prime fields GF(p).
 
-All matrices are numpy int64 arrays with entries reduced into [0, p).
-p < 2**16 so that products fit comfortably in 64-bit intermediates; the
-blocked elimination kernel additionally exploits that panel-sized
-accumulations stay below 2**53, so trailing updates can run through BLAS
-(float64 matmul) while remaining exact.
+All matrices are numpy int64 arrays with entries reduced into [0, p), and
+p < 2**16 so that products fit comfortably in 64-bit intermediates.
 
-Reduced row-echelon form is canonical, so every routine built on it is
-deterministic and reproducible bit for bit.
+Every routine rests on `rref_inplace`, and reduced row-echelon form is
+canonical, so every routine is deterministic and reproducible bit for bit.
+`rref_inplace` has two paths that give the same rows and pivots:
+
+- a sparse Gauss-Jordan elimination over rows held as {column: value}
+  maps.  The matrices gorlab eliminates have their entries in m, and
+  m^3 = 0 leaves them a few nonzeros per row (0.4-1.3% of the entries of
+  one perfbench batch), so this path does only the work the nonzeros need;
+- the blocked dense kernel, whose panel-sized accumulations stay below
+  2**53, so trailing updates run through BLAS (float64 matmul) exactly.
+
+One rule with one constant, `_SPARSE_SHARE`, chooses: the sparse path may
+hold at most that share of the dense array's entries.  An input with more
+nonzeros goes to the dense kernel at once; an elimination whose fill grows
+past it drops its work and runs the dense kernel on the untouched input.
 """
 
 from __future__ import annotations
@@ -19,6 +29,15 @@ import numpy as np
 from .errors import NotPrime
 
 _BLOCK = 96
+
+# The sparse path holds at most this share of the dense array's entries.
+# A stored entry costs 100-130 bytes of dicts and sets (tracemalloc), so at
+# 0.1 the sparse path peaks at 1.3-1.6x the int64 array, below the 2.9x the
+# dense kernel allocates beside it.  Over the rref inputs of one batch of
+# `tor_ext_pairs` (2 vCPU, seed 0), rref took 1.10 s at a share of 0.05,
+# 0.73 s at 0.1 and 0.73 s at 0.2; on random sparse matrices, whose fill
+# runs away, the sparse work dropped at 0.1 cost 0.06-0.74x the dense time.
+_SPARSE_SHARE = 0.1
 
 
 def _is_prime(p: int) -> bool:
@@ -51,12 +70,117 @@ class PrimeField:
 def rref_inplace(R: np.ndarray, p: int, block: int = _BLOCK):
     """Reduce R to reduced row-echelon form in place; return pivot columns.
 
-    Blocked right-looking elimination: pivots are found and cleared inside a
-    narrow column panel (numpy row ops on the active rows only), while the
-    trailing columns and the already-finished rows above are updated once per
-    panel through float64 matmuls.  The inner dimension of every matmul is at
-    most `block`, so accumulations are bounded by block * (p-1)^2 < 2**53 and
-    the float64 path is exact.
+    R holds entries in [0, p); on return its first rank rows are the rref
+    rows and the rows below are zero.  An R with at most `_SPARSE_SHARE` of
+    its entries nonzero is eliminated sparsely (`_rref_sparse`); a denser
+    one, or one whose fill outgrows that share, by the blocked dense
+    kernel (`_rref_dense`).  The rref is unique, so both give the same
+    rows and pivots.  `block` is the dense kernel's panel width.
+    """
+    m, n = R.shape
+    budget = _SPARSE_SHARE * m * n
+    if np.count_nonzero(R) <= budget:
+        pivots = _rref_sparse(R, p, budget)
+        if pivots is not None:
+            return pivots
+    return _rref_dense(R, p, block)
+
+
+def _rref_sparse(R: np.ndarray, p: int, budget: float):
+    """Gauss-Jordan elimination of R over rows held as {column: value}
+    maps; the pivot columns, or None once more than `budget` entries are
+    stored, in which case R is left untouched.
+
+    Columns go left to right.  Each takes as pivot the sparsest row not yet
+    used that is nonzero there (the lowest index on a tie), scales it to a
+    unit, and clears the column from every other row, the used ones too.
+    Hence the used rows, in pivot order, are the canonical rref.  The rows
+    not yet used are zero on every column done, so a pivot row has entries
+    only in its own column and right of it, and fill only copies a column
+    where some row already has an entry: the columns with an entry in R are
+    all the columns that can become pivots.  R is written only at the end.
+    """
+    m = R.shape[0]
+    ri, ci = np.nonzero(R)
+    stored = len(ri)
+    # rows[i] maps the columns of row i to its entries; a zero row is never
+    # touched, so it stays None
+    rows: list = [None] * m
+    vals, cl = R[ri, ci].tolist(), ci.tolist()
+    nz, starts = np.unique(ri, return_index=True)
+    starts = starts.tolist() + [stored]
+    for i, a, b in zip(nz.tolist(), starts, starts[1:]):
+        rows[i] = dict(zip(cl[a:b], vals[a:b]))
+    # where[c] is the set of rows with an entry in column c, until c is done
+    order = np.argsort(ci, kind="stable")
+    cols, starts = np.unique(ci[order], return_index=True)
+    by_col, starts = ri[order].tolist(), starts.tolist() + [stored]
+    where = {c: set(by_col[a:b]) for c, a, b in zip(cols.tolist(), starts, starts[1:])}
+    del ri, ci, vals, cl, order, by_col   # freed before the fill grows
+    used = bytearray(m)
+    pivots: list[int] = []
+    prows: list[int] = []
+    for c in cols.tolist():
+        col = where.pop(c)
+        best, size = -1, 0
+        for i in col:
+            if not used[i] and (best < 0 or len(rows[i]) < size
+                                or (len(rows[i]) == size and i < best)):
+                best, size = i, len(rows[i])
+        if best < 0:
+            continue
+        prow = rows[best]
+        inv = pow(prow[c], p - 2, p)
+        if inv != 1:
+            for j in prow:
+                prow[j] = prow[j] * inv % p
+        used[best] = 1
+        pivots.append(c)
+        prows.append(best)
+        items = [(j, v) for j, v in prow.items() if j != c]
+        for i in col:
+            if i == best:
+                continue
+            row = rows[i]
+            f = p - row.pop(c)
+            for j, v in items:
+                x = row.get(j)
+                if x is None:
+                    row[j] = f * v % p
+                    where[j].add(i)
+                    stored += 1
+                else:
+                    x = (x + f * v) % p
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        where[j].discard(i)
+                        stored -= 1
+            stored -= 1
+            if stored > budget:
+                return None
+    R.fill(0)
+    ix: list[int] = []
+    jx: list[int] = []
+    vx: list[int] = []
+    for k, i in enumerate(prows):
+        ix.extend([k] * len(rows[i]))
+        jx.extend(rows[i])
+        vx.extend(rows[i].values())
+    R[ix, jx] = vx
+    return pivots
+
+
+def _rref_dense(R: np.ndarray, p: int, block: int):
+    """Blocked right-looking rref of R in place; the pivot columns.
+
+    Pivots are found and cleared inside a narrow column panel (numpy row
+    ops on the active rows only), while the trailing columns and the
+    already-finished rows above are updated once per panel through float64
+    matmuls.  The inner dimension of every matmul is at most `block`, so
+    accumulations are bounded by block * (p-1)^2 < 2**53 and the float64
+    path is exact.
     """
     m, n = R.shape
     pivots: list[int] = []
@@ -250,16 +374,27 @@ def solve_array(A: np.ndarray, b: np.ndarray, p: int):
 
 
 def reduce_mod_rowspace(R: np.ndarray, pivots, V: np.ndarray, p: int):
-    """Reduce the rows of V modulo the row space spanned by the rref rows R."""
+    """Reduce the rows of V modulo the row space spanned by the rref rows R.
+
+    R must be in rref with pivot columns `pivots`: its first len(pivots)
+    rows are the identity on those columns.  Then V - V[:, pivots] @ R
+    vanishes on them, so only the free columns are computed and the pivot
+    columns of the result are 0.
+    """
     if len(pivots) == 0 or V.size == 0:
         return V % p
-    coeff = V[:, list(pivots)] % p
-    Rp = R[: len(pivots)]
+    pivots = list(pivots)
+    free = np.ones(V.shape[1], dtype=bool)
+    free[pivots] = False
+    coeff = V[:, pivots] % p
+    Rf = R[: len(pivots)][:, free]
     if len(pivots) * (p - 1) ** 2 < 2 ** 53:
-        prod = (coeff.astype(np.float64) @ Rp.astype(np.float64)).astype(np.int64)
+        prod = (coeff.astype(np.float64) @ Rf.astype(np.float64)).astype(np.int64)
     else:
-        prod = coeff @ Rp
-    return (V - prod) % p
+        prod = coeff @ Rf
+    out = np.zeros(V.shape, dtype=np.int64)
+    out[:, free] = (V[:, free] - prod) % p
+    return out
 
 
 def in_rowspace(R: np.ndarray, pivots, V: np.ndarray, p: int) -> bool:

@@ -5,13 +5,13 @@ k-linear kernel per homological degree.  Matrix sizes grow like e^i, so every
 step first estimates the bytes it will hold (`_step_bytes`) and
 `guard_memory` refuses it with NotMaterialized when they exceed what the
 process can still allocate: the least of physical RAM, RLIMIT_AS and the
-memory cgroup's limit, each less what is already in use, read when the
-step is asked for.  Whether a step is refused thus depends on the machine
-and on what the process holds, never on a tunable.  The head holds only the
-degrees that the tail certificate, the homology windows and the syzygy and
-lifting calls ask for; the column budget DEFAULT_BUDGET applies only to the
-CLI `resolve` verb, which stops silently before the first kernel problem
-past it.  Tail certification materializes a head that depends only on the
+memory cgroup's limit, each less what is already in use, and the kernel's
+MemAvailable, read when the step is asked for.  Whether a step is refused
+thus depends on the machine and on what the process holds, never on a
+tunable.  The head holds only the degrees that the tail certificate, the
+homology windows and the syzygy and lifting calls ask for; the column
+budget DEFAULT_BUDGET applies only to the CLI `resolve` verb, which stops
+silently before the first kernel problem past it.  Tail certification materializes a head that depends only on the
 Betti numbers: J + TAIL_OVERLAP degrees, and up to HEAD_SLACK more while
 their kernel problems stay within SLACK_COLUMNS columns.
 Beyond the head, Betti numbers are exact values of the certified tail: once
@@ -106,10 +106,25 @@ def _cgroup_room(ram: float) -> float:
     return float("inf")
 
 
+def _mem_available() -> float:
+    """MemAvailable of /proc/meminfo in bytes: what the kernel can still
+    hand out with every other process on the machine counted; infinity
+    where the file or the field is missing."""
+    try:
+        for line in _read("/proc/meminfo").splitlines():
+            if line.startswith("MemAvailable:"):
+                return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return float("inf")
+
+
 def _available_bytes() -> float:
     """Bytes the process can still allocate, read now: the least of physical
-    RAM less its resident set, RLIMIT_AS less its address space, and the
-    room left in its memory cgroup.  A reading the platform does not offer
+    RAM less its resident set, the kernel's MemAvailable, RLIMIT_AS less
+    its address space, and the room left in its memory cgroup.  RAM less
+    the resident set ignores every other process, so MemAvailable bounds
+    it where the kernel reports one.  A reading the platform does not offer
     (resource and sysconf are Unix-only) counts as unlimited."""
     try:
         import resource
@@ -117,12 +132,12 @@ def _available_bytes() -> float:
         phys = os.sysconf("SC_PHYS_PAGES") * page
         limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     except (ImportError, AttributeError, ValueError, OSError):
-        return _cgroup_room(float("inf"))
+        return min(_mem_available(), _cgroup_room(float("inf")))
     try:
         size, resident = (int(v) * page for v in _read("/proc/self/statm").split()[:2])
     except (OSError, ValueError):
         size = resident = 0
-    avail = min(phys - resident, _cgroup_room(phys))
+    avail = min(phys - resident, _mem_available(), _cgroup_room(phys))
     if limit != resource.RLIM_INFINITY:
         avail = min(avail, limit - size)
     return avail

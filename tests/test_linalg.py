@@ -1,7 +1,10 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
+from gorlab import linalg
 from gorlab.linalg import (
     absorb_rows,
     kernel_array,
@@ -10,6 +13,7 @@ from gorlab.linalg import (
     reduce_mod_rowspace,
     row_space,
     rref_array,
+    rref_inplace,
     solve_array,
     solve_many,
 )
@@ -125,6 +129,8 @@ def test_reduce_mod_rowspace_vanishes_on_span(mp, seed):
         assert not reduce_mod_rowspace(R, piv, V, p).any()
     W = rng.integers(0, p, size=(4, A.shape[1]))
     red = reduce_mod_rowspace(R, piv, W, p)
+    # computed on the free columns only, it is still W - W[:, piv] R
+    assert np.array_equal(red, (W - W[:, list(piv)] @ R) % p)
     # the reduction differs from the input by a row-space element
     for t in range(4):
         diff = (W[t] - red[t]) % p
@@ -176,3 +182,119 @@ def test_solve_array_rejects_inconsistent_system():
     A = np.array([[1, 2], [2, 4]])
     b = np.array([1, 1])  # second row forces 2 = 1
     assert solve_array(A, b, 5) is None
+
+
+@st.composite
+def sparse_or_dense(draw):
+    """A matrix over GF(p) for p in {2, 3, 101, 65521}: any shape up to
+    14 x 14, empty ones included, nonzero at a drawn density, with some of
+    its rows and columns zeroed."""
+    p = draw(st.sampled_from((2, 3, 101, 65521)))
+    m, n = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    density = draw(st.sampled_from((0.0, 0.03, 0.1, 0.3, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(1, p, size=(m, n)) * (rng.random((m, n)) < density)
+    A[draw(st.lists(st.integers(0, max(m - 1, 0)), max_size=3)) if m else []] = 0
+    A[:, draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=3)) if n else []] = 0
+    return A.astype(np.int64), p
+
+
+def _sympy_rref(A, p):
+    m, n = A.shape
+    R = np.zeros((m, n), dtype=np.int64)
+    if not (m and n):
+        return R, []
+    F = GF(p)
+    D, piv = DomainMatrix([[F(int(x)) for x in row] for row in A.tolist()], (m, n), F).rref()
+    R[:] = [[int(x) % p for x in row] for row in D.to_list()]
+    return R, list(piv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_or_dense(), st.sampled_from((2, 5, 96)))
+def test_sparse_and_dense_rref_agree_with_sympy(mp, block):
+    A, p = mp
+    want, wpiv = _sympy_rref(A, p)
+    S, D = A.copy(), A.copy()
+    assert linalg._rref_sparse(S, p, float("inf")) == wpiv
+    assert linalg._rref_dense(D, p, block) == wpiv
+    assert np.array_equal(S, want) and np.array_equal(D, want)
+
+
+def _fills(m, n, seed, p=101):
+    """A random m x n matrix with three nonzeros per row: Gauss-Jordan
+    fills its rows far past their initial count."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((m, n), dtype=np.int64)
+    for i in range(m):
+        A[i, rng.choice(n, 3, replace=False)] = rng.integers(1, p, 3)
+    return A, p
+
+
+def _refuse(*args):
+    raise AssertionError("the other path ran")
+
+
+def test_fill_past_the_budget_falls_back_to_the_dense_kernel(monkeypatch):
+    A, p = _fills(40, 40, 1)
+    want = A.copy()
+    wpiv = linalg._rref_dense(want, p, linalg._BLOCK)
+    # with the share set to the input's own density, the input enters the
+    # sparse path and its first net fill leaves it
+    monkeypatch.setattr(linalg, "_SPARSE_SHARE", np.count_nonzero(A) / A.size)
+    seen = []
+    sparse, dense = linalg._rref_sparse, linalg._rref_dense
+
+    def spy_sparse(R, p, budget):
+        out = sparse(R, p, budget)
+        seen.append(("sparse", out))
+        return out
+
+    def spy_dense(R, p, block):
+        seen.append(("dense", np.array_equal(R, A)))
+        return dense(R, p, block)
+
+    monkeypatch.setattr(linalg, "_rref_sparse", spy_sparse)
+    monkeypatch.setattr(linalg, "_rref_dense", spy_dense)
+    R = A.copy()
+    assert rref_inplace(R, p) == wpiv
+    assert np.array_equal(R, want)
+    # the sparse path gave up, and the dense kernel got the untouched input
+    assert seen == [("sparse", None), ("dense", True)]
+
+
+def test_dense_input_never_enters_the_sparse_path(monkeypatch):
+    A = np.random.default_rng(0).integers(0, 101, size=(30, 40))
+    want = A.copy()
+    wpiv = linalg._rref_dense(want, 101, linalg._BLOCK)
+    monkeypatch.setattr(linalg, "_rref_sparse", _refuse)
+    assert rref_inplace(A, 101) == wpiv and np.array_equal(A, want)
+    # one nonzero more than the share admits stays dense too
+    B = np.zeros((20, 20), dtype=np.int64)
+    B.flat[: int(linalg._SPARSE_SHARE * B.size) + 1] = 1
+    rref_inplace(B, 101)
+
+
+def test_sparse_input_stays_on_the_sparse_path(monkeypatch):
+    # random 4 x 6 blocks down the diagonal: 4% nonzero, and Gauss-Jordan
+    # fills nothing outside the blocks
+    rng = np.random.default_rng(2)
+    A = np.zeros((200, 300), dtype=np.int64)
+    for b in range(50):
+        A[4 * b:4 * b + 4, 6 * b:6 * b + 6] = rng.integers(0, 101, size=(4, 6))
+    want, wpiv = _sympy_rref(A, 101)
+    monkeypatch.setattr(linalg, "_rref_dense", _refuse)
+    assert rref_inplace(A, 101) == wpiv and np.array_equal(A, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_or_dense())
+def test_rref_inplace_writes_r_in_place(mp):
+    # whichever path the rule picks, the caller's array ends as the dense
+    # kernel leaves it: the rref rows on top, zero rows below the rank
+    A, p = mp
+    R, want = A.copy(), A.copy()
+    piv = rref_inplace(R, p)
+    assert piv == linalg._rref_dense(want, p, linalg._BLOCK)
+    assert R.dtype == np.int64 and np.array_equal(R, want)
+    assert not R[len(piv):].any()

@@ -142,6 +142,27 @@ def test_available_bytes_reads_the_memory_cgroup(tmp_path, monkeypatch):
     assert rs._available_bytes() == 500000
 
 
+def test_available_bytes_is_bounded_by_mem_available(monkeypatch):
+    # RAM less the resident set ignores every other process; where the
+    # kernel reports MemAvailable, the guard admits no more than that
+    files = {"/proc/meminfo": "MemTotal:  8000000 kB\nMemAvailable:  1000 kB\n"}
+
+    def read(path):
+        if path not in files:
+            raise OSError(path)
+        return files[path]
+
+    monkeypatch.setattr(rs, "_read", read)
+    assert rs._mem_available() == 1000 * 1024
+    assert rs._available_bytes() == 1000 * 1024
+    # a kernel without the field, or without the file, bounds nothing
+    files["/proc/meminfo"] = "MemTotal:  8000000 kB\nMemFree:  7000000 kB\n"
+    assert rs._mem_available() == float("inf")
+    assert rs._available_bytes() > 1000 * 1024
+    del files["/proc/meminfo"]
+    assert rs._mem_available() == float("inf")
+
+
 def test_betti_match_geometric_expansion(k3, R3):
     assert resolve(k3, 20).betti(20) == expand_rational([1], R3.e, 20)
 
