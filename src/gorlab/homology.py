@@ -4,7 +4,13 @@ Materialized degrees are honest homology computations on F_*(M) tensor N
 (resp. Hom(F_*(M), N)).  The chain and the cochain complex share one loop,
 `_window`, for cycles, boundaries and radical excess; each builds its own
 differentials, so Ext through the Hom complex stays an independent check on
-Tor against the Matlis dual.
+Tor against the Matlis dual.  Only lengths and ranks are read, so no basis
+of the boundaries is built: over a field the image of a map A is the common
+zero set of its left kernel K, the kernel of A^T, so rank A = rows - dim K,
+and a set of vectors adds to the boundaries the rank of its product with
+K^T.  Every map is thus eliminated twice, for its kernel as the map out of
+one degree and for its left kernel as the map into the next, and the two
+ranks must agree.
 
 Tor runs on the Loewy copy of N (`_loewy`), written in a basis adapted to
 N > mN > m^2 N with layers N_0, N_1, N_2.  The entries of a minimal
@@ -132,35 +138,40 @@ def _ext_diff(G: np.ndarray, N: FiniteModule) -> np.ndarray:
     return out.reshape(a * d, j * d)
 
 
-def _radical_excess(N: FiniteModule, Z: np.ndarray, Bnd: np.ndarray,
-                    piv, block, chunk: int = 1024) -> int:
-    """Rank added to the row space of Bnd (rref rows, pivot columns piv) by
-    m times the span of the rows of Z, both written in the coordinates of
-    the layer block (s, t) (see `_window`): Z in the first s coordinates of
-    each copy of N, Bnd in the last t.  That span must be an R-submodule
-    modulo the dropped coordinates, which m kills (callers pass cycles); as
+def _radical_excess(N: FiniteModule, Z: np.ndarray, K: np.ndarray, block,
+                    chunk: int = 1024) -> int:
+    """Rank added to the boundaries by m times the span of the rows of Z,
+    both written in the coordinates of the layer block (s, t) (see
+    `_window`): Z in the first s coordinates of each copy of N, the
+    boundaries in the last t, where they are the common zeros of the rows
+    of K (the left kernel of the map in).  A vector v then adds to the
+    boundaries exactly what v K^T adds to 0, so the excess is the rank of
+    the images times K^T.  The span of Z must be an R-submodule modulo the
+    dropped coordinates, which m kills (callers pass cycles); as
     w = x_g x_h / form[g, h], the images under x_1..x_e alone then span
-    that product.  The images are absorbed in chunks so peak memory stays
-    bounded by the basis plus one chunk.
+    that product.
 
-    Each chunk's images come from one float64 product whose entries are
-    sums of s <= dim N terms below p^2, exact while s (p-1)^2 < 2^53 (for
-    every p < 2^16 that needs dim N < 2^21, far beyond the e dim N^2
-    entries of N's actions that fit in memory).  Only the rank of the
-    stack is read, so the images are absorbed in the row order the product
-    leaves them in."""
+    The images of one chunk of cycles are formed at a time, one row (z, g)
+    per cycle z and x_g, and multiplied by K^T; the running rref of those
+    products has at most dim K columns and rows, so peak memory stays
+    bounded by K plus one chunk.  Both products go through
+    `linalg.matmul_mod`: exact in float64 while the inner dimension (s,
+    then b t for b copies of N) times (p-1)^2 is below 2^53, in int64
+    past it."""
     p, d = N.ring.p, N.dim
     s, t = block
-    opsT = N.actions[:, d - t:, :s].transpose(0, 2, 1).astype(np.float64)
-    B, piv = Bnd, list(piv)
+    if K.shape[0] == 0:
+        return 0   # every vector in the last t coordinates is a boundary
+    opsT = N.actions[:, d - t:, :s].transpose(0, 2, 1)
+    B = np.zeros((0, K.shape[0]), dtype=np.int64)
     for lo in range(0, Z.shape[0], chunk):
         Zc = Z[lo:lo + chunk]
-        Z3 = Zc.reshape(Zc.shape[0], 1, -1, s).astype(np.float64)
         # (z, 1, j, s) @ (e, s, t): one row (j, t) per cycle z and x_g
-        img = np.matmul(Z3, opsT).astype(np.int64)
-        img %= p
-        B, piv = linalg.absorb_rows(B, piv, img.reshape(-1, Bnd.shape[1]), p)
-    return len(piv) - Bnd.shape[0]
+        img = linalg.matmul_mod(Zc.reshape(Zc.shape[0], 1, -1, s), opsT, p)
+        P = linalg.matmul_mod(img.reshape(-1, K.shape[1]), K.T, p)
+        B = np.concatenate([B, P])
+        B = B[:len(linalg.rref_inplace(B, p))]
+    return B.shape[0]
 
 
 def _loewy(N: FiniteModule):
@@ -239,8 +250,8 @@ class _Homology:
     nu: int
     m_annihilated: bool
     cycles: np.ndarray        # rows: kernel of the block out (first s coords)
-    boundary_rows: np.ndarray  # rref rows of the image of the map in (last t)
-    boundary_pivots: list
+    left_kernel: np.ndarray   # rows: left kernel of the block in (last t
+                              # coords), whose common zeros are the boundaries
 
 
 def _window(N: FiniteModule, diff, ranks, step: int, block, windows):
@@ -258,7 +269,11 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, windows):
     the source, s); the caller guarantees the support (`_tor_block` checks
     it, and the trivial block (dim N, dim N) of Ext has nothing outside).
     The cycles are ker A_i plus the dropped columns, the boundaries lie in
-    the last t coordinates.  At most two blocks are held: before the
+    the last t coordinates, where they are read through the left kernel K
+    of the map in A_{i+step}: its rank is rows - dim K, which must equal
+    the rank cols - nullity that the degree reading it as its map out
+    finds, or CertificateError is raised, and the radical excess is a rank
+    against K (`_radical_excess`).  At most two blocks are held: before the
     radical excess, every one that degree i + 1 will not read is dropped,
     and at the last degree of a window all of them (a deeper window builds
     the one it reads again).  Before a degree builds anything,
@@ -276,6 +291,17 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, windows):
             mats[j] = A.reshape(A.shape[0] * t, A.shape[2] * s), A.shape[2]
         return mats[j]
 
+    ranks_of: dict = {}
+
+    def check_rank(j, r, how):
+        # each map is eliminated twice, as the map out of one degree and,
+        # transposed, as the map into the next: its two ranks must agree
+        if ranks_of.setdefault(j, (r, how))[0] != r:
+            raise CertificateError(
+                f"{kind} map {j} has rank {ranks_of[j][0]} from its "
+                f"{ranks_of[j][1]} and {r} from its {how}")
+        return r
+
     out: list[_Homology] = []
     for w in windows:
         for i in range(len(out), w + 1):
@@ -284,14 +310,18 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, windows):
                          f"{kind} degree {i}")
             A, copies = mat(i)
             Z = linalg.kernel_array(A, p)
-            Bnd, bpiv = linalg.row_space(mat(i + step)[0].T, p)
-            li = Z.shape[0] + copies * (d - s) - Bnd.shape[0]
+            check_rank(i, A.shape[1] - Z.shape[0], "kernel")
+            A = mat(i + step)[0]
+            K = linalg.kernel_array(A.T, p)
+            li = Z.shape[0] + copies * (d - s) - check_rank(
+                i + step, A.shape[0] - K.shape[0], "left kernel")
             if li < 0:
                 raise CertificateError(f"negative {kind} length {li} in degree {i}")
+            del A   # a block dropped below must not stay alive for the excess
             for j in [j for j in mats if i == w or j not in (i + 1, i + 1 + step)]:
                 del mats[j]
-            extra = _radical_excess(N, Z, Bnd, bpiv, block)
-            out.append(_Homology(li, li - extra, extra == 0, Z, Bnd, bpiv))
+            extra = _radical_excess(N, Z, K, block)
+            out.append(_Homology(li, li - extra, extra == 0, Z, K))
         yield w, out
 
 
@@ -299,19 +329,21 @@ def _degree_bytes(a: int, b: int, c: int, block, e: int) -> int:
     """Bytes one degree of `_window` holds at its peak over e actions, for
     a copies of N in the target of the map out, b in the degree and c in
     the source of the map in.  With the blocks X1 (a t x b s) and X2
-    (b t x c s), at most (b s)^2 cycle and (b t)^2 boundary entries, it is
-    the largest of three phases, in int64 entries: the kernel (X1, its
-    elimination copy, the cycles), the boundaries (X1, the cycles, X2 and
-    its float64 product, the row-space chunks, the basis) and the radical
-    excess (X2, the cycles, the basis, and one chunk of images with its
-    elimination).  On the benchmark's degrees of more than 1 MiB the
-    measured (tracemalloc) peak is 0.63 to 0.97 of this."""
+    (b t x c s), at most (b s)^2 cycle entries and (b t)^2 entries of the
+    left kernel K, it is the largest of three phases, in int64 entries: the
+    kernel (X1, its elimination copy, the cycles), the left kernel (X1, the
+    cycles, X2 and its transposed elimination copy, K and the elimination's
+    temporaries) and the radical excess (X2, the cycles, K, one chunk of
+    cycles with its images in float64 and int64, and the running rref of
+    their products with K, at most dim K + e chunk rows of dim K entries).
+    On the benchmark's degrees of more than 1 MiB the measured (tracemalloc)
+    peak is 0.26 to 0.62 of this."""
     s, t = block
-    X1, X2, Z, Bd = a * t * b * s, b * t * c * s, (b * s) ** 2, (b * t) ** 2
-    # 2048 and 1024 rows: the chunks of linalg.row_space and _radical_excess
+    X1, X2, Z, K = a * t * b * s, b * t * c * s, (b * s) ** 2, (b * t) ** 2
+    chunk = min(1024, b * s)   # the cycle chunk of _radical_excess
     return 8 * max(2 * X1 + Z,
-                   X1 + Z + 2 * X2 + 2 * min(2048, c * s) * b * t + Bd,
-                   X2 + Z + Bd + min(1024, b * s) * (b * s + 4 * e * b * t))
+                   X1 + Z + 2 * X2 + 2 * K,
+                   X2 + Z + 3 * K + chunk * (b * s + 4 * e * b * t))
 
 
 def _honest(window, res: MinimalFreeResolution, N: FiniteModule,
@@ -533,12 +565,15 @@ def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResul
             Z = np.concatenate([_embed(ha[i].cycles, a, 0, s, d),
                                 _embed(np.eye(a * (d - s), dtype=np.int64),
                                        a, s, d, d)])
-            Bnd = _embed(h.boundary_rows, b, d - t, d, d)
-            bpiv = [c // t * d + d - t + c % t for c in h.boundary_pivots]
-            img = Z @ free_kmat(lift.maps[i], L.all_ops, p).T % p
-            # rank of the induced map on homology: images modulo boundaries
-            _, piv = linalg.absorb_rows(Bnd, bpiv, img, p)
-            rank = len(piv) - len(bpiv)
+            img = linalg.matmul_mod(Z, free_kmat(lift.maps[i], L.all_ops, p).T, p)
+            # the boundaries of B are the common zeros of its left kernel in
+            # the last t coordinates of each copy and of the unit vectors on
+            # the first d - t: the rank of the induced map on homology, the
+            # rank of the images modulo boundaries, is that of img K_full^T
+            K = np.concatenate([_embed(h.left_kernel, b, d - t, d, d),
+                                _embed(np.eye(b * (d - t), dtype=np.int64),
+                                       b, 0, d - t, d)])
+            rank = linalg.rank_array(linalg.matmul_mod(img, K.T, p), p)
         out.append(InducedMapResult(i, rank, ha[i].length, hb[i].length,
                                     COMPUTED))
     return out

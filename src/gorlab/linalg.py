@@ -250,7 +250,8 @@ def _rref_dense(R: np.ndarray, p: int, block: int):
 
 def rref_array(A: np.ndarray, p: int):
     """Reduced row-echelon form of a fresh copy; returns (R, pivots, rank)."""
-    R = np.array(A, dtype=np.int64) % p
+    R = np.array(A, dtype=np.int64, order="C")
+    R %= p
     if R.size == 0:
         return R, [], 0
     pivots = rref_inplace(R, p)
@@ -259,6 +260,19 @@ def rref_array(A: np.ndarray, p: int):
 
 def rank_array(A: np.ndarray, p: int) -> int:
     return rref_array(A, p)[2]
+
+
+def matmul_mod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    """X @ Y reduced into [0, p), for int64 X and Y with entries in [0, p)
+    (numpy matmul, batched over leading axes).  Each entry is a sum of
+    k = X.shape[-1] products below p^2, so the float64 product is exact
+    while k (p-1)^2 < 2**53; past that bound it is taken in int64."""
+    if X.shape[-1] * (p - 1) ** 2 < 2 ** 53:
+        out = (X.astype(np.float64) @ Y.astype(np.float64)).astype(np.int64)
+    else:
+        out = X @ Y
+    out %= p
+    return out
 
 
 def absorb_rows(B: np.ndarray, pivots, C: np.ndarray, p: int):
@@ -350,13 +364,10 @@ def solve_many(A: np.ndarray, B: np.ndarray, p: int):
     R, pivots, _ = rref_array(aug, p)
     a_piv = [c for c in pivots if c < n]
     ra = len(a_piv)
-    T = R[:, n:]
-    TB = (T.astype(np.float64) @ B.astype(np.float64)) if m * n else np.zeros((m, B.shape[1]))
-    # exactness of the float64 product needs m * p^2 < 2^53; fall back to
-    # int64 matmul when the inner dimension is large
-    if m * (p - 1) ** 2 >= 2 ** 53:
-        TB = T @ B
-    TB = TB.astype(np.int64) % p
+    if m * n:
+        TB = matmul_mod(R[:, n:], B, p)
+    else:
+        TB = np.zeros((m, B.shape[1]), dtype=np.int64)
     out = []
     for j in range(B.shape[1]):
         if TB[ra:, j].any():

@@ -334,17 +334,23 @@ class MinimalFreeResolution:
     def _step_bytes(self) -> int:
         """Bytes the next `_step` holds at its peak.  The kernel it
         eliminates is M_{head+1}, of nk = cols - dim M_head rows of
-        cols = b D entries, nx = nk - b of them on the x-slots.  The step
-        holds the kernel rows, their x-slot copy and the new differential
-        (at most nk rows), and e nx b w-images a few times over while it
+        cols = b D entries, nx of them with x_g-images: nk - b on the
+        x-slots (the b w-unit rows have none), or all nk for the cover step,
+        whose kernel comes from a generic elimination of the dim M x cols
+        cover matrix, held twice while it is eliminated.  The step holds
+        the kernel rows, their x-slot copy and the new differential (at
+        most nk rows), and e nx b w-images a few times over while it
         eliminates them.  On the benchmark's steps of more than 1 MiB, and
         steps 1-9 of the README's module, the measured (tracemalloc) peak is
-        0.88 to 0.96 of this."""
+        0.63 to 0.78 of this."""
         b, e = self.betti_head[-1], self.ring.e
         cols = b * self.ring.dim
         nk = self.syzygy_dims()[-1]
-        nx = nk - b
-        return 8 * (cols * (2 * nk + nx) + 5 * e * nx * b)
+        if self.head == 0:
+            cover, nx = 2 * self.module.dim * cols, nk
+        else:
+            cover, nx = 0, nk - b
+        return 8 * (cover + cols * (2 * nk + nx) + 5 * e * nx * b)
 
     # -- tail certification --------------------------------------------------
 

@@ -156,17 +156,22 @@ def test_table_bytes_do_not_depend_on_history():
 
 
 class _CountingLinalg:
-    """linalg as homology sees it, recording the shape of every matrix whose
-    kernel it eliminates."""
+    """linalg as homology sees it, recording every matrix whose kernel it
+    eliminates: a window takes two per degree, the map out and then the
+    transpose of the map in."""
 
     def __init__(self):
-        self.kernels = []
+        self.matrices = []
+
+    @property
+    def kernels(self):
+        return [A.shape for A in self.matrices]
 
     def __getattr__(self, name):
         return getattr(linalg, name)
 
     def kernel_array(self, A, p):
-        self.kernels.append(A.shape)
+        self.matrices.append(np.array(A))
         return linalg.kernel_array(A, p)
 
 
@@ -190,8 +195,18 @@ def test_deeper_window_resumes(monkeypatch):
     # recorded when every retry recomputed degrees 0..w
     assert _sha(table) == \
         "b3e3fcb84d09ae40d045fd5e1f6a6b830aff8beaf668b8b269b8a31d2395ce39"
-    # each of the degrees 0..6 is eliminated once
-    assert len(counting.kernels) == table.window + 1
+    # each of the degrees 0..6 eliminates its map out and the transpose of
+    # its map in once: deepening the window from 5 to 6 eliminates only
+    # the two matrices of degree 6
+    beta = resolve(M, 20).betti(7)
+    s, t = hm._block(hm._loewy(N)[1])
+
+    def b(i):
+        return beta[i] if i >= 0 else 0
+
+    assert counting.kernels == [
+        shape for i in range(7)
+        for shape in ((b(i - 1) * t, b(i) * s), (b(i + 1) * s, b(i) * t))]
 
 
 def test_window_degree_refused_before_allocation(monkeypatch):
@@ -211,7 +226,8 @@ def test_window_degree_refused_before_allocation(monkeypatch):
     monkeypatch.setattr(rs, "_available_bytes", lambda: room)
     with pytest.raises(NotMaterialized, match="Tor degree 3"):
         tor(M, N, 20)
-    assert len(counting.kernels) == 3
+    # two kernels each for degrees 0..2, none for degree 3
+    assert len(counting.kernels) == 6
 
 
 # sha256 of the canonical JSON of tor (with its tor_induced ranks) and of
@@ -295,10 +311,12 @@ def _radical_excess_with_w(N, Z, Bnd, block):
 
 @pytest.mark.parametrize("p", [3, 101])
 @pytest.mark.parametrize("e", [2, 3, 4])
-def test_radical_excess_without_w_images(p, e):
+def test_radical_excess_without_w_images(p, e, monkeypatch):
     # cycles form an R-submodule and w is a multiple of x_g x_h, so dropping
     # the w-images leaves the added rank unchanged; the reference runs in
-    # the coordinates each window ran in
+    # the coordinates each window ran in, against the rref rows of the
+    # boundaries eliminated from the map in that the window read, not
+    # through its left kernel
     forms = [identity_form(e)] + ([hyperbolic_form(e)] if e % 2 == 0 else [])
     for form in forms:
         R = make_ring(p, e, form)
@@ -310,13 +328,51 @@ def test_radical_excess_without_w_images(p, e):
             L, layers = hm._loewy(N)
             for window, X, block in ((hm._homology_window, L, hm._block(layers)),
                                      (hm._cohomology_window, N, (N.dim, N.dim))):
-                for h in hm._honest(window, res, N, w):
-                    Z, B = h.cycles, h.boundary_rows
-                    # the stored pivots are the leading columns of the rows
-                    assert [int(c) for c in h.boundary_pivots] == \
-                        [int(np.flatnonzero(r)[0]) for r in B]
-                    assert hm._radical_excess(X, Z, B, h.boundary_pivots, block) == \
-                        _radical_excess_with_w(X, Z, B, block)
+                counting = _CountingLinalg()
+                with monkeypatch.context() as mp:
+                    mp.setattr(hm, "linalg", counting)
+                    hom = hm._honest(window, res, N, w)
+                for h, AT in zip(hom, counting.matrices[1::2]):
+                    Z, K = h.cycles, h.left_kernel
+                    Bnd, _, rank = rref_array(AT, p)
+                    Bnd = Bnd[:rank]
+                    assert K.shape == (AT.shape[1] - rank, AT.shape[1])
+                    assert not (Bnd @ K.T % p).any()
+                    assert hm._radical_excess(X, Z, K, block) == \
+                        _radical_excess_with_w(X, Z, Bnd, block)
+                    # one cycle per chunk: the running rank is the same
+                    assert hm._radical_excess(X, Z, K, block, chunk=1) == \
+                        _radical_excess_with_w(X, Z, Bnd, block)
+
+
+class _LosingLinalg(_CountingLinalg):
+    """linalg whose first nonzero left kernel of a map with entries (one
+    inside the complex) comes back one row short."""
+
+    lost = False
+
+    def kernel_array(self, A, p):
+        K = super().kernel_array(A, p)
+        if len(self.matrices) % 2 == 0 and A.size and K.shape[0] and not self.lost:
+            self.lost = True
+            return K[:-1]
+        return K
+
+
+@pytest.mark.parametrize("kind", ["Tor", "Ext"])
+def test_left_kernel_rank_is_cross_checked(kind, monkeypatch):
+    # a degree reads the rank of its map in from the left kernel, and the
+    # degree that reads the same map as its map out from the kernel; a lost
+    # left kernel row makes the two disagree
+    R = make_ring(101, 3, identity_form(3))
+    M = random_module(R, 2, 2, seed=3)
+    N = random_module(R, 2, 1, seed=4)
+    res = resolve(M, 4)
+    window = hm._homology_window if kind == "Tor" else hm._cohomology_window
+    assert hm._honest(window, res, N, 3)
+    monkeypatch.setattr(hm, "linalg", _LosingLinalg())
+    with pytest.raises(CertificateError, match=f"{kind} map .* left kernel"):
+        hm._honest(window, res, N, 3)
 
 
 def _in_random_basis(N, seed):

@@ -9,6 +9,7 @@ from gorlab.linalg import (
     absorb_rows,
     kernel_array,
     kernel_rref,
+    matmul_mod,
     rank_array,
     reduce_mod_rowspace,
     row_space,
@@ -298,3 +299,37 @@ def test_rref_inplace_writes_r_in_place(mp):
     assert piv == linalg._rref_dense(want, p, linalg._BLOCK)
     assert R.dtype == np.int64 and np.array_equal(R, want)
     assert not R[len(piv):].any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_or_dense(), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_left_kernel_counts_the_rank_added_to_the_column_space(mp, r, seed):
+    # over a field col(A) is the common zero set of the left kernel K, so
+    # the rank that the rows of V add to col(A) is the rank of V K^T; the
+    # oracle eliminates [A | V^T] and A over GF(p) with sympy
+    A, p = mp
+    m = A.shape[0]
+    rng = np.random.default_rng(seed)
+    V = rng.integers(0, p, size=(r, m))
+    # half of the rows inside col(A), so the added rank is often below r
+    V[: r // 2] = rng.integers(0, p, size=(r // 2, A.shape[1])) @ A.T % p
+    K = kernel_array(A.T, p)
+    rank = len(_sympy_rref(A, p)[1])
+    assert K.shape == (m - rank, m)
+    want = len(_sympy_rref(np.concatenate([A, V.T], axis=1), p)[1]) - rank
+    assert rank_array(matmul_mod(V, K.T, p), p) == want
+
+
+def test_matmul_mod_is_exact_past_the_float64_bound():
+    # 2.2 million products near p^2 sum past 2^53, where float64 rounds
+    # (on OpenBLAS it is off for this draw), so the product is taken in
+    # int64, whose sum is exact
+    p, k = 65521, 2_200_000
+    X = np.random.default_rng(3).integers(p - 100, p, size=(1, k))
+    exact = int((X * X).sum())
+    assert k * (p - 1) ** 2 >= 2 ** 53 and exact >= 2 ** 53
+    assert matmul_mod(X, X.T, p).tolist() == [[exact % p]]
+    # below the bound the float64 product is exact
+    Y = np.full((2, 3, 1000), p - 1, dtype=np.int64)
+    assert np.array_equal(matmul_mod(Y, Y.transpose(0, 2, 1), p),
+                          np.full((2, 3, 3), 1000 % p))

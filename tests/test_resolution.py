@@ -123,6 +123,17 @@ def test_step_refused_before_allocation(R3, monkeypatch):
     assert res.head == 4
 
 
+def test_cover_step_estimate_is_positive_for_a_free_module(R3):
+    # the kernel of the cover of a free module is 0; the cover step still
+    # holds the dim M x b D cover matrix twice while it eliminates it
+    M = FiniteModule.free(R3, 2)
+    res = MinimalFreeResolution(M)
+    assert res.syzygy_dims()[-1] == 0
+    assert res._step_bytes() >= 8 * 2 * M.dim * 2 * R3.dim > 0
+    res.extend(1)
+    assert res.finite and res.betti_head == [2, 0]
+
+
 def test_available_bytes_reads_the_memory_cgroup(tmp_path, monkeypatch):
     limit, usage, stat = (tmp_path / f for f in ("limit", "usage", "stat"))
     usage.write_text("600000\n")
