@@ -17,16 +17,20 @@ N > mN > m^2 N with layers N_0, N_1, N_2.  The entries of a minimal
 differential lie in m and m^3 = 0, so del tensor N maps N into mN and kills
 the last nonzero layer: only the layer block F_i (N_0 + N_1) -> F_{i-1} mN
 (F_i N_0 -> F_{i-1} N_1 when m^2 N = 0) is eliminated, the dropped columns
-are cycles, and boundaries and radical excess live in F_i mN.  The full
-matrix del tensor N is never built: `_tor_block` forms the block from the
-m-part of del and the corners of the action matrices, and refuses with
-`CertificateError` the two causes of a differential nonzero outside its
-block, a unit entry in del and a copy not adapted to its layers.  That is
-the guard of the Tor windows, since a block complex over m^2 N = 0 has no
-negative length to detect.  Ext keeps N's own basis and the full Hom-complex
-matrices (the trivial block), so its honest degrees do not share the Loewy
-copy or the block with the Tor route it is checked against; `tor_induced`
-also builds full matrices, because the lift of a map may have unit entries.
+are cycles, and boundaries and radical excess live in F_i mN.  Neither the
+full matrix del tensor N nor a dense block is ever built: `_tor_block` emits
+the block as (row, column, value) triplets, one tile per nonzero of del's
+m-part, and refuses with `CertificateError` the two causes of a
+differential nonzero outside its block, a unit entry in del and a copy not
+adapted to its layers.  That is the guard of the Tor windows, since a block
+complex over m^2 N = 0 has no negative length to detect.  Ext keeps N's own
+basis and the full Hom-complex matrices (the trivial block), also as
+triplets (`_ext_diff`), so its honest degrees do not share the Loewy copy or
+the block with the Tor route it is checked against; `tor_induced` builds
+full dense matrices, because the lift of a map may have unit entries.
+Homology reads only ranks and spans, so `linalg.kernel_triplets` eliminates
+every block in no canonical basis; only the resolution's differentials,
+which are written out, need a canonical rref.
 
 `_plan` is the one place that chooses a window, from M's certified Betti
 numbers, its junction J, dim N and n alone, so a table never depends on how
@@ -86,7 +90,6 @@ from .resolution import (
 TOR_MARGIN = 3       # consecutive equality degrees required for a tail
 TOR_BUDGET = 1500    # max dimension of a chain module in a window taken whole
 MAX_WINDOW_ROWS = 12000   # max dimension of the next module when deepening
-SLICE_BYTES = 1 << 26     # float64 bytes of one slice of a Tor layer block
 
 COMPUTED = "computed"
 CERTIFIED = "certified"
@@ -130,12 +133,43 @@ class InducedMapResult:
     provenance: str
 
 
-def _ext_diff(G: np.ndarray, N: FiniteModule) -> np.ndarray:
-    """k-matrix of Hom(del, N): N^j -> N^a (precomposition with del)."""
+def _tiles(G: np.ndarray, ops: np.ndarray, p: int):
+    """Triplets (rows, cols, vals, shape) of the (j t) x (a s) matrix whose
+    tile at target copy y and source copy x is sum_c G[x, y, c] ops[c], for
+    G of shape (a, j, C) and ops of shape (C, t, s): each nonzero of G
+    places its multiple of a t x s matrix, duplicate positions are summed
+    mod p and zeros dropped.  Every entry is a sum of C products below p^2,
+    exact in int64."""
     a, j, _ = G.shape
-    d = N.dim
-    out = np.einsum("ajc,cxy->axjy", G, N.all_ops) % N.ring.p
-    return out.reshape(a * d, j * d)
+    _, t, s = ops.shape
+    n = a * s
+    lin, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for c, op in enumerate(ops):
+        gx, gy = np.nonzero(G[:, :, c])
+        ot, oc = np.nonzero(op)
+        # row y t + ot, column x s + oc, as the index row n + column
+        lin.append(((gy * t * n + gx * s)[:, None] + (ot * n + oc)[None]).ravel())
+        vals.append((G[gx, gy, c][:, None] * op[ot, oc][None]).ravel())
+    lin, vals = np.concatenate(lin), np.concatenate(vals)
+    order = np.argsort(lin, kind="stable")
+    lin, vals = lin[order], vals[order]
+    first = np.flatnonzero(np.diff(lin, prepend=-1))
+    lin, vals = lin[first], np.add.reduceat(vals, first) % p
+    nz = vals != 0
+    rows, cols = np.divmod(lin[nz], max(n, 1))
+    return rows, cols, vals[nz], (j * t, n)
+
+
+def _no_entries(m: int, n: int):
+    """Triplets of the m x n zero matrix."""
+    empty = np.zeros(0, dtype=np.int64)
+    return empty, empty, empty, (m, n)
+
+
+def _ext_diff(G: np.ndarray, N: FiniteModule):
+    """k-matrix of Hom(del, N): N^j -> N^a (precomposition with del), on
+    N's own basis with all its dim N x dim N tiles, as triplets."""
+    return _tiles(G.transpose(1, 0, 2), N.all_ops, N.ring.p)
 
 
 def _radical_excess(N: FiniteModule, Z: np.ndarray, K: np.ndarray, block,
@@ -205,22 +239,18 @@ def _block(h) -> tuple[int, int]:
     return h0 + h1 + h2 - (h2 or h1 or h0), h1 + h2
 
 
-def _tor_block(G: np.ndarray, L: FiniteModule, layers) -> np.ndarray:
+def _tor_block(G: np.ndarray, L: FiniteModule, layers):
     """Layer block of del tensor L for the entry array G (a, j, D) and the
-    Loewy copy (L, layers) of `_loewy`: the (j, t, a, s) array of the maps
-    from the first s coordinates of each source copy of L into the last t
-    of each target copy, for (s, t) = `_block(layers)`.  The full matrix is
-    never built.
+    Loewy copy (L, layers) of `_loewy`: the (j t) x (a s) matrix of the
+    maps from the first s coordinates of each of the a source copies of L
+    into the last t of each of the j target copies, for (s, t) =
+    `_block(layers)`, as triplets (`_tiles`): each nonzero of del's m-part
+    places its multiple of the t x s corner of its action.  Neither the
+    full matrix nor the dense block is ever built.
 
     del tensor L vanishes outside the block when del has no unit entry and
     x_1..x_e, w map each layer of L into the layers after it; either
-    failure raises `CertificateError`.  The block is filled one slice of
-    target copies at a time: each slice is a batched float64 product, of at
-    most SLICE_BYTES, of G's m-part with the t x s corners of the actions,
-    so no product coexists with a full int64 copy of the block.  Its
-    entries are sums of e + 1 terms below p^2, exact while
-    (e + 1)(p - 1)^2 < 2^53 (for every p < 2^16 that needs e + 1 < 2^21,
-    far beyond the e x e form a ring holds in memory)."""
+    failure raises `CertificateError`."""
     p, d = L.ring.p, L.dim
     s, t = _block(layers)
     h0, h1, _ = layers
@@ -229,16 +259,7 @@ def _tor_block(G: np.ndarray, L: FiniteModule, layers) -> np.ndarray:
     ops = L.all_ops[1:]
     if ops[:, :h0].any() or ops[:, h0:h0 + h1, h0:].any() or ops[:, :, h0 + h1:].any():
         raise CertificateError("module copy is not adapted to its Loewy layers")
-    a, j, _ = G.shape
-    corners = ops[:, d - t:, :s].transpose(1, 0, 2).astype(np.float64)
-    A = np.empty((j, t, a, s), dtype=np.int64)
-    rows = max(1, SLICE_BYTES // max(1, 8 * t * a * s))
-    for lo in range(0, j, rows):
-        Gm = G[:, lo:lo + rows, 1:].transpose(1, 0, 2).astype(np.float64)
-        # (j', 1, a, e+1) @ (1, t, e+1, s): the slice in its final layout
-        A[lo:lo + rows] = np.matmul(Gm[:, None], corners[None])
-        A[lo:lo + rows] %= p
-    return A
+    return _tiles(G[:, :, 1:], ops[:, d - t:, :s], p)
 
 
 @dataclass
@@ -265,21 +286,25 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, windows):
 
     block = (s, t): every differential vanishes outside the first s columns
     and the last t rows of each N-block, and diff(j) returns only that
-    block A_j, as an array (copies of N in the target, t, copies of N in
-    the source, s); the caller guarantees the support (`_tor_block` checks
-    it, and the trivial block (dim N, dim N) of Ext has nothing outside).
-    The cycles are ker A_i plus the dropped columns, the boundaries lie in
-    the last t coordinates, where they are read through the left kernel K
-    of the map in A_{i+step}: its rank is rows - dim K, which must equal
-    the rank cols - nullity that the degree reading it as its map out
-    finds, or CertificateError is raised, and the radical excess is a rank
-    against K (`_radical_excess`).  At most two blocks are held: before the
-    radical excess, every one that degree i + 1 will not read is dropped,
-    and at the last degree of a window all of them (a deeper window builds
-    the one it reads again).  Before a degree builds anything,
-    `guard_memory` checks the bytes it will hold (`_degree_bytes`)."""
+    block A_j, as triplets (rows, cols, vals, shape) of the matrix with
+    rows (target copy, t) and columns (source copy, s); the caller
+    guarantees the support (`_tor_block` checks it, and the trivial block
+    (dim N, dim N) of Ext has nothing outside).  `linalg.kernel_triplets`
+    eliminates A_i and, with rows and columns swapped, A_{i+step}^T, so a
+    block is dense only on its fallback, and its kernels are in any basis,
+    since only ranks and spans are read.  The cycles are ker A_i plus the dropped
+    columns of the ranks(i) copies, the boundaries lie in the last t
+    coordinates, where they are read through the left kernel K of the map
+    in A_{i+step}: its rank is rows - dim K, which must equal the rank
+    cols - nullity that the degree reading it as its map out finds, or
+    CertificateError is raised, and the radical excess is a rank against K
+    (`_radical_excess`).  At most two blocks are held: before the radical
+    excess, every one that degree i + 1 will not read is dropped, and at
+    the last degree of a window all of them (a deeper window builds the one
+    it reads again).  Before a degree builds anything, `guard_memory`
+    checks the bytes it will hold (`_degree_bytes`)."""
     p, d = N.ring.p, N.dim
-    s, t = block
+    s = block[0]
     kind = "Tor" if step > 0 else "Ext"
     mats: dict = {}
 
@@ -287,8 +312,7 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, windows):
         # built on first use: the map into degree i is not yet alive while
         # the kernel of the map out is eliminated
         if j not in mats:
-            A = diff(j)
-            mats[j] = A.reshape(A.shape[0] * t, A.shape[2] * s), A.shape[2]
+            mats[j] = diff(j)
         return mats[j]
 
     ranks_of: dict = {}
@@ -308,16 +332,17 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, windows):
             guard_memory(_degree_bytes(ranks(i - step), ranks(i),
                                        ranks(i + step), block, N.ring.e),
                          f"{kind} degree {i}")
-            A, copies = mat(i)
-            Z = linalg.kernel_array(A, p)
-            check_rank(i, A.shape[1] - Z.shape[0], "kernel")
-            A = mat(i + step)[0]
-            K = linalg.kernel_array(A.T, p)
-            li = Z.shape[0] + copies * (d - s) - check_rank(
-                i + step, A.shape[0] - K.shape[0], "left kernel")
+            rows, cols, vals, (m, n) = mat(i)
+            Z, _ = linalg.kernel_triplets(rows, cols, vals, (m, n), p)
+            check_rank(i, n - Z.shape[0], "kernel")
+            rows, cols, vals, (m, n) = mat(i + step)
+            K, _ = linalg.kernel_triplets(cols, rows, vals, (n, m), p)
+            li = Z.shape[0] + ranks(i) * (d - s) - check_rank(
+                i + step, m - K.shape[0], "left kernel")
             if li < 0:
                 raise CertificateError(f"negative {kind} length {li} in degree {i}")
-            del A   # a block dropped below must not stay alive for the excess
+            # a block dropped below must not stay alive for the excess
+            del rows, cols, vals
             for j in [j for j in mats if i == w or j not in (i + 1, i + 1 + step)]:
                 del mats[j]
             extra = _radical_excess(N, Z, K, block)
@@ -336,8 +361,11 @@ def _degree_bytes(a: int, b: int, c: int, block, e: int) -> int:
     temporaries) and the radical excess (X2, the cycles, K, one chunk of
     cycles with its images in float64 and int64, and the running rref of
     their products with K, at most dim K + e chunk rows of dim K entries).
-    On the benchmark's degrees of more than 1 MiB the measured (tracemalloc)
-    peak is 0.26 to 0.62 of this."""
+    The blocks are budgeted as dense arrays, which they are only when
+    `linalg.kernel_triplets` falls back to `kernel_array`; its sparse path
+    stores at most `linalg._SPARSE_SHARE` of a block's cells.  On the
+    benchmark's degrees of more than 1 MiB the measured (tracemalloc) peak
+    is 0.01 to 0.47 of this."""
     s, t = block
     X1, X2, Z, K = a * t * b * s, b * t * c * s, (b * s) ** 2, (b * t) ** 2
     chunk = min(1024, b * s)   # the cycle chunk of _radical_excess
@@ -371,7 +399,7 @@ def _homology_window(res: MinimalFreeResolution, N: FiniteModule, windows):
         res.extend(i)
         if 1 <= i <= res.head:
             return _tor_block(res.diff(i), L, layers)
-        return np.zeros((beta(i - 1), t, beta(i), s), dtype=np.int64)
+        return _no_entries(beta(i - 1) * t, beta(i) * s)
 
     return _window(L, diff, beta, 1, block, windows)
 
@@ -497,9 +525,8 @@ def _cohomology_window(res: MinimalFreeResolution, N: FiniteModule, windows):
         # E_i: C^i -> C^{i+1}, built from del_{i+1}, zero outside 0 <= i < head
         res.extend(i + 1)
         if 0 <= i < res.head:
-            G = res.diff(i + 1)
-            return _ext_diff(G, N).reshape(G.shape[0], d, G.shape[1], d)
-        return np.zeros((beta(i + 1), d, beta(i), d), dtype=np.int64)
+            return _ext_diff(res.diff(i + 1), N)
+        return _no_entries(beta(i + 1) * d, beta(i) * d)
 
     return _window(N, diff, beta, -1, (d, d), windows)
 

@@ -3,8 +3,8 @@
 All matrices are numpy int64 arrays with entries reduced into [0, p), and
 p < 2**16 so that products fit comfortably in 64-bit intermediates.
 
-Every routine rests on `rref_inplace`, and reduced row-echelon form is
-canonical, so every routine is deterministic and reproducible bit for bit.
+The routines on dense arrays rest on `rref_inplace`, and reduced row-echelon
+form is canonical, so they are deterministic and reproducible bit for bit.
 `rref_inplace` has two paths that give the same rows and pivots:
 
 - a sparse Gauss-Jordan elimination over rows held as {column: value}
@@ -14,7 +14,12 @@ canonical, so every routine is deterministic and reproducible bit for bit.
 - the blocked dense kernel, whose panel-sized accumulations stay below
   2**53, so trailing updates run through BLAS (float64 matmul) exactly.
 
-One rule with one constant, `_SPARSE_SHARE`, chooses: the sparse path may
+`kernel_triplets` serves callers that read only ranks and kernels of any
+basis (homology): it takes a matrix as (row, column, value) triplets and
+eliminates it in the same {column: value} rows with no canonical column
+order, so it never builds the dense array unless it falls back.
+
+One rule with one constant, `_SPARSE_SHARE`, chooses: a sparse path may
 hold at most that share of the dense array's entries.  An input with more
 nonzeros goes to the dense kernel at once; an elimination whose fill grows
 past it drops its work and runs the dense kernel on the untouched input.
@@ -30,7 +35,7 @@ from .errors import NotPrime
 
 _BLOCK = 96
 
-# The sparse path holds at most this share of the dense array's entries.
+# A sparse path holds at most this share of the dense array's entries.
 # A stored entry costs 100-130 bytes of dicts and sets (tracemalloc), so at
 # 0.1 the sparse path peaks at 1.3-1.6x the int64 array, below the 2.9x the
 # dense kernel allocates beside it.  Over the rref inputs of one batch of
@@ -88,39 +93,69 @@ def rref_inplace(R: np.ndarray, p: int, block: int = _BLOCK):
 
 def _rref_sparse(R: np.ndarray, p: int, budget: float):
     """Gauss-Jordan elimination of R over rows held as {column: value}
-    maps; the pivot columns, or None once more than `budget` entries are
-    stored, in which case R is left untouched.
-
-    Columns go left to right.  Each takes as pivot the sparsest row not yet
-    used that is nonzero there (the lowest index on a tie), scales it to a
-    unit, and clears the column from every other row, the used ones too.
-    Hence the used rows, in pivot order, are the canonical rref.  The rows
-    not yet used are zero on every column done, so a pivot row has entries
-    only in its own column and right of it, and fill only copies a column
-    where some row already has an entry: the columns with an entry in R are
-    all the columns that can become pivots.  R is written only at the end.
-    """
-    m = R.shape[0]
+    maps (`_eliminate`), columns left to right; the pivot columns, or None
+    once more than `budget` entries are stored, in which case R is left
+    untouched.  The pivot rows, in pivot order, are the canonical rref, and
+    R is written only at the end."""
     ri, ci = np.nonzero(R)
     stored = len(ri)
-    # rows[i] maps the columns of row i to its entries; a zero row is never
-    # touched, so it stays None
+    rows, where = _sparse_rows(ri, ci, R[ri, ci], R.shape[0])
+    del ri, ci   # freed before the fill grows
+    pivot_row = _eliminate(rows, where, list(where), p, budget, stored)
+    if pivot_row is None:
+        return None
+    R.fill(0)
+    ix: list[int] = []
+    jx: list[int] = []
+    vx: list[int] = []
+    for k, i in enumerate(pivot_row.values()):
+        ix.extend([k] * len(rows[i]))
+        jx.extend(rows[i])
+        vx.extend(rows[i].values())
+    R[ix, jx] = vx
+    return list(pivot_row)
+
+
+def _sparse_rows(ri, ci, vi, m: int):
+    """(rows, where) for the m-row matrix with nonzero entries vi at (ri,
+    ci): rows[i] maps the columns of row i to its entries (None for a zero
+    row, which elimination never touches), and where[c] is the set of rows
+    with an entry in column c, its keys in increasing order.  Each map is
+    built whole, at its final size."""
+    stored = len(vi)
     rows: list = [None] * m
-    vals, cl = R[ri, ci].tolist(), ci.tolist()
-    nz, starts = np.unique(ri, return_index=True)
+    order = np.argsort(ri, kind="stable")
+    nz, starts = np.unique(ri[order], return_index=True)
+    cl, vals = ci[order].tolist(), vi[order].tolist()
     starts = starts.tolist() + [stored]
     for i, a, b in zip(nz.tolist(), starts, starts[1:]):
         rows[i] = dict(zip(cl[a:b], vals[a:b]))
-    # where[c] is the set of rows with an entry in column c, until c is done
     order = np.argsort(ci, kind="stable")
     cols, starts = np.unique(ci[order], return_index=True)
     by_col, starts = ri[order].tolist(), starts.tolist() + [stored]
     where = {c: set(by_col[a:b]) for c, a, b in zip(cols.tolist(), starts, starts[1:])}
-    del ri, ci, vals, cl, order, by_col   # freed before the fill grows
-    used = bytearray(m)
-    pivots: list[int] = []
-    prows: list[int] = []
-    for c in cols.tolist():
+    return rows, where
+
+
+def _eliminate(rows: list, where: dict, columns, p: int, budget: float,
+               stored: int):
+    """Gauss-Jordan elimination of the rows and column sets of
+    `_sparse_rows`, in place, taking the columns in the order `columns`
+    (every column of `where`): {pivot column: its row}, in the order
+    pivoted, or None once more than `budget` entries are stored.
+
+    Each column takes as pivot the sparsest row not yet used that is
+    nonzero there (the lowest index on a tie), scales it to a unit, and
+    clears the column from every other row, the used ones too.  A pivot row
+    was unused when it pivoted, and a row not yet used is zero on every
+    column done, so fill only copies a column where some row already has an
+    entry and never reaches a column done, in whatever order the columns
+    go.  The pivot rows end with their own pivot column and the columns
+    that got no pivot alone: a reduced system, the canonical rref when the
+    columns go left to right."""
+    used = bytearray(len(rows))
+    pivot_row: dict = {}
+    for c in columns:
         col = where.pop(c)
         best, size = -1, 0
         for i in col:
@@ -135,8 +170,7 @@ def _rref_sparse(R: np.ndarray, p: int, budget: float):
             for j in prow:
                 prow[j] = prow[j] * inv % p
         used[best] = 1
-        pivots.append(c)
-        prows.append(best)
+        pivot_row[c] = best
         items = [(j, v) for j, v in prow.items() if j != c]
         for i in col:
             if i == best:
@@ -160,16 +194,7 @@ def _rref_sparse(R: np.ndarray, p: int, budget: float):
             stored -= 1
             if stored > budget:
                 return None
-    R.fill(0)
-    ix: list[int] = []
-    jx: list[int] = []
-    vx: list[int] = []
-    for k, i in enumerate(prows):
-        ix.extend([k] * len(rows[i]))
-        jx.extend(rows[i])
-        vx.extend(rows[i].values())
-    R[ix, jx] = vx
-    return pivots
+    return pivot_row
 
 
 def _rref_dense(R: np.ndarray, p: int, block: int):
@@ -332,6 +357,60 @@ def kernel_array(A: np.ndarray, p: int) -> np.ndarray:
     return K
 
 
+def kernel_triplets(rows, cols, vals, shape, p: int):
+    """(basis of the right kernel, rank) of the m x n matrix `shape` whose
+    nonzero entries are vals[k] in [1, p) at (rows[k], cols[k]), distinct
+    positions.  The kernel holds one vector per row, in no canonical basis;
+    transposing the matrix is swapping rows and cols.
+
+    Gauss-Jordan elimination over rows held as {column: value} maps, with
+    no canonical column order: columns go fewest entries first, as in
+    structured Gaussian elimination, so a column with one entry pivots with
+    no fill, and each takes as pivot the sparsest row not yet used that is
+    nonzero there.  An input with more than `_SPARSE_SHARE` of its m n
+    entries nonzero, or whose fill grows past that share, is densified and
+    handed to `kernel_array` instead.
+    """
+    m, n = shape
+    budget = _SPARSE_SHARE * m * n
+    if len(vals) <= budget:
+        out = _kernel_sparse(rows, cols, vals, shape, p, budget)
+        if out is not None:
+            return out
+    A = np.zeros(shape, dtype=np.int64)
+    A[rows, cols] = vals
+    K = kernel_array(A, p)
+    return K, n - K.shape[0]
+
+
+def _kernel_sparse(rows, cols, vals, shape, p: int, budget: float):
+    """`kernel_triplets` on its sparse path (`_eliminate`, columns fewest
+    entries first), or None once more than `budget` entries are stored."""
+    m, n = shape
+    data, where = _sparse_rows(np.asarray(rows), np.asarray(cols), np.asarray(vals), m)
+    columns = sorted(where, key=lambda c: len(where[c]))   # stable: ties by index
+    pivot_row = _eliminate(data, where, columns, p, budget, len(vals))
+    if pivot_row is None:
+        return None
+    is_free = np.ones(n, dtype=bool)
+    is_free[list(pivot_row)] = False
+    free = np.flatnonzero(is_free)
+    at = np.cumsum(is_free) - 1   # the kernel vector of each free column
+    K = np.zeros((len(free), n), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    kx: list[int] = []
+    cx: list[int] = []
+    vx: list[int] = []
+    for c, i in pivot_row.items():
+        for j, v in data[i].items():
+            if j != c:
+                kx.append(j)
+                cx.append(c)
+                vx.append(p - v)
+    K[at[kx], cx] = vx
+    return K, len(pivot_row)
+
+
 def kernel_rref(A: np.ndarray, p: int):
     """Canonical rref basis of the right kernel of A: (rows, pivots).
 
@@ -364,10 +443,7 @@ def solve_many(A: np.ndarray, B: np.ndarray, p: int):
     R, pivots, _ = rref_array(aug, p)
     a_piv = [c for c in pivots if c < n]
     ra = len(a_piv)
-    if m * n:
-        TB = matmul_mod(R[:, n:], B, p)
-    else:
-        TB = np.zeros((m, B.shape[1]), dtype=np.int64)
+    TB = matmul_mod(R[:, n:], B, p)
     out = []
     for j in range(B.shape[1]):
         if TB[ra:, j].any():

@@ -155,10 +155,17 @@ def test_table_bytes_do_not_depend_on_history():
     assert [_sha(t) for t in warm] == [_sha(t) for t in cold]
 
 
+def _dense(rows, cols, vals, shape):
+    """The matrix of the triplets (rows, cols, vals, shape)."""
+    A = np.zeros(shape, dtype=np.int64)
+    A[rows, cols] = vals
+    return A
+
+
 class _CountingLinalg:
-    """linalg as homology sees it, recording every matrix whose kernel it
-    eliminates: a window takes two per degree, the map out and then the
-    transpose of the map in."""
+    """linalg as homology sees it, recording, densified, every matrix whose
+    kernel it eliminates: a window takes two per degree, the map out and
+    then the transpose of the map in."""
 
     def __init__(self):
         self.matrices = []
@@ -170,9 +177,9 @@ class _CountingLinalg:
     def __getattr__(self, name):
         return getattr(linalg, name)
 
-    def kernel_array(self, A, p):
-        self.matrices.append(np.array(A))
-        return linalg.kernel_array(A, p)
+    def kernel_triplets(self, rows, cols, vals, shape, p):
+        self.matrices.append(_dense(rows, cols, vals, shape))
+        return linalg.kernel_triplets(rows, cols, vals, shape, p)
 
 
 def _retrying_pair():
@@ -351,12 +358,13 @@ class _LosingLinalg(_CountingLinalg):
 
     lost = False
 
-    def kernel_array(self, A, p):
-        K = super().kernel_array(A, p)
-        if len(self.matrices) % 2 == 0 and A.size and K.shape[0] and not self.lost:
+    def kernel_triplets(self, rows, cols, vals, shape, p):
+        K, rank = super().kernel_triplets(rows, cols, vals, shape, p)
+        if (len(self.matrices) % 2 == 0 and self.matrices[-1].size
+                and K.shape[0] and not self.lost):
             self.lost = True
-            return K[:-1]
-        return K
+            return K[:-1], rank
+        return K, rank
 
 
 @pytest.mark.parametrize("kind", ["Tor", "Ext"])
@@ -476,9 +484,21 @@ def _not_adapted(L):
     return FiniteModule(L.ring, ops[:-1], ops[-1])
 
 
+def _check_triplets(triplets, p):
+    """The triplets' matrix, after checking that they hold int64 values in
+    [1, p) at distinct positions inside their shape."""
+    rows, cols, vals, shape = triplets
+    for x in (rows, cols, vals):
+        assert x.dtype == np.int64 and x.shape == vals.shape
+    assert vals.size == 0 or (vals.min() >= 1 and vals.max() < p)
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(vals)
+    assert np.all(rows < shape[0]) and np.all(cols < shape[1])
+    return _dense(rows, cols, vals, shape)
+
+
 @pytest.mark.parametrize("p", [2, 3, 101, 65521])
 @pytest.mark.parametrize("e", [2, 3, 4])
-def test_tor_block_matches_full_matrix(p, e, monkeypatch):
+def test_tor_block_matches_full_matrix(p, e):
     R = make_ring(p, e, identity_form(e))
     rng = np.random.default_rng(90 + e)
     for N in _layered_modules(R, 90 + e):
@@ -490,12 +510,9 @@ def test_tor_block_matches_full_matrix(p, e, monkeypatch):
             G[:, :, 0] = 0
             full = free_kmat(G, L.all_ops, p).reshape(j, d, a, d)
             block = hm._tor_block(G, L, layers)
-            assert block.shape == (j, t, a, s) and block.dtype == np.int64
-            assert np.array_equal(block, full[:, d - t:, :, :s])
-            # one target copy per slice
-            with monkeypatch.context() as mp:
-                mp.setattr(hm, "SLICE_BYTES", 1)
-                assert np.array_equal(hm._tor_block(G, L, layers), block)
+            assert block[3] == (j * t, a * s)
+            assert np.array_equal(_check_triplets(block, p),
+                                  full[:, d - t:, :, :s].reshape(j * t, a * s))
             full[:, d - t:, :, :s] = 0
             assert not full.any()
         G = rng.integers(0, p, size=(2, 3, R.dim), dtype=np.int64)
@@ -507,6 +524,24 @@ def test_tor_block_matches_full_matrix(p, e, monkeypatch):
             G[1, 2, 0] = 0
             with pytest.raises(CertificateError):
                 hm._tor_block(G, _not_adapted(L), layers)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_ext_diff_matches_dense_einsum(p, e):
+    # the Hom-complex matrix on N's own basis, unit entries of del included
+    R = make_ring(p, e, identity_form(e))
+    rng = np.random.default_rng(100 + e)
+    for N in _layered_modules(R, 100 + e):
+        d = N.dim
+        for a, j in ((3, 2), (1, 4), (0, 2), (2, 0), (0, 0)):
+            G = rng.integers(0, p, size=(a, j, R.dim), dtype=np.int64)
+            G[rng.random(G.shape) < 0.5] = 0
+            want = np.einsum("ajc,cxy->axjy", G, N.all_ops) % p
+            got = hm._ext_diff(G, N)
+            assert got[3] == (a * d, j * d)
+            assert np.array_equal(_check_triplets(got, p),
+                                  want.reshape(a * d, j * d))
 
 
 CORRUPTIONS = ["tor-window", "ext-window", "tail", "duality", "tor-block"]
@@ -534,7 +569,9 @@ def _serve_corrupted(kind):
         name, orig = "_ext_diff", hm._ext_diff
 
         def fake(G, N):
-            return np.eye(*orig(G, N).shape, dtype=np.int64)
+            shape = orig(G, N)[3]
+            diagonal = np.arange(min(shape))
+            return diagonal, diagonal, np.ones_like(diagonal), shape
     elif kind == "tor-block":
         name, orig = "_tor_block", hm._tor_block
 

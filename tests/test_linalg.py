@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import GF
@@ -9,6 +10,7 @@ from gorlab.linalg import (
     absorb_rows,
     kernel_array,
     kernel_rref,
+    kernel_triplets,
     matmul_mod,
     rank_array,
     reduce_mod_rowspace,
@@ -333,3 +335,81 @@ def test_matmul_mod_is_exact_past_the_float64_bound():
     Y = np.full((2, 3, 1000), p - 1, dtype=np.int64)
     assert np.array_equal(matmul_mod(Y, Y.transpose(0, 2, 1), p),
                           np.full((2, 3, 3), 1000 % p))
+
+
+def _triplets(A):
+    rows, cols = np.nonzero(A)
+    return rows, cols, A[rows, cols], A.shape
+
+
+def _check_kernel(A, K, rank, p):
+    # the rank is the oracle's, K A^T = 0 and K has rank n - rank
+    n = A.shape[1]
+    assert rank == len(_sympy_rref(A, p)[1])
+    assert K.shape == (n - rank, n) and K.dtype == np.int64
+    assert not matmul_mod(A, K.T, p).any()
+    assert rank_array(K, p) == n - rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_or_dense())
+def test_kernel_triplets_agree_with_sympy(mp):
+    # any basis will do, on either path, and for the matrix and its
+    # transpose (rows and columns swapped)
+    A, p = mp
+    rows, cols, vals, (m, n) = _triplets(A)
+    _check_kernel(A, *kernel_triplets(rows, cols, vals, (m, n), p), p)
+    _check_kernel(A.T, *kernel_triplets(cols, rows, vals, (n, m), p), p)
+    _check_kernel(A, *linalg._kernel_sparse(rows, cols, vals, (m, n), p,
+                                            float("inf")), p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_or_dense(), st.sampled_from((0.0, 0.05, 0.5)))
+def test_kernel_triplets_under_a_lower_share(mp, share):
+    # with the share lowered, inputs over it and eliminations whose fill
+    # grows past it are densified and handed to kernel_array
+    A, p = mp
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(linalg, "_SPARSE_SHARE", share)
+        K, rank = kernel_triplets(*_triplets(A), p)
+    _check_kernel(A, K, rank, p)
+    if np.count_nonzero(A) > share * A.size:
+        assert np.array_equal(K, kernel_array(A, p))
+
+
+def test_kernel_triplets_fill_past_the_budget_falls_back(monkeypatch):
+    A, p = _fills(40, 40, 1)
+    share = np.count_nonzero(A) / A.size
+    # with the share set to the input's own density, the input enters the
+    # sparse path and its first net fill leaves it
+    assert linalg._kernel_sparse(*_triplets(A), p, share * A.size) is None
+    monkeypatch.setattr(linalg, "_SPARSE_SHARE", share)
+    seen = []
+
+    def spy(B, p):
+        seen.append(B.copy())
+        return kernel_array(B, p)
+
+    monkeypatch.setattr(linalg, "kernel_array", spy)
+    K, rank = kernel_triplets(*_triplets(A), p)
+    _check_kernel(A, K, rank, p)
+    # kernel_array got the densified input
+    assert len(seen) == 1 and np.array_equal(seen[0], A)
+    # one nonzero more than the share admits never enters the sparse path
+    monkeypatch.setattr(linalg, "_kernel_sparse", _refuse)
+    B = np.zeros((20, 20), dtype=np.int64)
+    B.flat[: int(share * B.size) + 1] = 1
+    _check_kernel(B, *kernel_triplets(*_triplets(B), p), p)
+
+
+def test_solve_many_without_columns():
+    # A x = b with no unknowns is solvable only for b = 0
+    A = np.zeros((2, 0), dtype=np.int64)
+    assert solve_many(A, [[1], [0]], 5) == [None]
+    [x] = solve_many(A, [[0], [0]], 5)
+    assert x.shape == (0,)
+    assert solve_array(A, [0, 3], 5) is None
+    # and with no equations every system is solvable
+    [x] = solve_many(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 1)), 5)
+    assert x.tolist() == [0, 0, 0]
