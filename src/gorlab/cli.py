@@ -12,6 +12,8 @@ import argparse
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from . import homology, io, koszul, series, verify
 from .errors import GorlabError
 from .modules import matlis_dual, radical_submodule, random_module
@@ -52,7 +54,7 @@ def _pretty(obj, indent: str = "") -> None:
         return
     if isinstance(obj, dict):
         for k in sorted(obj):
-            v = obj[k]
+            v = _plain(obj[k])
             if isinstance(v, (dict, list)) and v and not _is_flat(v):
                 print(f"{indent}{k}:")
                 _pretty(v, indent + "  ")
@@ -60,7 +62,7 @@ def _pretty(obj, indent: str = "") -> None:
                 print(f"{indent}{k}: {v}")
         return
     if isinstance(obj, list):
-        for v in obj:
+        for v in map(_plain, obj):
             if isinstance(v, (dict, list)):
                 _pretty(v, indent + "  ")
             else:
@@ -71,8 +73,13 @@ def _pretty(obj, indent: str = "") -> None:
 
 def _is_flat(v) -> bool:
     if isinstance(v, list):
-        return all(not isinstance(x, (dict, list)) for x in v)
+        return all(not isinstance(x, (dict, list, np.ndarray)) for x in v)
     return False
+
+
+def _plain(v):
+    """An integer ndarray (a differential) prints as its nested list."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,12 @@ encoder, though: ``json.dumps`` drops to its pure-Python path whenever
 ``indent`` is set.  Dicts and lists are walked here instead, and each block
 of scalars (a list of them, or a list of non-empty lists of them, such as
 one row of a differential) is encoded in one call of the C encoder and then
-re-spaced with ``str.replace``.  ``write_json`` writes the same chunks
-straight to a text stream, so a large document is never held as one string.
+re-spaced with ``str.replace``.  An integer ndarray is written as
+``json.dumps`` writes its ``tolist()``, but from the array itself: each
+distinct vector along its last axis is formatted once and the rows are
+joined from those texts, so a differential never becomes Python ints or
+nested lists.  ``write_json`` writes the same chunks straight to a text
+stream, so a large document is never held as one string.
 """
 
 from __future__ import annotations
@@ -91,6 +95,8 @@ def _encode(x, nl: str, emit):
             _encode(value, inner, emit)
             sep = "," + inner
         emit(nl + "]")
+    elif isinstance(x, np.ndarray):
+        _encode_array(x, nl, emit)
     else:
         emit(json.dumps(x))
 
@@ -118,7 +124,10 @@ def _scalar_block(x, nl: str):
             return None
     elif isinstance(first, (str, dict)):
         return None
-    text = _compact(x)
+    try:
+        text = _compact(x)
+    except TypeError:   # an ndarray, or something _encode will refuse
+        return None
     if '"' in text or "{" in text:
         return None
     i1 = nl + "  "
@@ -132,6 +141,42 @@ def _scalar_block(x, nl: str):
     body = (text[2:-2].replace("], [", i1 + "]," + i1 + "[" + i2)
             .replace(", ", "," + i2))
     return "[" + i1 + "[" + i2 + body + i1 + "]" + nl + "]"
+
+
+def _encode_array(x: np.ndarray, nl: str, emit):
+    """Emit the text json.dumps gives x.tolist() at indent nl, for an integer
+    array, one chunk per list of last-axis vectors."""
+    if x.dtype.kind not in "iu":
+        raise TypeError(f"Object of type ndarray with dtype {x.dtype} "
+                        f"is not JSON serializable")
+    if x.size == 0 or x.ndim < 2:
+        # nothing to share: no entries, or a single vector
+        _encode(x.tolist(), nl, emit)
+        return
+    # the distinct vectors along the last axis, found as raw bytes
+    d = x.shape[-1]
+    rows = np.ascontiguousarray(x).reshape(-1, d)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * d))).ravel()
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    vec_nl = nl + "  " * (x.ndim - 1)
+    inner = vec_nl + "  "
+    texts = np.array(["[" + inner + ("," + inner).join(map(str, rows[r].tolist()))
+                      + vec_nl + "]" for r in first.tolist()], dtype=object)
+    _emit_rows(texts[inv.reshape(x.shape[:-1])], nl, emit)
+
+
+def _emit_rows(texts: np.ndarray, nl: str, emit):
+    """Emit a nested list whose leaves are the given texts, at indent nl."""
+    inner = nl + "  "
+    if texts.ndim == 1:
+        emit("[" + inner + ("," + inner).join(texts) + nl + "]")
+        return
+    sep = "[" + inner
+    for sub in texts:
+        emit(sep)
+        _emit_rows(sub, inner, emit)
+        sep = "," + inner
+    emit(nl + "]")
 
 
 def load_json(path: str):
@@ -271,7 +316,7 @@ def resolution_to_dict(res: MinimalFreeResolution, steps: int) -> dict:
     betti = [int(b) for b in res.betti(steps)]
     head = min(steps, res.head)
     return {"betti": betti, "materialized_through": head,
-            "differentials": [res.diff(i).tolist() for i in range(1, head + 1)]}
+            "differentials": [res.diff(i) for i in range(1, head + 1)]}
 
 
 def table_to_dict(table, induced=None) -> dict:

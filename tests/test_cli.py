@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from gorlab import io, random_module
 from gorlab.cli import main
 
 
@@ -171,3 +173,34 @@ def test_pretty_output_runs(tmp_path, capsys):
                        "--range", "0..4", "--pretty")
     assert code == 0
     assert "length" in out and "provenance" in out
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_resolve_pretty_bytes(tmp_path, capsys, R3):
+    mod = str(tmp_path / "m.json")
+    io.store_module(random_module(R3, 2, 2, seed=5), mod)
+    code, out, _ = run(capsys, "resolve", mod, "--steps", "5", "--pretty")
+    assert code == 0
+    # differentials print as nested lists, one entry a line, never as arrays
+    assert "array" not in out
+    assert _sha256(out) == \
+        "af75a45dd962502e0822c9a81a5c542d2f2e140de33421c9aca635bc8c9a4471"
+
+
+def test_readme_resolve_bytes(tmp_path, capsys):
+    ring = str(tmp_path / "r3.json")
+    run(capsys, "ring", "new", "--e", "3", "--form", "identity", "--out", ring)
+    mod = make_module_file(tmp_path, capsys, ring, "m1.json")
+    code, out, _ = run(capsys, "resolve", mod, "--steps", "10")
+    assert code == 0
+    # hashes, not strings, are compared: a failing == would diff 56.6 MB
+    want = "82c76cd07a9571a9d398dad465b0c4e0fa2b085905f3c1d3e737752155d0a0cb"
+    assert len(out) == 56_613_502 and _sha256(out) == want
+    # --out shares the encoder with stdout
+    path = tmp_path / "res.json"
+    code, _, _ = run(capsys, "resolve", mod, "--steps", "10", "--out", str(path))
+    assert code == 0
+    assert _sha256(path.read_text(encoding="utf-8")) == want

@@ -1,9 +1,11 @@
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gorlab import io, random_module, resolve, tor
 from gorlab.cli import main
@@ -12,6 +14,16 @@ from gorlab.errors import SchemaError
 
 def _oracle(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _tolisted(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _tolisted(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_tolisted(v) for v in obj]
+    return obj
 
 
 def test_canonical_json_is_sorted_and_terminated():
@@ -37,23 +49,73 @@ def test_canonical_json_matches_json_dumps(obj):
     assert io.canonical_json(obj) == _oracle(obj)
 
 
+_big = np.array([[[np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0]] * 3] * 2)
+
+
 @pytest.mark.parametrize("obj", [
     [], {}, [[]], [[], [1]], [[1], []], [[1, 2], [3]], [[1], 2, [[3]]],
     [1, [2]], [True, 1, False], [[True], [0]], ((1, 2), (3,)),
     ["a, b", "], ["], [["x"]], [{}, 1], [1, {}], [[1], [{}]],
     {"é\"q": [[2**65, -1]], "a": None}, {10: [2], 9: "t"}, {True: 1},
     {None: [0]}, {1.5: 2, -0.5: 3},
+    # integer arrays, written as their tolist()
+    np.zeros((0,), np.int64), np.zeros((3, 0), np.int32),
+    np.zeros((2, 0, 4), np.int8), np.array(7), np.array([2**64 - 1], np.uint64),
+    _big, _big.transpose(2, 0, 1), _big[:, ::2, ::-1],
+    {"a": [np.arange(6).reshape(2, 3), [[1, 2]]], "b": [1, np.arange(3)]},
+    [[1], np.arange(4).reshape(2, 2)], [[np.arange(2)], [3]],
 ])
 def test_canonical_json_edge_cases(obj):
-    assert io.canonical_json(obj) == _oracle(obj)
+    assert io.canonical_json(obj) == _oracle(_tolisted(obj))
 
 
 def test_canonical_json_rejects_what_json_dumps_rejects():
-    for bad in ({(1, 2): 3}, [object()], {"a": {1j}}):
+    for bad in ({(1, 2): 3}, [object()], {"a": {1j}},
+                # only integer arrays are written (as their tolist())
+                np.zeros((2, 3)), np.zeros((2, 2), bool),
+                np.array([1, "a"], object), np.array(1.5),
+                [np.arange(2), np.ones(2)], {"d": [np.ones((1, 2, 2))]}):
         with pytest.raises(TypeError):
             _oracle(bad)
         with pytest.raises(TypeError):
             io.canonical_json(bad)
+
+
+@st.composite
+def _int_arrays(draw):
+    """Integer arrays of rank 1-4, often with repeated last-axis vectors,
+    sometimes as a transposed, reversed or strided view."""
+    dtype = np.dtype(draw(st.sampled_from(["int8", "int32", "int64", "uint64"])))
+    info = np.iinfo(dtype)
+    values = (st.sampled_from([0, 1, int(info.min), int(info.max)])
+              | st.integers(int(info.min), int(info.max)))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=5))
+    x = draw(hnp.arrays(dtype, shape, elements=values))
+    view = draw(st.sampled_from(["as is", "transpose", "reversed", "strided"]))
+    if view == "transpose":
+        x = x.T
+    elif view == "reversed":
+        x = x[::-1]
+    elif view == "strided":
+        x = x[..., ::2]
+    return x
+
+
+_with_arrays = st.recursive(
+    _int_arrays() | _ints | st.lists(_ints, max_size=4) | _int_rows,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_with_arrays)
+def test_integer_arrays_encode_as_their_lists(obj):
+    want = _oracle(_tolisted(obj))
+    assert io.canonical_json(obj) == want
+    writes = []
+    io.write_json(obj, SimpleNamespace(write=writes.append))
+    assert "".join(writes) == want
 
 
 def _resolution_dict_by_entry(res, steps):
@@ -185,6 +247,9 @@ def test_result_dicts_are_integer_only(R3):
         elif isinstance(x, list):
             for v in x:
                 walk(v)
+        elif isinstance(x, np.ndarray):
+            # differentials stay integer arrays until they are written
+            assert np.issubdtype(x.dtype, np.integer) and x.dtype != bool
         else:
             assert x is None or isinstance(x, (int, str, bool))
 
