@@ -8,15 +8,12 @@ violations raise SchemaError carrying a JSON pointer to the offending spot.
 Byte contract: ``canonical_json(obj)`` is exactly
 ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``.  It does not call that
 encoder, though: ``json.dumps`` drops to its pure-Python path whenever
-``indent`` is set.  Dicts and lists are walked here instead, and each block
-of scalars (a list of them, or a list of non-empty lists of them, such as
-one row of a differential) is encoded in one call of the C encoder and then
-re-spaced with ``str.replace``.  An integer ndarray is written as
-``json.dumps`` writes its ``tolist()``, but from the array itself: each
-distinct vector along its last axis is formatted once and the rows are
-joined from those texts, so a differential never becomes Python ints or
-nested lists.  ``write_json`` writes the same chunks straight to a text
-stream, so a large document is never held as one string.
+``indent`` is set.  Dicts and lists are walked here instead.  An integer
+ndarray is written as ``json.dumps`` writes its ``tolist()``, but from the
+array itself: each distinct vector along its last axis is formatted once
+and the rows are joined from those texts, so a differential never becomes
+Python ints or nested lists.  ``write_json`` writes the same chunks straight
+to a text stream, so a large document is never held as one string.
 """
 
 from __future__ import annotations
@@ -39,9 +36,6 @@ from .modules import (
 from .resolution import MinimalFreeResolution, resolve
 from .ring import ShortGorensteinRing, make_ring
 from .series import RationalityCertificate, TruncatedIntegerSeries
-
-
-_compact = json.JSONEncoder().encode   # C-accelerated: separators ", " and ": "
 
 
 def canonical_json(obj) -> str:
@@ -84,10 +78,6 @@ def _encode(x, nl: str, emit):
         if not x:
             emit("[]")
             return
-        block = _scalar_block(x, nl)
-        if block is not None:
-            emit(block)
-            return
         inner = nl + "  "
         sep = "[" + inner
         for value in x:
@@ -109,38 +99,6 @@ def _key(key) -> str:
         return json.dumps(key)
     raise TypeError(f"keys must be str, int, float, bool or None, "
                     f"not {type(key).__name__}")
-
-
-def _scalar_block(x, nl: str):
-    """Indented text of a non-empty list of non-string scalars, or of a list
-    of non-empty lists of them, from one compact C encoding; None for any
-    other list.  Without strings the separators are purely structural, so
-    re-spacing them with str.replace is exact."""
-    first = x[0]
-    rows = isinstance(first, (list, tuple))
-    if rows:
-        if (not first or isinstance(first[0], (str, dict, list, tuple))
-                or not set(map(type, x)) <= {list, tuple}):
-            return None
-    elif isinstance(first, (str, dict)):
-        return None
-    try:
-        text = _compact(x)
-    except TypeError:   # an ndarray, or something _encode will refuse
-        return None
-    if '"' in text or "{" in text:
-        return None
-    i1 = nl + "  "
-    if not rows:
-        if text.count("[") != 1:
-            return None
-        return "[" + i1 + text[1:-1].replace(", ", "," + i1) + nl + "]"
-    if text.count("[") != len(x) + 1 or "[]" in text:
-        return None
-    i2 = i1 + "  "
-    body = (text[2:-2].replace("], [", i1 + "]," + i1 + "[" + i2)
-            .replace(", ", "," + i2))
-    return "[" + i1 + "[" + i2 + body + i1 + "]" + nl + "]"
 
 
 def _encode_array(x: np.ndarray, nl: str, emit):

@@ -3,9 +3,13 @@
 All matrices are numpy int64 arrays with entries reduced into [0, p), and
 p < 2**16 so that products fit comfortably in 64-bit intermediates.
 
-The routines on dense arrays rest on `rref_inplace`, and reduced row-echelon
-form is canonical, so they are deterministic and reproducible bit for bit.
-`rref_inplace` has two paths that give the same rows and pivots:
+Each question has one route.  Ranks and row spaces (`rref_array`,
+`row_space`), kernels (`kernel_array`, and `kernel_rref` for a canonical
+basis in one elimination) and solutions (`solve_many`) all rest on
+`rref_inplace`, and products mod p go through `matmul_mod`.  Reduced
+row-echelon form is canonical, so these routines are deterministic and
+reproducible bit for bit.  `rref_inplace` has two paths that give the same
+rows and pivots:
 
 - a sparse Gauss-Jordan elimination over rows held as {column: value}
   maps.  The matrices gorlab eliminates have their entries in m, and
@@ -72,7 +76,7 @@ class PrimeField:
         return pow(a % self.p, self.p - 2, self.p)
 
 
-def rref_inplace(R: np.ndarray, p: int, block: int = _BLOCK):
+def rref_inplace(R: np.ndarray, p: int):
     """Reduce R to reduced row-echelon form in place; return pivot columns.
 
     R holds entries in [0, p); on return its first rank rows are the rref
@@ -80,7 +84,7 @@ def rref_inplace(R: np.ndarray, p: int, block: int = _BLOCK):
     its entries nonzero is eliminated sparsely (`_rref_sparse`); a denser
     one, or one whose fill outgrows that share, by the blocked dense
     kernel (`_rref_dense`).  The rref is unique, so both give the same
-    rows and pivots.  `block` is the dense kernel's panel width.
+    rows and pivots.
     """
     m, n = R.shape
     budget = _SPARSE_SHARE * m * n
@@ -88,7 +92,7 @@ def rref_inplace(R: np.ndarray, p: int, block: int = _BLOCK):
         pivots = _rref_sparse(R, p, budget)
         if pivots is not None:
             return pivots
-    return _rref_dense(R, p, block)
+    return _rref_dense(R, p, _BLOCK)
 
 
 def _rref_sparse(R: np.ndarray, p: int, budget: float):
@@ -300,46 +304,11 @@ def matmul_mod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def absorb_rows(B: np.ndarray, pivots, C: np.ndarray, p: int):
-    """Canonical rref basis of the row space of B plus the rows of C, where B
-    holds rref rows with pivot columns `pivots` and C has entries in [0, p):
-    (basis rows, pivots).
-
-    C is reduced against B and its zero rows dropped; only that residue C'
-    is eliminated.  C' vanishes on the pivot columns of B, so its rref rows
-    do too, and clearing their pivot columns out of B (one matmul) leaves B
-    reduced with its own pivots; the two sets of rows, merged by pivot, are
-    the rref of the stack, which is unique.  The caller's C is never
-    modified.
-    """
-    if len(pivots):
-        C = reduce_mod_rowspace(B, pivots, C, p)
-        C = C[C.any(axis=1)]
-    else:
-        C = C.copy()
-    if C.shape[0] == 0:
-        return B, list(pivots)
-    cpiv = rref_inplace(C, p)
-    C = C[: len(cpiv)]
-    B = reduce_mod_rowspace(C, cpiv, B, p)
-    merged = list(pivots) + cpiv
-    order = np.argsort(merged, kind="stable")
-    return np.concatenate([B, C], axis=0)[order], [merged[k] for k in order]
-
-
-def row_space(A: np.ndarray, p: int, chunk: int = 2048):
-    """Canonical rref basis of the row space of A: (basis rows, pivots).
-
-    Rows are absorbed in chunks, so peak memory is bounded by the running
-    basis plus one chunk instead of the full matrix; the result is identical
-    to rref_array(A)[0][:rank] because the rref of a row space is unique.
-    """
-    A = np.asarray(A, dtype=np.int64)
-    B = np.zeros((0, A.shape[1]), dtype=np.int64)
-    pivots: list[int] = []
-    for lo in range(0, A.shape[0], chunk):
-        B, pivots = absorb_rows(B, pivots, A[lo:lo + chunk] % p, p)
-    return B, pivots
+def row_space(A: np.ndarray, p: int):
+    """Canonical rref basis of the row space of A: (basis rows, pivots),
+    the first rank rows of `rref_array`."""
+    R, pivots, rank = rref_array(A, p)
+    return R[:rank], pivots
 
 
 def kernel_array(A: np.ndarray, p: int) -> np.ndarray:
@@ -473,12 +442,7 @@ def reduce_mod_rowspace(R: np.ndarray, pivots, V: np.ndarray, p: int):
     pivots = list(pivots)
     free = np.ones(V.shape[1], dtype=bool)
     free[pivots] = False
-    coeff = V[:, pivots] % p
-    Rf = R[: len(pivots)][:, free]
-    if len(pivots) * (p - 1) ** 2 < 2 ** 53:
-        prod = (coeff.astype(np.float64) @ Rf.astype(np.float64)).astype(np.int64)
-    else:
-        prod = coeff @ Rf
+    prod = matmul_mod(V[:, pivots] % p, R[: len(pivots)][:, free], p)
     out = np.zeros(V.shape, dtype=np.int64)
     out[:, free] = (V[:, free] - prod) % p
     return out

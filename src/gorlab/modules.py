@@ -156,8 +156,7 @@ class ModuleMap:
 def _rref_span(M: FiniteModule, V: np.ndarray):
     if M.dim == 0 or V.size == 0:
         return np.zeros((0, M.dim), dtype=np.int64), []
-    R, piv, rank = linalg.rref_array(V.reshape(-1, M.dim), M.ring.p)
-    return R[:rank], piv
+    return linalg.row_space(V.reshape(-1, M.dim), M.ring.p)
 
 
 def submodule(M: FiniteModule, U: np.ndarray, pivots) -> tuple[FiniteModule, ModuleMap]:
@@ -237,8 +236,7 @@ def socle(M: FiniteModule) -> tuple[FiniteModule, ModuleMap]:
 
 def socle_rows(M: FiniteModule):
     stacked = np.concatenate(list(M.actions) + [M.action_w], axis=0)
-    K = linalg.kernel_array(stacked, M.ring.p)
-    return _rref_span(M, K)
+    return linalg.kernel_rref(stacked, M.ring.p)
 
 
 def matlis_dual(M: FiniteModule) -> FiniteModule:

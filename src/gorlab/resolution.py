@@ -254,12 +254,10 @@ class MinimalFreeResolution:
         elimination: (rows, pivots, rows with possibly nonzero x_g-images)."""
         p = self.ring.p
         D = self.ring.dim
-        K = linalg.kernel_array(self.cover_matrix, p)
-        if K[:, ::D].any():
+        Kr, kpiv = linalg.kernel_rref(self.cover_matrix, p)
+        if Kr[:, ::D].any():
             raise CertificateError(
                 "kernel escapes the radical; cover not minimal")
-        R, kpiv, nk = linalg.rref_array(K, p)
-        Kr = R[:nk]
         return Kr, kpiv, Kr
 
     def _graded_kernel(self, G: np.ndarray):

@@ -176,10 +176,6 @@ def make_ring(p: int, e: int, form) -> ShortGorensteinRing:
     return ShortGorensteinRing(PrimeField(p), e, np.asarray(form, dtype=np.int64))
 
 
-def mul(a: RingElement, b: RingElement) -> RingElement:
-    return a * b
-
-
 def identity_form(e: int) -> np.ndarray:
     return np.eye(e, dtype=np.int64)
 

@@ -7,7 +7,6 @@ from sympy.polys.matrices import DomainMatrix
 
 from gorlab import linalg
 from gorlab.linalg import (
-    absorb_rows,
     kernel_array,
     kernel_rref,
     kernel_triplets,
@@ -141,44 +140,13 @@ def test_reduce_mod_rowspace_vanishes_on_span(mp, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrix_and_prime(), st.integers(1, 4))
-def test_row_space_matches_full_rref(mp, chunk):
+@given(matrix_and_prime())
+def test_row_space_matches_full_rref(mp):
     A, p = mp
     R, piv, rank = rref_array(A, p)
-    B, bpiv = row_space(A, p, chunk=chunk)
+    B, bpiv = row_space(A, p)
     assert np.array_equal(B, R[:rank])
     assert list(bpiv) == list(piv)
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrix_and_prime(), st.integers(0, 10**6))
-def test_absorb_rows_matches_rref_of_stack(mp, seed):
-    A, p = mp
-    B, piv = row_space(A, p)
-    C = np.random.default_rng(seed).integers(0, p, size=(3, A.shape[1]))
-    C[1] = 0
-    R, rpiv, rank = rref_array(np.vstack([A, C]), p)
-    S, spiv = absorb_rows(B, piv, C, p)
-    assert np.array_equal(S, R[:rank])
-    assert list(spiv) == list(rpiv)
-    # rows already in the span leave the basis as it is
-    S2, spiv2 = absorb_rows(S, spiv, S[:2], p)
-    assert np.array_equal(S2, S) and list(spiv2) == list(spiv)
-
-
-def test_absorb_rows_leaves_its_arguments_unchanged():
-    # only the residue is eliminated in place, and against an empty basis
-    # the residue is the caller's C itself unless it is copied first
-    p = 7
-    C = np.array([[0, 2, 4, 1], [3, 1, 0, 5], [3, 3, 4, 6]], dtype=np.int64)
-    B0 = np.zeros((0, 4), dtype=np.int64)
-    keep = C.copy()
-    B, piv = absorb_rows(B0, [], C, p)
-    assert np.array_equal(C, keep)
-    basis = B.copy()
-    absorb_rows(B, piv, C, p)
-    absorb_rows(B[:1], piv[:1], C, p)
-    assert np.array_equal(C, keep) and np.array_equal(B, basis)
 
 
 def test_solve_array_rejects_inconsistent_system():

@@ -24,7 +24,7 @@ from gorlab import (
 )
 import gorlab.resolution as rs
 from gorlab.errors import CertificateError, NotMaterialized
-from gorlab.linalg import kernel_array, rank_array, rref_array
+from gorlab.linalg import kernel_array, rank_array, row_space, rref_array
 from gorlab.resolution import (
     DEFAULT_BUDGET,
     TAIL_OVERLAP,
@@ -37,7 +37,7 @@ from gorlab.resolution import (
     negative_syzygy,
     syzygy,
 )
-from gorlab.modules import ModuleMap
+from gorlab.modules import ModuleMap, socle_rows
 
 # Betti numbers of k over the e = 3 ring: expansion of 1/(1 - 3t + t^2)
 K3_BETTI = [1, 3, 8, 21, 55, 144, 377, 987, 2584, 6765, 17711]
@@ -257,6 +257,25 @@ def test_graded_step_matches_generic_kernel(M):
         assert list(pivots) == piv
         assert (res.betti_head[s + 1], res.nu_m[s]) == (nu, nu_m)
         assert res.syzygy_dims()[s + 1] == len(piv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_modules(), st.integers(0, 2))
+def test_canonical_kernels_match_two_eliminations(M, i):
+    # the cover kernel and the socle come from one elimination each; the
+    # oracle eliminates twice: a kernel basis, then the rref of its span
+    N = syzygy(M, i)
+    if N.dim == 0:
+        return
+    p = N.ring.p
+    res = MinimalFreeResolution(N)
+    rows, pivots, _ = res._cover_kernel()
+    K, kpiv = row_space(kernel_array(res.cover_matrix, p), p)
+    assert np.array_equal(rows, K) and list(pivots) == list(kpiv)
+    stacked = np.concatenate(list(N.actions) + [N.action_w], axis=0)
+    S, spiv = socle_rows(N)
+    K, kpiv = row_space(kernel_array(stacked, p), p)
+    assert np.array_equal(S, K) and list(spiv) == list(kpiv)
 
 
 def test_resolution_holds_only_its_differentials(R3):

@@ -18,7 +18,6 @@ from gorlab.errors import (
 from gorlab.ring import (
     hyperbolic_form,
     identity_form,
-    mul,
     _det_mod,
     random_nondegenerate_form,
     structure_constants,
@@ -30,27 +29,27 @@ def test_identity_form_multiplication(R3):
     w = R3.w()
     for i in range(1, 4):
         for j in range(1, 4):
-            prod = mul(R3.x(i), R3.x(j))
+            prod = R3.x(i) * R3.x(j)
             expect = w.coeffs if i == j else np.zeros(5, dtype=np.int64)
             assert np.array_equal(prod.coeffs, expect)
-        assert not mul(R3.x(i), w).coeffs.any()
-    assert np.array_equal(mul(R3.one(), R3.x(2)).coeffs, R3.x(2).coeffs)
-    assert not mul(w, w).coeffs.any()
+        assert not (R3.x(i) * w).coeffs.any()
+    assert np.array_equal((R3.one() * R3.x(2)).coeffs, R3.x(2).coeffs)
+    assert not (w * w).coeffs.any()
 
 
 def test_hyperbolic_form_squares_vanish(R2):
     # in k[x,y]/(x^2, y^2): x^2 = y^2 = 0, xy = w
-    assert not mul(R2.x(1), R2.x(1)).coeffs.any()
-    assert not mul(R2.x(2), R2.x(2)).coeffs.any()
-    assert np.array_equal(mul(R2.x(1), R2.x(2)).coeffs, R2.w().coeffs)
+    assert not (R2.x(1) * R2.x(1)).coeffs.any()
+    assert not (R2.x(2) * R2.x(2)).coeffs.any()
+    assert np.array_equal((R2.x(1) * R2.x(2)).coeffs, R2.w().coeffs)
 
 
 def test_ring_axioms_on_random_elements(R3):
     rng = np.random.default_rng(3)
     for _ in range(20):
         a, b, c = (R3.element(rng.integers(0, 101, size=5)) for _ in range(3))
-        assert np.array_equal(mul(a, b).coeffs, mul(b, a).coeffs)
-        assert np.array_equal(mul(mul(a, b), c).coeffs, mul(a, mul(b, c)).coeffs)
+        assert np.array_equal((a * b).coeffs, (b * a).coeffs)
+        assert np.array_equal(((a * b) * c).coeffs, (a * (b * c)).coeffs)
 
 
 def test_hilbert_series_of_ring_is_1_e_1(R3, R2):

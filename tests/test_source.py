@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from operator import attrgetter
 from pathlib import Path
 
@@ -20,13 +21,18 @@ def test_no_assert_statements_in_the_package():
     assert not found, f"assert statements in gorlab: {found}"
 
 
-def test_perfbench_trace_targets_resolve():
-    # the benchmark's tracer wraps gorlab functions by name; a rename must
-    # fail here, since the benchmark's own tests are not collected with these
+def _tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_perfbench_trace_targets_resolve():
+    # the benchmark's tracer wraps gorlab functions by name; a rename must
+    # fail here, since the benchmark's own tests are not collected with these
+    tracing = _tracing()
     missing = []
     for layer, names in tracing.TARGETS.items():
         module = importlib.import_module(f"gorlab.{layer}")
@@ -36,3 +42,24 @@ def test_perfbench_trace_targets_resolve():
             except AttributeError:
                 missing.append(f"{layer}.{name}")
     assert tracing.TARGETS and not missing, f"unresolved trace targets: {missing}"
+
+
+def test_every_public_linalg_function_has_a_caller():
+    # one route per question: a linalg function that no other module calls
+    # and the benchmark does not trace is a second route left behind
+    from gorlab import linalg
+    used = set(_tracing().TARGETS["linalg"])
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    dead = [name for name, f in inspect.getmembers(linalg, inspect.isfunction)
+            if f.__module__ == linalg.__name__ and not name.startswith("_")
+            and name not in used]
+    assert not dead, f"linalg functions with no caller: {dead}"
