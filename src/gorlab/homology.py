@@ -46,15 +46,20 @@ bytes it will hold from the Betti numbers and the layer block, and
 `guard_memory` refuses it with NotMaterialized when the process cannot get
 them, the same guard that refuses resolution steps.
 
-Degrees past the materialized window are certified:
-writing X = M_J for the junction syzygy (which is Koszul), the length count
+Degrees past the materialized window are certified by the length count of
+a module X with m^2 X = 0, where L_t is the image of Tor_t(iota_X, N):
 
     l(Tor_t(X, N)) = nu(X) beta_t(N) - nu(mX) beta_{t-1}(N) + l(L_t) + l(L_{t-1})
 
-turns observed equality of the two sides into a proof that the induced maps
-Tor_t(iota_X, N) vanish at t and t-1.  Once equality holds on a margin of
-consecutive materialized degrees, the tail values follow the closed formula,
-with m Tor = 0 and nu = length; such entries are tagged "certified".
+It turns observed equality of l(Tor_t) with its base, the first two terms,
+into a proof that the induced maps vanish at t and t-1.  For X = M_J, the
+junction syzygy (which is Koszul), Tor_i(M, N) = Tor_{i-J}(X, N) for i > J;
+once equality holds on a margin of TOR_MARGIN consecutive materialized
+degrees, the tail values are the base, with m Tor = 0 and nu = length; such
+entries are tagged "certified".  The base is written once (`_base`), the
+margin counted once (`_margin`), and `length_count` builds the table, base
+and induced ranks of X = M; the tail, `length_count_audit`,
+`iota_vanishing`, `series.series_identity_check` and `verify` all read them.
 """
 
 from __future__ import annotations
@@ -90,6 +95,7 @@ from .resolution import (
 TOR_MARGIN = 3       # consecutive equality degrees required for a tail
 TOR_BUDGET = 1500    # max dimension of a chain module in a window taken whole
 MAX_WINDOW_ROWS = 12000   # max dimension of the next module when deepening
+_EXCESS_CHUNK = 1024      # cycles per product in `_radical_excess`
 
 COMPUTED = "computed"
 CERTIFIED = "certified"
@@ -173,7 +179,7 @@ def _ext_diff(G: np.ndarray, N: FiniteModule):
 
 
 def _radical_excess(N: FiniteModule, Z: np.ndarray, K: np.ndarray, block,
-                    chunk: int = 1024) -> int:
+                    chunk: int = _EXCESS_CHUNK) -> int:
     """Rank added to the boundaries by m times the span of the rows of Z,
     both written in the coordinates of the layer block (s, t) (see
     `_window`): Z in the first s coordinates of each copy of N, the
@@ -368,7 +374,7 @@ def _degree_bytes(a: int, b: int, c: int, block, e: int) -> int:
     is 0.01 to 0.47 of this."""
     s, t = block
     X1, X2, Z, K = a * t * b * s, b * t * c * s, (b * s) ** 2, (b * t) ** 2
-    chunk = min(1024, b * s)   # the cycle chunk of _radical_excess
+    chunk = min(_EXCESS_CHUNK, b * s)
     return 8 * max(2 * X1 + Z,
                    X1 + Z + 2 * X2 + 2 * K,
                    X2 + Z + 3 * K + chunk * (b * s + 4 * e * b * t))
@@ -428,20 +434,20 @@ def _plan(beta, J: int | None, d: int, n: int) -> range:
     return range(first, last + 1)
 
 
-def _tail_parameters(res: MinimalFreeResolution):
-    cert = res.tail_certificate()
-    J = cert.junction
-    nu_x = res.betti_head[J]
-    nu_mx = res.nu_m[J - 1]
-    return J, nu_x, nu_mx
+def _base(nu_x: int, nu_mx: int, b) -> list[int]:
+    """nu_x b_i - nu_mx b_{i-1} for every degree i of b (b_{-1} = 0): the
+    length count of Tor_i(X, N) for b the Betti numbers of N, nu_x = nu(X)
+    and nu_mx = nu(mX), without the images of Tor(iota_X, N)."""
+    return [nu_x * bi - nu_mx * prev for bi, prev in zip(b, [0, *b])]
 
 
-def _expected_tail(res, resN, J, nu_x, nu_mx, i):
-    """Length-count value for Tor_i(M, N) = Tor_{i-J}(X, N), i > J."""
-    t = i - J
-    bN = resN.betti(t)
-    prev = bN[t - 1] if t >= 1 else 0
-    return nu_x * bN[t] - nu_mx * prev
+def _margin(lengths, base, lo: int, hi: int) -> int:
+    """Number of consecutive degrees hi, hi - 1, ... above lo where the
+    lengths equal the length count base."""
+    i = hi
+    while i > lo and lengths[i] == base[i]:
+        i -= 1
+    return hi - i
 
 
 def _computed(hom) -> list[TorEntry]:
@@ -484,25 +490,21 @@ def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
         ent += [TorEntry(i, 0, 0, True, COMPUTED) for i in range(1, n + 1)]
         return kind(M, N, ent, n, None)
 
-    J, nu_x, nu_mx = _tail_parameters(res)
+    J = res.tail_certificate().junction
     for w, hom in window(res, N, _plan(res.betti(n + 1), J, N.dim, n)):
         if n <= w:
             return kind(M, N, _computed(hom), w, None)
-        # certify: equality of honest lengths with the junction length count
-        resN = resolve(N, n - J + 1)
-        t0 = None
-        for i in range(w, J, -1):
-            if hom[i].length != _expected_tail(res, resN, J, nu_x, nu_mx, i):
-                break
-            t0 = i
-        if t0 is not None and w - t0 + 1 >= TOR_MARGIN:
+        # certify: equality of honest lengths with the length count of the
+        # junction syzygy X = M_J, Tor_i(M, N) = Tor_{i-J}(X, N) for i > J
+        tail = [0] * J + _base(res.betti_head[J], res.nu_m[J - 1],
+                               resolve(N, n - J + 1).betti(n - J))
+        if _margin([h.length for h in hom], tail, J, w) >= TOR_MARGIN:
             ent = _computed(hom)
             for i in range(w + 1, n + 1):
-                li = _expected_tail(res, resN, J, nu_x, nu_mx, i)
-                if li < 0:
+                if tail[i] < 0:
                     raise CertificateError(
-                        f"negative length count {li} in degree {i}")
-                ent.append(TorEntry(i, li, li, True, CERTIFIED))
+                        f"negative length count {tail[i]} in degree {i}")
+                ent.append(TorEntry(i, tail[i], tail[i], True, CERTIFIED))
             return kind(M, N, ent, w, J)
     raise InsufficientDegree(
         f"no length-count equality margin of {TOR_MARGIN} within the "
@@ -606,6 +608,29 @@ def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResul
     return out
 
 
+def length_count(M: FiniteModule, N: FiniteModule, n: int):
+    """(table, base, ranks) for the length count of Tor(M, N), m^2 M = 0:
+
+        l(Tor_i(M,N)) = base_i + l(L_i) + l(L_{i-1}),
+        base_i = nu(M) b_i(N) - nu(mM) b_{i-1}(N),
+
+    where L_i, the image of Tor_i(iota_M, N), has length ranks[i].  The
+    table is tor(M, N, n) and base runs through n; the ranks are honest,
+    over tor_induced's window within the table's, or all zero through n
+    when mM = 0 and iota_M is the zero map."""
+    if M.ring != N.ring:
+        raise RingMismatch("modules over different rings")
+    if radical_square_rows(M)[0].shape[0]:
+        raise RadicalSquareNonzero("the length count requires m^2 M = 0")
+    U, piv = radical_rows(M)
+    table = tor(M, N, n)
+    base = _base(nu(M), U.shape[0], resolve(N, n).betti(n))
+    if U.shape[0] == 0:
+        return table, base, [0] * (n + 1)
+    iota = submodule(M, U, piv)[1]
+    return table, base, [r.rank for r in tor_induced(iota, N, min(n, table.window))]
+
+
 @dataclass
 class LengthCountReport:
     M: FiniteModule
@@ -615,86 +640,39 @@ class LengthCountReport:
 
 
 def length_count_audit(M: FiniteModule, N: FiniteModule, n: int) -> LengthCountReport:
-    """Check, degree by honest degree, the identity
-
-        l(Tor_i(M,N)) = nu(M) b_i(N) - nu(mM) b_{i-1}(N) + l(L_i) + l(L_{i-1})
-
-    together with the companion inequality, where L_i is the image of
-    Tor_i(iota_M, N).  Requires m^2 M = 0."""
-    if radical_square_rows(M)[0].shape[0]:
-        raise RadicalSquareNonzero("length count requires m^2 M = 0")
-    nuM = nu(M)
-    U, piv = radical_rows(M)
-    nu_mM = U.shape[0]  # m M is a k-vector space here
-    mM, iota = submodule(M, U, piv) if U.shape[0] else (None, None)
-    table = tor(M, N, n)
-    w = table.window
-    bN = resolve(N, w + 1).betti(w + 1)
-    if mM is None:
-        ranks = [0] * (w + 1)
-    else:
-        ranks = [r.rank for r in tor_induced(iota, N, min(n, w))]
-        w = min(w, len(ranks) - 1)
+    """Check the identity of `length_count`, degree by honest degree,
+    together with the companion inequality l(Tor_i(M,N)) >= base_i.
+    Requires m^2 M = 0."""
+    table, base, ranks = length_count(M, N, n)
     rows = []
-    ok = True
-    for i in range(1, min(n, w) + 1):
-        base = nuM * bN[i] - nu_mM * bN[i - 1]
-        li = table.entries[i].length
-        eq = li == base + ranks[i] + ranks[i - 1]
-        ok = ok and eq
+    for i in range(1, min(table.window, len(ranks) - 1) + 1):
+        li, r, prev = table.entries[i].length, ranks[i], ranks[i - 1]
         rows.append({
             "i": i,
             "length": li,
-            "base": base,
-            "rank_i": ranks[i],
-            "rank_prev": ranks[i - 1],
-            "equality": eq,
-            "inequality": li >= base,
-            "equality_iff_vanishing": (li == base) == (ranks[i] == 0 and ranks[i - 1] == 0),
+            "base": base[i],
+            "rank_i": r,
+            "rank_prev": prev,
+            "equality": li == base[i] + r + prev,
+            "inequality": li >= base[i],
+            "equality_iff_vanishing": (li == base[i]) == (r == 0 and prev == 0),
         })
-    return LengthCountReport(M, N, rows, ok)
+    return LengthCountReport(M, N, rows, all(row["equality"] for row in rows))
 
 
 def iota_vanishing(M: FiniteModule, N: FiniteModule, n: int):
     """(ranks over the honest window, certified_through) for Tor_i(iota_M, N).
 
-    Beyond the window, vanishing is certified by the length-count equality
-    exactly when the Tor table's tail is certified with junction at M itself;
-    here we return the honest ranks and the degree through which the
-    zero-rank claim extends (n when the tail is certified, else the window).
-    """
-    if radical_square_rows(M)[0].shape[0]:
-        raise RadicalSquareNonzero("iota-vanishing analysis requires m^2 M = 0")
-    U, piv = radical_rows(M)
-    if U.shape[0] == 0:
+    By the length count, l(Tor_i(M,N)) = base_i exactly when the ranks
+    vanish at i and i - 1, so equality on a margin of honest degrees and on
+    every certified one through n proves the ranks zero through n;
+    certified_through is then n, else the honest window.  Requires
+    m^2 M = 0."""
+    if radical_rows(M)[0].shape[0] == 0:
         return [0] * (n + 1), n  # mM = 0: the inclusion is the zero map
-    _, iota = submodule(M, U, piv)
-    table = tor(M, N, n)
-    results = tor_induced(iota, N, min(n, table.window))
-    w = results[-1].i
-    ranks = [r.rank for r in results]
-    certified_through = w
-    if w >= n:
+    table, base, ranks = length_count(M, N, n)
+    w, lengths = table.window, table.lengths()
+    if len(ranks) > n or (_margin(lengths, base, 0, w) >= TOR_MARGIN
+                          and lengths[w + 1:] == base[w + 1:]):
         return ranks, n
-    # tail: the length count makes equality of l(Tor_i(M,N)) with
-    # nu(M) b_i(N) - nu(mM) b_{i-1}(N) equivalent to rank_i = rank_{i-1} = 0,
-    # so equality on a margin of honest degrees plus every certified degree
-    # through n proves the ranks vanish there
-    nuM = nu(M)
-    nu_mM = U.shape[0]
-    wt = table.window
-    bN = resolve(N, n).betti(n)
-
-    def base(i):
-        return nuM * bN[i] - nu_mM * bN[i - 1]
-
-    s = None
-    for i in range(wt, 0, -1):
-        if table.entries[i].length != base(i):
-            break
-        s = i
-    if (s is not None and wt - s + 1 >= TOR_MARGIN
-            and all(table.entries[i].length == base(i)
-                    for i in range(wt + 1, n + 1))):
-        certified_through = n
-    return ranks, certified_through
+    return ranks, len(ranks) - 1

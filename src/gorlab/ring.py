@@ -41,7 +41,7 @@ class ShortGorensteinRing:
             raise NotSymmetric(f"form must be {e}x{e}")
         if not np.array_equal(form, form.T % p):
             raise NotSymmetric("multiplication form is not symmetric")
-        if _det_mod(form, p) == 0:
+        if linalg.rank_array(form, p) < e:
             raise Degenerate("form is degenerate; socle would have rank > 1")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "e", e)
@@ -93,27 +93,6 @@ class ShortGorensteinRing:
 
     def __repr__(self):
         return f"ShortGorensteinRing(p={self.p}, e={self.e})"
-
-
-def _det_mod(a: np.ndarray, p: int) -> int:
-    r = a.copy() % p
-    n = r.shape[0]
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(r[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        i = c + int(nz[0])
-        if i != c:
-            r[[c, i]] = r[[i, c]]
-            det = -det % p
-        det = det * int(r[c, c]) % p
-        inv = pow(int(r[c, c]), p - 2, p)
-        r[c] = r[c] * inv % p
-        rows = np.nonzero(r[c + 1:, c])[0] + c + 1
-        if rows.size:
-            r[rows] = (r[rows] - r[rows, c][:, None] * r[c][None, :]) % p
-    return det
 
 
 def _basis_regular_reps(e: int, form: np.ndarray, p: int) -> np.ndarray:
@@ -201,7 +180,7 @@ def random_nondegenerate_form(e: int, p: int, rng: np.random.Generator) -> np.nd
             B = np.triu(U) + np.triu(U, 1).T
         else:
             B = (U + U.T) % p
-        if _det_mod(B.astype(np.int64), p) != 0:
+        if linalg.rank_array(B, p) == e:
             return B.astype(np.int64)
 
 

@@ -12,15 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InsufficientDegree, RadicalSquareNonzero, RingMismatch
-from .homology import ext, tor, tor_induced
-from .modules import (
-    FiniteModule,
-    hilbert_function,
-    radical_rows,
-    radical_square_rows,
-    submodule,
-)
+from .errors import InsufficientDegree
+from .homology import ext, length_count, tor
+from .modules import FiniteModule, hilbert_function
 from .resolution import resolve
 
 DEFAULT_MARGIN = 5
@@ -66,24 +60,25 @@ def poincare_series(M: FiniteModule, n: int) -> TruncatedIntegerSeries:
     return TruncatedIntegerSeries("poincare", resolve(M, n).betti(n))
 
 
+def _table_series(name: str, build, M, N, n: int,
+                  mode: str) -> TruncatedIntegerSeries:
+    """The nu or length series of the table build(M, N, n); the mode is
+    checked before the table is computed."""
+    if mode not in ("nu", "length"):
+        raise ValueError(f"mode must be 'nu' or 'length', got {mode!r}")
+    table = build(M, N, n)
+    return TruncatedIntegerSeries(f"{name}_{mode}",
+                                  table.nus() if mode == "nu" else table.lengths())
+
+
 def tor_series(M: FiniteModule, N: FiniteModule, n: int,
                mode: str = "nu") -> TruncatedIntegerSeries:
-    table = tor(M, N, n)
-    if mode == "nu":
-        return TruncatedIntegerSeries("tor_nu", table.nus())
-    if mode == "length":
-        return TruncatedIntegerSeries("tor_length", table.lengths())
-    raise ValueError(f"mode must be 'nu' or 'length', got {mode!r}")
+    return _table_series("tor", tor, M, N, n, mode)
 
 
 def ext_series(M: FiniteModule, N: FiniteModule, n: int,
                mode: str = "nu") -> TruncatedIntegerSeries:
-    table = ext(M, N, n)
-    if mode == "nu":
-        return TruncatedIntegerSeries("ext_nu", table.nus())
-    if mode == "length":
-        return TruncatedIntegerSeries("ext_length", table.lengths())
-    raise ValueError(f"mode must be 'nu' or 'length', got {mode!r}")
+    return _table_series("ext", ext, M, N, n, mode)
 
 
 def certify_rational(S: TruncatedIntegerSeries, e: int,
@@ -148,17 +143,6 @@ def certificate_is_sound(S: TruncatedIntegerSeries,
         == S.coefficients
 
 
-def series_product(a, b, n: int) -> list:
-    """Truncated product of two coefficient sequences through degree n."""
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a[: n + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: n + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-
 def alternate(coeffs) -> list:
     """Coefficients of S(-t)."""
     return [int(c) if i % 2 == 0 else -int(c) for i, c in enumerate(coeffs)]
@@ -185,23 +169,10 @@ def series_identity_check(M: FiniteModule, N: FiniteModule,
                           n: int) -> SeriesIdentityReport:
     """Check sum l(Tor_i(M,N)) t^i = H_M(-t) P_N(t) degree by degree and
     correlate failures with nonvanishing induced maps Tor_i(iota_M, N).
-    Requires m^2 M = 0 so that mM is a k-vector space."""
-    if M.ring != N.ring:
-        raise RingMismatch("modules over different rings")
-    if radical_square_rows(M)[0].shape[0]:
-        raise RadicalSquareNonzero("series identity requires m^2 M = 0")
-    table = tor(M, N, n)
+    Requires m^2 M = 0, so that H_M(-t) = nu(M) - nu(mM) t and the product
+    is the base of `homology.length_count`."""
+    table, prod, ranks = length_count(M, N, n)
     lser = table.lengths()
-    nser = table.nus()
-    prod = series_product(alternate(hilbert_series(M).coefficients),
-                          poincare_series(N, n).coefficients, n)
-    U, piv = radical_rows(M)
-    if U.shape[0] == 0:
-        ranks = [0] * (n + 1)
-    else:
-        # induced ranks are honest-only; cap them at the table's window
-        _, iota = submodule(M, U, piv)
-        ranks = [r.rank for r in tor_induced(iota, N, min(n, table.window))]
     matches = [i for i in range(n + 1) if lser[i] == prod[i]]
     eq_through = -1
     while eq_through + 1 <= n and lser[eq_through + 1] == prod[eq_through + 1]:
@@ -214,7 +185,7 @@ def series_identity_check(M: FiniteModule, N: FiniteModule,
     consistent = all(
         (lser[i] == prod[i]) == (ranks[i] == 0 and ranks[i - 1] == 0)
         for i in range(1, w + 1))
-    return SeriesIdentityReport(M, N, n, prod, list(lser), list(nser), ranks,
+    return SeriesIdentityReport(M, N, n, prod, lser, table.nus(), ranks,
                                 matches, eq_through, rk_through, consistent)
 
 

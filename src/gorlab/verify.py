@@ -29,7 +29,6 @@ from .modules import (
     radical_square_rows,
     random_module,
     split_extension,
-    submodule,
 )
 from .resolution import resolve, syzygy
 from .ring import (
@@ -131,6 +130,23 @@ def _finish(check: str, cfg: TrialConfig, trials: list, t0: float) -> Verificati
                               failures, int((time.time() - t0) * 1000))
 
 
+def _judge(rec: dict, problems: list) -> dict:
+    """rec with status "fail" and its problems if there are any, else
+    status "pass"."""
+    rec["status"] = "fail" if problems else "pass"
+    if problems:
+        rec["problems"] = problems
+    return rec
+
+
+def _zero_tail_start(ranks) -> int:
+    """The least s >= 1 with every rank from degree s on zero."""
+    s = len(ranks)
+    while s > 1 and ranks[s - 1] == 0:
+        s -= 1
+    return s
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -200,13 +216,9 @@ def verify_main_theorem(cfg: TrialConfig) -> VerificationReport:
                     problems.append(f"tor length != nu at {i}")
                 if etab.entries[i].length != etab.entries[i].nu:
                     problems.append(f"ext length != nu at {i}")
-            rec["status"] = "fail" if problems else "pass"
-            if problems:
-                rec["problems"] = problems
+            return _judge(rec, problems)
         except GorlabError as ex:
-            rec["status"] = "fail"
-            rec["problems"] = [f"{type(ex).__name__}: {ex}"]
-        return rec
+            return _judge(rec, [f"{type(ex).__name__}: {ex}"])
 
     return _finish("main_theorem", cfg, [one(t) for t in range(cfg.trials)], t0)
 
@@ -244,10 +256,7 @@ def verify_vanishing_proposition(cfg: TrialConfig) -> VerificationReport:
         rec["ranks"] = [int(r) for r in ranks]
         rec["certified_through"] = certified
         problems = []
-        s = len(ranks)
-        while s > 1 and ranks[s - 1] == 0:
-            s -= 1
-        rec["s"] = s
+        rec["s"] = s = _zero_tail_start(ranks)
         if certified < n:
             problems.append(f"vanishing tail only certified through {certified}")
         elif s > n - cfg.margin:
@@ -258,10 +267,7 @@ def verify_vanishing_proposition(cfg: TrialConfig) -> VerificationReport:
             bad = [i for i in range(bound + 1, len(ranks)) if ranks[i] != 0]
             if bad:
                 problems.append(f"cyclic bound violated at {bad}")
-        rec["status"] = "fail" if problems else "pass"
-        if problems:
-            rec["problems"] = problems
-        return rec
+        return _judge(rec, problems)
 
     return _finish("vanishing_proposition", cfg,
                    [one(t) for t in range(cfg.trials)], t0)
@@ -277,7 +283,8 @@ def verify_counterexample_e2(cfg: TrialConfig) -> VerificationReport:
     M, _ = cyclic_module(ring, [ring.x(1)])
     rec = {"trial": 0, "M": _fingerprint(M)}
     problems = []
-    table = homology.tor(M, M, n)
+    # at e = 2 the window is the whole table, so the ranks run through n
+    table, _, ranks = homology.length_count(M, M, n)
     betti = [int(b) for b in resolve(M, n).betti(n)]
     rec["lengths"] = table.lengths()
     rec["betti"] = betti
@@ -287,9 +294,6 @@ def verify_counterexample_e2(cfg: TrialConfig) -> VerificationReport:
             problems.append(f"Tor_{i} is not M numerically")
     if betti != [1] * (n + 1):
         problems.append("beta_i(R/(x)) != 1")
-    U, piv = radical_rows(M)
-    _, iota = submodule(M, U, piv)
-    ranks = [r.rank for r in homology.tor_induced(iota, M, n)]
     rec["ranks"] = [int(r) for r in ranks]
     if any(r != 1 for r in ranks[1:]):
         problems.append("induced rank != 1 at a positive degree")
@@ -301,10 +305,7 @@ def verify_counterexample_e2(cfg: TrialConfig) -> VerificationReport:
                        "m-annihilation fails")
     except InsufficientDegree as ex:
         problems.append(f"nu series not certified: {ex}")
-    rec["status"] = "fail" if problems else "pass"
-    if problems:
-        rec["problems"] = problems
-    return _finish("counterexample_e2", cfg, [rec], t0)
+    return _finish("counterexample_e2", cfg, [_judge(rec, problems)], t0)
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +397,10 @@ def _tail_equivalence(cfg: TrialConfig, ring, t: int, rng) -> dict:
 
 def _tail_vanishes(M: FiniteModule, N: FiniteModule, n: int, margin: int) -> bool:
     ranks, certified = homology.iota_vanishing(M, N, n)
-    w = len(ranks) - 1
-    s = w + 1
-    while s > 1 and ranks[s - 1] == 0:
-        s -= 1
     # zeros hold on [s, certified]; certified degrees count toward the
     # margin just like honest ones (the honest window alone can be shorter
     # than the margin even when the tail is certified much further)
-    return certified >= n and s <= n - margin
+    return certified >= n and _zero_tail_start(ranks) <= n - margin
 
 
 def _length_count(cfg: TrialConfig, ring, t: int, rng) -> dict:
@@ -446,9 +443,7 @@ def _hom_vanishing(cfg: TrialConfig, ring, t: int, rng) -> dict:
         if radical_square_rows(N)[0].shape[0] == 0 and UM.shape[0]:
             if (phi.matrix @ UM.T % p).any():
                 problems.append("phi does not kill mM")
-    if problems:
-        return dict(rec, status="fail", problems=problems)
-    return dict(rec, status="pass")
+    return _judge(rec, problems)
 
 
 def _three_parts(cfg: TrialConfig, ring, t: int, rng) -> dict:

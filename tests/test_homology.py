@@ -2,11 +2,13 @@ import hashlib
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gorlab import (
     FiniteModule,
@@ -22,6 +24,7 @@ from gorlab import (
     nu,
     random_module,
     resolve,
+    series_identity_check,
     tor,
     tor_induced,
 )
@@ -31,7 +34,14 @@ from gorlab import linalg
 from gorlab.errors import CertificateError, NotMaterialized, RadicalSquareNonzero
 from gorlab.homology import CERTIFIED, COMPUTED, TOR_MARGIN
 from gorlab.linalg import kernel_array, rank_array, rref_array, solve_many
-from gorlab.modules import ModuleMap, hilbert_function, radical_rows, submodule
+from gorlab.modules import (
+    ModuleMap,
+    hilbert_function,
+    quotient,
+    radical_rows,
+    radical_square_rows,
+    submodule,
+)
 from gorlab.resolution import free_kmat, lift_chain_map
 from gorlab.verify import TrialConfig, _draw_ideal_gens, _draw_module, _ring_for
 
@@ -272,6 +282,74 @@ def test_length_count_audit(R3, Rx3):
     assert report.all_equalities_hold
     for row in report.degrees:
         assert row["inequality"] and row["equality_iff_vanishing"]
+
+
+# sha256 of the canonical JSON of the three length-count reports through
+# degree 12: the audit's rows and verdict, iota_vanishing's ranks and
+# certified degree, and every field of series_identity_check but M and N;
+# recorded before the length count was written once
+PINNED_LENGTH_COUNTS = [
+    ("k3", (2, 2, 16),
+     "ce1fcdd80f346f6091fa9320b9f28c5bb653a2adc83ce8adfdc506105a27d482",
+     "74152a3e3e4f4087bcebcdeeb3e0fc93368176121670f23feb9fd98c357ae698",
+     "6384ed2c12d73ca78cec0081be8fbdca1647c3c30596fe5ef34f8e16f64c1fbc"),
+    ("Rx3", (2, 2, 12),
+     "ac51c5eadafa7a0f804d38c16c5cdd235e201ba8ff0315f4c576f022881357f3",
+     "51e4eb39320b3784fa1a3a130d672982c45e067c3d25eae1fa03907ba0da38b3",
+     "3d70cde58132fa5950e0f6a28a097ed2f16e85ca927864454406940fdcdceedf"),
+    ("Rx3", (2, 1, 15),
+     "73b4e0e2d00007e0d6b4c8bc70193f6c34735c68a08967b90ced04dd4732b480",
+     "5f53765f768f1966b34e2e198728e6e275c70d9125b318351b16737ed41fadbb",
+     "45599adf4ae7b151782f00b4c978bc193462b391ed1bcb42285ac211be7f49c4"),
+    ("Rx3", (2, 2, 54),
+     "ac51c5eadafa7a0f804d38c16c5cdd235e201ba8ff0315f4c576f022881357f3",
+     "51e4eb39320b3784fa1a3a130d672982c45e067c3d25eae1fa03907ba0da38b3",
+     "3d70cde58132fa5950e0f6a28a097ed2f16e85ca927864454406940fdcdceedf"),
+    ("Rx2", None,
+     "0f5aeb070fa34cf16214021d1e6006b6a940c559b9b515b92585eb114fa1cf20",
+     "a2eaf14c2fd26b25295780a3105996e12424060d2caaf9d6cb21df624f1e1537",
+     "b37a4d87932aaaefb905fc7a25001b86e01766e59a0b3bc09406b2e3b40aed69"),
+]
+
+
+@pytest.mark.parametrize("m, n_mod, audit_sha, iota_sha, series_sha",
+                         PINNED_LENGTH_COUNTS)
+def test_length_count_reports_are_pinned(request, m, n_mod, audit_sha,
+                                         iota_sha, series_sha):
+    M = request.getfixturevalue(m)
+    N = M if n_mod is None else random_module(M.ring, *n_mod[:2], seed=n_mod[2])
+    audit = length_count_audit(M, N, 12)
+    ranks, certified = iota_vanishing(M, N, 12)
+    report = series_identity_check(M, N, 12)
+    docs = [{"degrees": audit.degrees,
+             "all_equalities_hold": audit.all_equalities_hold},
+            {"ranks": ranks, "certified_through": certified},
+            {f.name: getattr(report, f.name) for f in fields(report)
+             if f.name not in ("M", "N")}]
+    assert [hashlib.sha256(io.canonical_json(doc).encode()).hexdigest()
+            for doc in docs] == [audit_sha, iota_sha, series_sha]
+
+
+def _polynomial_product(a, b, n):
+    """Coefficients through degree n of the product of two polynomials."""
+    return [sum(a[j] * b[i - j] for j in range(len(a)) if 0 <= i - j < len(b))
+            for i in range(n + 1)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 2), st.integers(0, 2**31),
+       st.integers(1, 2), st.integers(0, 2), st.integers(0, 2**31))
+def test_length_count_base_is_hilbert_times_poincare(gm, rm, sm, gn, rn, sn):
+    # when m^2 M = 0, H_M(-t) = nu(M) - nu(mM) t, so the base of the length
+    # count is the product H_M(-t) P_N(t), here multiplied out by hand
+    R = make_ring(101, 3, identity_form(3))
+    M = random_module(R, gm, rm, seed=sm)
+    M = quotient(M, *radical_square_rows(M))[0]
+    N = random_module(R, gn, rn, seed=sn)
+    _, base, _ = hm.length_count(M, N, 6)
+    h = hilbert_function(M)
+    signed = [(-1) ** j * c for j, c in enumerate(h)]
+    assert base == _polynomial_product(signed, resolve(N, 6).betti(6), 6)
 
 
 def test_length_count_requires_m2_zero(R3):
@@ -554,8 +632,9 @@ def _serve_corrupted(kind):
     a unit entry in a differential of the resolution, which `_tor_block`
     refuses too.  The Ext window gets identity matrices for its
     differentials, so D_i D_{i+1} != 0 and a homology length goes
-    negative.  The tail gets a negative length count past the materialized
-    head, and the duality check a Tor_0(M, N*) one too long."""
+    negative.  The tail gets a negative length count in degree n, past the
+    materialized window, and the duality check a Tor_0(M, N*) one too
+    long."""
     R = make_ring(101, 3, identity_form(3))
     M = random_module(R, 1, 1, seed=41)
     N = random_module(R, 1, 1, seed=42)
@@ -580,10 +659,10 @@ def _serve_corrupted(kind):
             G[0, 0, 0] = 1
             return orig(G, L, layers)
     elif kind == "tail":
-        name, orig = "_expected_tail", hm._expected_tail
+        name, orig = "_base", hm._base
 
-        def fake(res, *args):
-            return orig(res, *args) if args[-1] < res.head else -1
+        def fake(*args):
+            return orig(*args)[:-1] + [-1]
     else:
         name, orig = "tor", hm.tor
 

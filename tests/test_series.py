@@ -17,7 +17,6 @@ from gorlab.series import (
     alternate,
     certificate_is_sound,
     ext_series,
-    series_product,
 )
 
 
@@ -73,10 +72,7 @@ def test_tor_series_against_k_is_poincare(R3, k3):
     assert tor_series(M, k3, 8, mode="nu").coefficients == P
 
 
-def test_series_product_and_alternate():
-    a = [1, 1, 1]
-    b = [1, 2]
-    assert series_product(a, b, 3) == [1, 3, 3, 2]
+def test_alternate():
     assert alternate([1, 2, 3]) == [1, -2, 3]
 
 

@@ -63,3 +63,25 @@ def test_every_public_linalg_function_has_a_caller():
             if f.__module__ == linalg.__name__ and not name.startswith("_")
             and name not in used]
     assert not dead, f"linalg functions with no caller: {dead}"
+
+
+def test_every_module_level_import_is_used():
+    # no linter runs on the package: a name imported at module level that
+    # its module never reads is an import a refactor left behind
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert not unused, f"imports never used: {unused}"
