@@ -668,6 +668,8 @@ def iota_vanishing(M: FiniteModule, N: FiniteModule, n: int):
     every certified one through n proves the ranks zero through n;
     certified_through is then n, else the honest window.  Requires
     m^2 M = 0."""
+    if M.ring != N.ring:
+        raise RingMismatch("modules over different rings")
     if radical_rows(M)[0].shape[0] == 0:
         return [0] * (n + 1), n  # mM = 0: the inclusion is the zero map
     table, base, ranks = length_count(M, N, n)

@@ -190,10 +190,6 @@ def load_ring(path: str) -> ShortGorensteinRing:
     return ring_from_dict(load_json(path))
 
 
-def store_ring(ring: ShortGorensteinRing, path: str):
-    store_json(ring_to_dict(ring), path)
-
-
 # ---------------------------------------------------------------------------
 # modules
 

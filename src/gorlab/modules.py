@@ -217,13 +217,6 @@ def radical_square_rows(M: FiniteModule):
     return _rref_span(M, M.action_w.T.copy())
 
 
-def minimal_generators(M: FiniteModule) -> tuple[int, ModuleMap]:
-    """(nu(M), projection M -> M/mM)."""
-    U, piv = radical_rows(M)
-    Q, proj = quotient(M, U, piv)
-    return Q.dim, proj
-
-
 def nu(M: FiniteModule) -> int:
     U, _ = radical_rows(M)
     return M.dim - U.shape[0]

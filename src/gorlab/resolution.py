@@ -40,6 +40,17 @@ k-matrix would give, and every differential, presentation and serialized
 byte is the same.  Only the first step, the kernel of the cover F_0 -> M,
 eliminates a generic k-matrix: it need not contain w F_0.
 
+The step also reads nu(m M_i) = dim m K, for the kernel K it found, and
+leaves out of the differential the rows of K's rref basis that m K covers.
+K lies in m F, so m K is spanned by the images x_g * z of its rows z, and
+block j of x_g * z is form[g] . z[j, x-slots] w.  The form is nondegenerate,
+so these images span the same subspace S as the x-slot slices z[:, 1 + h],
+h < e, and the two have one rref, rank and pivot set.  Every nonzero vector
+of S has its leading entry at a pivot of rref(S), so when the leading
+entries of the slices already cover every column, S is everything and
+nothing is eliminated; only otherwise, in a few percent of the steps, does
+the step eliminate the slices.
+
 A resolution stores its differentials, the cover matrix, the Betti numbers
 and nu(m M_i) of each syzygy, the one syzygy number the tail certificate
 reads; nothing else of a syzygy is kept.  M_i is the kernel of del_{i-1}
@@ -164,21 +175,6 @@ def free_kmat(G: np.ndarray, ops: np.ndarray, p: int) -> np.ndarray:
     return out.reshape(j * d, a * d)
 
 
-def _radical_image_w(ring: ShortGorensteinRing, K: np.ndarray) -> np.ndarray:
-    """w-components of x_g * (rows of K) for vectors K inside m*F.
-
-    Since K lies in m*F, the radical images land in m^2 F, whose only
-    nonzero coordinates are the w-slots; the w-coefficient of x_g * r is
-    the form applied to the degree-one part of r.  Rows: g-major over the
-    rows of K; columns: one per free-module block.
-    """
-    n = K.shape[0]
-    e, D = ring.e, ring.dim
-    K3 = K.reshape(n, K.shape[1] // D, D)
-    img = np.einsum("njc,gc->gnj", K3[:, :, 1:e + 1], ring.form) % ring.p
-    return img.reshape(e * n, K3.shape[1])
-
-
 def _linear_part(ring: ShortGorensteinRing, G: np.ndarray) -> np.ndarray:
     """The matrix L with ker del = ker(L) + wF for a minimal differential
     with entry array G (shape (a, j, e+2)): entry [j, a*e + g] is the
@@ -284,8 +280,7 @@ class MinimalFreeResolution:
 
     def _step(self):
         ring = self.ring
-        p = ring.p
-        D = ring.dim
+        p, e, D = ring.p, ring.e, ring.dim
         bprev = self.betti_head[-1]
         Kr, kpiv, Kx = self._kernel(self.head + 1)
         nk = len(kpiv)
@@ -298,12 +293,22 @@ class MinimalFreeResolution:
         # m*K lies inside the row space of Kr, so its rank and a complement
         # are visible in coordinates w.r.t. Kr (the pivot-column entries);
         # generators = rows of Kr complementary to the row space of m*K.
-        # w kills K (K is in m*F), so m*K is spanned by the x_g images of
-        # the rows Kx, which are supported on the w-slots alone.
-        imgw = _radical_image_w(ring, Kx)
+        # m*K lies on the w-slots; in those coordinates it is the span S of
+        # the x-slot slices of the rows Kx (module docstring), read on the
+        # blocks of the nw >= 1 rows with a w-pivot (K is nonzero inside mF,
+        # so it meets the socle wF)
         wcols = [t for t in range(nk) if kpiv[t] % D == D - 1]
-        W = imgw[:, [kpiv[t] // D for t in wcols]]
-        _, wpiv, wrank = linalg.rref_array(W, p)
+        nw = len(wcols)
+        S = Kx.reshape(len(Kx), bprev, D)[:, [kpiv[t] // D for t in wcols], 1:e + 1]
+        S = S.transpose(0, 2, 1).reshape(len(Kx) * e, nw)
+        # every nonzero vector of S leads at a pivot of rref(S); when the
+        # leading entries of the slices already cover all nw columns, S is
+        # everything, and only otherwise is it eliminated
+        S = S[S.any(axis=1)]
+        if np.unique(np.argmax(S != 0, axis=1)).size == nw:
+            wpiv, wrank = range(nw), nw
+        else:
+            _, wpiv, wrank = linalg.rref_array(S, p)
         drop = {wcols[t] for t in wpiv}
         sel = [t for t in range(nk) if t not in drop]
         nu = len(sel)
@@ -337,10 +342,11 @@ class MinimalFreeResolution:
         whose kernel comes from a generic elimination of the dim M x cols
         cover matrix, held twice while it is eliminated.  The step holds
         the kernel rows, their x-slot copy and the new differential (at
-        most nk rows), and e nx b w-images a few times over while it
-        eliminates them.  On the benchmark's steps of more than 1 MiB, and
-        steps 1-9 of the README's module, the measured (tracemalloc) peak is
-        0.63 to 0.78 of this."""
+        most nk rows), and the e nx b x-slot slices a few times over: most
+        steps only read their leading entries, but a step whose leading
+        entries fall short eliminates them.  On the benchmark's steps of
+        more than 1 MiB, and steps 1-9 of the README's module, the measured
+        (tracemalloc) peak is 0.63 to 0.78 of this."""
         b, e = self.betti_head[-1], self.ring.e
         cols = b * self.ring.dim
         nk = self.syzygy_dims()[-1]
@@ -446,10 +452,6 @@ def resolve(M: FiniteModule, n: int,
         res.extend(min(min_head, n))
     res.betti(n)  # materializes the head and certifies the tail as needed
     return res
-
-
-def betti_numbers(M: FiniteModule, n: int) -> list[int]:
-    return resolve(M, n).betti(n)
 
 
 def syzygy(M: FiniteModule, i: int) -> FiniteModule:

@@ -270,11 +270,3 @@ def validate_general_algebra(p: int, table) -> AlgebraReport:
     return AlgebraReport(p, e, True, True, True, True, 1, True, True,
                          form=form, ring=ring)
 
-
-def structure_constants(ring: ShortGorensteinRing) -> np.ndarray:
-    """The full multiplication table of a ring, for round-trip validation."""
-    d = ring.dim
-    c = np.zeros((d, d, d), dtype=np.int64)
-    for i in range(d):
-        c[i] = ring.basis_reg[i].T
-    return c % ring.p

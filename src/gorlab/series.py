@@ -136,13 +136,6 @@ def expand_rational(numerator, e: int, n: int) -> list:
     return out
 
 
-def certificate_is_sound(S: TruncatedIntegerSeries,
-                         cert: RationalityCertificate) -> bool:
-    """Re-expanding q(t)/(1 - e t + t^2) must reproduce S exactly."""
-    return tuple(expand_rational(cert.numerator, cert.e, cert.truncation)) \
-        == S.coefficients
-
-
 def alternate(coeffs) -> list:
     """Coefficients of S(-t)."""
     return [int(c) if i % 2 == 0 else -int(c) for i, c in enumerate(coeffs)]

@@ -31,7 +31,12 @@ from gorlab import (
 import gorlab.homology as hm
 import gorlab.resolution as rs
 from gorlab import linalg
-from gorlab.errors import CertificateError, NotMaterialized, RadicalSquareNonzero
+from gorlab.errors import (
+    CertificateError,
+    NotMaterialized,
+    RadicalSquareNonzero,
+    RingMismatch,
+)
 from gorlab.homology import CERTIFIED, COMPUTED, TOR_MARGIN
 from gorlab.linalg import kernel_array, rank_array, rref_array, solve_many
 from gorlab.modules import (
@@ -355,6 +360,13 @@ def test_length_count_base_is_hilbert_times_poincare(gm, rm, sm, gn, rn, sn):
 def test_length_count_requires_m2_zero(R3):
     with pytest.raises(RadicalSquareNonzero):
         length_count_audit(FiniteModule.free(R3, 1), FiniteModule.free(R3, 1), 5)
+
+
+@pytest.mark.parametrize("check", [iota_vanishing, length_count_audit])
+def test_length_count_refuses_modules_over_different_rings(check, k3, Rx2):
+    # mM = 0 for k, so iota_M is the zero map; the rings are compared first
+    with pytest.raises(RingMismatch):
+        check(k3, Rx2, 5)
 
 
 def test_iota_vanishing_for_koszul_module(R3, Rx3):

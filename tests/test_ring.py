@@ -20,8 +20,16 @@ from gorlab.ring import (
     hyperbolic_form,
     identity_form,
     random_nondegenerate_form,
-    structure_constants,
 )
+
+
+def structure_constants(ring):
+    """The full multiplication table of a ring, for round-trip validation."""
+    d = ring.dim
+    c = np.zeros((d, d, d), dtype=np.int64)
+    for i in range(d):
+        c[i] = ring.basis_reg[i].T
+    return c % ring.p
 
 
 def test_identity_form_multiplication(R3):

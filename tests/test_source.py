@@ -44,21 +44,27 @@ def test_perfbench_trace_targets_resolve():
     assert tracing.TARGETS and not missing, f"unresolved trace targets: {missing}"
 
 
+def _names_read(tree) -> set:
+    """Every name a module reads: plain names, attributes and imports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
 def test_every_public_linalg_function_has_a_caller():
     # one route per question: a linalg function that no other module calls
     # and the benchmark does not trace is a second route left behind
     from gorlab import linalg
     used = set(_tracing().TARGETS["linalg"])
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "linalg.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+        if path.name != "linalg.py":
+            used |= _names_read(ast.parse(path.read_text(), str(path)))
     dead = [name for name, f in inspect.getmembers(linalg, inspect.isfunction)
             if f.__module__ == linalg.__name__ and not name.startswith("_")
             and name not in used]
@@ -85,3 +91,18 @@ def test_every_module_level_import_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in read]
     assert not unused, f"imports never used: {unused}"
+
+
+def test_every_private_function_is_read():
+    # a module-level helper that no gorlab code reads and the benchmark
+    # does not trace is a route a refactor left behind
+    used = {part for names in _tracing().TARGETS.values()
+            for name in names for part in name.split(".")}
+    defined = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used |= _names_read(tree)
+        defined += [f"{path.name}:{node.lineno} {node.name}" for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+    unread = [d for d in defined if d.split()[1] not in used]
+    assert defined and not unread, f"private functions never read: {unread}"
