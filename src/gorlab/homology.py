@@ -32,19 +32,22 @@ Homology reads only ranks and spans, so `linalg.kernel_triplets` eliminates
 every block in no canonical basis; only the resolution's differentials,
 which are written out, need a canonical rref.
 
-`_plan` is the one place that chooses a window, from M's certified Betti
-numbers, its junction J, dim N and n alone, so a table never depends on how
-deep an earlier call pushed the cached resolution.  A Tor table is honest
-through n when every chain module F_j (x) N, j <= n + 1, has at most
-TOR_BUDGET dimensions; otherwise its window starts at J + TOR_MARGIN + 1 and
-deepens one degree at a time while the next module has at most
-MAX_WINDOW_ROWS.  Ext and `tor_induced` take the largest window within
-TOR_BUDGET.  `_window` computes one degree at a time and keeps it, and the
-head is extended only when a window reads a differential, so a deeper window
-computes only its new degree.  Before each degree `_window` estimates the
-bytes it will hold from the Betti numbers and the layer block, and
-`guard_memory` refuses it with NotMaterialized when the process cannot get
-them, the same guard that refuses resolution steps.
+`_build_table` is the one builder of both tables, and `_plan` the one place
+that chooses a window, from M's certified Betti numbers, its junction J, dim
+N and n alone, so a table never depends on how deep an earlier call pushed
+the cached resolution.  A Tor table is honest through n when every chain
+module F_j (x) N, j <= n + 1, has at most `resolution.CHAIN_BUDGET`
+dimensions, the bound the resolution's slack degrees also read; otherwise
+its window starts at J + TOR_MARGIN + 1 and deepens one degree at a time
+while the next module has at most MAX_WINDOW_ROWS.  Ext and `tor_induced`
+take the largest window within CHAIN_BUDGET, and Ext no deeper than the
+window of tor(M, N*), whose entries it serves past its own.  `_window`
+computes one degree at a time and keeps it, and the head is extended only
+when a window reads a differential, so a deeper window computes only its new
+degree.  Before each degree `_window` estimates the bytes it will hold from
+the Betti numbers and the layer block, and `guard_memory` refuses it with
+NotMaterialized when the process cannot get them, the same guard that
+refuses resolution steps.
 
 Degrees past the materialized window are certified by the length count of
 a module X with m^2 X = 0, where L_t is the image of Tor_t(iota_X, N):
@@ -68,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, resolution
 from .errors import (
     CertificateError,
     InsufficientDegree,
@@ -93,7 +96,6 @@ from .resolution import (
 )
 
 TOR_MARGIN = 3       # consecutive equality degrees required for a tail
-TOR_BUDGET = 1500    # max dimension of a chain module in a window taken whole
 MAX_WINDOW_ROWS = 12000   # max dimension of the next module when deepening
 _EXCESS_CHUNK = 1024      # cycles per product in `_radical_excess`
 
@@ -413,18 +415,18 @@ def _homology_window(res: MinimalFreeResolution, N: FiniteModule, windows):
 def _plan(beta, J: int | None, d: int, n: int) -> range:
     """The windows to try for a table through degree n, in order: a pure
     function of M's certified Betti numbers beta (through n + 1), its
-    junction J, d = dim N and n, reading TOR_BUDGET and MAX_WINDOW_ROWS
-    when called.  Chain module j has dimension beta_j d.
+    junction J, d = dim N and n, reading `resolution.CHAIN_BUDGET` and
+    MAX_WINDOW_ROWS when called.  Chain module j has dimension beta_j d.
 
     With J None (Ext and tor_induced) the one window is the largest w <= n
-    whose modules j <= w + 1 fit TOR_BUDGET, or 0.  With J it is n when that
+    whose modules j <= w + 1 fit CHAIN_BUDGET, or 0.  With J it is n when that
     largest w is n; else J + TOR_MARGIN + 1 (capped at n), the first window
     with room for a full margin above J + 1, where the length count may
     legitimately fail, followed by one degree more at a time, through n,
     while the next module, of dimension beta_{w+1} d, fits MAX_WINDOW_ROWS."""
     dims = [b * d for b in beta[:n + 2]]
     w = n
-    while w > 0 and max(dims[:w + 2]) > TOR_BUDGET:
+    while w > 0 and max(dims[:w + 2]) > resolution.CHAIN_BUDGET:
         w -= 1
     if J is None or w == n:
         return range(w, w + 1)
@@ -457,6 +459,12 @@ def _computed(hom) -> list[TorEntry]:
 
 def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
                  window) -> TorTable:
+    """The table of `kind` (TorTable or ExtTable) through degree n, whose
+    honest degrees come from `window`, the homology or the cohomology window
+    of F_*(M) and N.  It is zero when M or N is, and honest through the head
+    when M's resolution is finite.  Otherwise an Ext table is the dual tail
+    of tor(M, N*), and a Tor table is served for M = k^a, for N free, or by
+    the length count past M's junction."""
     if M.ring != N.ring:
         raise RingMismatch("modules over different rings")
     res = resolve(M, max(n, 1))
@@ -469,7 +477,20 @@ def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
         ent += [TorEntry(i, 0, 0, True, COMPUTED) for i in range(w + 1, n + 1)]
         return kind(M, N, ent, w, None)
 
-    if kind is TorTable and radical_rows(M)[0].shape[0] == 0:
+    if kind is ExtTable:
+        # Ext^i(M, N) is the dual of Tor_i(M, N*): honest degrees from the
+        # Hom complex only through the dual table's window, and past it the
+        # dual's certified entries, where m kills everything so length and
+        # nu agree
+        tdual = tor(M, matlis_dual(N), n)
+        w, = _plan(res.betti(n + 1), None, N.dim, tdual.window)
+        ent = _computed(_honest(window, res, N, w))
+        for i in range(len(ent)):
+            if ent[i].length != tdual.entries[i].length:
+                raise CertificateError(f"Ext/Tor duality violated at degree {i}")
+        return kind(M, N, ent + tdual.entries[w + 1: n + 1], w, tdual.junction)
+
+    if radical_rows(M)[0].shape[0] == 0:
         # M is a k-vector space k^a: tensoring the minimal resolution of N
         # with k kills every differential, so Tor_i(M, N) = k^(a b_i(N));
         # the entries are computed on the head tail certification reads
@@ -537,25 +558,9 @@ def ext(M: FiniteModule, N: FiniteModule, n: int) -> ExtTable:
     """Ext^i(M, N) bookkeeping for 0 <= i <= n.
 
     Honest degrees come from the Hom complex; the certified tail is pulled
-    across Matlis duality from tor(M, N*): Ext^i(M, N) is the dual of
-    Tor_i(M, N*), and in the tail m kills everything so length and nu agree.
+    across Matlis duality from tor(M, N*) (`_build_table`).
     """
-    if M.ring != N.ring:
-        raise RingMismatch("modules over different rings")
-    res = resolve(M, max(n, 1))
-    if N.dim == 0 or M.dim == 0 or res.finite:
-        t = _build_table(M, N, n, ExtTable, _cohomology_window)
-        return t
-    tdual = tor(M, matlis_dual(N), n)
-    # honest degrees only through the dual table's window: past it, the
-    # entries are the dual's certified ones
-    w, = _plan(res.betti(n + 1), None, N.dim, tdual.window)
-    entries = _computed(_honest(_cohomology_window, res, N, w))
-    for i in range(len(entries)):
-        if entries[i].length != tdual.entries[i].length:
-            raise CertificateError(f"Ext/Tor duality violated at degree {i}")
-    entries += tdual.entries[w + 1: n + 1]
-    return ExtTable(M, N, entries, w, tdual.junction)
+    return _build_table(M, N, n, ExtTable, _cohomology_window)
 
 
 def _embed(X: np.ndarray, copies: int, lo: int, hi: int, d: int) -> np.ndarray:

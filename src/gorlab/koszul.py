@@ -23,12 +23,7 @@ from .modules import (
     radical_square_rows,
     socle_rows,
 )
-from .resolution import (
-    k_syzygy_dims,
-    negative_syzygy,
-    residue_field_module,
-    resolve,
-)
+from .resolution import k_syzygy_dims, resolve
 from .series import koszul_formula_holds
 
 KOSZUL = "koszul"
@@ -87,16 +82,6 @@ def is_koszul(M: FiniteModule) -> KoszulVerdict:
             element = incl.matrix @ v % ring.p
             return KoszulVerdict(M, NOT_KOSZUL, (j, element), i_max)
     return KoszulVerdict(M, KOSZUL, None, i_max)
-
-
-def k_negative(ring, i: int) -> FiniteModule:
-    """k_{-i}, the i-th negative syzygy of the residue field (cached)."""
-    if i < 1:
-        raise ValueError("negative syzygy index must be >= 1")
-    cache = ring._cache.setdefault("k_negative", {})
-    if i not in cache:
-        cache[i] = negative_syzygy(residue_field_module(ring), i)
-    return cache[i]
 
 
 @dataclass

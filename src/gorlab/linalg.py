@@ -72,9 +72,6 @@ class PrimeField:
         if not _is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
 
-    def inv(self, a: int) -> int:
-        return pow(a % self.p, self.p - 2, self.p)
-
 
 def rref_inplace(R: np.ndarray, p: int):
     """Reduce R to reduced row-echelon form in place; return pivot columns.

@@ -11,9 +11,12 @@ thus depends on the machine and on what the process holds, never on a
 tunable.  The head holds only the degrees that the tail certificate, the
 homology windows and the syzygy and lifting calls ask for; the column
 budget DEFAULT_BUDGET applies only to the CLI `resolve` verb, which stops
-silently before the first kernel problem past it.  Tail certification materializes a head that depends only on the
-Betti numbers: J + TAIL_OVERLAP degrees, and up to HEAD_SLACK more while
-their kernel problems stay within SLACK_COLUMNS columns.
+silently before the first kernel problem past it.  Tail certification
+materializes a head that depends only on the Betti numbers: J + TAIL_OVERLAP
+degrees, and up to HEAD_SLACK more while their kernel problems stay within
+CHAIN_BUDGET columns, the dimension of the chain module F_i (x) R = F_i.
+Homology reads the same bound for the chain modules F_j (x) N of a window
+it takes whole.
 Beyond the head, Betti numbers are exact values of the certified tail: once
 the syzygy M_J is past the junction index J (no later syzygy can split off a
 copy of k, by the dimension bound dim k_{-j} = dim k_j), M_J is Koszul and
@@ -68,11 +71,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import CertificateError, NotMaterialized, RadicalSquareNonzero
+from .errors import CertificateError, NotMaterialized
 from .modules import (
     FiniteModule,
     ModuleMap,
-    matlis_dual,
     radical_rows,
     radical_square_rows,
     submodule,
@@ -82,7 +84,8 @@ from .ring import ShortGorensteinRing
 DEFAULT_BUDGET = 6000     # kernel columns at which the CLI `resolve` stops
 TAIL_OVERLAP = 2          # honest degrees past the junction required for a tail
 HEAD_SLACK = 3            # extra head degrees materialized past the junction
-SLACK_COLUMNS = 1500      # max kernel columns for the optional slack degrees
+CHAIN_BUDGET = 1500       # max dimension of a chain module F_j (x) N taken
+                          # whole: a slack degree (N = R) or a homology window
 
 
 # (limit, usage, stat) files of a memory cgroup, v2 then v1, and the stat
@@ -309,17 +312,15 @@ class MinimalFreeResolution:
             wpiv, wrank = range(nw), nw
         else:
             _, wpiv, wrank = linalg.rref_array(S, p)
+        # the wrank distinct pivots drop wrank rows and leave at least one:
+        # wrank <= nw < nk unless every row has a w-pivot, and then the
+        # column of S for the earliest w-pivot block is zero, so only an
+        # empty kernel (nk == 0, above) ends the resolution
         drop = {wcols[t] for t in wpiv}
         sel = [t for t in range(nk) if t not in drop]
-        nu = len(sel)
-        if nu != nk - wrank:
-            raise CertificateError(
-                f"syzygy generators: {nu} selected, {nk} - {wrank} expected")
         self.nu_m.append(wrank)
-        self.diffs.append(Kr[sel].reshape(nu, bprev, D))
-        self.betti_head.append(nu)
-        if nu == 0:
-            self.finite = True
+        self.diffs.append(Kr[sel].reshape(len(sel), bprev, D))
+        self.betti_head.append(len(sel))
 
     def extend(self, steps: int, budget_stop: bool = False):
         """Materialize differentials up to index `steps`.  A step that would
@@ -386,7 +387,7 @@ class MinimalFreeResolution:
         head = J + TAIL_OVERLAP
         self.extend(head)
         while (head < J + TAIL_OVERLAP + HEAD_SLACK and not self.finite
-               and self.betti_head[head] * self.ring.dim <= SLACK_COLUMNS):
+               and self.betti_head[head] * self.ring.dim <= CHAIN_BUDGET):
             head += 1
             self.extend(head)
         e = self.ring.e
@@ -466,13 +467,6 @@ def syzygy(M: FiniteModule, i: int) -> FiniteModule:
     return res.syzygy(i)[0]
 
 
-def negative_syzygy(M: FiniteModule, i: int) -> FiniteModule:
-    """M_{-i} = (dual of the i-th syzygy of M*); needs m^2 M = 0."""
-    if radical_square_rows(M)[0].shape[0]:
-        raise RadicalSquareNonzero("negative syzygies need m^2 M = 0")
-    return matlis_dual(syzygy(matlis_dual(M), i))
-
-
 @dataclass
 class ChainMapLift:
     """Degreewise lifts f_i: F_i^A -> F_i^B of a map A -> B, as ring-entry
@@ -482,10 +476,6 @@ class ChainMapLift:
     source: MinimalFreeResolution
     target: MinimalFreeResolution
     maps: list[np.ndarray] = field(default_factory=list)
-
-    def kmat(self, i: int) -> np.ndarray:
-        ring = self.source.ring
-        return free_kmat(self.maps[i], ring.basis_reg, ring.p)
 
 
 def lift_chain_map(phi: ModuleMap, n: int) -> ChainMapLift:

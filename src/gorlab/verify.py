@@ -1,10 +1,14 @@
 """Seeded, bounded property suites for the structural results.
 
-Each check generates rings and modules from an explicit seed, tests a single
-statement on every generated instance, and returns a VerificationReport whose
-failures carry a reproducer (the seed and trial index).  Statements with
-hypotheses (e > 2 gates, m^2 M = 0, Koszulness filters) skip instances that
-violate them; a skip is never a failure.  "i >> 0" conclusions are
+Each check tests one statement, or the lemma suite eight, through per-trial
+functions (cfg, ring, t, rng) -> record that generate rings and modules from
+an explicit seed.  `run_check` is the one runner: it refuses e <= 2 for the
+statements that assume e > 2 (`NEEDS_E3`), builds the check's ring, runs
+trial t of each function with rng = default_rng(seed + offset + t), adds the
+trial index, and a lemma's name, to each record, and returns a
+VerificationReport whose failures carry a reproducer (the seed and trial
+index).  Statements with hypotheses (m^2 M = 0, Koszulness filters) skip
+instances that violate them; a skip is never a failure.  "i >> 0" conclusions are
 operationalized as: there exists s <= cutoff - margin with the property
 holding on [s, cutoff].
 """
@@ -124,12 +128,6 @@ def _fingerprint(M: FiniteModule) -> dict:
             "hilbert": [int(h) for h in hilbert_function(M)]}
 
 
-def _finish(check: str, cfg: TrialConfig, trials: list, t0: float) -> VerificationReport:
-    failures = [t for t in trials if t.get("status") == "fail"]
-    return VerificationReport(check, asdict(cfg), not failures, trials,
-                              failures, int((time.time() - t0) * 1000))
-
-
 def _judge(rec: dict, problems: list) -> dict:
     """rec with status "fail" and its problems if there are any, else
     status "pass"."""
@@ -148,140 +146,110 @@ def _zero_tail_start(ranks) -> int:
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# the four single-statement checks, one per-trial function each
 
 
-def verify_lofwall(cfg: TrialConfig) -> VerificationReport:
+def _lofwall(cfg: TrialConfig, _ring, t: int, rng) -> dict:
     """beta_i(k) equals the expansion of 1/(1 - e t + t^2) through the cutoff,
-    with b_0 = 1, b_1 = e and the three-term recurrence."""
-    t0 = time.time()
-    count = cfg.trials if cfg.form == "random" else 1
-
-    def one(i):
-        ring = _ring_for(cfg, i)
-        k = FiniteModule.residue_field(ring)
-        b = [int(x) for x in resolve(k, cfg.cutoff).betti(cfg.cutoff)]
-        expected = series.expand_rational([1], cfg.e, cfg.cutoff)
-        ok = (b == expected and b[0] == 1 and b[1] == cfg.e
-              and all(b[i + 1] == cfg.e * b[i] - b[i - 1]
-                      for i in range(1, cfg.cutoff)))
-        return {"trial": i, "status": "pass" if ok else "fail",
-                "betti": b, "expected": expected}
-
-    return _finish("lofwall", cfg, [one(i) for i in range(count)], t0)
+    with b_0 = 1, b_1 = e and the three-term recurrence, over the ring of
+    trial t (not the check's ring: a random form is drawn afresh per trial)."""
+    k = FiniteModule.residue_field(_ring_for(cfg, t))
+    b = [int(x) for x in resolve(k, cfg.cutoff).betti(cfg.cutoff)]
+    expected = series.expand_rational([1], cfg.e, cfg.cutoff)
+    ok = (b == expected and b[0] == 1 and b[1] == cfg.e
+          and all(b[i + 1] == cfg.e * b[i] - b[i - 1]
+                  for i in range(1, cfg.cutoff)))
+    return {"status": "pass" if ok else "fail", "betti": b, "expected": expected}
 
 
-def verify_main_theorem(cfg: TrialConfig) -> VerificationReport:
+def _main_theorem(cfg: TrialConfig, ring, t: int, rng) -> dict:
     """Per random pair (M, N): m Tor_i = m Ext^i = 0 on a tail [s, n];
     certify_rational succeeds on all four series; length = nu on the tail."""
-    if cfg.e <= 2:
-        raise ConfigError(
-            "the theorem assumes e > 2; run verify_counterexample_e2 instead")
-    t0 = time.time()
-    ring = _ring_for(cfg)
     n = cfg.cutoff
-
-    def one(t):
-        rng = np.random.default_rng(cfg.seed + t)
-        M = _draw_module(ring, cfg, rng)
-        N = _draw_module(ring, cfg, rng)
-        rec = {"trial": t, "M": _fingerprint(M), "N": _fingerprint(N)}
-        try:
-            ttab = homology.tor(M, N, n)
-            etab = homology.ext(M, N, n)
-            s = n + 1
-            for s_try in range(n, -1, -1):
-                if (ttab.entries[s_try].m_annihilated
-                        and etab.entries[s_try].m_annihilated):
-                    s = s_try
-                else:
-                    break
-            rec["s"] = s
-            problems = []
-            if s > n - cfg.margin:
-                problems.append(f"m-annihilation tail starts at {s}")
-            for label, ser in (
-                ("tor_nu", series.TruncatedIntegerSeries("tor_nu", ttab.nus())),
-                ("tor_length", series.TruncatedIntegerSeries("tor_length", ttab.lengths())),
-                ("ext_nu", series.TruncatedIntegerSeries("ext_nu", etab.nus())),
-                ("ext_length", series.TruncatedIntegerSeries("ext_length", etab.lengths())),
-            ):
-                try:
-                    cert = series.certify_rational(ser, cfg.e, cfg.margin)
-                    rec[label + "_s"] = cert.s
-                except InsufficientDegree as ex:
-                    problems.append(f"{label} not certified: {ex}")
-            for i in range(s, n + 1):
-                if ttab.entries[i].length != ttab.entries[i].nu:
-                    problems.append(f"tor length != nu at {i}")
-                if etab.entries[i].length != etab.entries[i].nu:
-                    problems.append(f"ext length != nu at {i}")
-            return _judge(rec, problems)
-        except GorlabError as ex:
-            return _judge(rec, [f"{type(ex).__name__}: {ex}"])
-
-    return _finish("main_theorem", cfg, [one(t) for t in range(cfg.trials)], t0)
+    M = _draw_module(ring, cfg, rng)
+    N = _draw_module(ring, cfg, rng)
+    rec = {"M": _fingerprint(M), "N": _fingerprint(N)}
+    try:
+        ttab = homology.tor(M, N, n)
+        etab = homology.ext(M, N, n)
+        s = n + 1
+        for s_try in range(n, -1, -1):
+            if (ttab.entries[s_try].m_annihilated
+                    and etab.entries[s_try].m_annihilated):
+                s = s_try
+            else:
+                break
+        rec["s"] = s
+        problems = []
+        if s > n - cfg.margin:
+            problems.append(f"m-annihilation tail starts at {s}")
+        for label, ser in (
+            ("tor_nu", series.TruncatedIntegerSeries("tor_nu", ttab.nus())),
+            ("tor_length", series.TruncatedIntegerSeries("tor_length", ttab.lengths())),
+            ("ext_nu", series.TruncatedIntegerSeries("ext_nu", etab.nus())),
+            ("ext_length", series.TruncatedIntegerSeries("ext_length", etab.lengths())),
+        ):
+            try:
+                cert = series.certify_rational(ser, cfg.e, cfg.margin)
+                rec[label + "_s"] = cert.s
+            except InsufficientDegree as ex:
+                problems.append(f"{label} not certified: {ex}")
+        for i in range(s, n + 1):
+            if ttab.entries[i].length != ttab.entries[i].nu:
+                problems.append(f"tor length != nu at {i}")
+            if etab.entries[i].length != etab.entries[i].nu:
+                problems.append(f"ext length != nu at {i}")
+        return _judge(rec, problems)
+    except GorlabError as ex:
+        return _judge(rec, [f"{type(ex).__name__}: {ex}"])
 
 
-def verify_vanishing_proposition(cfg: TrialConfig) -> VerificationReport:
+def _vanishing(cfg: TrialConfig, ring, t: int, rng) -> dict:
     """For Koszul M with m^2 M = 0 and arbitrary N, the induced maps
     Tor_i(iota_M, N) vanish on a tail; cyclic Koszul M obey the effective
     bound: zero for every i > nu(N*)."""
-    if cfg.e <= 2:
-        raise ConfigError("the proposition assumes e > 2")
-    t0 = time.time()
-    ring = _ring_for(cfg)
     n = cfg.cutoff
-
-    def one(t):
-        rng = np.random.default_rng(cfg.seed + t)
-        cyclic = t % 2 == 0
-        if cyclic:
-            M, _ = cyclic_module(ring, _draw_ideal_gens(ring, rng))
-        else:
-            M = _draw_module(ring, cfg, rng)
-        N = _draw_module(ring, cfg, rng)
-        rec = {"trial": t, "cyclic": cyclic, "M": _fingerprint(M),
-               "N": _fingerprint(N)}
-        if M.dim == 0 or radical_square_rows(M)[0].shape[0]:
-            rec["status"] = "skipped"
-            rec["reason"] = "m^2 M != 0 or M = 0"
-            return rec
-        verdict = koszul.is_koszul(M)
-        if not verdict.is_koszul():
-            rec["status"] = "skipped"
-            rec["reason"] = "M not Koszul"
-            return rec
-        ranks, certified = homology.iota_vanishing(M, N, n)
-        rec["ranks"] = [int(r) for r in ranks]
-        rec["certified_through"] = certified
-        problems = []
-        rec["s"] = s = _zero_tail_start(ranks)
-        if certified < n:
-            problems.append(f"vanishing tail only certified through {certified}")
-        elif s > n - cfg.margin:
-            problems.append(f"rank tail starts at {s}")
-        if cyclic:
-            bound = nu(matlis_dual(N))
-            rec["nu_dual"] = int(bound)
-            bad = [i for i in range(bound + 1, len(ranks)) if ranks[i] != 0]
-            if bad:
-                problems.append(f"cyclic bound violated at {bad}")
-        return _judge(rec, problems)
-
-    return _finish("vanishing_proposition", cfg,
-                   [one(t) for t in range(cfg.trials)], t0)
+    cyclic = t % 2 == 0
+    if cyclic:
+        M, _ = cyclic_module(ring, _draw_ideal_gens(ring, rng))
+    else:
+        M = _draw_module(ring, cfg, rng)
+    N = _draw_module(ring, cfg, rng)
+    rec = {"cyclic": cyclic, "M": _fingerprint(M), "N": _fingerprint(N)}
+    if M.dim == 0 or radical_square_rows(M)[0].shape[0]:
+        return dict(rec, status="skipped", reason="m^2 M != 0 or M = 0")
+    if not koszul.is_koszul(M).is_koszul():
+        return dict(rec, status="skipped", reason="M not Koszul")
+    ranks, certified = homology.iota_vanishing(M, N, n)
+    rec["ranks"] = [int(r) for r in ranks]
+    rec["certified_through"] = certified
+    problems = []
+    rec["s"] = s = _zero_tail_start(ranks)
+    if certified < n:
+        problems.append(f"vanishing tail only certified through {certified}")
+    elif s > n - cfg.margin:
+        problems.append(f"rank tail starts at {s}")
+    if cyclic:
+        bound = nu(matlis_dual(N))
+        rec["nu_dual"] = int(bound)
+        bad = [i for i in range(bound + 1, len(ranks)) if ranks[i] != 0]
+        if bad:
+            problems.append(f"cyclic bound violated at {bad}")
+    return _judge(rec, problems)
 
 
-def verify_counterexample_e2(cfg: TrialConfig) -> VerificationReport:
+def _e2_ring(cfg: TrialConfig) -> ShortGorensteinRing:
+    """R2 = k[x,y]/(x^2, y^2), the ring of the e = 2 counterexample."""
+    return make_ring(cfg.p, 2, hyperbolic_form(2))
+
+
+def _counterexample_e2(cfg: TrialConfig, ring, t: int, rng) -> dict:
     """Over R2 = k[x,y]/(x^2, y^2) with M = N = R/(x): Tor_i(M, N) is M
     itself for every i >= 1 (length 2, nu 1, not killed by m), the induced
     maps have rank 1, and beta_i(M) = 1; the nu series is still rational."""
-    t0 = time.time()
-    ring = make_ring(cfg.p, 2, hyperbolic_form(2))
     n = min(cfg.cutoff, 15)
     M, _ = cyclic_module(ring, [ring.x(1)])
-    rec = {"trial": 0, "M": _fingerprint(M)}
+    rec = {"M": _fingerprint(M)}
     problems = []
     # at e = 2 the window is the whole table, so the ranks run through n
     table, _, ranks = homology.length_count(M, M, n)
@@ -305,14 +273,11 @@ def verify_counterexample_e2(cfg: TrialConfig) -> VerificationReport:
                        "m-annihilation fails")
     except InsufficientDegree as ex:
         problems.append(f"nu series not certified: {ex}")
-    return _finish("counterexample_e2", cfg, [_judge(rec, problems)], t0)
+    return _judge(rec, problems)
 
 
 # ---------------------------------------------------------------------------
-# lemma suite
-#
-# Each lemma is one per-trial function (cfg, ring, t, rng) -> record; the
-# suite adds the "check" name and the trial index to every record.
+# lemma suite: the supporting lemmas, one per-trial function each
 
 
 def _first_syzygy_off_k(M: FiniteModule) -> FiniteModule | None:
@@ -502,44 +467,58 @@ def _annihilator(cfg: TrialConfig, ring, t: int, rng) -> dict:
                 candidates=candidates)
 
 
-# check name -> (per-trial function, seed offset, trials per cfg.trials);
-# trial t of a lemma draws from default_rng(cfg.seed + offset + t)
+def _per(k: int):
+    """The trial count of k trials per cfg.trials."""
+    return lambda cfg: k * cfg.trials
+
+
+# lemma -> (per-trial function, seed offset, trial count); trial t of a
+# lemma draws from default_rng(cfg.seed + offset + t)
 LEMMAS = {
-    "lescot": (_lescot, 1000, 4),
-    "betti_growth": (_betti_growth, 2000, 2),
-    "koszul_iff": (_koszul_iff, 3000, 8),
-    "tail_equivalence": (_tail_equivalence, 4000, 1),
-    "length_count": (_length_count, 5000, 1),
-    "hom_vanishing": (_hom_vanishing, 6000, 1),
-    "three_parts": (_three_parts, 8000, 1),
-    "annihilator": (_annihilator, 9000, 1),
+    "lescot": (_lescot, 1000, _per(4)),
+    "betti_growth": (_betti_growth, 2000, _per(2)),
+    "koszul_iff": (_koszul_iff, 3000, _per(8)),
+    "tail_equivalence": (_tail_equivalence, 4000, _per(1)),
+    "length_count": (_length_count, 5000, _per(1)),
+    "hom_vanishing": (_hom_vanishing, 6000, _per(1)),
+    "three_parts": (_three_parts, 8000, _per(1)),
+    "annihilator": (_annihilator, 9000, _per(1)),
 }
 
-
-def verify_lemma_suite(cfg: TrialConfig) -> VerificationReport:
-    """Bundle of the supporting lemmas: Lescot formulas, cyclic Betti growth,
-    R/I Koszul iff I != m^2, tail equivalence between M and M_1, length-count
-    equality vs induced-rank vanishing, Hom vanishing, split extensions, and
-    the (soft) annihilator search."""
-    t0 = time.time()
-    ring = _ring_for(cfg)
-    trials = [{"check": name, "trial": t,
-               **fn(cfg, ring, t, np.random.default_rng(cfg.seed + offset + t))}
-              for name, (fn, offset, per) in LEMMAS.items()
-              for t in range(per * cfg.trials)]
-    return _finish("lemma_suite", cfg, trials, t0)
-
-
+# check -> (report name, ring builder, lemmas); a check that tests a single
+# statement has the one lemma None, whose records carry no "check" name
 CHECKS = {
-    "lofwall": verify_lofwall,
-    "main-theorem": verify_main_theorem,
-    "vanishing": verify_vanishing_proposition,
-    "counterexample-e2": verify_counterexample_e2,
-    "lemma-suite": verify_lemma_suite,
+    "lofwall": ("lofwall", _ring_for, {None: (
+        _lofwall, 0, lambda cfg: cfg.trials if cfg.form == "random" else 1)}),
+    "main-theorem": ("main_theorem", _ring_for, {None: (_main_theorem, 0, _per(1))}),
+    "vanishing": ("vanishing_proposition", _ring_for, {None: (_vanishing, 0, _per(1))}),
+    "counterexample-e2": ("counterexample_e2", _e2_ring, {None: (
+        _counterexample_e2, 0, lambda cfg: 1)}),
+    "lemma-suite": ("lemma_suite", _ring_for, LEMMAS),
+}
+
+# checks whose statement assumes e > 2 -> their refusal at e <= 2
+NEEDS_E3 = {
+    "main-theorem": "the theorem assumes e > 2; run the check counterexample-e2 instead",
+    "vanishing": "the proposition assumes e > 2",
 }
 
 
 def run_check(name: str, cfg: TrialConfig) -> VerificationReport:
+    """Run every trial of every lemma of the check `name`, in table order,
+    on the check's ring; the report fails when any record has status
+    "fail"."""
     if name not in CHECKS:
         raise ConfigError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
-    return CHECKS[name](cfg)
+    if cfg.e <= 2 and name in NEEDS_E3:
+        raise ConfigError(NEEDS_E3[name])
+    t0 = time.time()
+    report, ring_for, lemmas = CHECKS[name]
+    ring = ring_for(cfg)
+    trials = [{**({"check": lemma} if lemma else {}), "trial": t,
+               **fn(cfg, ring, t, np.random.default_rng(cfg.seed + offset + t))}
+              for lemma, (fn, offset, count) in lemmas.items()
+              for t in range(count(cfg))]
+    failures = [rec for rec in trials if rec.get("status") == "fail"]
+    return VerificationReport(report, asdict(cfg), not failures, trials,
+                              failures, int((time.time() - t0) * 1000))

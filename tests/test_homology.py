@@ -129,7 +129,7 @@ def test_certified_tail_cross_checked_against_honest(R3, monkeypatch):
     M = random_module(R3, 1, 2, seed=30)
     N = random_module(R3, 1, 1, seed=31)
     honest = tor(M, N, 12)
-    monkeypatch.setattr(hm, "TOR_BUDGET", 60)
+    monkeypatch.setattr(rs, "CHAIN_BUDGET", 60)
     frugal = tor(M, N, 12)
     assert frugal.lengths() == honest.lengths()
     assert frugal.nus() == honest.nus()
@@ -151,6 +151,14 @@ def test_free_module_takes_the_finite_resolution_edges(R3):
 def _sha(table, induced=None):
     text = io.canonical_json(io.table_to_dict(table, induced))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_ext_dual_tail_over_k_is_pinned(R3):
+    # Ext(k, R) takes its tail from tor(k, R*), a k^a table with a free N;
+    # sha256 recorded before Ext's dual tail moved into _build_table
+    k, R = FiniteModule.residue_field(R3), FiniteModule.free(R3, 1)
+    assert _sha(ext(k, R, 25)) == \
+        "fca797257bede3864a5e878b5a8c9153858b5bd8221e5536d01db0dac71ce78c"
 
 
 def test_table_bytes_do_not_depend_on_history():

@@ -3,14 +3,9 @@ import pytest
 
 from gorlab import FiniteModule, direct_sum, is_koszul, koszul_series_check, nu
 from gorlab.errors import RadicalSquareNonzero
-from gorlab.koszul import (
-    KOSZUL,
-    NOT_KOSZUL,
-    k_negative,
-    split_off_k_witness,
-)
-from gorlab.modules import radical_rows
-from gorlab.resolution import k_syzygy_dims
+from gorlab.koszul import KOSZUL, NOT_KOSZUL, split_off_k_witness
+from gorlab.modules import matlis_dual, radical_rows
+from gorlab.resolution import k_syzygy_dims, residue_field_module, syzygy
 
 
 def test_residue_field_is_koszul(k3):
@@ -53,6 +48,12 @@ def test_i_max_respects_dimension_bound(R3, k3):
     v = is_koszul(k3)
     dims = k_syzygy_dims(R3, k3.dim)
     assert v.i_max == len(dims) - 2
+
+
+def k_negative(ring, i):
+    """k_{-i} = (the i-th syzygy of k*)*, the i-th negative syzygy of the
+    residue field: the oracle of the dimension bound of the Koszul test."""
+    return matlis_dual(syzygy(matlis_dual(residue_field_module(ring)), i))
 
 
 def test_k_negative_dims(R3):

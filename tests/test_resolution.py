@@ -23,7 +23,7 @@ from gorlab import (
     resolve,
 )
 import gorlab.resolution as rs
-from gorlab.errors import CertificateError, NotMaterialized
+from gorlab.errors import CertificateError, NotMaterialized, RadicalSquareNonzero
 from gorlab.linalg import kernel_array, rank_array, row_space, rref_array
 from gorlab.resolution import (
     DEFAULT_BUDGET,
@@ -33,10 +33,9 @@ from gorlab.resolution import (
     k_resolution,
     k_syzygy_dims,
     lift_chain_map,
-    negative_syzygy,
     syzygy,
 )
-from gorlab.modules import ModuleMap, socle_rows
+from gorlab.modules import ModuleMap, matlis_dual, radical_square_rows, socle_rows
 
 # Betti numbers of k over the e = 3 ring: expansion of 1/(1 - 3t + t^2)
 K3_BETTI = [1, 3, 8, 21, 55, 144, 377, 987, 2584, 6765, 17711]
@@ -183,6 +182,14 @@ def test_syzygy_module_dims(k3, R3):
         assert syzygy(k3, i).dim == dims[i]
 
 
+def negative_syzygy(M, i):
+    """M_{-i} = (the i-th syzygy of M*)*, for m^2 M = 0: the oracle of the
+    negative syzygies pinned below."""
+    if radical_square_rows(M)[0].shape[0]:
+        raise RadicalSquareNonzero("negative syzygies need m^2 M = 0")
+    return matlis_dual(syzygy(matlis_dual(M), i))
+
+
 def test_negative_syzygy_inverts_syzygy(k3, R3):
     N = negative_syzygy(k3, 1)
     back = syzygy(N, 1)
@@ -198,7 +205,7 @@ def test_lift_chain_map_identity(R3):
     lift = lift_chain_map(ident, 4)
     res = resolve(M, 4)
     for i in range(5):
-        F = lift.kmat(i)
+        F = free_kmat(lift.maps[i], R3.basis_reg, 101)
         b = res.betti(4)[i]
         assert F.shape == (b * R3.dim, b * R3.dim)
         # lifting the identity gives an isomorphism in every degree

@@ -93,16 +93,39 @@ def test_every_module_level_import_is_used():
     assert not unused, f"imports never used: {unused}"
 
 
-def test_every_private_function_is_read():
-    # a module-level helper that no gorlab code reads and the benchmark
-    # does not trace is a route a refactor left behind
-    used = {part for names in _tracing().TARGETS.values()
+def _trace_names() -> set:
+    """Every name in the benchmark's trace targets, methods split."""
+    return {part for names in _tracing().TARGETS.values()
             for name in names for part in name.split(".")}
+
+
+def _unread(private: bool, used: set) -> list:
+    """The module-level private (or public) functions of the package whose
+    names neither gorlab code nor `used` reads."""
     defined = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        used |= _names_read(tree)
+        used = used | _names_read(tree)
         defined += [f"{path.name}:{node.lineno} {node.name}" for node in tree.body
-                    if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
-    unread = [d for d in defined if d.split()[1] not in used]
-    assert defined and not unread, f"private functions never read: {unread}"
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_") == private]
+    assert defined, "package sources not found"
+    return [d for d in defined if d.split()[1] not in used]
+
+
+def test_every_private_function_is_read():
+    # a module-level helper that no gorlab code reads and the benchmark
+    # does not trace is a route a refactor left behind
+    unread = _unread(True, _trace_names())
+    assert not unread, f"private functions never read: {unread}"
+
+
+def test_every_public_function_is_read():
+    # a public function that no gorlab code reads, the package does not
+    # export and the benchmark neither reads nor traces serves only the
+    # tests, which keep it as an oracle instead
+    used = set(gorlab.__all__) | _trace_names()
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        used |= _names_read(ast.parse(path.read_text(), str(path)))
+    unread = _unread(False, used)
+    assert not unread, f"public functions only tests read: {unread}"

@@ -26,6 +26,15 @@ def test_lofwall_passes():
         "9f1631e3a1cdc8caf4c47651e08678a39b77d6b08ac574603e22c5e93e9e3b4f"
 
 
+def test_lofwall_random_form_runs_one_ring_per_trial():
+    # one random form per trial; sha256 recorded before the checks shared
+    # one runner
+    report = run_check("lofwall", small(form="random"))
+    assert report.passed and len(report.trials) == 3
+    assert sha256(report) == \
+        "3cb3292c756c23611f575135fd3d260bc4a604eec71ae14df57358b89f7dcda8"
+
+
 def test_main_theorem_passes():
     report = run_check("main-theorem", small(trials=2, cutoff=15))
     assert report.passed, report.failures
@@ -68,8 +77,17 @@ def test_config_validation():
         TrialConfig(trials=0)
     with pytest.raises(ConfigError):
         TrialConfig(form="diagonalish")
-    with pytest.raises(ConfigError):
-        run_check("main-theorem", small(e=2))
+
+
+def test_e2_refusals():
+    # the two statements that assume e > 2 refuse e = 2 with these texts
+    for check, text in (
+            ("main-theorem",
+             "the theorem assumes e > 2; run the check counterexample-e2 instead"),
+            ("vanishing", "the proposition assumes e > 2")):
+        with pytest.raises(ConfigError) as ex:
+            run_check(check, small(e=2))
+        assert str(ex.value) == text
 
 
 def test_reports_are_deterministic():
