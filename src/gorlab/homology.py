@@ -38,16 +38,18 @@ N and n alone, so a table never depends on how deep an earlier call pushed
 the cached resolution.  A Tor table is honest through n when every chain
 module F_j (x) N, j <= n + 1, has at most `resolution.CHAIN_BUDGET`
 dimensions, the bound the resolution's slack degrees also read; otherwise
-its window starts at J + TOR_MARGIN + 1 and deepens one degree at a time
-while the next module has at most MAX_WINDOW_ROWS.  Ext and `tor_induced`
-take the largest window within CHAIN_BUDGET, and Ext no deeper than the
-window of tor(M, N*), whose entries it serves past its own.  `_window`
-computes one degree at a time and keeps it, and the head is extended only
-when a window reads a differential, so a deeper window computes only its new
-degree.  Before each degree `_window` estimates the bytes it will hold from
-the Betti numbers and the layer block, and `guard_memory` refuses it with
-NotMaterialized when the process cannot get them, the same guard that
-refuses resolution steps.
+it reads degrees 0, 1, ... and checks the length-count margin at each degree
+from J + TOR_MARGIN + 1 on, going one degree deeper while the next module
+has at most MAX_WINDOW_ROWS.  Ext and `tor_induced` take the largest window
+within CHAIN_BUDGET, and Ext no deeper than the window of tor(M, N*), whose
+entries it serves past its own.  `_window` yields one degree at a time and
+builds each block once, and the head is extended only when it reads a
+differential, so every table computes each degree once; `tor_induced` reads
+the lifts of `lift_chain_map` and the windows of its source and target
+together, degree by degree.  Before each degree `_window` estimates the
+bytes it will hold from the Betti numbers and the layer block, and
+`guard_memory` refuses it with NotMaterialized when the process cannot get
+them, the same guard that refuses resolution steps.
 
 Degrees past the materialized window are certified by the length count of
 a module X with m^2 X = 0, where L_t is the image of Tor_t(iota_X, N):
@@ -74,6 +76,7 @@ import numpy as np
 from . import linalg, resolution
 from .errors import (
     CertificateError,
+    GorlabError,
     InsufficientDegree,
     RadicalSquareNonzero,
     RingMismatch,
@@ -283,14 +286,13 @@ class _Homology:
                               # coords), whose common zeros are the boundaries
 
 
-def _window(N: FiniteModule, diff, ranks, step: int, block, windows):
-    """Honest homology of a complex of k-spaces built on N, for each window
-    w of the increasing `windows` in turn: yields (w, degrees 0..w).  The
-    degrees are computed one at a time and kept, so a deeper window computes
-    only its new ones, and `windows` is read lazily.  diff(i) is the map out
-    of degree i, diff(i + step) the map into it (step +1 for a chain
-    complex, -1 for a cochain complex); ranks(i) is the number of copies of
-    N in degree i, 0 outside the complex.
+def _window(N: FiniteModule, diff, ranks, step: int, block, last: int):
+    """Honest homology of a complex of k-spaces built on N: yields one
+    `_Homology` per degree 0..last, in order, so a caller stops reading once
+    it has what it needs.  diff(i) is the map out of degree i, diff(i + step)
+    the map into it (step +1 for a chain complex, -1 for a cochain complex);
+    ranks(i) is the number of copies of N in degree i, 0 outside the
+    complex.
 
     block = (s, t): every differential vanishes outside the first s columns
     and the last t rows of each N-block, and diff(j) returns only that
@@ -306,11 +308,11 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, windows):
     in A_{i+step}: its rank is rows - dim K, which must equal the rank
     cols - nullity that the degree reading it as its map out finds, or
     CertificateError is raised, and the radical excess is a rank against K
-    (`_radical_excess`).  At most two blocks are held: before the radical
-    excess, every one that degree i + 1 will not read is dropped, and at
-    the last degree of a window all of them (a deeper window builds the one
-    it reads again).  Before a degree builds anything, `guard_memory`
-    checks the bytes it will hold (`_degree_bytes`)."""
+    (`_radical_excess`).  Each block is built once and at most two are
+    held: before the radical excess, every one that degree i + 1 will not
+    read is dropped, and at degree `last` all of them.  Before a degree
+    builds anything, `guard_memory` checks the bytes it will hold
+    (`_degree_bytes`)."""
     p, d = N.ring.p, N.dim
     s = block[0]
     kind = "Tor" if step > 0 else "Ext"
@@ -334,28 +336,25 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, windows):
                 f"{ranks_of[j][1]} and {r} from its {how}")
         return r
 
-    out: list[_Homology] = []
-    for w in windows:
-        for i in range(len(out), w + 1):
-            guard_memory(_degree_bytes(ranks(i - step), ranks(i),
-                                       ranks(i + step), block, N.ring.e),
-                         f"{kind} degree {i}")
-            rows, cols, vals, (m, n) = mat(i)
-            Z, _ = linalg.kernel_triplets(rows, cols, vals, (m, n), p)
-            check_rank(i, n - Z.shape[0], "kernel")
-            rows, cols, vals, (m, n) = mat(i + step)
-            K, _ = linalg.kernel_triplets(cols, rows, vals, (n, m), p)
-            li = Z.shape[0] + ranks(i) * (d - s) - check_rank(
-                i + step, m - K.shape[0], "left kernel")
-            if li < 0:
-                raise CertificateError(f"negative {kind} length {li} in degree {i}")
-            # a block dropped below must not stay alive for the excess
-            del rows, cols, vals
-            for j in [j for j in mats if i == w or j not in (i + 1, i + 1 + step)]:
-                del mats[j]
-            extra = _radical_excess(N, Z, K, block)
-            out.append(_Homology(li, li - extra, extra == 0, Z, K))
-        yield w, out
+    for i in range(last + 1):
+        guard_memory(_degree_bytes(ranks(i - step), ranks(i),
+                                   ranks(i + step), block, N.ring.e),
+                     f"{kind} degree {i}")
+        rows, cols, vals, (m, n) = mat(i)
+        Z, _ = linalg.kernel_triplets(rows, cols, vals, (m, n), p)
+        check_rank(i, n - Z.shape[0], "kernel")
+        rows, cols, vals, (m, n) = mat(i + step)
+        K, _ = linalg.kernel_triplets(cols, rows, vals, (n, m), p)
+        li = Z.shape[0] + ranks(i) * (d - s) - check_rank(
+            i + step, m - K.shape[0], "left kernel")
+        if li < 0:
+            raise CertificateError(f"negative {kind} length {li} in degree {i}")
+        # a block dropped below must not stay alive for the excess
+        del rows, cols, vals
+        for j in [j for j in mats if i == last or j not in (i + 1, i + 1 + step)]:
+            del mats[j]
+        extra = _radical_excess(N, Z, K, block)
+        yield _Homology(li, li - extra, extra == 0, Z, K)
 
 
 def _degree_bytes(a: int, b: int, c: int, block, e: int) -> int:
@@ -382,22 +381,15 @@ def _degree_bytes(a: int, b: int, c: int, block, e: int) -> int:
                    X2 + Z + 3 * K + chunk * (b * s + 4 * e * b * t))
 
 
-def _honest(window, res: MinimalFreeResolution, N: FiniteModule,
-            w: int) -> list[_Homology]:
-    """Degrees 0..w of the one window w of `_homology_window` or
-    `_cohomology_window`."""
-    return next(window(res, N, [w]))[1]
-
-
 def _ranks(res: MinimalFreeResolution):
     """beta_i for i >= 0 (certified past the head), 0 below."""
     return lambda i: res.betti(i)[i] if i >= 0 else 0
 
 
-def _homology_window(res: MinimalFreeResolution, N: FiniteModule, windows):
+def _homology_window(res: MinimalFreeResolution, N: FiniteModule, last: int):
     """Honest Tor homology of F_*(res.module) tensor N, on the Loewy copy of
-    N, over each of `windows` in turn (see `_window`); each differential is
-    materialized when a window first reads it."""
+    N, degree by degree through `last` (see `_window`); each differential is
+    materialized when the window first reads it."""
     L, layers = _loewy(N)
     s, t = block = _block(layers)
     beta = _ranks(res)
@@ -409,21 +401,23 @@ def _homology_window(res: MinimalFreeResolution, N: FiniteModule, windows):
             return _tor_block(res.diff(i), L, layers)
         return _no_entries(beta(i - 1) * t, beta(i) * s)
 
-    return _window(L, diff, beta, 1, block, windows)
+    return _window(L, diff, beta, 1, block, last)
 
 
 def _plan(beta, J: int | None, d: int, n: int) -> range:
-    """The windows to try for a table through degree n, in order: a pure
-    function of M's certified Betti numbers beta (through n + 1), its
-    junction J, d = dim N and n, reading `resolution.CHAIN_BUDGET` and
-    MAX_WINDOW_ROWS when called.  Chain module j has dimension beta_j d.
+    """The degrees at which the honest head of a table through degree n may
+    end, in order: a pure function of M's certified Betti numbers beta
+    (through n + 1), its junction J, d = dim N and n, reading
+    `resolution.CHAIN_BUDGET` and MAX_WINDOW_ROWS when called.  Chain
+    module j has dimension beta_j d.  The table computes degrees 0, 1, ...
+    through at most the last of them, and checks the margin at each one.
 
-    With J None (Ext and tor_induced) the one window is the largest w <= n
+    With J None (Ext and tor_induced) the one degree is the largest w <= n
     whose modules j <= w + 1 fit CHAIN_BUDGET, or 0.  With J it is n when that
-    largest w is n; else J + TOR_MARGIN + 1 (capped at n), the first window
-    with room for a full margin above J + 1, where the length count may
-    legitimately fail, followed by one degree more at a time, through n,
-    while the next module, of dimension beta_{w+1} d, fits MAX_WINDOW_ROWS."""
+    largest w is n; else the degrees run from J + TOR_MARGIN + 1 (capped at
+    n), the first with room for a full margin above J + 1, where the length
+    count may legitimately fail, and go on one at a time, through n, while
+    the next module, of dimension beta_{w+1} d, fits MAX_WINDOW_ROWS."""
     dims = [b * d for b in beta[:n + 2]]
     w = n
     while w > 0 and max(dims[:w + 2]) > resolution.CHAIN_BUDGET:
@@ -467,13 +461,15 @@ def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
     the length count past M's junction."""
     if M.ring != N.ring:
         raise RingMismatch("modules over different rings")
+    if n < 0:
+        raise GorlabError(f"negative degree {n}")
     res = resolve(M, max(n, 1))
     if N.dim == 0 or M.dim == 0:
         ent = [TorEntry(i, 0, 0, True, COMPUTED) for i in range(n + 1)]
         return kind(M, N, ent, n, None)
     if res.finite:
         w = min(n, res.head)
-        ent = _computed(_honest(window, res, N, w))
+        ent = _computed(window(res, N, w))
         ent += [TorEntry(i, 0, 0, True, COMPUTED) for i in range(w + 1, n + 1)]
         return kind(M, N, ent, w, None)
 
@@ -484,7 +480,7 @@ def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
         # nu agree
         tdual = tor(M, matlis_dual(N), n)
         w, = _plan(res.betti(n + 1), None, N.dim, tdual.window)
-        ent = _computed(_honest(window, res, N, w))
+        ent = _computed(window(res, N, w))
         for i in range(len(ent)):
             if ent[i].length != tdual.entries[i].length:
                 raise CertificateError(f"Ext/Tor duality violated at degree {i}")
@@ -507,20 +503,26 @@ def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
         # finite projective dimension over an artinian local ring forces N
         # free, and a free module is also injective here (R is self-injective)
         # so both Tor and Ext vanish exactly in positive degrees
-        ent = _computed(_honest(window, res, N, 0))
+        ent = _computed(window(res, N, 0))
         ent += [TorEntry(i, 0, 0, True, COMPUTED) for i in range(1, n + 1)]
         return kind(M, N, ent, n, None)
 
     J = res.tail_certificate().junction
-    for w, hom in window(res, N, _plan(res.betti(n + 1), J, N.dim, n)):
-        if n <= w:
-            return kind(M, N, _computed(hom), w, None)
-        # certify: equality of honest lengths with the length count of the
-        # junction syzygy X = M_J, Tor_i(M, N) = Tor_{i-J}(X, N) for i > J
+    plan = _plan(res.betti(n + 1), J, N.dim, n)
+    if plan[0] < n:
+        # the length count of the junction syzygy X = M_J, as
+        # Tor_i(M, N) = Tor_{i-J}(X, N) for i > J
         tail = [0] * J + _base(res.betti_head[J], res.nu_m[J - 1],
                                resolve(N, n - J + 1).betti(n - J))
-        if _margin([h.length for h in hom], tail, J, w) >= TOR_MARGIN:
-            ent = _computed(hom)
+    ent = []
+    for w, h in enumerate(window(res, N, plan[-1])):
+        ent.append(TorEntry(w, h.length, h.nu, h.m_annihilated, COMPUTED))
+        if w == n:
+            return kind(M, N, ent, w, None)
+        # certify: equality of the honest lengths with the length count on
+        # a margin of degrees, from the plan's first degree on
+        lengths = [t.length for t in ent]
+        if w >= plan[0] and _margin(lengths, tail, J, w) >= TOR_MARGIN:
             for i in range(w + 1, n + 1):
                 if tail[i] < 0:
                     raise CertificateError(
@@ -537,10 +539,10 @@ def tor(M: FiniteModule, N: FiniteModule, n: int) -> TorTable:
     return _build_table(M, N, n, TorTable, _homology_window)
 
 
-def _cohomology_window(res: MinimalFreeResolution, N: FiniteModule, windows):
+def _cohomology_window(res: MinimalFreeResolution, N: FiniteModule, last: int):
     """Honest Ext cohomology of Hom(F_*(res.module), N), on N's own basis
-    with the full matrices (the trivial block), over each of `windows` in
-    turn (see `_window`)."""
+    with the full matrices (the trivial block), degree by degree through
+    `last` (see `_window`)."""
     d = N.dim
     beta = _ranks(res)
 
@@ -551,7 +553,7 @@ def _cohomology_window(res: MinimalFreeResolution, N: FiniteModule, windows):
             return _ext_diff(res.diff(i + 1), N)
         return _no_entries(beta(i + 1) * d, beta(i) * d)
 
-    return _window(N, diff, beta, -1, (d, d), windows)
+    return _window(N, diff, beta, -1, (d, d), last)
 
 
 def ext(M: FiniteModule, N: FiniteModule, n: int) -> ExtTable:
@@ -577,39 +579,38 @@ def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResul
     A, B = phi.source, phi.target
     if N.ring != A.ring:
         raise RingMismatch("modules over different rings")
+    if n < 0:
+        raise GorlabError(f"negative degree {n}")
     p = N.ring.p
     ra = resolve(A, max(n, 1))
     rb = resolve(B, max(n, 1))
     w = min([n] + [r.head for r in (ra, rb) if r.finite])
     for r in (ra, rb):
         w, = _plan(r.betti(n + 1), None, N.dim, w)
-    lift = lift_chain_map(phi, w)
-    ha = _honest(_homology_window, ra, N, w)
-    hb = _honest(_homology_window, rb, N, w)
     L, layers = _loewy(N)
     s, t = _block(layers)
     d = L.dim
     out = []
-    for i in range(w + 1):
-        h = hb[i]
+    for i, (f, ha, hb) in enumerate(zip(lift_chain_map(phi, w),
+                                        _homology_window(ra, N, w),
+                                        _homology_window(rb, N, w))):
         rank = 0
-        if h.length:
+        if hb.length:
             a, b = ra.betti_head[i], rb.betti_head[i]
             # the cycles of A and the boundaries of B in all coordinates of L
-            Z = np.concatenate([_embed(ha[i].cycles, a, 0, s, d),
+            Z = np.concatenate([_embed(ha.cycles, a, 0, s, d),
                                 _embed(np.eye(a * (d - s), dtype=np.int64),
                                        a, s, d, d)])
-            img = linalg.matmul_mod(Z, free_kmat(lift.maps[i], L.all_ops, p).T, p)
+            img = linalg.matmul_mod(Z, free_kmat(f, L.all_ops, p).T, p)
             # the boundaries of B are the common zeros of its left kernel in
             # the last t coordinates of each copy and of the unit vectors on
             # the first d - t: the rank of the induced map on homology, the
             # rank of the images modulo boundaries, is that of img K_full^T
-            K = np.concatenate([_embed(h.left_kernel, b, d - t, d, d),
+            K = np.concatenate([_embed(hb.left_kernel, b, d - t, d, d),
                                 _embed(np.eye(b * (d - t), dtype=np.int64),
                                        b, 0, d - t, d)])
             rank = linalg.rank_array(linalg.matmul_mod(img, K.T, p), p)
-        out.append(InducedMapResult(i, rank, ha[i].length, hb[i].length,
-                                    COMPUTED))
+        out.append(InducedMapResult(i, rank, ha.length, hb.length, COMPUTED))
     return out
 
 

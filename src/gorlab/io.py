@@ -196,7 +196,7 @@ def load_ring(path: str) -> ShortGorensteinRing:
 
 def canonical_presentation(M: FiniteModule) -> Presentation:
     """Minimal cover plus first-syzygy relation matrix."""
-    res = resolve(M, 1)
+    res = resolve(M, 1, min_head=1)
     g = res.betti_head[0]
     r = res.betti_head[1] if len(res.betti_head) > 1 else 0
     if r == 0:

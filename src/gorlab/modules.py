@@ -131,23 +131,6 @@ class ModuleMap:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ (np.asarray(v, dtype=np.int64)) % self.source.ring.p
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise RingMismatch("maps do not compose")
-        return ModuleMap(other.source, self.target,
-                         self.matrix @ other.matrix % self.source.ring.p)
-
-    def rank(self) -> int:
-        return linalg.rank_array(self.matrix, self.source.ring.p)
-
-    def dual(self) -> "ModuleMap":
-        return ModuleMap(matlis_dual(self.target), matlis_dual(self.source),
-                         self.matrix.T)
-
 
 # ---------------------------------------------------------------------------
 # sub/quotient machinery.  Subspaces are handed around as rref rows + pivots.

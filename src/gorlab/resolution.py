@@ -66,12 +66,12 @@ dim M_i = beta_{i-1} (e+2) - dim M_{i-1} (`syzygy_dims`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import CertificateError, NotMaterialized
+from .errors import CertificateError, GorlabError, NotMaterialized
 from .modules import (
     FiniteModule,
     ModuleMap,
@@ -204,12 +204,11 @@ class MinimalFreeResolution:
         ring = module.ring
         self.module = module
         self.ring = ring
-        U, piv = radical_rows(module)
-        pivset = set(piv)
-        self.gen_cols = [c for c in range(module.dim) if c not in pivset]
-        b0 = len(self.gen_cols)
+        pivset = set(radical_rows(module)[1])
+        gens = [c for c in range(module.dim) if c not in pivset]
+        b0 = len(gens)
         D = ring.dim
-        C = module.all_ops[:, :, self.gen_cols].transpose(1, 2, 0).reshape(module.dim, b0 * D)
+        C = module.all_ops[:, :, gens].transpose(1, 2, 0).reshape(module.dim, b0 * D)
         self.cover_matrix = C % ring.p
         self.betti_head = [b0]
         self.diffs: list[np.ndarray] = []    # diffs[i-1] = del_i, shape (b_i, b_{i-1}, D)
@@ -378,7 +377,10 @@ class MinimalFreeResolution:
         return i_max + 1
 
     def _ensure_tail(self):
-        if self._tail is not None or self.finite:
+        # a finite resolution is certified too (no slack or Lescot degree
+        # past J), so the certificate is the same whether or not the head
+        # ended before the first call
+        if self._tail is not None:
             return
         J = self.junction()
         # the head through J + TAIL_OVERLAP, then optional slack degrees
@@ -404,7 +406,7 @@ class MinimalFreeResolution:
                     f"nu(m M_{j + 1}) != nu(M_{j}) past the junction J={J}")
         self._tail = TailCertificate(J, min(head, self.head))
 
-    def tail_certificate(self) -> TailCertificate | None:
+    def tail_certificate(self) -> TailCertificate:
         self._ensure_tail()
         return self._tail
 
@@ -412,6 +414,8 @@ class MinimalFreeResolution:
 
     def betti(self, n: int) -> list[int]:
         """Exact Betti numbers beta_0..beta_n (tail degrees certified)."""
+        if n < 0:
+            raise GorlabError(f"negative degree {n}")
         if n < len(self.betti_head):
             return self.betti_head[: n + 1]
         if self.finite:
@@ -467,55 +471,30 @@ def syzygy(M: FiniteModule, i: int) -> FiniteModule:
     return res.syzygy(i)[0]
 
 
-@dataclass
-class ChainMapLift:
-    """Degreewise lifts f_i: F_i^A -> F_i^B of a map A -> B, as ring-entry
-    arrays (beta_i(A), beta_i(B), e+2)."""
-
-    phi: ModuleMap
-    source: MinimalFreeResolution
-    target: MinimalFreeResolution
-    maps: list[np.ndarray] = field(default_factory=list)
-
-
-def lift_chain_map(phi: ModuleMap, n: int) -> ChainMapLift:
-    """Lift phi: A -> B to chain maps between minimal resolutions, degrees
-    0..n (capped at the materialized heads)."""
+def lift_chain_map(phi: ModuleMap, n: int) -> list[np.ndarray]:
+    """Lifts f_i: F_i^A -> F_i^B of phi: A -> B to the minimal resolutions,
+    as ring-entry arrays (beta_i(A), beta_i(B), e+2), for degrees 0..n
+    (capped at the materialized heads).  The cover is del_0 and phi is
+    f_{-1}: f_i solves del_i^B f_i = f_{i-1} del_i^A, for i = 0 too."""
     A, B = phi.source, phi.target
     ring = A.ring
-    p = ring.p
-    D = ring.dim
+    p, D = ring.p, ring.dim
     ra = resolve(A, n, min_head=n)
     rb = resolve(B, n, min_head=n)
-    depth = min(n, ra.head, rb.head)
-    lift = ChainMapLift(phi, ra, rb)
-    # degree 0: cover_B . f0 = phi . cover_A, solved on the free generators
-    ga = ra.betti_head[0]
-    gens_a = A.all_ops[0][:, ra.gen_cols]  # columns are the chosen generators
-    rhs = phi.matrix @ gens_a % p
-    sols = linalg.solve_many(rb.cover_matrix, rhs, p)
-    f = np.zeros((ga, rb.betti_head[0], D), dtype=np.int64)
-    for a, x in enumerate(sols):
-        if x is None:
-            raise CertificateError("cover is surjective, yet no degree-0 lift")
-        f[a] = x.reshape(rb.betti_head[0], D)
-    lift.maps.append(f)
-    for i in range(1, depth + 1):
+    lifts: list[np.ndarray] = []
+    for i in range(min(n, ra.head, rb.head) + 1):
+        prev = phi.matrix if i == 0 else free_kmat(lifts[-1], ring.basis_reg, p)
         # it suffices to solve on the free generators: column a*D of the
-        # k-matrix of del_i is del_i(gen a), i.e. row a of the entry array
-        Ga = ra.diff(i)
-        bi_a, bi_b = ra.betti_head[i], rb.betti_head[i]
-        fprev = free_kmat(lift.maps[i - 1], ring.basis_reg, p)
-        rhs = fprev @ Ga.reshape(bi_a, -1).T % p
-        sols = linalg.solve_many(rb.kmat(i), rhs, p)
-        arr = np.zeros((bi_a, bi_b, D), dtype=np.int64)
-        for a, x in enumerate(sols):
+        # k-matrix of del_i is the image of generator a
+        rhs = prev @ ra.kmat(i)[:, ::D] % p
+        f = np.zeros((ra.betti_head[i], rb.betti_head[i], D), dtype=np.int64)
+        for a, x in enumerate(linalg.solve_many(rb.kmat(i), rhs, p)):
             if x is None:
                 raise CertificateError(
-                    f"resolution is acyclic, yet no lift in degree {i}")
-            arr[a] = x.reshape(bi_b, D)
-        lift.maps.append(arr)
-    return lift
+                    f"resolution is exact, yet no lift in degree {i}")
+            f[a] = x.reshape(rb.betti_head[i], D)
+        lifts.append(f)
+    return lifts
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,6 @@ class ShortGorensteinRing:
     def element(self, coeffs) -> "RingElement":
         return RingElement(self, coeffs)
 
-    def one(self) -> "RingElement":
-        c = np.zeros(self.dim, dtype=np.int64)
-        c[0] = 1
-        return RingElement(self, c)
-
     def x(self, i: int) -> "RingElement":
         """The i-th degree-one generator, 1-based."""
         if not 1 <= i <= self.e:

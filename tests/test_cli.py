@@ -147,6 +147,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert code == 2 and "range" in err
     code, _, err = run(capsys, "module", "info", str(tmp_path / "absent.json"))
     assert code == 2
+    for args in (("resolve", a, "--steps", "-1"),
+                 ("series", "poincare", "--module", a, "--steps", "-3")):
+        code, _, err = run(capsys, *args)
+        assert code == 2 and "negative degree" in err
 
 
 def test_out_matches_stdout(tmp_path, capsys):

@@ -22,6 +22,7 @@ from gorlab import (
     make_ring,
     matlis_dual,
     nu,
+    poincare_series,
     random_module,
     resolve,
     series_identity_check,
@@ -33,6 +34,7 @@ import gorlab.resolution as rs
 from gorlab import linalg
 from gorlab.errors import (
     CertificateError,
+    GorlabError,
     NotMaterialized,
     RadicalSquareNonzero,
     RingMismatch,
@@ -47,7 +49,7 @@ from gorlab.modules import (
     radical_square_rows,
     submodule,
 )
-from gorlab.resolution import free_kmat, lift_chain_map
+from gorlab.resolution import free_kmat, lift_chain_map, syzygy
 from gorlab.verify import TrialConfig, _draw_ideal_gens, _draw_module, _ring_for
 
 
@@ -161,6 +163,33 @@ def test_ext_dual_tail_over_k_is_pinned(R3):
         "fca797257bede3864a5e878b5a8c9153858b5bd8221e5536d01db0dac71ce78c"
 
 
+def test_finite_tail_certificate_does_not_depend_on_call_order(R3):
+    # syzygy(R, 1) finds R's resolution finite before anything asks for its
+    # tail certificate; tor(k, R) must still serve what a fresh call serves
+    def serve(warm):
+        k, R = FiniteModule.residue_field(R3), FiniteModule.free(R3, 1)
+        if warm:
+            syzygy(R, 1)
+        table = tor(k, R, 25)
+        return table.window, table.junction, _sha(table)
+
+    fresh = serve(False)
+    assert fresh[:2] == (1, 2)
+    assert serve(True) == fresh
+
+
+def test_negative_degrees_are_refused(R3):
+    # a resolution already materialized through degree 10 must not turn a
+    # negative degree into a slice of its Betti numbers
+    M = cyclic_module(R3, [R3.x(1)])[0]
+    resolve(M, 10)
+    calls = (lambda: poincare_series(M, -3), lambda: tor(M, M, -2),
+             lambda: ext(M, M, -2), lambda: tor_induced(_iota(M), M, -1))
+    for call in calls:
+        with pytest.raises(GorlabError, match="negative degree"):
+            call()
+
+
 def test_table_bytes_do_not_depend_on_history():
     # a resolution driven deeper by an earlier call must not move a window
     def serve(warm):
@@ -220,6 +249,12 @@ def test_deeper_window_resumes(monkeypatch):
     M, N = _retrying_pair()
     counting = _CountingLinalg()
     monkeypatch.setattr(hm, "linalg", counting)
+    built = []
+    for name in ("_tor_block", "_no_entries"):
+        def build(*args, f=getattr(hm, name)):
+            built.append(f(*args))
+            return built[-1]
+        monkeypatch.setattr(hm, name, build)
     table = tor(M, N, 20)
     assert (M.dim, N.dim, table.window, table.junction) == (3, 11, 6, 1)
     # recorded when every retry recomputed degrees 0..w
@@ -237,6 +272,9 @@ def test_deeper_window_resumes(monkeypatch):
     assert counting.kernels == [
         shape for i in range(7)
         for shape in ((b(i - 1) * t, b(i) * s), (b(i + 1) * s, b(i) * t))]
+    # and builds each of the maps 0..7 it reads once
+    assert [shape for *_, shape in built] == [
+        (b(i - 1) * t, b(i) * s) for i in range(8)]
 
 
 def test_window_degree_refused_before_allocation(monkeypatch):
@@ -436,7 +474,7 @@ def test_radical_excess_without_w_images(p, e, monkeypatch):
                 counting = _CountingLinalg()
                 with monkeypatch.context() as mp:
                     mp.setattr(hm, "linalg", counting)
-                    hom = hm._honest(window, res, N, w)
+                    hom = list(window(res, N, w))
                 for h, AT in zip(hom, counting.matrices[1::2]):
                     Z, K = h.cycles, h.left_kernel
                     Bnd, _, rank = rref_array(AT, p)
@@ -475,10 +513,10 @@ def test_left_kernel_rank_is_cross_checked(kind, monkeypatch):
     N = random_module(R, 2, 1, seed=4)
     res = resolve(M, 4)
     window = hm._homology_window if kind == "Tor" else hm._cohomology_window
-    assert hm._honest(window, res, N, 3)
+    assert list(window(res, N, 3))
     monkeypatch.setattr(hm, "linalg", _LosingLinalg())
     with pytest.raises(CertificateError, match=f"{kind} map .* left kernel"):
-        hm._honest(window, res, N, 3)
+        list(window(res, N, 3))
 
 
 def _in_random_basis(N, seed):
@@ -539,7 +577,7 @@ def test_layer_windows_match_full_matrix_reference(p, e):
         res = resolve(M, 4)
         w = min(3, res.head - 1)
         got = [(h.length, h.nu, h.m_annihilated)
-               for h in hm._honest(hm._homology_window, res, N, w)]
+               for h in hm._homology_window(res, N, w)]
         assert got == [r[:3] for r in _reference_homology(res, N, w)]
         for phi in maps:
             ranks = [r.rank for r in tor_induced(phi, N, 3)]
@@ -549,7 +587,7 @@ def test_layer_windows_match_full_matrix_reference(p, e):
             lift = lift_chain_map(phi, wi)
             want = []
             for i in range(wi + 1):
-                img = ha[i][3] @ free_kmat(lift.maps[i], N.all_ops, p).T % p
+                img = ha[i][3] @ free_kmat(lift[i], N.all_ops, p).T % p
                 B = hb[i][4]
                 want.append(rank_array(np.concatenate([B, img]), p) - B.shape[0])
             assert ranks == want

@@ -147,6 +147,14 @@ def test_resolution_bytes_match_per_entry_conversion(tmp_path, capsys, R3):
     assert capsys.readouterr().out == want
 
 
+def test_writing_a_module_resolves_one_step(R3):
+    # a presentation reads del_1 alone, so writing the README's module
+    # certifies no tail and leaves the head at 1
+    M = random_module(R3, 2, 2, seed=5)
+    io.module_to_dict(M)
+    assert M._cache["resolution"].head == 1
+
+
 def test_write_json_streams_the_canonical_bytes(R3):
     obj = io.resolution_to_dict(resolve(random_module(R3, 2, 2, seed=5), 5), 5)
     writes = []

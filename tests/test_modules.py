@@ -48,7 +48,7 @@ def test_cyclic_quotients(R3, Rx3, Rmodsoc3):
     assert Rx3.dim == 3 and hilbert_function(Rx3) == [1, 2]
     assert Rmodsoc3.dim == 4 and hilbert_function(Rmodsoc3) == [1, 3]
     with pytest.raises(UnitIdeal):
-        cyclic_module(R3, [R3.one()])
+        cyclic_module(R3, [R3.element([1, 0, 0, 0, 0])])
     M, _ = cyclic_module(R3, [R3.x(1), R3.x(2), R3.x(3)])
     assert M.dim == 1  # R/m = k
 

@@ -205,7 +205,7 @@ def test_lift_chain_map_identity(R3):
     lift = lift_chain_map(ident, 4)
     res = resolve(M, 4)
     for i in range(5):
-        F = free_kmat(lift.maps[i], R3.basis_reg, 101)
+        F = free_kmat(lift[i], R3.basis_reg, 101)
         b = res.betti(4)[i]
         assert F.shape == (b * R3.dim, b * R3.dim)
         # lifting the identity gives an isomorphism in every degree

@@ -41,7 +41,8 @@ def test_identity_form_multiplication(R3):
             expect = w.coeffs if i == j else np.zeros(5, dtype=np.int64)
             assert np.array_equal(prod.coeffs, expect)
         assert not (R3.x(i) * w).coeffs.any()
-    assert np.array_equal((R3.one() * R3.x(2)).coeffs, R3.x(2).coeffs)
+    one = R3.element([1, 0, 0, 0, 0])
+    assert np.array_equal((one * R3.x(2)).coeffs, R3.x(2).coeffs)
     assert not (w * w).coeffs.any()
 
 

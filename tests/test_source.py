@@ -100,13 +100,18 @@ def _trace_names() -> set:
 
 
 def _unread(private: bool, used: set) -> list:
-    """The module-level private (or public) functions of the package whose
-    names neither gorlab code nor `used` reads."""
+    """The module-level private functions of the package, or its public
+    functions and the public methods of its classes, whose names neither
+    gorlab code nor `used` reads."""
     defined = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         used = used | _names_read(tree)
-        defined += [f"{path.name}:{node.lineno} {node.name}" for node in tree.body
+        nodes = list(tree.body)
+        if not private:
+            nodes += [item for node in tree.body if isinstance(node, ast.ClassDef)
+                      for item in node.body]
+        defined += [f"{path.name}:{node.lineno} {node.name}" for node in nodes
                     if isinstance(node, ast.FunctionDef)
                     and node.name.startswith("_") == private]
     assert defined, "package sources not found"
@@ -121,9 +126,9 @@ def test_every_private_function_is_read():
 
 
 def test_every_public_function_is_read():
-    # a public function that no gorlab code reads, the package does not
-    # export and the benchmark neither reads nor traces serves only the
-    # tests, which keep it as an oracle instead
+    # a public function or method that no gorlab code reads, the package
+    # does not export and the benchmark neither reads nor traces serves only
+    # the tests, which keep it as an oracle instead
     used = set(gorlab.__all__) | _trace_names()
     for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
         used |= _names_read(ast.parse(path.read_text(), str(path)))
