@@ -26,8 +26,10 @@ adapted to its layers.  That is the guard of the Tor windows, since a block
 complex over m^2 N = 0 has no negative length to detect.  Ext keeps N's own
 basis and the full Hom-complex matrices (the trivial block), also as
 triplets (`_ext_diff`), so its honest degrees do not share the Loewy copy or
-the block with the Tor route it is checked against; `tor_induced` builds
-full dense matrices, because the lift of a map may have unit entries.
+the block with the Tor route it is checked against.  `tor_induced` builds
+the dense k-matrix of each lift, which may have unit entries, and reads it
+on the windows' slices: against A's cycles on their s coordinates of each
+copy, against B's left kernel on its last t.
 Homology reads only ranks and spans, so `linalg.kernel_triplets` eliminates
 every block in no canonical basis; only the resolution's differentials,
 which are written out, need a canonical rref.
@@ -183,8 +185,7 @@ def _ext_diff(G: np.ndarray, N: FiniteModule):
     return _tiles(G.transpose(1, 0, 2), N.all_ops, N.ring.p)
 
 
-def _radical_excess(N: FiniteModule, Z: np.ndarray, K: np.ndarray, block,
-                    chunk: int = _EXCESS_CHUNK) -> int:
+def _radical_excess(N: FiniteModule, Z: np.ndarray, K: np.ndarray, block) -> int:
     """Rank added to the boundaries by m times the span of the rows of Z,
     both written in the coordinates of the layer block (s, t) (see
     `_window`): Z in the first s coordinates of each copy of N, the
@@ -196,10 +197,10 @@ def _radical_excess(N: FiniteModule, Z: np.ndarray, K: np.ndarray, block,
     w = x_g x_h / form[g, h], the images under x_1..x_e alone then span
     that product.
 
-    The images of one chunk of cycles are formed at a time, one row (z, g)
-    per cycle z and x_g, and multiplied by K^T; the running rref of those
-    products has at most dim K columns and rows, so peak memory stays
-    bounded by K plus one chunk.  Both products go through
+    The images of one chunk of _EXCESS_CHUNK cycles are formed at a time,
+    one row (z, g) per cycle z and x_g, and multiplied by K^T; the running
+    rref of those products has at most dim K columns and rows, so peak
+    memory stays bounded by K plus one chunk.  Both products go through
     `linalg.matmul_mod`: exact in float64 while the inner dimension (s,
     then b t for b copies of N) times (p-1)^2 is below 2^53, in int64
     past it."""
@@ -209,8 +210,8 @@ def _radical_excess(N: FiniteModule, Z: np.ndarray, K: np.ndarray, block,
         return 0   # every vector in the last t coordinates is a boundary
     opsT = N.actions[:, d - t:, :s].transpose(0, 2, 1)
     B = np.zeros((0, K.shape[0]), dtype=np.int64)
-    for lo in range(0, Z.shape[0], chunk):
-        Zc = Z[lo:lo + chunk]
+    for lo in range(0, Z.shape[0], _EXCESS_CHUNK):
+        Zc = Z[lo:lo + _EXCESS_CHUNK]
         # (z, 1, j, s) @ (e, s, t): one row (j, t) per cycle z and x_g
         img = linalg.matmul_mod(Zc.reshape(Zc.shape[0], 1, -1, s), opsT, p)
         P = linalg.matmul_mod(img.reshape(-1, K.shape[1]), K.T, p)
@@ -565,17 +566,14 @@ def ext(M: FiniteModule, N: FiniteModule, n: int) -> ExtTable:
     return _build_table(M, N, n, ExtTable, _cohomology_window)
 
 
-def _embed(X: np.ndarray, copies: int, lo: int, hi: int, d: int) -> np.ndarray:
-    """The rows of X, written in coordinates lo..hi-1 of each of `copies`
-    copies of a d-dimensional module, in all d coordinates."""
-    out = np.zeros((X.shape[0], copies, d), dtype=np.int64)
-    out[:, :, lo:hi] = X.reshape(X.shape[0], copies, hi - lo)
-    return out.reshape(X.shape[0], copies * d)
-
-
 def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResult]:
     """Ranks of Tor_i(phi, N): Tor_i(A, N) -> Tor_i(B, N) for honest degrees
-    0..min(n, window)."""
+    0..min(n, window), on the layer block (s, t) of N's Loewy copy L.  The
+    images of A's cycles are the rows of F^T (F = f_i tensor L) for the
+    first s coordinates of each copy, times the cycles, beside the rows for
+    the last d - s, which are cycles.  The rank is that of the images
+    modulo B's boundaries: their last t coordinates of each B copy times
+    B's left kernel, beside their first d - t as they are."""
     A, B = phi.source, phi.target
     if N.ring != A.ring:
         raise RingMismatch("modules over different rings")
@@ -597,19 +595,16 @@ def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResul
         rank = 0
         if hb.length:
             a, b = ra.betti_head[i], rb.betti_head[i]
-            # the cycles of A and the boundaries of B in all coordinates of L
-            Z = np.concatenate([_embed(ha.cycles, a, 0, s, d),
-                                _embed(np.eye(a * (d - s), dtype=np.int64),
-                                       a, s, d, d)])
-            img = linalg.matmul_mod(Z, free_kmat(f, L.all_ops, p).T, p)
-            # the boundaries of B are the common zeros of its left kernel in
-            # the last t coordinates of each copy and of the unit vectors on
-            # the first d - t: the rank of the induced map on homology, the
-            # rank of the images modulo boundaries, is that of img K_full^T
-            K = np.concatenate([_embed(hb.left_kernel, b, d - t, d, d),
-                                _embed(np.eye(b * (d - t), dtype=np.int64),
-                                       b, 0, d - t, d)])
-            rank = linalg.rank_array(linalg.matmul_mod(img, K.T, p), p)
+            FT = free_kmat(f, L.all_ops, p).T.reshape(a, d, b * d)
+            img = np.concatenate([
+                linalg.matmul_mod(ha.cycles, FT[:, :s].reshape(a * s, b * d), p),
+                FT[:, s:].reshape(a * (d - s), b * d)])
+            img = img.reshape(len(img), b, d)
+            P = np.concatenate([
+                linalg.matmul_mod(img[:, :, d - t:].reshape(len(img), b * t),
+                                  hb.left_kernel.T, p),
+                img[:, :, :d - t].reshape(len(img), b * (d - t))], axis=1)
+            rank = linalg.rank_array(P, p)
         out.append(InducedMapResult(i, rank, ha.length, hb.length, COMPUTED))
     return out
 

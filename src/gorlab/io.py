@@ -207,7 +207,11 @@ def canonical_presentation(M: FiniteModule) -> Presentation:
 
 
 def module_to_dict(M: FiniteModule, ring_ref=None) -> dict:
-    """ring_ref: a path string to reference the ring by file, else inline."""
+    """ring_ref: a path string to reference the ring by file, else inline.
+    The zero module has no generator, so no presentation the reader
+    accepts, and raises SchemaError."""
+    _require(M.dim > 0, "the zero module has no generator array",
+             "/presentation")
     P = canonical_presentation(M)
     return {
         "ring": ring_ref if ring_ref is not None else ring_to_dict(M.ring),

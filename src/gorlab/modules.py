@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import GeneratorInRadical, RingMismatch, UnitIdeal
+from .errors import ConfigError, GeneratorInRadical, RingMismatch, UnitIdeal
 from .ring import ShortGorensteinRing
 
 
@@ -330,7 +330,10 @@ def direct_sum(M: FiniteModule, N: FiniteModule) -> tuple[FiniteModule, ModuleMa
 
 
 def random_module(ring: ShortGorensteinRing, g: int, r: int, seed: int) -> FiniteModule:
-    """Cokernel of a random g x r matrix with entries uniform in m."""
+    """Cokernel of a random g x r matrix with entries uniform in m, for
+    g >= 1 and r >= 0."""
+    if g < 1 or r < 0:
+        raise ConfigError(f"need g >= 1 generators and r >= 0 relations: {g}, {r}")
     rng = np.random.default_rng(seed)
     entries = np.zeros((g, r, ring.dim), dtype=np.int64)
     entries[:, :, 1:] = rng.integers(0, ring.p, size=(g, r, ring.dim - 1))

@@ -225,8 +225,7 @@ class MinimalFreeResolution:
 
     def _kernel(self, i: int):
         """rref basis of M_i, the kernel of del_{i-1}: F_{i-1} -> F_{i-2}
-        (del_0 the cover), for 1 <= i <= head + 1: (rows, pivots, rows with
-        possibly nonzero x_g-images)."""
+        (del_0 the cover), for 1 <= i <= head + 1: (rows, pivots)."""
         if i == 1:
             return self._cover_kernel()
         return self._graded_kernel(self.diffs[i - 2])
@@ -235,7 +234,7 @@ class MinimalFreeResolution:
         """M_i inside F_{i-1} and its inclusion, for 1 <= i <= head + 1,
         on the rref basis `_kernel` rebuilds: the one the step that made
         del_i eliminated."""
-        rows, pivots, _ = self._kernel(i)
+        rows, pivots = self._kernel(i)
         return submodule(FiniteModule.free(self.ring, self.betti_head[i - 1]),
                          rows, pivots)
 
@@ -249,19 +248,18 @@ class MinimalFreeResolution:
 
     def _cover_kernel(self):
         """rref basis of the kernel of the cover F_0 -> M, by generic
-        elimination: (rows, pivots, rows with possibly nonzero x_g-images)."""
+        elimination: (rows, pivots)."""
         p = self.ring.p
         D = self.ring.dim
         Kr, kpiv = linalg.kernel_rref(self.cover_matrix, p)
         if Kr[:, ::D].any():
             raise CertificateError(
                 "kernel escapes the radical; cover not minimal")
-        return Kr, kpiv, Kr
+        return Kr, kpiv
 
     def _graded_kernel(self, G: np.ndarray):
         """rref basis of ker del = ker(L) + wF for the minimal differential
-        with entry array G: (rows, pivots, the ker L rows).  The w-unit rows
-        are left out of the third item: m kills them."""
+        with entry array G: (rows, pivots)."""
         ring = self.ring
         e, D = ring.e, ring.dim
         b = G.shape[0]
@@ -273,18 +271,16 @@ class MinimalFreeResolution:
         wpiv = [a * D + D - 1 for a in range(b)]
         kpiv = sorted(xpiv + wpiv)
         at = {c: t for t, c in enumerate(kpiv)}
-        xrows = [at[c] for c in xpiv]
         Kr = np.zeros((len(kpiv), b, D), dtype=np.int64)
-        Kr[xrows, :, 1:e + 1] = KL.reshape(len(xpiv), b, e)
+        Kr[[at[c] for c in xpiv], :, 1:e + 1] = KL.reshape(len(xpiv), b, e)
         Kr[[at[c] for c in wpiv], np.arange(b), D - 1] = 1
-        Kr = Kr.reshape(len(kpiv), b * D)
-        return Kr, kpiv, Kr[xrows]
+        return Kr.reshape(len(kpiv), b * D), kpiv
 
     def _step(self):
         ring = self.ring
         p, e, D = ring.p, ring.e, ring.dim
         bprev = self.betti_head[-1]
-        Kr, kpiv, Kx = self._kernel(self.head + 1)
+        Kr, kpiv = self._kernel(self.head + 1)
         nk = len(kpiv)
         if nk == 0:
             self.nu_m.append(0)
@@ -296,16 +292,17 @@ class MinimalFreeResolution:
         # are visible in coordinates w.r.t. Kr (the pivot-column entries);
         # generators = rows of Kr complementary to the row space of m*K.
         # m*K lies on the w-slots; in those coordinates it is the span S of
-        # the x-slot slices of the rows Kx (module docstring), read on the
+        # the x-slot slices of the rows of Kr (module docstring), read on the
         # blocks of the nw >= 1 rows with a w-pivot (K is nonzero inside mF,
         # so it meets the socle wF)
         wcols = [t for t in range(nk) if kpiv[t] % D == D - 1]
         nw = len(wcols)
-        S = Kx.reshape(len(Kx), bprev, D)[:, [kpiv[t] // D for t in wcols], 1:e + 1]
-        S = S.transpose(0, 2, 1).reshape(len(Kx) * e, nw)
+        S = Kr.reshape(nk, bprev, D)[:, [kpiv[t] // D for t in wcols], 1:e + 1]
+        S = S.transpose(0, 2, 1).reshape(nk * e, nw)
         # every nonzero vector of S leads at a pivot of rref(S); when the
         # leading entries of the slices already cover all nw columns, S is
-        # everything, and only otherwise is it eliminated
+        # everything, and only otherwise is it eliminated (a w-unit row's
+        # slices are zero and drop out)
         S = S[S.any(axis=1)]
         if np.unique(np.argmax(S != 0, axis=1)).size == nw:
             wpiv, wrank = range(nw), nw
@@ -337,24 +334,21 @@ class MinimalFreeResolution:
     def _step_bytes(self) -> int:
         """Bytes the next `_step` holds at its peak.  The kernel it
         eliminates is M_{head+1}, of nk = cols - dim M_head rows of
-        cols = b D entries, nx of them with x_g-images: nk - b on the
-        x-slots (the b w-unit rows have none), or all nk for the cover step,
-        whose kernel comes from a generic elimination of the dim M x cols
-        cover matrix, held twice while it is eliminated.  The step holds
-        the kernel rows, their x-slot copy and the new differential (at
-        most nk rows), and the e nx b x-slot slices a few times over: most
-        steps only read their leading entries, but a step whose leading
-        entries fall short eliminates them.  On the benchmark's steps of
-        more than 1 MiB, and steps 1-9 of the README's module, the measured
-        (tracemalloc) peak is 0.63 to 0.78 of this."""
+        cols = b D entries; the cover step's kernel comes from a generic
+        elimination of the dim M x cols cover matrix, held twice while it
+        is eliminated.  The step holds the kernel rows and the new
+        differential (at most nk rows), and the e nk b x-slot slices of the
+        kernel rows a few times over: most steps only read their leading
+        entries, but a step whose leading entries fall short eliminates
+        them.  The measured (tracemalloc) peak is 0.37 to 0.39 of this on
+        the benchmark's steps of more than 1 MiB, and 0.38 to 0.46 on steps
+        4-9 of the README's module; steps of a few KiB peak above it, on
+        fixed per-step overhead."""
         b, e = self.betti_head[-1], self.ring.e
         cols = b * self.ring.dim
         nk = self.syzygy_dims()[-1]
-        if self.head == 0:
-            cover, nx = 2 * self.module.dim * cols, nk
-        else:
-            cover, nx = 0, nk - b
-        return 8 * (cover + cols * (2 * nk + nx) + 5 * e * nx * b)
+        cover = 2 * self.module.dim * cols if self.head == 0 else 0
+        return 8 * (cover + 2 * cols * nk + 5 * e * nk * b)
 
     # -- tail certification --------------------------------------------------
 
@@ -435,12 +429,6 @@ class MinimalFreeResolution:
             raise NotMaterialized(f"differential {i} not materialized (head={self.head})")
         return self.diffs[i - 1]
 
-    def kmat(self, i: int) -> np.ndarray:
-        """k-matrix of del_i: F_i -> F_{i-1}; del_0 means the cover."""
-        if i == 0:
-            return self.cover_matrix
-        return free_kmat(self.diff(i), self.ring.basis_reg, self.ring.p)
-
 
 def resolve(M: FiniteModule, n: int,
             min_head: int | None = None) -> MinimalFreeResolution:
@@ -466,8 +454,6 @@ def syzygy(M: FiniteModule, i: int) -> FiniteModule:
     res = resolve(M, i, min_head=i)
     if res.finite and i > res.head:
         return FiniteModule.zero(M.ring)
-    if i > res.head:
-        raise NotMaterialized(f"syzygy {i} beyond the materialized head")
     return res.syzygy(i)[0]
 
 
@@ -475,7 +461,10 @@ def lift_chain_map(phi: ModuleMap, n: int) -> list[np.ndarray]:
     """Lifts f_i: F_i^A -> F_i^B of phi: A -> B to the minimal resolutions,
     as ring-entry arrays (beta_i(A), beta_i(B), e+2), for degrees 0..n
     (capped at the materialized heads).  The cover is del_0 and phi is
-    f_{-1}: f_i solves del_i^B f_i = f_{i-1} del_i^A, for i = 0 too."""
+    f_{-1}: f_i solves del_i^B f_i = f_{i-1} del_i^A, for i = 0 too, on the
+    generators of F_i^A.  The image of generator a is column a*D of the
+    cover, or row a of del_i^A's entry array (basis_reg[c][:, 0] is the
+    c-th unit vector), so only del_i^B's k-matrix is built."""
     A, B = phi.source, phi.target
     ring = A.ring
     p, D = ring.p, ring.dim
@@ -483,12 +472,15 @@ def lift_chain_map(phi: ModuleMap, n: int) -> list[np.ndarray]:
     rb = resolve(B, n, min_head=n)
     lifts: list[np.ndarray] = []
     for i in range(min(n, ra.head, rb.head) + 1):
-        prev = phi.matrix if i == 0 else free_kmat(lifts[-1], ring.basis_reg, p)
-        # it suffices to solve on the free generators: column a*D of the
-        # k-matrix of del_i is the image of generator a
-        rhs = prev @ ra.kmat(i)[:, ::D] % p
+        if i == 0:
+            prev, gens, KB = phi.matrix, ra.cover_matrix[:, ::D], rb.cover_matrix
+        else:
+            G = ra.diff(i)
+            prev = free_kmat(lifts[-1], ring.basis_reg, p)
+            gens = G.reshape(G.shape[0], G.shape[1] * D).T
+            KB = free_kmat(rb.diff(i), ring.basis_reg, p)
         f = np.zeros((ra.betti_head[i], rb.betti_head[i], D), dtype=np.int64)
-        for a, x in enumerate(linalg.solve_many(rb.kmat(i), rhs, p)):
+        for a, x in enumerate(linalg.solve_many(KB, prev @ gens % p, p)):
             if x is None:
                 raise CertificateError(
                     f"resolution is exact, yet no lift in degree {i}")
@@ -509,23 +501,12 @@ def residue_field_module(ring: ShortGorensteinRing) -> FiniteModule:
     return k
 
 
-def k_resolution(ring: ShortGorensteinRing) -> MinimalFreeResolution:
-    """The cached resolution of k.  Materialization is driven honestly here
-    (no tail logic) because the junction computation for every other module
-    consults this resolution."""
-    k = residue_field_module(ring)
-    res = k._cache.get("resolution")
-    if res is None:
-        res = MinimalFreeResolution(k)
-        k._cache["resolution"] = res
-    return res
-
-
 def k_syzygy_dims(ring: ShortGorensteinRing, bound: int) -> list[int]:
     """dims[j] = dim_k of the j-th syzygy of k, listed while dims[j] is at
     most `bound` (plus one terminating larger value).  Uses only honestly
-    materialized Betti numbers of k."""
-    res = k_resolution(ring)
+    materialized Betti numbers of k: resolve(k, 0) certifies no tail, as
+    the junction of every other module reads it."""
+    res = resolve(residue_field_module(ring), 0)
     dims = [1]
     while dims[-1] <= bound:
         res.extend(len(dims) - 1)

@@ -221,10 +221,16 @@ def validate_general_algebra(p: int, table) -> AlgebraReport:
     Raises on each violated axiom; a well-formed algebra that is not in the
     graded normal form is returned with accepted=False.
     """
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ConfigError(f"modulus {p!r} is not an integer")
     fld = PrimeField(p)
-    c = np.asarray(table, dtype=np.int64) % p
-    if c.ndim != 3 or len(set(c.shape)) != 1:
-        raise ValueError("structure constants must be a cubic array")
+    try:
+        c = np.asarray(table)
+    except ValueError:   # ragged nesting
+        c = np.zeros(0)
+    if c.dtype.kind != "i" or c.ndim != 3 or len(set(c.shape)) != 1:
+        raise ConfigError("structure constants must be a cubic integer array")
+    c = c.astype(np.int64) % p
     d = c.shape[0]
     e = d - 2
     if e < 2:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InsufficientDegree
+from .errors import ConfigError, InsufficientDegree
 from .homology import ext, length_count, tor
 from .modules import FiniteModule, hilbert_function
 from .resolution import resolve
@@ -88,8 +88,11 @@ def certify_rational(S: TruncatedIntegerSeries, e: int,
     Finds the minimal s such that c_{i+1} = e c_i - c_{i-1} holds for all
     s <= i <= n-1 (with c_{-1} = 0) and requires a tail of at least
     min_margin degrees; the numerator is the truncated product
-    (1 - e t + t^2) * S(t), of degree at most s + 1.
+    (1 - e t + t^2) * S(t), of degree at most s + 1.  A margin below 1
+    certifies nothing and raises ConfigError.
     """
+    if min_margin < 1:
+        raise ConfigError(f"margin {min_margin} < 1")
     c = S.coefficients
     n = len(c) - 1
     if n < min_margin:

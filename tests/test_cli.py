@@ -1,10 +1,12 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from gorlab import io, random_module
+from gorlab import io, make_ring, random_module, series, validate_general_algebra
 from gorlab.cli import main
+from gorlab.ring import identity_form
 
 
 def run(capsys, *argv):
@@ -151,6 +153,26 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ("series", "poincare", "--module", a, "--steps", "-3")):
         code, _, err = run(capsys, *args)
         assert code == 2 and "negative degree" in err
+    # outside input that no file can hold: a GorlabError line, no file left
+    cube = tmp_path / "cube.json"
+    cube.write_text('{"p": 101, "table": [[1, 2], [3, 4]]}\n')
+    word = tmp_path / "word.json"
+    word.write_text('{"p": 101, "table": "x"}\n')
+    out = tmp_path / "out.json"
+    for args, error in (
+            (("series", "poincare", "--module", a, "--steps", "1",
+              "--certify", "--margin", "0"), "ConfigError"),
+            (("series", "poincare", "--module", a, "--steps", "1",
+              "--certify", "--margin", "-1"), "ConfigError"),
+            (("module", "new", "--ring", ring,
+              "--presentation", "[[[1,0,0,0,0]]]"), "SchemaError"),
+            (("module", "random", "--ring", ring, "--gens", "0"), "ConfigError"),
+            (("module", "random", "--ring", ring, "--gens", "-1"), "ConfigError"),
+            (("module", "random", "--ring", ring, "--rels", "-1"), "ConfigError"),
+            (("ring", "check", str(cube)), "ConfigError"),
+            (("ring", "check", str(word)), "ConfigError")):
+        code, _, err = run(capsys, *args, "--out", str(out))
+        assert code == 2 and err.startswith(f"{error}: ") and not out.exists()
 
 
 def test_out_matches_stdout(tmp_path, capsys):
@@ -208,3 +230,43 @@ def test_readme_resolve_bytes(tmp_path, capsys):
     code, _, _ = run(capsys, "resolve", mod, "--steps", "10", "--out", str(path))
     assert code == 0
     assert _sha256(path.read_text(encoding="utf-8")) == want
+
+
+@pytest.mark.parametrize("kind", ["tor-nu", "tor-len", "ext-nu", "ext-len"])
+def test_series_of_a_pair_matches_the_library(tmp_path, capsys, kind):
+    # the README's modules: rx = R/(x_1) and m1, the random module of seed 5
+    ring = make_ring_file(tmp_path, capsys)
+    rx = str(tmp_path / "rx.json")
+    run(capsys, "module", "new", "--ring", ring,
+        "--presentation", "[[[0,1,0,0,0]]]", "--out", rx)
+    m1 = make_module_file(tmp_path, capsys, ring, "m1.json")
+    code, out, _ = run(capsys, "series", kind, "--m", rx, "--n-mod", m1,
+                       "--steps", "8", "--certify")
+    assert code == 0
+    fam, mode = kind.split("-")
+    fn = series.tor_series if fam == "tor" else series.ext_series
+    S = fn(io.load_module(rx), io.load_module(m1), 8,
+           {"nu": "nu", "len": "length"}[mode])
+    cert = series.certify_rational(S, 3)
+    assert out == io.canonical_json(io.series_to_dict(S, cert))
+
+
+def test_ring_check_of_a_structure_constant_table(tmp_path, capsys):
+    # R3's own table is accepted with its form; rebased so that basis
+    # element 0 is 1 + x_1 it is the same algebra, but not in normal form
+    R3 = make_ring(101, 3, identity_form(3))
+    table = R3.basis_reg.transpose(0, 2, 1)
+    T = np.eye(R3.dim, dtype=np.int64)
+    T[0, 1] = 1
+    Tinv = np.linalg.inv(T).astype(np.int64) % 101
+    rebased = np.einsum("ia,jb,abc,ck->ijk", T, T, table, Tinv) % 101
+    for c, accepted in ((table, True), (rebased, False)):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"p": 101, "table": c.tolist()}))
+        code, out, _ = run(capsys, "ring", "check", str(path))
+        report = validate_general_algebra(101, c.tolist())
+        d = json.loads(out)
+        assert code == 0 and d["accepted"] is report.accepted is accepted
+        assert d["reason"] == report.reason
+        assert d.get("form") == (None if report.form is None
+                                 else report.form.tolist())

@@ -484,8 +484,10 @@ def test_radical_excess_without_w_images(p, e, monkeypatch):
                     assert hm._radical_excess(X, Z, K, block) == \
                         _radical_excess_with_w(X, Z, Bnd, block)
                     # one cycle per chunk: the running rank is the same
-                    assert hm._radical_excess(X, Z, K, block, chunk=1) == \
-                        _radical_excess_with_w(X, Z, Bnd, block)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(hm, "_EXCESS_CHUNK", 1)
+                        assert hm._radical_excess(X, Z, K, block) == \
+                            _radical_excess_with_w(X, Z, Bnd, block)
 
 
 class _LosingLinalg(_CountingLinalg):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gorlab import io, random_module, resolve, tor
+from gorlab import FiniteModule, io, random_module, resolve, tor
 from gorlab.cli import main
 from gorlab.errors import SchemaError
 
@@ -153,6 +153,12 @@ def test_writing_a_module_resolves_one_step(R3):
     M = random_module(R3, 2, 2, seed=5)
     io.module_to_dict(M)
     assert M._cache["resolution"].head == 1
+
+
+def test_the_zero_module_is_not_written(R3):
+    # no generator array, which the reader requires, so nothing to write
+    with pytest.raises(SchemaError, match="zero module"):
+        io.module_to_dict(FiniteModule.zero(R3))
 
 
 def test_write_json_streams_the_canonical_bytes(R3):

@@ -15,7 +15,7 @@ from gorlab import (
     socle,
     split_extension,
 )
-from gorlab.errors import UnitIdeal
+from gorlab.errors import ConfigError, UnitIdeal
 from gorlab.modules import (
     Presentation,
     quotient,
@@ -125,6 +125,12 @@ def test_random_module_is_seeded(R3):
     c = random_module(R3, 3, 2, seed=8)
     assert a.dim == b.dim and np.array_equal(a.actions, b.actions)
     assert a.dim != c.dim or not np.array_equal(a.actions, c.actions)
+
+
+@pytest.mark.parametrize("g, r", [(0, 2), (-1, 2), (2, -1)])
+def test_random_module_refuses_bad_sizes(R3, g, r):
+    with pytest.raises(ConfigError):
+        random_module(R3, g, r, seed=0)
 
 
 def test_hilbert_function_sums_to_dim(R3):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gorlab import (
@@ -30,12 +30,19 @@ from gorlab.resolution import (
     TAIL_OVERLAP,
     MinimalFreeResolution,
     free_kmat,
-    k_resolution,
     k_syzygy_dims,
     lift_chain_map,
+    residue_field_module,
     syzygy,
 )
-from gorlab.modules import ModuleMap, matlis_dual, radical_square_rows, socle_rows
+from gorlab.modules import (
+    ModuleMap,
+    matlis_dual,
+    radical_rows,
+    radical_square_rows,
+    socle_rows,
+    submodule,
+)
 
 # Betti numbers of k over the e = 3 ring: expansion of 1/(1 - 3t + t^2)
 K3_BETTI = [1, 3, 8, 21, 55, 144, 377, 987, 2584, 6765, 17711]
@@ -47,7 +54,7 @@ def test_residue_field_betti_e3(k3):
 
 def test_residue_field_betti_e2(R2):
     # 1/(1 - 2t + t^2) = 1/(1-t)^2: beta_i = i + 1
-    res = k_resolution(R2)
+    res = resolve(residue_field_module(R2), 12)
     assert res.betti(12) == list(range(1, 14))
 
 
@@ -66,7 +73,8 @@ def test_differentials_compose_to_zero(R3):
     res = resolve(M, 5)
     res.extend(5)
     for i in range(1, min(5, res.head)):
-        prod = res.kmat(i) @ res.kmat(i + 1) % 101
+        prod = free_kmat(res.diff(i), R3.basis_reg, 101) @ \
+            free_kmat(res.diff(i + 1), R3.basis_reg, 101) % 101
         assert not prod.any()
     # minimality: no differential entry has a unit (degree-0) component
     for i in range(1, min(5, res.head) + 1):
@@ -212,6 +220,25 @@ def test_lift_chain_map_identity(R3):
         assert rank_array(F, 101) == b * R3.dim
 
 
+def test_lifts_commute_with_the_differentials(R3):
+    # the lifts are solved on the generators alone, read off the entry
+    # arrays; on the full k-matrices del^B f_i = f_{i-1} del^A must hold
+    p, D = R3.p, R3.dim
+    for seed in range(3):
+        M = random_module(R3, 2, 1 + seed, seed=40 + seed)
+        phi = submodule(M, *radical_rows(M))[1]
+        lift = lift_chain_map(phi, 4)
+        ra, rb = resolve(phi.source, 4), resolve(M, 4)
+        kmat = [free_kmat(f, R3.basis_reg, p) for f in lift]
+        assert np.array_equal(rb.cover_matrix @ kmat[0] % p,
+                              phi.matrix @ ra.cover_matrix % p)
+        for i in range(1, len(lift)):
+            dA = free_kmat(ra.diff(i), R3.basis_reg, p)
+            dB = free_kmat(rb.diff(i), R3.basis_reg, p)
+            assert np.array_equal(dB @ kmat[i] % p, kmat[i - 1] @ dA % p)
+        assert len(lift) == 5 and lift[0].shape[2] == D
+
+
 def test_free_kmat_is_block_regular_representation(R3):
     G = np.zeros((1, 1, 5), dtype=np.int64)
     G[0, 0, 1] = 1  # multiplication by x_1 on R
@@ -236,15 +263,15 @@ def _generic_step(ring, A):
     return K, list(piv), nk - nu_m, nu_m
 
 
-def _form_weighted_w(ring, kpiv, Kx):
+def _form_weighted_w(ring, K, kpiv):
     """Oracle for nu(m M_i) and the kernel rows it drops: the rref of the
     w-coefficients of x_g * z = form[g] . z[x-slots] w, for the rows z of
-    Kx (g-major), read in coordinates w.r.t. the kernel basis with pivots
-    kpiv, on its w-pivot rows.  The form weights every image, unlike the
-    step's slices."""
+    the kernel basis K (g-major), read in coordinates w.r.t. that basis,
+    whose pivots are kpiv, on its w-pivot rows.  The form weights every
+    image, unlike the step's slices."""
     e, D, p = ring.e, ring.dim, ring.p
-    n = Kx.shape[0]
-    K3 = Kx.reshape(n, Kx.shape[1] // D, D)
+    n = K.shape[0]
+    K3 = K.reshape(n, K.shape[1] // D, D)
     img = np.einsum("njc,gc->gnj", K3[:, :, 1:e + 1], ring.form) % p
     wcols = [t for t, c in enumerate(kpiv) if c % D == D - 1]
     W = img.reshape(e * n, K3.shape[1])[:, [kpiv[t] // D for t in wcols]]
@@ -255,9 +282,12 @@ def _form_weighted_w(ring, kpiv, Kx):
 def _step_drop(res, s):
     """(nu(m M_{s+1}), the rows of M_{s+1}'s rref basis that step s + 1
     left out of del_{s+1}), read off the resolution."""
-    _, kpiv, _ = res._kernel(s + 1)
+    _, kpiv = res._kernel(s + 1)
     G = res.diffs[s]
-    kept = {int(c) for c in np.argmax(G.reshape(G.shape[0], -1) != 0, axis=1)}
+    # the last differential of a finite resolution has no rows, so the
+    # width of the reshape is given, not inferred
+    width = G.shape[1] * G.shape[2]
+    kept = {int(c) for c in np.argmax(G.reshape(len(G), width) != 0, axis=1)}
     return res.nu_m[s], {t for t, c in enumerate(kpiv) if c not in kept}
 
 
@@ -274,8 +304,16 @@ def small_modules(draw):
                          draw(st.integers(1, 3)), seed)
 
 
+def _cover_or_kmat(res, s):
+    """k-matrix of del_s (s >= 1) or the cover matrix (s = 0)."""
+    if s == 0:
+        return res.cover_matrix
+    return free_kmat(res.diff(s), res.ring.basis_reg, res.ring.p)
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_modules())
+@example(FiniteModule.free(make_ring(101, 3, identity_form(3)), 2))
 def test_graded_step_matches_generic_kernel(M):
     # every step past the cover takes ker(L) + wF; the k-matrix route agrees,
     # and so does the syzygy basis rebuilt from the differentials.  Every
@@ -285,13 +323,13 @@ def test_graded_step_matches_generic_kernel(M):
     res = MinimalFreeResolution(M)
     res.extend(4)
     for s in range(res.head):
-        K, piv, nu, nu_m = _generic_step(M.ring, res.kmat(s))
-        rows, pivots, _ = res._kernel(s + 1)
+        K, piv, nu, nu_m = _generic_step(M.ring, _cover_or_kmat(res, s))
+        rows, pivots = res._kernel(s + 1)
         assert np.array_equal(rows, K)
         assert list(pivots) == piv
         assert (res.betti_head[s + 1], res.nu_m[s]) == (nu, nu_m)
         assert res.syzygy_dims()[s + 1] == len(piv)
-        assert _step_drop(res, s) == _form_weighted_w(M.ring, *res._kernel(s + 1)[1:])
+        assert _step_drop(res, s) == _form_weighted_w(M.ring, rows, pivots)
 
 
 # steps whose slices lead at fewer columns than they span, so the step
@@ -319,7 +357,7 @@ def test_step_eliminates_when_leading_entries_fall_short(
     res.extend(step + 2)
     assert res.head == step + 2 and calls == [step]
     assert res.nu_m[step - 1] == nu_m
-    assert _step_drop(res, step - 1) == _form_weighted_w(M.ring, *res._kernel(step)[1:])
+    assert _step_drop(res, step - 1) == _form_weighted_w(M.ring, *res._kernel(step))
 
 
 @settings(max_examples=30, deadline=None)
@@ -332,7 +370,7 @@ def test_canonical_kernels_match_two_eliminations(M, i):
         return
     p = N.ring.p
     res = MinimalFreeResolution(N)
-    rows, pivots, _ = res._cover_kernel()
+    rows, pivots = res._cover_kernel()
     K, kpiv = row_space(kernel_array(res.cover_matrix, p), p)
     assert np.array_equal(rows, K) and list(pivots) == list(kpiv)
     stacked = np.concatenate(list(N.actions) + [N.action_w], axis=0)

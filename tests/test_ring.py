@@ -9,6 +9,7 @@ import sympy
 
 from gorlab import make_ring, validate_general_algebra
 from gorlab.errors import (
+    ConfigError,
     CubeNotZero,
     Degenerate,
     EmbeddingDimTooSmall,
@@ -135,6 +136,19 @@ def test_validation_rejects_broken_tables(R3):
     bad[1, 1, 1] = 1  # x_1^2 picks up a degree-1 term; m^3 != 0 follows
     with pytest.raises((CubeNotZero, NotCommutative, Exception)):
         validate_general_algebra(101, bad)
+
+
+@pytest.mark.parametrize("table", [[[1, 2], [3, 4]], "x", [[[1]], [[1, 2]]],
+                                   [[[0.5]]], [[[True]]]])
+def test_validation_refuses_a_table_not_cubic_or_not_integer(table):
+    with pytest.raises(ConfigError, match="cubic integer array"):
+        validate_general_algebra(101, table)
+
+
+def test_validation_refuses_a_modulus_that_is_not_an_integer(R3):
+    for p in ("x", 101.0, True):
+        with pytest.raises(ConfigError, match="not an integer"):
+            validate_general_algebra(p, structure_constants(R3))
 
 
 def test_validation_flags_non_normal_basis(R3):

@@ -11,7 +11,7 @@ from gorlab import (
     series_identity_check,
     tor_series,
 )
-from gorlab.errors import InsufficientDegree, RadicalSquareNonzero
+from gorlab.errors import ConfigError, InsufficientDegree, RadicalSquareNonzero
 from gorlab.series import (
     TruncatedIntegerSeries,
     alternate,
@@ -57,6 +57,16 @@ def test_certify_enforces_margin():
         certify_rational(S, 3)  # s = 1 leaves margin 4 < 5
     cert = certify_rational(S, 3, min_margin=4)
     assert cert.s == 1
+
+
+@pytest.mark.parametrize("margin", [0, -1])
+def test_certify_refuses_a_margin_below_one(margin):
+    # refused before any coefficient is read, even of a series that is too
+    # short to certify at all
+    for coeffs in ((1, 3, 8), (1,)):
+        with pytest.raises(ConfigError, match="margin"):
+            certify_rational(TruncatedIntegerSeries("poincare", coeffs), 3,
+                             min_margin=margin)
 
 
 def test_hilbert_series(R3, Rx3, k3):
