@@ -38,29 +38,37 @@ the (e+2)-fold k-matrix of del_i.  The rows of rref(ker L), placed in the
 x-slots, together with one unit row per w-slot, sorted by pivot, are a
 reduced echelon basis: no row has a nonzero entry in another row's pivot
 column, because the two kinds of rows live on disjoint slots.  The rref of a
-subspace is unique, so this is the matrix a generic elimination of the
-k-matrix would give, and every differential, presentation and serialized
-byte is the same.  Only the first step, the kernel of the cover F_0 -> M,
-eliminates a generic k-matrix: it need not contain w F_0.
+subspace is unique, so this is the basis a generic elimination of the
+k-matrix would give.  The step never writes that basis out: it writes only
+the rows it keeps, once, into del_{i+1}, so every row of del_{i+1} is x-only
+or a single w-unit 1.  Only the first step, the kernel of the cover
+F_0 -> M, eliminates a generic k-matrix: that kernel need not contain w F_0,
+and it is the only one that can be zero, so only a free module's resolution
+ends.
 
 The step also reads nu(m M_i) = dim m K, for the kernel K it found, and
 leaves out of the differential the rows of K's rref basis that m K covers.
 K lies in m F, so m K is spanned by the images x_g * z of its rows z, and
 block j of x_g * z is form[g] . z[j, x-slots] w.  The form is nondegenerate,
 so these images span the same subspace S as the x-slot slices z[:, 1 + h],
-h < e, and the two have one rref, rank and pivot set.  Every nonzero vector
-of S has its leading entry at a pivot of rref(S), so when the leading
-entries of the slices already cover every column, S is everything and
-nothing is eliminated; only otherwise, in a few percent of the steps, does
-the step eliminate the slices.
+h < e, and the two have one rref, rank and pivot set (`_slice_pivots`).  In
+coordinates w.r.t. K's basis S lies on the rows with a w-pivot; after the
+cover these are the w-unit rows, one per block, whose slices are zero, so
+the x-rows' slices alone span S, and the step drops the w-unit rows of the
+blocks at S's pivots.  Every nonzero vector of S has its leading entry at a
+pivot of rref(S), so when the leading entries of the slices already cover
+every column, S is everything and nothing is eliminated; only otherwise, in
+a few percent of the steps, does the step eliminate the slices.
 
 A resolution stores its differentials, the cover matrix, the Betti numbers
 and nu(m M_i) of each syzygy, the one syzygy number the tail certificate
-reads; nothing else of a syzygy is kept.  M_i is the kernel of del_{i-1}
-(of the cover for i = 1), so `syzygy` rebuilds its rref basis on demand by
-running the step's own kernel routine again (`_kernel`): the same input
-gives the same rows and pivots, and dim M_i follows from exactness,
-dim M_i = beta_{i-1} (e+2) - dim M_{i-1} (`syzygy_dims`).
+reads; nothing else of a syzygy is kept.  By exactness M_i is the image of
+del_i, the R-span of its rows, so `syzygy` rebuilds M_i's rref basis on
+demand with `span_closure`: the rref of a subspace is unique, so it is the
+basis of the kernel the step found.  Exactness also gives dim M_i from the
+Betti numbers alone, dim M_i = beta_{i-1} (e+2) - dim M_{i-1}
+(`syzygy_dims`), and a span of another dimension, a step that dropped a
+generator, raises CertificateError.
 """
 
 from __future__ import annotations
@@ -77,6 +85,7 @@ from .modules import (
     ModuleMap,
     radical_rows,
     radical_square_rows,
+    span_closure,
     submodule,
 )
 from .ring import ShortGorensteinRing
@@ -188,6 +197,20 @@ def _linear_part(ring: ShortGorensteinRing, G: np.ndarray) -> np.ndarray:
     return L.reshape(j, a * e)
 
 
+def _slice_pivots(X: np.ndarray, p: int) -> list[int]:
+    """Pivots of rref(S), for the span S of the x-slot slices X[:, :, h]
+    (h < e) of kernel rows X of shape (rows, blocks, e): the blocks whose
+    w-pivot row m K covers.  Every nonzero vector of S leads at a pivot of
+    rref(S); when the leading entries of the slices already cover every
+    block, S is everything, and only otherwise is it eliminated."""
+    n, blocks, e = X.shape
+    S = X.transpose(0, 2, 1).reshape(n * e, blocks)
+    S = S[S.any(axis=1)]
+    if len(S) and np.unique(np.argmax(S != 0, axis=1)).size == blocks:
+        return list(range(blocks))
+    return linalg.rref_array(S, p)[1]
+
+
 @dataclass
 class TailCertificate:
     """Witness that the Betti sequence obeys the two-term recurrence from
@@ -223,20 +246,18 @@ class MinimalFreeResolution:
         """Number of materialized differentials."""
         return len(self.diffs)
 
-    def _kernel(self, i: int):
-        """rref basis of M_i, the kernel of del_{i-1}: F_{i-1} -> F_{i-2}
-        (del_0 the cover), for 1 <= i <= head + 1: (rows, pivots)."""
-        if i == 1:
-            return self._cover_kernel()
-        return self._graded_kernel(self.diffs[i - 2])
-
     def syzygy(self, i: int) -> tuple[FiniteModule, ModuleMap]:
-        """M_i inside F_{i-1} and its inclusion, for 1 <= i <= head + 1,
-        on the rref basis `_kernel` rebuilds: the one the step that made
-        del_i eliminated."""
-        rows, pivots = self._kernel(i)
-        return submodule(FiniteModule.free(self.ring, self.betti_head[i - 1]),
-                         rows, pivots)
+        """M_i inside F_{i-1} and its inclusion, for 1 <= i <= head: the
+        R-span of the rows of del_i, on its rref basis."""
+        F = FiniteModule.free(self.ring, self.betti_head[i - 1])
+        rows, pivots = span_closure(F, self.diff(i))
+        # exactness gives dim M_i from the Betti numbers alone, so a step
+        # that dropped a generator of M_i is caught here
+        dim = self.syzygy_dims()[i]
+        if len(pivots) != dim:
+            raise CertificateError(
+                f"del_{i} spans {len(pivots)} dimensions, not dim M_{i} = {dim}")
+        return submodule(F, rows, pivots)
 
     def syzygy_dims(self) -> list[int]:
         """dim M_0, ..., dim M_{head+1}, by exactness of
@@ -246,77 +267,49 @@ class MinimalFreeResolution:
             dims.append(b * self.ring.dim - dims[-1])
         return dims
 
-    def _cover_kernel(self):
-        """rref basis of the kernel of the cover F_0 -> M, by generic
-        elimination: (rows, pivots)."""
-        p = self.ring.p
-        D = self.ring.dim
-        Kr, kpiv = linalg.kernel_rref(self.cover_matrix, p)
-        if Kr[:, ::D].any():
-            raise CertificateError(
-                "kernel escapes the radical; cover not minimal")
-        return Kr, kpiv
-
-    def _graded_kernel(self, G: np.ndarray):
-        """rref basis of ker del = ker(L) + wF for the minimal differential
-        with entry array G: (rows, pivots)."""
-        ring = self.ring
-        e, D = ring.e, ring.dim
-        b = G.shape[0]
-        KL, lpiv = linalg.kernel_rref(_linear_part(ring, G), ring.p)
-        # column a*e + g of L is the x_{g+1}-slot a*D + 1 + g of F; both
-        # kinds of rows keep their pivots, so sorting by pivot merges them
-        # into the rref of the direct sum
-        xpiv = [c // e * D + 1 + c % e for c in lpiv]
-        wpiv = [a * D + D - 1 for a in range(b)]
-        kpiv = sorted(xpiv + wpiv)
-        at = {c: t for t, c in enumerate(kpiv)}
-        Kr = np.zeros((len(kpiv), b, D), dtype=np.int64)
-        Kr[[at[c] for c in xpiv], :, 1:e + 1] = KL.reshape(len(xpiv), b, e)
-        Kr[[at[c] for c in wpiv], np.arange(b), D - 1] = 1
-        return Kr.reshape(len(kpiv), b * D), kpiv
-
     def _step(self):
         ring = self.ring
         p, e, D = ring.p, ring.e, ring.dim
-        bprev = self.betti_head[-1]
-        Kr, kpiv = self._kernel(self.head + 1)
-        nk = len(kpiv)
-        if nk == 0:
-            self.nu_m.append(0)
-            self.diffs.append(np.zeros((0, bprev, D), dtype=np.int64))
-            self.betti_head.append(0)
-            self.finite = True
-            return
-        # m*K lies inside the row space of Kr, so its rank and a complement
-        # are visible in coordinates w.r.t. Kr (the pivot-column entries);
-        # generators = rows of Kr complementary to the row space of m*K.
-        # m*K lies on the w-slots; in those coordinates it is the span S of
-        # the x-slot slices of the rows of Kr (module docstring), read on the
-        # blocks of the nw >= 1 rows with a w-pivot (K is nonzero inside mF,
-        # so it meets the socle wF)
-        wcols = [t for t in range(nk) if kpiv[t] % D == D - 1]
-        nw = len(wcols)
-        S = Kr.reshape(nk, bprev, D)[:, [kpiv[t] // D for t in wcols], 1:e + 1]
-        S = S.transpose(0, 2, 1).reshape(nk * e, nw)
-        # every nonzero vector of S leads at a pivot of rref(S); when the
-        # leading entries of the slices already cover all nw columns, S is
-        # everything, and only otherwise is it eliminated (a w-unit row's
-        # slices are zero and drop out)
-        S = S[S.any(axis=1)]
-        if np.unique(np.argmax(S != 0, axis=1)).size == nw:
-            wpiv, wrank = range(nw), nw
+        b = self.betti_head[-1]
+        if self.head == 0:
+            K, kpiv = linalg.kernel_rref(self.cover_matrix, p)
+            if K[:, ::D].any():
+                raise CertificateError(
+                    "kernel escapes the radical; cover not minimal")
+            # only this kernel can be zero: every later one holds w F_i != 0
+            # (module docstring), so only a free module's resolution ends.  A
+            # nonzero one keeps a row: S's pivots drop at most the nw <= nk
+            # w-pivot rows, and all nk only if every row has a w-pivot, when
+            # S's column for the earliest w-pivot block is zero
+            self.finite = not kpiv
+            # m*K lies on the w-slots; in coordinates w.r.t. K's rows (their
+            # pivot-column entries) it is S, read on the blocks of the rows
+            # with a w-pivot (K is nonzero inside mF, so it meets the socle
+            # wF); generators = the rows of K that S's pivots leave
+            wrows = [t for t, c in enumerate(kpiv) if c % D == D - 1]
+            blocks = [kpiv[t] // D for t in wrows]
+            drop = _slice_pivots(K.reshape(len(kpiv), b, D)[:, blocks, 1:e + 1], p)
+            d = np.delete(K, [wrows[t] for t in drop], axis=0)
+            d = d.reshape(len(d), b, D)
         else:
-            _, wpiv, wrank = linalg.rref_array(S, p)
-        # the wrank distinct pivots drop wrank rows and leave at least one:
-        # wrank <= nw < nk unless every row has a w-pivot, and then the
-        # column of S for the earliest w-pivot block is zero, so only an
-        # empty kernel (nk == 0, above) ends the resolution
-        drop = {wcols[t] for t in wpiv}
-        sel = [t for t in range(nk) if t not in drop]
-        self.nu_m.append(wrank)
-        self.diffs.append(Kr[sel].reshape(len(sel), bprev, D))
-        self.betti_head.append(len(sel))
+            # ker del = ker(L) + wF: every block has a w-unit row, whose
+            # slices are zero, so S is spanned by the x-rows' slices alone
+            KL, lpiv = linalg.kernel_rref(_linear_part(ring, self.diffs[-1]), p)
+            X = KL.reshape(len(lpiv), b, e)
+            drop = _slice_pivots(X, p)
+            keep = np.setdiff1d(np.arange(b), drop)
+            # column a*e + g of L is the x_{g+1}-slot a*D + 1 + g of F; both
+            # kinds of rows keep their pivots, so sorting by pivot merges the
+            # x-rows and the kept w-unit rows into rows of the rref
+            lp = np.asarray(lpiv, dtype=np.int64)
+            at = np.argsort(np.argsort(np.concatenate(
+                [lp // e * D + 1 + lp % e, keep * D + D - 1])))
+            d = np.zeros((len(at), b, D), dtype=np.int64)
+            d[at[:len(lp)], :, 1:e + 1] = X
+            d[at[len(lp):], keep, D - 1] = 1
+        self.nu_m.append(len(drop))
+        self.diffs.append(d)
+        self.betti_head.append(len(d))
 
     def extend(self, steps: int, budget_stop: bool = False):
         """Materialize differentials up to index `steps`.  A step that would
@@ -340,10 +333,12 @@ class MinimalFreeResolution:
         differential (at most nk rows), and the e nk b x-slot slices of the
         kernel rows a few times over: most steps only read their leading
         entries, but a step whose leading entries fall short eliminates
-        them.  The measured (tracemalloc) peak is 0.37 to 0.39 of this on
-        the benchmark's steps of more than 1 MiB, and 0.38 to 0.46 on steps
-        4-9 of the README's module; steps of a few KiB peak above it, on
-        fixed per-step overhead."""
+        them.  Past the cover the kernel rows are those of rref(ker L), e of
+        every e+2 entries of a row, so the estimate runs high there.  The
+        measured (tracemalloc) peak is 0.23 to 0.25 of this on the
+        benchmark's steps of more than 1 MiB, and 0.23 to 0.30 on steps 4-9
+        of the README's module; steps of a few KiB peak above it, on fixed
+        per-step overhead."""
         b, e = self.betti_head[-1], self.ring.e
         cols = b * self.ring.dim
         nk = self.syzygy_dims()[-1]

@@ -63,8 +63,11 @@ class TrialConfig:
             raise ConfigError(f"cutoff {self.cutoff} < 10")
         if self.trials < 1 or self.max_generators < 1 or self.max_dim < 1:
             raise ConfigError("trial counts and size caps must be positive")
-        if self.max_relations < 0 or self.margin < 0:
+        if self.max_relations < 0:
             raise ConfigError("negative configuration value")
+        if self.margin < 1:
+            # a certificate on no tail degree certifies nothing
+            raise ConfigError(f"margin {self.margin} < 1")
         if self.form not in FORM_CHOICES:
             raise ConfigError(f"form must be one of {FORM_CHOICES}")
 

@@ -170,7 +170,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             (("module", "random", "--ring", ring, "--gens", "-1"), "ConfigError"),
             (("module", "random", "--ring", ring, "--rels", "-1"), "ConfigError"),
             (("ring", "check", str(cube)), "ConfigError"),
-            (("ring", "check", str(word)), "ConfigError")):
+            (("ring", "check", str(word)), "ConfigError"),
+            *((("verify", check, "--trials", "2", "--cutoff", "12",
+                "--margin", "0"), "ConfigError")
+              for check in ("main-theorem", "vanishing", "lemma-suite",
+                            "counterexample-e2"))):
         code, _, err = run(capsys, *args, "--out", str(out))
         assert code == 2 and err.startswith(f"{error}: ") and not out.exists()
 

@@ -24,7 +24,8 @@ from gorlab import (
 )
 import gorlab.resolution as rs
 from gorlab.errors import CertificateError, NotMaterialized, RadicalSquareNonzero
-from gorlab.linalg import kernel_array, rank_array, row_space, rref_array
+from gorlab.koszul import split_off_k_witness
+from gorlab.linalg import kernel_array, kernel_rref, rank_array, row_space, rref_array
 from gorlab.resolution import (
     DEFAULT_BUDGET,
     TAIL_OVERLAP,
@@ -279,10 +280,9 @@ def _form_weighted_w(ring, K, kpiv):
     return rank, {wcols[t] for t in wpiv}
 
 
-def _step_drop(res, s):
-    """(nu(m M_{s+1}), the rows of M_{s+1}'s rref basis that step s + 1
-    left out of del_{s+1}), read off the resolution."""
-    _, kpiv = res._kernel(s + 1)
+def _step_drop(res, s, kpiv):
+    """(nu(m M_{s+1}), the rows of M_{s+1}'s rref basis, whose pivots are
+    kpiv, that step s + 1 left out of del_{s+1}), read off the resolution."""
     G = res.diffs[s]
     # the last differential of a finite resolution has no rows, so the
     # width of the reshape is given, not inferred
@@ -315,21 +315,52 @@ def _cover_or_kmat(res, s):
 @given(small_modules())
 @example(FiniteModule.free(make_ring(101, 3, identity_form(3)), 2))
 def test_graded_step_matches_generic_kernel(M):
-    # every step past the cover takes ker(L) + wF; the k-matrix route agrees,
-    # and so does the syzygy basis rebuilt from the differentials.  Every
-    # step, the cover's included, reads nu(m M_i) off x-slot slices, mostly
-    # off their leading entries alone; eliminating the form-weighted
-    # w-images drops the same kernel rows
+    # every step past the cover works on ker(L) + wF alone; the syzygy basis
+    # read off the span of the differential it wrote is the rref of the
+    # generic k-matrix kernel.  Every step, the cover's included, reads
+    # nu(m M_i) off x-slot slices, mostly off their leading entries alone;
+    # eliminating the form-weighted w-images of the generic kernel drops
+    # the same kernel rows
     res = MinimalFreeResolution(M)
     res.extend(4)
     for s in range(res.head):
         K, piv, nu, nu_m = _generic_step(M.ring, _cover_or_kmat(res, s))
-        rows, pivots = res._kernel(s + 1)
-        assert np.array_equal(rows, K)
-        assert list(pivots) == piv
+        assert np.array_equal(res.syzygy(s + 1)[1].matrix.T, K)
         assert (res.betti_head[s + 1], res.nu_m[s]) == (nu, nu_m)
         assert res.syzygy_dims()[s + 1] == len(piv)
-        assert _step_drop(res, s) == _form_weighted_w(M.ring, rows, pivots)
+        assert _step_drop(res, s, piv) == _form_weighted_w(M.ring, K, piv)
+
+
+def _w_unit_rows(G):
+    """Mask of the rows of an entry array G whose one nonzero entry is a 1
+    on a w-slot."""
+    return (np.count_nonzero(G, axis=(1, 2)) == 1) & (G[:, :, -1] == 1).any(axis=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_modules())
+def test_graded_rows_are_x_only_or_w_units(M):
+    # a graded step writes the rows of rref(ker L) into the x-slots and the
+    # w-unit rows it keeps as they are, and nothing else
+    res = MinimalFreeResolution(M)
+    res.extend(4)
+    for i in range(2, res.head + 1):
+        G = res.diff(i)
+        x_only = G.any(axis=(1, 2)) & ~G[:, :, [0, -1]].any(axis=(1, 2))
+        assert (x_only | _w_unit_rows(G)).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_modules())
+def test_w_unit_rows_are_the_split_copies_of_k(M):
+    # for i >= 2, M_i contains wF_{i-1}, its socle: k splits off M_i exactly
+    # when m M_i misses a w-unit, which the step then keeps as a generator.
+    # is_koszul keeps its own route, so this is a cross-check only
+    res = MinimalFreeResolution(M)
+    res.extend(4)
+    for i in range(2, res.head + 1):
+        assert _w_unit_rows(res.diff(i)).any() == (
+            split_off_k_witness(res.syzygy(i)[0]) is not None)
 
 
 # steps whose slices lead at fewer columns than they span, so the step
@@ -348,7 +379,7 @@ def test_step_eliminates_when_leading_entries_fall_short(
     real = rs.linalg.rref_array
 
     def spy(A, p):
-        if sys._getframe(1).f_code.co_name == "_step":
+        if sys._getframe(1).f_code.co_name == "_slice_pivots":
             calls.append(res.head + 1)
         return real(A, p)
 
@@ -357,7 +388,8 @@ def test_step_eliminates_when_leading_entries_fall_short(
     res.extend(step + 2)
     assert res.head == step + 2 and calls == [step]
     assert res.nu_m[step - 1] == nu_m
-    assert _step_drop(res, step - 1) == _form_weighted_w(M.ring, *res._kernel(step))
+    K, piv = _generic_step(M.ring, _cover_or_kmat(res, step - 1))[:2]
+    assert _step_drop(res, step - 1, piv) == _form_weighted_w(M.ring, K, piv)
 
 
 @settings(max_examples=30, deadline=None)
@@ -370,7 +402,7 @@ def test_canonical_kernels_match_two_eliminations(M, i):
         return
     p = N.ring.p
     res = MinimalFreeResolution(N)
-    rows, pivots = res._cover_kernel()
+    rows, pivots = kernel_rref(res.cover_matrix, p)
     K, kpiv = row_space(kernel_array(res.cover_matrix, p), p)
     assert np.array_equal(rows, K) and list(pivots) == list(kpiv)
     stacked = np.concatenate(list(N.actions) + [N.action_w], axis=0)
@@ -418,21 +450,88 @@ def test_corrupted_tail_raises_certificate_error():
         _certify_corrupted_tail()
 
 
-def test_corrupted_tail_raises_under_python_O():
-    # the certificate checks must not be asserts that -O strips
+def _run_under_python_O(code):
+    """Run `code` in `python -O` beside this file; assert it exits 0."""
     here = Path(__file__).resolve().parent
     path = [str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]
-    code = ("import test_resolution as t\n"
-            "try:\n"
-            "    t._certify_corrupted_tail()\n"
-            "except t.CertificateError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit('no CertificateError')\n")
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], cwd=here, capture_output=True,
         text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_corrupted_tail_raises_under_python_O():
+    # the certificate checks must not be asserts that -O strips
+    _run_under_python_O("import test_resolution as t\n"
+                        "try:\n"
+                        "    t._certify_corrupted_tail()\n"
+                        "except t.CertificateError:\n"
+                        "    raise SystemExit(0)\n"
+                        "raise SystemExit('no CertificateError')\n")
+
+
+# corruption -> the CertificateError message it must raise
+CORRUPTIONS = {
+    "cover": "cover not minimal",
+    "lescot": "Lescot formula fails past the junction",
+    "lift": "no lift in degree 1",
+    "syzygy": "del_2 spans .* not dim M_2",
+}
+
+
+def _corrupt(kind):
+    """Resolve from deliberately corrupted data.  The cover gets a second
+    copy of its first generator, so its kernel leaves the radical; the
+    Betti number after the junction J grows by one before the tail is
+    certified; the lift's target, a twin of its source, loses its first
+    differential; and a stored del_2 loses a row, a minimal generator of
+    M_2."""
+    R = make_ring(101, 3, identity_form(3))
+    M = random_module(R, 2, 2, seed=33)
+    res = MinimalFreeResolution(M)
+    if kind == "cover":
+        res.cover_matrix = np.concatenate(
+            [res.cover_matrix, res.cover_matrix[:, :R.dim]], axis=1)
+        res.betti_head[0] += 1
+        res.extend(1)
+    elif kind == "lescot":
+        J = res.junction()
+        res.extend(J + TAIL_OVERLAP)
+        res.betti_head[J + 1] += 1
+        res.tail_certificate()
+    elif kind == "lift":
+        twin = random_module(R, 2, 2, seed=33)
+        resolve(twin, 2, min_head=2).diffs[0][:] = 0
+        lift_chain_map(ModuleMap(M, twin, np.eye(M.dim, dtype=np.int64)), 2)
+    else:
+        res.extend(2)
+        res.diffs[1] = res.diffs[1][1:]
+        res.syzygy(2)
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_corrupted_resolution_raises_certificate_error(kind):
+    with pytest.raises(CertificateError, match=CORRUPTIONS[kind]):
+        _corrupt(kind)
+
+
+def test_corrupted_resolution_raises_under_python_O():
+    _run_under_python_O("import test_resolution as t\n"
+                        "for kind in t.CORRUPTIONS:\n"
+                        "    try:\n"
+                        "        t._corrupt(kind)\n"
+                        "    except t.CertificateError:\n"
+                        "        continue\n"
+                        "    raise SystemExit('no CertificateError: ' + kind)\n")
+
+
+def test_diff_outside_the_head_is_not_materialized(R3):
+    res = resolve(random_module(R3, 2, 2, seed=5), 3, min_head=3)
+    assert res.head == 3
+    for i in (0, res.head + 1, -1):
+        with pytest.raises(NotMaterialized, match=f"differential {i} "):
+            res.diff(i)
 
 
 def _module_sha(modules) -> str:

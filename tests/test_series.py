@@ -59,6 +59,13 @@ def test_certify_enforces_margin():
     assert cert.s == 1
 
 
+def test_certify_refuses_a_series_shorter_than_its_margin():
+    S = TruncatedIntegerSeries("poincare", (1, 3, 8, 21))
+    with pytest.raises(InsufficientDegree, match="below the margin 5") as exc:
+        certify_rational(S, 3)
+    assert exc.value.violating_index == 3
+
+
 @pytest.mark.parametrize("margin", [0, -1])
 def test_certify_refuses_a_margin_below_one(margin):
     # refused before any coefficient is read, even of a series that is too

@@ -134,3 +134,69 @@ def test_every_public_function_is_read():
         used |= _names_read(ast.parse(path.read_text(), str(path)))
     unread = _unread(False, used)
     assert not unread, f"public functions only tests read: {unread}"
+
+
+# each `raise CertificateError` site of the package, by file and message
+# (an f-string's fields read "{}"), -> a test that reaches it
+CERTIFICATE_TESTS = {
+    ("homology.py", "differential has a unit entry"):
+        "test_homology.py::test_corrupted_homology_raises_certificate_error[tor-block]",
+    ("homology.py", "module copy is not adapted to its Loewy layers"):
+        "test_homology.py::test_corrupted_homology_raises_certificate_error[tor-window]",
+    ("homology.py", "{} map {} has rank {} from its {} and {} from its {}"):
+        "test_homology.py::test_left_kernel_rank_is_cross_checked",
+    ("homology.py", "negative {} length {} in degree {}"):
+        "test_homology.py::test_corrupted_homology_raises_certificate_error[ext-window]",
+    ("homology.py", "Ext/Tor duality violated at degree {}"):
+        "test_homology.py::test_corrupted_homology_raises_certificate_error[duality]",
+    ("homology.py", "negative length count {} in degree {}"):
+        "test_homology.py::test_corrupted_homology_raises_certificate_error[tail]",
+    ("resolution.py", "kernel escapes the radical; cover not minimal"):
+        "test_resolution.py::test_corrupted_resolution_raises_certificate_error[cover]",
+    ("resolution.py", "Lescot formula fails past the junction J={} at degree {}"):
+        "test_resolution.py::test_corrupted_resolution_raises_certificate_error[lescot]",
+    ("resolution.py", "nu(m M_{}) != nu(M_{}) past the junction J={}"):
+        "test_resolution.py::test_corrupted_tail_raises_certificate_error",
+    ("resolution.py", "resolution is exact, yet no lift in degree {}"):
+        "test_resolution.py::test_corrupted_resolution_raises_certificate_error[lift]",
+    ("resolution.py", "del_{} spans {} dimensions, not dim M_{} = {}"):
+        "test_resolution.py::test_corrupted_resolution_raises_certificate_error[syzygy]",
+}
+
+
+def _message(node) -> str:
+    """The text of a message argument, with an f-string's fields as "{}"."""
+    if isinstance(node, ast.Constant):
+        return str(node.value)
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                       for v in node.values)
+    return ast.unparse(node)
+
+
+def test_every_certificate_check_has_a_test():
+    # a certificate check that no test makes fire may be dead or broken
+    # without anyone seeing it: each site needs a registered test that
+    # corrupts its input, and each registered test must exist
+    sites = {(path.name, _message(node.exc.args[0]) if node.exc.args else "")
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+             and getattr(node.exc.func, "id", None) == "CertificateError"}
+    assert sites, "package sources not found"
+    tests = Path(__file__).resolve().parent
+    missing = []
+    for test in CERTIFICATE_TESTS.values():
+        file, name = test.split("::")
+        name, _, param = name.rstrip("]").partition("[")
+        path = tests / file
+        tree = ast.parse(path.read_text(), str(path)) if path.exists() else ast.Module([], [])
+        names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        params = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        if name not in names or (param and param not in params):
+            missing.append(test)
+    assert not sites - CERTIFICATE_TESTS.keys(), \
+        f"certificate checks with no test: {sorted(sites - CERTIFICATE_TESTS.keys())}"
+    assert not CERTIFICATE_TESTS.keys() - sites, \
+        f"registered checks not in the package: {sorted(CERTIFICATE_TESTS.keys() - sites)}"
+    assert not missing, f"registered tests that do not exist: {missing}"
