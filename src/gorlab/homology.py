@@ -20,10 +20,11 @@ the last nonzero layer: only the layer block F_i (N_0 + N_1) -> F_{i-1} mN
 are cycles, and boundaries and radical excess live in F_i mN.  Neither the
 full matrix del tensor N nor a dense block is ever built: `_tor_block` emits
 the block as (row, column, value) triplets, one tile per nonzero of del's
-m-part, and refuses with `CertificateError` the two causes of a
-differential nonzero outside its block, a unit entry in del and a copy not
-adapted to its layers.  That is the guard of the Tor windows, since a block
-complex over m^2 N = 0 has no negative length to detect.  Ext keeps N's own
+m-part, read off the nonzeros the resolution stores, and refuses with
+`CertificateError` the two causes of a differential nonzero outside its
+block, a unit entry in del and a copy not adapted to its layers.  That is
+the guard of the Tor windows, since a block complex over m^2 N = 0 has no
+negative length to detect.  Ext keeps N's own
 basis and the full Hom-complex matrices (the trivial block), also as
 triplets (`_ext_diff`), so its honest degrees do not share the Loewy copy or
 the block with the Tor route it is checked against.  `tor_induced` builds
@@ -94,8 +95,10 @@ from .modules import (
 )
 from .resolution import (
     MinimalFreeResolution,
+    Nonzeros,
     free_kmat,
     guard_memory,
+    kmat_triplets,
     lift_chain_map,
     resolve,
 )
@@ -146,43 +149,17 @@ class InducedMapResult:
     provenance: str
 
 
-def _tiles(G: np.ndarray, ops: np.ndarray, p: int):
-    """Triplets (rows, cols, vals, shape) of the (j t) x (a s) matrix whose
-    tile at target copy y and source copy x is sum_c G[x, y, c] ops[c], for
-    G of shape (a, j, C) and ops of shape (C, t, s): each nonzero of G
-    places its multiple of a t x s matrix, duplicate positions are summed
-    mod p and zeros dropped.  Every entry is a sum of C products below p^2,
-    exact in int64."""
-    a, j, _ = G.shape
-    _, t, s = ops.shape
-    n = a * s
-    lin, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for c, op in enumerate(ops):
-        gx, gy = np.nonzero(G[:, :, c])
-        ot, oc = np.nonzero(op)
-        # row y t + ot, column x s + oc, as the index row n + column
-        lin.append(((gy * t * n + gx * s)[:, None] + (ot * n + oc)[None]).ravel())
-        vals.append((G[gx, gy, c][:, None] * op[ot, oc][None]).ravel())
-    lin, vals = np.concatenate(lin), np.concatenate(vals)
-    order = np.argsort(lin, kind="stable")
-    lin, vals = lin[order], vals[order]
-    first = np.flatnonzero(np.diff(lin, prepend=-1))
-    lin, vals = lin[first], np.add.reduceat(vals, first) % p
-    nz = vals != 0
-    rows, cols = np.divmod(lin[nz], max(n, 1))
-    return rows, cols, vals[nz], (j * t, n)
-
-
 def _no_entries(m: int, n: int):
     """Triplets of the m x n zero matrix."""
     empty = np.zeros(0, dtype=np.int64)
     return empty, empty, empty, (m, n)
 
 
-def _ext_diff(G: np.ndarray, N: FiniteModule):
-    """k-matrix of Hom(del, N): N^j -> N^a (precomposition with del), on
-    N's own basis with all its dim N x dim N tiles, as triplets."""
-    return _tiles(G.transpose(1, 0, 2), N.all_ops, N.ring.p)
+def _ext_diff(G: Nonzeros, N: FiniteModule):
+    """k-matrix of Hom(del, N): N^j -> N^a (precomposition with del), for
+    the nonzeros G of del's entry array, on N's own basis with all its
+    dim N x dim N tiles, as triplets."""
+    return kmat_triplets(G.transpose(), N.all_ops, N.ring.p)
 
 
 def _radical_excess(N: FiniteModule, Z: np.ndarray, K: np.ndarray, block) -> int:
@@ -251,14 +228,14 @@ def _block(h) -> tuple[int, int]:
     return h0 + h1 + h2 - (h2 or h1 or h0), h1 + h2
 
 
-def _tor_block(G: np.ndarray, L: FiniteModule, layers):
-    """Layer block of del tensor L for the entry array G (a, j, D) and the
-    Loewy copy (L, layers) of `_loewy`: the (j t) x (a s) matrix of the
-    maps from the first s coordinates of each of the a source copies of L
-    into the last t of each of the j target copies, for (s, t) =
-    `_block(layers)`, as triplets (`_tiles`): each nonzero of del's m-part
-    places its multiple of the t x s corner of its action.  Neither the
-    full matrix nor the dense block is ever built.
+def _tor_block(G: Nonzeros, L: FiniteModule, layers):
+    """Layer block of del tensor L for the nonzeros G of del's entry array
+    (a, j, D) and the Loewy copy (L, layers) of `_loewy`: the (j t) x (a s)
+    matrix of the maps from the first s coordinates of each of the a source
+    copies of L into the last t of each of the j target copies, for (s, t)
+    = `_block(layers)`, as triplets (`kmat_triplets`): each nonzero of
+    del's m-part places its multiple of the t x s corner of its action.
+    Neither del, nor the full matrix, nor the dense block is ever built.
 
     del tensor L vanishes outside the block when del has no unit entry and
     x_1..x_e, w map each layer of L into the layers after it; either
@@ -266,12 +243,13 @@ def _tor_block(G: np.ndarray, L: FiniteModule, layers):
     p, d = L.ring.p, L.dim
     s, t = _block(layers)
     h0, h1, _ = layers
-    if G[:, :, 0].any():
+    if (G.slot == 0).any():
         raise CertificateError("differential has a unit entry")
     ops = L.all_ops[1:]
     if ops[:, :h0].any() or ops[:, h0:h0 + h1, h0:].any() or ops[:, :, h0 + h1:].any():
         raise CertificateError("module copy is not adapted to its Loewy layers")
-    return _tiles(G[:, :, 1:], ops[:, d - t:, :s], p)
+    # slot 0 holds no entry, so its identity corner places nothing
+    return kmat_triplets(G, L.all_ops[:, d - t:, :s], p)
 
 
 @dataclass
@@ -399,7 +377,7 @@ def _homology_window(res: MinimalFreeResolution, N: FiniteModule, last: int):
         # block of D_i: C_i -> C_{i-1}, zero outside 1 <= i <= head
         res.extend(i)
         if 1 <= i <= res.head:
-            return _tor_block(res.diff(i), L, layers)
+            return _tor_block(res.nonzeros[i - 1], L, layers)
         return _no_entries(beta(i - 1) * t, beta(i) * s)
 
     return _window(L, diff, beta, 1, block, last)
@@ -551,7 +529,7 @@ def _cohomology_window(res: MinimalFreeResolution, N: FiniteModule, last: int):
         # E_i: C^i -> C^{i+1}, built from del_{i+1}, zero outside 0 <= i < head
         res.extend(i + 1)
         if 0 <= i < res.head:
-            return _ext_diff(res.diff(i + 1), N)
+            return _ext_diff(res.nonzeros[i], N)
         return _no_entries(beta(i + 1) * d, beta(i) * d)
 
     return _window(N, diff, beta, -1, (d, d), last)

@@ -10,10 +10,12 @@ Byte contract: ``canonical_json(obj)`` is exactly
 encoder, though: ``json.dumps`` drops to its pure-Python path whenever
 ``indent`` is set.  Dicts and lists are walked here instead.  An integer
 ndarray is written as ``json.dumps`` writes its ``tolist()``, but from the
-array itself: each distinct vector along its last axis is formatted once
-and the rows are joined from those texts, so a differential never becomes
-Python ints or nested lists.  ``write_json`` writes the same chunks straight
-to a text stream, so a large document is never held as one string.
+array itself: each distinct nonzero vector along its last axis is formatted
+once, and each list of vectors is joined from those texts and the zero
+vector's, which fills the runs between them (a differential has about 1.4
+nonzero vectors per list), so a differential never becomes Python ints or
+nested lists.  ``write_json`` writes the same chunks straight to a text
+stream, so a large document is never held as one string.
 """
 
 from __future__ import annotations
@@ -111,28 +113,50 @@ def _encode_array(x: np.ndarray, nl: str, emit):
         # nothing to share: no entries, or a single vector
         _encode(x.tolist(), nl, emit)
         return
-    # the distinct vectors along the last axis, found as raw bytes
-    d = x.shape[-1]
-    rows = np.ascontiguousarray(x).reshape(-1, d)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * d))).ravel()
-    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    vec_nl = nl + "  " * (x.ndim - 1)
+    m, d = x.shape[-2:]
+    vecs = np.ascontiguousarray(x).reshape(-1, d)
+    row_nl = nl + "  " * (x.ndim - 2)
+    vec_nl = row_nl + "  "
     inner = vec_nl + "  "
-    texts = np.array(["[" + inner + ("," + inner).join(map(str, rows[r].tolist()))
-                      + vec_nl + "]" for r in first.tolist()], dtype=object)
-    _emit_rows(texts[inv.reshape(x.shape[:-1])], nl, emit)
+
+    def text(v) -> str:
+        return "[" + inner + ("," + inner).join(map(str, v)) + vec_nl + "]"
+
+    # the nonzero vectors, each distinct one formatted once (found as raw
+    # bytes); the zero vector's text fills the rest of every list
+    nz = np.unique(np.flatnonzero(vecs) // d)
+    keys = vecs[nz].view(np.dtype((np.void, vecs.itemsize * d))).ravel()
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    texts = [text(vecs[nz[r]].tolist()) for r in first.tolist()]
+    zero = text([0] * d)
+    row_of, col = np.divmod(nz, m)
+    ends = np.searchsorted(row_of, np.arange(1, len(vecs) // m + 1)).tolist()
+    col, inv = col.tolist(), inv.ravel().tolist()
+    sep = "," + vec_nl
+
+    def rows():
+        lo = 0
+        for hi in ends:
+            parts = [zero] * m
+            for k in range(lo, hi):
+                parts[col[k]] = texts[inv[k]]
+            lo = hi
+            yield "[" + vec_nl + sep.join(parts) + row_nl + "]"
+
+    _emit_rows(x.shape[:-2], rows(), nl, emit)
 
 
-def _emit_rows(texts: np.ndarray, nl: str, emit):
-    """Emit a nested list whose leaves are the given texts, at indent nl."""
-    inner = nl + "  "
-    if texts.ndim == 1:
-        emit("[" + inner + ("," + inner).join(texts) + nl + "]")
+def _emit_rows(shape, rows, nl: str, emit):
+    """Emit a nested list of the given shape at indent nl whose innermost
+    items are the next texts of the iterator rows."""
+    if not shape:
+        emit(next(rows))
         return
+    inner = nl + "  "
     sep = "[" + inner
-    for sub in texts:
+    for _ in range(shape[0]):
         emit(sep)
-        _emit_rows(sub, inner, emit)
+        _emit_rows(shape[1:], rows, inner, emit)
         sep = "," + inner
     emit(nl + "]")
 

@@ -5,11 +5,11 @@ p < 2**16 so that products fit comfortably in 64-bit intermediates.
 
 Each question has one route.  Ranks and row spaces (`rref_array`,
 `row_space`), kernels (`kernel_array`, and `kernel_rref` for a canonical
-basis in one elimination) and solutions (`solve_many`) all rest on
-`rref_inplace`, and products mod p go through `matmul_mod`.  Reduced
-row-echelon form is canonical, so these routines are deterministic and
-reproducible bit for bit.  `rref_inplace` has two paths that give the same
-rows and pivots:
+basis from one sparse elimination) and solutions (`solve_many`) all rest on
+`rref_inplace` or on its sparse elimination, and products mod p go through
+`matmul_mod`.  Reduced row-echelon form is canonical, so these routines are
+deterministic and reproducible bit for bit.  `rref_inplace` has two paths
+that give the same rows and pivots:
 
 - a sparse Gauss-Jordan elimination over rows held as {column: value}
   maps.  The matrices gorlab eliminates have their entries in m, and
@@ -18,10 +18,13 @@ rows and pivots:
 - the blocked dense kernel, whose panel-sized accumulations stay below
   2**53, so trailing updates run through BLAS (float64 matmul) exactly.
 
-`kernel_triplets` serves callers that read only ranks and kernels of any
-basis (homology): it takes a matrix as (row, column, value) triplets and
-eliminates it in the same {column: value} rows with no canonical column
-order, so it never builds the dense array unless it falls back.
+Two kernels take a matrix as (row, column, value) triplets and eliminate it
+in the same {column: value} rows (`_eliminate`), so neither builds the dense
+array unless it falls back.  `kernel_triplets` serves callers that read only
+ranks and kernels of any basis (homology): its columns go in no canonical
+order.  `kernel_rref` serves the resolution, whose kernels are written out:
+one pass with the columns right to left leaves the canonical rref basis of
+the kernel, which it returns as triplets read off the pivot rows.
 
 One rule with one constant, `_SPARSE_SHARE`, chooses: a sparse path may
 hold at most that share of the dense array's entries.  An input with more
@@ -343,9 +346,7 @@ def kernel_triplets(rows, cols, vals, shape, p: int):
         out = _kernel_sparse(rows, cols, vals, shape, p, budget)
         if out is not None:
             return out
-    A = np.zeros(shape, dtype=np.int64)
-    A[rows, cols] = vals
-    K = kernel_array(A, p)
+    K = kernel_array(_dense(rows, cols, vals, shape), p)
     return K, n - K.shape[0]
 
 
@@ -358,12 +359,61 @@ def _kernel_sparse(rows, cols, vals, shape, p: int, budget: float):
     pivot_row = _eliminate(data, where, columns, p, budget, len(vals))
     if pivot_row is None:
         return None
+    kr, kc, kv, free = _kernel_entries(data, pivot_row, n, p)
+    K = np.zeros((len(free), n), dtype=np.int64)
+    K[kr, kc] = kv
+    return K, len(pivot_row)
+
+
+def kernel_rref(rows, cols, vals, shape, p: int):
+    """Canonical rref basis of the right kernel of the m x n matrix `shape`
+    whose nonzero entries are vals[k] in [1, p) at (rows[k], cols[k]),
+    distinct positions: (rows, cols, vals, pivots), the nonzero entries of
+    the kernel's rows in row-major order and the pivot of each row.
+
+    Equal to rref_array(kernel_array(A)) restricted to its rank, from one
+    Gauss-Jordan elimination (`_eliminate`) with the columns taken right to
+    left.  A row is zero on every column done when it pivots, so each pivot
+    row ends with its pivot column and free columns to the left of it.  The
+    kernel vector of a free column f is 1 at f and -v at the pivot c > f of
+    each pivot row with an entry v at f: f leads, no other vector has an
+    entry there, so the vectors in increasing f are the rref and the free
+    columns its pivots.  An input with more than `_SPARSE_SHARE` of its m n
+    entries nonzero, or whose fill grows past that share, is densified
+    instead, and `kernel_array` of the column-reversed matrix, read
+    backwards, gives the same rows.
+    """
+    m, n = shape
+    budget = _SPARSE_SHARE * m * n
+    if len(vals) <= budget:
+        data, where = _sparse_rows(np.asarray(rows), np.asarray(cols), np.asarray(vals), m)
+        pivot_row = _eliminate(data, where, sorted(where, reverse=True), p,
+                               budget, len(vals))
+        if pivot_row is not None:
+            kr, kc, kv, free = _kernel_entries(data, pivot_row, n, p)
+            order = np.argsort(kr * n + kc)
+            return kr[order], kc[order], kv[order], free.tolist()
+    K = kernel_array(_dense(rows, cols, vals, shape)[:, ::-1], p)[::-1, ::-1]
+    kr, kc = np.nonzero(K)
+    lead = np.flatnonzero(np.diff(kr, prepend=-1))
+    return kr, kc, K[kr, kc], kc[lead].tolist()
+
+
+def _dense(rows, cols, vals, shape) -> np.ndarray:
+    A = np.zeros(shape, dtype=np.int64)
+    A[rows, cols] = vals
+    return A
+
+
+def _kernel_entries(data: list, pivot_row: dict, n: int, p: int):
+    """The kernel of the reduced system `_eliminate` leaves in `data`, over
+    n columns, one vector per free column f: 1 at f and -v at the pivot of
+    each pivot row with an entry v at f.  Returns (vector, column, value,
+    free columns), the entries in no order."""
     is_free = np.ones(n, dtype=bool)
     is_free[list(pivot_row)] = False
     free = np.flatnonzero(is_free)
     at = np.cumsum(is_free) - 1   # the kernel vector of each free column
-    K = np.zeros((len(free), n), dtype=np.int64)
-    K[np.arange(len(free)), free] = 1
     kx: list[int] = []
     cx: list[int] = []
     vx: list[int] = []
@@ -373,25 +423,11 @@ def _kernel_sparse(rows, cols, vals, shape, p: int, budget: float):
                 kx.append(j)
                 cx.append(c)
                 vx.append(p - v)
-    K[at[kx], cx] = vx
-    return K, len(pivot_row)
-
-
-def kernel_rref(A: np.ndarray, p: int):
-    """Canonical rref basis of the right kernel of A: (rows, pivots).
-
-    Equal to rref_array(kernel_array(A)) restricted to its rank, from one
-    elimination.  kernel_array of the column-reversed matrix gives each
-    kernel vector a unit entry at its own free column and zeros at the other
-    free columns, and nonzero entries elsewhere only to the left of it; read
-    back in the original column order, that free column is the leading
-    entry, so reversing the rows sorts them by pivot and the result is
-    reduced.
-    """
-    n = A.shape[1]
-    K = np.ascontiguousarray(kernel_array(A[:, ::-1], p)[::-1, ::-1])
-    pivots = [int(c) for c in np.argmax(K != 0, axis=1)] if n else []
-    return K, pivots
+    kr = np.concatenate([np.arange(len(free)), at[np.asarray(kx, dtype=np.int64)]])
+    kc = np.concatenate([free, np.asarray(cx, dtype=np.int64)])
+    kv = np.concatenate([np.ones(len(free), dtype=np.int64),
+                         np.asarray(vx, dtype=np.int64)])
+    return kr, kc, kv, free
 
 
 def solve_many(A: np.ndarray, B: np.ndarray, p: int):

@@ -101,7 +101,7 @@ def _check_relations(ring: ShortGorensteinRing, actions: np.ndarray, action_w: n
     d = action_w.shape[0]
     if action_w.shape != (d, d) or actions.shape[1:] != (d, d):
         raise ValueError("action matrix shapes disagree")
-    prod = np.einsum("iab,jbc->ijac", actions, actions) % p
+    prod = linalg.matmul_mod(actions[:, None], actions[None], p)
     want = ring.form[:, :, None, None] * action_w[None, None] % p
     if not np.array_equal(prod, want):
         raise ValueError("actions violate x_i x_j = B[i][j] w")
@@ -124,8 +124,8 @@ class ModuleMap:
         m = np.asarray(self.matrix, dtype=np.int64) % p
         if m.shape != (self.target.dim, self.source.dim):
             raise ValueError("map matrix has wrong shape")
-        lhs = np.einsum("iab,bc->iac", self.target.actions, m) % p
-        rhs = np.einsum("ab,ibc->iac", m, self.source.actions) % p
+        lhs = linalg.matmul_mod(self.target.actions, m, p)
+        rhs = linalg.matmul_mod(m, self.source.actions, p)
         if not np.array_equal(lhs, rhs):
             raise ValueError("matrix does not commute with the ring actions")
         m.setflags(write=False)
@@ -148,8 +148,8 @@ def submodule(M: FiniteModule, U: np.ndarray, pivots) -> tuple[FiniteModule, Mod
     p = M.ring.p
     piv = list(pivots)
     # coordinates of a rowspace vector are its entries at the pivot columns
-    acts = np.einsum("kb,iab->ika", U, M.actions)[:, :, piv].transpose(0, 2, 1) % p
-    aw = (U @ M.action_w.T)[:, piv].T % p
+    acts = linalg.matmul_mod(U, M.actions.transpose(0, 2, 1), p)[:, :, piv].transpose(0, 2, 1)
+    aw = linalg.matmul_mod(U, M.action_w.T, p)[:, piv].T
     S = FiniteModule(M.ring, acts, aw)
     incl = ModuleMap(S, M, U.T)
     return S, incl
@@ -178,9 +178,10 @@ def span_closure(M: FiniteModule, V: np.ndarray):
     One pass suffices: span{v, x_i v, w v} is already action-stable because
     x_i x_j v = B[i][j] w v and m annihilates w v.
     """
-    V = np.asarray(V, dtype=np.int64).reshape(-1, M.dim) % M.ring.p
-    imgs = np.einsum("ra,iba->irb", V, M.actions).reshape(-1, M.dim) % M.ring.p
-    imw = V @ M.action_w.T % M.ring.p
+    p = M.ring.p
+    V = np.asarray(V, dtype=np.int64).reshape(-1, M.dim) % p
+    imgs = linalg.matmul_mod(V, M.actions.transpose(0, 2, 1), p).reshape(-1, M.dim)
+    imw = linalg.matmul_mod(V, M.action_w.T, p)
     return _rref_span(M, np.concatenate([V, imgs, imw], axis=0))
 
 
@@ -211,8 +212,14 @@ def socle(M: FiniteModule) -> tuple[FiniteModule, ModuleMap]:
 
 
 def socle_rows(M: FiniteModule):
+    """rref basis of soc(M), the common kernel of x_1..x_e and w: (rows,
+    pivots)."""
     stacked = np.concatenate(list(M.actions) + [M.action_w], axis=0)
-    return linalg.kernel_rref(stacked, M.ring.p)
+    ri, ci = np.nonzero(stacked)
+    kr, kc, kv, pivots = linalg.kernel_rref(ri, ci, stacked[ri, ci], stacked.shape, M.ring.p)
+    S = np.zeros((len(pivots), M.dim), dtype=np.int64)
+    S[kr, kc] = kv
+    return S, pivots
 
 
 def matlis_dual(M: FiniteModule) -> FiniteModule:

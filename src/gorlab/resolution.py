@@ -33,8 +33,10 @@ minimal cover of M_i, so ker del_i lies in m F_i, and therefore
     ker del_i = ker(L) + w F_i,   L[j, a*e + g] = sum_h form[g, h] G[a, j, 1+h]
 
 where G is the entry array of del_i and L is the beta_{i-1} x e*beta_i matrix
-of w-coefficients of del_i on the x-slots.  The step eliminates L instead of
-the (e+2)-fold k-matrix of del_i.  The rows of rref(ker L), placed in the
+of w-coefficients of del_i on the x-slots.  The step eliminates L, built from
+the nonzeros of del_i, instead of the (e+2)-fold k-matrix of del_i, and takes
+rref(ker L) as its nonzeros from one sparse elimination
+(`linalg.kernel_rref`).  The rows of rref(ker L), placed in the
 x-slots, together with one unit row per w-slot, sorted by pivot, are a
 reduced echelon basis: no row has a nonzero entry in another row's pivot
 column, because the two kinds of rows live on disjoint slots.  The rref of a
@@ -60,21 +62,28 @@ pivot of rref(S), so when the leading entries of the slices already cover
 every column, S is everything and nothing is eliminated; only otherwise, in
 a few percent of the steps, does the step eliminate the slices.
 
-A resolution stores its differentials, the cover matrix, the Betti numbers
-and nu(m M_i) of each syzygy, the one syzygy number the tail certificate
-reads; nothing else of a syzygy is kept.  By exactness M_i is the image of
-del_i, the R-span of its rows, so `syzygy` rebuilds M_i's rref basis on
-demand with `span_closure`: the rref of a subspace is unique, so it is the
-basis of the kernel the step found.  Exactness also gives dim M_i from the
-Betti numbers alone, dim M_i = beta_{i-1} (e+2) - dim M_{i-1}
-(`syzygy_dims`), and a span of another dimension, a step that dropped a
-generator, raises CertificateError.
+A resolution stores each differential as its nonzeros (`Nonzeros`: the
+generator, target, slot and value of every nonzero entry), the cover matrix,
+the Betti numbers and nu(m M_i) of each syzygy, the one syzygy number the
+tail certificate reads; nothing else of a syzygy is kept.  A minimal
+differential has its entries in m, about 1.4 nonzeros per row, so the README
+module's del_1..del_8 hold 2876 nonzeros in 90 KiB, against 25.4 MiB as
+dense arrays.  Steps and homology read the nonzeros; `diff(i)` builds the
+dense entry array on demand for the readers that want one (syzygies,
+chain-map lifts, the presentation and the `resolve` output).  By exactness
+M_i is the image of del_i, the R-span of its rows, so `syzygy` rebuilds
+M_i's rref basis on demand with `span_closure`: the rref of a subspace is
+unique, so it is the basis of the kernel the step found.  Exactness also
+gives dim M_i from the Betti numbers alone,
+dim M_i = beta_{i-1} (e+2) - dim M_{i-1} (`syzygy_dims`), and a span of
+another dimension, a step that dropped a generator, raises CertificateError.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,27 +196,88 @@ def free_kmat(G: np.ndarray, ops: np.ndarray, p: int) -> np.ndarray:
     return out.reshape(j * d, a * d)
 
 
-def _linear_part(ring: ShortGorensteinRing, G: np.ndarray) -> np.ndarray:
-    """The matrix L with ker del = ker(L) + wF for a minimal differential
-    with entry array G (shape (a, j, e+2)): entry [j, a*e + g] is the
-    w-coefficient in block j of del(x_g * gen a)."""
+class Nonzeros(NamedTuple):
+    """The nonzero entries of the ring-entry array G of a map R^a -> R^j
+    (shape (a, j, e+2): row a is del(gen a)): G[gen[k], target[k], slot[k]]
+    = val[k], in row-major order, and the shape of G."""
+
+    gen: np.ndarray
+    target: np.ndarray
+    slot: np.ndarray
+    val: np.ndarray
+    shape: tuple
+
+    def dense(self) -> np.ndarray:
+        G = np.zeros(self.shape, dtype=np.int64)
+        G[self.gen, self.target, self.slot] = self.val
+        return G
+
+    def transpose(self) -> "Nonzeros":
+        """The nonzeros of G.transpose(1, 0, 2), the map with the roles of
+        source and target swapped."""
+        a, j, C = self.shape
+        order = np.lexsort((self.slot, self.gen, self.target))
+        return Nonzeros(self.target[order], self.gen[order], self.slot[order],
+                        self.val[order], (j, a, C))
+
+
+def kmat_triplets(G: Nonzeros, ops: np.ndarray, p: int):
+    """Triplets (rows, cols, vals, shape) of the (j t) x (a s) matrix whose
+    tile at target copy y and source copy x is sum_c G[x, y, c] ops[c], for
+    the nonzeros G of an (a, j, C) entry array and ops of shape (C, t, s):
+    each nonzero places its multiple of a t x s matrix, duplicate positions
+    are summed mod p and zeros dropped.  Every entry is a sum of C products
+    below p^2, exact in int64.  With ops = N.all_ops this is the k-matrix
+    `free_kmat` builds dense."""
     a, j, _ = G.shape
+    _, t, s = ops.shape
+    n = a * s
+    lin, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for c, op in enumerate(ops):
+        at = G.slot == c
+        gx, gy = G.gen[at], G.target[at]
+        ot, oc = np.nonzero(op)
+        # row y t + ot, column x s + oc, as the index row n + column
+        lin.append(((gy * t * n + gx * s)[:, None] + (ot * n + oc)[None]).ravel())
+        vals.append((G.val[at][:, None] * op[ot, oc][None]).ravel())
+    lin, vals = np.concatenate(lin), np.concatenate(vals)
+    order = np.argsort(lin, kind="stable")
+    lin, vals = lin[order], vals[order]
+    first = np.flatnonzero(np.diff(lin, prepend=-1))
+    lin, vals = lin[first], np.add.reduceat(vals, first) % p
+    nz = vals != 0
+    rows, cols = np.divmod(lin[nz], max(n, 1))
+    return rows, cols, vals[nz], (j * t, n)
+
+
+def _linear_part(ring: ShortGorensteinRing, G: Nonzeros):
+    """Triplets of the matrix L with ker del = ker(L) + wF for a minimal
+    differential with nonzeros G (shape (a, j, e+2)): entry [j, a*e + g] is
+    the w-coefficient in block j of del(x_g * gen a), sum_h form[g, h]
+    G[a, j, 1+h], so L is the k-matrix whose op of slot 1+h is the row
+    form[:, h]."""
     e = ring.e
-    L = np.einsum("ajh,gh->jag", G[:, :, 1:e + 1], ring.form) % ring.p
-    return L.reshape(j, a * e)
+    ops = np.zeros((ring.dim, 1, e), dtype=np.int64)
+    ops[1:e + 1, 0] = ring.form.T
+    return kmat_triplets(G, ops, ring.p)
 
 
-def _slice_pivots(X: np.ndarray, p: int) -> list[int]:
-    """Pivots of rref(S), for the span S of the x-slot slices X[:, :, h]
-    (h < e) of kernel rows X of shape (rows, blocks, e): the blocks whose
+def _slice_pivots(rows, cols, vals, blocks: int, p: int) -> list[int]:
+    """Pivots of rref(S), for the span S of the x-slot slices of kernel rows
+    given by their nonzeros: vals[k] at slice rows[k] (one slice per kernel
+    row and x-slot) and column cols[k] < blocks.  These are the blocks whose
     w-pivot row m K covers.  Every nonzero vector of S leads at a pivot of
     rref(S); when the leading entries of the slices already cover every
-    block, S is everything, and only otherwise is it eliminated."""
-    n, blocks, e = X.shape
-    S = X.transpose(0, 2, 1).reshape(n * e, blocks)
-    S = S[S.any(axis=1)]
-    if len(S) and np.unique(np.argmax(S != 0, axis=1)).size == blocks:
+    block, S is everything, and only otherwise are the nonzero slices
+    eliminated."""
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    lead = cols[np.flatnonzero(np.diff(rows, prepend=-1))]
+    if len(rows) and np.unique(lead).size == blocks:
         return list(range(blocks))
+    _, at = np.unique(rows, return_inverse=True)
+    S = np.zeros((len(lead), blocks), dtype=np.int64)
+    S[at, cols] = vals
     return linalg.rref_array(S, p)[1]
 
 
@@ -234,7 +304,7 @@ class MinimalFreeResolution:
         C = module.all_ops[:, :, gens].transpose(1, 2, 0).reshape(module.dim, b0 * D)
         self.cover_matrix = C % ring.p
         self.betti_head = [b0]
-        self.diffs: list[np.ndarray] = []    # diffs[i-1] = del_i, shape (b_i, b_{i-1}, D)
+        self.nonzeros: list[Nonzeros] = []   # nonzeros[i-1]: del_i, shape (b_i, b_{i-1}, D)
         self.nu_m: list[int] = []            # nu_m[i-1] = nu(m M_i) = dim m M_i
         self.finite = b0 == 0
         self._tail: TailCertificate | None = None
@@ -244,7 +314,7 @@ class MinimalFreeResolution:
     @property
     def head(self) -> int:
         """Number of materialized differentials."""
-        return len(self.diffs)
+        return len(self.nonzeros)
 
     def syzygy(self, i: int) -> tuple[FiniteModule, ModuleMap]:
         """M_i inside F_{i-1} and its inclusion, for 1 <= i <= head: the
@@ -272,8 +342,11 @@ class MinimalFreeResolution:
         p, e, D = ring.p, ring.e, ring.dim
         b = self.betti_head[-1]
         if self.head == 0:
-            K, kpiv = linalg.kernel_rref(self.cover_matrix, p)
-            if K[:, ::D].any():
+            C = self.cover_matrix
+            ri, ci = np.nonzero(C)
+            kr, kc, kv, kpiv = linalg.kernel_rref(ri, ci, C[ri, ci], C.shape, p)
+            blk, slot = np.divmod(kc, D)
+            if (slot == 0).any():
                 raise CertificateError(
                     "kernel escapes the radical; cover not minimal")
             # only this kernel can be zero: every later one holds w F_i != 0
@@ -286,17 +359,25 @@ class MinimalFreeResolution:
             # pivot-column entries) it is S, read on the blocks of the rows
             # with a w-pivot (K is nonzero inside mF, so it meets the socle
             # wF); generators = the rows of K that S's pivots leave
-            wrows = [t for t, c in enumerate(kpiv) if c % D == D - 1]
-            blocks = [kpiv[t] // D for t in wrows]
-            drop = _slice_pivots(K.reshape(len(kpiv), b, D)[:, blocks, 1:e + 1], p)
-            d = np.delete(K, [wrows[t] for t in drop], axis=0)
-            d = d.reshape(len(d), b, D)
+            kpiv = np.asarray(kpiv, dtype=np.int64)
+            wrows = np.flatnonzero(kpiv % D == D - 1)
+            col = np.full(b, -1)
+            col[kpiv[wrows] // D] = np.arange(len(wrows))
+            x = (col[blk] >= 0) & (slot <= e)
+            drop = _slice_pivots(kr[x] * e + slot[x] - 1, col[blk[x]], kv[x],
+                                 len(wrows), p)
+            kept = np.ones(len(kpiv), dtype=bool)
+            kept[wrows[drop]] = False
+            gen = np.cumsum(kept) - 1
+            x = kept[kr]
+            G = Nonzeros(gen[kr[x]], blk[x], slot[x], kv[x], (int(kept.sum()), b, D))
         else:
             # ker del = ker(L) + wF: every block has a w-unit row, whose
             # slices are zero, so S is spanned by the x-rows' slices alone
-            KL, lpiv = linalg.kernel_rref(_linear_part(ring, self.diffs[-1]), p)
-            X = KL.reshape(len(lpiv), b, e)
-            drop = _slice_pivots(X, p)
+            kr, kc, kv, lpiv = linalg.kernel_rref(
+                *_linear_part(ring, self.nonzeros[-1]), p)
+            blk, g = np.divmod(kc, e)
+            drop = _slice_pivots(kr * e + g, blk, kv, b, p)
             keep = np.setdiff1d(np.arange(b), drop)
             # column a*e + g of L is the x_{g+1}-slot a*D + 1 + g of F; both
             # kinds of rows keep their pivots, so sorting by pivot merges the
@@ -304,12 +385,16 @@ class MinimalFreeResolution:
             lp = np.asarray(lpiv, dtype=np.int64)
             at = np.argsort(np.argsort(np.concatenate(
                 [lp // e * D + 1 + lp % e, keep * D + D - 1])))
-            d = np.zeros((len(at), b, D), dtype=np.int64)
-            d[at[:len(lp)], :, 1:e + 1] = X
-            d[at[len(lp):], keep, D - 1] = 1
+            gen = np.concatenate([at[:len(lp)][kr], at[len(lp):]])
+            order = np.argsort(gen, kind="stable")
+            G = Nonzeros(gen[order],
+                         np.concatenate([blk, keep])[order],
+                         np.concatenate([1 + g, np.full(len(keep), D - 1)])[order],
+                         np.concatenate([kv, np.ones(len(keep), dtype=np.int64)])[order],
+                         (len(at), b, D))
         self.nu_m.append(len(drop))
-        self.diffs.append(d)
-        self.betti_head.append(len(d))
+        self.nonzeros.append(G)
+        self.betti_head.append(G.shape[0])
 
     def extend(self, steps: int, budget_stop: bool = False):
         """Materialize differentials up to index `steps`.  A step that would
@@ -334,9 +419,10 @@ class MinimalFreeResolution:
         kernel rows a few times over: most steps only read their leading
         entries, but a step whose leading entries fall short eliminates
         them.  Past the cover the kernel rows are those of rref(ker L), e of
-        every e+2 entries of a row, so the estimate runs high there.  The
-        measured (tracemalloc) peak is 0.23 to 0.25 of this on the
-        benchmark's steps of more than 1 MiB, and 0.23 to 0.30 on steps 4-9
+        every e+2 entries of a row, and they and the differential are held
+        as their nonzeros, so the estimate runs far high there.  The
+        measured (tracemalloc) peak is 0.002 to 0.023 of this on the
+        benchmark's steps of more than 1 MiB, and 0.001 to 0.04 on steps 5-9
         of the README's module; steps of a few KiB peak above it, on fixed
         per-step overhead."""
         b, e = self.betti_head[-1], self.ring.e
@@ -419,10 +505,11 @@ class MinimalFreeResolution:
         return out[: n + 1]
 
     def diff(self, i: int) -> np.ndarray:
-        """Ring-entry array of del_i, for 1 <= i <= head."""
+        """Ring-entry array of del_i, for 1 <= i <= head, built dense from
+        its nonzeros."""
         if not 1 <= i <= self.head:
             raise NotMaterialized(f"differential {i} not materialized (head={self.head})")
-        return self.diffs[i - 1]
+        return self.nonzeros[i - 1].dense()
 
 
 def resolve(M: FiniteModule, n: int,

@@ -49,7 +49,7 @@ from gorlab.modules import (
     radical_square_rows,
     submodule,
 )
-from gorlab.resolution import free_kmat, lift_chain_map, syzygy
+from gorlab.resolution import Nonzeros, free_kmat, lift_chain_map, syzygy
 from gorlab.verify import TrialConfig, _draw_ideal_gens, _draw_module, _ring_for
 
 
@@ -622,6 +622,12 @@ def _not_adapted(L):
     return FiniteModule(L.ring, ops[:-1], ops[-1])
 
 
+def _nonzeros(G):
+    """The nonzeros of the entry array G, as a resolution stores them."""
+    gen, target, slot = np.nonzero(G)
+    return Nonzeros(gen, target, slot, G[gen, target, slot], G.shape)
+
+
 def _check_triplets(triplets, p):
     """The triplets' matrix, after checking that they hold int64 values in
     [1, p) at distinct positions inside their shape."""
@@ -647,7 +653,7 @@ def test_tor_block_matches_full_matrix(p, e):
             G = rng.integers(0, p, size=(a, j, R.dim), dtype=np.int64)
             G[:, :, 0] = 0
             full = free_kmat(G, L.all_ops, p).reshape(j, d, a, d)
-            block = hm._tor_block(G, L, layers)
+            block = hm._tor_block(_nonzeros(G), L, layers)
             assert block[3] == (j * t, a * s)
             assert np.array_equal(_check_triplets(block, p),
                                   full[:, d - t:, :, :s].reshape(j * t, a * s))
@@ -657,11 +663,11 @@ def test_tor_block_matches_full_matrix(p, e):
         G[:, :, 0] = 0
         G[1, 2, 0] = 1
         with pytest.raises(CertificateError):
-            hm._tor_block(G, L, layers)
+            hm._tor_block(_nonzeros(G), L, layers)
         if layers[1]:
             G[1, 2, 0] = 0
             with pytest.raises(CertificateError):
-                hm._tor_block(G, _not_adapted(L), layers)
+                hm._tor_block(_nonzeros(G), _not_adapted(L), layers)
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, 65521])
@@ -676,7 +682,7 @@ def test_ext_diff_matches_dense_einsum(p, e):
             G = rng.integers(0, p, size=(a, j, R.dim), dtype=np.int64)
             G[rng.random(G.shape) < 0.5] = 0
             want = np.einsum("ajc,cxy->axjy", G, N.all_ops) % p
-            got = hm._ext_diff(G, N)
+            got = hm._ext_diff(_nonzeros(G), N)
             assert got[3] == (a * d, j * d)
             assert np.array_equal(_check_triplets(got, p),
                                   want.reshape(a * d, j * d))
@@ -715,9 +721,9 @@ def _serve_corrupted(kind):
         name, orig = "_tor_block", hm._tor_block
 
         def fake(G, L, layers):
-            G = G.copy()
+            G = G.dense()
             G[0, 0, 0] = 1
-            return orig(G, L, layers)
+            return orig(_nonzeros(G), L, layers)
     elif kind == "tail":
         name, orig = "_base", hm._base
 

@@ -118,6 +118,44 @@ def test_integer_arrays_encode_as_their_lists(obj):
     assert "".join(writes) == want
 
 
+@st.composite
+def _mostly_zero_arrays(draw):
+    """Integer arrays of rank 2-4 that are zero but for a few last-axis
+    vectors: all zero, nonzero at the first or the last vector of each row,
+    or at a few scattered ones; rows of a single vector and zero-length
+    axes included."""
+    dtype = np.dtype(draw(st.sampled_from(["int8", "int64", "uint64"])))
+    info = np.iinfo(dtype)
+    lead = draw(st.lists(st.integers(0, 3), max_size=2))
+    m = draw(st.sampled_from([0, 1, 1, 2, 5, 9]))
+    d = draw(st.integers(0, 4))
+    x = np.zeros((*lead, m, d), dtype)
+    place = draw(st.sampled_from(["none", "first", "last", "scattered"]))
+    if x.size == 0 or place == "none":
+        return x
+    nonzero = (st.sampled_from([1, int(info.max), int(info.min)])
+               | st.integers(int(info.min), int(info.max))).filter(bool)
+    for row in x.reshape(-1, m, d):   # views of x's rows
+        if place == "scattered":
+            at = draw(st.lists(st.integers(0, m - 1), max_size=2))
+        else:
+            at = [0 if place == "first" else m - 1]
+        for j in at:
+            row[j, draw(st.integers(0, d - 1))] = draw(nonzero)
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mostly_zero_arrays())
+def test_mostly_zero_arrays_encode_as_their_lists(x):
+    # the zero vector's text fills every list around the nonzero vectors
+    want = json.dumps(x.tolist(), sort_keys=True, indent=2) + "\n"
+    assert io.canonical_json(x) == want
+    writes = []
+    io.write_json(x, SimpleNamespace(write=writes.append))
+    assert "".join(writes) == want
+
+
 def _resolution_dict_by_entry(res, steps):
     """resolution_to_dict as it was built before tolist(): one int() per
     entry."""

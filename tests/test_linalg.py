@@ -95,13 +95,27 @@ def _kernel_loop(A, p):
     return K
 
 
+def _kernel_rref_rows(A, p):
+    """kernel_rref of A, from A's nonzeros, as dense rows and pivots; the
+    entries must be nonzero, in [1, p) and in row-major order."""
+    rows, cols = np.nonzero(A)
+    kr, kc, kv, piv = kernel_rref(rows, cols, A[rows, cols], A.shape, p)
+    n = A.shape[1]
+    lin = kr * n + kc
+    assert np.all(np.diff(lin) > 0)
+    assert kv.size == 0 or (kv.min() >= 1 and kv.max() < p)
+    K = np.zeros((len(piv), n), dtype=np.int64)
+    K[kr, kc] = kv
+    return K, piv
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrix_and_prime())
 def test_kernel_rref_is_rref_of_kernel(mp):
     A, p = mp
     assert np.array_equal(kernel_array(A, p), _kernel_loop(A, p))
-    # the column-reversed kernel read backwards is the canonical rref basis
-    K, piv = kernel_rref(A, p)
+    # one elimination gives the canonical rref basis
+    K, piv = _kernel_rref_rows(A, p)
     R, rpiv, rank = rref_array(kernel_array(A, p), p)
     assert np.array_equal(K, R[:rank])
     assert piv == list(rpiv)
@@ -381,3 +395,72 @@ def test_solve_many_without_columns():
     # and with no equations every system is solvable
     [x] = solve_many(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 1)), 5)
     assert x.tolist() == [0, 0, 0]
+
+
+@st.composite
+def sparse_for_kernel_rref(draw):
+    """A matrix over GF(p) at a density on either side of `_SPARSE_SHARE`,
+    or an edge case: no rows, no columns, the zero matrix, or full column
+    rank (a permuted identity under sparse rows)."""
+    p = draw(st.sampled_from((2, 3, 101, 65521)))
+    kind = draw(st.sampled_from(("sparse", "sparse", "no rows", "no columns",
+                                 "zero", "full column rank")))
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.01, 0.03, 0.06, 0.1, 0.15, 0.3)))
+    A = rng.integers(1, p, size=(m, n)) * (rng.random((m, n)) < density)
+    if kind == "no rows":
+        A = A[:0]
+    elif kind == "no columns":
+        A = A[:, :0]
+    elif kind == "zero":
+        A[:] = 0
+    elif kind == "full column rank":
+        A = np.concatenate([np.eye(n, dtype=np.int64)[rng.permutation(n)], A])
+    return A.astype(np.int64), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_for_kernel_rref())
+def test_kernel_rref_matches_two_eliminations_on_sparse_inputs(mp):
+    # the oracle eliminates twice: a kernel basis, then the rref of its span;
+    # an input past the share must take the dense fallback
+    A, p = mp
+    calls = []
+
+    def spy(B, p):
+        calls.append(B.shape)
+        return kernel_array(B, p)
+
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(linalg, "kernel_array", spy)
+        K, piv = _kernel_rref_rows(A, p)
+    R, rpiv = row_space(kernel_array(A, p), p)
+    assert np.array_equal(K, R) and piv == list(rpiv)
+    if np.count_nonzero(A) > linalg._SPARSE_SHARE * A.size:
+        assert calls == [A.shape]
+
+
+def test_kernel_rref_takes_both_paths(monkeypatch):
+    # a sparse input stays sparse; one whose fill passes the share, and one
+    # over the share from the start, fall back to kernel_array once
+    calls = []
+
+    def spy(B, p):
+        calls.append(B.shape)
+        return kernel_array(B, p)
+
+    monkeypatch.setattr(linalg, "kernel_array", spy)
+    for (m, n, seed), falls_back in (((30, 60, 3), False), ((40, 40, 1), True),
+                                     ((60, 80, 2), True)):
+        A, p = _fills(m, n, seed)
+        calls.clear()
+        K, piv = _kernel_rref_rows(A, p)
+        assert calls == ([A.shape] if falls_back else [])
+        R, rpiv = row_space(_kernel_loop(A, p), p)
+        assert np.array_equal(K, R) and piv == list(rpiv)
+    A = np.zeros((20, 20), dtype=np.int64)
+    A.flat[: int(linalg._SPARSE_SHARE * A.size) + 1] = 1
+    calls.clear()
+    _kernel_rref_rows(A, 5)
+    assert calls == [A.shape]

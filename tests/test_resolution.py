@@ -30,6 +30,7 @@ from gorlab.resolution import (
     DEFAULT_BUDGET,
     TAIL_OVERLAP,
     MinimalFreeResolution,
+    Nonzeros,
     free_kmat,
     k_syzygy_dims,
     lift_chain_map,
@@ -283,7 +284,7 @@ def _form_weighted_w(ring, K, kpiv):
 def _step_drop(res, s, kpiv):
     """(nu(m M_{s+1}), the rows of M_{s+1}'s rref basis, whose pivots are
     kpiv, that step s + 1 left out of del_{s+1}), read off the resolution."""
-    G = res.diffs[s]
+    G = res.diff(s + 1)
     # the last differential of a finite resolution has no rows, so the
     # width of the reshape is given, not inferred
     width = G.shape[1] * G.shape[2]
@@ -402,8 +403,12 @@ def test_canonical_kernels_match_two_eliminations(M, i):
         return
     p = N.ring.p
     res = MinimalFreeResolution(N)
-    rows, pivots = kernel_rref(res.cover_matrix, p)
-    K, kpiv = row_space(kernel_array(res.cover_matrix, p), p)
+    C = res.cover_matrix
+    ri, ci = np.nonzero(C)
+    kr, kc, kv, pivots = kernel_rref(ri, ci, C[ri, ci], C.shape, p)
+    rows = np.zeros((len(pivots), C.shape[1]), dtype=np.int64)
+    rows[kr, kc] = kv
+    K, kpiv = row_space(kernel_array(C, p), p)
     assert np.array_equal(rows, K) and list(pivots) == list(kpiv)
     stacked = np.concatenate(list(N.actions) + [N.action_w], axis=0)
     S, spiv = socle_rows(N)
@@ -413,7 +418,7 @@ def test_canonical_kernels_match_two_eliminations(M, i):
 
 def test_resolution_holds_only_its_differentials(R3):
     # the syzygy bases are rebuilt on demand, never kept: the only arrays a
-    # resolution holds are its differentials and the cover matrix
+    # resolution holds are its differentials' nonzeros and the cover matrix
     M = random_module(R3, 2, 2, seed=5)
     res = resolve(M, 6)
     res.extend(6)
@@ -430,8 +435,28 @@ def test_resolution_holds_only_its_differentials(R3):
             yield from arrays(list(vars(obj).values()))
 
     held = list(arrays(list(vars(res).values())))
-    assert len(res.diffs) >= 6
-    assert sorted(map(id, held)) == sorted(map(id, [res.cover_matrix, *res.diffs]))
+    assert res.head >= 6
+    stored = [res.cover_matrix] + [x for G in res.nonzeros for x in G[:4]]
+    assert sorted(map(id, held)) == sorted(map(id, stored))
+
+
+# sha256 of the README module's del_1..del_8, each its shape's repr and its
+# int64 bytes: the dense arrays the resolution stored before it held their
+# nonzeros (25.4 MiB for 2876 nonzeros)
+README_DIFFS_SHA = "0804ae1acdadb8eb64aa44096daa4824006d06653ae3b4fc90296ba20bb6171d"
+
+
+def test_readme_differentials_are_held_as_their_nonzeros(R3):
+    res = resolve(random_module(R3, 2, 2, seed=5), 8, min_head=8)
+    assert res.betti_head == [2, 2, 4, 10, 26, 68, 178, 466, 1220]
+    assert sum(x.nbytes for G in res.nonzeros for x in G[:4]) < 2**20
+    h = hashlib.sha256()
+    for i in range(1, 9):
+        G = res.diff(i)
+        assert G.dtype == np.int64 and G.shape == res.nonzeros[i - 1].shape
+        h.update(repr(G.shape).encode())
+        h.update(G.tobytes())
+    assert h.hexdigest() == README_DIFFS_SHA
 
 
 def _certify_corrupted_tail():
@@ -502,11 +527,14 @@ def _corrupt(kind):
         res.tail_certificate()
     elif kind == "lift":
         twin = random_module(R, 2, 2, seed=33)
-        resolve(twin, 2, min_head=2).diffs[0][:] = 0
+        resolve(twin, 2, min_head=2).nonzeros[0].val[:] = 0
         lift_chain_map(ModuleMap(M, twin, np.eye(M.dim, dtype=np.int64)), 2)
     else:
         res.extend(2)
-        res.diffs[1] = res.diffs[1][1:]
+        G = res.nonzeros[1]
+        rest = G.gen > 0
+        res.nonzeros[1] = Nonzeros(G.gen[rest] - 1, G.target[rest], G.slot[rest],
+                                   G.val[rest], (G.shape[0] - 1, *G.shape[1:]))
         res.syzygy(2)
 
 
