@@ -12,12 +12,10 @@ import argparse
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import homology, io, koszul, series, verify
 from .errors import GorlabError
 from .modules import matlis_dual, radical_submodule, random_module
-from .resolution import resolve
+from .resolution import Nonzeros, resolve
 from .ring import FORM_CHOICES, make_ring, named_form, validate_general_algebra
 
 
@@ -73,13 +71,13 @@ def _pretty(obj, indent: str = "") -> None:
 
 def _is_flat(v) -> bool:
     if isinstance(v, list):
-        return all(not isinstance(x, (dict, list, np.ndarray)) for x in v)
+        return all(not isinstance(x, (dict, list, Nonzeros)) for x in v)
     return False
 
 
 def _plain(v):
-    """An integer ndarray (a differential) prints as its nested list."""
-    return v.tolist() if isinstance(v, np.ndarray) else v
+    """A differential's nonzeros print as its entry array's nested list."""
+    return v.dense().tolist() if isinstance(v, Nonzeros) else v
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ the block with the Tor route it is checked against.  `tor_induced` builds
 the dense k-matrix of each lift, which may have unit entries, and reads it
 on the windows' slices: against A's cycles on their s coordinates of each
 copy, against B's left kernel on its last t.
-Homology reads only ranks and spans, so `linalg.kernel_triplets` eliminates
-every block in no canonical basis; only the resolution's differentials,
-which are written out, need a canonical rref.
+Every block goes through `linalg.kernel_rref`, the one sparse kernel, which
+also serves the resolution, its columns relabelled fewest entries first;
+homology reads only ranks and spans, so no output depends on the basis.
 
 `_build_table` is the one builder of both tables, and `_plan` the one place
 that chooses a window, from M's certified Betti numbers, its junction J, dim
@@ -278,10 +278,10 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int):
     block A_j, as triplets (rows, cols, vals, shape) of the matrix with
     rows (target copy, t) and columns (source copy, s); the caller
     guarantees the support (`_tor_block` checks it, and the trivial block
-    (dim N, dim N) of Ext has nothing outside).  `linalg.kernel_triplets`
+    (dim N, dim N) of Ext has nothing outside).  `linalg.kernel_rref`
     eliminates A_i and, with rows and columns swapped, A_{i+step}^T, so a
-    block is dense only on its fallback, and its kernels are in any basis,
-    since only ranks and spans are read.  The cycles are ker A_i plus the dropped
+    block is dense only on its fallback; only the kernels, mapped back from
+    the relabelled columns, are densified.  The cycles are ker A_i plus the dropped
     columns of the ranks(i) copies, the boundaries lie in the last t
     coordinates, where they are read through the left kernel K of the map
     in A_{i+step}: its rank is rows - dim K, which must equal the rank
@@ -304,6 +304,19 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int):
             mats[j] = diff(j)
         return mats[j]
 
+    def kernel(rows, cols, vals, shape):
+        # any basis will do, since only ranks and spans are read: the
+        # columns are relabelled so that kernel_rref's right-to-left pass
+        # takes them fewest entries first (ties by index), as structured
+        # Gaussian elimination does, which keeps the fill low in whatever
+        # basis N is written, and the kernel's columns are mapped back
+        n = shape[1]
+        order = np.argsort(np.bincount(cols, minlength=n), kind="stable")[::-1]
+        label = np.empty(n, dtype=np.int64)
+        label[order] = np.arange(n)
+        kr, kc, kv, pivots = linalg.kernel_rref(rows, label[cols], vals, shape, p)
+        return linalg.dense(kr, order[kc], kv, (len(pivots), n))
+
     ranks_of: dict = {}
 
     def check_rank(j, r, how):
@@ -320,10 +333,10 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int):
                                    ranks(i + step), block, N.ring.e),
                      f"{kind} degree {i}")
         rows, cols, vals, (m, n) = mat(i)
-        Z, _ = linalg.kernel_triplets(rows, cols, vals, (m, n), p)
+        Z = kernel(rows, cols, vals, (m, n))
         check_rank(i, n - Z.shape[0], "kernel")
         rows, cols, vals, (m, n) = mat(i + step)
-        K, _ = linalg.kernel_triplets(cols, rows, vals, (n, m), p)
+        K = kernel(cols, rows, vals, (n, m))
         li = Z.shape[0] + ranks(i) * (d - s) - check_rank(
             i + step, m - K.shape[0], "left kernel")
         if li < 0:
@@ -348,8 +361,9 @@ def _degree_bytes(a: int, b: int, c: int, block, e: int) -> int:
     cycles with its images in float64 and int64, and the running rref of
     their products with K, at most dim K + e chunk rows of dim K entries).
     The blocks are budgeted as dense arrays, which they are only when
-    `linalg.kernel_triplets` falls back to `kernel_array`; its sparse path
-    stores at most `linalg._SPARSE_SHARE` of a block's cells.  On the
+    `linalg.kernel_rref` falls back to `kernel_array`; its sparse path
+    stores at most `linalg._SPARSE_SHARE` of a block's cells, and the
+    cycles and K are the dense arrays of the rref triplets it returns.  On the
     benchmark's degrees of more than 1 MiB the measured (tracemalloc) peak
     is 0.01 to 0.47 of this."""
     s, t = block

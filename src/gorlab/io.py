@@ -8,14 +8,17 @@ violations raise SchemaError carrying a JSON pointer to the offending spot.
 Byte contract: ``canonical_json(obj)`` is exactly
 ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``.  It does not call that
 encoder, though: ``json.dumps`` drops to its pure-Python path whenever
-``indent`` is set.  Dicts and lists are walked here instead.  An integer
-ndarray is written as ``json.dumps`` writes its ``tolist()``, but from the
-array itself: each distinct nonzero vector along its last axis is formatted
-once, and each list of vectors is joined from those texts and the zero
-vector's, which fills the runs between them (a differential has about 1.4
-nonzero vectors per list), so a differential never becomes Python ints or
-nested lists.  ``write_json`` writes the same chunks straight to a text
-stream, so a large document is never held as one string.
+``indent`` is set.  Dicts and lists are walked here instead.  A
+differential is handed over as its stored nonzeros (`resolution.Nonzeros`)
+and written as ``json.dumps`` writes ``G.dense().tolist()``, from the
+nonzeros alone: each distinct nonzero vector is formatted once, and each
+generator's list of vectors is joined from those texts and the zero
+vector's, which fills the rest (a differential has about 1.4 nonzero
+vectors per list), so a differential never becomes a dense array, Python
+ints or nested lists.  Any other object, an ndarray included, is written as
+``json.dumps`` writes it, or raises TypeError as it does.  ``write_json``
+writes the same chunks straight to a text stream, so a large document is
+never held as one string.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .modules import (
     nu,
     radical_rows,
 )
-from .resolution import MinimalFreeResolution, resolve
+from .resolution import MinimalFreeResolution, Nonzeros, resolve
 from .ring import ShortGorensteinRing, make_ring
 from .series import RationalityCertificate, TruncatedIntegerSeries
 
@@ -76,6 +79,9 @@ def _encode(x, nl: str, emit):
             _encode(value, inner, emit)
             sep = "," + inner
         emit(nl + "}")
+    elif isinstance(x, Nonzeros):
+        # a NamedTuple, so checked before tuple
+        _encode_nonzeros(x, nl, emit)
     elif isinstance(x, (list, tuple)):
         if not x:
             emit("[]")
@@ -87,8 +93,6 @@ def _encode(x, nl: str, emit):
             _encode(value, inner, emit)
             sep = "," + inner
         emit(nl + "]")
-    elif isinstance(x, np.ndarray):
-        _encode_array(x, nl, emit)
     else:
         emit(json.dumps(x))
 
@@ -103,61 +107,43 @@ def _key(key) -> str:
                     f"not {type(key).__name__}")
 
 
-def _encode_array(x: np.ndarray, nl: str, emit):
-    """Emit the text json.dumps gives x.tolist() at indent nl, for an integer
-    array, one chunk per list of last-axis vectors."""
-    if x.dtype.kind not in "iu":
-        raise TypeError(f"Object of type ndarray with dtype {x.dtype} "
-                        f"is not JSON serializable")
-    if x.size == 0 or x.ndim < 2:
-        # nothing to share: no entries, or a single vector
-        _encode(x.tolist(), nl, emit)
+def _encode_nonzeros(G: Nonzeros, nl: str, emit):
+    """Emit the text json.dumps gives G.dense().tolist() at indent nl, from
+    the nonzeros alone, each generator's list of vectors as one chunk."""
+    a, j, C = G.shape
+    if not (a and j and C):
+        _encode(G.dense().tolist(), nl, emit)
         return
-    m, d = x.shape[-2:]
-    vecs = np.ascontiguousarray(x).reshape(-1, d)
-    row_nl = nl + "  " * (x.ndim - 2)
+    row_nl = nl + "  "
     vec_nl = row_nl + "  "
     inner = vec_nl + "  "
 
     def text(v) -> str:
         return "[" + inner + ("," + inner).join(map(str, v)) + vec_nl + "]"
 
-    # the nonzero vectors, each distinct one formatted once (found as raw
-    # bytes); the zero vector's text fills the rest of every list
-    nz = np.unique(np.flatnonzero(vecs) // d)
-    keys = vecs[nz].view(np.dtype((np.void, vecs.itemsize * d))).ravel()
+    # the vectors of the (generator, target) pairs holding a nonzero, each
+    # distinct one formatted once (found as raw bytes); the zero vector's
+    # text fills the rest of every list
+    pairs, at = np.unique(G.gen * j + G.target, return_inverse=True)
+    vecs = np.zeros((len(pairs), C), dtype=np.int64)
+    vecs[at, G.slot] = G.val
+    keys = vecs.view(np.dtype((np.void, vecs.itemsize * C))).ravel()
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    texts = [text(vecs[nz[r]].tolist()) for r in first.tolist()]
-    zero = text([0] * d)
-    row_of, col = np.divmod(nz, m)
-    ends = np.searchsorted(row_of, np.arange(1, len(vecs) // m + 1)).tolist()
-    col, inv = col.tolist(), inv.ravel().tolist()
+    texts = [text(vecs[r].tolist()) for r in first.tolist()]
+    zero = text([0] * C)
+    gen, col = np.divmod(pairs, j)
+    ends = np.searchsorted(gen, np.arange(1, a + 1)).tolist()
+    col, inv = col.tolist(), inv.tolist()
     sep = "," + vec_nl
-
-    def rows():
-        lo = 0
-        for hi in ends:
-            parts = [zero] * m
-            for k in range(lo, hi):
-                parts[col[k]] = texts[inv[k]]
-            lo = hi
-            yield "[" + vec_nl + sep.join(parts) + row_nl + "]"
-
-    _emit_rows(x.shape[:-2], rows(), nl, emit)
-
-
-def _emit_rows(shape, rows, nl: str, emit):
-    """Emit a nested list of the given shape at indent nl whose innermost
-    items are the next texts of the iterator rows."""
-    if not shape:
-        emit(next(rows))
-        return
-    inner = nl + "  "
-    sep = "[" + inner
-    for _ in range(shape[0]):
-        emit(sep)
-        _emit_rows(shape[1:], rows, inner, emit)
-        sep = "," + inner
+    lo, head = 0, "[" + row_nl
+    for hi in ends:
+        parts = [zero] * j
+        for k in range(lo, hi):
+            parts[col[k]] = texts[inv[k]]
+        lo = hi
+        emit(head)
+        emit("[" + vec_nl + sep.join(parts) + row_nl + "]")
+        head = "," + row_nl
     emit(nl + "]")
 
 
@@ -221,13 +207,7 @@ def load_ring(path: str) -> ShortGorensteinRing:
 def canonical_presentation(M: FiniteModule) -> Presentation:
     """Minimal cover plus first-syzygy relation matrix."""
     res = resolve(M, 1, min_head=1)
-    g = res.betti_head[0]
-    r = res.betti_head[1] if len(res.betti_head) > 1 else 0
-    if r == 0:
-        entries = np.zeros((g, 0, M.ring.dim), dtype=np.int64)
-    else:
-        entries = res.diff(1).transpose(1, 0, 2)
-    return Presentation(M.ring, entries)
+    return Presentation(M.ring, res.diff(1).transpose(1, 0, 2))
 
 
 def module_to_dict(M: FiniteModule, ring_ref=None) -> dict:
@@ -298,7 +278,7 @@ def resolution_to_dict(res: MinimalFreeResolution, steps: int) -> dict:
     betti = [int(b) for b in res.betti(steps)]
     head = min(steps, res.head)
     return {"betti": betti, "materialized_through": head,
-            "differentials": [res.diff(i) for i in range(1, head + 1)]}
+            "differentials": res.nonzeros[:head]}
 
 
 def table_to_dict(table, induced=None) -> dict:

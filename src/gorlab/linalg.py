@@ -18,13 +18,14 @@ that give the same rows and pivots:
 - the blocked dense kernel, whose panel-sized accumulations stay below
   2**53, so trailing updates run through BLAS (float64 matmul) exactly.
 
-Two kernels take a matrix as (row, column, value) triplets and eliminate it
-in the same {column: value} rows (`_eliminate`), so neither builds the dense
-array unless it falls back.  `kernel_triplets` serves callers that read only
-ranks and kernels of any basis (homology): its columns go in no canonical
-order.  `kernel_rref` serves the resolution, whose kernels are written out:
-one pass with the columns right to left leaves the canonical rref basis of
-the kernel, which it returns as triplets read off the pivot rows.
+`kernel_rref` takes a matrix as (row, column, value) triplets and
+eliminates it in the same {column: value} rows (`_eliminate`), so it builds
+no dense array unless it falls back: one pass with the columns right to
+left leaves the canonical rref basis of the kernel, which it returns as
+triplets read off the pivot rows.  It serves the resolution, whose kernels
+are written out, and homology, which reads only their ranks and spans and
+relabels the columns so the pass takes them fewest entries first, which
+fills least; `dense` writes such triplets out as an array.
 
 One rule with one constant, `_SPARSE_SHARE`, chooses: a sparse path may
 hold at most that share of the dense array's entries.  An input with more
@@ -326,45 +327,6 @@ def kernel_array(A: np.ndarray, p: int) -> np.ndarray:
     return K
 
 
-def kernel_triplets(rows, cols, vals, shape, p: int):
-    """(basis of the right kernel, rank) of the m x n matrix `shape` whose
-    nonzero entries are vals[k] in [1, p) at (rows[k], cols[k]), distinct
-    positions.  The kernel holds one vector per row, in no canonical basis;
-    transposing the matrix is swapping rows and cols.
-
-    Gauss-Jordan elimination over rows held as {column: value} maps, with
-    no canonical column order: columns go fewest entries first, as in
-    structured Gaussian elimination, so a column with one entry pivots with
-    no fill, and each takes as pivot the sparsest row not yet used that is
-    nonzero there.  An input with more than `_SPARSE_SHARE` of its m n
-    entries nonzero, or whose fill grows past that share, is densified and
-    handed to `kernel_array` instead.
-    """
-    m, n = shape
-    budget = _SPARSE_SHARE * m * n
-    if len(vals) <= budget:
-        out = _kernel_sparse(rows, cols, vals, shape, p, budget)
-        if out is not None:
-            return out
-    K = kernel_array(_dense(rows, cols, vals, shape), p)
-    return K, n - K.shape[0]
-
-
-def _kernel_sparse(rows, cols, vals, shape, p: int, budget: float):
-    """`kernel_triplets` on its sparse path (`_eliminate`, columns fewest
-    entries first), or None once more than `budget` entries are stored."""
-    m, n = shape
-    data, where = _sparse_rows(np.asarray(rows), np.asarray(cols), np.asarray(vals), m)
-    columns = sorted(where, key=lambda c: len(where[c]))   # stable: ties by index
-    pivot_row = _eliminate(data, where, columns, p, budget, len(vals))
-    if pivot_row is None:
-        return None
-    kr, kc, kv, free = _kernel_entries(data, pivot_row, n, p)
-    K = np.zeros((len(free), n), dtype=np.int64)
-    K[kr, kc] = kv
-    return K, len(pivot_row)
-
-
 def kernel_rref(rows, cols, vals, shape, p: int):
     """Canonical rref basis of the right kernel of the m x n matrix `shape`
     whose nonzero entries are vals[k] in [1, p) at (rows[k], cols[k]),
@@ -393,13 +355,15 @@ def kernel_rref(rows, cols, vals, shape, p: int):
             kr, kc, kv, free = _kernel_entries(data, pivot_row, n, p)
             order = np.argsort(kr * n + kc)
             return kr[order], kc[order], kv[order], free.tolist()
-    K = kernel_array(_dense(rows, cols, vals, shape)[:, ::-1], p)[::-1, ::-1]
+    K = kernel_array(dense(rows, cols, vals, shape)[:, ::-1], p)[::-1, ::-1]
     kr, kc = np.nonzero(K)
     lead = np.flatnonzero(np.diff(kr, prepend=-1))
     return kr, kc, K[kr, kc], kc[lead].tolist()
 
 
-def _dense(rows, cols, vals, shape) -> np.ndarray:
+def dense(rows, cols, vals, shape) -> np.ndarray:
+    """The int64 matrix of the given shape with entries vals at (rows, cols)
+    and zeros elsewhere."""
     A = np.zeros(shape, dtype=np.int64)
     A[rows, cols] = vals
     return A

@@ -217,9 +217,7 @@ def socle_rows(M: FiniteModule):
     stacked = np.concatenate(list(M.actions) + [M.action_w], axis=0)
     ri, ci = np.nonzero(stacked)
     kr, kc, kv, pivots = linalg.kernel_rref(ri, ci, stacked[ri, ci], stacked.shape, M.ring.p)
-    S = np.zeros((len(pivots), M.dim), dtype=np.int64)
-    S[kr, kc] = kv
-    return S, pivots
+    return linalg.dense(kr, kc, kv, (len(pivots), M.dim)), pivots
 
 
 def matlis_dual(M: FiniteModule) -> FiniteModule:

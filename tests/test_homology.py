@@ -35,6 +35,7 @@ from gorlab import linalg
 from gorlab.errors import (
     CertificateError,
     GorlabError,
+    InsufficientDegree,
     NotMaterialized,
     RadicalSquareNonzero,
     RingMismatch,
@@ -207,17 +208,10 @@ def test_table_bytes_do_not_depend_on_history():
     assert [_sha(t) for t in warm] == [_sha(t) for t in cold]
 
 
-def _dense(rows, cols, vals, shape):
-    """The matrix of the triplets (rows, cols, vals, shape)."""
-    A = np.zeros(shape, dtype=np.int64)
-    A[rows, cols] = vals
-    return A
-
-
 class _CountingLinalg:
     """linalg as homology sees it, recording, densified, every matrix whose
     kernel it eliminates: a window takes two per degree, the map out and
-    then the transpose of the map in."""
+    then the transpose of the map in, each with its columns relabelled."""
 
     def __init__(self):
         self.matrices = []
@@ -229,9 +223,9 @@ class _CountingLinalg:
     def __getattr__(self, name):
         return getattr(linalg, name)
 
-    def kernel_triplets(self, rows, cols, vals, shape, p):
-        self.matrices.append(_dense(rows, cols, vals, shape))
-        return linalg.kernel_triplets(rows, cols, vals, shape, p)
+    def kernel_rref(self, rows, cols, vals, shape, p):
+        self.matrices.append(linalg.dense(rows, cols, vals, shape))
+        return linalg.kernel_rref(rows, cols, vals, shape, p)
 
 
 def _retrying_pair():
@@ -275,6 +269,17 @@ def test_deeper_window_resumes(monkeypatch):
     # and builds each of the maps 0..7 it reads once
     assert [shape for *_, shape in built] == [
         (b(i - 1) * t, b(i) * s) for i in range(8)]
+
+
+def test_tor_refuses_when_the_window_cannot_deepen(monkeypatch):
+    # the retrying pair needs degree 6 for its margin; with no module small
+    # enough to deepen into, its table stops at the first window 5 and
+    # refuses instead of serving the length count
+    M, N = _retrying_pair()
+    monkeypatch.setattr(hm, "MAX_WINDOW_ROWS", 0)
+    with pytest.raises(InsufficientDegree, match=r"\(degrees through 5\)") as exc:
+        tor(M, N, 20)
+    assert exc.value.violating_index == 5
 
 
 def test_window_degree_refused_before_allocation(monkeypatch):
@@ -452,6 +457,23 @@ def _radical_excess_with_w(N, Z, Bnd, block):
     return rank_array(np.concatenate([Bnd % p, img], axis=0), p) - Bnd.shape[0]
 
 
+def _with_maps_in(window, res, N, last, monkeypatch):
+    """(homology, dense map into its degree) for each degree 0..last of the
+    window, the map as the window built it."""
+    maps, run = {}, hm._window
+
+    def spying(N, diff, ranks, step, block, last):
+        def kept(j):
+            maps[j] = diff(j)
+            return maps[j]
+        for i, h in enumerate(run(N, kept, ranks, step, block, last)):
+            yield h, linalg.dense(*maps[i + step])
+
+    with monkeypatch.context() as mp:
+        mp.setattr(hm, "_window", spying)
+        return list(window(res, N, last))
+
+
 @pytest.mark.parametrize("p", [3, 101])
 @pytest.mark.parametrize("e", [2, 3, 4])
 def test_radical_excess_without_w_images(p, e, monkeypatch):
@@ -471,15 +493,11 @@ def test_radical_excess_without_w_images(p, e, monkeypatch):
             L, layers = hm._loewy(N)
             for window, X, block in ((hm._homology_window, L, hm._block(layers)),
                                      (hm._cohomology_window, N, (N.dim, N.dim))):
-                counting = _CountingLinalg()
-                with monkeypatch.context() as mp:
-                    mp.setattr(hm, "linalg", counting)
-                    hom = list(window(res, N, w))
-                for h, AT in zip(hom, counting.matrices[1::2]):
+                for h, A in _with_maps_in(window, res, N, w, monkeypatch):
                     Z, K = h.cycles, h.left_kernel
-                    Bnd, _, rank = rref_array(AT, p)
+                    Bnd, _, rank = rref_array(A.T, p)
                     Bnd = Bnd[:rank]
-                    assert K.shape == (AT.shape[1] - rank, AT.shape[1])
+                    assert K.shape == (A.shape[0] - rank, A.shape[0])
                     assert not (Bnd @ K.T % p).any()
                     assert hm._radical_excess(X, Z, K, block) == \
                         _radical_excess_with_w(X, Z, Bnd, block)
@@ -496,13 +514,14 @@ class _LosingLinalg(_CountingLinalg):
 
     lost = False
 
-    def kernel_triplets(self, rows, cols, vals, shape, p):
-        K, rank = super().kernel_triplets(rows, cols, vals, shape, p)
+    def kernel_rref(self, rows, cols, vals, shape, p):
+        kr, kc, kv, pivots = super().kernel_rref(rows, cols, vals, shape, p)
         if (len(self.matrices) % 2 == 0 and self.matrices[-1].size
-                and K.shape[0] and not self.lost):
+                and pivots and not self.lost):
             self.lost = True
-            return K[:-1], rank
-        return K, rank
+            keep = kr < len(pivots) - 1
+            return kr[keep], kc[keep], kv[keep], pivots[:-1]
+        return kr, kc, kv, pivots
 
 
 @pytest.mark.parametrize("kind", ["Tor", "Ext"])
@@ -637,7 +656,7 @@ def _check_triplets(triplets, p):
     assert vals.size == 0 or (vals.min() >= 1 and vals.max() < p)
     assert len(set(zip(rows.tolist(), cols.tolist()))) == len(vals)
     assert np.all(rows < shape[0]) and np.all(cols < shape[1])
-    return _dense(rows, cols, vals, shape)
+    return linalg.dense(rows, cols, vals, shape)
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, 65521])

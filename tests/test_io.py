@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from gorlab import FiniteModule, io, random_module, resolve, tor
+from gorlab import FiniteModule, direct_sum, io, random_module, resolve, tor
 from gorlab.cli import main
 from gorlab.errors import SchemaError
+from gorlab.resolution import Nonzeros
 
 
 def _oracle(obj) -> str:
@@ -17,8 +17,8 @@ def _oracle(obj) -> str:
 
 
 def _tolisted(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    if isinstance(obj, Nonzeros):
+        return obj.dense().tolist()
     if isinstance(obj, dict):
         return {k: _tolisted(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -49,7 +49,15 @@ def test_canonical_json_matches_json_dumps(obj):
     assert io.canonical_json(obj) == _oracle(obj)
 
 
+def _nz(G) -> Nonzeros:
+    """The nonzeros of the entry array G, as a resolution stores them."""
+    gen, target, slot = np.nonzero(G)
+    return Nonzeros(gen, target, slot, G[gen, target, slot], G.shape)
+
+
 _big = np.array([[[np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0]] * 3] * 2)
+_one = np.zeros((3, 4, 5), np.int64)
+_one[2, 3, 4] = 7
 
 
 @pytest.mark.parametrize("obj", [
@@ -58,12 +66,12 @@ _big = np.array([[[np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0]] * 3] * 2)
     ["a, b", "], ["], [["x"]], [{}, 1], [1, {}], [[1], [{}]],
     {"é\"q": [[2**65, -1]], "a": None}, {10: [2], 9: "t"}, {True: 1},
     {None: [0]}, {1.5: 2, -0.5: 3},
-    # integer arrays, written as their tolist()
-    np.zeros((0,), np.int64), np.zeros((3, 0), np.int32),
-    np.zeros((2, 0, 4), np.int8), np.array(7), np.array([2**64 - 1], np.uint64),
-    _big, _big.transpose(2, 0, 1), _big[:, ::2, ::-1],
-    {"a": [np.arange(6).reshape(2, 3), [[1, 2]]], "b": [1, np.arange(3)]},
-    [[1], np.arange(4).reshape(2, 2)], [[np.arange(2)], [3]],
+    # differentials' nonzeros, written as their entry arrays' tolist()
+    _nz(np.zeros((0, 3, 5), np.int64)), _nz(np.zeros((2, 0, 5), np.int64)),
+    _nz(np.zeros((2, 3, 0), np.int64)), _nz(np.zeros((2, 3, 5), np.int64)),
+    _nz(_big), _nz(_big).transpose(), _nz(_big[:, ::2, ::-1]), _nz(_one),
+    {"a": [_nz(np.arange(6).reshape(1, 2, 3)), [[1, 2]]], "b": [1, _nz(_one)]},
+    [[1], _nz(np.arange(4).reshape(2, 1, 2))], [[_nz(_one)], [3]],
 ])
 def test_canonical_json_edge_cases(obj):
     assert io.canonical_json(obj) == _oracle(_tolisted(obj))
@@ -71,10 +79,11 @@ def test_canonical_json_edge_cases(obj):
 
 def test_canonical_json_rejects_what_json_dumps_rejects():
     for bad in ({(1, 2): 3}, [object()], {"a": {1j}},
-                # only integer arrays are written (as their tolist())
-                np.zeros((2, 3)), np.zeros((2, 2), bool),
-                np.array([1, "a"], object), np.array(1.5),
-                [np.arange(2), np.ones(2)], {"d": [np.ones((1, 2, 2))]}):
+                # no ndarray is written, an integer one neither
+                np.arange(3), np.zeros((2, 3), np.int64), np.zeros((2, 3)),
+                np.zeros((2, 2), bool), np.array([1, "a"], object),
+                np.array(7), [_nz(_one), np.arange(2)],
+                {"d": [np.ones((1, 2, 2))]}):
         with pytest.raises(TypeError):
             _oracle(bad)
         with pytest.raises(TypeError):
@@ -82,77 +91,51 @@ def test_canonical_json_rejects_what_json_dumps_rejects():
 
 
 @st.composite
-def _int_arrays(draw):
-    """Integer arrays of rank 1-4, often with repeated last-axis vectors,
-    sometimes as a transposed, reversed or strided view."""
-    dtype = np.dtype(draw(st.sampled_from(["int8", "int32", "int64", "uint64"])))
-    info = np.iinfo(dtype)
-    values = (st.sampled_from([0, 1, int(info.min), int(info.max)])
-              | st.integers(int(info.min), int(info.max)))
-    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=5))
-    x = draw(hnp.arrays(dtype, shape, elements=values))
-    view = draw(st.sampled_from(["as is", "transpose", "reversed", "strided"]))
-    if view == "transpose":
-        x = x.T
-    elif view == "reversed":
-        x = x[::-1]
-    elif view == "strided":
-        x = x[..., ::2]
-    return x
+def _mostly_zero_nonzeros(draw):
+    """The nonzeros of an (a, j, C) int64 entry array that is zero but for a
+    few vectors, drawn from a small palette so that they repeat, with
+    entries at the int64 extremes; a = 0, j = 0 and C = 0 included."""
+    info = np.iinfo(np.int64)
+    a, j = draw(st.integers(0, 3)), draw(st.sampled_from([0, 1, 1, 2, 5, 9]))
+    C = draw(st.integers(0, 5))
+    G = np.zeros((a, j, C), np.int64)
+    if G.size:
+        entry = (st.sampled_from([0, 1, int(info.max), int(info.min)])
+                 | st.integers(int(info.min), int(info.max)))
+        palette = draw(st.lists(st.lists(entry, min_size=C, max_size=C),
+                                min_size=1, max_size=3))
+        for _ in range(draw(st.integers(0, 2 * a))):
+            G[draw(st.integers(0, a - 1)), draw(st.integers(0, j - 1))] = \
+                draw(st.sampled_from(palette))
+    return _nz(G)
 
 
-_with_arrays = st.recursive(
-    _int_arrays() | _ints | st.lists(_ints, max_size=4) | _int_rows,
+@settings(max_examples=300, deadline=None)
+@given(_mostly_zero_nonzeros())
+def test_mostly_zero_arrays_encode_as_their_lists(G):
+    # a differential handed over as its nonzeros is written as its entry
+    # array's list: the zero vector's text fills every list around the
+    # nonzero vectors
+    assert io.canonical_json(G) == \
+        json.dumps(G.dense().tolist(), indent=2) + "\n"
+
+
+_with_nonzeros = st.recursive(
+    _mostly_zero_nonzeros() | _ints | st.lists(_ints, max_size=4) | _int_rows,
     lambda kids: (st.lists(kids, max_size=4)
                   | st.dictionaries(st.text(max_size=3), kids, max_size=3)),
     max_leaves=6)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_with_arrays)
+@given(_with_nonzeros)
 def test_integer_arrays_encode_as_their_lists(obj):
+    # nonzeros nested in lists and dicts are written as their entry arrays'
+    # lists at any indent, and write_json streams the same text
     want = _oracle(_tolisted(obj))
     assert io.canonical_json(obj) == want
     writes = []
     io.write_json(obj, SimpleNamespace(write=writes.append))
-    assert "".join(writes) == want
-
-
-@st.composite
-def _mostly_zero_arrays(draw):
-    """Integer arrays of rank 2-4 that are zero but for a few last-axis
-    vectors: all zero, nonzero at the first or the last vector of each row,
-    or at a few scattered ones; rows of a single vector and zero-length
-    axes included."""
-    dtype = np.dtype(draw(st.sampled_from(["int8", "int64", "uint64"])))
-    info = np.iinfo(dtype)
-    lead = draw(st.lists(st.integers(0, 3), max_size=2))
-    m = draw(st.sampled_from([0, 1, 1, 2, 5, 9]))
-    d = draw(st.integers(0, 4))
-    x = np.zeros((*lead, m, d), dtype)
-    place = draw(st.sampled_from(["none", "first", "last", "scattered"]))
-    if x.size == 0 or place == "none":
-        return x
-    nonzero = (st.sampled_from([1, int(info.max), int(info.min)])
-               | st.integers(int(info.min), int(info.max))).filter(bool)
-    for row in x.reshape(-1, m, d):   # views of x's rows
-        if place == "scattered":
-            at = draw(st.lists(st.integers(0, m - 1), max_size=2))
-        else:
-            at = [0 if place == "first" else m - 1]
-        for j in at:
-            row[j, draw(st.integers(0, d - 1))] = draw(nonzero)
-    return x
-
-
-@settings(max_examples=300, deadline=None)
-@given(_mostly_zero_arrays())
-def test_mostly_zero_arrays_encode_as_their_lists(x):
-    # the zero vector's text fills every list around the nonzero vectors
-    want = json.dumps(x.tolist(), sort_keys=True, indent=2) + "\n"
-    assert io.canonical_json(x) == want
-    writes = []
-    io.write_json(x, SimpleNamespace(write=writes.append))
     assert "".join(writes) == want
 
 
@@ -220,14 +203,19 @@ def test_ring_round_trip(tmp_path, R3):
 
 
 def test_module_round_trip_bytes(tmp_path, R3):
-    M = random_module(R3, 2, 2, seed=61)
-    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    io.store_module(M, a)
-    io.store_module(io.load_module(a), b)
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-    # loading preserves the isomorphism invariants
-    again = io.load_module(a)
-    assert again.dim == M.dim and again.ring == R3
+    # a free module has no relations: R^2 and R + k keep their generators
+    # with empty relation lists
+    free = FiniteModule.free(R3, 2)
+    for M in (random_module(R3, 2, 2, seed=61), free,
+              direct_sum(FiniteModule.free(R3, 1), FiniteModule.residue_field(R3))[0]):
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        io.store_module(M, a)
+        io.store_module(io.load_module(a), b)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        # loading preserves the isomorphism invariants
+        again = io.load_module(a)
+        assert again.dim == M.dim and again.ring == R3
+    assert io.module_to_dict(free)["presentation"] == [[], []]
 
 
 def test_non_canonical_field_order_is_canonicalized(tmp_path, R3):
@@ -299,9 +287,10 @@ def test_result_dicts_are_integer_only(R3):
         elif isinstance(x, list):
             for v in x:
                 walk(v)
-        elif isinstance(x, np.ndarray):
-            # differentials stay integer arrays until they are written
-            assert np.issubdtype(x.dtype, np.integer) and x.dtype != bool
+        elif isinstance(x, Nonzeros):
+            # differentials stay their int64 nonzeros until they are written
+            assert all(v.dtype == np.int64 for v in x[:4])
+            assert all(isinstance(n, int) for n in x.shape)
         else:
             assert x is None or isinstance(x, (int, str, bool))
 

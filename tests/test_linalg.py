@@ -9,7 +9,6 @@ from gorlab import linalg
 from gorlab.linalg import (
     kernel_array,
     kernel_rref,
-    kernel_triplets,
     matmul_mod,
     rank_array,
     reduce_mod_rowspace,
@@ -324,65 +323,78 @@ def _triplets(A):
     return rows, cols, A[rows, cols], A.shape
 
 
-def _check_kernel(A, K, rank, p):
-    # the rank is the oracle's, K A^T = 0 and K has rank n - rank
+def _check_kernel(A, kernel, p):
+    """Check that kernel_rref's output `kernel` for A is A's kernel in rref:
+    of the oracle's nullity, killed by A, and its own rref."""
+    kr, kc, kv, piv = kernel
     n = A.shape[1]
-    assert rank == len(_sympy_rref(A, p)[1])
-    assert K.shape == (n - rank, n) and K.dtype == np.int64
+    K = linalg.dense(kr, kc, kv, (len(piv), n))
+    assert K.shape == (n - len(_sympy_rref(A, p)[1]), n)
     assert not matmul_mod(A, K.T, p).any()
-    assert rank_array(K, p) == n - rank
+    R, rpiv = _sympy_rref(K, p)
+    assert np.array_equal(R, K) and rpiv == piv
 
 
 @settings(max_examples=200, deadline=None)
-@given(sparse_or_dense())
-def test_kernel_triplets_agree_with_sympy(mp):
-    # any basis will do, on either path, and for the matrix and its
-    # transpose (rows and columns swapped)
+@given(sparse_or_dense(), st.sampled_from((None, 1.0)))
+def test_kernel_rref_agrees_with_sympy(mp, share):
+    # on whichever path the rule picks, or on the sparse one alone (a share
+    # of 1.0 admits every input and every fill), and for the matrix and its
+    # transpose (rows and columns swapped, so not in row-major order)
     A, p = mp
     rows, cols, vals, (m, n) = _triplets(A)
-    _check_kernel(A, *kernel_triplets(rows, cols, vals, (m, n), p), p)
-    _check_kernel(A.T, *kernel_triplets(cols, rows, vals, (n, m), p), p)
-    _check_kernel(A, *linalg._kernel_sparse(rows, cols, vals, (m, n), p,
-                                            float("inf")), p)
+    with pytest.MonkeyPatch.context() as mpatch:
+        if share is not None:
+            mpatch.setattr(linalg, "_SPARSE_SHARE", share)
+            mpatch.setattr(linalg, "kernel_array", _refuse)
+        _check_kernel(A, kernel_rref(rows, cols, vals, (m, n), p), p)
+        _check_kernel(A.T, kernel_rref(cols, rows, vals, (n, m), p), p)
 
 
 @settings(max_examples=100, deadline=None)
 @given(sparse_or_dense(), st.sampled_from((0.0, 0.05, 0.5)))
-def test_kernel_triplets_under_a_lower_share(mp, share):
+def test_kernel_rref_under_a_lower_share(mp, share):
     # with the share lowered, inputs over it and eliminations whose fill
-    # grows past it are densified and handed to kernel_array
+    # grows past it are densified and handed to kernel_array, and the
+    # basis stays the canonical one
     A, p = mp
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(linalg, "_SPARSE_SHARE", share)
-        K, rank = kernel_triplets(*_triplets(A), p)
-    _check_kernel(A, K, rank, p)
-    if np.count_nonzero(A) > share * A.size:
-        assert np.array_equal(K, kernel_array(A, p))
+        out = kernel_rref(*_triplets(A), p)
+    _check_kernel(A, out, p)
+    R, rpiv = row_space(kernel_array(A, p), p)
+    assert np.array_equal(linalg.dense(*out[:3], R.shape), R)
+    assert out[3] == list(rpiv)
 
 
-def test_kernel_triplets_fill_past_the_budget_falls_back(monkeypatch):
+def test_kernel_rref_fill_past_the_budget_falls_back(monkeypatch):
     A, p = _fills(40, 40, 1)
-    share = np.count_nonzero(A) / A.size
     # with the share set to the input's own density, the input enters the
     # sparse path and its first net fill leaves it
-    assert linalg._kernel_sparse(*_triplets(A), p, share * A.size) is None
-    monkeypatch.setattr(linalg, "_SPARSE_SHARE", share)
-    seen = []
+    monkeypatch.setattr(linalg, "_SPARSE_SHARE", np.count_nonzero(A) / A.size)
+    eliminated, densified = [], []
+    eliminate = linalg._eliminate
 
-    def spy(B, p):
-        seen.append(B.copy())
+    def spy_eliminate(*args):
+        eliminated.append(eliminate(*args))
+        return eliminated[-1]
+
+    def spy_kernel(B, p):
+        densified.append(B.copy())
         return kernel_array(B, p)
 
-    monkeypatch.setattr(linalg, "kernel_array", spy)
-    K, rank = kernel_triplets(*_triplets(A), p)
-    _check_kernel(A, K, rank, p)
-    # kernel_array got the densified input
-    assert len(seen) == 1 and np.array_equal(seen[0], A)
+    monkeypatch.setattr(linalg, "_eliminate", spy_eliminate)
+    monkeypatch.setattr(linalg, "kernel_array", spy_kernel)
+    _check_kernel(A, kernel_rref(*_triplets(A), p), p)
+    # the sparse elimination gave up, and kernel_array got the densified
+    # input with its columns reversed
+    assert eliminated[0] is None
+    assert len(densified) == 1 and np.array_equal(densified[0], A[:, ::-1])
     # one nonzero more than the share admits never enters the sparse path
-    monkeypatch.setattr(linalg, "_kernel_sparse", _refuse)
+    monkeypatch.setattr(linalg, "_eliminate", _refuse)
     B = np.zeros((20, 20), dtype=np.int64)
-    B.flat[: int(share * B.size) + 1] = 1
-    _check_kernel(B, *kernel_triplets(*_triplets(B), p), p)
+    B.flat[: int(linalg._SPARSE_SHARE * B.size) + 1] = 1
+    _check_kernel(B, kernel_rref(*_triplets(B), p), p)
 
 
 def test_solve_many_without_columns():

@@ -57,6 +57,51 @@ def _names_read(tree) -> set:
     return used
 
 
+def _private_reads(tree) -> list:
+    """The private names of other gorlab modules that a module reads:
+    imported as `from .m import _x` (or `from gorlab.m import _x`), or read
+    as an attribute `m._x` of a name bound to a gorlab module."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "gorlab"):
+            for alias in node.names:
+                if node.module is None or node.module == "gorlab":
+                    modules.add(alias.asname or alias.name)   # `from . import m`
+                elif private(alias.name):
+                    found.append(f"{node.lineno} from {node.module} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "gorlab":
+                    modules.add(alias.asname or "gorlab")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append(f"{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a private name is its module's own business: a helper that another
+    # module needs is made public, so that the rules on public functions
+    # (a caller, a docstring) hold for it
+    found = [f"{path.name}:{hit}" for path in sorted(SRC.rglob("*.py"))
+             for hit in _private_reads(ast.parse(path.read_text(), str(path)))]
+    assert not found, f"private names read across gorlab modules: {found}"
+    # the guard sees both ways in, and leaves a module's own names alone
+    probe = ast.parse("from . import linalg\nfrom .io import _encode\n"
+                      "import gorlab.homology as hm\n"
+                      "linalg._dense(); hm._window; self._cache; linalg.dense\n")
+    assert {hit.split(" ", 1)[1] for hit in _private_reads(probe)} == {
+        "from io import _encode", "linalg._dense", "hm._window"}
+
+
 def test_every_public_linalg_function_has_a_caller():
     # one route per question: a linalg function that no other module calls
     # and the benchmark does not trace is a second route left behind
