@@ -49,10 +49,11 @@ entries it serves past its own.  `_window` yields one degree at a time and
 builds each block once, and the head is extended only when it reads a
 differential, so every table computes each degree once; `tor_induced` reads
 the lifts of `lift_chain_map` and the windows of its source and target
-together, degree by degree.  Before each degree `_window` estimates the
-bytes it will hold from the Betti numbers and the layer block, and
-`guard_memory` refuses it with NotMaterialized when the process cannot get
-them, the same guard that refuses resolution steps.
+together, degree by degree.  `_window` reads the room the process can get
+(`resolution.available_bytes`) once, before degree 0, and holds every
+kernel as its triplets; the eliminations (`linalg.kernel_rref`) and the
+radical excess check what they allocate against that room, and a degree
+that does not fit is refused with NotMaterialized before it allocates.
 
 Degrees past the materialized window are certified by the length count of
 a module X with m^2 X = 0, where L_t is the image of Tor_t(iota_X, N):
@@ -81,6 +82,7 @@ from .errors import (
     CertificateError,
     GorlabError,
     InsufficientDegree,
+    NotMaterialized,
     RadicalSquareNonzero,
     RingMismatch,
 )
@@ -97,7 +99,6 @@ from .resolution import (
     MinimalFreeResolution,
     Nonzeros,
     free_kmat,
-    guard_memory,
     kmat_triplets,
     lift_chain_map,
     resolve,
@@ -162,36 +163,54 @@ def _ext_diff(G: Nonzeros, N: FiniteModule):
     return kmat_triplets(G.transpose(), N.all_ops, N.ring.p)
 
 
-def _radical_excess(N: FiniteModule, Z: np.ndarray, K: np.ndarray, block) -> int:
+def _radical_excess(N: FiniteModule, Z, K, block, room: float) -> int:
     """Rank added to the boundaries by m times the span of the rows of Z,
     both written in the coordinates of the layer block (s, t) (see
     `_window`): Z in the first s coordinates of each copy of N, the
     boundaries in the last t, where they are the common zeros of the rows
-    of K (the left kernel of the map in).  A vector v then adds to the
-    boundaries exactly what v K^T adds to 0, so the excess is the rank of
-    the images times K^T.  The span of Z must be an R-submodule modulo the
-    dropped coordinates, which m kills (callers pass cycles); as
-    w = x_g x_h / form[g, h], the images under x_1..x_e alone then span
-    that product.
+    of K (the left kernel of the map in).  Z and K are triplets (rows, cols,
+    vals, shape) of `linalg.kernel_rref`, Z's rows sorted.  A vector v then
+    adds to the boundaries exactly what v K^T adds to 0, so the excess is
+    the rank of the images times K^T.  The span of Z must be an
+    R-submodule modulo the dropped coordinates, which m kills (callers pass
+    cycles); as w = x_g x_h / form[g, h], the images under x_1..x_e alone
+    then span that product.
 
-    The images of one chunk of _EXCESS_CHUNK cycles are formed at a time,
-    one row (z, g) per cycle z and x_g, and multiplied by K^T; the running
-    rref of those products has at most dim K columns and rows, so peak
-    memory stays bounded by K plus one chunk.  Both products go through
-    `linalg.matmul_mod`: exact in float64 while the inner dimension (s,
-    then b t for b copies of N) times (p-1)^2 is below 2^53, in int64
-    past it."""
-    p, d = N.ring.p, N.dim
+    K is densified once, and Z one chunk of _EXCESS_CHUNK cycles at a time:
+    the images of the chunk, one row (z, g) per cycle z and x_g, are
+    multiplied by K^T, and the running rref of those products has at most
+    dim K columns and rows.  Before it allocates, NotMaterialized is raised
+    when K, one chunk and the running rref, each with the copies the
+    products and the elimination make, exceed `room` bytes.  Both products
+    go through `linalg.matmul_mod`: exact in float64 while the inner
+    dimension (s, then b t for b copies of N) times (p-1)^2 is below 2^53,
+    in int64 past it."""
+    p, d, e = N.ring.p, N.dim, N.ring.e
     s, t = block
-    if K.shape[0] == 0:
+    zr, zc, zv, (nz, n) = Z
+    nk, bt = K[3]
+    if nk == 0:
         return 0   # every vector in the last t coordinates is a boundary
+    c = min(_EXCESS_CHUNK, nz)
+    # K and its float64 copy; per cycle of a chunk its row and float64 copy,
+    # its e images three times over and their products with K^T twice; the
+    # running rref with a chunk's products, four times over in its elimination
+    need = 8 * (2 * nk * bt + c * (2 * n + 3 * e * bt + 2 * e * nk)
+                + 4 * (nk + c * e) * nk)
+    if need > room:
+        raise NotMaterialized(
+            f"the radical excess needs about {need / 2**20:.0f} MiB, "
+            f"the process can get {max(room, 0) / 2**20:.0f} MiB")
+    K = linalg.dense(*K)
     opsT = N.actions[:, d - t:, :s].transpose(0, 2, 1)
-    B = np.zeros((0, K.shape[0]), dtype=np.int64)
-    for lo in range(0, Z.shape[0], _EXCESS_CHUNK):
-        Zc = Z[lo:lo + _EXCESS_CHUNK]
+    B = np.zeros((0, nk), dtype=np.int64)
+    for lo in range(0, nz, _EXCESS_CHUNK):
+        hi = min(lo + _EXCESS_CHUNK, nz)
+        a, b = np.searchsorted(zr, [lo, hi])
+        Zc = linalg.dense(zr[a:b] - lo, zc[a:b], zv[a:b], (hi - lo, n))
         # (z, 1, j, s) @ (e, s, t): one row (j, t) per cycle z and x_g
-        img = linalg.matmul_mod(Zc.reshape(Zc.shape[0], 1, -1, s), opsT, p)
-        P = linalg.matmul_mod(img.reshape(-1, K.shape[1]), K.T, p)
+        img = linalg.matmul_mod(Zc.reshape(hi - lo, 1, -1, s), opsT, p)
+        P = linalg.matmul_mod(img.reshape(-1, bt), K.T, p)
         B = np.concatenate([B, P])
         B = B[:len(linalg.rref_inplace(B, p))]
     return B.shape[0]
@@ -260,9 +279,10 @@ class _Homology:
     length: int
     nu: int
     m_annihilated: bool
-    cycles: np.ndarray        # rows: kernel of the block out (first s coords)
-    left_kernel: np.ndarray   # rows: left kernel of the block in (last t
-                              # coords), whose common zeros are the boundaries
+    cycles: tuple        # triplets of the kernel of the block out (first s
+                         # coords), as `linalg.kernel_rref` returns them
+    left_kernel: tuple   # triplets of the left kernel of the block in (last
+                         # t coords), whose common zeros are the boundaries
 
 
 def _window(N: FiniteModule, diff, ranks, step: int, block, last: int):
@@ -280,18 +300,19 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int):
     guarantees the support (`_tor_block` checks it, and the trivial block
     (dim N, dim N) of Ext has nothing outside).  `linalg.kernel_rref`
     eliminates A_i and, with rows and columns swapped, A_{i+step}^T, so a
-    block is dense only on its fallback; only the kernels, mapped back from
-    the relabelled columns, are densified.  The cycles are ker A_i plus the dropped
-    columns of the ranks(i) copies, the boundaries lie in the last t
-    coordinates, where they are read through the left kernel K of the map
-    in A_{i+step}: its rank is rows - dim K, which must equal the rank
-    cols - nullity that the degree reading it as its map out finds, or
+    block is dense only on its fallback, and the kernels, mapped back from
+    the relabelled columns, are held as triplets.  The cycles are ker A_i
+    plus the dropped columns of the ranks(i) copies, the boundaries lie in
+    the last t coordinates, where they are read through the left kernel K
+    of the map in A_{i+step}: its rank is rows - dim K, which must equal the
+    rank cols - nullity that the degree reading it as its map out finds, or
     CertificateError is raised, and the radical excess is a rank against K
     (`_radical_excess`).  Each block is built once and at most two are
     held: before the radical excess, every one that degree i + 1 will not
-    read is dropped, and at degree `last` all of them.  Before a degree
-    builds anything, `guard_memory` checks the bytes it will hold
-    (`_degree_bytes`)."""
+    read is dropped, and at degree `last` all of them.  The room the
+    process can get is read once, before degree 0, and every elimination
+    and the radical excess check what they allocate against it: a degree
+    that does not fit raises NotMaterialized, naming the degree."""
     p, d = N.ring.p, N.dim
     s = block[0]
     kind = "Tor" if step > 0 else "Ext"
@@ -314,8 +335,8 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int):
         order = np.argsort(np.bincount(cols, minlength=n), kind="stable")[::-1]
         label = np.empty(n, dtype=np.int64)
         label[order] = np.arange(n)
-        kr, kc, kv, pivots = linalg.kernel_rref(rows, label[cols], vals, shape, p)
-        return linalg.dense(kr, order[kc], kv, (len(pivots), n))
+        kr, kc, kv, pivots = linalg.kernel_rref(rows, label[cols], vals, shape, p, room)
+        return kr, order[kc], kv, (len(pivots), n)
 
     ranks_of: dict = {}
 
@@ -328,50 +349,26 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int):
                 f"{ranks_of[j][1]} and {r} from its {how}")
         return r
 
+    room = resolution.available_bytes()
     for i in range(last + 1):
-        guard_memory(_degree_bytes(ranks(i - step), ranks(i),
-                                   ranks(i + step), block, N.ring.e),
-                     f"{kind} degree {i}")
-        rows, cols, vals, (m, n) = mat(i)
-        Z = kernel(rows, cols, vals, (m, n))
-        check_rank(i, n - Z.shape[0], "kernel")
-        rows, cols, vals, (m, n) = mat(i + step)
-        K = kernel(cols, rows, vals, (n, m))
-        li = Z.shape[0] + ranks(i) * (d - s) - check_rank(
-            i + step, m - K.shape[0], "left kernel")
-        if li < 0:
-            raise CertificateError(f"negative {kind} length {li} in degree {i}")
-        # a block dropped below must not stay alive for the excess
-        del rows, cols, vals
-        for j in [j for j in mats if i == last or j not in (i + 1, i + 1 + step)]:
-            del mats[j]
-        extra = _radical_excess(N, Z, K, block)
+        try:
+            rows, cols, vals, (m, n) = mat(i)
+            Z = kernel(rows, cols, vals, (m, n))
+            check_rank(i, n - Z[3][0], "kernel")
+            rows, cols, vals, (m, n) = mat(i + step)
+            K = kernel(cols, rows, vals, (n, m))
+            li = Z[3][0] + ranks(i) * (d - s) - check_rank(
+                i + step, m - K[3][0], "left kernel")
+            if li < 0:
+                raise CertificateError(f"negative {kind} length {li} in degree {i}")
+            # a block dropped below must not stay alive for the excess
+            del rows, cols, vals
+            for j in [j for j in mats if i == last or j not in (i + 1, i + 1 + step)]:
+                del mats[j]
+            extra = _radical_excess(N, Z, K, block, room)
+        except NotMaterialized as exc:
+            raise NotMaterialized(f"{kind} degree {i}: {exc}") from None
         yield _Homology(li, li - extra, extra == 0, Z, K)
-
-
-def _degree_bytes(a: int, b: int, c: int, block, e: int) -> int:
-    """Bytes one degree of `_window` holds at its peak over e actions, for
-    a copies of N in the target of the map out, b in the degree and c in
-    the source of the map in.  With the blocks X1 (a t x b s) and X2
-    (b t x c s), at most (b s)^2 cycle entries and (b t)^2 entries of the
-    left kernel K, it is the largest of three phases, in int64 entries: the
-    kernel (X1, its elimination copy, the cycles), the left kernel (X1, the
-    cycles, X2 and its transposed elimination copy, K and the elimination's
-    temporaries) and the radical excess (X2, the cycles, K, one chunk of
-    cycles with its images in float64 and int64, and the running rref of
-    their products with K, at most dim K + e chunk rows of dim K entries).
-    The blocks are budgeted as dense arrays, which they are only when
-    `linalg.kernel_rref` falls back to `kernel_array`; its sparse path
-    stores at most `linalg._SPARSE_SHARE` of a block's cells, and the
-    cycles and K are the dense arrays of the rref triplets it returns.  On the
-    benchmark's degrees of more than 1 MiB the measured (tracemalloc) peak
-    is 0.01 to 0.47 of this."""
-    s, t = block
-    X1, X2, Z, K = a * t * b * s, b * t * c * s, (b * s) ** 2, (b * t) ** 2
-    chunk = min(_EXCESS_CHUNK, b * s)
-    return 8 * max(2 * X1 + Z,
-                   X1 + Z + 2 * X2 + 2 * K,
-                   X2 + Z + 3 * K + chunk * (b * s + 4 * e * b * t))
 
 
 def _ranks(res: MinimalFreeResolution):
@@ -589,12 +586,13 @@ def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResul
             a, b = ra.betti_head[i], rb.betti_head[i]
             FT = free_kmat(f, L.all_ops, p).T.reshape(a, d, b * d)
             img = np.concatenate([
-                linalg.matmul_mod(ha.cycles, FT[:, :s].reshape(a * s, b * d), p),
+                linalg.matmul_mod(linalg.dense(*ha.cycles),
+                                  FT[:, :s].reshape(a * s, b * d), p),
                 FT[:, s:].reshape(a * (d - s), b * d)])
             img = img.reshape(len(img), b, d)
             P = np.concatenate([
                 linalg.matmul_mod(img[:, :, d - t:].reshape(len(img), b * t),
-                                  hb.left_kernel.T, p),
+                                  linalg.dense(*hb.left_kernel).T, p),
                 img[:, :, :d - t].reshape(len(img), b * (d - t))], axis=1)
             rank = linalg.rank_array(P, p)
         out.append(InducedMapResult(i, rank, ha.length, hb.length, COMPUTED))

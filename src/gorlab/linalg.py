@@ -31,6 +31,10 @@ One rule with one constant, `_SPARSE_SHARE`, chooses: a sparse path may
 hold at most that share of the dense array's entries.  An input with more
 nonzeros goes to the dense kernel at once; an elimination whose fill grows
 past it drops its work and runs the dense kernel on the untouched input.
+`kernel_rref` also takes the room its caller can still allocate: its sparse
+elimination stores at most the entries that fit in it, and its dense
+fallback raises NotMaterialized, before it allocates, when the arrays it
+would hold do not fit.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPrime
+from .errors import NotMaterialized, NotPrime
 
 _BLOCK = 96
 
@@ -51,6 +55,14 @@ _BLOCK = 96
 # 0.73 s at 0.1 and 0.73 s at 0.2; on random sparse matrices, whose fill
 # runs away, the sparse work dropped at 0.1 cost 0.06-0.74x the dense time.
 _SPARSE_SHARE = 0.1
+# What `kernel_rref` holds, checked against its room: its elimination up to
+# _ENTRY_BYTES per stored entry and _LINE_BYTES per row and column (a dict,
+# a set, kernel entries: at most 310 bytes under tracemalloc at e = 3, 4, 5),
+# its dense fallback 8 (5 m n + 2 n^2) bytes (the dense rref has five m x n
+# arrays alive at once, the kernel and its triplets up to 2 n^2 cells; 0.51-
+# 0.83 of that measured on random matrices of 200 to 3000 rows and columns).
+_ENTRY_BYTES = 130
+_LINE_BYTES = 400
 
 
 def _is_prime(p: int) -> bool:
@@ -327,7 +339,7 @@ def kernel_array(A: np.ndarray, p: int) -> np.ndarray:
     return K
 
 
-def kernel_rref(rows, cols, vals, shape, p: int):
+def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
     """Canonical rref basis of the right kernel of the m x n matrix `shape`
     whose nonzero entries are vals[k] in [1, p) at (rows[k], cols[k]),
     distinct positions: (rows, cols, vals, pivots), the nonzero entries of
@@ -344,9 +356,16 @@ def kernel_rref(rows, cols, vals, shape, p: int):
     entries nonzero, or whose fill grows past that share, is densified
     instead, and `kernel_array` of the column-reversed matrix, read
     backwards, gives the same rows.
+
+    `room` is the bytes the caller can still allocate.  The elimination
+    stores no more entries than fit in it, and the fallback raises
+    NotMaterialized before it allocates when its arrays do not (see
+    `_ENTRY_BYTES`).  Past 24 columns, an elimination that the room stopped
+    always ends in that refusal.
     """
     m, n = shape
-    budget = _SPARSE_SHARE * m * n
+    budget = min(_SPARSE_SHARE * m * n,
+                 (room - _LINE_BYTES * (m + n)) / _ENTRY_BYTES)
     if len(vals) <= budget:
         data, where = _sparse_rows(np.asarray(rows), np.asarray(cols), np.asarray(vals), m)
         pivot_row = _eliminate(data, where, sorted(where, reverse=True), p,
@@ -355,6 +374,12 @@ def kernel_rref(rows, cols, vals, shape, p: int):
             kr, kc, kv, free = _kernel_entries(data, pivot_row, n, p)
             order = np.argsort(kr * n + kc)
             return kr[order], kc[order], kv[order], free.tolist()
+        del data, where   # the failed elimination's fill, before the fallback
+    need = 8 * (5 * m * n + 2 * n * n)
+    if need > room:
+        raise NotMaterialized(
+            f"a dense {m} x {n} kernel needs about {need / 2**20:.0f} MiB, "
+            f"the process can get {max(room, 0) / 2**20:.0f} MiB")
     K = kernel_array(dense(rows, cols, vals, shape)[:, ::-1], p)[::-1, ::-1]
     kr, kc = np.nonzero(K)
     lead = np.flatnonzero(np.diff(kr, prepend=-1))

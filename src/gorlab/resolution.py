@@ -1,14 +1,15 @@
 """Minimal free resolutions, syzygies and chain-map lifting.
 
 Resolutions have two regimes.  A materialized head is computed honestly, one
-k-linear kernel per homological degree.  Matrix sizes grow like e^i, so every
-step first estimates the bytes it will hold (`_step_bytes`) and
-`guard_memory` refuses it with NotMaterialized when they exceed what the
-process can still allocate: the least of physical RAM, RLIMIT_AS and the
-memory cgroup's limit, each less what is already in use, and the kernel's
-MemAvailable, read when the step is asked for.  Whether a step is refused
-thus depends on the machine and on what the process holds, never on a
-tunable.  The head holds only the degrees that the tail certificate, the
+k-linear kernel per homological degree.  Matrix sizes grow like e^i, so
+`extend` reads what the process can still allocate (`available_bytes`: the
+least of physical RAM, RLIMIT_AS and the memory cgroup's limit, each less
+what is already in use, and the kernel's MemAvailable) once, before its
+first step, and each step's eliminations check what they hold against it
+(`linalg.kernel_rref`): a step that does not fit is refused with
+NotMaterialized before its dense arrays are allocated.  Whether a step is
+refused thus depends on the machine and on what the process holds, never on
+a tunable.  The head holds only the degrees that the tail certificate, the
 homology windows and the syzygy and lifting calls ask for; the column
 budget DEFAULT_BUDGET applies only to the CLI `resolve` verb, which stops
 silently before the first kernel problem past it.  Tail certification
@@ -151,7 +152,7 @@ def _mem_available() -> float:
     return float("inf")
 
 
-def _available_bytes() -> float:
+def available_bytes() -> float:
     """Bytes the process can still allocate, read now: the least of physical
     RAM less its resident set, the kernel's MemAvailable, RLIMIT_AS less
     its address space, and the room left in its memory cgroup.  RAM less
@@ -173,16 +174,6 @@ def _available_bytes() -> float:
     if limit != resource.RLIM_INFINITY:
         avail = min(avail, limit - size)
     return avail
-
-
-def guard_memory(nbytes: int, what: str) -> None:
-    """Raise NotMaterialized, before anything is allocated, when `what`
-    would hold more bytes than the process can still get."""
-    avail = _available_bytes()
-    if nbytes > avail:
-        raise NotMaterialized(
-            f"{what} needs about {nbytes / 2**20:.0f} MiB, "
-            f"the process can get {max(avail, 0) / 2**20:.0f} MiB")
 
 
 def free_kmat(G: np.ndarray, ops: np.ndarray, p: int) -> np.ndarray:
@@ -337,14 +328,14 @@ class MinimalFreeResolution:
             dims.append(b * self.ring.dim - dims[-1])
         return dims
 
-    def _step(self):
+    def _step(self, room: float):
         ring = self.ring
         p, e, D = ring.p, ring.e, ring.dim
         b = self.betti_head[-1]
         if self.head == 0:
             C = self.cover_matrix
             ri, ci = np.nonzero(C)
-            kr, kc, kv, kpiv = linalg.kernel_rref(ri, ci, C[ri, ci], C.shape, p)
+            kr, kc, kv, kpiv = linalg.kernel_rref(ri, ci, C[ri, ci], C.shape, p, room)
             blk, slot = np.divmod(kc, D)
             if (slot == 0).any():
                 raise CertificateError(
@@ -375,7 +366,7 @@ class MinimalFreeResolution:
             # ker del = ker(L) + wF: every block has a w-unit row, whose
             # slices are zero, so S is spanned by the x-rows' slices alone
             kr, kc, kv, lpiv = linalg.kernel_rref(
-                *_linear_part(ring, self.nonzeros[-1]), p)
+                *_linear_part(ring, self.nonzeros[-1]), p, room)
             blk, g = np.divmod(kc, e)
             drop = _slice_pivots(kr * e + g, blk, kv, b, p)
             keep = np.setdiff1d(np.arange(b), drop)
@@ -397,39 +388,23 @@ class MinimalFreeResolution:
         self.betti_head.append(G.shape[0])
 
     def extend(self, steps: int, budget_stop: bool = False):
-        """Materialize differentials up to index `steps`.  A step that would
-        hold more bytes than the process can get raises NotMaterialized
-        (`guard_memory`).  With budget_stop, passed only by the CLI `resolve`
+        """Materialize differentials up to index `steps`.  The room the
+        process can get (`available_bytes`) is read once, before the first
+        step, and a step whose eliminations do not fit in it raises
+        NotMaterialized.  With budget_stop, passed only by the CLI `resolve`
         verb, the head also stops, without an error, before a kernel problem
         past DEFAULT_BUDGET columns."""
+        room = None
         while self.head < steps and not self.finite:
             cols = self.betti_head[-1] * self.ring.dim
             if budget_stop and cols > DEFAULT_BUDGET:
                 break
-            guard_memory(self._step_bytes(), f"resolution step {self.head + 1}")
-            self._step()
-
-    def _step_bytes(self) -> int:
-        """Bytes the next `_step` holds at its peak.  The kernel it
-        eliminates is M_{head+1}, of nk = cols - dim M_head rows of
-        cols = b D entries; the cover step's kernel comes from a generic
-        elimination of the dim M x cols cover matrix, held twice while it
-        is eliminated.  The step holds the kernel rows and the new
-        differential (at most nk rows), and the e nk b x-slot slices of the
-        kernel rows a few times over: most steps only read their leading
-        entries, but a step whose leading entries fall short eliminates
-        them.  Past the cover the kernel rows are those of rref(ker L), e of
-        every e+2 entries of a row, and they and the differential are held
-        as their nonzeros, so the estimate runs far high there.  The
-        measured (tracemalloc) peak is 0.002 to 0.023 of this on the
-        benchmark's steps of more than 1 MiB, and 0.001 to 0.04 on steps 5-9
-        of the README's module; steps of a few KiB peak above it, on fixed
-        per-step overhead."""
-        b, e = self.betti_head[-1], self.ring.e
-        cols = b * self.ring.dim
-        nk = self.syzygy_dims()[-1]
-        cover = 2 * self.module.dim * cols if self.head == 0 else 0
-        return 8 * (cover + 2 * cols * nk + 5 * e * nk * b)
+            if room is None:
+                room = available_bytes()
+            try:
+                self._step(room)
+            except NotMaterialized as exc:
+                raise NotMaterialized(f"resolution step {self.head + 1}: {exc}") from None
 
     # -- tail certification --------------------------------------------------
 

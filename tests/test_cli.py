@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +133,32 @@ def test_verify_lofwall_exit_0(tmp_path, capsys):
     d = json.loads(out)
     assert d["pass"] is True
     assert len(d["trials"][0]["betti"]) == 21
+
+
+def test_verify_main_theorem_e4_under_an_address_space_limit(tmp_path):
+    # the e = 4 flagship in a child whose address space is limited to 3 GB
+    # (and its CPU time to 300 s, in place of a timeout): every trial is
+    # served in a small resident set, with no MemoryError on the way
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+        resource.setrlimit(resource.RLIMIT_CPU, (300, 300))
+
+    with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gorlab.cli", "verify", "main-theorem",
+             "--e", "4", "--trials", "25", "--cutoff", "25"],
+            stdout=out, stderr=err, env=env, preexec_fn=limit)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    stderr = (tmp_path / "err").read_text()
+    assert proc.returncode == 0, stderr
+    assert "MemoryError" not in stderr
+    assert json.loads((tmp_path / "out").read_text())["pass"] is True
+    assert usage.ru_maxrss < 256 * 1024   # KiB
 
 
 def test_verify_failure_exit_1(capsys):

@@ -223,9 +223,9 @@ class _CountingLinalg:
     def __getattr__(self, name):
         return getattr(linalg, name)
 
-    def kernel_rref(self, rows, cols, vals, shape, p):
+    def kernel_rref(self, rows, cols, vals, shape, p, room):
         self.matrices.append(linalg.dense(rows, cols, vals, shape))
-        return linalg.kernel_rref(rows, cols, vals, shape, p)
+        return linalg.kernel_rref(rows, cols, vals, shape, p, room)
 
 
 def _retrying_pair():
@@ -283,24 +283,33 @@ def test_tor_refuses_when_the_window_cannot_deepen(monkeypatch):
 
 
 def test_window_degree_refused_before_allocation(monkeypatch):
-    # the guard checks each degree's own shapes before the degree builds
-    # anything: with room for degree 2 only, degrees 0..2 are computed and
-    # degree 3 is refused
+    # the window reads the room once, and each elimination checks what it
+    # holds against it: with room for one byte less than the sparse
+    # elimination of the map into degree 4 holds, degrees 0..3 are
+    # computed, degree 4 eliminates its map out, and its transposed map in
+    # is refused before any dense fallback
     R = make_ring(101, 3, identity_form(3))
     M = cyclic_module(R, [R.x(1)])[0]
     N = cyclic_module(R, [R.x(2)])[0]
-    beta = resolve(M, 20, min_head=7).betti(21)
+    res = resolve(M, 20, min_head=7)
     resolve(N, 20)
-    block = hm._block(hm._loewy(N)[1])
-    room = hm._degree_bytes(beta[1], beta[2], beta[3], block, 3)
-    assert room < hm._degree_bytes(beta[2], beta[3], beta[4], block, 3)
-    counting = _CountingLinalg()
+    L, layers = hm._loewy(N)
+    _, _, vals, (m, n) = hm._tor_block(res.nonzeros[4], L, layers)
+    room = linalg._ENTRY_BYTES * len(vals) + linalg._LINE_BYTES * (m + n) - 1
+    counting, dense_runs, real = _CountingLinalg(), [], linalg.kernel_array
+
+    def kernel_array(A, p):
+        dense_runs.append(len(counting.matrices))
+        return real(A, p)
+
+    monkeypatch.setattr(linalg, "kernel_array", kernel_array)
     monkeypatch.setattr(hm, "linalg", counting)
-    monkeypatch.setattr(rs, "_available_bytes", lambda: room)
-    with pytest.raises(NotMaterialized, match="Tor degree 3"):
+    monkeypatch.setattr(rs, "available_bytes", lambda: room)
+    with pytest.raises(NotMaterialized, match=f"Tor degree 4: a dense {n} x {m}"):
         tor(M, N, 20)
-    # two kernels each for degrees 0..2, none for degree 3
-    assert len(counting.kernels) == 6
+    # two kernels each for degrees 0..3, then degree 4's two
+    assert len(counting.kernels) == 10 and counting.kernels[-1] == (n, m)
+    assert dense_runs and max(dense_runs) < 10
 
 
 # sha256 of the canonical JSON of tor (with its tor_induced ranks) and of
@@ -330,6 +339,16 @@ def test_table_bytes_are_pinned(e, m, n_mod, n, tor_sha, ext_sha):
     assert T.window < n and E.window < n
     assert _sha(T, induced) == tor_sha
     assert _sha(E) == ext_sha
+
+
+@pytest.mark.parametrize("share", [0.0, 1.0])
+def test_sparse_share_only_chooses_a_path(share, monkeypatch):
+    # the share decides only whether an elimination runs sparse or dense,
+    # so the room may lower it: at 0.0 every elimination runs dense, at 1.0
+    # nearly every one sparse, and the pinned tables keep their bytes
+    monkeypatch.setattr(linalg, "_SPARSE_SHARE", share)
+    for pinned in PINNED_TABLES:
+        test_table_bytes_are_pinned(*pinned)
 
 
 def test_length_count_audit(R3, Rx3):
@@ -495,17 +514,17 @@ def test_radical_excess_without_w_images(p, e, monkeypatch):
                                      (hm._cohomology_window, N, (N.dim, N.dim))):
                 for h, A in _with_maps_in(window, res, N, w, monkeypatch):
                     Z, K = h.cycles, h.left_kernel
+                    Zd, Kd = linalg.dense(*Z), linalg.dense(*K)
                     Bnd, _, rank = rref_array(A.T, p)
                     Bnd = Bnd[:rank]
-                    assert K.shape == (A.shape[0] - rank, A.shape[0])
-                    assert not (Bnd @ K.T % p).any()
-                    assert hm._radical_excess(X, Z, K, block) == \
-                        _radical_excess_with_w(X, Z, Bnd, block)
+                    assert Kd.shape == (A.shape[0] - rank, A.shape[0])
+                    assert not (Bnd @ Kd.T % p).any()
+                    excess = _radical_excess_with_w(X, Zd, Bnd, block)
+                    assert hm._radical_excess(X, Z, K, block, np.inf) == excess
                     # one cycle per chunk: the running rank is the same
                     with monkeypatch.context() as mp:
                         mp.setattr(hm, "_EXCESS_CHUNK", 1)
-                        assert hm._radical_excess(X, Z, K, block) == \
-                            _radical_excess_with_w(X, Z, Bnd, block)
+                        assert hm._radical_excess(X, Z, K, block, np.inf) == excess
 
 
 class _LosingLinalg(_CountingLinalg):
@@ -514,8 +533,8 @@ class _LosingLinalg(_CountingLinalg):
 
     lost = False
 
-    def kernel_rref(self, rows, cols, vals, shape, p):
-        kr, kc, kv, pivots = super().kernel_rref(rows, cols, vals, shape, p)
+    def kernel_rref(self, rows, cols, vals, shape, p, room):
+        kr, kc, kv, pivots = super().kernel_rref(rows, cols, vals, shape, p, room)
         if (len(self.matrices) % 2 == 0 and self.matrices[-1].size
                 and pivots and not self.lost):
             self.lost = True

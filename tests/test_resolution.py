@@ -23,6 +23,7 @@ from gorlab import (
     resolve,
 )
 import gorlab.resolution as rs
+from gorlab import linalg
 from gorlab.errors import CertificateError, NotMaterialized, RadicalSquareNonzero
 from gorlab.koszul import split_off_k_witness
 from gorlab.linalg import kernel_array, kernel_rref, rank_array, row_space, rref_array
@@ -115,31 +116,30 @@ def test_budget_stop_ends_the_head_silently(R3):
 
 
 def test_step_refused_before_allocation(R3, monkeypatch):
-    # the memory guard refuses a step that would not fit, before the step
-    # allocates anything
+    # extend reads the room once, and the step's elimination stores no more
+    # entries than fit in it: with room for exactly the rows, columns and
+    # entries of step 5's linear part, the first fill crosses the room, and
+    # the step is refused before its dense fallback runs
     res = MinimalFreeResolution(random_module(R3, 2, 2, seed=5))
     res.extend(4)
-    need = res._step_bytes()
-    monkeypatch.setattr(rs, "_available_bytes", lambda: need - 1)
+    _, _, vals, (m, n) = rs._linear_part(R3, res.nonzeros[-1])
+    room = linalg._ENTRY_BYTES * len(vals) + linalg._LINE_BYTES * (m + n)
+    monkeypatch.setattr(rs, "available_bytes", lambda: room)
+    crossed, real = [], linalg._eliminate
 
-    def step(self):
-        raise AssertionError("the step ran")
+    def eliminate(*args):
+        out = real(*args)
+        crossed.append(out is None)
+        return out
 
-    monkeypatch.setattr(MinimalFreeResolution, "_step", step)
-    with pytest.raises(NotMaterialized, match="resolution step 5"):
+    def kernel_array(A, p):
+        raise AssertionError("the dense fallback ran")
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    monkeypatch.setattr(linalg, "kernel_array", kernel_array)
+    with pytest.raises(NotMaterialized, match="resolution step 5: a dense"):
         res.extend(6)
-    assert res.head == 4
-
-
-def test_cover_step_estimate_is_positive_for_a_free_module(R3):
-    # the kernel of the cover of a free module is 0; the cover step still
-    # holds the dim M x b D cover matrix twice while it eliminates it
-    M = FiniteModule.free(R3, 2)
-    res = MinimalFreeResolution(M)
-    assert res.syzygy_dims()[-1] == 0
-    assert res._step_bytes() >= 8 * 2 * M.dim * 2 * R3.dim > 0
-    res.extend(1)
-    assert res.finite and res.betti_head == [2, 0]
+    assert crossed == [True] and res.head == 4
 
 
 def test_available_bytes_reads_the_memory_cgroup(tmp_path, monkeypatch):
@@ -153,12 +153,12 @@ def test_available_bytes_reads_the_memory_cgroup(tmp_path, monkeypatch):
     # the page cache the kernel can reclaim counts as room
     limit.write_text("1000000\n")
     assert rs._cgroup_room(2**60) == 500000
-    assert rs._available_bytes() <= 500000
+    assert rs.available_bytes() <= 500000
     # a limit at or above the RAM binds nothing the RAM does not
     assert rs._cgroup_room(1000000) == float("inf")
     # where sysconf and resource are missing, only the cgroup is read
     monkeypatch.delattr(os, "sysconf")
-    assert rs._available_bytes() == 500000
+    assert rs.available_bytes() == 500000
 
 
 def test_available_bytes_is_bounded_by_mem_available(monkeypatch):
@@ -173,11 +173,11 @@ def test_available_bytes_is_bounded_by_mem_available(monkeypatch):
 
     monkeypatch.setattr(rs, "_read", read)
     assert rs._mem_available() == 1000 * 1024
-    assert rs._available_bytes() == 1000 * 1024
+    assert rs.available_bytes() == 1000 * 1024
     # a kernel without the field, or without the file, bounds nothing
     files["/proc/meminfo"] = "MemTotal:  8000000 kB\nMemFree:  7000000 kB\n"
     assert rs._mem_available() == float("inf")
-    assert rs._available_bytes() > 1000 * 1024
+    assert rs.available_bytes() > 1000 * 1024
     del files["/proc/meminfo"]
     assert rs._mem_available() == float("inf")
 

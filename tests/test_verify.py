@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+import gorlab.resolution as rs
 from gorlab import TrialConfig, io, run_check
 from gorlab.errors import ConfigError
 from gorlab.verify import CHECKS
@@ -63,6 +64,14 @@ def test_lemma_suite_passes():
     assert report.passed, report.failures
     assert sha256(report) == \
         "786a4f5365fabb8c9e3571622d64111853a6354feff91fcc04aa25d442c5a615"
+
+
+def test_main_theorem_at_e4_fits_in_a_gibibyte(monkeypatch):
+    # memory is checked against what each elimination holds, so every e = 4
+    # trial is served within 1 GiB
+    monkeypatch.setattr(rs, "available_bytes", lambda: 2**30)
+    report = run_check("main-theorem", TrialConfig(e=4, trials=5, cutoff=25))
+    assert report.passed, report.failures
 
 
 def test_unknown_check_raises():
