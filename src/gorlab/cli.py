@@ -15,7 +15,7 @@ from dataclasses import fields
 from . import homology, io, koszul, series, verify
 from .errors import GorlabError
 from .modules import matlis_dual, radical_submodule, random_module
-from .resolution import Nonzeros, resolve
+from .resolution import DEFAULT_BUDGET, Nonzeros, resolve
 from .ring import FORM_CHOICES, make_ring, named_form, validate_general_algebra
 
 
@@ -142,7 +142,7 @@ def _cmd_module_info(args) -> int:
 def _cmd_resolve(args) -> int:
     M = io.load_module(args.module)
     res = resolve(M, args.steps)
-    res.extend(args.steps, budget_stop=True)
+    res.extend(args.steps, DEFAULT_BUDGET)
     _emit(io.resolution_to_dict(res, args.steps), args)
     return 0
 

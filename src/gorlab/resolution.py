@@ -10,14 +10,14 @@ first step, and each step's eliminations check what they hold against it
 NotMaterialized before its dense arrays are allocated.  Whether a step is
 refused thus depends on the machine and on what the process holds, never on
 a tunable.  The head holds only the degrees that the tail certificate, the
-homology windows and the syzygy and lifting calls ask for; the column
-budget DEFAULT_BUDGET applies only to the CLI `resolve` verb, which stops
-silently before the first kernel problem past it.  Tail certification
-materializes a head that depends only on the Betti numbers: J + TAIL_OVERLAP
-degrees, and up to HEAD_SLACK more while their kernel problems stay within
-CHAIN_BUDGET columns, the dimension of the chain module F_i (x) R = F_i.
-Homology reads the same bound for the chain modules F_j (x) N of a window
-it takes whole.
+homology windows and the syzygy and lifting calls ask for.  `extend` takes
+one width rule for every head: it stops silently before a kernel problem
+wider than its column budget, DEFAULT_BUDGET for the CLI `resolve` verb and
+none for the other callers.  Tail certification materializes a head that
+depends only on the Betti numbers: J + TAIL_OVERLAP degrees, and up to
+HEAD_SLACK more while their kernel problems stay within CHAIN_BUDGET
+columns, the dimension of the chain module F_i (x) R = F_i.  Homology reads
+the same bound for the chain modules F_j (x) N of a window it takes whole.
 Beyond the head, Betti numbers are exact values of the certified tail: once
 the syzygy M_J is past the junction index J (no later syzygy can split off a
 copy of k, by the dimension bound dim k_{-j} = dim k_j), M_J is Koszul and
@@ -38,30 +38,30 @@ of w-coefficients of del_i on the x-slots.  The step eliminates L, built from
 the nonzeros of del_i, instead of the (e+2)-fold k-matrix of del_i, and takes
 rref(ker L) as its nonzeros from one sparse elimination
 (`linalg.kernel_rref`).  The rows of rref(ker L), placed in the
-x-slots, together with one unit row per w-slot, sorted by pivot, are a
+x-slots, together with one unit row per w-slot, numbered by pivot, are a
 reduced echelon basis: no row has a nonzero entry in another row's pivot
 column, because the two kinds of rows live on disjoint slots.  The rref of a
 subspace is unique, so this is the basis a generic elimination of the
-k-matrix would give.  The step never writes that basis out: it writes only
-the rows it keeps, once, into del_{i+1}, so every row of del_{i+1} is x-only
-or a single w-unit 1.  Only the first step, the kernel of the cover
+k-matrix would give.  Only the first step, the kernel of the cover
 F_0 -> M, eliminates a generic k-matrix: that kernel need not contain w F_0,
 and it is the only one that can be zero, so only a free module's resolution
-ends.
+ends.  Either kernel then goes through one assembly, which writes only the
+rows the step keeps, once, into del_{i+1}: after the cover every row of
+del_{i+1} is x-only or a single w-unit 1.
 
-The step also reads nu(m M_i) = dim m K, for the kernel K it found, and
-leaves out of the differential the rows of K's rref basis that m K covers.
-K lies in m F, so m K is spanned by the images x_g * z of its rows z, and
-block j of x_g * z is form[g] . z[j, x-slots] w.  The form is nondegenerate,
-so these images span the same subspace S as the x-slot slices z[:, 1 + h],
-h < e, and the two have one rref, rank and pivot set (`_slice_pivots`).  In
-coordinates w.r.t. K's basis S lies on the rows with a w-pivot; after the
-cover these are the w-unit rows, one per block, whose slices are zero, so
-the x-rows' slices alone span S, and the step drops the w-unit rows of the
-blocks at S's pivots.  Every nonzero vector of S has its leading entry at a
-pivot of rref(S), so when the leading entries of the slices already cover
-every column, S is everything and nothing is eliminated; only otherwise, in
-a few percent of the steps, does the step eliminate the slices.
+The step also reads nu(m M_i) = dim m K, for its kernel K, and leaves out of
+the differential the rows of K's rref basis that m K covers.  K lies in m F,
+so m K is spanned by the images x_g * z of its rows z, and block j of
+x_g * z is form[g] . z[j, x-slots] w.  The form is nondegenerate, so these
+images span the same subspace S as the x-slot slices z[:, 1 + h], h < e, and
+the two have one rref, rank and pivot set (`_slice_pivots`).  In coordinates
+w.r.t. K's basis S lies on the rows with a w-pivot, so every step reads S on
+their blocks and drops the w-pivot rows of the blocks at S's pivots (after
+the cover these are the w-unit rows, one per block).  Every nonzero vector
+of S has its leading entry at a pivot of rref(S), so when the leading
+entries of the slices already cover every column, S is everything and
+nothing is eliminated; only otherwise, in a few percent of the steps, does
+the step eliminate the slices.
 
 A resolution stores each differential as its nonzeros (`Nonzeros`: the
 generator, target, slot and value of every nonzero entry), the cover matrix,
@@ -336,8 +336,7 @@ class MinimalFreeResolution:
             C = self.cover_matrix
             ri, ci = np.nonzero(C)
             kr, kc, kv, kpiv = linalg.kernel_rref(ri, ci, C[ri, ci], C.shape, p, room)
-            blk, slot = np.divmod(kc, D)
-            if (slot == 0).any():
+            if (kc % D == 0).any():
                 raise CertificateError(
                     "kernel escapes the radical; cover not minimal")
             # only this kernel can be zero: every later one holds w F_i != 0
@@ -346,59 +345,51 @@ class MinimalFreeResolution:
             # w-pivot rows, and all nk only if every row has a w-pivot, when
             # S's column for the earliest w-pivot block is zero
             self.finite = not kpiv
-            # m*K lies on the w-slots; in coordinates w.r.t. K's rows (their
-            # pivot-column entries) it is S, read on the blocks of the rows
-            # with a w-pivot (K is nonzero inside mF, so it meets the socle
-            # wF); generators = the rows of K that S's pivots leave
             kpiv = np.asarray(kpiv, dtype=np.int64)
-            wrows = np.flatnonzero(kpiv % D == D - 1)
-            col = np.full(b, -1)
-            col[kpiv[wrows] // D] = np.arange(len(wrows))
-            x = (col[blk] >= 0) & (slot <= e)
-            drop = _slice_pivots(kr[x] * e + slot[x] - 1, col[blk[x]], kv[x],
-                                 len(wrows), p)
-            kept = np.ones(len(kpiv), dtype=bool)
-            kept[wrows[drop]] = False
-            gen = np.cumsum(kept) - 1
-            x = kept[kr]
-            G = Nonzeros(gen[kr[x]], blk[x], slot[x], kv[x], (int(kept.sum()), b, D))
         else:
-            # ker del = ker(L) + wF: every block has a w-unit row, whose
-            # slices are zero, so S is spanned by the x-rows' slices alone
+            # ker del = ker(L) + wF: the rows of rref(ker L) on their x-slots
+            # (column a*e + g of L is slot a*D + 1 + g of F) and one w-unit
+            # row per block, numbered by pivot, are the rref of ker del
             kr, kc, kv, lpiv = linalg.kernel_rref(
                 *_linear_part(ring, self.nonzeros[-1]), p, room)
-            blk, g = np.divmod(kc, e)
-            drop = _slice_pivots(kr * e + g, blk, kv, b, p)
-            keep = np.setdiff1d(np.arange(b), drop)
-            # column a*e + g of L is the x_{g+1}-slot a*D + 1 + g of F; both
-            # kinds of rows keep their pivots, so sorting by pivot merges the
-            # x-rows and the kept w-unit rows into rows of the rref
             lp = np.asarray(lpiv, dtype=np.int64)
-            at = np.argsort(np.argsort(np.concatenate(
-                [lp // e * D + 1 + lp % e, keep * D + D - 1])))
-            gen = np.concatenate([at[:len(lp)][kr], at[len(lp):]])
-            order = np.argsort(gen, kind="stable")
-            G = Nonzeros(gen[order],
-                         np.concatenate([blk, keep])[order],
-                         np.concatenate([1 + g, np.full(len(keep), D - 1)])[order],
-                         np.concatenate([kv, np.ones(len(keep), dtype=np.int64)])[order],
-                         (len(at), b, D))
+            xpiv, wpiv = lp // e * D + 1 + lp % e, np.arange(b) * D + D - 1
+            kpiv = np.sort(np.concatenate([xpiv, wpiv]))
+            kr = np.concatenate([np.searchsorted(kpiv, xpiv)[kr],
+                                 np.searchsorted(kpiv, wpiv)])
+            order = np.argsort(kr, kind="stable")
+            kr = kr[order]
+            kc = np.concatenate([kc // e * D + 1 + kc % e, wpiv])[order]
+            kv = np.concatenate([kv, np.ones(b, dtype=np.int64)])[order]
+        # m*K lies on the w-slots; in coordinates w.r.t. K's rows (their
+        # pivot-column entries) it is S, read on the blocks of the rows with
+        # a w-pivot (K is nonzero inside mF, so it meets the socle wF);
+        # generators = the rows of K that S's pivots leave
+        blk, slot = np.divmod(kc, D)
+        wrows = np.flatnonzero(kpiv % D == D - 1)
+        col = np.full(b, -1)
+        col[kpiv[wrows] // D] = np.arange(len(wrows))
+        x = (col[blk] >= 0) & (slot <= e)
+        drop = _slice_pivots(kr[x] * e + slot[x] - 1, col[blk[x]], kv[x],
+                             len(wrows), p)
+        kept = np.ones(len(kpiv), dtype=bool)
+        kept[wrows[drop]] = False
+        gen = np.cumsum(kept) - 1
+        x = kept[kr]
+        G = Nonzeros(gen[kr[x]], blk[x], slot[x], kv[x], (int(kept.sum()), b, D))
         self.nu_m.append(len(drop))
         self.nonzeros.append(G)
         self.betti_head.append(G.shape[0])
 
-    def extend(self, steps: int, budget_stop: bool = False):
-        """Materialize differentials up to index `steps`.  The room the
-        process can get (`available_bytes`) is read once, before the first
-        step, and a step whose eliminations do not fit in it raises
-        NotMaterialized.  With budget_stop, passed only by the CLI `resolve`
-        verb, the head also stops, without an error, before a kernel problem
-        past DEFAULT_BUDGET columns."""
+    def extend(self, steps: int, budget: float = float("inf")):
+        """Materialize differentials up to index `steps`, stopping without
+        an error before a kernel problem wider than `budget` columns
+        (beta_i (e+2) for step i + 1).  The room the process can get
+        (`available_bytes`) is read once, before the first step, and a step
+        whose eliminations do not fit in it raises NotMaterialized."""
         room = None
-        while self.head < steps and not self.finite:
-            cols = self.betti_head[-1] * self.ring.dim
-            if budget_stop and cols > DEFAULT_BUDGET:
-                break
+        while (self.head < steps and not self.finite
+               and self.betti_head[-1] * self.ring.dim <= budget):
             if room is None:
                 room = available_bytes()
             try:
@@ -433,15 +424,17 @@ class MinimalFreeResolution:
         if self._tail is not None:
             return
         J = self.junction()
-        # the head through J + TAIL_OVERLAP, then optional slack degrees
-        # while their kernel problems stay desk-scale: a function of the
-        # Betti numbers alone, however deep the head already is
+        # the head through J + TAIL_OVERLAP, then up to HEAD_SLACK degrees
+        # more while their kernel problems fit CHAIN_BUDGET columns.  The
+        # certificate's head is read off the Betti numbers by that rule: past
+        # J they increase, so a head deepened earlier does not move it
+        top = J + TAIL_OVERLAP + HEAD_SLACK
+        self.extend(J + TAIL_OVERLAP)
+        self.extend(top, CHAIN_BUDGET)
         head = J + TAIL_OVERLAP
-        self.extend(head)
-        while (head < J + TAIL_OVERLAP + HEAD_SLACK and not self.finite
+        while (head < min(self.head, top)
                and self.betti_head[head] * self.ring.dim <= CHAIN_BUDGET):
             head += 1
-            self.extend(head)
         e = self.ring.e
         b = self.betti_head
         # the recurrence and the Lescot formulas must hold on every honest
@@ -537,7 +530,7 @@ def lift_chain_map(phi: ModuleMap, n: int) -> list[np.ndarray]:
             gens = G.reshape(G.shape[0], G.shape[1] * D).T
             KB = free_kmat(rb.diff(i), ring.basis_reg, p)
         f = np.zeros((ra.betti_head[i], rb.betti_head[i], D), dtype=np.int64)
-        for a, x in enumerate(linalg.solve_many(KB, prev @ gens % p, p)):
+        for a, x in enumerate(linalg.solve_many(KB, linalg.matmul_mod(prev, gens, p), p)):
             if x is None:
                 raise CertificateError(
                     f"resolution is exact, yet no lift in degree {i}")

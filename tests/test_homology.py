@@ -179,6 +179,26 @@ def test_finite_tail_certificate_does_not_depend_on_call_order(R3):
     assert serve(True) == fresh
 
 
+def test_certificate_head_does_not_depend_on_a_deeper_head(R3, monkeypatch):
+    # with CHAIN_BUDGET at 70 the slack rule stops R3/(x_1)'s head at 5
+    # (beta_5 D = 170); syzygy(N, 7) first takes the head to 7, past where
+    # the slack degrees end, and the certificate and the table it serves
+    # must still be the fresh ones
+    monkeypatch.setattr(rs, "CHAIN_BUDGET", 70)
+
+    def serve(warm):
+        k, N = FiniteModule.residue_field(R3), cyclic_module(R3, [R3.x(1)])[0]
+        if warm:
+            syzygy(N, 7)
+        cert = resolve(N, 0).tail_certificate()
+        table = tor(k, N, 12)
+        return (cert.junction, cert.head), table.window, table.junction, _sha(table)
+
+    fresh = serve(False)
+    assert fresh[:3] == ((1, 5), 4, 1)
+    assert serve(True) == fresh
+
+
 def test_negative_degrees_are_refused(R3):
     # a resolution already materialized through degree 10 must not turn a
     # negative degree into a slice of its Betti numbers
@@ -525,6 +545,52 @@ def test_radical_excess_without_w_images(p, e, monkeypatch):
                     with monkeypatch.context() as mp:
                         mp.setattr(hm, "_EXCESS_CHUNK", 1)
                         assert hm._radical_excess(X, Z, K, block, np.inf) == excess
+
+
+def _excess_from_ranks(L, A_out, A_in, block, b):
+    """Radical excess of a degree with b copies of L from ranks alone, no
+    kernel: with B the image of A_in and X_g x_g's t x s corner on each
+    copy, dim(B + sum_g X_g ker A_out) = rank Phi - e rank A_out for
+    Phi = [[A_in, X_1 .. X_e], [0, diag(A_out, .., A_out)]], and the
+    excess is that less rank A_in."""
+    p, e, d = L.ring.p, L.ring.e, L.dim
+    s, t = block
+    X = [np.kron(np.eye(b, dtype=np.int64), op[d - t:, :s]) for op in L.actions]
+    Phi = np.block([[A_in, *X],
+                    [np.zeros((e * A_out.shape[0], A_in.shape[1]), dtype=np.int64),
+                     np.kron(np.eye(e, dtype=np.int64), A_out)]])
+    return rank_array(Phi, p) - e * rank_array(A_out, p) - rank_array(A_in, p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([3, 4]), st.sampled_from([3, 101]), st.integers(1, 2),
+       st.integers(1, 2), st.integers(0, 2), st.integers(0, 2**31))
+def test_radical_excess_matches_the_rank_identity(e, p, gm, gn, rn, seed):
+    # a second route for the nu column of Tor: the excess length - nu that
+    # the window reads against its left kernel, and the same with one cycle
+    # per chunk, against one rank of a stacked matrix that builds no kernel
+    R = make_ring(p, e, identity_form(e))
+    M = random_module(R, gm, 1, seed=seed)
+    N = random_module(R, gn, rn, seed=seed + 1)
+    res = resolve(M, 4)
+    res.extend(4)
+    L, layers = hm._loewy(N)
+    s, t = block = hm._block(layers)
+    beta = hm._ranks(res)
+
+    def A(i):
+        if 1 <= i <= res.head:
+            return linalg.dense(*hm._tor_block(res.nonzeros[i - 1], L, layers))
+        return np.zeros((beta(i - 1) * t, beta(i) * s), dtype=np.int64)
+
+    last = min(3, res.head)
+    want = [_excess_from_ranks(L, A(i), A(i + 1), block, beta(i))
+            for i in range(last + 1)]
+    for chunk in (hm._EXCESS_CHUNK, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hm, "_EXCESS_CHUNK", chunk)
+            got = [h.length - h.nu for h in hm._homology_window(res, N, last)]
+        assert got == want
 
 
 class _LosingLinalg(_CountingLinalg):

@@ -110,9 +110,32 @@ def test_budget_stop_ends_the_head_silently(R3):
     # the CLI `resolve m1.json --steps 10` writes 8 differentials: the
     # kernel problem of the ninth would exceed DEFAULT_BUDGET columns
     res = MinimalFreeResolution(random_module(R3, 2, 2, seed=5))
-    res.extend(10, budget_stop=True)
+    res.extend(10, DEFAULT_BUDGET)
     assert res.head == 8
     assert res.betti_head[-1] * R3.dim > DEFAULT_BUDGET
+
+
+def _cyclic_x1(e):
+    R = make_ring(101, e, identity_form(e))
+    return cyclic_module(R, [R.x(1)])[0]
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: _cyclic_x1(3), (1, 6)),
+    (lambda: random_module(make_ring(101, 3, identity_form(3)), 2, 2, seed=5), (2, 7)),
+    (lambda: _cyclic_x1(4), (1, 6)),
+], ids=["R3/(x1)", "readme", "R4/(x1)"])
+def test_fresh_certification_reads_the_room_twice(build, want, monkeypatch):
+    # one extension through J + TAIL_OVERLAP and one for the slack degrees,
+    # each reading the room once; the certificate's head is read off the
+    # Betti numbers, not taken one extension at a time
+    res = MinimalFreeResolution(build())
+    res.junction()   # resolves k as far as the junction reads it
+    reads, real = [], rs.available_bytes
+    monkeypatch.setattr(rs, "available_bytes", lambda: reads.append(1) or real())
+    cert = res.tail_certificate()
+    assert (cert.junction, cert.head) == want
+    assert len(reads) <= 2
 
 
 def test_step_refused_before_allocation(R3, monkeypatch):

@@ -181,6 +181,42 @@ def test_every_public_function_is_read():
     assert not unread, f"public functions only tests read: {unread}"
 
 
+def _callers(tree, name: str) -> set:
+    """Qualified names of the functions and methods of a module whose own
+    bodies call `name`, as a plain name or an attribute ("" at module
+    level); a call in a nested function counts for that function."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_the_room_is_read_only_per_extension_or_window():
+    # reading the room opens /proc and cgroup files; the README promises one
+    # read per resolution extension or homology window, so a read per step
+    # or per degree, as the deleted guard_memory made, fails here
+    sites = {(path.name, where) for path in sorted(SRC.rglob("*.py"))
+             for where in _callers(ast.parse(path.read_text(), str(path)),
+                                   "available_bytes")}
+    assert sites == {("resolution.py", "MinimalFreeResolution.extend"),
+                     ("homology.py", "_window")}, f"room read in {sorted(sites)}"
+    # the guard names the function a call sits in, nested ones included
+    probe = ast.parse("def f():\n    def g():\n        rs.available_bytes()\n"
+                      "    available_bytes()\nclass C:\n    def h(self):\n"
+                      "        for _ in x:\n            available_bytes()\n")
+    assert _callers(probe, "available_bytes") == {"f.g", "f", "C.h"}
+
+
 # each `raise CertificateError` site of the package, by file and message
 # (an f-string's fields read "{}"), -> a test that reaches it
 CERTIFICATE_TESTS = {
