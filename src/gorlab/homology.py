@@ -181,7 +181,8 @@ def _radical_excess(N: FiniteModule, Z, K, block, room: float) -> int:
     multiplied by K^T, and the running rref of those products has at most
     dim K columns and rows.  Before it allocates, NotMaterialized is raised
     when K, one chunk and the running rref, each with the copies the
-    products and the elimination make, exceed `room` bytes.  Both products
+    products make and the rref at the cost `linalg.kernel_rref` checks per
+    stored entry, row and column, exceed `room` bytes.  Both products
     go through `linalg.matmul_mod`: exact in float64 while the inner
     dimension (s, then b t for b copies of N) times (p-1)^2 is below 2^53,
     in int64 past it."""
@@ -194,9 +195,11 @@ def _radical_excess(N: FiniteModule, Z, K, block, room: float) -> int:
     c = min(_EXCESS_CHUNK, nz)
     # K and its float64 copy; per cycle of a chunk its row and float64 copy,
     # its e images three times over and their products with K^T twice; the
-    # running rref with a chunk's products, four times over in its elimination
-    need = 8 * (2 * nk * bt + c * (2 * n + 3 * e * bt + 2 * e * nk)
-                + 4 * (nk + c * e) * nk)
+    # running rref with a chunk's products at the elimination's cost per
+    # cell and per line
+    need = (8 * (2 * nk * bt + c * (2 * n + 3 * e * bt + 2 * e * nk))
+            + linalg.ENTRY_BYTES * (nk + c * e) * nk
+            + linalg.LINE_BYTES * (2 * nk + c * e))
     if need > room:
         raise NotMaterialized(
             f"the radical excess needs about {need / 2**20:.0f} MiB, "
@@ -299,9 +302,9 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int):
     rows (target copy, t) and columns (source copy, s); the caller
     guarantees the support (`_tor_block` checks it, and the trivial block
     (dim N, dim N) of Ext has nothing outside).  `linalg.kernel_rref`
-    eliminates A_i and, with rows and columns swapped, A_{i+step}^T, so a
-    block is dense only on its fallback, and the kernels, mapped back from
-    the relabelled columns, are held as triplets.  The cycles are ker A_i
+    eliminates A_i and, with rows and columns swapped, A_{i+step}^T, so no
+    block is ever dense, and the kernels, mapped back from the relabelled
+    columns, are held as triplets.  The cycles are ker A_i
     plus the dropped columns of the ranks(i) copies, the boundaries lie in
     the last t coordinates, where they are read through the left kernel K
     of the map in A_{i+step}: its rank is rows - dim K, which must equal the

@@ -5,36 +5,27 @@ p < 2**16 so that products fit comfortably in 64-bit intermediates.
 
 Each question has one route.  Ranks and row spaces (`rref_array`,
 `row_space`), kernels (`kernel_array`, and `kernel_rref` for a canonical
-basis from one sparse elimination) and solutions (`solve_many`) all rest on
-`rref_inplace` or on its sparse elimination, and products mod p go through
-`matmul_mod`.  Reduced row-echelon form is canonical, so these routines are
-deterministic and reproducible bit for bit.  `rref_inplace` has two paths
-that give the same rows and pivots:
+basis) and solutions (`solve_many`) all rest on one Gauss-Jordan
+elimination, `_eliminate`, over rows held as {column: value} maps, and
+products mod p go through `matmul_mod`.  The matrices gorlab eliminates have
+their entries in m, and m^3 = 0 leaves them a few nonzeros per row (0.4-1.3%
+of the entries of one perfbench batch), so the elimination does only the
+work the nonzeros need.  Reduced row-echelon form is canonical, so these
+routines are deterministic and reproducible bit for bit.
 
-- a sparse Gauss-Jordan elimination over rows held as {column: value}
-  maps.  The matrices gorlab eliminates have their entries in m, and
-  m^3 = 0 leaves them a few nonzeros per row (0.4-1.3% of the entries of
-  one perfbench batch), so this path does only the work the nonzeros need;
-- the blocked dense kernel, whose panel-sized accumulations stay below
-  2**53, so trailing updates run through BLAS (float64 matmul) exactly.
-
-`kernel_rref` takes a matrix as (row, column, value) triplets and
-eliminates it in the same {column: value} rows (`_eliminate`), so it builds
-no dense array unless it falls back: one pass with the columns right to
-left leaves the canonical rref basis of the kernel, which it returns as
-triplets read off the pivot rows.  It serves the resolution, whose kernels
-are written out, and homology, which reads only their ranks and spans and
+`rref_inplace` takes the columns left to right and writes the rref back
+into its array.  `kernel_rref` takes a matrix as (row, column, value)
+triplets and builds no dense array: one pass with the columns right to left
+leaves the canonical rref basis of the kernel, which it returns as triplets
+read off the pivot rows.  It serves the resolution, whose kernels are
+written out, and homology, which reads only their ranks and spans and
 relabels the columns so the pass takes them fewest entries first, which
 fills least; `dense` writes such triplets out as an array.
 
-One rule with one constant, `_SPARSE_SHARE`, chooses: a sparse path may
-hold at most that share of the dense array's entries.  An input with more
-nonzeros goes to the dense kernel at once; an elimination whose fill grows
-past it drops its work and runs the dense kernel on the untouched input.
-`kernel_rref` also takes the room its caller can still allocate: its sparse
-elimination stores at most the entries that fit in it, and its dense
-fallback raises NotMaterialized, before it allocates, when the arrays it
-would hold do not fit.
+One rule bounds memory: `kernel_rref` takes the room its caller can still
+allocate and stores no more entries than fit in it, at `ENTRY_BYTES` per
+entry and `LINE_BYTES` per row and column.  An elimination that the room
+stops raises NotMaterialized before it allocates more.
 """
 
 from __future__ import annotations
@@ -45,24 +36,11 @@ import numpy as np
 
 from .errors import NotMaterialized, NotPrime
 
-_BLOCK = 96
-
-# A sparse path holds at most this share of the dense array's entries.
-# A stored entry costs 100-130 bytes of dicts and sets (tracemalloc), so at
-# 0.1 the sparse path peaks at 1.3-1.6x the int64 array, below the 2.9x the
-# dense kernel allocates beside it.  Over the rref inputs of one batch of
-# `tor_ext_pairs` (2 vCPU, seed 0), rref took 1.10 s at a share of 0.05,
-# 0.73 s at 0.1 and 0.73 s at 0.2; on random sparse matrices, whose fill
-# runs away, the sparse work dropped at 0.1 cost 0.06-0.74x the dense time.
-_SPARSE_SHARE = 0.1
-# What `kernel_rref` holds, checked against its room: its elimination up to
-# _ENTRY_BYTES per stored entry and _LINE_BYTES per row and column (a dict,
-# a set, kernel entries: at most 310 bytes under tracemalloc at e = 3, 4, 5),
-# its dense fallback 8 (5 m n + 2 n^2) bytes (the dense rref has five m x n
-# arrays alive at once, the kernel and its triplets up to 2 n^2 cells; 0.51-
-# 0.83 of that measured on random matrices of 200 to 3000 rows and columns).
-_ENTRY_BYTES = 130
-_LINE_BYTES = 400
+# What `kernel_rref` holds, checked against its room: up to ENTRY_BYTES per
+# stored entry and LINE_BYTES per row and column (a dict, a set, kernel
+# entries: at most 310 bytes under tracemalloc at e = 3, 4, 5).
+ENTRY_BYTES = 130
+LINE_BYTES = 400
 
 
 def _is_prime(p: int) -> bool:
@@ -93,34 +71,13 @@ def rref_inplace(R: np.ndarray, p: int):
     """Reduce R to reduced row-echelon form in place; return pivot columns.
 
     R holds entries in [0, p); on return its first rank rows are the rref
-    rows and the rows below are zero.  An R with at most `_SPARSE_SHARE` of
-    its entries nonzero is eliminated sparsely (`_rref_sparse`); a denser
-    one, or one whose fill outgrows that share, by the blocked dense
-    kernel (`_rref_dense`).  The rref is unique, so both give the same
-    rows and pivots.
-    """
-    m, n = R.shape
-    budget = _SPARSE_SHARE * m * n
-    if np.count_nonzero(R) <= budget:
-        pivots = _rref_sparse(R, p, budget)
-        if pivots is not None:
-            return pivots
-    return _rref_dense(R, p, _BLOCK)
-
-
-def _rref_sparse(R: np.ndarray, p: int, budget: float):
-    """Gauss-Jordan elimination of R over rows held as {column: value}
-    maps (`_eliminate`), columns left to right; the pivot columns, or None
-    once more than `budget` entries are stored, in which case R is left
-    untouched.  The pivot rows, in pivot order, are the canonical rref, and
-    R is written only at the end."""
+    rows and the rows below are zero.  The elimination (`_eliminate`) takes
+    the columns left to right, so its pivot rows, in pivot order, are the
+    canonical rref, and R is written only at the end."""
     ri, ci = np.nonzero(R)
-    stored = len(ri)
     rows, where = _sparse_rows(ri, ci, R[ri, ci], R.shape[0])
     del ri, ci   # freed before the fill grows
-    pivot_row = _eliminate(rows, where, list(where), p, budget, stored)
-    if pivot_row is None:
-        return None
+    pivot_row = _eliminate(rows, where, list(where), p)
     R.fill(0)
     ix: list[int] = []
     jx: list[int] = []
@@ -154,12 +111,13 @@ def _sparse_rows(ri, ci, vi, m: int):
     return rows, where
 
 
-def _eliminate(rows: list, where: dict, columns, p: int, budget: float,
-               stored: int):
+def _eliminate(rows: list, where: dict, columns, p: int,
+               budget: float = float("inf"), stored: int = 0):
     """Gauss-Jordan elimination of the rows and column sets of
     `_sparse_rows`, in place, taking the columns in the order `columns`
     (every column of `where`): {pivot column: its row}, in the order
-    pivoted, or None once more than `budget` entries are stored.
+    pivoted, or None once more than `budget` entries are stored, counting
+    from the `stored` entries of the input.
 
     Each column takes as pivot the sparsest row not yet used that is
     nonzero there (the lowest index on a tie), scales it to a unit, and
@@ -212,82 +170,6 @@ def _eliminate(rows: list, where: dict, columns, p: int, budget: float,
             if stored > budget:
                 return None
     return pivot_row
-
-
-def _rref_dense(R: np.ndarray, p: int, block: int):
-    """Blocked right-looking rref of R in place; the pivot columns.
-
-    Pivots are found and cleared inside a narrow column panel (numpy row
-    ops on the active rows only), while the trailing columns and the
-    already-finished rows above are updated once per panel through float64
-    matmuls.  The inner dimension of every matmul is at most `block`, so
-    accumulations are bounded by block * (p-1)^2 < 2**53 and the float64
-    path is exact.
-    """
-    m, n = R.shape
-    pivots: list[int] = []
-    r = 0
-    c0 = 0
-    while c0 < n and r < m:
-        b = min(block, n - c0)
-        act = R[r:, c0:c0 + b]
-        na = m - r
-        kmax = min(b, na)
-        # aug tracks, for every active row, its composition in terms of the
-        # panel's pivot rows as they were at panel start
-        aug = np.zeros((na, kmax), dtype=np.int64)
-        local: list[int] = []
-        is_piv = np.zeros(na, dtype=bool)
-        for c in range(b):
-            k = len(local)
-            if k == kmax:
-                break
-            nz = np.nonzero(act[:, c] * ~is_piv)[0]
-            if nz.size == 0:
-                continue
-            pr = int(nz[0])
-            aug[pr, k] += 1
-            inv = pow(int(act[pr, c]), p - 2, p)
-            if inv != 1:
-                act[pr] = (act[pr] * inv) % p
-                aug[pr, :k + 1] = (aug[pr, :k + 1] * inv) % p
-            rows = np.nonzero(act[:, c])[0]
-            rows = rows[rows != pr]
-            if rows.size:
-                f = act[rows, c]
-                act[rows] = (act[rows] - f[:, None] * act[pr][None, :]) % p
-                aug[rows, :k + 1] = (
-                    aug[rows, :k + 1] - f[:, None] * aug[pr][None, :k + 1]
-                ) % p
-            local.append(pr)
-            is_piv[pr] = True
-            pivots.append(c0 + c)
-        k = len(local)
-        if k:
-            # move pivot rows (in pivot-column order) to the front, keep the
-            # other active rows in stable order below them
-            rest = [i for i in range(na) if not is_piv[i]]
-            new_order = local + rest
-            act[:] = act[new_order]
-            aug = aug[new_order, :k]
-            if c0 + b < n:
-                T = R[r:, c0 + b:]
-                T[:] = T[new_order]
-                Tpiv = T[:k].astype(np.float64)
-                base = T.copy()
-                base[:k] = 0
-                T[:] = (base + (aug.astype(np.float64) @ Tpiv).astype(np.int64)) % p
-            # clear the new pivot columns in the finished rows above
-            if r:
-                cols_local = [pc - c0 for pc in pivots[-k:]]
-                C = R[:r, c0:c0 + b][:, cols_local].copy()
-                if C.any():
-                    U = R[:r, c0:]
-                    P = R[r:r + k, c0:].astype(np.float64)
-                    U[:] = (U - (C.astype(np.float64) @ P).astype(np.int64)) % p
-            r += k
-        c0 += b
-    return pivots
 
 
 def rref_array(A: np.ndarray, p: int):
@@ -352,38 +234,27 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
     kernel vector of a free column f is 1 at f and -v at the pivot c > f of
     each pivot row with an entry v at f: f leads, no other vector has an
     entry there, so the vectors in increasing f are the rref and the free
-    columns its pivots.  An input with more than `_SPARSE_SHARE` of its m n
-    entries nonzero, or whose fill grows past that share, is densified
-    instead, and `kernel_array` of the column-reversed matrix, read
-    backwards, gives the same rows.
+    columns its pivots.
 
     `room` is the bytes the caller can still allocate.  The elimination
-    stores no more entries than fit in it, and the fallback raises
-    NotMaterialized before it allocates when its arrays do not (see
-    `_ENTRY_BYTES`).  Past 24 columns, an elimination that the room stopped
-    always ends in that refusal.
+    stores no more entries than fit in it (see `ENTRY_BYTES`): an input
+    that does not fit, or whose fill outgrows the room, raises
+    NotMaterialized before more is allocated.
     """
     m, n = shape
-    budget = min(_SPARSE_SHARE * m * n,
-                 (room - _LINE_BYTES * (m + n)) / _ENTRY_BYTES)
+    budget = (room - LINE_BYTES * (m + n)) / ENTRY_BYTES
+    pivot_row = None
     if len(vals) <= budget:
         data, where = _sparse_rows(np.asarray(rows), np.asarray(cols), np.asarray(vals), m)
         pivot_row = _eliminate(data, where, sorted(where, reverse=True), p,
                                budget, len(vals))
-        if pivot_row is not None:
-            kr, kc, kv, free = _kernel_entries(data, pivot_row, n, p)
-            order = np.argsort(kr * n + kc)
-            return kr[order], kc[order], kv[order], free.tolist()
-        del data, where   # the failed elimination's fill, before the fallback
-    need = 8 * (5 * m * n + 2 * n * n)
-    if need > room:
+    if pivot_row is None:
         raise NotMaterialized(
-            f"a dense {m} x {n} kernel needs about {need / 2**20:.0f} MiB, "
-            f"the process can get {max(room, 0) / 2**20:.0f} MiB")
-    K = kernel_array(dense(rows, cols, vals, shape)[:, ::-1], p)[::-1, ::-1]
-    kr, kc = np.nonzero(K)
-    lead = np.flatnonzero(np.diff(kr, prepend=-1))
-    return kr, kc, K[kr, kc], kc[lead].tolist()
+            f"a {m} x {n} elimination outgrows the "
+            f"{max(room, 0) / 2**20:.0f} MiB the process can get")
+    kr, kc, kv, free = _kernel_entries(data, pivot_row, n, p)
+    order = np.argsort(kr * n + kc)
+    return kr[order], kc[order], kv[order], free.tolist()
 
 
 def dense(rows, cols, vals, shape) -> np.ndarray:
@@ -427,21 +298,19 @@ def solve_many(A: np.ndarray, B: np.ndarray, p: int):
     """
     A = np.asarray(A, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
-    m, n = A.shape
-    # row-reduce [A | I]; the identity block records the row transform T,
-    # which stays valid even after elimination continues past A's columns
-    aug = np.concatenate([A, np.eye(m, dtype=np.int64)], axis=1)
-    R, pivots, _ = rref_array(aug, p)
+    n = A.shape[1]
+    # row-reduce [A | B]: column j is consistent iff the rows below A's rank
+    # vanish on it, and then its entries on A's pivot rows are the solution
+    R, pivots, _ = rref_array(np.concatenate([A, B], axis=1), p)
     a_piv = [c for c in pivots if c < n]
     ra = len(a_piv)
-    TB = matmul_mod(R[:, n:], B, p)
     out = []
-    for j in range(B.shape[1]):
-        if TB[ra:, j].any():
+    for j in range(n, R.shape[1]):
+        if R[ra:, j].any():
             out.append(None)
             continue
         x = np.zeros(n, dtype=np.int64)
-        x[a_piv] = TB[:ra, j]
+        x[a_piv] = R[:ra, j]
         out.append(x)
     return out
 

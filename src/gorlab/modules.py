@@ -92,21 +92,29 @@ def _derive_action_w(ring: ShortGorensteinRing, actions: np.ndarray) -> np.ndarr
     p = ring.p
     i, j = np.argwhere(ring.form).transpose()[:, 0]
     inv = pow(int(ring.form[i, j]), p - 2, p)
-    return actions[i] @ actions[j] * inv % p
+    return linalg.matmul_mod(actions[i], actions[j], p) * inv % p
 
 
 def _check_relations(ring: ShortGorensteinRing, actions: np.ndarray, action_w: np.ndarray):
+    """Raise ValueError unless m^3 = 0 and x_i x_j = B[i][j] w for all i, j.
+
+    The relations imply m^3 = 0: the actions then commute, so x_i x_j x_k
+    equals both B_ij x_k w and B_jk x_i w, and a nonzero entry v_k of some
+    x_k w would give B_ij = B_jk v_i / v_k, a form of rank 1, while B is
+    nondegenerate of rank e >= 2.  m^3 = 0 is checked first all the same, so
+    that actions nilpotent of too high an order are refused with that
+    reason."""
     p = ring.p
-    e = ring.e
     d = action_w.shape[0]
     if action_w.shape != (d, d) or actions.shape[1:] != (d, d):
         raise ValueError("action matrix shapes disagree")
+    if (linalg.matmul_mod(actions, action_w, p).any()
+            or linalg.matmul_mod(action_w, action_w, p).any()):
+        raise ValueError("actions violate m^3 = 0")
     prod = linalg.matmul_mod(actions[:, None], actions[None], p)
     want = ring.form[:, :, None, None] * action_w[None, None] % p
     if not np.array_equal(prod, want):
         raise ValueError("actions violate x_i x_j = B[i][j] w")
-    if ((actions @ action_w) % p).any() or ((action_w @ action_w) % p).any():
-        raise ValueError("actions violate m^3 = 0")
 
 
 @dataclass(frozen=True)
@@ -165,8 +173,8 @@ def quotient(M: FiniteModule, U: np.ndarray, pivots) -> tuple[FiniteModule, Modu
     P[np.arange(q), nonpiv] = 1
     if piv:
         P[:, piv] = (-U[:len(piv), nonpiv].T) % p
-    acts = P @ M.actions[:, :, nonpiv] % p
-    aw = P @ M.action_w[:, nonpiv] % p
+    acts = linalg.matmul_mod(P, M.actions[:, :, nonpiv], p)
+    aw = linalg.matmul_mod(P, M.action_w[:, nonpiv], p)
     Q = FiniteModule(M.ring, acts, aw)
     proj = ModuleMap(M, Q, P)
     return Q, proj

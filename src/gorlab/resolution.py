@@ -7,7 +7,7 @@ least of physical RAM, RLIMIT_AS and the memory cgroup's limit, each less
 what is already in use, and the kernel's MemAvailable) once, before its
 first step, and each step's eliminations check what they hold against it
 (`linalg.kernel_rref`): a step that does not fit is refused with
-NotMaterialized before its dense arrays are allocated.  Whether a step is
+NotMaterialized before its elimination allocates more.  Whether a step is
 refused thus depends on the machine and on what the process holds, never on
 a tunable.  The head holds only the degrees that the tail certificate, the
 homology windows and the syzygy and lifting calls ask for.  `extend` takes

@@ -304,10 +304,10 @@ def test_tor_refuses_when_the_window_cannot_deepen(monkeypatch):
 
 def test_window_degree_refused_before_allocation(monkeypatch):
     # the window reads the room once, and each elimination checks what it
-    # holds against it: with room for one byte less than the sparse
-    # elimination of the map into degree 4 holds, degrees 0..3 are
-    # computed, degree 4 eliminates its map out, and its transposed map in
-    # is refused before any dense fallback
+    # holds against it: with room for one byte less than the elimination of
+    # the map into degree 4 holds at its start, degrees 0..3 are computed,
+    # degree 4 eliminates its map out, and its transposed map in is refused
+    # before it is eliminated
     R = make_ring(101, 3, identity_form(3))
     M = cyclic_module(R, [R.x(1)])[0]
     N = cyclic_module(R, [R.x(2)])[0]
@@ -315,21 +315,23 @@ def test_window_degree_refused_before_allocation(monkeypatch):
     resolve(N, 20)
     L, layers = hm._loewy(N)
     _, _, vals, (m, n) = hm._tor_block(res.nonzeros[4], L, layers)
-    room = linalg._ENTRY_BYTES * len(vals) + linalg._LINE_BYTES * (m + n) - 1
-    counting, dense_runs, real = _CountingLinalg(), [], linalg.kernel_array
+    room = linalg.ENTRY_BYTES * len(vals) + linalg.LINE_BYTES * (m + n) - 1
+    counting, eliminated, real = _CountingLinalg(), [], linalg._eliminate
 
-    def kernel_array(A, p):
-        dense_runs.append(len(counting.matrices))
-        return real(A, p)
+    def eliminate(*args):
+        eliminated.append(len(counting.matrices))
+        return real(*args)
 
-    monkeypatch.setattr(linalg, "kernel_array", kernel_array)
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
     monkeypatch.setattr(hm, "linalg", counting)
     monkeypatch.setattr(rs, "available_bytes", lambda: room)
-    with pytest.raises(NotMaterialized, match=f"Tor degree 4: a dense {n} x {m}"):
+    with pytest.raises(NotMaterialized, match=f"Tor degree 4: a {n} x {m} elimination"):
         tor(M, N, 20)
-    # two kernels each for degrees 0..3, then degree 4's two
+    # two kernels each for degrees 0..3, then degree 4's two; the last
+    # elimination ran once nine kernels had been asked for, so the tenth
+    # was refused before it was eliminated
     assert len(counting.kernels) == 10 and counting.kernels[-1] == (n, m)
-    assert dense_runs and max(dense_runs) < 10
+    assert eliminated[-1] == 9
 
 
 # sha256 of the canonical JSON of tor (with its tor_induced ranks) and of
@@ -359,16 +361,6 @@ def test_table_bytes_are_pinned(e, m, n_mod, n, tor_sha, ext_sha):
     assert T.window < n and E.window < n
     assert _sha(T, induced) == tor_sha
     assert _sha(E) == ext_sha
-
-
-@pytest.mark.parametrize("share", [0.0, 1.0])
-def test_sparse_share_only_chooses_a_path(share, monkeypatch):
-    # the share decides only whether an elimination runs sparse or dense,
-    # so the room may lower it: at 0.0 every elimination runs dense, at 1.0
-    # nearly every one sparse, and the pinned tables keep their bytes
-    monkeypatch.setattr(linalg, "_SPARSE_SHARE", share)
-    for pinned in PINNED_TABLES:
-        test_table_bytes_are_pinned(*pinned)
 
 
 def test_length_count_audit(R3, Rx3):
@@ -520,19 +512,24 @@ def test_radical_excess_without_w_images(p, e, monkeypatch):
     # the w-images leaves the added rank unchanged; the reference runs in
     # the coordinates each window ran in, against the rref rows of the
     # boundaries eliminated from the map in that the window read, not
-    # through its left kernel
+    # through its left kernel.  The random pairs have a nonzero excess only
+    # in degree 0, where x_2..x_e alone already reach it, so they cannot
+    # tell whether x_1's images are counted; on C = R/(x_2, .., x_e), which
+    # x_2..x_e and w kill, only x_1 adds the excess of Tor_0(C, C) = C
     forms = [identity_form(e)] + ([hyperbolic_form(e)] if e % 2 == 0 else [])
     for form in forms:
         R = make_ring(p, e, form)
-        for seed in range(3):
-            M = random_module(R, 1 + seed % 2, 1 + seed // 2, seed=seed)
-            N = random_module(R, 1 + seed // 2, 1, seed=seed + 50)
+        C = cyclic_module(R, [R.x(g) for g in range(2, e + 1)])[0]
+        pairs = [(random_module(R, 1 + seed % 2, 1 + seed // 2, seed=seed),
+                  random_module(R, 1 + seed // 2, 1, seed=seed + 50))
+                 for seed in range(3)] + [(C, C)]
+        for M, N in pairs:
             res = resolve(M, 4)
             w = min(3, res.head - 1)
             L, layers = hm._loewy(N)
             for window, X, block in ((hm._homology_window, L, hm._block(layers)),
                                      (hm._cohomology_window, N, (N.dim, N.dim))):
-                for h, A in _with_maps_in(window, res, N, w, monkeypatch):
+                for i, (h, A) in enumerate(_with_maps_in(window, res, N, w, monkeypatch)):
                     Z, K = h.cycles, h.left_kernel
                     Zd, Kd = linalg.dense(*Z), linalg.dense(*K)
                     Bnd, _, rank = rref_array(A.T, p)
@@ -541,6 +538,8 @@ def test_radical_excess_without_w_images(p, e, monkeypatch):
                     assert not (Bnd @ Kd.T % p).any()
                     excess = _radical_excess_with_w(X, Zd, Bnd, block)
                     assert hm._radical_excess(X, Z, K, block, np.inf) == excess
+                    if M is C and window is hm._homology_window and i == 0:
+                        assert excess == 1
                     # one cycle per chunk: the running rank is the same
                     with monkeypatch.context() as mp:
                         mp.setattr(hm, "_EXCESS_CHUNK", 1)

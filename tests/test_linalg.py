@@ -195,93 +195,32 @@ def _sympy_rref(A, p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sparse_or_dense(), st.sampled_from((2, 5, 96)))
-def test_sparse_and_dense_rref_agree_with_sympy(mp, block):
+@given(sparse_or_dense())
+def test_sparse_and_dense_rref_agree_with_sympy(mp):
+    # sparse and dense inputs alike
     A, p = mp
     want, wpiv = _sympy_rref(A, p)
-    S, D = A.copy(), A.copy()
-    assert linalg._rref_sparse(S, p, float("inf")) == wpiv
-    assert linalg._rref_dense(D, p, block) == wpiv
-    assert np.array_equal(S, want) and np.array_equal(D, want)
-
-
-def _fills(m, n, seed, p=101):
-    """A random m x n matrix with three nonzeros per row: Gauss-Jordan
-    fills its rows far past their initial count."""
-    rng = np.random.default_rng(seed)
-    A = np.zeros((m, n), dtype=np.int64)
-    for i in range(m):
-        A[i, rng.choice(n, 3, replace=False)] = rng.integers(1, p, 3)
-    return A, p
-
-
-def _refuse(*args):
-    raise AssertionError("the other path ran")
-
-
-def test_fill_past_the_budget_falls_back_to_the_dense_kernel(monkeypatch):
-    A, p = _fills(40, 40, 1)
-    want = A.copy()
-    wpiv = linalg._rref_dense(want, p, linalg._BLOCK)
-    # with the share set to the input's own density, the input enters the
-    # sparse path and its first net fill leaves it
-    monkeypatch.setattr(linalg, "_SPARSE_SHARE", np.count_nonzero(A) / A.size)
-    seen = []
-    sparse, dense = linalg._rref_sparse, linalg._rref_dense
-
-    def spy_sparse(R, p, budget):
-        out = sparse(R, p, budget)
-        seen.append(("sparse", out))
-        return out
-
-    def spy_dense(R, p, block):
-        seen.append(("dense", np.array_equal(R, A)))
-        return dense(R, p, block)
-
-    monkeypatch.setattr(linalg, "_rref_sparse", spy_sparse)
-    monkeypatch.setattr(linalg, "_rref_dense", spy_dense)
     R = A.copy()
     assert rref_inplace(R, p) == wpiv
     assert np.array_equal(R, want)
-    # the sparse path gave up, and the dense kernel got the untouched input
-    assert seen == [("sparse", None), ("dense", True)]
-
-
-def test_dense_input_never_enters_the_sparse_path(monkeypatch):
-    A = np.random.default_rng(0).integers(0, 101, size=(30, 40))
-    want = A.copy()
-    wpiv = linalg._rref_dense(want, 101, linalg._BLOCK)
-    monkeypatch.setattr(linalg, "_rref_sparse", _refuse)
-    assert rref_inplace(A, 101) == wpiv and np.array_equal(A, want)
-    # one nonzero more than the share admits stays dense too
-    B = np.zeros((20, 20), dtype=np.int64)
-    B.flat[: int(linalg._SPARSE_SHARE * B.size) + 1] = 1
-    rref_inplace(B, 101)
-
-
-def test_sparse_input_stays_on_the_sparse_path(monkeypatch):
-    # random 4 x 6 blocks down the diagonal: 4% nonzero, and Gauss-Jordan
-    # fills nothing outside the blocks
-    rng = np.random.default_rng(2)
-    A = np.zeros((200, 300), dtype=np.int64)
-    for b in range(50):
-        A[4 * b:4 * b + 4, 6 * b:6 * b + 6] = rng.integers(0, 101, size=(4, 6))
-    want, wpiv = _sympy_rref(A, 101)
-    monkeypatch.setattr(linalg, "_rref_dense", _refuse)
-    assert rref_inplace(A, 101) == wpiv and np.array_equal(A, want)
 
 
 @settings(max_examples=60, deadline=None)
 @given(sparse_or_dense())
 def test_rref_inplace_writes_r_in_place(mp):
-    # whichever path the rule picks, the caller's array ends as the dense
-    # kernel leaves it: the rref rows on top, zero rows below the rank
+    # the caller's array ends as the rref, rows of zeros below the rank,
+    # and nothing around it is written: R is a view into a larger array
+    # whose border holds p, an entry no rref has
     A, p = mp
-    R, want = A.copy(), A.copy()
-    piv = rref_inplace(R, p)
-    assert piv == linalg._rref_dense(want, p, linalg._BLOCK)
-    assert R.dtype == np.int64 and np.array_equal(R, want)
-    assert not R[len(piv):].any()
+    want, wpiv = _sympy_rref(A, p)
+    m, n = A.shape
+    outer = np.full((m + 2, n + 2), p, dtype=np.int64)
+    R = outer[1:m + 1, 1:n + 1]
+    R[:] = A
+    assert rref_inplace(R, p) == wpiv
+    assert np.array_equal(R, want) and not R[len(wpiv):].any()
+    R[:] = p
+    assert (outer == p).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -336,65 +275,27 @@ def _check_kernel(A, kernel, p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sparse_or_dense(), st.sampled_from((None, 1.0)))
-def test_kernel_rref_agrees_with_sympy(mp, share):
-    # on whichever path the rule picks, or on the sparse one alone (a share
-    # of 1.0 admits every input and every fill), and for the matrix and its
-    # transpose (rows and columns swapped, so not in row-major order)
+@given(sparse_or_dense())
+def test_kernel_rref_agrees_with_sympy(mp):
+    # for the matrix and its transpose (rows and columns swapped, so not in
+    # row-major order)
     A, p = mp
     rows, cols, vals, (m, n) = _triplets(A)
-    with pytest.MonkeyPatch.context() as mpatch:
-        if share is not None:
-            mpatch.setattr(linalg, "_SPARSE_SHARE", share)
-            mpatch.setattr(linalg, "kernel_array", _refuse)
-        _check_kernel(A, kernel_rref(rows, cols, vals, (m, n), p), p)
-        _check_kernel(A.T, kernel_rref(cols, rows, vals, (n, m), p), p)
+    _check_kernel(A, kernel_rref(rows, cols, vals, (m, n), p), p)
+    _check_kernel(A.T, kernel_rref(cols, rows, vals, (n, m), p), p)
 
 
 @settings(max_examples=100, deadline=None)
-@given(sparse_or_dense(), st.sampled_from((0.0, 0.05, 0.5)))
-def test_kernel_rref_under_a_lower_share(mp, share):
-    # with the share lowered, inputs over it and eliminations whose fill
-    # grows past it are densified and handed to kernel_array, and the
-    # basis stays the canonical one
+@given(sparse_or_dense())
+def test_kernel_rref_matches_kernel_array(mp):
+    # the basis is the canonical one: sympy's, and the rref of the span of
+    # kernel_array's basis
     A, p = mp
-    with pytest.MonkeyPatch.context() as mpatch:
-        mpatch.setattr(linalg, "_SPARSE_SHARE", share)
-        out = kernel_rref(*_triplets(A), p)
+    out = kernel_rref(*_triplets(A), p)
     _check_kernel(A, out, p)
     R, rpiv = row_space(kernel_array(A, p), p)
     assert np.array_equal(linalg.dense(*out[:3], R.shape), R)
     assert out[3] == list(rpiv)
-
-
-def test_kernel_rref_fill_past_the_budget_falls_back(monkeypatch):
-    A, p = _fills(40, 40, 1)
-    # with the share set to the input's own density, the input enters the
-    # sparse path and its first net fill leaves it
-    monkeypatch.setattr(linalg, "_SPARSE_SHARE", np.count_nonzero(A) / A.size)
-    eliminated, densified = [], []
-    eliminate = linalg._eliminate
-
-    def spy_eliminate(*args):
-        eliminated.append(eliminate(*args))
-        return eliminated[-1]
-
-    def spy_kernel(B, p):
-        densified.append(B.copy())
-        return kernel_array(B, p)
-
-    monkeypatch.setattr(linalg, "_eliminate", spy_eliminate)
-    monkeypatch.setattr(linalg, "kernel_array", spy_kernel)
-    _check_kernel(A, kernel_rref(*_triplets(A), p), p)
-    # the sparse elimination gave up, and kernel_array got the densified
-    # input with its columns reversed
-    assert eliminated[0] is None
-    assert len(densified) == 1 and np.array_equal(densified[0], A[:, ::-1])
-    # one nonzero more than the share admits never enters the sparse path
-    monkeypatch.setattr(linalg, "_eliminate", _refuse)
-    B = np.zeros((20, 20), dtype=np.int64)
-    B.flat[: int(linalg._SPARSE_SHARE * B.size) + 1] = 1
-    _check_kernel(B, kernel_rref(*_triplets(B), p), p)
 
 
 def test_solve_many_without_columns():
@@ -411,9 +312,9 @@ def test_solve_many_without_columns():
 
 @st.composite
 def sparse_for_kernel_rref(draw):
-    """A matrix over GF(p) at a density on either side of `_SPARSE_SHARE`,
-    or an edge case: no rows, no columns, the zero matrix, or full column
-    rank (a permuted identity under sparse rows)."""
+    """A matrix over GF(p) at a density from 1% to 30%, or an edge case:
+    no rows, no columns, the zero matrix, or full column rank (a permuted
+    identity under sparse rows)."""
     p = draw(st.sampled_from((2, 3, 101, 65521)))
     kind = draw(st.sampled_from(("sparse", "sparse", "no rows", "no columns",
                                  "zero", "full column rank")))
@@ -435,44 +336,8 @@ def sparse_for_kernel_rref(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_for_kernel_rref())
 def test_kernel_rref_matches_two_eliminations_on_sparse_inputs(mp):
-    # the oracle eliminates twice: a kernel basis, then the rref of its span;
-    # an input past the share must take the dense fallback
+    # the oracle eliminates twice: a kernel basis, then the rref of its span
     A, p = mp
-    calls = []
-
-    def spy(B, p):
-        calls.append(B.shape)
-        return kernel_array(B, p)
-
-    with pytest.MonkeyPatch.context() as mpatch:
-        mpatch.setattr(linalg, "kernel_array", spy)
-        K, piv = _kernel_rref_rows(A, p)
+    K, piv = _kernel_rref_rows(A, p)
     R, rpiv = row_space(kernel_array(A, p), p)
     assert np.array_equal(K, R) and piv == list(rpiv)
-    if np.count_nonzero(A) > linalg._SPARSE_SHARE * A.size:
-        assert calls == [A.shape]
-
-
-def test_kernel_rref_takes_both_paths(monkeypatch):
-    # a sparse input stays sparse; one whose fill passes the share, and one
-    # over the share from the start, fall back to kernel_array once
-    calls = []
-
-    def spy(B, p):
-        calls.append(B.shape)
-        return kernel_array(B, p)
-
-    monkeypatch.setattr(linalg, "kernel_array", spy)
-    for (m, n, seed), falls_back in (((30, 60, 3), False), ((40, 40, 1), True),
-                                     ((60, 80, 2), True)):
-        A, p = _fills(m, n, seed)
-        calls.clear()
-        K, piv = _kernel_rref_rows(A, p)
-        assert calls == ([A.shape] if falls_back else [])
-        R, rpiv = row_space(_kernel_loop(A, p), p)
-        assert np.array_equal(K, R) and piv == list(rpiv)
-    A = np.zeros((20, 20), dtype=np.int64)
-    A.flat[: int(linalg._SPARSE_SHARE * A.size) + 1] = 1
-    calls.clear()
-    _kernel_rref_rows(A, 5)
-    assert calls == [A.shape]

@@ -8,6 +8,8 @@ from gorlab import (
     from_presentation,
     hilbert_function,
     hom_space,
+    identity_form,
+    make_ring,
     matlis_dual,
     nu,
     radical_submodule,
@@ -146,3 +148,23 @@ def test_minimal_generators_and_radical(R3):
     assert g == nu(M)
     rad, _ = radical_submodule(M)
     assert rad.dim == M.dim - g
+
+
+@pytest.mark.parametrize("p", [3, 65521])
+def test_actions_off_the_ring_relations_are_refused(p):
+    R = make_ring(p, 3, identity_form(3))
+    E = np.eye(4, dtype=np.int64)
+
+    def unit(i, j):
+        return np.outer(E[i], E[j])
+
+    zero = np.zeros((4, 4), dtype=np.int64)
+    # x_2 x_1 != 0 = x_1 x_2: the actions do not commute
+    with pytest.raises(ValueError, match=r"x_i x_j = B\[i\]\[j\] w"):
+        FiniteModule(R, [unit(1, 0), unit(2, 1), zero], zero)
+    # x_1 a shift with x_1^3 != 0 and w derived as x_1^2: x_1 w != 0 (the
+    # relations fail too, at x_2^2 = 0 != w, but m^3 = 0 is checked first)
+    with pytest.raises(ValueError, match=r"m\^3 = 0"):
+        FiniteModule(R, [unit(1, 0) + unit(2, 1) + unit(3, 2), zero, zero])
+    # while R/(x_1), built through the same check, passes at p
+    assert cyclic_module(R, [R.x(1)])[0].dim == 3

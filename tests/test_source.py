@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from operator import attrgetter
 from pathlib import Path
 
@@ -136,6 +137,47 @@ def test_every_module_level_import_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in read]
     assert not unused, f"imports never used: {unused}"
+
+
+def _constants_unread(trees) -> list:
+    """The module-level UPPER_CASE constants (a leading underscore allowed)
+    assigned in `trees`, {file name: tree}, that no code of those trees
+    reads: an assignment stores its name, which is not a read."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            unread += [f"{name}:{node.lineno} {t.id}" for t in targets
+                       if isinstance(t, ast.Name)
+                       and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
+                       and t.id not in read]
+    return unread
+
+
+def test_every_constant_is_read():
+    # a tuning constant that no code reads is a knob left behind: it
+    # changes nothing, yet counts as one more thing to tune
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.rglob("*.py"))}
+    assert trees, "package sources not found"
+    unread = _constants_unread(trees)
+    assert not unread, f"constants no code reads: {unread}"
+    # the guard sees a constant read only by its own assignment, and counts
+    # reads as plain names, attributes and imports, in any module
+    probe = {"a.py": ast.parse("_KNOB = 1\nUSED = 2\nSHARED = 3\nx = USED\n"
+                               "lower = 4\n_KNOB2: int = 5\n"),
+             "b.py": ast.parse("from a import SHARED\n")}
+    assert _constants_unread(probe) == ["a.py:1 _KNOB", "a.py:6 _KNOB2"]
 
 
 def _trace_names() -> set:
