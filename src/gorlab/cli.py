@@ -4,11 +4,22 @@ All structured output is canonical JSON on stdout (or --out <path>); --pretty
 renders the same data as an aligned text table.  Exit codes: 0 success,
 1 verification failure (the report still prints, with a reproducer), 2 for
 usage, I/O or validation problems.
+
+The argument parser is built once per process, on the first `main` call,
+and reused by every later one: building its thirteen subparsers costs more
+than the small verbs' mathematics (it was nearly all of `ring check`), and
+a process that serves several commands, as a test run or the benchmark
+does, would pay that cost on each.  Reuse is safe: every default is an
+immutable constant, each parse returns a fresh Namespace, the verbs' `fn`
+defaults are only read, and help text is formatted when it is printed.  It
+is built on first use, not at import, so a library user who never calls
+`main` does not pay for it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 
@@ -216,6 +227,7 @@ def _cmd_verify(args) -> int:
 # argument parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gorlab",

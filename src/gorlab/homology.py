@@ -107,6 +107,10 @@ from .resolution import (
 TOR_MARGIN = 3       # consecutive equality degrees required for a tail
 MAX_WINDOW_ROWS = 12000   # max dimension of the next module when deepening
 _EXCESS_CHUNK = 1024      # cycles per product in `_radical_excess`
+# what one `_radical_excess` call holds besides the cells and lines its
+# check counts: numpy's temporaries, at most 5.4 KiB above the counted
+# bytes under tracemalloc over the e = 4 and e = 5 main-theorem trials
+_EXCESS_CALL_BYTES = 16 * 2**10
 
 COMPUTED = "computed"
 CERTIFIED = "certified"
@@ -182,10 +186,10 @@ def _radical_excess(N: FiniteModule, Z, K, block, room: float) -> int:
     dim K columns and rows.  Before it allocates, NotMaterialized is raised
     when K, one chunk and the running rref, each with the copies the
     products make and the rref at the cost `linalg.kernel_rref` checks per
-    stored entry, row and column, exceed `room` bytes.  Both products
-    go through `linalg.matmul_mod`: exact in float64 while the inner
-    dimension (s, then b t for b copies of N) times (p-1)^2 is below 2^53,
-    in int64 past it."""
+    stored entry, row and column, plus _EXCESS_CALL_BYTES for the call's
+    temporaries, exceed `room` bytes.  Both products go through
+    `linalg.matmul_mod`: exact in float64 while the inner dimension (s, then
+    b t for b copies of N) times (p-1)^2 is below 2^53, in int64 past it."""
     p, d, e = N.ring.p, N.dim, N.ring.e
     s, t = block
     zr, zc, zv, (nz, n) = Z
@@ -196,14 +200,14 @@ def _radical_excess(N: FiniteModule, Z, K, block, room: float) -> int:
     # K and its float64 copy; per cycle of a chunk its row and float64 copy,
     # its e images three times over and their products with K^T twice; the
     # running rref with a chunk's products at the elimination's cost per
-    # cell and per line
+    # cell and per line; and the call's own temporaries
     need = (8 * (2 * nk * bt + c * (2 * n + 3 * e * bt + 2 * e * nk))
             + linalg.ENTRY_BYTES * (nk + c * e) * nk
-            + linalg.LINE_BYTES * (2 * nk + c * e))
+            + linalg.LINE_BYTES * (2 * nk + c * e) + _EXCESS_CALL_BYTES)
     if need > room:
         raise NotMaterialized(
-            f"the radical excess needs about {need / 2**20:.0f} MiB, "
-            f"the process can get {max(room, 0) / 2**20:.0f} MiB")
+            f"the radical excess needs about {need / 2**10:.0f} KiB, "
+            f"the process can get {max(room, 0) / 2**10:.1f} KiB")
     K = linalg.dense(*K)
     opsT = N.actions[:, d - t:, :s].transpose(0, 2, 1)
     B = np.zeros((0, nk), dtype=np.int64)

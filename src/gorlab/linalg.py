@@ -250,8 +250,9 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
                                budget, len(vals))
     if pivot_row is None:
         raise NotMaterialized(
-            f"a {m} x {n} elimination outgrows the "
-            f"{max(room, 0) / 2**20:.0f} MiB the process can get")
+            f"a {m} x {n} elimination of {len(vals)} entries outgrows the "
+            f"{max(room, 0) / 2**10:.1f} KiB the process can get, room for "
+            f"{max(int(budget), 0)} stored entries")
     kr, kc, kv, free = _kernel_entries(data, pivot_row, n, p)
     order = np.argsort(kr * n + kc)
     return kr[order], kc[order], kv[order], free.tolist()

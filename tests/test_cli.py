@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gorlab import io, make_ring, random_module, series, validate_general_algebra
+from gorlab import cli, io, make_ring, random_module, series, validate_general_algebra
 from gorlab.cli import main
 from gorlab.ring import identity_form
 
@@ -225,6 +226,125 @@ def test_repeated_runs_byte_identical(tmp_path, capsys):
             "--out", str(tmp_path / name))
     assert (tmp_path / "one.json").read_bytes() == \
         (tmp_path / "two.json").read_bytes()
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    # every main call after the first reuses the parser: five commands
+    # construct the ArgumentParser objects of one build, not five builds
+    real, built = argparse.ArgumentParser.__init__, []
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+    cli.build_parser.cache_clear()
+    cli.build_parser()
+    one_build = len(built)
+    assert one_build > 1   # the root parser and its subparsers
+    cli.build_parser.cache_clear()
+    built.clear()
+    ring = make_ring_file(tmp_path, capsys)
+    mod = make_module_file(tmp_path, capsys, ring)
+    for argv in (("ring", "check", ring), ("module", "info", mod), ("koszul", mod)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+    assert len(built) == one_build
+
+
+def test_the_parser_is_not_built_at_import():
+    # a library user pays for no parser: `import gorlab` leaves the CLI
+    # unimported, and importing it builds nothing until main is called
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, gorlab\n"
+            "assert 'gorlab.cli' not in sys.modules\n"
+            "from gorlab import cli\n"
+            "assert cli.build_parser.cache_info().currsize == 0\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def _fresh(capsys, *argv):
+    """stdout of main(argv) on a newly built parser."""
+    cli.build_parser.cache_clear()
+    return run(capsys, *argv)[1]
+
+
+def test_a_reused_parser_leaks_no_state(tmp_path, capsys):
+    # the second command of each pair prints, on the parser the first one
+    # used, exactly what it prints on a parser of its own
+    ring = make_ring_file(tmp_path, capsys)
+    a = make_module_file(tmp_path, capsys, ring, "a.json", seed="1")
+    tor = ("tor", "--m", a, "--n-mod", a, "--range", "0..4")
+    info = ("module", "info", a)
+    pairs = [(tor + ("--induced",), tor), (tor + ("--pretty",), tor),
+             (info + ("--out", str(tmp_path / "info.json")), info),
+             (("nonsense",), info)]
+    for first, second in pairs:
+        want = _fresh(capsys, *second)
+        cli.build_parser.cache_clear()
+        if first == ("nonsense",):
+            with pytest.raises(SystemExit) as exc:
+                main(list(first))
+            assert exc.value.code == 2
+        else:
+            assert run(capsys, *first)[0] == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, *second)
+        assert code == 0 and out == want
+    assert "induced" not in json.loads(_fresh(capsys, *tor))
+
+
+# `gorlab --help` and `gorlab tor --help` at 80 columns, as they printed
+# when every command built a parser of its own
+HELP = {
+    (): """\
+usage: gorlab [-h] {ring,module,resolve,tor,ext,series,koszul,verify} ...
+
+Exact homological algebra over short Gorenstein rings
+
+positional arguments:
+  {ring,module,resolve,tor,ext,series,koszul,verify}
+    ring                create or validate rings
+    module              create or inspect modules
+    resolve             minimal free resolution
+    tor                 tor table for a pair of modules
+    ext                 ext table for a pair of modules
+    series              generating series, optionally certified
+    koszul              Koszulness verdict with witness
+    verify              seeded property suites
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("tor",): """\
+usage: gorlab tor [-h] --m M --n-mod N_MOD [--range RANGE] [--induced]
+                  [--out OUT] [--pretty]
+
+options:
+  -h, --help     show this help message and exit
+  --m M
+  --n-mod N_MOD
+  --range RANGE
+  --induced      include ranks of the maps induced by mM -> M
+  --out OUT      write JSON to this path instead of stdout
+  --pretty       human-readable view of the same data
+""",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(HELP), ids=["gorlab", "tor"])
+def test_help_is_unchanged_on_a_reused_parser(tmp_path, capsys, monkeypatch, verb):
+    # help is formatted when printed, at the terminal width of that moment,
+    # so a parser built and used before prints the same help as a new one
+    cli.build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "40")
+    make_ring_file(tmp_path, capsys)
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*verb, "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out == HELP[verb]
 
 
 def test_pretty_output_runs(tmp_path, capsys):

@@ -325,13 +325,46 @@ def test_window_degree_refused_before_allocation(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", eliminate)
     monkeypatch.setattr(hm, "linalg", counting)
     monkeypatch.setattr(rs, "available_bytes", lambda: room)
-    with pytest.raises(NotMaterialized, match=f"Tor degree 4: a {n} x {m} elimination"):
+    with pytest.raises(NotMaterialized, match=f"Tor degree 4: a {n} x {m} elimination") as exc:
         tor(M, N, 20)
+    # the refusal shows the sizes: the room, short of one byte of the input's
+    # entries and lines, stores one entry less than the input has
+    assert len(vals) > 1 and (
+        f"of {len(vals)} entries outgrows the {room / 2**10:.1f} KiB the process "
+        f"can get, room for {len(vals) - 1} stored entries") in str(exc.value)
     # two kernels each for degrees 0..3, then degree 4's two; the last
     # elimination ran once nine kernels had been asked for, so the tenth
     # was refused before it was eliminated
     assert len(counting.kernels) == 10 and counting.kernels[-1] == (n, m)
     assert eliminated[-1] == 9
+
+
+def test_radical_excess_refused_before_its_products(monkeypatch):
+    # the radical excess checks what it holds against the room the window
+    # read: a room of its per-call bytes alone holds degree 0's small
+    # eliminations, but not the excess, which is refused, naming the degree,
+    # before it densifies K or multiplies anything
+    R = make_ring(101, 3, identity_form(3))
+    M = cyclic_module(R, [R.x(1)])[0]
+    N = cyclic_module(R, [R.x(2)])[0]
+    resolve(M, 20)   # resolved before the room shrinks
+    resolve(N, 20)
+    room = hm._EXCESS_CALL_BYTES
+    products = []
+
+    class Spy(_CountingLinalg):
+        def matmul_mod(self, *args):
+            products.append(args[0].shape)
+            return linalg.matmul_mod(*args)
+
+    counting = Spy()
+    monkeypatch.setattr(hm, "linalg", counting)
+    monkeypatch.setattr(rs, "available_bytes", lambda: room)
+    with pytest.raises(NotMaterialized, match=(
+            "Tor degree 0: the radical excess needs about [1-9][0-9]* KiB, "
+            f"the process can get {room / 2**10:.1f} KiB")):
+        tor(M, N, 20)
+    assert len(counting.kernels) == 2 and products == []
 
 
 # sha256 of the canonical JSON of tor (with its tor_induced ranks) and of

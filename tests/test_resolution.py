@@ -156,8 +156,12 @@ def test_step_refused_before_allocation(R3, monkeypatch):
         return out
 
     monkeypatch.setattr(linalg, "_eliminate", eliminate)
-    with pytest.raises(NotMaterialized, match=f"resolution step 5: a {m} x {n} elimination"):
+    with pytest.raises(NotMaterialized, match=f"resolution step 5: a {m} x {n} elimination") as exc:
         res.extend(6)
+    # the refusal shows the sizes: the room stores exactly the input's entries
+    assert len(vals) and (f"of {len(vals)} entries outgrows the {room / 2**10:.1f} KiB "
+                          f"the process can get, room for {len(vals)} stored entries"
+                          ) in str(exc.value)
     assert crossed == [True] and res.head == 4
 
 

@@ -259,6 +259,22 @@ def test_the_room_is_read_only_per_extension_or_window():
     assert _callers(probe, "available_bytes") == {"f.g", "f", "C.h"}
 
 
+def test_the_parser_is_built_only_in_main():
+    # cli.build_parser is cached so that a process builds its parser once;
+    # a call anywhere but cli.main, say a per-command helper that builds a
+    # parser of its own, would bring the per-call construction back
+    sites = {(path.name, where) for path in sorted(SRC.rglob("*.py"))
+             for where in _callers(ast.parse(path.read_text(), str(path)),
+                                   "build_parser")}
+    assert sites == {("cli.py", "main")}, f"parser built in {sorted(sites)}"
+    # the guard sees calls at module level and through the module, and a
+    # decorator or a definition is not a call
+    probe = ast.parse("AP = build_parser()\n@functools.cache\ndef build_parser():\n"
+                      "    pass\ndef run(argv):\n"
+                      "    return cli.build_parser().parse_args(argv)\n")
+    assert _callers(probe, "build_parser") == {"", "run"}
+
+
 # each `raise CertificateError` site of the package, by file and message
 # (an f-string's fields read "{}"), -> a test that reaches it
 CERTIFICATE_TESTS = {
