@@ -12,28 +12,37 @@ K^T.  Every map is thus eliminated twice, for its kernel as the map out of
 one degree and for its left kernel as the map into the next, and the two
 ranks must agree.
 
-Tor runs on the Loewy copy of N (`_loewy`), written in a basis adapted to
-N > mN > m^2 N with layers N_0, N_1, N_2.  The entries of a minimal
-differential lie in m and m^3 = 0, so del tensor N maps N into mN and kills
-the last nonzero layer: only the layer block F_i (N_0 + N_1) -> F_{i-1} mN
-(F_i N_0 -> F_{i-1} N_1 when m^2 N = 0) is eliminated, the dropped columns
-are cycles, and boundaries and radical excess live in F_i mN.  Neither the
-full matrix del tensor N nor a dense block is ever built: `_tor_block` emits
-the block as (row, column, value) triplets, one tile per nonzero of del's
-m-part, read off the nonzeros the resolution stores, and refuses with
-`CertificateError` the two causes of a differential nonzero outside its
-block, a unit entry in del and a copy not adapted to its layers.  That is
-the guard of the Tor windows, since a block complex over m^2 N = 0 has no
-negative length to detect.  Ext keeps N's own
-basis and the full Hom-complex matrices (the trivial block), also as
-triplets (`_ext_diff`), so its honest degrees do not share the Loewy copy or
-the block with the Tor route it is checked against.  `tor_induced` builds
-the dense k-matrix of each lift, which may have unit entries, and reads it
-on the windows' slices: against A's cycles on their s coordinates of each
-copy, against B's left kernel on its last t.
-Every block goes through `linalg.kernel_rref`, the one sparse kernel, which
-also serves the resolution, its columns relabelled fewest entries first;
-homology reads only ranks and spans, so no output depends on the basis.
+Both routes run on the Loewy copy L of N (`_loewy`), written in a basis
+adapted to N > mN > m^2 N with layers N_0, N_1, N_2, each layer re-based so
+that the maps between layers are as sparse as N allows: the cost of a window
+is that of the nonzeros its eliminations meet, so it no longer depends on
+the basis N is written in.  `_loewy` checks that its change of basis is
+invertible, so L is isomorphic to N and Tor and Ext over L are those over N.
+
+Tor: the entries of a minimal differential lie in m and m^3 = 0, so del
+tensor L maps L into mL and kills the last nonzero layer: only the layer
+block F_i (N_0 + N_1) -> F_{i-1} mN (F_i N_0 -> F_{i-1} N_1 when m^2 N = 0)
+is eliminated, the dropped columns are cycles, and boundaries and radical
+excess live in F_i mN.  Neither the full matrix del tensor L nor a dense
+block is ever built: `_tor_block` emits the block as (row, column, value)
+triplets, one tile per nonzero of del's m-part, read off the nonzeros the
+resolution stores, and refuses with `CertificateError` the two causes of a
+differential nonzero outside its block, a unit entry in del and a copy not
+adapted to its layers.  That is the guard of the Tor windows, since a block
+complex over m^2 N = 0 has no negative length to detect.
+
+Ext: the Hom complex runs on L too, with the full matrices, all dim N x
+dim N tiles (the trivial block), also as triplets (`_ext_diff`).  It stays
+an independent check on Tor: the duality check compares Hom(F, L_N), built
+by `_ext_diff` on every tile, with F tensor L_{N*} built by `_tor_block` on
+the layer corners, and L_N and L_{N*} are the Loewy copies of two different
+modules, each certified isomorphic to its own.  `tor_induced` builds the
+dense k-matrix of each lift, which may have unit entries, and reads it on
+the windows' slices: against A's cycles on their s coordinates of each
+copy, against B's left kernel on its last t.  Every block goes through
+`linalg.kernel_rref`, the one sparse kernel, which also serves the
+resolution, its columns relabelled fewest entries first; homology reads
+only ranks and spans, so no output depends on the basis.
 
 `_build_table` is the one builder of both tables, and `_plan` the one place
 that chooses a window, from M's certified Betti numbers, its junction J, dim
@@ -162,8 +171,9 @@ def _no_entries(m: int, n: int):
 
 def _ext_diff(G: Nonzeros, N: FiniteModule):
     """k-matrix of Hom(del, N): N^j -> N^a (precomposition with del), for
-    the nonzeros G of del's entry array, on N's own basis with all its
-    dim N x dim N tiles, as triplets."""
+    the nonzeros G of del's entry array, on the basis N is written in (the
+    windows pass the Loewy copy) with all its dim N x dim N tiles, as
+    triplets."""
     return kmat_triplets(G.transpose(), N.all_ops, N.ring.p)
 
 
@@ -223,11 +233,92 @@ def _radical_excess(N: FiniteModule, Z, K, block, room: float) -> int:
     return B.shape[0]
 
 
+def _rref_bases(Xs, p: int):
+    """For each matrix X of Xs, (T, C): an invertible T with T X in rref,
+    and C = T^-1, all from one elimination of the block-diagonal matrix of
+    the [X | I].  The rows of a block are the rref of X over a left kernel
+    basis K of X in rref on I's columns q.  C is X's pivot columns beside
+    the unit vectors at q, and T the eliminated I with K's columns q
+    cleared from the rows above K, so that T C = I."""
+    shapes = [X.shape for X in Xs]
+    R = np.zeros((sum(n for n, _ in shapes), sum(n + c for n, c in shapes)),
+                 dtype=np.int64)
+    i = j = 0
+    for X, (n, c) in zip(Xs, shapes):
+        R[i:i + n, j:j + c] = X
+        R[i:i + n, j + c:j + c + n] = np.eye(n, dtype=np.int64)
+        i, j = i + n, j + c + n
+    # [X | I] has full row rank, so each block keeps its rows, in order
+    pivots = linalg.rref_inplace(R, p)
+    out, i, j = [], 0, 0
+    for X, (n, c) in zip(Xs, shapes):
+        own = [k - j for k in pivots[i:i + n]]
+        r = sum(k < c for k in own)
+        q = [k - c for k in own[r:]]
+        T = R[i:i + n, j + c:j + c + n]
+        if q and r:
+            T[:r] = (T[:r] - linalg.matmul_mod(T[:r, q], T[r:], p)) % p
+        C = np.zeros((n, n), dtype=np.int64)
+        C[:, :r] = X[:, own[:r]]
+        C[q, range(r, n)] = 1
+        out.append((T, C))
+        i, j = i + n, j + c + n
+    return out
+
+
+def _layer_bases(copies, h, p: int):
+    """(B, B^-1), each stacked over the (ops, side) pairs of copies: a
+    block-diagonal change of the Loewy layers h of a copy with action
+    matrices ops (targets by sources, see `_loewy`).  On the "target" side
+    layers 1 and 2 are each re-based so that the blocks into them, side by
+    side, are in rref; on the "source" side layers 0 and 1 so that the
+    transposed blocks out of them are.  One elimination (`_rref_bases`)
+    serves every layer of every copy."""
+    ends = np.cumsum((0, *h))
+    layers = [(k, ends[j], ends[j + 1], side)
+              for k, (_, side) in enumerate(copies)
+              for j in ((1, 2) if side == "target" else (0, 1))
+              if ends[j] < ends[j + 1]]
+    # the blocks of all operators side by side: into layer [a, b) from the
+    # layers before it, or, transposed, out of it into the layers after it
+    Xs = [copies[k][0][:, a:b, :a].transpose(1, 0, 2).reshape(b - a, -1)
+          if side == "target" else
+          copies[k][0][:, b:, a:b].transpose(2, 0, 1).reshape(b - a, -1)
+          for k, a, b, side in layers]
+    B = np.zeros((len(copies), ends[-1], ends[-1]), dtype=np.int64)
+    B[:, range(ends[-1]), range(ends[-1])] = 1
+    Binv = B.copy()
+    for (k, a, b, side), (T, C) in zip(layers, _rref_bases(Xs, p)):
+        if side == "target":
+            Binv[k, a:b, a:b], B[k, a:b, a:b] = T, C
+        else:
+            B[k, a:b, a:b], Binv[k, a:b, a:b] = T.T, C.T
+    return B, Binv
+
+
+def _conjugate(Qinv: np.ndarray, ops: np.ndarray, Q: np.ndarray, p: int):
+    """Qinv ops Q mod p, batched over the leading axes."""
+    return linalg.matmul_mod(linalg.matmul_mod(Qinv, ops, p), Q, p)
+
+
 def _loewy(N: FiniteModule):
     """(L, h): N written in a k-basis adapted to N > mN > m^2 N, cached on N.
     The first h[0] coordinates of L span a complement of mN, the next h[1] a
     complement of m^2 N in mN and the last h[2] span m^2 N, so x_1..x_e and
-    w map each of these layers into the ones after it."""
+    w map each of these layers into the ones after it.
+
+    Any basis inside a layer keeps it adapted, and the cost of homology is
+    that of the nonzeros of the maps between layers, so each layer is
+    re-based to make them sparse, whatever basis N is written in.  The
+    candidates are the basis as built (unit vectors for the top, rref rows
+    of mN and m^2 N), the target side alone, the source side alone (see
+    `_layer_bases`), target then source and source then target; the one
+    with the fewest nonzeros in the corner L.all_ops[1:, d-t:, :s] of the
+    layer block (s, t) = `_block(h)` is kept, the first on a tie, so a
+    basis already sparse stays as built.  Its layer changes are folded into
+    the one basis Q, and L is N conjugated by Q.  Q Q^-1 = I mod p is
+    checked, else CertificateError is raised: so L is isomorphic to N, and
+    Tor and Ext over L are Tor and Ext over N."""
     if "loewy" not in N._cache:
         p, d = N.ring.p, N.dim
         U1, piv1 = radical_rows(N)
@@ -240,9 +331,40 @@ def _loewy(N: FiniteModule):
         if d:
             I = np.eye(d, dtype=np.int64)
             Q = np.concatenate([I[top], U1[mid], U2]).T
-            Qinv = np.stack(linalg.solve_many(Q, I, p), axis=1)
-            ops = np.einsum("ab,ibc,cd->iad", Qinv, N.all_ops[1:], Q) % p
-            L = FiniteModule(N.ring, ops[:-1], ops[-1])
+            # Q^-1 from the pivots, with no elimination: the coordinates of
+            # v on m^2 N are v at piv2, where the other rows of Q^T vanish;
+            # on mid, v at their pivots less the part of m^2 N there; on
+            # top, v at top less both parts (checked with Q Q^-1 below)
+            pm = [piv1[k] for k in mid]
+            c2 = I[piv2]
+            cm = (I[pm] - linalg.matmul_mod(U2[:, pm].T, c2, p)) % p
+            ct = (I[top] - linalg.matmul_mod(U1[mid][:, top].T, cm, p)
+                  - linalg.matmul_mod(U2[:, top].T, c2, p)) % p
+            Qinv = np.concatenate([ct, cm, c2])
+            built = _conjugate(Qinv, N.all_ops[1:], Q, p)
+            s, t = _block(h)
+            # the candidates: as built, each side alone, and each side
+            # then the other, whose corners are read off the conjugates
+            B1, B1inv = _layer_bases([(built, "target"), (built, "source")], h, p)
+            once = _conjugate(B1inv[:, None], built, B1[:, None], p)
+            B2, B2inv = _layer_bases([(once[0], "source"), (once[1], "target")], h, p)
+            twice = _conjugate(B2inv[:, None, d - t:], once, B2[:, None, :, :s], p)
+            corners = [np.count_nonzero(X[..., d - t:, :s]) for X in (built, *once)]
+            corners += [np.count_nonzero(X) for X in twice]
+            best = corners.index(min(corners))
+            if best:
+                k = (best - 1) % 2   # the target side first, or the source
+                B, Binv = B1[k], B1inv[k]
+                if best > 2:         # then the other side
+                    B = linalg.matmul_mod(B, B2[k], p)
+                    Binv = linalg.matmul_mod(B2inv[k], Binv, p)
+                Q, Qinv = linalg.matmul_mod(Q, B, p), linalg.matmul_mod(Binv, Qinv, p)
+            if (linalg.matmul_mod(Q, Qinv, p) != I).any():
+                raise CertificateError("Loewy basis change is not invertible")
+            # a conjugate of N by a checked inverse pair satisfies N's
+            # relations exactly, so L is not validated again
+            ops = _conjugate(Qinv, N.all_ops[1:], Q, p)
+            L = FiniteModule(N.ring, ops[:-1], ops[-1], validate=False)
         N._cache["loewy"] = (L, h)
     return N._cache["loewy"]
 
@@ -537,20 +659,21 @@ def tor(M: FiniteModule, N: FiniteModule, n: int) -> TorTable:
 
 
 def _cohomology_window(res: MinimalFreeResolution, N: FiniteModule, last: int):
-    """Honest Ext cohomology of Hom(F_*(res.module), N), on N's own basis
-    with the full matrices (the trivial block), degree by degree through
-    `last` (see `_window`)."""
-    d = N.dim
+    """Honest Ext cohomology of Hom(F_*(res.module), N), on the Loewy copy
+    L of N with the full matrices (the trivial block), degree by degree
+    through `last` (see `_window`)."""
+    L = _loewy(N)[0]
+    d = L.dim
     beta = _ranks(res)
 
     def diff(i):
         # E_i: C^i -> C^{i+1}, built from del_{i+1}, zero outside 0 <= i < head
         res.extend(i + 1)
         if 0 <= i < res.head:
-            return _ext_diff(res.nonzeros[i], N)
+            return _ext_diff(res.nonzeros[i], L)
         return _no_entries(beta(i + 1) * d, beta(i) * d)
 
-    return _window(N, diff, beta, -1, (d, d), last)
+    return _window(L, diff, beta, -1, (d, d), last)
 
 
 def ext(M: FiniteModule, N: FiniteModule, n: int) -> ExtTable:

@@ -347,8 +347,9 @@ def test_radical_excess_refused_before_its_products(monkeypatch):
     R = make_ring(101, 3, identity_form(3))
     M = cyclic_module(R, [R.x(1)])[0]
     N = cyclic_module(R, [R.x(2)])[0]
-    resolve(M, 20)   # resolved before the room shrinks
-    resolve(N, 20)
+    resolve(M, 20)   # resolved, and N's Loewy copy built, before the room
+    resolve(N, 20)   # shrinks and the products are counted
+    hm._loewy(N)
     room = hm._EXCESS_CALL_BYTES
     products = []
 
@@ -522,16 +523,18 @@ def _radical_excess_with_w(N, Z, Bnd, block):
 
 
 def _with_maps_in(window, res, N, last, monkeypatch):
-    """(homology, dense map into its degree) for each degree 0..last of the
-    window, the map as the window built it."""
+    """(homology, dense map into its degree, module, block) for each degree
+    0..last of the window: the map as the window built it, and the module
+    copy and layer block the window ran on, in whose coordinates its
+    cycles and left kernel are written."""
     maps, run = {}, hm._window
 
-    def spying(N, diff, ranks, step, block, last):
+    def spying(X, diff, ranks, step, block, last):
         def kept(j):
             maps[j] = diff(j)
             return maps[j]
-        for i, h in enumerate(run(N, kept, ranks, step, block, last)):
-            yield h, linalg.dense(*maps[i + step])
+        for i, h in enumerate(run(X, kept, ranks, step, block, last)):
+            yield h, linalg.dense(*maps[i + step]), X, block
 
     with monkeypatch.context() as mp:
         mp.setattr(hm, "_window", spying)
@@ -542,13 +545,14 @@ def _with_maps_in(window, res, N, last, monkeypatch):
 @pytest.mark.parametrize("e", [2, 3, 4])
 def test_radical_excess_without_w_images(p, e, monkeypatch):
     # cycles form an R-submodule and w is a multiple of x_g x_h, so dropping
-    # the w-images leaves the added rank unchanged; the reference runs in
-    # the coordinates each window ran in, against the rref rows of the
-    # boundaries eliminated from the map in that the window read, not
-    # through its left kernel.  The random pairs have a nonzero excess only
-    # in degree 0, where x_2..x_e alone already reach it, so they cannot
-    # tell whether x_1's images are counted; on C = R/(x_2, .., x_e), which
-    # x_2..x_e and w kill, only x_1 adds the excess of Tor_0(C, C) = C
+    # the w-images leaves the added rank unchanged; the reference runs on
+    # the module copy and block each window ran on (N's Loewy copy, for Ext
+    # as for Tor), against the rref rows of the boundaries eliminated from
+    # the map in that the window read, not through its left kernel.  The
+    # random pairs have a nonzero excess only in degree 0, where x_2..x_e
+    # alone already reach it, so they cannot tell whether x_1's images are
+    # counted; on C = R/(x_2, .., x_e), which x_2..x_e and w kill, only x_1
+    # adds the excess of Tor_0(C, C) = C
     forms = [identity_form(e)] + ([hyperbolic_form(e)] if e % 2 == 0 else [])
     for form in forms:
         R = make_ring(p, e, form)
@@ -560,9 +564,11 @@ def test_radical_excess_without_w_images(p, e, monkeypatch):
             res = resolve(M, 4)
             w = min(3, res.head - 1)
             L, layers = hm._loewy(N)
-            for window, X, block in ((hm._homology_window, L, hm._block(layers)),
-                                     (hm._cohomology_window, N, (N.dim, N.dim))):
-                for i, (h, A) in enumerate(_with_maps_in(window, res, N, w, monkeypatch)):
+            for window, block in ((hm._homology_window, hm._block(layers)),
+                                  (hm._cohomology_window, (N.dim, N.dim))):
+                for i, (h, A, X, ran) in enumerate(
+                        _with_maps_in(window, res, N, w, monkeypatch)):
+                    assert X is L and ran == block
                     Z, K = h.cycles, h.left_kernel
                     Zd, Kd = linalg.dense(*Z), linalg.dense(*K)
                     Bnd, _, rank = rref_array(A.T, p)
@@ -682,22 +688,30 @@ def _layered_modules(R, seed):
     return mods + [_in_random_basis(N, seed + k) for k, N in enumerate(mods)]
 
 
-def _reference_homology(res, N, w):
-    """(length, nu, m-annihilated, cycles, boundaries) of F_*(M) tensor N in
-    degrees 0..w from the full matrices on N's own basis."""
+def _reference_homology(res, N, w, step=1):
+    """(length, nu, m-annihilated, cycles, boundaries) of F_*(M) tensor N
+    (step 1) or of Hom(F_*(M), N) (step -1) in degrees 0..w, from the full
+    matrices on N's own basis: the map out of degree i is del_i tensor N,
+    or Hom(del_{i+1}, N), which precomposes with del_{i+1}."""
     p, d = N.ring.p, N.dim
 
+    def b(j):
+        return res.betti_head[j] if 0 <= j <= res.head else 0
+
     def D(i):
-        if 1 <= i <= res.head:
-            return free_kmat(res.diff(i), N.all_ops, p)
-        dims = [res.betti_head[j] * d if 0 <= j <= res.head else 0
-                for j in (i - 1, i)]
-        return np.zeros(dims, dtype=np.int64)
+        j = i if step > 0 else i + 1   # the differential the map is built on
+        if 1 <= j <= res.head:
+            G = res.diff(j)
+            if step > 0:
+                return free_kmat(G, N.all_ops, p)
+            return np.einsum("ajc,cxy->axjy", G, N.all_ops).reshape(
+                b(j) * d, b(j - 1) * d) % p
+        return np.zeros((b(i - step) * d, b(i) * d), dtype=np.int64)
 
     out = []
     for i in range(w + 1):
         Z = kernel_array(D(i), p)
-        R, _, rank = rref_array(D(i + 1).T, p)
+        R, _, rank = rref_array(D(i + step).T, p)
         li = Z.shape[0] - rank
         extra = _radical_excess_with_w(N, Z, R[:rank], (d, d))
         out.append((li, li - extra, extra == 0, Z, R[:rank]))
@@ -729,6 +743,66 @@ def test_layer_windows_match_full_matrix_reference(p, e):
                 B = hb[i][4]
                 want.append(rank_array(np.concatenate([B, img]), p) - B.shape[0])
             assert ranks == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([3, 4]), st.sampled_from([3, 101]), st.integers(1, 2),
+       st.integers(1, 2), st.integers(0, 2), st.integers(0, 2**31))
+def test_windows_in_any_basis_match_the_full_matrix_reference(e, p, gm, gn, rn, seed):
+    # the Tor and Ext windows run on N's Loewy copy, re-based layer by layer;
+    # N drawn in a random basis must give the lengths, nu and
+    # m-annihilation of the full matrices on that basis, with the cycles of
+    # the radical excess taken in one chunk and one at a time
+    R = make_ring(p, e, identity_form(e))
+    M = random_module(R, gm, 1, seed=seed)
+    N = _in_random_basis(random_module(R, gn, rn, seed=seed + 1), seed + 2)
+    res = resolve(M, 4)
+    res.extend(4)
+    w = min(3, res.head - 1)
+    for window, step in ((hm._homology_window, 1), (hm._cohomology_window, -1)):
+        want = [r[:3] for r in _reference_homology(res, N, w, step)]
+        for chunk in (hm._EXCESS_CHUNK, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hm, "_EXCESS_CHUNK", chunk)
+                got = [(h.length, h.nu, h.m_annihilated) for h in window(res, N, w)]
+            assert got == want
+
+
+def _trial_4():
+    """Trial 4 of `verify main-theorem` at the README defaults, with the
+    resolutions of M and N warmed through the cutoff."""
+    cfg = TrialConfig(trials=25, cutoff=25)
+    ring = _ring_for(cfg)
+    rng = np.random.default_rng(cfg.seed + 4)
+    M, N = _draw_module(ring, cfg, rng), _draw_module(ring, cfg, rng)
+    resolve(M, 25)
+    resolve(N, 25)
+    return M, N
+
+
+def _kernel_entries(build, M, N, monkeypatch):
+    """Entries of every matrix homology hands to `linalg.kernel_rref` while
+    build(M, N, 25) serves its table."""
+    counting = _CountingLinalg()
+    with monkeypatch.context() as mp:
+        mp.setattr(hm, "linalg", counting)
+        build(M, N, 25)
+    return sum(np.count_nonzero(A) for A in counting.matrices)
+
+
+@pytest.mark.parametrize("build", [tor, ext], ids=["tor", "ext"])
+def test_homology_work_does_not_depend_on_the_basis_of_N(build, monkeypatch):
+    # the windows eliminate N's Loewy copy, each layer re-based, so N written
+    # in a random basis costs about what the drawn basis costs (in N's own
+    # basis the random one cost 2.3x for Tor and 3.4x for Ext), and the
+    # drawn basis costs no more than N's own basis did (18015 and 21140)
+    M, N = _trial_4()
+    drawn = _kernel_entries(build, M, N, monkeypatch)
+    assert drawn <= {tor: 18015, ext: 21140}[build]
+    for seed in (1, 2):
+        M, N = _trial_4()
+        rebased = _kernel_entries(build, M, _in_random_basis(N, seed), monkeypatch)
+        assert rebased <= 1.25 * drawn, (seed, rebased, drawn)
 
 
 @pytest.mark.parametrize("p", [2, 101])
@@ -824,7 +898,7 @@ def test_ext_diff_matches_dense_einsum(p, e):
                                   want.reshape(a * d, j * d))
 
 
-CORRUPTIONS = ["tor-window", "ext-window", "tail", "duality", "tor-block"]
+CORRUPTIONS = ["tor-window", "ext-window", "tail", "duality", "tor-block", "loewy-basis"]
 
 
 def _serve_corrupted(kind):
@@ -832,9 +906,10 @@ def _serve_corrupted(kind):
     a copy of N in a random basis with the Loewy layer sizes of the true
     copy, which `_tor_block`'s adaptedness check refuses, and "tor-block"
     a unit entry in a differential of the resolution, which `_tor_block`
-    refuses too.  The Ext window gets identity matrices for its
-    differentials, so D_i D_{i+1} != 0 and a homology length goes
-    negative.  The tail gets a negative length count in degree n, past the
+    refuses too, and "loewy-basis" a Loewy copy re-based by zero layer
+    transforms, which `_loewy`'s check Q Q^-1 = I refuses.  The Ext window
+    gets identity matrices for its differentials, so D_i D_{i+1} != 0 and
+    a homology length goes negative.  The tail gets a negative length count in degree n, past the
     materialized window, and the duality check a Tor_0(M, N*) one too
     long."""
     R = make_ring(101, 3, identity_form(3))
@@ -860,6 +935,13 @@ def _serve_corrupted(kind):
             G = G.dense()
             G[0, 0, 0] = 1
             return orig(_nonzeros(G), L, layers)
+    elif kind == "loewy-basis":
+        name, orig = "_rref_bases", hm._rref_bases
+
+        def fake(Xs, p):
+            # not invertible: any candidate built on them has an empty
+            # corner, fewer nonzeros than the basis as built
+            return [(0 * T, 0 * C) for T, C in orig(Xs, p)]
     elif kind == "tail":
         name, orig = "_base", hm._base
 
@@ -875,7 +957,7 @@ def _serve_corrupted(kind):
             return table
     setattr(hm, name, fake)
     try:
-        if kind.startswith("tor") or kind == "tail":
+        if kind.startswith("tor") or kind in ("tail", "loewy-basis"):
             tor(M, N, 12)
         else:
             ext(M, N, 12)

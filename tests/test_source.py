@@ -280,6 +280,8 @@ def test_the_parser_is_built_only_in_main():
 CERTIFICATE_TESTS = {
     ("homology.py", "differential has a unit entry"):
         "test_homology.py::test_corrupted_homology_raises_certificate_error[tor-block]",
+    ("homology.py", "Loewy basis change is not invertible"):
+        "test_homology.py::test_corrupted_homology_raises_certificate_error[loewy-basis]",
     ("homology.py", "module copy is not adapted to its Loewy layers"):
         "test_homology.py::test_corrupted_homology_raises_certificate_error[tor-window]",
     ("homology.py", "{} map {} has rank {} from its {} and {} from its {}"):
