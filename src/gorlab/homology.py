@@ -13,11 +13,11 @@ one degree and for its left kernel as the map into the next, and the two
 ranks must agree.
 
 Both routes run on the Loewy copy L of N (`_loewy`), written in a basis
-adapted to N > mN > m^2 N with layers N_0, N_1, N_2, each layer re-based so
-that the maps between layers are as sparse as N allows: the cost of a window
-is that of the nonzeros its eliminations meet, so it no longer depends on
-the basis N is written in.  `_loewy` checks that its change of basis is
-invertible, so L is isomorphic to N and Tor and Ext over L are those over N.
+adapted to N > mN > m^2 N with layers N_0, N_1, N_2, the layers re-based
+to make the maps between them sparse: the cost of a window is that of the
+nonzeros its eliminations meet, so it no longer follows the basis N is
+written in.  `_loewy` checks that its change of basis is invertible, so L
+is isomorphic to N and Tor and Ext over L are those over N.
 
 Tor: the entries of a minimal differential lie in m and m^3 = 0, so del
 tensor L maps L into mL and kills the last nonzero layer: only the layer
@@ -266,30 +266,32 @@ def _rref_bases(Xs, p: int):
     return out
 
 
-def _layer_bases(copies, h, p: int):
-    """(B, B^-1), each stacked over the (ops, side) pairs of copies: a
-    block-diagonal change of the Loewy layers h of a copy with action
-    matrices ops (targets by sources, see `_loewy`).  On the "target" side
-    layers 1 and 2 are each re-based so that the blocks into them, side by
-    side, are in rref; on the "source" side layers 0 and 1 so that the
-    transposed blocks out of them are.  One elimination (`_rref_bases`)
-    serves every layer of every copy."""
+def _layer_bases(ops, h, p: int):
+    """(B, B^-1), each stacked over the target side and the source side:
+    two block-diagonal changes of the Loewy layers h of a copy with action
+    matrices ops (targets by sources, see `_loewy`).  The target side
+    re-bases layers 1 and 2, each by the transform that puts the blocks of
+    ops into it, side by side, in rref; the source side re-bases layers 0
+    and 1, each by the one that puts the transposed blocks out of it in
+    rref.  Every transform is computed on ops as given, so after the change
+    a block between two re-based layers is also multiplied by the other
+    layer's change and is not in rref in general; `_loewy` keeps a copy by
+    its count of nonzeros, not by rref form.  One elimination
+    (`_rref_bases`) serves every layer of both sides."""
     ends = np.cumsum((0, *h))
-    layers = [(k, ends[j], ends[j + 1], side)
-              for k, (_, side) in enumerate(copies)
-              for j in ((1, 2) if side == "target" else (0, 1))
-              if ends[j] < ends[j + 1]]
+    layers = [(k, ends[j], ends[j + 1])
+              for k, js in enumerate(((1, 2), (0, 1)))
+              for j in js if ends[j] < ends[j + 1]]
     # the blocks of all operators side by side: into layer [a, b) from the
     # layers before it, or, transposed, out of it into the layers after it
-    Xs = [copies[k][0][:, a:b, :a].transpose(1, 0, 2).reshape(b - a, -1)
-          if side == "target" else
-          copies[k][0][:, b:, a:b].transpose(2, 0, 1).reshape(b - a, -1)
-          for k, a, b, side in layers]
-    B = np.zeros((len(copies), ends[-1], ends[-1]), dtype=np.int64)
+    Xs = [ops[:, a:b, :a].transpose(1, 0, 2).reshape(b - a, -1) if k == 0
+          else ops[:, b:, a:b].transpose(2, 0, 1).reshape(b - a, -1)
+          for k, a, b in layers]
+    B = np.zeros((2, ends[-1], ends[-1]), dtype=np.int64)
     B[:, range(ends[-1]), range(ends[-1])] = 1
     Binv = B.copy()
-    for (k, a, b, side), (T, C) in zip(layers, _rref_bases(Xs, p)):
-        if side == "target":
+    for (k, a, b), (T, C) in zip(layers, _rref_bases(Xs, p)):
+        if k == 0:
             Binv[k, a:b, a:b], B[k, a:b, a:b] = T, C
         else:
             B[k, a:b, a:b], Binv[k, a:b, a:b] = T.T, C.T
@@ -308,16 +310,16 @@ def _loewy(N: FiniteModule):
     w map each of these layers into the ones after it.
 
     Any basis inside a layer keeps it adapted, and the cost of homology is
-    that of the nonzeros of the maps between layers, so each layer is
+    that of the nonzeros of the maps between layers, so the layers are
     re-based to make them sparse, whatever basis N is written in.  The
     candidates are the basis as built (unit vectors for the top, rref rows
-    of mN and m^2 N), the target side alone, the source side alone (see
-    `_layer_bases`), target then source and source then target; the one
-    with the fewest nonzeros in the corner L.all_ops[1:, d-t:, :s] of the
-    layer block (s, t) = `_block(h)` is kept, the first on a tie, so a
-    basis already sparse stays as built.  Its layer changes are folded into
-    the one basis Q, and L is N conjugated by Q.  Q Q^-1 = I mod p is
-    checked, else CertificateError is raised: so L is isomorphic to N, and
+    of mN and m^2 N), its target side and its source side (see
+    `_layer_bases`); the one with the fewest nonzeros in the corner
+    L.all_ops[1:, d-t:, :s] of the layer block (s, t) = `_block(h)` is
+    kept, the first on a tie, so a basis already sparse stays as built.
+    Its layer changes are folded into the one basis Q, and L is N
+    conjugated by Q.  Q Q^-1 = I mod p is checked, else CertificateError
+    is raised, and L is validated as a module: so L is isomorphic to N, and
     Tor and Ext over L are Tor and Ext over N."""
     if "loewy" not in N._cache:
         p, d = N.ring.p, N.dim
@@ -331,40 +333,21 @@ def _loewy(N: FiniteModule):
         if d:
             I = np.eye(d, dtype=np.int64)
             Q = np.concatenate([I[top], U1[mid], U2]).T
-            # Q^-1 from the pivots, with no elimination: the coordinates of
-            # v on m^2 N are v at piv2, where the other rows of Q^T vanish;
-            # on mid, v at their pivots less the part of m^2 N there; on
-            # top, v at top less both parts (checked with Q Q^-1 below)
-            pm = [piv1[k] for k in mid]
-            c2 = I[piv2]
-            cm = (I[pm] - linalg.matmul_mod(U2[:, pm].T, c2, p)) % p
-            ct = (I[top] - linalg.matmul_mod(U1[mid][:, top].T, cm, p)
-                  - linalg.matmul_mod(U2[:, top].T, c2, p)) % p
-            Qinv = np.concatenate([ct, cm, c2])
+            Qinv = np.stack(linalg.solve_many(Q, I, p), axis=1)
             built = _conjugate(Qinv, N.all_ops[1:], Q, p)
             s, t = _block(h)
-            # the candidates: as built, each side alone, and each side
-            # then the other, whose corners are read off the conjugates
-            B1, B1inv = _layer_bases([(built, "target"), (built, "source")], h, p)
-            once = _conjugate(B1inv[:, None], built, B1[:, None], p)
-            B2, B2inv = _layer_bases([(once[0], "source"), (once[1], "target")], h, p)
-            twice = _conjugate(B2inv[:, None, d - t:], once, B2[:, None, :, :s], p)
-            corners = [np.count_nonzero(X[..., d - t:, :s]) for X in (built, *once)]
-            corners += [np.count_nonzero(X) for X in twice]
+            # the candidates: as built, the target side and the source side
+            B, Binv = _layer_bases(built, h, p)
+            rebased = _conjugate(Binv[:, None], built, B[:, None], p)
+            corners = [np.count_nonzero(X[..., d - t:, :s]) for X in (built, *rebased)]
             best = corners.index(min(corners))
             if best:
-                k = (best - 1) % 2   # the target side first, or the source
-                B, Binv = B1[k], B1inv[k]
-                if best > 2:         # then the other side
-                    B = linalg.matmul_mod(B, B2[k], p)
-                    Binv = linalg.matmul_mod(B2inv[k], Binv, p)
-                Q, Qinv = linalg.matmul_mod(Q, B, p), linalg.matmul_mod(Binv, Qinv, p)
+                Q = linalg.matmul_mod(Q, B[best - 1], p)
+                Qinv = linalg.matmul_mod(Binv[best - 1], Qinv, p)
             if (linalg.matmul_mod(Q, Qinv, p) != I).any():
                 raise CertificateError("Loewy basis change is not invertible")
-            # a conjugate of N by a checked inverse pair satisfies N's
-            # relations exactly, so L is not validated again
             ops = _conjugate(Qinv, N.all_ops[1:], Q, p)
-            L = FiniteModule(N.ring, ops[:-1], ops[-1], validate=False)
+            L = FiniteModule(N.ring, ops[:-1], ops[-1])
         N._cache["loewy"] = (L, h)
     return N._cache["loewy"]
 
