@@ -42,7 +42,9 @@ the windows' slices: against A's cycles on their s coordinates of each
 copy, against B's left kernel on its last t.  Every block goes through
 `linalg.kernel_rref`, the one sparse kernel, which also serves the
 resolution, its columns relabelled fewest entries first; homology reads
-only ranks and spans, so no output depends on the basis.
+only ranks and spans, so no output depends on the basis.  Many blocks are
+nearly trivial, and `kernel_rref` peels their rows with a single entry
+before it eliminates, so those rows cost no per-entry Python.
 
 `_build_table` is the one builder of both tables, and `_plan` the one place
 that chooses a window, from M's certified Betti numbers, its junction J, dim
@@ -588,8 +590,9 @@ def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
                 raise CertificateError(f"Ext/Tor duality violated at degree {i}")
         return kind(M, N, ent + tdual.entries[w + 1: n + 1], w, tdual.junction)
 
-    if radical_rows(M)[0].shape[0] == 0:
-        # M is a k-vector space k^a: tensoring the minimal resolution of N
+    if not M.all_ops[1:].any():
+        # mM, the sum of the images of x_1..x_e and w, is 0, so M is a
+        # k-vector space k^a: tensoring the minimal resolution of N
         # with k kills every differential, so Tor_i(M, N) = k^(a b_i(N));
         # the entries are computed on the head tail certification reads
         a = M.dim
@@ -774,7 +777,7 @@ def iota_vanishing(M: FiniteModule, N: FiniteModule, n: int):
     m^2 M = 0."""
     if M.ring != N.ring:
         raise RingMismatch("modules over different rings")
-    if radical_rows(M)[0].shape[0] == 0:
+    if not M.all_ops[1:].any():
         return [0] * (n + 1), n  # mM = 0: the inclusion is the zero map
     table, base, ranks = length_count(M, N, n)
     w, lengths = table.window, table.lengths()

@@ -20,7 +20,10 @@ leaves the canonical rref basis of the kernel, which it returns as triplets
 read off the pivot rows.  It serves the resolution, whose kernels are
 written out, and homology, which reads only their ranks and spans and
 relabels the columns so the pass takes them fewest entries first, which
-fills least; `dense` writes such triplets out as an array.
+fills least; `dense` writes such triplets out as an array.  Before the
+elimination, `kernel_rref` peels rows with a single entry with numpy: their
+columns are pivots in every column order, so the dict engine never sees
+them.
 
 One rule bounds memory: `kernel_rref` takes the room its caller can still
 allocate and stores no more entries than fit in it, at `ENTRY_BYTES` per
@@ -38,7 +41,11 @@ from .errors import NotMaterialized, NotPrime
 
 # What `kernel_rref` holds, checked against its room: up to ENTRY_BYTES per
 # stored entry and LINE_BYTES per row and column (a dict, a set, kernel
-# entries: at most 310 bytes under tracemalloc at e = 3, 4, 5).
+# entries: at most 310 bytes under tracemalloc at e = 3, 4, 5).  The input's
+# entries are checked before the singleton-row pre-pass, so the check also
+# covers what the pre-pass holds: per input entry, two rounds' int64 copies
+# of the entries and a few boolean masks (under 60 bytes), and per row and
+# column an int64 count or a boolean.
 ENTRY_BYTES = 130
 LINE_BYTES = 400
 
@@ -96,19 +103,25 @@ def _sparse_rows(ri, ci, vi, m: int):
     row, which elimination never touches), and where[c] is the set of rows
     with an entry in column c, its keys in increasing order.  Each map is
     built whole, at its final size."""
-    stored = len(vi)
     rows: list = [None] * m
-    order = np.argsort(ri, kind="stable")
-    nz, starts = np.unique(ri[order], return_index=True)
+    order, nz, ends = _runs(ri)
     cl, vals = ci[order].tolist(), vi[order].tolist()
-    starts = starts.tolist() + [stored]
-    for i, a, b in zip(nz.tolist(), starts, starts[1:]):
+    for i, a, b in zip(nz, [0] + ends, ends):
         rows[i] = dict(zip(cl[a:b], vals[a:b]))
-    order = np.argsort(ci, kind="stable")
-    cols, starts = np.unique(ci[order], return_index=True)
-    by_col, starts = ri[order].tolist(), starts.tolist() + [stored]
-    where = {c: set(by_col[a:b]) for c, a, b in zip(cols.tolist(), starts, starts[1:])}
+    order, cols, ends = _runs(ci)
+    by_col = ri[order].tolist()
+    where = {c: set(by_col[a:b]) for c, a, b in zip(cols, [0] + ends, ends)}
     return rows, where
+
+
+def _runs(keys):
+    """(order, values, ends): the stable order that sorts the int array
+    `keys`, its distinct values in increasing order, and where each one's
+    run ends in the sorted keys."""
+    count = np.bincount(keys)
+    values = np.flatnonzero(count)
+    return (np.argsort(keys, kind="stable"), values.tolist(),
+            np.cumsum(count[values]).tolist())
 
 
 def _eliminate(rows: list, where: dict, columns, p: int,
@@ -236,26 +249,59 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
     entry there, so the vectors in increasing f are the rref and the free
     columns its pivots.
 
+    Singleton rows are peeled first, with numpy and no arithmetic
+    (`_peel`): until no row has exactly one entry, the column of every row
+    with one entry is marked a pivot and every entry in a marked column is
+    dropped.  The output does not change.  A row with one entry, at column c,
+    puts e_c in the row space, so c is a pivot in every column order, its
+    reduced row is e_c, and every other reduced row is zero at c; each
+    kernel vector is zero at c, and the rest of the kernel is that of the
+    matrix without column c.  The rref is unique, so the triplets returned
+    are those of the elimination without the pre-pass.  Singleton columns
+    are not peeled: in [[1, 1]] with the columns left to right, the second
+    column has one entry but is not a pivot, so peeling it would change the
+    canonical basis the resolution writes.
+
     `room` is the bytes the caller can still allocate.  The elimination
     stores no more entries than fit in it (see `ENTRY_BYTES`): an input
-    that does not fit, or whose fill outgrows the room, raises
-    NotMaterialized before more is allocated.
+    that does not fit, checked at its full size before the pre-pass, or
+    whose fill outgrows the room, raises NotMaterialized before more is
+    allocated.
     """
     m, n = shape
     budget = (room - LINE_BYTES * (m + n)) / ENTRY_BYTES
     pivot_row = None
     if len(vals) <= budget:
-        data, where = _sparse_rows(np.asarray(rows), np.asarray(cols), np.asarray(vals), m)
+        ri, ci, vi, pinned = _peel(np.asarray(rows, dtype=np.int64),
+                                   np.asarray(cols, dtype=np.int64), np.asarray(vals), n)
+        data, where = _sparse_rows(ri, ci, vi, m)
+        stored = len(vi)
+        del ri, ci, vi   # freed before the fill grows
         pivot_row = _eliminate(data, where, sorted(where, reverse=True), p,
-                               budget, len(vals))
+                               budget, stored)
     if pivot_row is None:
         raise NotMaterialized(
             f"a {m} x {n} elimination of {len(vals)} entries outgrows the "
             f"{max(room, 0) / 2**10:.1f} KiB the process can get, room for "
             f"{max(int(budget), 0)} stored entries")
-    kr, kc, kv, free = _kernel_entries(data, pivot_row, n, p)
+    kr, kc, kv, free = _kernel_entries(data, pivot_row, pinned, n, p)
     order = np.argsort(kr * n + kc)
     return kr[order], kc[order], kv[order], free.tolist()
+
+
+def _peel(ri, ci, vi, n: int):
+    """The entries (ri, ci, vi) left once singleton rows are peeled, and the
+    mask of the n columns marked as their pivots: while some row has exactly
+    one entry, mark its column and drop every entry in a marked column.  An
+    input without such a row costs one count."""
+    pinned = np.zeros(n, dtype=bool)
+    while True:
+        single = np.bincount(ri) == 1
+        if not single.any():
+            return ri, ci, vi, pinned
+        pinned[ci[single[ri]]] = True
+        keep = ~pinned[ci]
+        ri, ci, vi = ri[keep], ci[keep], vi[keep]
 
 
 def dense(rows, cols, vals, shape) -> np.ndarray:
@@ -266,12 +312,14 @@ def dense(rows, cols, vals, shape) -> np.ndarray:
     return A
 
 
-def _kernel_entries(data: list, pivot_row: dict, n: int, p: int):
+def _kernel_entries(data: list, pivot_row: dict, pinned, n: int, p: int):
     """The kernel of the reduced system `_eliminate` leaves in `data`, over
     n columns, one vector per free column f: 1 at f and -v at the pivot of
-    each pivot row with an entry v at f.  Returns (vector, column, value,
-    free columns), the entries in no order."""
-    is_free = np.ones(n, dtype=bool)
+    each pivot row with an entry v at f.  The `pinned` columns (a mask)
+    are pivots whose rows hold nothing else.  Returns (vector, column,
+    value, free columns), the entries in no order.  Each pivot row is read
+    whole, its pivot entry dropped first."""
+    is_free = ~pinned
     is_free[list(pivot_row)] = False
     free = np.flatnonzero(is_free)
     at = np.cumsum(is_free) - 1   # the kernel vector of each free column
@@ -279,15 +327,15 @@ def _kernel_entries(data: list, pivot_row: dict, n: int, p: int):
     cx: list[int] = []
     vx: list[int] = []
     for c, i in pivot_row.items():
-        for j, v in data[i].items():
-            if j != c:
-                kx.append(j)
-                cx.append(c)
-                vx.append(p - v)
+        row = data[i]
+        del row[c]
+        kx.extend(row)
+        cx.extend([c] * len(row))
+        vx.extend(row.values())
     kr = np.concatenate([np.arange(len(free)), at[np.asarray(kx, dtype=np.int64)]])
     kc = np.concatenate([free, np.asarray(cx, dtype=np.int64)])
     kv = np.concatenate([np.ones(len(free), dtype=np.int64),
-                         np.asarray(vx, dtype=np.int64)])
+                         p - np.asarray(vx, dtype=np.int64)])
     return kr, kc, kv, free
 
 

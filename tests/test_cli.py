@@ -139,7 +139,8 @@ def test_verify_lofwall_exit_0(tmp_path, capsys):
 def test_verify_main_theorem_e4_under_an_address_space_limit(tmp_path):
     # the e = 4 flagship in a child whose address space is limited to 3 GB
     # (and its CPU time to 300 s, in place of a timeout): every trial is
-    # served in a small resident set, with no MemoryError on the way
+    # served in a small resident set, with no MemoryError on the way, and
+    # stdout is the pinned report, byte for byte
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH", "")])))
@@ -158,7 +159,10 @@ def test_verify_main_theorem_e4_under_an_address_space_limit(tmp_path):
     stderr = (tmp_path / "err").read_text()
     assert proc.returncode == 0, stderr
     assert "MemoryError" not in stderr
-    assert json.loads((tmp_path / "out").read_text())["pass"] is True
+    out = (tmp_path / "out").read_text()
+    assert json.loads(out)["pass"] is True
+    assert _sha256(out) == \
+        "b639c352a9a1b0a4d32193cc7f9a388b7b83b3a51094646226ded2c59291948c"
     assert usage.ru_maxrss < 256 * 1024   # KiB
 
 

@@ -500,6 +500,22 @@ def test_iota_vanishing_k_trivial(k3, R3):
     assert ranks == [0] * 11 and certified == 10
 
 
+@pytest.mark.parametrize("e", [3, 4])
+def test_radical_zero_test_matches_the_rref_of_the_radical(e):
+    # tor, ext and iota_vanishing test mM = 0 as "no action is nonzero":
+    # mM is the sum of the images of x_1..x_e and w, so this is the test
+    # radical_rows(M) makes with an elimination
+    R = make_ring(101, e, identity_form(e))
+    cyclic = [cyclic_module(R, gens)[0] for gens in
+              ([R.x(1)], [R.w()], [R.x(i) for i in range(1, e + 1)])]
+    mods = ([FiniteModule(R, np.zeros((e, a, a), dtype=np.int64)) for a in (1, 3)]
+            + cyclic + [_in_random_basis(M, 5 + k) for k, M in enumerate(cyclic)]
+            + _layered_modules(R, 60 + e))
+    agree = [(not M.all_ops[1:].any(), radical_rows(M)[0].shape[0] == 0) for M in mods]
+    assert all(a == b for a, b in agree)
+    assert {a for a, _ in agree} == {True, False}
+
+
 def test_tor_induced_of_zero_map_has_zero_rank(R3):
     M = random_module(R3, 2, 2, seed=17)
     N = random_module(R3, 1, 1, seed=18)

@@ -310,14 +310,41 @@ def test_solve_many_without_columns():
     assert x.tolist() == [0, 0, 0]
 
 
+def _planted_singletons(A, kind, rng, p):
+    """A with rows that `kernel_rref`'s pre-pass peels, at random places:
+    singleton rows; a chain of them, where peeling one leaves the next
+    with one entry; two singleton rows in one column; or zero rows."""
+    m, n = A.shape
+    k = int(rng.integers(1, n + 1))
+    cols = rng.permutation(n)[:k]
+    units = rng.integers(1, p, size=(k, 2))
+    if kind == "singletons":
+        planted = np.zeros((k, n), dtype=np.int64)
+        planted[np.arange(k), cols] = units[:, 0]
+    elif kind == "chain":
+        # row 0 is e_{c0}; row t has entries at c_{t-1} and c_t
+        planted = np.zeros((k, n), dtype=np.int64)
+        planted[np.arange(k), cols] = units[:, 0]
+        planted[np.arange(1, k), cols[:-1]] = units[1:, 1]
+    elif kind == "shared column":
+        planted = np.zeros((2, n), dtype=np.int64)
+        planted[:, cols[0]] = units[0]
+    else:   # zero rows
+        planted = np.zeros((k, n), dtype=np.int64)
+    B = np.concatenate([A, planted])
+    return B[rng.permutation(len(B))]
+
+
 @st.composite
 def sparse_for_kernel_rref(draw):
     """A matrix over GF(p) at a density from 1% to 30%, or an edge case:
-    no rows, no columns, the zero matrix, or full column rank (a permuted
-    identity under sparse rows)."""
+    no rows, no columns, the zero matrix, full column rank (a permuted
+    identity under sparse rows), or rows planted for the singleton-row
+    pre-pass (`_planted_singletons`)."""
     p = draw(st.sampled_from((2, 3, 101, 65521)))
     kind = draw(st.sampled_from(("sparse", "sparse", "no rows", "no columns",
-                                 "zero", "full column rank")))
+                                 "zero", "full column rank", "singletons",
+                                 "chain", "shared column", "zero rows")))
     m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from((0.01, 0.03, 0.06, 0.1, 0.15, 0.3)))
@@ -330,6 +357,8 @@ def sparse_for_kernel_rref(draw):
         A[:] = 0
     elif kind == "full column rank":
         A = np.concatenate([np.eye(n, dtype=np.int64)[rng.permutation(n)], A])
+    elif kind in ("singletons", "chain", "shared column", "zero rows"):
+        A = _planted_singletons(A, kind, rng, p)
     return A.astype(np.int64), p
 
 
@@ -341,3 +370,38 @@ def test_kernel_rref_matches_two_eliminations_on_sparse_inputs(mp):
     K, piv = _kernel_rref_rows(A, p)
     R, rpiv = row_space(kernel_array(A, p), p)
     assert np.array_equal(K, R) and piv == list(rpiv)
+
+
+def _peeled_away(n, kind, rng, p):
+    """An input that the pre-pass peels completely, with a zero kernel: a
+    permuted, scaled identity (peeled in one round) or a chain (one row
+    per round), stacked on rows whose columns all get pinned."""
+    cols = rng.permutation(n)
+    A = np.zeros((n, n), dtype=np.int64)
+    A[np.arange(n), cols] = rng.integers(1, p, size=n)
+    if kind == "chain":
+        A[np.arange(1, n), cols[:-1]] = rng.integers(1, p, size=n - 1)
+    B = rng.integers(1, p, size=(n, n)) * (rng.random((n, n)) < 0.3)
+    C = np.concatenate([A, B])
+    return C[rng.permutation(2 * n)]
+
+
+@pytest.mark.parametrize("kind", ["identity", "chain"])
+def test_kernel_rref_peels_a_full_rank_input_before_eliminating(kind, monkeypatch):
+    # every column is a structural pivot, so the elimination gets no entry
+    # at all and the kernel is zero, as the two-elimination oracle finds
+    p, n = 101, 30
+    A = _peeled_away(n, kind, np.random.default_rng(7), p)
+    handed, real = [], linalg._eliminate
+
+    def eliminate(rows, where, columns, p, budget=float("inf"), stored=0):
+        handed.append((sum(len(r) for r in rows if r is not None),
+                       len(where), stored))
+        return real(rows, where, columns, p, budget, stored)
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    K, piv = _kernel_rref_rows(A, p)
+    assert handed == [(0, 0, 0)]
+    assert K.shape == (0, n) and piv == []
+    monkeypatch.undo()
+    assert kernel_array(A, p).shape == (0, n)
