@@ -21,9 +21,18 @@ read off the pivot rows.  It serves the resolution, whose kernels are
 written out, and homology, which reads only their ranks and spans and
 relabels the columns so the pass takes them fewest entries first, which
 fills least; `dense` writes such triplets out as an array.  Before the
-elimination, `kernel_rref` peels rows with a single entry with numpy: their
-columns are pivots in every column order, so the dict engine never sees
-them.
+elimination, `kernel_rref` peels rows with a single entry: their columns are
+pivots in every column order, so the dict engine never sees them.
+
+`kernel_rref` has one engine and two conversion routes into and out of it.
+Most of its calls are small (a resolution step after the first eliminates
+the linear part of a differential, a median of about a dozen entries), and
+for them numpy's per-call overhead, not the elimination, was most of the
+time.  An input with at most `_SMALL_ENTRIES` entries therefore takes the
+peel, the row maps and the kernel entries in plain Python; a larger one
+takes them with numpy, whose fixed cost pays off there.  Both hand
+`_eliminate` the same rows, budget and stored count, so the route changes
+the time of a call, never its output or its refusals.
 
 One rule bounds memory: `kernel_rref` takes the room its caller can still
 allocate and stores no more entries than fit in it, at `ENTRY_BYTES` per
@@ -33,6 +42,8 @@ stops raises NotMaterialized before it allocates more.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +59,12 @@ from .errors import NotMaterialized, NotPrime
 # column an int64 count or a boolean.
 ENTRY_BYTES = 130
 LINE_BYTES = 400
+# `kernel_rref` converts an input of at most this many entries in plain
+# Python.  Replaying the inputs of a perfbench `betti_verdicts` and
+# `tor_ext_pairs` batch through both routes (BENCH_32.json), the two broke
+# even between about 64 and 128 entries, and the total over both batches
+# was flat from 48 to 128 entries and near the best route for every input.
+_SMALL_ENTRIES = 64
 
 
 def _is_prime(p: int) -> bool:
@@ -249,10 +266,10 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
     entry there, so the vectors in increasing f are the rref and the free
     columns its pivots.
 
-    Singleton rows are peeled first, with numpy and no arithmetic
-    (`_peel`): until no row has exactly one entry, the column of every row
-    with one entry is marked a pivot and every entry in a marked column is
-    dropped.  The output does not change.  A row with one entry, at column c,
+    Singleton rows are peeled first, with no arithmetic (`_peel`): until no
+    row has exactly one entry, the column of every row with one entry is
+    marked a pivot and every entry in a marked column is dropped.  The
+    output does not change.  A row with one entry, at column c,
     puts e_c in the row space, so c is a pivot in every column order, its
     reduced row is e_c, and every other reduced row is zero at c; each
     kernel vector is zero at c, and the rest of the kernel is that of the
@@ -262,6 +279,13 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
     column has one entry but is not a pivot, so peeling it would change the
     canonical basis the resolution writes.
 
+    An input with at most `_SMALL_ENTRIES` entries is converted in plain
+    Python (`_small_rows`, `_small_kernel`), a larger one with numpy
+    (`_peel`, `_sparse_rows`, `_kernel_entries`): small calls are most
+    calls, and numpy's fixed cost per call outweighs their elimination.
+    Both routes peel the same rows, run `_eliminate` once on the same rows
+    with the same budget and stored count, and return the same triplets.
+
     `room` is the bytes the caller can still allocate.  The elimination
     stores no more entries than fit in it (see `ENTRY_BYTES`): an input
     that does not fit, checked at its full size before the pre-pass, or
@@ -270,13 +294,17 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
     """
     m, n = shape
     budget = (room - LINE_BYTES * (m + n)) / ENTRY_BYTES
+    small = len(vals) <= _SMALL_ENTRIES
     pivot_row = None
     if len(vals) <= budget:
-        ri, ci, vi, pinned = _peel(np.asarray(rows, dtype=np.int64),
-                                   np.asarray(cols, dtype=np.int64), np.asarray(vals), n)
-        data, where = _sparse_rows(ri, ci, vi, m)
-        stored = len(vi)
-        del ri, ci, vi   # freed before the fill grows
+        if small:
+            data, where, pinned, stored = _small_rows(rows, cols, vals, m)
+        else:
+            ri, ci, vi, pinned = _peel(np.asarray(rows, dtype=np.int64),
+                                       np.asarray(cols, dtype=np.int64), np.asarray(vals), n)
+            data, where = _sparse_rows(ri, ci, vi, m)
+            stored = len(vi)
+            del ri, ci, vi   # freed before the fill grows
         pivot_row = _eliminate(data, where, sorted(where, reverse=True), p,
                                budget, stored)
     if pivot_row is None:
@@ -284,9 +312,73 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
             f"a {m} x {n} elimination of {len(vals)} entries outgrows the "
             f"{max(room, 0) / 2**10:.1f} KiB the process can get, room for "
             f"{max(int(budget), 0)} stored entries")
+    if small:
+        return _small_kernel(data, pivot_row, pinned, n, p)
     kr, kc, kv, free = _kernel_entries(data, pivot_row, pinned, n, p)
     order = np.argsort(kr * n + kc)
     return kr[order], kc[order], kv[order], free.tolist()
+
+
+def _small_rows(rows, cols, vals, m: int):
+    """`_peel` then `_sparse_rows` in plain Python, for a small input:
+    (rows, where, pinned, stored), with the marked columns as a set and the
+    count of entries left."""
+    ri, ci, vi = (np.asarray(rows).tolist(), np.asarray(cols).tolist(),
+                  np.asarray(vals).tolist())
+    pinned: set = set()
+    while True:
+        count = Counter(ri)
+        single = {c for i, c in zip(ri, ci) if count[i] == 1}
+        if not single:
+            break
+        pinned |= single
+        keep = [k for k, c in enumerate(ci) if c not in single]
+        ri, ci, vi = [ri[k] for k in keep], [ci[k] for k in keep], [vi[k] for k in keep]
+    data: list = [None] * m
+    where: dict = {}
+    for i, c, v in zip(ri, ci, vi):
+        row = data[i]
+        if row is None:
+            row = data[i] = {}
+        row[c] = v
+        col = where.get(c)
+        if col is None:
+            where[c] = {i}
+        else:
+            col.add(i)
+    return data, where, pinned, len(vi)
+
+
+def _small_kernel(data: list, pivot_row: dict, pinned: set, n: int, p: int):
+    """`_kernel_entries` and the row-major sort in plain Python, for a
+    small input: the kernel's (rows, cols, vals, pivots).  Vector k is the
+    unit at its free column, then the entries of the pivot rows there in
+    increasing pivot; only the vectors with such entries are visited."""
+    free = sorted(set(range(n)).difference(pivot_row, pinned))
+    below = []
+    for c, i in pivot_row.items():
+        row = data[i]
+        del row[c]
+        below.extend((bisect_left(free, j), c, p - v) for j, v in row.items())
+    below.sort()
+    kr: list[int] = []
+    kc: list[int] = []
+    kv: list[int] = []
+    done = 0   # the vectors whose unit entries are written
+    for k, c, v in below:
+        if k >= done:
+            kr.extend(range(done, k + 1))
+            kc.extend(free[done:k + 1])
+            kv.extend([1] * (k + 1 - done))
+            done = k + 1
+        kr.append(k)
+        kc.append(c)
+        kv.append(v)
+    kr.extend(range(done, len(free)))
+    kc.extend(free[done:])
+    kv.extend([1] * (len(free) - done))
+    return (np.array(kr, dtype=np.int64), np.array(kc, dtype=np.int64),
+            np.array(kv, dtype=np.int64), free)
 
 
 def _peel(ri, ci, vi, n: int):

@@ -219,22 +219,30 @@ def kmat_triplets(G: Nonzeros, ops: np.ndarray, p: int):
     each nonzero places its multiple of a t x s matrix, duplicate positions
     are summed mod p and zeros dropped.  Every entry is a sum of C products
     below p^2, exact in int64.  With ops = N.all_ops this is the k-matrix
-    `free_kmat` builds dense."""
+    `free_kmat` builds dense.
+
+    The products are one join on the slot, with no loop over the C slots:
+    the nonzeros of ops are listed slot by slot, and each nonzero of G is
+    repeated once per nonzero of its slot's op (`np.repeat` of the per-slot
+    counts), paired with those nonzeros in turn."""
     a, j, _ = G.shape
-    _, t, s = ops.shape
+    C, t, s = ops.shape
     n = a * s
-    lin, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for c, op in enumerate(ops):
-        at = G.slot == c
-        gx, gy = G.gen[at], G.target[at]
-        ot, oc = np.nonzero(op)
-        # row y t + ot, column x s + oc, as the index row n + column
-        lin.append(((gy * t * n + gx * s)[:, None] + (ot * n + oc)[None]).ravel())
-        vals.append((G.val[at][:, None] * op[ot, oc][None]).ravel())
-    lin, vals = np.concatenate(lin), np.concatenate(vals)
+    oz, ot, oc = np.nonzero(ops)
+    count = np.bincount(oz, minlength=C)
+    start = np.cumsum(count) - count      # the slot's first op nonzero
+    reps = count[G.slot]
+    gk = np.repeat(np.arange(len(G.val)), reps)
+    # the pair's op nonzero: its slot's start plus its place in the run
+    ok = np.arange(len(gk)) + np.repeat(start[G.slot] - np.cumsum(reps) + reps, reps)
+    # row y t + ot, column x s + oc, as the index row n + column
+    lin = (G.target * (t * n) + G.gen * s)[gk] + (ot * n + oc)[ok]
+    vals = G.val[gk] * ops[oz, ot, oc][ok]
     order = np.argsort(lin, kind="stable")
     lin, vals = lin[order], vals[order]
-    first = np.flatnonzero(np.diff(lin, prepend=-1))
+    new = np.ones(len(lin), dtype=bool)   # where each position's run starts
+    np.not_equal(lin[1:], lin[:-1], out=new[1:])
+    first = np.flatnonzero(new)
     lin, vals = lin[first], np.add.reduceat(vals, first) % p
     nz = vals != 0
     rows, cols = np.divmod(lin[nz], max(n, 1))

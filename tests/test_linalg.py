@@ -6,6 +6,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from gorlab import linalg
+from gorlab.errors import NotMaterialized
 from gorlab.linalg import (
     kernel_array,
     kernel_rref,
@@ -405,3 +406,81 @@ def test_kernel_rref_peels_a_full_rank_input_before_eliminating(kind, monkeypatc
     assert K.shape == (0, n) and piv == []
     monkeypatch.undo()
     assert kernel_array(A, p).shape == (0, n)
+
+
+# `linalg._SMALL_ENTRIES` values that send every input, the empty one too,
+# down one conversion route: numpy, or plain Python
+NUMPY_ROUTE, PYTHON_ROUTE = -1, 10**6
+
+
+def _on_route(route, *args):
+    """kernel_rref(*args) with every input sent down `route`."""
+    real = linalg._SMALL_ENTRIES
+    linalg._SMALL_ENTRIES = route
+    try:
+        return kernel_rref(*args)
+    finally:
+        linalg._SMALL_ENTRIES = real
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_for_kernel_rref())
+def test_kernel_rref_routes_agree(mp):
+    # for the matrix and its transpose (not in row-major order): the same
+    # rows, cols, vals (int64) and pivots from either conversion
+    A, p = mp
+    rows, cols, vals, (m, n) = _triplets(A)
+    for args in ((rows, cols, vals, (m, n), p), (cols, rows, vals, (n, m), p)):
+        a, b = _on_route(NUMPY_ROUTE, *args), _on_route(PYTHON_ROUTE, *args)
+        assert a[3] == b[3]
+        for x, y in zip(a[:3], b[:3]):
+            assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("entries", [5, 6])
+def test_kernel_rref_routes_refuse_alike(entries, monkeypatch):
+    # six entries, no singleton row; room for 5 refuses before the
+    # elimination, room for 6 at its first fill (column 4 pivots on row 0,
+    # and clearing it from row 1 stores 7): the same text from either route
+    A = np.array([[1, 1, 0, 0, 1], [0, 0, 1, 1, 1]], dtype=np.int64)
+    rows, cols, vals, (m, n) = _triplets(A)
+    room = linalg.ENTRY_BYTES * entries + linalg.LINE_BYTES * (m + n)
+    crossed, real = [], linalg._eliminate
+
+    def eliminate(*args):
+        out = real(*args)
+        crossed.append(out is None)
+        return out
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    texts = []
+    for route in (NUMPY_ROUTE, PYTHON_ROUTE):
+        with pytest.raises(NotMaterialized) as exc:
+            _on_route(route, rows, cols, vals, (m, n), 101, room)
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1]
+    assert texts[0].endswith(f"room for {entries} stored entries")
+    assert crossed == ([] if entries == 5 else [True, True])
+
+
+@pytest.mark.parametrize("kind", ["sparse", "empty", "peeled away"])
+def test_kernel_rref_routes_eliminate_once(kind, monkeypatch):
+    # `_eliminate` is the one elimination engine of both routes
+    rng, p = np.random.default_rng(11), 101
+    if kind == "sparse":
+        A = rng.integers(1, p, size=(6, 9)) * (rng.random((6, 9)) < 0.3)
+    elif kind == "empty":
+        A = np.zeros((3, 4), dtype=np.int64)
+    else:
+        A = _peeled_away(5, "chain", rng, p)
+    calls, real = [], linalg._eliminate
+
+    def eliminate(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    for route in (NUMPY_ROUTE, PYTHON_ROUTE):
+        calls.clear()
+        _on_route(route, *_triplets(A), p)
+        assert len(calls) == 1

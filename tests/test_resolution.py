@@ -273,6 +273,84 @@ def test_free_kmat_is_block_regular_representation(R3):
     assert np.array_equal(K @ v % 101, R3.x(1).coeffs % 101)
 
 
+def _stored(G):
+    """The nonzeros of the entry array G in row-major order, as a
+    resolution stores them."""
+    gen, target, slot = np.nonzero(G)
+    return Nonzeros(gen, target, slot, G[gen, target, slot], G.shape)
+
+
+@st.composite
+def kmat_inputs(draw):
+    """(G, ops, p) for `kmat_triplets`: a random sparse entry array and
+    random ops, or an edge case: an empty G, op slots that are all zero,
+    s = 0 or t = 0, or two slots of one entry of G that cancel mod p on
+    the whole tile."""
+    p = draw(st.sampled_from((2, 3, 101, 65521)))
+    kind = draw(st.sampled_from(("random", "random", "empty G", "zero slots",
+                                 "s = 0", "t = 0", "cancel")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, j, C = (draw(st.integers(1, 4)) for _ in range(3))
+    t, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    t, s = (0 if kind == "t = 0" else t), (0 if kind == "s = 0" else s)
+    density = draw(st.sampled_from((0.1, 0.3, 0.7)))
+    G = rng.integers(1, p, size=(a, j, C)) * (rng.random((a, j, C)) < density)
+    ops = rng.integers(1, p, size=(C, t, s)) * (rng.random((C, t, s)) < density)
+    if kind == "empty G":
+        G[:] = 0
+    elif kind == "zero slots":
+        ops[rng.random(C) < 0.5] = 0
+    elif kind == "cancel" and C >= 2:
+        # slots 0 and 1 act alike, and entry (0, 0) of G takes v and -v on
+        # them: the tile at target copy 0 and source copy 0 sums to zero
+        ops[1] = ops[0]
+        G[0, 0] = 0
+        G[0, 0, :2] = (1, p - 1)
+    return G.astype(np.int64), ops.astype(np.int64), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(kmat_inputs())
+def test_kmat_triplets_matches_the_dense_kmat(case):
+    # the dense reference for ops of any shape (C, t, s); free_kmat is it
+    # for square ops
+    G, ops, p = case
+    a, j, _ = G.shape
+    _, t, s = ops.shape
+    want = (np.einsum("ajc,cxy->jxay", G, ops) % p).reshape(j * t, a * s)
+    if t == s:
+        assert np.array_equal(want, free_kmat(G, ops, p))
+    rows, cols, vals, shape = rs.kmat_triplets(_stored(G), ops, p)
+    assert shape == want.shape
+    for x in (rows, cols, vals):
+        assert x.dtype == np.int64 and x.shape == vals.shape
+    # row-major, distinct positions, no zeros: the cancelled tile is absent
+    lin = rows * max(shape[1], 1) + cols
+    assert np.all(np.diff(lin) > 0)
+    assert vals.size == 0 or (vals.min() >= 1 and vals.max() < p)
+    assert np.array_equal(linalg.dense(rows, cols, vals, shape), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 4)), st.sampled_from((3, 5, 101)),
+       st.integers(0, 10**6))
+def test_linear_part_under_a_random_form(e, p, seed):
+    # L[j, a e + g] = sum_h form[g, h] G[a, j, 1 + h] mod p: a random form
+    # sums several terms into one entry, which the identity and hyperbolic
+    # forms never do; the entries of G off the x-slots are ignored
+    rng = np.random.default_rng(seed)
+    form = random_nondegenerate_form(e, p, rng)
+    ring = make_ring(p, e, form)
+    a, j = (int(x) for x in rng.integers(0, 5, size=2))
+    G = rng.integers(0, p, size=(a, j, ring.dim)) * (rng.random((a, j, ring.dim)) < 0.4)
+    want = np.einsum("gh,ajh->jag", form, G[:, :, 1:e + 1]) % p
+    rows, cols, vals, shape = rs._linear_part(ring, _stored(G.astype(np.int64)))
+    assert shape == (j, a * e)
+    assert vals.size == 0 or vals.min() >= 1
+    assert np.array_equal(linalg.dense(rows, cols, vals, shape),
+                          want.reshape(j, a * e))
+
+
 def _generic_step(ring, A):
     """Oracle for one resolution step: the kernel of the k-matrix A by
     generic elimination, its pivots, nu and nu_m.  nu_m = dim m*K is the rank
