@@ -240,13 +240,19 @@ def kmat_triplets(G: Nonzeros, ops: np.ndarray, p: int):
     vals = G.val[gk] * ops[oz, ot, oc][ok]
     order = np.argsort(lin, kind="stable")
     lin, vals = lin[order], vals[order]
-    new = np.ones(len(lin), dtype=bool)   # where each position's run starts
-    np.not_equal(lin[1:], lin[:-1], out=new[1:])
-    first = np.flatnonzero(new)
+    first = np.flatnonzero(_run_starts(lin))
     lin, vals = lin[first], np.add.reduceat(vals, first) % p
     nz = vals != 0
     rows, cols = np.divmod(lin[nz], max(n, 1))
     return rows, cols, vals[nz], (j * t, n)
+
+
+def _run_starts(keys):
+    """Mask of the places where a run of equal values starts in the sorted
+    int array `keys`."""
+    start = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    return start
 
 
 def _linear_part(ring: ShortGorensteinRing, G: Nonzeros):
@@ -271,10 +277,13 @@ def _slice_pivots(rows, cols, vals, blocks: int, p: int) -> list[int]:
     eliminated."""
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
-    lead = cols[np.flatnonzero(np.diff(rows, prepend=-1))]
-    if len(rows) and np.unique(lead).size == blocks:
+    start = _run_starts(rows)
+    lead = cols[start]
+    covered = np.zeros(blocks, dtype=bool)
+    covered[lead] = True
+    if len(rows) and covered.all():
         return list(range(blocks))
-    _, at = np.unique(rows, return_inverse=True)
+    at = np.cumsum(start) - 1   # the slice of each entry
     S = np.zeros((len(lead), blocks), dtype=np.int64)
     S[at, cols] = vals
     return linalg.rref_array(S, p)[1]
