@@ -236,8 +236,11 @@ def kmat_triplets(G: Nonzeros, ops: np.ndarray, p: int):
     # the pair's op nonzero: its slot's start plus its place in the run
     ok = np.arange(len(gk)) + np.repeat(start[G.slot] - np.cumsum(reps) + reps, reps)
     # row y t + ot, column x s + oc, as the index row n + column
-    lin = (G.target * (t * n) + G.gen * s)[gk] + (ot * n + oc)[ok]
-    vals = G.val[gk] * ops[oz, ot, oc][ok]
+    lin = (G.target * (t * n) + G.gen * s)[gk]
+    lin += (ot * n + oc)[ok]
+    vals = G.val[gk]
+    vals *= ops[oz, ot, oc][ok]
+    del gk, ok   # freed before the sort
     order = np.argsort(lin, kind="stable")
     lin, vals = lin[order], vals[order]
     first = np.flatnonzero(_run_starts(lin))
