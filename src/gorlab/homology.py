@@ -10,7 +10,8 @@ zero set of its left kernel K, the kernel of A^T, so rank A = rows - dim K,
 and a set of vectors adds to the boundaries the rank of its product with
 K^T.  Every map is thus eliminated twice, for its kernel as the map out of
 one degree and for its left kernel as the map into the next, and the two
-ranks must agree.
+ranks must agree.  The radical excess is such a rank, of a product tiny
+since m^3 = 0, read off two sparse joins (`_radical_excess`).
 
 Both routes run on the Loewy copy L of N (`_loewy`), written in a basis
 adapted to N > mN > m^2 N with layers N_0, N_1, N_2, the layers re-based
@@ -42,9 +43,7 @@ the windows' slices: against A's cycles on their s coordinates of each
 copy, against B's left kernel on its last t.  Every block goes through
 `linalg.kernel_rref`, the one sparse kernel, which also serves the
 resolution, its columns relabelled fewest entries first; homology reads
-only ranks and spans, so no output depends on the basis.  Many blocks are
-nearly trivial, and `kernel_rref` peels their rows with a single entry
-before it eliminates, so those rows cost no per-entry Python.
+only ranks and spans, so no output depends on the basis.
 
 `_build_table` is the one builder of both tables, and `_plan` the one place
 that chooses a window, from M's certified Betti numbers, its junction J, dim
@@ -62,9 +61,11 @@ differential, so every table computes each degree once; `tor_induced` reads
 the lifts of `lift_chain_map` and the windows of its source and target
 together, degree by degree.  `_window` reads the room the process can get
 (`resolution.available_bytes`) once, before degree 0, and holds every
-kernel as its triplets; the eliminations (`linalg.kernel_rref`) and the
-radical excess check what they allocate against that room, and a degree
-that does not fit is refused with NotMaterialized before it allocates.
+kernel as its triplets.  One rule checks a degree against that room: the
+eliminations (`linalg.kernel_rref`) count `linalg.ENTRY_BYTES` per entry
+and `LINE_BYTES` per row and column, the excess's joins the first per
+entry and pair, its block both per cell and line.  A degree that does not
+fit is refused with NotMaterialized before it allocates.
 
 Degrees past the materialized window are certified by the length count of
 a module X with m^2 X = 0, where L_t is the image of Tor_t(iota_X, N):
@@ -110,6 +111,7 @@ from .resolution import (
     MinimalFreeResolution,
     Nonzeros,
     free_kmat,
+    join_sum,
     kmat_triplets,
     lift_chain_map,
     resolve,
@@ -117,11 +119,6 @@ from .resolution import (
 
 TOR_MARGIN = 3       # consecutive equality degrees required for a tail
 MAX_WINDOW_ROWS = 12000   # max dimension of the next module when deepening
-_EXCESS_CHUNK = 1024      # cycles per product in `_radical_excess`
-# what one `_radical_excess` call holds besides the cells and lines its
-# check counts: numpy's temporaries, at most 5.4 KiB above the counted
-# bytes under tracemalloc over the e = 4 and e = 5 main-theorem trials
-_EXCESS_CALL_BYTES = 16 * 2**10
 
 COMPUTED = "computed"
 CERTIFIED = "certified"
@@ -180,59 +177,41 @@ def _ext_diff(G: Nonzeros, N: FiniteModule):
 
 
 def _radical_excess(N: FiniteModule, Z, K, block, room: float) -> int:
-    """Rank added to the boundaries by m times the span of the rows of Z,
-    both written in the coordinates of the layer block (s, t) (see
-    `_window`): Z in the first s coordinates of each copy of N, the
-    boundaries in the last t, where they are the common zeros of the rows
-    of K (the left kernel of the map in).  Z and K are triplets (rows, cols,
-    vals, shape) of `linalg.kernel_rref`, Z's rows sorted.  A vector v then
-    adds to the boundaries exactly what v K^T adds to 0, so the excess is
-    the rank of the images times K^T.  The span of Z must be an
-    R-submodule modulo the dropped coordinates, which m kills (callers pass
-    cycles); as w = x_g x_h / form[g, h], the images under x_1..x_e alone
-    then span that product.
+    """Rank added to the boundaries by m times the span of the rows of Z, in
+    the coordinates of the layer block (s, t) (see `_window`): Z on the
+    first s coordinates of each of b copies of N, the boundaries on the last
+    t, the common zeros of the rows of K (the left kernel of the map in),
+    both triplets of `linalg.kernel_rref`.  A vector v adds to the
+    boundaries what v K^T adds to 0, so the excess is the rank of the images
+    times K^T.  The span of Z must be an R-submodule modulo the dropped
+    coordinates, which m kills (callers pass cycles); as w = x_g x_h /
+    form[g, h], the images under x_1..x_e alone then span that product.
 
-    K is densified once, and Z one chunk of _EXCESS_CHUNK cycles at a time:
-    the images of the chunk, one row (z, g) per cycle z and x_g, are
-    multiplied by K^T, and the running rref of those products has at most
-    dim K columns and rows.  Before it allocates, NotMaterialized is raised
-    when K, one chunk and the running rref, each with the copies the
-    products make and the rref at the cost `linalg.kernel_rref` checks per
-    stored entry, row and column, plus _EXCESS_CALL_BYTES for the call's
-    temporaries, exceed `room` bytes.  Both products go through
-    `linalg.matmul_mod`: exact in float64 while the inner dimension (s, then
-    b t for b copies of N) times (p-1)^2 is below 2^53, in int64 past it."""
+    The product is formed on triplets, in two joins (`join_sum`): M = K^T
+    through each x_g, M[(y, c), k e + g] = sum_tau K[k, y t + tau]
+    x_g[d - t + tau, c] (`kmat_triplets` on K's nonzeros as an (nk, b, t)
+    entry array), then P[(z, g), k] = sum Z[z, (y, c)] M[(y, c), k e + g].
+    The images lie in the last Loewy layer (m^3 = 0), so P is tiny: only
+    its nonzero rows and columns are made dense, for `linalg.rank_array`.
+    Each join, and the block at `linalg.ENTRY_BYTES` per cell and
+    `LINE_BYTES` per line, is checked against `room` before it allocates."""
     p, d, e = N.ring.p, N.dim, N.ring.e
     s, t = block
-    zr, zc, zv, (nz, n) = Z
-    nk, bt = K[3]
+    zr, zc, zv, _ = Z
+    kr, kc, kv, (nk, bt) = K
     if nk == 0:
         return 0   # every vector in the last t coordinates is a boundary
-    c = min(_EXCESS_CHUNK, nz)
-    # K and its float64 copy; per cycle of a chunk its row and float64 copy,
-    # its e images three times over and their products with K^T twice; the
-    # running rref with a chunk's products at the elimination's cost per
-    # cell and per line; and the call's own temporaries
-    need = (8 * (2 * nk * bt + c * (2 * n + 3 * e * bt + 2 * e * nk))
-            + linalg.ENTRY_BYTES * (nk + c * e) * nk
-            + linalg.LINE_BYTES * (2 * nk + c * e) + _EXCESS_CALL_BYTES)
-    if need > room:
+    G = Nonzeros(kr, kc // t, kc % t, kv, (nk, bt // t, t))
+    mr, mc, mv, _ = kmat_triplets(G, N.actions[:, d - t:, :s].transpose(1, 2, 0), p, room)
+    # P[(z, g), k] at the index (z e + g) nk + k; M's rows come in order
+    pos, vals = join_sum(zc, zr * (e * nk), zv, mr, mc % e * nk + mc // e, mv, p, room)
+    (rows, ri), (cols, ci) = (np.unique(x, return_inverse=True) for x in np.divmod(pos, nk))
+    m, n = len(rows), len(cols)
+    if linalg.ENTRY_BYTES * m * n + linalg.LINE_BYTES * (m + n) > room:
         raise NotMaterialized(
-            f"the radical excess needs about {need / 2**10:.0f} KiB, "
-            f"the process can get {max(room, 0) / 2**10:.1f} KiB")
-    K = linalg.dense(*K)
-    opsT = N.actions[:, d - t:, :s].transpose(0, 2, 1)
-    B = np.zeros((0, nk), dtype=np.int64)
-    for lo in range(0, nz, _EXCESS_CHUNK):
-        hi = min(lo + _EXCESS_CHUNK, nz)
-        a, b = np.searchsorted(zr, [lo, hi])
-        Zc = linalg.dense(zr[a:b] - lo, zc[a:b], zv[a:b], (hi - lo, n))
-        # (z, 1, j, s) @ (e, s, t): one row (j, t) per cycle z and x_g
-        img = linalg.matmul_mod(Zc.reshape(hi - lo, 1, -1, s), opsT, p)
-        P = linalg.matmul_mod(img.reshape(-1, bt), K.T, p)
-        B = np.concatenate([B, P])
-        B = B[:len(linalg.rref_inplace(B, p))]
-    return B.shape[0]
+            f"the radical excess's {m} x {n} block outgrows the "
+            f"{max(room, 0) / 2**10:.1f} KiB the process can get")
+    return linalg.rank_array(linalg.dense(ri, ci, vals, (m, n)), p)
 
 
 def _rref_bases(Xs, p: int):
@@ -425,8 +404,8 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int):
     held: before the radical excess, every one that degree i + 1 will not
     read is dropped, and at degree `last` all of them.  The room the
     process can get is read once, before degree 0, and every elimination
-    and the radical excess check what they allocate against it: a degree
-    that does not fit raises NotMaterialized, naming the degree."""
+    and the excess's joins and block check against it before they allocate:
+    a degree that does not fit raises NotMaterialized, naming the degree."""
     p, d = N.ring.p, N.dim
     s = block[0]
     kind = "Tor" if step > 0 else "Ext"
@@ -727,7 +706,7 @@ def length_count(M: FiniteModule, N: FiniteModule, n: int):
     when mM = 0 and iota_M is the zero map."""
     if M.ring != N.ring:
         raise RingMismatch("modules over different rings")
-    if radical_square_rows(M)[0].shape[0]:
+    if M.action_w.any():
         raise RadicalSquareNonzero("the length count requires m^2 M = 0")
     U, piv = radical_rows(M)
     table = tor(M, N, n)

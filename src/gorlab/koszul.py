@@ -20,7 +20,6 @@ from .errors import RadicalSquareNonzero
 from .modules import (
     FiniteModule,
     radical_rows,
-    radical_square_rows,
     socle_rows,
 )
 from .resolution import k_syzygy_dims, resolve
@@ -98,7 +97,7 @@ def koszul_series_check(M: FiniteModule, n: int) -> KoszulSeriesReport:
     verdict.  The formula is necessary for Koszulness, so koszul with a
     failing formula (or not_koszul with the formula intact through a deep
     truncation) is flagged for inspection rather than asserted."""
-    if radical_square_rows(M)[0].shape[0]:
+    if M.action_w.any():
         raise RadicalSquareNonzero("series check requires m^2 M = 0")
     holds = koszul_formula_holds(M, n)
     verdict = is_koszul(M)

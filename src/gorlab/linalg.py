@@ -36,8 +36,9 @@ the time of a call, never its output or its refusals.
 
 One rule bounds memory: `kernel_rref` takes the room its caller can still
 allocate and stores no more entries than fit in it, at `ENTRY_BYTES` per
-entry and `LINE_BYTES` per row and column.  An elimination that the room
-stops raises NotMaterialized before it allocates more.
+entry and `LINE_BYTES` per row and column (`resolution.join_sum` counts its
+entries and pairs alike).  An elimination that the room stops raises
+NotMaterialized before it allocates more.
 """
 
 from __future__ import annotations

@@ -94,7 +94,6 @@ from .modules import (
     FiniteModule,
     ModuleMap,
     radical_rows,
-    radical_square_rows,
     span_closure,
     submodule,
 )
@@ -212,7 +211,47 @@ class Nonzeros(NamedTuple):
                         self.val[order], (j, a, C))
 
 
-def kmat_triplets(G: Nonzeros, ops: np.ndarray, p: int):
+def join_sum(akey, apos, aval, bkey, bpos, bval, p: int,
+             room: float = float("inf")):
+    """Sparse product: (positions, values) of the sums mod p of aval[i]
+    bval[j] over the pairs with akey[i] = bkey[j], for bkey in increasing
+    order, at apos[i] + bpos[j], positions increasing, zero sums dropped,
+    exact in int64.  One join, no loop over the keys: each entry of a is
+    repeated once per entry of b with its key, found by `np.searchsorted`.
+    Every input entry and pair counts `linalg.ENTRY_BYTES` against `room`,
+    the inputs before the pairs are counted and the pairs before any is
+    formed: a join that does not fit raises NotMaterialized."""
+    def check(pairs, what=""):
+        if linalg.ENTRY_BYTES * (len(aval) + len(bval) + pairs) > room:
+            raise NotMaterialized(
+                f"a join of {len(aval)} by {len(bval)} entries{what} outgrows "
+                f"the {max(room, 0) / 2**10:.1f} KiB the process can get")
+
+    check(0)
+    lo = np.searchsorted(bkey, akey)      # the first partner of each a entry
+    reps = np.searchsorted(bkey, akey, "right") - lo
+    ends = np.cumsum(reps)
+    pairs = int(ends[-1]) if len(ends) else 0
+    check(pairs, f" into {pairs} pairs")
+    ai = np.repeat(np.arange(len(aval)), reps)
+    # the pair's b entry: its key's first plus its place in the run
+    bi = np.arange(pairs) + np.repeat(lo - ends + reps, reps)
+    del lo, reps, ends
+    pos = apos[ai]
+    pos += bpos[bi]
+    vals = aval[ai]
+    vals *= bval[bi]
+    del ai, bi   # freed before the sort
+    order = np.argsort(pos, kind="stable")
+    pos, vals = pos[order], vals[order]
+    first = np.flatnonzero(_run_starts(pos))
+    pos, vals = pos[first], np.add.reduceat(vals, first) % p
+    nz = vals != 0
+    return pos[nz], vals[nz]
+
+
+def kmat_triplets(G: Nonzeros, ops: np.ndarray, p: int,
+                  room: float = float("inf")):
     """Triplets (rows, cols, vals, shape) of the (j t) x (a s) matrix whose
     tile at target copy y and source copy x is sum_c G[x, y, c] ops[c], for
     the nonzeros G of an (a, j, C) entry array and ops of shape (C, t, s):
@@ -221,33 +260,16 @@ def kmat_triplets(G: Nonzeros, ops: np.ndarray, p: int):
     below p^2, exact in int64.  With ops = N.all_ops this is the k-matrix
     `free_kmat` builds dense.
 
-    The products are one join on the slot, with no loop over the C slots:
-    the nonzeros of ops are listed slot by slot, and each nonzero of G is
-    repeated once per nonzero of its slot's op (`np.repeat` of the per-slot
-    counts), paired with those nonzeros in turn."""
+    The products are one `join_sum` on the slot, with no loop over the C
+    slots, and `room` bounds it."""
     a, j, _ = G.shape
-    C, t, s = ops.shape
+    _, t, s = ops.shape
     n = a * s
-    oz, ot, oc = np.nonzero(ops)
-    count = np.bincount(oz, minlength=C)
-    start = np.cumsum(count) - count      # the slot's first op nonzero
-    reps = count[G.slot]
-    gk = np.repeat(np.arange(len(G.val)), reps)
-    # the pair's op nonzero: its slot's start plus its place in the run
-    ok = np.arange(len(gk)) + np.repeat(start[G.slot] - np.cumsum(reps) + reps, reps)
+    oz, ot, oc = np.nonzero(ops)   # slot by slot, as join_sum needs
     # row y t + ot, column x s + oc, as the index row n + column
-    lin = (G.target * (t * n) + G.gen * s)[gk]
-    lin += (ot * n + oc)[ok]
-    vals = G.val[gk]
-    vals *= ops[oz, ot, oc][ok]
-    del gk, ok   # freed before the sort
-    order = np.argsort(lin, kind="stable")
-    lin, vals = lin[order], vals[order]
-    first = np.flatnonzero(_run_starts(lin))
-    lin, vals = lin[first], np.add.reduceat(vals, first) % p
-    nz = vals != 0
-    rows, cols = np.divmod(lin[nz], max(n, 1))
-    return rows, cols, vals[nz], (j * t, n)
+    lin, vals = join_sum(G.slot, G.target * (t * n) + G.gen * s, G.val,
+                         oz, ot * n + oc, ops[oz, ot, oc], p, room)
+    return (*np.divmod(lin, max(n, 1)), vals, (j * t, n))
 
 
 def _run_starts(keys):
@@ -425,7 +447,7 @@ class MinimalFreeResolution:
         k_{-j'} of M (or of M_1 when m^2 M != 0) with dim k_{j'} below the
         module's dimension."""
         M = self.module
-        if radical_square_rows(M)[0].shape[0] == 0:
+        if not M.action_w.any():
             bound = M.dim
             shift = 0
         else:

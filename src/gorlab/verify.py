@@ -30,7 +30,6 @@ from .modules import (
     hom_space,
     nu,
     radical_rows,
-    radical_square_rows,
     random_module,
     split_extension,
 )
@@ -219,7 +218,7 @@ def _vanishing(cfg: TrialConfig, ring, t: int, rng) -> dict:
         M = _draw_module(ring, cfg, rng)
     N = _draw_module(ring, cfg, rng)
     rec = {"cyclic": cyclic, "M": _fingerprint(M), "N": _fingerprint(N)}
-    if M.dim == 0 or radical_square_rows(M)[0].shape[0]:
+    if M.dim == 0 or M.action_w.any():
         return dict(rec, status="skipped", reason="m^2 M != 0 or M = 0")
     if not koszul.is_koszul(M).is_koszul():
         return dict(rec, status="skipped", reason="M not Koszul")
@@ -286,7 +285,7 @@ def _counterexample_e2(cfg: TrialConfig, ring, t: int, rng) -> dict:
 def _first_syzygy_off_k(M: FiniteModule) -> FiniteModule | None:
     """M_1 = syzygy(M, 1) when m^2 M = 0, M_1 != 0 and M_1 does not split
     off k (the hypotheses of the Lescot formulas); otherwise None."""
-    if radical_square_rows(M)[0].shape[0]:
+    if M.action_w.any():
         return None
     M1 = syzygy(M, 1)
     if M1.dim == 0 or koszul.split_off_k_witness(M1) is not None:
@@ -377,7 +376,7 @@ def _length_count(cfg: TrialConfig, ring, t: int, rng) -> dict:
     M = _draw_module(ring, cfg, rng)
     N = _draw_module(ring, cfg, rng)
     rec = {"M": _fingerprint(M), "N": _fingerprint(N)}
-    if radical_square_rows(M)[0].shape[0]:
+    if M.action_w.any():
         return dict(rec, status="skipped")
     rep = homology.length_count_audit(M, N, min(cfg.cutoff, 10))
     ok = all(r["equality"] and r["inequality"]
@@ -408,7 +407,7 @@ def _hom_vanishing(cfg: TrialConfig, ring, t: int, rng) -> dict:
         img = phi.matrix.T % p   # rows are images of the basis of M
         if not linalg.in_rowspace(UN, pivN, img, p):
             problems.append("phi(M) not inside mN")
-        if radical_square_rows(N)[0].shape[0] == 0 and UM.shape[0]:
+        if not N.action_w.any() and UM.shape[0]:
             if (phi.matrix @ UM.T % p).any():
                 problems.append("phi does not kill mM")
     return _judge(rec, problems)
@@ -419,7 +418,7 @@ def _three_parts(cfg: TrialConfig, ring, t: int, rng) -> dict:
     m^2 M = 0 and M is Koszul, B is Koszul."""
     M = _draw_module(ring, cfg, rng)
     rec = {"M": _fingerprint(M)}
-    if radical_square_rows(M)[0].shape[0] or not koszul.is_koszul(M).is_koszul():
+    if M.action_w.any() or not koszul.is_koszul(M).is_koszul():
         return dict(rec, status="skipped")
     # x = the first minimal generator of M
     U, piv = radical_rows(M)
@@ -434,11 +433,10 @@ def _three_parts(cfg: TrialConfig, ring, t: int, rng) -> dict:
 
 
 def _ann_is_m2(ann: np.ndarray, p: int) -> bool:
-    """ann given as rref rows of {r : r x = 0} inside R; m^2 = span(w)."""
-    if ann.shape[0] != 1:
-        return False
-    v = ann[0] % p
-    return not v[:-1].any() and v[-1] != 0
+    """Whether ann, rows spanning {r : r x = 0} inside R (any basis, such
+    as the free-column basis `linalg.kernel_array` returns), spans m^2 =
+    span(w): one row, zero off the w-coordinate."""
+    return ann.shape[0] == 1 and not ann[0, :-1].any() and ann[0, -1] % p != 0
 
 
 def _annihilator(cfg: TrialConfig, ring, t: int, rng) -> dict:
@@ -448,7 +446,7 @@ def _annihilator(cfg: TrialConfig, ring, t: int, rng) -> dict:
     M = _draw_module(ring, cfg, rng)
     rec = {"M": _fingerprint(M)}
     U, piv = radical_rows(M)
-    if radical_square_rows(M)[0].shape[0] or nu(M) < U.shape[0]:
+    if M.action_w.any() or nu(M) < U.shape[0]:
         return dict(rec, status="skipped")
     pivset = set(piv)
     free_cols = [c for c in range(M.dim) if c not in pivset]

@@ -340,32 +340,47 @@ def test_window_degree_refused_before_allocation(monkeypatch):
 
 
 def test_radical_excess_refused_before_its_products(monkeypatch):
-    # the radical excess checks what it holds against the room the window
-    # read: a room of its per-call bytes alone holds degree 0's small
-    # eliminations, but not the excess, which is refused, naming the degree,
-    # before it densifies K or multiplies anything
+    # degree 0 of Tor(R/(x_1), R/(x_2)) has one cycle and a left kernel of
+    # one entry: its radical excess joins that entry with the two nonzeros
+    # of the x_g corners into one pair (M = K^T through each x_g), joins the
+    # cycle's one entry with M's into one pair (P), and takes the rank of
+    # P's 1 x 1 block.  With room for one byte less than the first join's
+    # entries and pair, or than the block's cell and lines, the excess is
+    # refused, naming the degree, before that join forms its pair or the
+    # block is made.  This window's eliminations need more room than its
+    # excess, so they are given all they ask here
     R = make_ring(101, 3, identity_form(3))
     M = cyclic_module(R, [R.x(1)])[0]
     N = cyclic_module(R, [R.x(2)])[0]
-    resolve(M, 20)   # resolved, and N's Loewy copy built, before the room
-    resolve(N, 20)   # shrinks and the products are counted
-    hm._loewy(N)
-    room = hm._EXCESS_CALL_BYTES
-    products = []
+    resolve(M, 20)
+    resolve(N, 20)
+    entry, line = linalg.ENTRY_BYTES, linalg.LINE_BYTES
+    blocks = []
 
     class Spy(_CountingLinalg):
-        def matmul_mod(self, *args):
-            products.append(args[0].shape)
-            return linalg.matmul_mod(*args)
+        def kernel_rref(self, rows, cols, vals, shape, p, room):
+            return super().kernel_rref(rows, cols, vals, shape, p, np.inf)
 
-    counting = Spy()
-    monkeypatch.setattr(hm, "linalg", counting)
-    monkeypatch.setattr(rs, "available_bytes", lambda: room)
-    with pytest.raises(NotMaterialized, match=(
-            "Tor degree 0: the radical excess needs about [1-9][0-9]* KiB, "
-            f"the process can get {room / 2**10:.1f} KiB")):
-        tor(M, N, 20)
-    assert len(counting.kernels) == 2 and products == []
+        def dense(self, *args):
+            blocks.append(args[3])
+            return linalg.dense(*args)
+
+    for room, refusal in ((4 * entry - 1, "a join of 1 by 2 entries into 1 pairs"),
+                          (entry + 2 * line - 1, "the radical excess's 1 x 1 block")):
+        counting = Spy()
+        with monkeypatch.context() as mp:
+            mp.setattr(hm, "linalg", counting)
+            mp.setattr(rs, "available_bytes", lambda: room)
+            with pytest.raises(NotMaterialized, match=(
+                    f"Tor degree 0: {refusal} outgrows the "
+                    f"{room / 2**10:.1f} KiB the process can get")):
+                tor(M, N, 20)
+        assert len(counting.kernels) == 2 and blocks == []
+    # with one byte more, the block is made, and every later excess of the
+    # table fits too
+    monkeypatch.setattr(hm, "linalg", Spy())
+    monkeypatch.setattr(rs, "available_bytes", lambda: entry + 2 * line)
+    assert tor(M, N, 20).window == 5 and blocks[0] == (1, 1)
 
 
 # sha256 of the canonical JSON of tor (with its tor_induced ranks) and of
@@ -595,10 +610,6 @@ def test_radical_excess_without_w_images(p, e, monkeypatch):
                     assert hm._radical_excess(X, Z, K, block, np.inf) == excess
                     if M is C and window is hm._homology_window and i == 0:
                         assert excess == 1
-                    # one cycle per chunk: the running rank is the same
-                    with monkeypatch.context() as mp:
-                        mp.setattr(hm, "_EXCESS_CHUNK", 1)
-                        assert hm._radical_excess(X, Z, K, block, np.inf) == excess
 
 
 def _excess_from_ranks(L, A_out, A_in, block, b):
@@ -621,8 +632,8 @@ def _excess_from_ranks(L, A_out, A_in, block, b):
        st.integers(1, 2), st.integers(0, 2), st.integers(0, 2**31))
 def test_radical_excess_matches_the_rank_identity(e, p, gm, gn, rn, seed):
     # a second route for the nu column of Tor: the excess length - nu that
-    # the window reads against its left kernel, and the same with one cycle
-    # per chunk, against one rank of a stacked matrix that builds no kernel
+    # the window reads against its left kernel, against one rank of a
+    # stacked matrix that builds no kernel
     R = make_ring(p, e, identity_form(e))
     M = random_module(R, gm, 1, seed=seed)
     N = random_module(R, gn, rn, seed=seed + 1)
@@ -640,11 +651,7 @@ def test_radical_excess_matches_the_rank_identity(e, p, gm, gn, rn, seed):
     last = min(3, res.head)
     want = [_excess_from_ranks(L, A(i), A(i + 1), block, beta(i))
             for i in range(last + 1)]
-    for chunk in (hm._EXCESS_CHUNK, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hm, "_EXCESS_CHUNK", chunk)
-            got = [h.length - h.nu for h in hm._homology_window(res, N, last)]
-        assert got == want
+    assert [h.length - h.nu for h in hm._homology_window(res, N, last)] == want
 
 
 class _LosingLinalg(_CountingLinalg):
@@ -767,8 +774,7 @@ def test_layer_windows_match_full_matrix_reference(p, e):
 def test_windows_in_any_basis_match_the_full_matrix_reference(e, p, gm, gn, rn, seed):
     # the Tor and Ext windows run on N's Loewy copy, re-based layer by layer;
     # N drawn in a random basis must give the lengths, nu and
-    # m-annihilation of the full matrices on that basis, with the cycles of
-    # the radical excess taken in one chunk and one at a time
+    # m-annihilation of the full matrices on that basis
     R = make_ring(p, e, identity_form(e))
     M = random_module(R, gm, 1, seed=seed)
     N = _in_random_basis(random_module(R, gn, rn, seed=seed + 1), seed + 2)
@@ -777,11 +783,7 @@ def test_windows_in_any_basis_match_the_full_matrix_reference(e, p, gm, gn, rn, 
     w = min(3, res.head - 1)
     for window, step in ((hm._homology_window, 1), (hm._cohomology_window, -1)):
         want = [r[:3] for r in _reference_homology(res, N, w, step)]
-        for chunk in (hm._EXCESS_CHUNK, 1):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(hm, "_EXCESS_CHUNK", chunk)
-                got = [(h.length, h.nu, h.m_annihilated) for h in window(res, N, w)]
-            assert got == want
+        assert [(h.length, h.nu, h.m_annihilated) for h in window(res, N, w)] == want
 
 
 def _trial_4():

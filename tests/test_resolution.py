@@ -331,6 +331,78 @@ def test_kmat_triplets_matches_the_dense_kmat(case):
     assert np.array_equal(linalg.dense(rows, cols, vals, shape), want)
 
 
+@st.composite
+def join_inputs(draw):
+    """(A, B, p): two random sparse matrices whose product `join_sum` forms
+    on their shared index, or an edge case: one side empty, no nonzero
+    column of A meeting a nonzero row of B, or two terms of an entry of the
+    product that cancel mod p."""
+    p = draw(st.sampled_from((2, 101)))
+    kind = draw(st.sampled_from(("random", "random", "empty A", "empty B",
+                                 "no partner", "cancel")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
+    density = draw(st.sampled_from((0.2, 0.5, 0.9)))
+    A = rng.integers(1, p, size=(m, k)) * (rng.random((m, k)) < density)
+    B = rng.integers(1, p, size=(k, n)) * (rng.random((k, n)) < density)
+    if kind == "empty A":
+        A[:] = 0
+    elif kind == "empty B":
+        B[:] = 0
+    elif kind == "no partner":
+        A[:, ::2] = 0
+        B[1::2] = 0
+    elif kind == "cancel" and k >= 2:
+        # A[0, :2] = (1, 1) and B[:2, 0] = (v, -v): entry (0, 0) sums to zero
+        A[0, :2] = 1
+        B[:2, 0] = (1, p - 1)
+    return A.astype(np.int64), B.astype(np.int64), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(join_inputs(), st.integers(0, 2**32 - 1))
+def test_join_sum_matches_the_dense_product(case, seed):
+    # A's entries keyed by their column, in any order, B's by their row, in
+    # increasing rows and any order within a row; each pair sits at row n +
+    # column of the product
+    A, B, p = case
+    m, n = A.shape[0], B.shape[1]
+    rng = np.random.default_rng(seed)
+    ar, ac = np.nonzero(A)
+    br, bc = np.nonzero(B)
+    a, b = rng.permutation(len(ar)), rng.permutation(len(br))
+    b = b[np.argsort(br[b], kind="stable")]
+    ar, ac, br, bc = ar[a], ac[a], br[b], bc[b]
+    args = (ac, ar * n, A[ar, ac], br, bc, B[br, bc], p)
+    pos, vals = rs.join_sum(*args)
+    assert pos.dtype == vals.dtype == np.int64
+    assert np.all(np.diff(pos) > 0)
+    assert vals.size == 0 or (vals.min() >= 1 and vals.max() < p)
+    got = linalg.dense(pos // n, pos % n, vals, (m, n))
+    assert np.array_equal(got, A @ B % p)
+    # the room counts every input entry and every pair at ENTRY_BYTES: one
+    # byte short of the inputs, the join is refused before it looks up a
+    # key; one byte short of the inputs and pairs, before it repeats an entry
+    # of A into its pairs
+    entries = len(ar) + len(br)
+    pairs = int(np.count_nonzero(A, axis=0) @ np.count_nonzero(B, axis=1))
+    short = [(entries, "", ("searchsorted", "repeat"))] if entries else []
+    short += [(entries + pairs, f" into {pairs} pairs", ("repeat",))] if pairs else []
+    for units, what, unseen in short:
+        room, calls = linalg.ENTRY_BYTES * units - 1, []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("searchsorted", "repeat"):
+                mp.setattr(rs.np, name, lambda *a, f=getattr(np, name), **k:
+                           calls.append(f.__name__) or f(*a, **k))
+            with pytest.raises(NotMaterialized, match=(
+                    f"a join of {len(ar)} by {len(br)} entries{what} outgrows "
+                    f"the {room / 2**10:.1f} KiB")):
+                rs.join_sum(*args, room=room)
+        assert not set(calls) & set(unseen)
+    pos2, vals2 = rs.join_sum(*args, room=linalg.ENTRY_BYTES * (entries + pairs))
+    assert np.array_equal(pos2, pos) and np.array_equal(vals2, vals)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from((2, 3, 4)), st.sampled_from((3, 5, 101)),
        st.integers(0, 10**6))
