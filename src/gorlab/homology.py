@@ -37,13 +37,12 @@ dim N tiles (the trivial block), also as triplets (`_ext_diff`).  It stays
 an independent check on Tor: the duality check compares Hom(F, L_N), built
 by `_ext_diff` on every tile, with F tensor L_{N*} built by `_tor_block` on
 the layer corners, and L_N and L_{N*} are the Loewy copies of two different
-modules, each certified isomorphic to its own.  `tor_induced` builds the
-dense k-matrix of each lift, which may have unit entries, and reads it on
-the windows' slices: against A's cycles on their s coordinates of each
-copy, against B's left kernel on its last t.  Every block goes through
-`linalg.kernel_rref`, the one sparse kernel, which also serves the
-resolution, its columns relabelled fewest entries first; homology reads
-only ranks and spans, so no output depends on the basis.
+modules, each certified isomorphic to its own.  `tor_induced` joins A's
+cycles with the triplets of each lift tensor L, which may have unit
+entries, and the images' last t coordinates with B's left kernel.  Every
+block goes through `linalg.kernel_rref`, the one sparse kernel, which also
+serves the resolution, its columns relabelled fewest entries first;
+homology reads only ranks and spans, so no output depends on the basis.
 
 `_build_table` is the one builder of both tables, and `_plan` the one place
 that chooses a window, from M's certified Betti numbers, its junction J, dim
@@ -61,11 +60,12 @@ differential, so every table computes each degree once; `tor_induced` reads
 the lifts of `lift_chain_map` and the windows of its source and target
 together, degree by degree.  `_window` reads the room the process can get
 (`resolution.available_bytes`) once, before degree 0, and holds every
-kernel as its triplets.  One rule checks a degree against that room: the
-eliminations (`linalg.kernel_rref`) count `linalg.ENTRY_BYTES` per entry
-and `LINE_BYTES` per row and column, the excess's joins the first per
-entry and pair, its block both per cell and line.  A degree that does not
-fit is refused with NotMaterialized before it allocates.
+kernel as its triplets; `tor_induced` reads it once for its products.  One
+rule checks a degree against a room: the eliminations
+(`linalg.kernel_rref`) count `linalg.ENTRY_BYTES` per entry and
+`LINE_BYTES` per row and column, the joins the first per entry and pair,
+the blocks of `_rank` both per cell and line.  A degree that does not fit
+is refused with NotMaterialized before it allocates.
 
 Degrees past the materialized window are certified by the length count of
 a module X with m^2 X = 0, where L_t is the image of Tor_t(iota_X, N):
@@ -110,7 +110,6 @@ from .modules import (
 from .resolution import (
     MinimalFreeResolution,
     Nonzeros,
-    free_kmat,
     join_sum,
     kmat_triplets,
     lift_chain_map,
@@ -191,10 +190,9 @@ def _radical_excess(N: FiniteModule, Z, K, block, room: float) -> int:
     through each x_g, M[(y, c), k e + g] = sum_tau K[k, y t + tau]
     x_g[d - t + tau, c] (`kmat_triplets` on K's nonzeros as an (nk, b, t)
     entry array), then P[(z, g), k] = sum Z[z, (y, c)] M[(y, c), k e + g].
-    The images lie in the last Loewy layer (m^3 = 0), so P is tiny: only
-    its nonzero rows and columns are made dense, for `linalg.rank_array`.
-    Each join, and the block at `linalg.ENTRY_BYTES` per cell and
-    `LINE_BYTES` per line, is checked against `room` before it allocates."""
+    The images lie in the last Loewy layer (m^3 = 0), so P is tiny, and
+    `_rank` makes only its nonzero rows and columns dense.  Each join and
+    that block check against `room` before they allocate."""
     p, d, e = N.ring.p, N.dim, N.ring.e
     s, t = block
     zr, zc, zv, _ = Z
@@ -205,11 +203,18 @@ def _radical_excess(N: FiniteModule, Z, K, block, room: float) -> int:
     mr, mc, mv, _ = kmat_triplets(G, N.actions[:, d - t:, :s].transpose(1, 2, 0), p, room)
     # P[(z, g), k] at the index (z e + g) nk + k; M's rows come in order
     pos, vals = join_sum(zc, zr * (e * nk), zv, mr, mc % e * nk + mc // e, mv, p, room)
-    (rows, ri), (cols, ci) = (np.unique(x, return_inverse=True) for x in np.divmod(pos, nk))
+    return _rank(pos, vals, nk, p, room, "the radical excess's")
+
+
+def _rank(pos, vals, n: int, p: int, room: float, what: str) -> int:
+    """Rank of the n-column matrix with vals at the indices pos = row n + col,
+    from its nonzero rows and columns made dense once that block, at
+    `linalg.ENTRY_BYTES` per cell and `LINE_BYTES` per line, fits `room`."""
+    (rows, ri), (cols, ci) = (np.unique(x, return_inverse=True) for x in np.divmod(pos, n))
     m, n = len(rows), len(cols)
     if linalg.ENTRY_BYTES * m * n + linalg.LINE_BYTES * (m + n) > room:
         raise NotMaterialized(
-            f"the radical excess's {m} x {n} block outgrows the "
+            f"{what} {m} x {n} block outgrows the "
             f"{max(room, 0) / 2**10:.1f} KiB the process can get")
     return linalg.rank_array(linalg.dense(ri, ci, vals, (m, n)), p)
 
@@ -652,44 +657,52 @@ def ext(M: FiniteModule, N: FiniteModule, n: int) -> ExtTable:
 
 def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResult]:
     """Ranks of Tor_i(phi, N): Tor_i(A, N) -> Tor_i(B, N) for honest degrees
-    0..min(n, window), on the layer block (s, t) of N's Loewy copy L.  The
-    images of A's cycles are the rows of F^T (F = f_i tensor L) for the
-    first s coordinates of each copy, times the cycles, beside the rows for
-    the last d - s, which are cycles.  The rank is that of the images
-    modulo B's boundaries: their last t coordinates of each B copy times
-    B's left kernel, beside their first d - t as they are."""
+    0..min(n, window), on the layer block (s, t) of N's Loewy copy L, from
+    triplets: one join with F^T (F = f_i tensor L) maps into B's copies A's
+    cycles, on the first s coordinates of each copy, and one unit row per
+    dropped coordinate, a cycle.  The rank is that of the images modulo B's
+    boundaries: their last t coordinates of each B copy joined with B's
+    left kernel, beside their first d - t as they are (`_rank`).  Joins and
+    blocks check against one room, read before degree 0."""
     A, B = phi.source, phi.target
     if N.ring != A.ring:
         raise RingMismatch("modules over different rings")
     if n < 0:
         raise GorlabError(f"negative degree {n}")
     p = N.ring.p
-    ra = resolve(A, max(n, 1))
-    rb = resolve(B, max(n, 1))
+    ra, rb = (resolve(X, max(n, 1)) for X in (A, B))
     w = min([n] + [r.head for r in (ra, rb) if r.finite])
     for r in (ra, rb):
         w, = _plan(r.betti(n + 1), None, N.dim, w)
     L, layers = _loewy(N)
-    s, t = _block(layers)
-    d = L.dim
+    (s, t), d = _block(layers), L.dim
+    room = resolution.available_bytes()
     out = []
     for i, (f, ha, hb) in enumerate(zip(lift_chain_map(phi, w),
                                         _homology_window(ra, N, w),
                                         _homology_window(rb, N, w))):
         rank = 0
         if hb.length:
-            a, b = ra.betti_head[i], rb.betti_head[i]
-            FT = free_kmat(f, L.all_ops, p).T.reshape(a, d, b * d)
-            img = np.concatenate([
-                linalg.matmul_mod(linalg.dense(*ha.cycles),
-                                  FT[:, :s].reshape(a * s, b * d), p),
-                FT[:, s:].reshape(a * (d - s), b * d)])
-            img = img.reshape(len(img), b, d)
-            P = np.concatenate([
-                linalg.matmul_mod(img[:, :, d - t:].reshape(len(img), b * t),
-                                  linalg.dense(*hb.left_kernel).T, p),
-                img[:, :, :d - t].reshape(len(img), b * (d - t))], axis=1)
-            rank = linalg.rank_array(P, p)
+            (zr, zc, zv, (nz, _)), (kr, kc, kv, (nk, _)) = ha.cycles, hb.left_kernel
+            drop = np.flatnonzero(np.arange(ra.betti_head[i] * d) % d >= s)
+            b = rb.betti_head[i]
+            cols = nk + b * (d - t)   # K's rows, then B's first d - t
+            order = np.argsort(kc, kind="stable")
+            try:
+                F = kmat_triplets(f.transpose(), L.all_ops.transpose(0, 2, 1), p, room)
+                pos, vals = join_sum(np.concatenate([zc // s * d + zc % s, drop]),
+                                     np.concatenate([zr, nz + np.arange(len(drop))]) * b * d,
+                                     np.concatenate([zv, np.ones_like(drop)]),
+                                     *F[:3], p, room)
+                z, y, c = np.unravel_index(pos, (nz + len(drop), b, d))
+                tail = c >= d - t
+                kpos, kvals = join_sum(y[tail] * t + c[tail] - (d - t), z[tail] * cols,
+                                       vals[tail], kc[order], kr[order], kv[order], p, room)
+                rank = _rank(np.concatenate([kpos, (z * cols + nk + y * (d - t) + c)[~tail]]),
+                             np.concatenate([kvals, vals[~tail]]), cols, p, room,
+                             "the induced map's")
+            except NotMaterialized as exc:
+                raise NotMaterialized(f"induced map degree {i}: {exc}") from None
         out.append(InducedMapResult(i, rank, ha.length, hb.length, COMPUTED))
     return out
 

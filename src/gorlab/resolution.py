@@ -175,17 +175,6 @@ def available_bytes() -> float:
     return avail
 
 
-def free_kmat(G: np.ndarray, ops: np.ndarray, p: int) -> np.ndarray:
-    """k-matrix of del tensor N: N^a -> N^j for the ring-entry array G
-    (shape (a, j, e+2): row a is del(gen a)) of a map del: R^a -> R^j and
-    the action matrices ops = N.all_ops of N; ops = ring.basis_reg, the
-    action matrices of R itself, gives the k-matrix of del."""
-    a, j, _ = G.shape
-    d = ops.shape[1]
-    out = np.einsum("ajc,cxy->jxay", G, ops) % p
-    return out.reshape(j * d, a * d)
-
-
 class Nonzeros(NamedTuple):
     """The nonzero entries of the ring-entry array G of a map R^a -> R^j
     (shape (a, j, e+2): row a is del(gen a)): G[gen[k], target[k], slot[k]]
@@ -258,7 +247,7 @@ def kmat_triplets(G: Nonzeros, ops: np.ndarray, p: int,
     each nonzero places its multiple of a t x s matrix, duplicate positions
     are summed mod p and zeros dropped.  Every entry is a sum of C products
     below p^2, exact in int64.  With ops = N.all_ops this is the k-matrix
-    `free_kmat` builds dense.
+    of del tensor N: N^a -> N^j, and with ring.basis_reg that of del.
 
     The products are one `join_sum` on the slot, with no loop over the C
     slots, and `room` bounds it."""
@@ -549,35 +538,36 @@ def syzygy(M: FiniteModule, i: int) -> FiniteModule:
     return res.syzygy(i)[0]
 
 
-def lift_chain_map(phi: ModuleMap, n: int) -> list[np.ndarray]:
+def lift_chain_map(phi: ModuleMap, n: int) -> list[Nonzeros]:
     """Lifts f_i: F_i^A -> F_i^B of phi: A -> B to the minimal resolutions,
-    as ring-entry arrays (beta_i(A), beta_i(B), e+2), for degrees 0..n
-    (capped at the materialized heads).  The cover is del_0 and phi is
-    f_{-1}: f_i solves del_i^B f_i = f_{i-1} del_i^A, for i = 0 too, on the
-    generators of F_i^A.  The image of generator a is column a*D of the
-    cover, or row a of del_i^A's entry array (basis_reg[c][:, 0] is the
-    c-th unit vector), so only del_i^B's k-matrix is built."""
+    as the nonzeros of their entry arrays (beta_i(A), beta_i(B), e+2), for
+    degrees 0..n (capped at the materialized heads).  The cover is del_0 and
+    phi is f_{-1}: f_i solves del_i^B f_i = f_{i-1} del_i^A, for i = 0 too,
+    on the generators of F_i^A.  The image of generator a is column a*D of
+    the cover, or row a of del_i^A's entry array (basis_reg[c][:, 0] is the
+    c-th unit vector), so only del_i^B's and f_{i-1}'s k-matrices are built."""
     A, B = phi.source, phi.target
     ring = A.ring
     p, D = ring.p, ring.dim
     ra = resolve(A, n, min_head=n)
     rb = resolve(B, n, min_head=n)
-    lifts: list[np.ndarray] = []
+    lifts: list[Nonzeros] = []
     for i in range(min(n, ra.head, rb.head) + 1):
         if i == 0:
             prev, gens, KB = phi.matrix, ra.cover_matrix[:, ::D], rb.cover_matrix
         else:
             G = ra.diff(i)
-            prev = free_kmat(lifts[-1], ring.basis_reg, p)
+            prev, KB = (linalg.dense(*kmat_triplets(X, ring.basis_reg, p))
+                        for X in (lifts[-1], rb.nonzeros[i - 1]))
             gens = G.reshape(G.shape[0], G.shape[1] * D).T
-            KB = free_kmat(rb.diff(i), ring.basis_reg, p)
         f = np.zeros((ra.betti_head[i], rb.betti_head[i], D), dtype=np.int64)
         for a, x in enumerate(linalg.solve_many(KB, linalg.matmul_mod(prev, gens, p), p)):
             if x is None:
                 raise CertificateError(
                     f"resolution is exact, yet no lift in degree {i}")
             f[a] = x.reshape(rb.betti_head[i], D)
-        lifts.append(f)
+        gen, target, slot = np.nonzero(f)
+        lifts.append(Nonzeros(gen, target, slot, f[gen, target, slot], f.shape))
     return lifts
 
 

@@ -1,7 +1,19 @@
+import numpy as np
 import pytest
 
 from gorlab import cyclic_module, hyperbolic_form, identity_form, make_ring
 from gorlab.resolution import residue_field_module
+
+
+def _kmat(G, ops, p):
+    """Dense reference for `resolution.kmat_triplets`: the (j t) x (a s)
+    matrix whose tile at target copy y and source copy x is sum_c G[x, y, c]
+    ops[c], for an entry array G of shape (a, j, C) and ops of shape
+    (C, t, s).  ops = N.all_ops gives the k-matrix of del tensor N, and
+    ring.basis_reg that of del itself."""
+    a, j, _ = G.shape
+    _, t, s = ops.shape
+    return (np.einsum("ajc,cxy->jxay", G, ops) % p).reshape(j * t, a * s)
 
 
 @pytest.fixture(scope="session")

@@ -50,8 +50,9 @@ from gorlab.modules import (
     radical_square_rows,
     submodule,
 )
-from gorlab.resolution import Nonzeros, free_kmat, lift_chain_map, syzygy
+from gorlab.resolution import Nonzeros, lift_chain_map, syzygy
 from gorlab.verify import TrialConfig, _draw_ideal_gens, _draw_module, _ring_for
+from conftest import _kmat
 
 
 def _iota(M):
@@ -381,6 +382,34 @@ def test_radical_excess_refused_before_its_products(monkeypatch):
     monkeypatch.setattr(hm, "linalg", Spy())
     monkeypatch.setattr(rs, "available_bytes", lambda: entry + 2 * line)
     assert tor(M, N, 20).window == 5 and blocks[0] == (1, 1)
+
+
+def test_induced_map_refused_before_its_products(monkeypatch):
+    # tor_induced reads the room once, before degree 0, and its joins and
+    # blocks check against that reading, while each window reads its own.
+    # With a first reading of one byte and every later one unlimited, the
+    # windows pass, and the first degree with Tor_i(B, N) != 0 is refused,
+    # naming the degree: F's join before it counts its pairs, or, with the
+    # joins let through, the rank block
+    R = make_ring(101, 3, identity_form(3))
+    M = random_module(R, 2, 2, seed=17)
+    N = random_module(R, 1, 1, seed=18)
+    phi = _iota(M)
+    first = next(r.i for r in tor_induced(phi, N, 5) if r.target_length)
+    refusals = [r"a join of \d+ by \d+ entries", r"the induced map's \d+ x \d+ block"]
+    for refusal in refusals:
+        reads = iter([1])
+        with monkeypatch.context() as mp:
+            mp.setattr(rs, "available_bytes", lambda: next(reads, np.inf))
+            if refusal == refusals[1]:
+                mp.setattr(hm, "join_sum", lambda *args: rs.join_sum(*args[:7]))
+                mp.setattr(hm, "kmat_triplets", lambda *args: rs.kmat_triplets(*args[:3]))
+            with pytest.raises(NotMaterialized, match=(
+                    f"^induced map degree {first}: {refusal} outgrows the 0.0 KiB")):
+                tor_induced(phi, N, 5)
+    # the refusals leave nothing behind
+    ranks = [r.rank for r in tor_induced(phi, N, 5)]
+    assert ranks == _reference_induced(phi, N, len(ranks) - 1)
 
 
 # sha256 of the canonical JSON of tor (with its tor_induced ranks) and of
@@ -726,7 +755,7 @@ def _reference_homology(res, N, w, step=1):
         if 1 <= j <= res.head:
             G = res.diff(j)
             if step > 0:
-                return free_kmat(G, N.all_ops, p)
+                return _kmat(G, N.all_ops, p)
             return np.einsum("ajc,cxy->axjy", G, N.all_ops).reshape(
                 b(j) * d, b(j - 1) * d) % p
         return np.zeros((b(i - step) * d, b(i) * d), dtype=np.int64)
@@ -739,6 +768,25 @@ def _reference_homology(res, N, w, step=1):
         extra = _radical_excess_with_w(N, Z, R[:rank], (d, d))
         out.append((li, li - extra, extra == 0, Z, R[:rank]))
     return out
+
+
+def _reference_induced(phi, N, w):
+    """Ranks of Tor_i(phi, N) in degrees 0..w from the full matrices on N's
+    own basis: the images of A's cycles under the lift f_i tensor N, modulo
+    B's boundaries."""
+    p = N.ring.p
+    ha, hb = [], []
+    for X, h in ((phi.source, ha), (phi.target, hb)):
+        res = resolve(X, w + 1)
+        res.extend(w + 1)
+        h += _reference_homology(res, N, w)
+    lift = lift_chain_map(phi, w)
+    want = []
+    for i in range(w + 1):
+        img = ha[i][3] @ _kmat(lift[i].dense(), N.all_ops, p).T % p
+        B = hb[i][4]
+        want.append(rank_array(np.concatenate([B, img]), p) - B.shape[0])
+    return want
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
@@ -756,16 +804,7 @@ def test_layer_windows_match_full_matrix_reference(p, e):
         assert got == [r[:3] for r in _reference_homology(res, N, w)]
         for phi in maps:
             ranks = [r.rank for r in tor_induced(phi, N, 3)]
-            wi = len(ranks) - 1
-            ra, rb = resolve(phi.source, wi + 1), resolve(M, wi + 1)
-            ha, hb = _reference_homology(ra, N, wi), _reference_homology(rb, N, wi)
-            lift = lift_chain_map(phi, wi)
-            want = []
-            for i in range(wi + 1):
-                img = ha[i][3] @ free_kmat(lift[i], N.all_ops, p).T % p
-                B = hb[i][4]
-                want.append(rank_array(np.concatenate([B, img]), p) - B.shape[0])
-            assert ranks == want
+            assert ranks == _reference_induced(phi, N, len(ranks) - 1)
 
 
 @settings(max_examples=15, deadline=None)
@@ -774,7 +813,8 @@ def test_layer_windows_match_full_matrix_reference(p, e):
 def test_windows_in_any_basis_match_the_full_matrix_reference(e, p, gm, gn, rn, seed):
     # the Tor and Ext windows run on N's Loewy copy, re-based layer by layer;
     # N drawn in a random basis must give the lengths, nu and
-    # m-annihilation of the full matrices on that basis
+    # m-annihilation of the full matrices on that basis, and tor_induced the
+    # ranks, for iota_M and for the identity, whose lift has unit entries
     R = make_ring(p, e, identity_form(e))
     M = random_module(R, gm, 1, seed=seed)
     N = _in_random_basis(random_module(R, gn, rn, seed=seed + 1), seed + 2)
@@ -784,6 +824,9 @@ def test_windows_in_any_basis_match_the_full_matrix_reference(e, p, gm, gn, rn, 
     for window, step in ((hm._homology_window, 1), (hm._cohomology_window, -1)):
         want = [r[:3] for r in _reference_homology(res, N, w, step)]
         assert [(h.length, h.nu, h.m_annihilated) for h in window(res, N, w)] == want
+    for phi in (_iota(M), ModuleMap(M, M, np.eye(M.dim, dtype=np.int64))):
+        ranks = [r.rank for r in tor_induced(phi, N, 3)]
+        assert ranks == _reference_induced(phi, N, len(ranks) - 1)
 
 
 def _trial_4():
@@ -880,7 +923,7 @@ def test_tor_block_matches_full_matrix(p, e):
         for a, j in ((3, 2), (1, 4), (0, 2), (2, 0), (0, 0)):
             G = rng.integers(0, p, size=(a, j, R.dim), dtype=np.int64)
             G[:, :, 0] = 0
-            full = free_kmat(G, L.all_ops, p).reshape(j, d, a, d)
+            full = _kmat(G, L.all_ops, p).reshape(j, d, a, d)
             block = hm._tor_block(_nonzeros(G), L, layers)
             assert block[3] == (j * t, a * s)
             assert np.array_equal(_check_triplets(block, p),

@@ -32,7 +32,6 @@ from gorlab.resolution import (
     TAIL_OVERLAP,
     MinimalFreeResolution,
     Nonzeros,
-    free_kmat,
     k_syzygy_dims,
     lift_chain_map,
     residue_field_module,
@@ -46,6 +45,7 @@ from gorlab.modules import (
     socle_rows,
     submodule,
 )
+from conftest import _kmat
 
 # Betti numbers of k over the e = 3 ring: expansion of 1/(1 - 3t + t^2)
 K3_BETTI = [1, 3, 8, 21, 55, 144, 377, 987, 2584, 6765, 17711]
@@ -76,8 +76,8 @@ def test_differentials_compose_to_zero(R3):
     res = resolve(M, 5)
     res.extend(5)
     for i in range(1, min(5, res.head)):
-        prod = free_kmat(res.diff(i), R3.basis_reg, 101) @ \
-            free_kmat(res.diff(i + 1), R3.basis_reg, 101) % 101
+        prod = _kmat(res.diff(i), R3.basis_reg, 101) @ \
+            _kmat(res.diff(i + 1), R3.basis_reg, 101) % 101
         assert not prod.any()
     # minimality: no differential entry has a unit (degree-0) component
     for i in range(1, min(5, res.head) + 1):
@@ -238,7 +238,7 @@ def test_lift_chain_map_identity(R3):
     lift = lift_chain_map(ident, 4)
     res = resolve(M, 4)
     for i in range(5):
-        F = free_kmat(lift[i], R3.basis_reg, 101)
+        F = _kmat(lift[i].dense(), R3.basis_reg, 101)
         b = res.betti(4)[i]
         assert F.shape == (b * R3.dim, b * R3.dim)
         # lifting the identity gives an isomorphism in every degree
@@ -254,20 +254,20 @@ def test_lifts_commute_with_the_differentials(R3):
         phi = submodule(M, *radical_rows(M))[1]
         lift = lift_chain_map(phi, 4)
         ra, rb = resolve(phi.source, 4), resolve(M, 4)
-        kmat = [free_kmat(f, R3.basis_reg, p) for f in lift]
+        kmat = [_kmat(f.dense(), R3.basis_reg, p) for f in lift]
         assert np.array_equal(rb.cover_matrix @ kmat[0] % p,
                               phi.matrix @ ra.cover_matrix % p)
         for i in range(1, len(lift)):
-            dA = free_kmat(ra.diff(i), R3.basis_reg, p)
-            dB = free_kmat(rb.diff(i), R3.basis_reg, p)
+            dA = _kmat(ra.diff(i), R3.basis_reg, p)
+            dB = _kmat(rb.diff(i), R3.basis_reg, p)
             assert np.array_equal(dB @ kmat[i] % p, kmat[i - 1] @ dA % p)
         assert len(lift) == 5 and lift[0].shape[2] == D
 
 
-def test_free_kmat_is_block_regular_representation(R3):
+def test_kmat_triplets_is_block_regular_representation(R3):
     G = np.zeros((1, 1, 5), dtype=np.int64)
     G[0, 0, 1] = 1  # multiplication by x_1 on R
-    K = free_kmat(G, R3.basis_reg, R3.p)
+    K = linalg.dense(*rs.kmat_triplets(_stored(G), R3.basis_reg, R3.p))
     v = np.zeros(5, dtype=np.int64)
     v[0] = 1
     assert np.array_equal(K @ v % 101, R3.x(1).coeffs % 101)
@@ -312,14 +312,9 @@ def kmat_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(kmat_inputs())
 def test_kmat_triplets_matches_the_dense_kmat(case):
-    # the dense reference for ops of any shape (C, t, s); free_kmat is it
-    # for square ops
+    # against the dense reference, for ops of any shape (C, t, s)
     G, ops, p = case
-    a, j, _ = G.shape
-    _, t, s = ops.shape
-    want = (np.einsum("ajc,cxy->jxay", G, ops) % p).reshape(j * t, a * s)
-    if t == s:
-        assert np.array_equal(want, free_kmat(G, ops, p))
+    want = _kmat(G, ops, p)
     rows, cols, vals, shape = rs.kmat_triplets(_stored(G), ops, p)
     assert shape == want.shape
     for x in (rows, cols, vals):
@@ -482,7 +477,7 @@ def _cover_or_kmat(res, s):
     """k-matrix of del_s (s >= 1) or the cover matrix (s = 0)."""
     if s == 0:
         return res.cover_matrix
-    return free_kmat(res.diff(s), res.ring.basis_reg, res.ring.p)
+    return _kmat(res.diff(s), res.ring.basis_reg, res.ring.p)
 
 
 @settings(max_examples=30, deadline=None)

@@ -258,18 +258,29 @@ def _callers(tree, name: str) -> set:
 
 def test_the_room_is_read_only_per_extension_or_window():
     # reading the room opens /proc and cgroup files; the README promises one
-    # read per resolution extension or homology window, so a read per step
-    # or per degree, as the deleted guard_memory made, fails here
+    # read per resolution extension, homology window or induced-map call,
+    # so a read per step or per degree, as the deleted guard_memory made,
+    # fails here
     sites = {(path.name, where) for path in sorted(SRC.rglob("*.py"))
              for where in _callers(ast.parse(path.read_text(), str(path)),
                                    "available_bytes")}
     assert sites == {("resolution.py", "MinimalFreeResolution.extend"),
-                     ("homology.py", "_window")}, f"room read in {sorted(sites)}"
+                     ("homology.py", "_window"),
+                     ("homology.py", "tor_induced")}, f"room read in {sorted(sites)}"
     # the guard names the function a call sits in, nested ones included
     probe = ast.parse("def f():\n    def g():\n        rs.available_bytes()\n"
                       "    available_bytes()\nclass C:\n    def h(self):\n"
                       "        for _ in x:\n            available_bytes()\n")
     assert _callers(probe, "available_bytes") == {"f.g", "f", "C.h"}
+
+
+def test_no_dense_kmatrix_route_in_resolution_or_homology():
+    # resolution and homology build every k-matrix as triplets
+    # (`kmat_triplets`); an einsum there is a dense route coming back.
+    # ring.py's check of the algebra's structure constants keeps its einsum
+    found = [name for name in ("resolution.py", "homology.py")
+             if "einsum" in (SRC / name).read_text()]
+    assert not found, f"einsum in {found}"
 
 
 def test_the_parser_is_built_only_in_main():
