@@ -28,11 +28,15 @@ pivots in every column order, so the dict engine never sees them.
 Most of its calls are small (a resolution step after the first eliminates
 the linear part of a differential, a median of about a dozen entries), and
 for them numpy's per-call overhead, not the elimination, was most of the
-time.  An input with at most `_SMALL_ENTRIES` entries therefore takes the
+time.  An input with at most `_SMALL_ENTRIES` entries (`plain_route`, the
+one size threshold, which a resolution step reads too) therefore takes the
 peel, the row maps and the kernel entries in plain Python; a larger one
 takes them with numpy, whose fixed cost pays off there.  Both hand
 `_eliminate` the same rows, budget and stored count, so the route changes
-the time of a call, never its output or its refusals.
+the time of a call, never its output or its refusals.  The entries come
+back as they came in: lists to a caller that passes lists (a small
+resolution step, which stays on Python ints), int64 arrays to one that
+passes arrays, so a small call converts only for array callers.
 
 One rule bounds memory: `kernel_rref` takes the room its caller can still
 allocate and stores no more entries than fit in it, at `ENTRY_BYTES` per
@@ -288,7 +292,8 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
     (`_peel`, `_sparse_rows`, `_kernel_entries`): small calls are most
     calls, and numpy's fixed cost per call outweighs their elimination.
     Both routes peel the same rows, run `_eliminate` once on the same rows
-    with the same budget and stored count, and return the same triplets.
+    with the same budget and stored count, and return the same triplets:
+    as lists when `vals` is not an array, as int64 arrays when it is.
 
     `room` is the bytes the caller can still allocate.  The elimination
     stores no more entries than fit in it (see `ENTRY_BYTES`): an input
@@ -298,10 +303,13 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
     """
     m, n = shape
     budget = (room - LINE_BYTES * (m + n)) / ENTRY_BYTES
-    small = len(vals) <= _SMALL_ENTRIES
+    small = plain_route(len(vals))
+    arrays = isinstance(vals, np.ndarray)
     pivot_row = None
     if len(vals) <= budget:
         if small:
+            if arrays:
+                rows, cols, vals = (np.asarray(x).tolist() for x in (rows, cols, vals))
             data, where, pinned, stored = _small_rows(rows, cols, vals, m)
         else:
             ri, ci, vi, pinned = _peel(np.asarray(rows, dtype=np.int64),
@@ -317,18 +325,29 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
             f"{max(room, 0) / 2**10:.1f} KiB the process can get, room for "
             f"{max(int(budget), 0)} stored entries")
     if small:
-        return _small_kernel(data, pivot_row, pinned, n, p)
+        kr, kc, kv, free = _small_kernel(data, pivot_row, pinned, n, p)
+        if arrays:
+            kr, kc, kv = (np.array(x, dtype=np.int64) for x in (kr, kc, kv))
+        return kr, kc, kv, free
     kr, kc, kv, free = _kernel_entries(data, pivot_row, pinned, n, p)
     order = np.argsort(kr * n + kc)
-    return kr[order], kc[order], kv[order], free.tolist()
+    kr, kc, kv = kr[order], kc[order], kv[order]
+    if not arrays:
+        kr, kc, kv = kr.tolist(), kc.tolist(), kv.tolist()
+    return kr, kc, kv, free.tolist()
 
 
-def _small_rows(rows, cols, vals, m: int):
-    """`_peel` then `_sparse_rows` in plain Python, for a small input:
-    (rows, where, pinned, stored), with the marked columns as a set and the
-    count of entries left."""
-    ri, ci, vi = (np.asarray(rows).tolist(), np.asarray(cols).tolist(),
-                  np.asarray(vals).tolist())
+def plain_route(entries: int) -> bool:
+    """Whether work on this many entries takes the plain-Python route: at
+    most `_SMALL_ENTRIES`, the one size threshold of `kernel_rref` and of a
+    resolution step."""
+    return entries <= _SMALL_ENTRIES
+
+
+def _small_rows(ri: list, ci: list, vi: list, m: int):
+    """`_peel` then `_sparse_rows` in plain Python, for a small input given
+    as lists: (rows, where, pinned, stored), with the marked columns as a
+    set and the count of entries left."""
     pinned: set = set()
     while True:
         count = Counter(ri)
@@ -355,9 +374,10 @@ def _small_rows(rows, cols, vals, m: int):
 
 def _small_kernel(data: list, pivot_row: dict, pinned: set, n: int, p: int):
     """`_kernel_entries` and the row-major sort in plain Python, for a
-    small input: the kernel's (rows, cols, vals, pivots).  Vector k is the
-    unit at its free column, then the entries of the pivot rows there in
-    increasing pivot; only the vectors with such entries are visited."""
+    small input: the kernel's (rows, cols, vals, pivots) as lists.  Vector
+    k is the unit at its free column, then the entries of the pivot rows
+    there in increasing pivot; only the vectors with such entries are
+    visited."""
     free = sorted(set(range(n)).difference(pivot_row, pinned))
     below = []
     for c, i in pivot_row.items():
@@ -381,8 +401,7 @@ def _small_kernel(data: list, pivot_row: dict, pinned: set, n: int, p: int):
     kr.extend(range(done, len(free)))
     kc.extend(free[done:])
     kv.extend([1] * (len(free) - done))
-    return (np.array(kr, dtype=np.int64), np.array(kc, dtype=np.int64),
-            np.array(kv, dtype=np.int64), free)
+    return kr, kc, kv, free
 
 
 def _peel(ri, ci, vi, n: int):

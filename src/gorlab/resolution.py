@@ -3,13 +3,16 @@
 Resolutions have two regimes.  A materialized head is computed honestly, one
 k-linear kernel per homological degree.  Matrix sizes grow like e^i, so
 `extend` reads what the process can still allocate (`available_bytes`: the
-least of physical RAM, RLIMIT_AS and the memory cgroup's limit, each less
-what is already in use, and the kernel's MemAvailable) once, before its
-first step, and each step's eliminations check what they hold against it
-(`linalg.kernel_rref`): a step that does not fit is refused with
-NotMaterialized before its elimination allocates more.  Whether a step is
-refused thus depends on the machine and on what the process holds, never on
-a tunable.  The head holds only the degrees that the tail certificate, the
+least of physical RAM, RLIMIT_AS and the limits of the process's own memory
+cgroup and its ancestors, each less what is already in use, and the
+kernel's MemAvailable) once, before its first step, and each step's
+eliminations check what they hold against it (`linalg.kernel_rref`): a step
+that does not fit is refused with NotMaterialized before its elimination
+allocates more.  Whether a step is refused thus depends on the machine and
+on what the process holds, never on a tunable.  Every reading is taken
+afresh, from files the process keeps open (`_read`) and opens again after a
+fork, so a read costs microseconds, not the opening of four files.  The head
+holds only the degrees that the tail certificate, the
 homology windows and the syzygy and lifting calls ask for.  `extend` takes
 one width rule for every head: it stops silently before a kernel problem
 wider than its column budget, DEFAULT_BUDGET for the CLI `resolve` verb and
@@ -48,6 +51,16 @@ and it is the only one that can be zero, so only a free module's resolution
 ends.  Either kernel then goes through one assembly, which writes only the
 rows the step keeps, once, into del_{i+1}: after the cover every row of
 del_{i+1} is x-only or a single w-unit 1.
+
+A step takes one of two routes, by one threshold, `linalg.plain_route` on
+the nonzeros of the cover matrix or of del_i.  Most steps are small (a
+median of about a dozen nonzeros in a perfbench batch), and on them numpy's
+fixed cost per call was most of the time, so a small step works on Python
+ints from start to finish (`_small_step`): L built as a dict through the
+nonzero entries of the form, kernel_rref on lists, the leads of S tested
+with a set, and one Nonzeros built at the end.  A larger step works on
+arrays, whose fixed cost pays off there.  Both give the same kernel_rref
+call, so the same room check and refusal, and the same differential.
 
 The step also reads nu(m M_i) = dim m K, for its kernel K, and leaves out of
 the differential the rows of K's rref basis that m K covers.  K lies in m F,
@@ -106,8 +119,9 @@ CHAIN_BUDGET = 1500       # max dimension of a chain module F_j (x) N taken
                           # whole: a slack degree (N = R) or a homology window
 
 
-# (limit, usage, stat) files of a memory cgroup, v2 then v1, and the stat
-# key of the page cache the kernel reclaims before it kills a process
+# (limit, usage, stat) files of a memory cgroup at the root of its mount,
+# v2 then v1, and the stat key of the page cache the kernel reclaims before
+# it kills a process
 _CGROUP_FILES = (
     ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current",
      "/sys/fs/cgroup/memory.stat", "inactive_file"),
@@ -117,25 +131,105 @@ _CGROUP_FILES = (
 )
 
 
+class _Kept:
+    """What room reads keep for the process `pid`: the files `_read` holds
+    open, by path (None for one that could not be opened), the page size,
+    physical RAM and `resource` module (None where the platform lacks
+    them), and the files of its memory cgroups (`_cgroup_levels`)."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.fds: dict = {}
+        self.levels: list | None = None
+        try:
+            import resource
+            page = os.sysconf("SC_PAGE_SIZE")
+            self.machine = resource, page, os.sysconf("SC_PHYS_PAGES") * page
+        except (ImportError, AttributeError, ValueError, OSError):
+            self.machine = None
+
+
+_kept: _Kept | None = None
+
+
+def _process() -> _Kept:
+    """This process's `_Kept`, made afresh when os.getpid() changes: a
+    forked child inherits its parent's descriptors, whose /proc/self is the
+    parent's, so it closes them and opens its own."""
+    global _kept
+    if _kept is None or _kept.pid != os.getpid():
+        for fd in (_kept.fds.values() if _kept is not None else ()):
+            if fd is not None:
+                os.close(fd)
+        _kept = _Kept()
+    return _kept
+
+
 def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    """The text of a file, read now from offset 0 (`os.pread`) through a
+    descriptor the process keeps open; a file that cannot be opened is
+    remembered as missing and raises OSError at every read."""
+    fds = _process().fds
+    if path not in fds:
+        try:
+            fds[path] = os.open(path, os.O_RDONLY)
+        except OSError:
+            fds[path] = None
+    fd = fds[path]
+    if fd is None:
+        raise FileNotFoundError(path)
+    # a read shorter than asked ends the file
+    chunks = [os.pread(fd, 8192, 0)]
+    while len(chunks[-1]) == 8192:
+        chunks.append(os.pread(fd, 8192, 8192 * len(chunks)))
+    return b"".join(chunks).decode()
+
+
+def _cgroup_levels() -> list:
+    """(limit, usage, stat, key) of the process's own memory cgroup and of
+    each ancestor up to the root of the mount, for each entry of
+    `_CGROUP_FILES`: the v2 entry takes the path of the "0::" line of
+    /proc/self/cgroup, the v1 entry that of the memory controller, and the
+    root alone where the line is missing.  Worked out once per process."""
+    kept = _process()
+    if kept.levels is not None:
+        return kept.levels
+    own = {}   # controller -> path, "" for v2
+    try:
+        for line in _read("/proc/self/cgroup").splitlines():
+            _, controllers, path = line.split(":", 2)
+            own.update(dict.fromkeys(controllers.split(","), path))
+    except (OSError, ValueError):
+        pass
+    kept.levels = []
+    for files, controller in zip(_CGROUP_FILES, ("", "memory")):
+        parts = [x for x in own.get(controller, "/").split("/") if x]
+        for depth in range(len(parts), -1, -1):
+            where = "/".join(parts[:depth])
+            kept.levels.append(tuple(os.path.join(os.path.dirname(f), where,
+                                                  os.path.basename(f))
+                                     for f in files[:3]) + (files[3],))
+    return kept.levels
 
 
 def _cgroup_room(ram: float) -> float:
-    """The memory cgroup's limit less its usage, with the page cache the
-    kernel reclaims first counted as room; infinity when no limit below
-    `ram` can be read (only then are usage and stat read)."""
-    for limit, usage, stat, key in _CGROUP_FILES:
+    """The least room over the memory cgroups that bind the process (its
+    own and each ancestor, v2 and v1, `_cgroup_levels`): a cgroup's limit
+    less its usage, with the page cache the kernel reclaims first counted as
+    room.  A cgroup without a limit below `ram` that can be read adds
+    nothing (only a limit below it has its usage and stat read), and
+    infinity is left when none has one."""
+    room = float("inf")
+    for limit, usage, stat, key in _cgroup_levels():
         try:
             text = _read(limit).strip()
             if text == "max" or int(text) >= ram:
-                return float("inf")
+                continue
             cache = dict(line.split() for line in _read(stat).splitlines())
-            return int(text) - int(_read(usage)) + int(cache.get(key, 0))
+            room = min(room, int(text) - int(_read(usage)) + int(cache.get(key, 0)))
         except (OSError, ValueError):
             continue
-    return float("inf")
+    return room
 
 
 def _mem_available() -> float:
@@ -154,17 +248,21 @@ def _mem_available() -> float:
 def available_bytes() -> float:
     """Bytes the process can still allocate, read now: the least of physical
     RAM less its resident set, the kernel's MemAvailable, RLIMIT_AS less
-    its address space, and the room left in its memory cgroup.  RAM less
+    its address space, and the room left in its memory cgroups.  RAM less
     the resident set ignores every other process, so MemAvailable bounds
     it where the kernel reports one.  A reading the platform does not offer
-    (resource and sysconf are Unix-only) counts as unlimited."""
-    try:
-        import resource
-        page = os.sysconf("SC_PAGE_SIZE")
-        phys = os.sysconf("SC_PHYS_PAGES") * page
-        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
-    except (ImportError, AttributeError, ValueError, OSError):
+    (resource and sysconf are Unix-only) counts as unlimited.
+
+    Every reading is fresh; what cannot change within a process is looked
+    up once: the page size, physical RAM, `resource` and the cgroup paths.
+    The files are kept open and read with `os.pread`, a few microseconds a
+    read where opening them took about a hundred (`_read`), and are opened
+    afresh in a forked child."""
+    machine = _process().machine
+    if machine is None:
         return min(_mem_available(), _cgroup_room(float("inf")))
+    resource, page, phys = machine
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     try:
         size, resident = (int(v) * page for v in _read("/proc/self/statm").split()[:2])
     except (OSError, ValueError):
@@ -281,6 +379,29 @@ def _linear_part(ring: ShortGorensteinRing, G: Nonzeros):
     return kmat_triplets(G, ops, ring.p)
 
 
+def _small_linear_part(ring: ShortGorensteinRing, G: Nonzeros):
+    """`_linear_part` on Python ints, for a differential with few nonzeros:
+    L's triplets as lists in row-major order and its shape.  Each nonzero
+    of G on slot 1+h adds form[g, h] times its value to column a*e + g, for
+    the g where that entry of the form is nonzero (listed once per ring)."""
+    e, p = ring.e, ring.p
+    by_slot = ring._cache.get("form_columns")
+    if by_slot is None:
+        form = ring.form.tolist()
+        by_slot = ring._cache["form_columns"] = (
+            [[]] + [[(g, row[h]) for g, row in enumerate(form) if row[h]]
+                    for h in range(e)] + [[]])
+    L: dict = {}
+    for a, j, slot, v in zip(G.gen.tolist(), G.target.tolist(),
+                             G.slot.tolist(), G.val.tolist()):
+        for g, f in by_slot[slot]:
+            key = (j, a * e + g)
+            L[key] = L.get(key, 0) + v * f
+    keys = sorted(key for key, v in L.items() if v % p)
+    return ([j for j, _ in keys], [c for _, c in keys],
+            [L[key] % p for key in keys], (G.shape[1], G.shape[0] * e))
+
+
 def _slice_pivots(rows, cols, vals, blocks: int, p: int) -> list[int]:
     """Pivots of rref(S), for the span S of the x-slot slices of kernel rows
     given by their nonzeros: vals[k] at slice rows[k] (one slice per kernel
@@ -360,12 +481,20 @@ class MinimalFreeResolution:
         return dims
 
     def _step(self, room: float):
+        # two routes, one threshold: a step whose cover matrix or del_i has
+        # few nonzeros (`linalg.plain_route`) runs on Python ints
+        # (`_small_step`), where numpy's fixed cost per call would be most of
+        # its time; a larger one runs on arrays, here.  Both give the same
+        # kernel_rref call, rows and Nonzeros
         ring = self.ring
         p, e, D = ring.p, ring.e, ring.dim
         b = self.betti_head[-1]
         if self.head == 0:
             C = self.cover_matrix
             ri, ci = np.nonzero(C)
+            if linalg.plain_route(len(ri)):
+                return self._small_step(room, (ri.tolist(), ci.tolist(),
+                                               C[ri, ci].tolist(), C.shape))
             kr, kc, kv, kpiv = linalg.kernel_rref(ri, ci, C[ri, ci], C.shape, p, room)
             if (kc % D == 0).any():
                 raise CertificateError(
@@ -377,6 +506,8 @@ class MinimalFreeResolution:
             # S's column for the earliest w-pivot block is zero
             self.finite = not kpiv
             kpiv = np.asarray(kpiv, dtype=np.int64)
+        elif linalg.plain_route(len(self.nonzeros[-1].val)):
+            return self._small_step(room)
         else:
             # ker del = ker(L) + wF: the rows of rref(ker L) on their x-slots
             # (column a*e + g of L is slot a*D + 1 + g of F) and one w-unit
@@ -408,7 +539,89 @@ class MinimalFreeResolution:
         gen = np.cumsum(kept) - 1
         x = kept[kr]
         G = Nonzeros(gen[kr[x]], blk[x], slot[x], kv[x], (int(kept.sum()), b, D))
-        self.nu_m.append(len(drop))
+        self._append(G, len(drop))
+
+    def _small_step(self, room: float, cover=None):
+        """`_step` on Python ints from start to finish, for the cover
+        matrix's nonzeros `cover` (rows, cols, vals, shape), or, without
+        them, for a del_i with few nonzeros: the same kernel_rref call, rows,
+        S and Nonzeros as the array route."""
+        ring = self.ring
+        p, e, D = ring.p, ring.e, ring.dim
+        b = self.betti_head[-1]
+        if cover is not None:
+            kr, kc, kv, kpiv = linalg.kernel_rref(*cover, p, room)
+            if any(c % D == 0 for c in kc):
+                raise CertificateError(
+                    "kernel escapes the radical; cover not minimal")
+            self.finite = not kpiv
+            rows = [(c, []) for c in kpiv]
+        else:
+            kr, kc, kv, lpiv = linalg.kernel_rref(
+                *_small_linear_part(ring, self.nonzeros[-1]), p, room)
+            if len({c // e for c in lpiv}) == b:
+                # every block holds the pivot of a row of ker L, and that
+                # row's slice at the pivot's slot leads there: S is
+                # everything, every w-unit row drops, and the rows of ker L
+                # on their x-slots are del_{i+1}
+                blk, slot = np.divmod(np.array(kc, dtype=np.int64), e)
+                slot += 1
+                return self._append(Nonzeros(np.array(kr, dtype=np.int64), blk, slot,
+                                             np.array(kv, dtype=np.int64),
+                                             (len(lpiv), b, D)), b)
+            # the rows of ker L in F's coordinates and the w-unit rows,
+            # merged by pivot
+            kc = [c // e * D + 1 + c % e for c in kc]
+            rows = sorted([(c // e * D + 1 + c % e, []) for c in lpiv]
+                          + [(a * D + D - 1, [(a * D + D - 1, 1)]) for a in range(b)])
+            kr = [r + lpiv[r] // e for r in kr]   # each x-row's place among them
+        for r, c, v in zip(kr, kc, kv):
+            rows[r][1].append((c, v))
+        # S's nonzeros, as `_slice_pivots` takes them: slice r e + slot - 1
+        # of row r on the blocks of the w-pivot rows, numbered by pivot.  A
+        # row's entries go by column, so each slice's first entry is its lead
+        wblocks = [c // D for c, _ in rows if c % D == D - 1]
+        col = {blk: k for k, blk in enumerate(wblocks)}
+        sr: list[int] = []
+        sc: list[int] = []
+        sv: list[int] = []
+        seen, leads = set(), set()
+        for r, (_, ents) in enumerate(rows):
+            for c, v in ents:
+                blk, slot = divmod(c, D)
+                if blk in col and slot <= e:
+                    s = r * e + slot - 1
+                    if s not in seen:
+                        seen.add(s)
+                        leads.add(col[blk])
+                    sr.append(s)
+                    sc.append(col[blk])
+                    sv.append(v)
+        if sv and len(leads) == len(wblocks):
+            drop = wblocks
+        else:
+            drop = [wblocks[k] for k in _slice_pivots(
+                *(np.array(x, dtype=np.int64) for x in (sr, sc, sv)), len(wblocks), p)]
+        dropped = {blk * D + D - 1 for blk in drop}
+        gen: list[int] = []
+        cols: list[int] = []
+        vals: list[int] = []
+        k = 0   # the generator of the next row kept
+        for piv, ents in rows:
+            if piv in dropped:
+                continue
+            for c, v in ents:
+                gen.append(k)
+                cols.append(c)
+                vals.append(v)
+            k += 1
+        blk, slot = np.divmod(np.array(cols, dtype=np.int64), D)
+        self._append(Nonzeros(np.array(gen, dtype=np.int64), blk, slot,
+                              np.array(vals, dtype=np.int64), (k, b, D)), len(drop))
+
+    def _append(self, G: Nonzeros, nu: int):
+        """Record del_{i+1} with nonzeros G and nu(m M_{i+1}) = nu."""
+        self.nu_m.append(nu)
         self.nonzeros.append(G)
         self.betti_head.append(G.shape[0])
 

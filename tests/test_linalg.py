@@ -427,7 +427,8 @@ def _on_route(route, *args):
 @given(sparse_for_kernel_rref())
 def test_kernel_rref_routes_agree(mp):
     # for the matrix and its transpose (not in row-major order): the same
-    # rows, cols, vals (int64) and pivots from either conversion
+    # rows, cols, vals (int64) and pivots from either conversion, and the
+    # same as lists for a caller that passes lists
     A, p = mp
     rows, cols, vals, (m, n) = _triplets(A)
     for args in ((rows, cols, vals, (m, n), p), (cols, rows, vals, (n, m), p)):
@@ -435,6 +436,11 @@ def test_kernel_rref_routes_agree(mp):
         assert a[3] == b[3]
         for x, y in zip(a[:3], b[:3]):
             assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+        lists = [x.tolist() for x in args[:3]] + list(args[3:])
+        for route in (NUMPY_ROUTE, PYTHON_ROUTE):
+            out = _on_route(route, *lists)
+            assert all(type(x) is list for x in out)
+            assert list(out) == [x.tolist() for x in a[:3]] + [a[3]]
 
 
 @pytest.mark.parametrize("entries", [5, 6])

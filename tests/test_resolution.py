@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from gorlab import (
@@ -165,7 +165,7 @@ def test_step_refused_before_allocation(R3, monkeypatch):
     assert crossed == [True] and res.head == 4
 
 
-def test_available_bytes_reads_the_memory_cgroup(tmp_path, monkeypatch):
+def test_available_bytes_reads_the_memory_cgroup(tmp_path, monkeypatch, fresh_process):
     limit, usage, stat = (tmp_path / f for f in ("limit", "usage", "stat"))
     usage.write_text("600000\n")
     stat.write_text("cache 300000\ninactive_file 100000\n")
@@ -179,9 +179,12 @@ def test_available_bytes_reads_the_memory_cgroup(tmp_path, monkeypatch):
     assert rs.available_bytes() <= 500000
     # a limit at or above the RAM binds nothing the RAM does not
     assert rs._cgroup_room(1000000) == float("inf")
-    # where sysconf and resource are missing, only the cgroup is read
+    # where sysconf and resource are missing, only the cgroup is read (in a
+    # process that looks them up afresh: each process does so once)
+    _forget_process()
     monkeypatch.delattr(os, "sysconf")
     assert rs.available_bytes() == 500000
+    assert rs._kept.machine is None
 
 
 def test_available_bytes_is_bounded_by_mem_available(monkeypatch):
@@ -203,6 +206,168 @@ def test_available_bytes_is_bounded_by_mem_available(monkeypatch):
     assert rs.available_bytes() > 1000 * 1024
     del files["/proc/meminfo"]
     assert rs._mem_available() == float("inf")
+
+
+def _forget_process():
+    """Close the files room reads keep, so that the next read starts the way
+    a new process does."""
+    if rs._kept is not None:
+        for fd in rs._kept.fds.values():
+            if fd is not None:
+                os.close(fd)
+    rs._kept = None
+
+
+@pytest.fixture
+def fresh_process(monkeypatch):
+    """Room reads from a state of their own (kept files, machine readings,
+    cgroup paths), closed at the end; the state before is put back."""
+    monkeypatch.setattr(rs, "_kept", None)
+    yield
+    _forget_process()
+
+
+def _opens(monkeypatch):
+    """The paths os.open is asked for, in order."""
+    opened, real = [], os.open
+    monkeypatch.setattr(os, "open", lambda path, *args, **kw: (
+        opened.append(path) or real(path, *args, **kw)))
+    return opened
+
+
+def _until_equal(path):
+    # a /proc file can change between two reads, so a few tries
+    return any(rs._read(path) == Path(path).read_text() for _ in range(20))
+
+
+def test_kept_reads_are_fresh(tmp_path, fresh_process):
+    for path in ("/proc/self/statm", "/proc/meminfo"):
+        assert _until_equal(path)
+    # a file rewritten between reads, longer than one pread and shorter again
+    f = tmp_path / "f"
+    for text in ("1000\n", "x" * 20000 + "\n", "max\n", ""):
+        f.write_text(text)
+        assert rs._read(str(f)) == f.read_text() == text
+    # the resident set the kept statm reads follows memory the process touches
+    page = os.sysconf("SC_PAGE_SIZE")
+    before = int(rs._read("/proc/self/statm").split()[1])
+    block = bytearray(64 * 2**20)
+    block[::page] = b"\x01" * len(block[::page])
+    after = int(rs._read("/proc/self/statm").split()[1])
+    assert after - before >= 0.9 * len(block) / page
+    del block
+
+
+def test_kept_files_open_once_per_process(fresh_process, monkeypatch):
+    opened = _opens(monkeypatch)
+    for _ in range(200):
+        rs.available_bytes()
+    assert opened and max(opened.count(p) for p in opened) == 1, opened
+    assert {"/proc/self/statm", "/proc/meminfo", "/proc/self/cgroup"} <= set(opened)
+    # a forked child has a pid of its own: every file is opened again, and a
+    # missing one is tried again too
+    first = list(opened)
+    pid = os.getpid()
+    monkeypatch.setattr(os, "getpid", lambda: pid + 1)
+    rs.available_bytes()
+    assert opened[len(first):] == first
+    monkeypatch.setattr(os, "getpid", lambda: pid)
+    rs.available_bytes()
+    assert opened[2 * len(first):] == first
+
+
+def test_a_missing_file_is_remembered(tmp_path, fresh_process, monkeypatch):
+    opened = _opens(monkeypatch)
+    path = str(tmp_path / "missing")
+    for _ in range(3):
+        with pytest.raises(OSError):
+            rs._read(path)
+    assert opened == [path]
+
+
+# per cgroup version: the limit, usage and stat files, the stat key of the
+# page cache the kernel reclaims, what a cgroup without a limit reads, and
+# the /proc/self/cgroup text that puts the process in a given cgroup
+FAKE_CGROUPS = {
+    2: (("memory.max", "memory.current", "memory.stat"), "inactive_file", "max",
+        "0::{}\n"),
+    1: (("memory.limit_in_bytes", "memory.usage_in_bytes", "memory.stat"),
+        "total_inactive_file", "9223372036854771712",
+        "12:pids:/\n4:memory:{}\n1:name=systemd:/\n"),
+}
+
+
+def _fake_cgroups(tmp_path, monkeypatch, version, own, tree):
+    """A v2 or v1 memory mount under tmp_path whose cgroups `tree` maps
+    (path below the mount -> (limit or None, usage, reclaimable page cache),
+    or None for a cgroup without its files), and a /proc/self/cgroup that
+    puts the process in `own`."""
+    names, key, unlimited, text = FAKE_CGROUPS[version]
+    mount = tmp_path / "mount"
+    for where, reading in tree.items():
+        d = mount / where
+        d.mkdir(parents=True, exist_ok=True)
+        if reading is not None:
+            limit, usage, cache = reading
+            (d / names[0]).write_text(f"{unlimited if limit is None else limit}\n")
+            (d / names[1]).write_text(f"{usage}\n")
+            (d / names[2]).write_text(f"cache {cache + 7}\n{key} {cache}\n")
+    files = tuple(str(mount / n) for n in names) + (key,)
+    none = (str(tmp_path / "none"),) * 3 + (key,)
+    monkeypatch.setattr(rs, "_CGROUP_FILES", (files, none) if version == 2 else (none, files))
+    real = rs._read
+    monkeypatch.setattr(rs, "_read", lambda path: (
+        text.format(own) if path == "/proc/self/cgroup" else real(path)))
+
+
+FREE = (None, 5, 0)   # a cgroup without a limit
+CGROUP_CASES = {
+    # the limit on the process's own cgroup binds
+    "own": ({"": FREE, "a": FREE, "a/b": (10**6, 600000, 100000)}, 500000),
+    # the limit on an ancestor binds, the own cgroup has none
+    "ancestor": ({"": FREE, "a": (2 * 10**6, 1800000, 50000), "a/b": FREE}, 250000),
+    # the least of the two
+    "both": ({"": FREE, "a": (2 * 10**6, 1800000, 50000),
+              "a/b": (10**6, 600000, 100000)}, 250000),
+    # the root's limit counts too
+    "root": ({"": (10**6, 900000, 0), "a": FREE, "a/b": FREE}, 100000),
+    "no limit": ({"": FREE, "a": FREE, "a/b": FREE}, float("inf")),
+    # no files in the own cgroup or its parent: the root is read
+    "missing file": ({"": (10**6, 700000, 0), "a/b": None}, 300000),
+    # the own cgroup is not under the mount at all, as in a v1 container
+    # without a cgroup namespace, whose mount is its own cgroup
+    "not mounted": ({"": (10**6, 700000, 0)}, 300000),
+}
+
+
+@pytest.mark.parametrize("version", [2, 1])
+@pytest.mark.parametrize("case", sorted(CGROUP_CASES))
+def test_the_room_is_the_least_over_the_own_cgroup_and_its_ancestors(
+        case, version, tmp_path, fresh_process, monkeypatch):
+    tree, room = CGROUP_CASES[case]
+    _fake_cgroups(tmp_path, monkeypatch, version, "/a/b", tree)
+    assert rs._cgroup_room(2**60) == room
+    if room == float("inf"):
+        return
+    assert rs.available_bytes() == room
+    # a resolution reads that room, and the first step whose elimination
+    # outgrows it is refused before it allocates more
+    R3 = make_ring(101, 3, identity_form(3))
+    res = MinimalFreeResolution(random_module(R3, 2, 2, seed=5))
+    with pytest.raises(NotMaterialized, match=(
+            r"resolution step \d+: a \d+ x \d+ elimination .* outgrows the "
+            rf"{room / 2**10:.1f} KiB the process can get")):
+        res.extend(20)
+    assert 0 < res.head < 20
+
+
+def test_cgroup_usage_is_read_only_under_a_limit(tmp_path, fresh_process, monkeypatch):
+    # a limit at or above the RAM binds nothing, so its usage is not read
+    _fake_cgroups(tmp_path, monkeypatch, 2, "/a/b", CGROUP_CASES["own"][0])
+    opened = _opens(monkeypatch)
+    assert rs._cgroup_room(10**6) == float("inf")
+    assert opened and not [p for p in opened if os.path.basename(p) in (
+        "memory.current", "memory.stat")]
 
 
 def test_betti_match_geometric_expansion(k3, R3):
@@ -537,6 +702,76 @@ def test_w_unit_rows_are_the_split_copies_of_k(M):
 # benchmark's betti_verdicts batch (the leading entries miss a column the
 # span has), and of R/m^2, whose kernel wR has no x-slot entries at all
 FALLBACK_STEPS = [("bv_r2", 1, 2), ("rm2", 1, 0)]
+
+
+# `linalg._SMALL_ENTRIES` values that send every step down one route, and
+# the threshold itself, under which a small step can still hand kernel_rref
+# more entries than the threshold (L has up to e entries per nonzero of G)
+ARRAY_ROUTE, PLAIN_ROUTE, BY_SIZE = -1, 10**6, linalg._SMALL_ENTRIES
+
+
+def _resolved_on_route(M, route, steps):
+    real = linalg._SMALL_ENTRIES
+    linalg._SMALL_ENTRIES = route
+    try:
+        res = MinimalFreeResolution(M)
+        res.extend(steps)
+    finally:
+        linalg._SMALL_ENTRIES = real
+    return res
+
+
+@st.composite
+def route_modules(draw):
+    """Random modules over p in {2, 3, 101} and e in {2, 3, 4}, with the
+    identity form or a random nondegenerate symmetric one.  The form is
+    drawn a bounded number of times, its diagonal too: over GF(2) a
+    symmetric form with a zero diagonal is alternating, hence degenerate in
+    odd e."""
+    p = draw(st.sampled_from((2, 3, 101)))
+    e = draw(st.sampled_from((2, 3, 4)))
+    seed = draw(st.integers(0, 2**31 - 1))
+    form = identity_form(e)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            form = np.triu(rng.integers(0, p, size=(e, e)))
+            form = form + np.triu(form, 1).T
+            if rank_array(form, p) == e:
+                break
+        else:
+            reject()
+    ring = make_ring(p, e, form)
+    return random_module(ring, draw(st.integers(1, 2)), draw(st.integers(0, 3)), seed)
+
+
+def _routes_agree(M):
+    # a step on Python ints writes the same differential, Betti number and
+    # nu(m M_i) as a step on arrays, the cover step's included
+    arrays = _resolved_on_route(M, ARRAY_ROUTE, 4)
+    for route in (PLAIN_ROUTE, BY_SIZE):
+        res = _resolved_on_route(M, route, 4)
+        assert (res.betti_head, res.nu_m, res.finite) == (
+            arrays.betti_head, arrays.nu_m, arrays.finite)
+        assert len(res.nonzeros) == len(arrays.nonzeros)
+        for x, y in zip(res.nonzeros, arrays.nonzeros):
+            assert x.shape == y.shape
+            for u, v in zip(x[:4], y[:4]):
+                assert u.dtype == v.dtype == np.int64 and np.array_equal(u, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(route_modules())
+def test_step_routes_agree(M):
+    _routes_agree(M)
+
+
+# steps that eliminate their slices (FALLBACK_STEPS), a free module, and
+# the residue field over GF(3)
+@pytest.mark.parametrize("name", ["bv_r2", "rm2", "free", "k2"])
+def test_step_routes_agree_on_pinned_modules(name):
+    _routes_agree(_pinned_module(name) if name != "free" else
+                  FiniteModule.free(make_ring(101, 3, identity_form(3)), 2))
 
 
 @pytest.mark.parametrize("name, step, nu_m", FALLBACK_STEPS)
