@@ -11,14 +11,17 @@ encoder, though: ``json.dumps`` drops to its pure-Python path whenever
 ``indent`` is set.  Dicts and lists are walked here instead.  A
 differential is handed over as its stored nonzeros (`resolution.Nonzeros`)
 and written as ``json.dumps`` writes ``G.dense().tolist()``, from the
-nonzeros alone: each distinct nonzero vector is formatted once, and each
-generator's list of vectors is joined from those texts and the zero
-vector's, which fills the rest (a differential has about 1.4 nonzero
-vectors per list), so a differential never becomes a dense array, Python
-ints or nested lists.  Any other object, an ndarray included, is written as
-``json.dumps`` writes it, or raises TypeError as it does.  ``write_json``
-writes the same chunks straight to a text stream, so a large document is
-never held as one string.
+nonzeros alone, so a differential never becomes a dense array, Python ints
+or nested lists.  A differential has about 1.4 nonzero vectors per list
+and is otherwise zero vectors, so each list is written as shared pieces:
+each distinct nonzero vector's text, formatted once, and for each run of k
+zero vectors the blocks of 2^b copies of the zero vector's text and
+separator, one per set bit of k, made once per differential by doubling.
+Any other object, an ndarray included, is written as ``json.dumps`` writes
+it, or raises TypeError as it does.  ``write_json`` writes the same pieces
+straight to a text stream: no write of a differential is longer than its
+largest zero block plus one vector's text, and a large document is never
+held as one string.
 """
 
 from __future__ import annotations
@@ -51,9 +54,12 @@ def canonical_json(obj) -> str:
 
 
 def write_json(obj, fh) -> None:
-    """Write canonical_json(obj) to the text stream fh chunk by chunk, so a
-    large document is never held as one string.  An object that cannot be
-    encoded raises only after the chunks before it are written."""
+    """Write canonical_json(obj) to the text stream fh in pieces, so a
+    large document is never held as one string: no write of a differential
+    is longer than its largest block of zero vectors plus one vector's
+    text, and most of its writes are shared strings (`_encode_nonzeros`).
+    An object that cannot be encoded raises only after the pieces before
+    it are written."""
     _encode(obj, "\n", fh.write)
     fh.write("\n")
 
@@ -109,7 +115,11 @@ def _key(key) -> str:
 
 def _encode_nonzeros(G: Nonzeros, nl: str, emit):
     """Emit the text json.dumps gives G.dense().tolist() at indent nl, from
-    the nonzeros alone, each generator's list of vectors as one chunk."""
+    the nonzeros alone, in shared pieces: a run of k zero vectors is the
+    blocks of 2^b copies of the zero vector's text and separator, one per
+    set bit of k, made once per differential by doubling; each distinct
+    nonzero vector's text is formatted once.  So no write is longer than
+    the largest zero block plus one vector's text."""
     a, j, C = G.shape
     if not (a and j and C):
         _encode(G.dense().tolist(), nl, emit)
@@ -117,34 +127,54 @@ def _encode_nonzeros(G: Nonzeros, nl: str, emit):
     row_nl = nl + "  "
     vec_nl = row_nl + "  "
     inner = vec_nl + "  "
+    sep = "," + vec_nl
 
     def text(v) -> str:
         return "[" + inner + ("," + inner).join(map(str, v)) + vec_nl + "]"
 
     # the vectors of the (generator, target) pairs holding a nonzero, each
-    # distinct one formatted once (found as raw bytes); the zero vector's
-    # text fills the rest of every list
+    # distinct one formatted once (found as raw bytes), with and without
+    # the separator that follows every vector but a list's last
     pairs, at = np.unique(G.gen * j + G.target, return_inverse=True)
     vecs = np.zeros((len(pairs), C), dtype=np.int64)
     vecs[at, G.slot] = G.val
     keys = vecs.view(np.dtype((np.void, vecs.itemsize * C))).ravel()
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    texts = [text(vecs[r].tolist()) for r in first.tolist()]
+    last = [text(vecs[r].tolist()) for r in first.tolist()]
+    texts = [t + sep for t in last]
     zero = text([0] * C)
+    # blocks[b] is 2^b copies of the zero vector's text and separator; a
+    # run holds at most j - 1 of them
+    blocks = [zero + sep]
+    while 2 ** len(blocks) < j:
+        blocks.append(blocks[-1] * 2)
+
+    def zeros(k):
+        b = 0
+        while k:
+            if k & 1:
+                emit(blocks[b])
+            k >>= 1
+            b += 1
+
     gen, col = np.divmod(pairs, j)
     ends = np.searchsorted(gen, np.arange(1, a + 1)).tolist()
     col, inv = col.tolist(), inv.tolist()
-    sep = "," + vec_nl
-    lo, head = 0, "[" + row_nl
+    lo, head = 0, "[" + row_nl + "[" + vec_nl
+    between = row_nl + "]," + row_nl + "[" + vec_nl
     for hi in ends:
-        parts = [zero] * j
-        for k in range(lo, hi):
-            parts[col[k]] = texts[inv[k]]
-        lo = hi
         emit(head)
-        emit("[" + vec_nl + sep.join(parts) + row_nl + "]")
-        head = "," + row_nl
-    emit(nl + "]")
+        nxt = 0     # the list's first vector not yet written
+        for k in range(lo, hi):
+            c = col[k]
+            zeros(c - nxt)
+            emit(texts[inv[k]] if c + 1 < j else last[inv[k]])
+            nxt = c + 1
+        if nxt < j:
+            zeros(j - 1 - nxt)
+            emit(zero)
+        lo, head = hi, between
+    emit(row_nl + "]" + nl + "]")
 
 
 def load_json(path: str):

@@ -94,9 +94,13 @@ def test_canonical_json_rejects_what_json_dumps_rejects():
 def _mostly_zero_nonzeros(draw):
     """The nonzeros of an (a, j, C) int64 entry array that is zero but for a
     few vectors, drawn from a small palette so that they repeat, with
-    entries at the int64 extremes; a = 0, j = 0 and C = 0 included."""
+    entries at the int64 extremes; a = 0, j = 0 and C = 0 included.  The
+    widths j = 16, 17 and 33 give zero runs across several block sizes,
+    one of them exactly a power of two, and a vector is placed first or
+    last in its list as often as anywhere else."""
     info = np.iinfo(np.int64)
-    a, j = draw(st.integers(0, 3)), draw(st.sampled_from([0, 1, 1, 2, 5, 9]))
+    a = draw(st.integers(0, 3))
+    j = draw(st.sampled_from([0, 1, 1, 2, 5, 9, 16, 17, 33]))
     C = draw(st.integers(0, 5))
     G = np.zeros((a, j, C), np.int64)
     if G.size:
@@ -104,8 +108,9 @@ def _mostly_zero_nonzeros(draw):
                  | st.integers(int(info.min), int(info.max)))
         palette = draw(st.lists(st.lists(entry, min_size=C, max_size=C),
                                 min_size=1, max_size=3))
+        col = st.sampled_from([0, j - 1]) | st.integers(0, j - 1)
         for _ in range(draw(st.integers(0, 2 * a))):
-            G[draw(st.integers(0, a - 1)), draw(st.integers(0, j - 1))] = \
+            G[draw(st.integers(0, a - 1)), draw(col)] = \
                 draw(st.sampled_from(palette))
     return _nz(G)
 
@@ -182,14 +187,31 @@ def test_the_zero_module_is_not_written(R3):
         io.module_to_dict(FiniteModule.zero(R3))
 
 
-def test_write_json_streams_the_canonical_bytes(R3):
-    obj = io.resolution_to_dict(resolve(random_module(R3, 2, 2, seed=5), 5), 5)
+def test_a_resolution_reaches_the_stream_in_shared_pieces(R3):
+    # the zero vectors that fill a differential's lists are written as
+    # blocks of 2^b copies made once per differential, so the distinct
+    # strings written are a small part of the document, and no write is
+    # longer than the largest block plus one vector's text
+    obj = io.resolution_to_dict(resolve(random_module(R3, 2, 2, seed=5), 7), 7)
     writes = []
     io.write_json(obj, SimpleNamespace(write=writes.append))
-    text = io.canonical_json(obj)
-    assert "".join(writes) == text
-    # the document reaches the stream in pieces, never as one string
-    assert max(map(len, writes)) < len(text) // 2
+    text = "".join(writes)
+    assert text == io.canonical_json(obj)
+    distinct = {id(w): len(w) for w in writes}   # the list keeps each alive
+    assert sum(distinct.values()) <= len(text) / 8
+
+    def vector(v):
+        # a vector's text at the indent of a differential's vectors
+        return json.dumps(v, indent=2).replace("\n", "\n" + " " * 8)
+
+    bound = 0
+    for G in json.loads(text)["differentials"]:
+        j = len(G[0])
+        zero_sep = len(vector([0] * len(G[0][0])) + ",\n" + " " * 8)
+        block = zero_sep * 2 ** ((j - 1).bit_length() - 1) if j > 1 else 0
+        longest = max(len(vector(v)) for row in G for v in row)
+        bound = max(bound, block + longest)
+    assert max(map(len, writes)) <= bound
 
 
 def test_ring_round_trip(tmp_path, R3):
