@@ -187,6 +187,16 @@ def test_the_zero_module_is_not_written(R3):
         io.module_to_dict(FiniteModule.zero(R3))
 
 
+def test_write_json_streams_the_canonical_bytes(R3):
+    obj = io.resolution_to_dict(resolve(random_module(R3, 2, 2, seed=5), 5), 5)
+    writes = []
+    io.write_json(obj, SimpleNamespace(write=writes.append))
+    text = io.canonical_json(obj)
+    assert "".join(writes) == text
+    # the document reaches the stream in pieces, never as one string
+    assert max(map(len, writes)) < len(text) // 2
+
+
 def test_a_resolution_reaches_the_stream_in_shared_pieces(R3):
     # the zero vectors that fill a differential's lists are written as
     # blocks of 2^b copies made once per differential, so the distinct
