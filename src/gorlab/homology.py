@@ -8,10 +8,12 @@ Tor against the Matlis dual.  Only lengths and ranks are read, so no basis
 of the boundaries is built: over a field the image of a map A is the common
 zero set of its left kernel K, the kernel of A^T, so rank A = rows - dim K,
 and a set of vectors adds to the boundaries the rank of its product with
-K^T.  Every map is thus eliminated twice, for its kernel as the map out of
-one degree and for its left kernel as the map into the next, and the two
-ranks must agree.  The radical excess is such a rank, of a product tiny
-since m^3 = 0, read off two sparse joins (`_radical_excess`).
+K^T.  Every map is thus eliminated twice, for its left kernel as the map
+into one degree and as the map out of another, and the two ranks must
+agree.  The radical excess is such a rank, of a product tiny since m^3 = 0,
+read off two sparse joins (`_radical_excess`); it is 0 when K is zero, and
+the map out is then read for its rank alone, with no kernel basis
+(`linalg.rank_triplets`), unless the caller reads the cycles.
 
 Both routes run on the Loewy copy L of N (`_loewy`), written in a basis
 adapted to N > mN > m^2 N with layers N_0, N_1, N_2, the layers re-based
@@ -41,8 +43,9 @@ modules, each certified isomorphic to its own.  `tor_induced` joins A's
 cycles with the triplets of each lift tensor L, which may have unit
 entries, and the images' last t coordinates with B's left kernel.  Every
 block goes through `linalg.kernel_rref`, the one sparse kernel, which also
-serves the resolution, its columns relabelled fewest entries first;
-homology reads only ranks and spans, so no output depends on the basis.
+serves the resolution, or `linalg.rank_triplets`, on the same engine, its
+columns relabelled fewest entries first; homology reads only ranks and
+spans, so no output depends on the basis.
 
 `_build_table` is the one builder of both tables, and `_plan` the one place
 that chooses a window, from M's certified Betti numbers, its junction J, dim
@@ -62,10 +65,10 @@ together, degree by degree.  `_window` reads the room the process can get
 (`resolution.available_bytes`) once, before degree 0, and holds every
 kernel as its triplets; `tor_induced` reads it once for its products.  One
 rule checks a degree against a room: the eliminations
-(`linalg.kernel_rref`) count `linalg.ENTRY_BYTES` per entry and
-`LINE_BYTES` per row and column, the joins the first per entry and pair,
-the blocks of `_rank` both per cell and line.  A degree that does not fit
-is refused with NotMaterialized before it allocates.
+(`linalg.kernel_rref`, `rank_triplets`) count `linalg.ENTRY_BYTES` per
+entry and `LINE_BYTES` per row and column, the joins the first per entry
+and pair, the blocks of `_rank` both per cell and line.  A degree that
+does not fit is refused with NotMaterialized before it allocates.
 
 Degrees past the materialized window are certified by the length count of
 a module X with m^2 X = 0, where L_t is the image of Tor_t(iota_X, N):
@@ -182,9 +185,10 @@ def _radical_excess(N: FiniteModule, Z, K, block, room: float) -> int:
     t, the common zeros of the rows of K (the left kernel of the map in),
     both triplets of `linalg.kernel_rref`.  A vector v adds to the
     boundaries what v K^T adds to 0, so the excess is the rank of the images
-    times K^T.  The span of Z must be an R-submodule modulo the dropped
-    coordinates, which m kills (callers pass cycles); as w = x_g x_h /
-    form[g, h], the images under x_1..x_e alone then span that product.
+    times K^T, and 0 when K is zero, before Z is read (the window passes
+    None for Z then).  The span of Z must be an R-submodule modulo the
+    dropped coordinates, which m kills (callers pass cycles); as w = x_g x_h
+    / form[g, h], the images under x_1..x_e alone then span that product.
 
     The product is formed on triplets, in two joins (`join_sum`): M = K^T
     through each x_g, M[(y, c), k e + g] = sum_tau K[k, y t + tau]
@@ -195,10 +199,10 @@ def _radical_excess(N: FiniteModule, Z, K, block, room: float) -> int:
     that block check against `room` before they allocate."""
     p, d, e = N.ring.p, N.dim, N.ring.e
     s, t = block
-    zr, zc, zv, _ = Z
     kr, kc, kv, (nk, bt) = K
     if nk == 0:
         return 0   # every vector in the last t coordinates is a boundary
+    zr, zc, zv, _ = Z
     G = Nonzeros(kr, kc // t, kc % t, kv, (nk, bt // t, t))
     mr, mc, mv, _ = kmat_triplets(G, N.actions[:, d - t:, :s].transpose(1, 2, 0), p, room)
     # P[(z, g), k] at the index (z e + g) nk + k; M's rows come in order
@@ -377,13 +381,16 @@ class _Homology:
     length: int
     nu: int
     m_annihilated: bool
-    cycles: tuple        # triplets of the kernel of the block out (first s
-                         # coords), as `linalg.kernel_rref` returns them
-    left_kernel: tuple   # triplets of the left kernel of the block in (last
-                         # t coords), whose common zeros are the boundaries
+    cycles: tuple | None  # triplets of the kernel of the block out (first s
+                          # coords), as `linalg.kernel_rref` returns them;
+                          # None where neither the caller nor the excess
+                          # reads them
+    left_kernel: tuple    # triplets of the left kernel of the block in (last
+                          # t coords), whose common zeros are the boundaries
 
 
-def _window(N: FiniteModule, diff, ranks, step: int, block, last: int):
+def _window(N: FiniteModule, diff, ranks, step: int, block, last: int,
+            cycles: bool = False):
     """Honest homology of a complex of k-spaces built on N: yields one
     `_Homology` per degree 0..last, in order, so a caller stops reading once
     it has what it needs.  diff(i) is the map out of degree i, diff(i + step)
@@ -396,51 +403,66 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int):
     block A_j, as triplets (rows, cols, vals, shape) of the matrix with
     rows (target copy, t) and columns (source copy, s); the caller
     guarantees the support (`_tor_block` checks it, and the trivial block
-    (dim N, dim N) of Ext has nothing outside).  `linalg.kernel_rref`
-    eliminates A_i and, with rows and columns swapped, A_{i+step}^T, so no
-    block is ever dense, and the kernels, mapped back from the relabelled
-    columns, are held as triplets.  The cycles are ker A_i
-    plus the dropped columns of the ranks(i) copies, the boundaries lie in
-    the last t coordinates, where they are read through the left kernel K
-    of the map in A_{i+step}: its rank is rows - dim K, which must equal the
-    rank cols - nullity that the degree reading it as its map out finds, or
-    CertificateError is raised, and the radical excess is a rank against K
-    (`_radical_excess`).  Each block is built once and at most two are
-    held: before the radical excess, every one that degree i + 1 will not
-    read is dropped, and at degree `last` all of them.  The room the
-    process can get is read once, before degree 0, and every elimination
-    and the excess's joins and block check against it before they allocate:
-    a degree that does not fit raises NotMaterialized, naming the degree."""
+    (dim N, dim N) of Ext has nothing outside).  No block is ever dense,
+    and the kernels, mapped back from the relabelled columns, are held as
+    triplets.
+
+    Each degree i first eliminates the map in A_{i+step}, with rows and
+    columns swapped, for its left kernel K (`linalg.kernel_rref`): the
+    boundaries lie in the last t coordinates, where they are the common
+    zeros of K, and the rank of the map in is rows - dim K.  The cycles are
+    ker A_i plus the dropped columns of the ranks(i) copies.  When K is
+    zero, every vector of the last t coordinates is a boundary and the
+    radical excess is 0 without the cycles, so A_i is read for its rank
+    alone (`linalg.rank_triplets`, no back-substitution), unless the caller
+    reads cycles (`cycles`, which `tor_induced` sets for its source);
+    otherwise its kernel Z is eliminated and the excess is a rank against
+    K (`_radical_excess`).  Every map is thus eliminated twice, as the map
+    into one degree and as the map out of another, and the two ranks must
+    agree, or CertificateError is raised.  Each block is built once and at
+    most two are held: before the radical excess, every one that degree
+    i + 1 will not read is dropped, and at degree `last` all of them.  The
+    room the process can get is read once, before degree 0, and every
+    elimination and the excess's joins and block check against it before
+    they allocate: a degree that does not fit raises NotMaterialized,
+    naming the degree."""
     p, d = N.ring.p, N.dim
     s = block[0]
     kind = "Tor" if step > 0 else "Ext"
     mats: dict = {}
 
     def mat(j):
-        # built on first use: the map into degree i is not yet alive while
-        # the kernel of the map out is eliminated
+        # built on first use, as the map into one degree or out of it, and
+        # held until the loop drops it once no later degree reads it
         if j not in mats:
             mats[j] = diff(j)
         return mats[j]
 
-    def kernel(rows, cols, vals, shape):
+    def relabel(cols, n):
         # any basis will do, since only ranks and spans are read: the
-        # columns are relabelled so that kernel_rref's right-to-left pass
+        # columns are relabelled so that the right-to-left forward pass
         # takes them fewest entries first (ties by index), as structured
         # Gaussian elimination does, which keeps the fill low in whatever
-        # basis N is written, and the kernel's columns are mapped back
-        n = shape[1]
+        # basis N is written; returns the new labels and their order
         order = np.argsort(np.bincount(cols, minlength=n), kind="stable")[::-1]
         label = np.empty(n, dtype=np.int64)
         label[order] = np.arange(n)
-        kr, kc, kv, pivots = linalg.kernel_rref(rows, label[cols], vals, shape, p, room)
-        return kr, order[kc], kv, (len(pivots), n)
+        return label[cols], order
+
+    def kernel(rows, cols, vals, shape):
+        # the kernel's columns are mapped back to the block's
+        cols, order = relabel(cols, shape[1])
+        kr, kc, kv, pivots = linalg.kernel_rref(rows, cols, vals, shape, p, room)
+        return kr, order[kc], kv, (len(pivots), shape[1])
+
+    def rank(rows, cols, vals, shape):
+        return linalg.rank_triplets(rows, relabel(cols, shape[1])[0], vals, shape, p, room)
 
     ranks_of: dict = {}
 
     def check_rank(j, r, how):
-        # each map is eliminated twice, as the map out of one degree and,
-        # transposed, as the map into the next: its two ranks must agree
+        # each map is eliminated twice, as the map into one degree and as
+        # the map out of another: its two ranks must agree
         if ranks_of.setdefault(j, (r, how))[0] != r:
             raise CertificateError(
                 f"{kind} map {j} has rank {ranks_of[j][0]} from its "
@@ -450,13 +472,17 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int):
     room = resolution.available_bytes()
     for i in range(last + 1):
         try:
-            rows, cols, vals, (m, n) = mat(i)
-            Z = kernel(rows, cols, vals, (m, n))
-            check_rank(i, n - Z[3][0], "kernel")
             rows, cols, vals, (m, n) = mat(i + step)
             K = kernel(cols, rows, vals, (n, m))
-            li = Z[3][0] + ranks(i) * (d - s) - check_rank(
-                i + step, m - K[3][0], "left kernel")
+            into = check_rank(i + step, m - K[3][0], "left kernel")
+            rows, cols, vals, (m, n) = mat(i)
+            Z = None
+            if cycles or K[3][0]:
+                Z = kernel(rows, cols, vals, (m, n))
+                out = check_rank(i, n - Z[3][0], "kernel")
+            else:
+                out = check_rank(i, rank(rows, cols, vals, (m, n)), "rank read")
+            li = n - out + ranks(i) * (d - s) - into
             if li < 0:
                 raise CertificateError(f"negative {kind} length {li} in degree {i}")
             # a block dropped below must not stay alive for the excess
@@ -474,9 +500,11 @@ def _ranks(res: MinimalFreeResolution):
     return lambda i: res.betti(i)[i] if i >= 0 else 0
 
 
-def _homology_window(res: MinimalFreeResolution, N: FiniteModule, last: int):
+def _homology_window(res: MinimalFreeResolution, N: FiniteModule, last: int,
+                     cycles: bool = False):
     """Honest Tor homology of F_*(res.module) tensor N, on the Loewy copy of
-    N, degree by degree through `last` (see `_window`); each differential is
+    N, degree by degree through `last` (see `_window`, which yields every
+    degree's cycles when `cycles` is set); each differential is
     materialized when the window first reads it."""
     L, layers = _loewy(N)
     s, t = block = _block(layers)
@@ -489,7 +517,7 @@ def _homology_window(res: MinimalFreeResolution, N: FiniteModule, last: int):
             return _tor_block(res.nonzeros[i - 1], L, layers)
         return _no_entries(beta(i - 1) * t, beta(i) * s)
 
-    return _window(L, diff, beta, 1, block, last)
+    return _window(L, diff, beta, 1, block, last, cycles)
 
 
 def _plan(beta, J: int | None, d: int, n: int) -> range:
@@ -679,7 +707,7 @@ def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResul
     room = resolution.available_bytes()
     out = []
     for i, (f, ha, hb) in enumerate(zip(lift_chain_map(phi, w),
-                                        _homology_window(ra, N, w),
+                                        _homology_window(ra, N, w, cycles=True),
                                         _homology_window(rb, N, w))):
         rank = 0
         if hb.length:

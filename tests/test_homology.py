@@ -230,15 +230,19 @@ def test_table_bytes_do_not_depend_on_history():
 
 
 class _CountingLinalg:
-    """linalg as homology sees it, recording, densified, every matrix whose
-    kernel it eliminates: a window takes two per degree, the map out and
-    then the transpose of the map in, each with its columns relabelled."""
+    """linalg as homology sees it, recording, densified, every matrix it
+    eliminates, and how: "kernel" for `kernel_rref`, "rank" for
+    `rank_triplets`.  A window takes two per degree, the transpose of the
+    map in (a kernel) and then the map out (a kernel, or a rank where the
+    left kernel is zero and no cycles are read), each with its columns
+    relabelled."""
 
     def __init__(self):
         self.matrices = []
+        self.reads = []
 
     @property
-    def kernels(self):
+    def shapes(self):
         return [A.shape for A in self.matrices]
 
     def __getattr__(self, name):
@@ -246,7 +250,13 @@ class _CountingLinalg:
 
     def kernel_rref(self, rows, cols, vals, shape, p, room):
         self.matrices.append(linalg.dense(rows, cols, vals, shape))
+        self.reads.append("kernel")
         return linalg.kernel_rref(rows, cols, vals, shape, p, room)
+
+    def rank_triplets(self, rows, cols, vals, shape, p, room):
+        self.matrices.append(linalg.dense(rows, cols, vals, shape))
+        self.reads.append("rank")
+        return linalg.rank_triplets(rows, cols, vals, shape, p, room)
 
 
 def _retrying_pair():
@@ -275,21 +285,22 @@ def test_deeper_window_resumes(monkeypatch):
     # recorded when every retry recomputed degrees 0..w
     assert _sha(table) == \
         "b3e3fcb84d09ae40d045fd5e1f6a6b830aff8beaf668b8b269b8a31d2395ce39"
-    # each of the degrees 0..6 eliminates its map out and the transpose of
-    # its map in once: deepening the window from 5 to 6 eliminates only
-    # the two matrices of degree 6
+    # each of the degrees 0..6 eliminates the transpose of its map in and
+    # then its map out once: deepening the window from 5 to 6 eliminates
+    # only the two matrices of degree 6
     beta = resolve(M, 20).betti(7)
     s, t = hm._block(hm._loewy(N)[1])
 
     def b(i):
         return beta[i] if i >= 0 else 0
 
-    assert counting.kernels == [
+    assert counting.shapes == [
         shape for i in range(7)
-        for shape in ((b(i - 1) * t, b(i) * s), (b(i + 1) * s, b(i) * t))]
-    # and builds each of the maps 0..7 it reads once
+        for shape in ((b(i + 1) * s, b(i) * t), (b(i - 1) * t, b(i) * s))]
+    # and builds each of the maps 0..7 it reads once, degree 0 its map in
+    # first
     assert [shape for *_, shape in built] == [
-        (b(i - 1) * t, b(i) * s) for i in range(8)]
+        (b(i - 1) * t, b(i) * s) for i in (1, 0, *range(2, 8))]
 
 
 def test_tor_refuses_when_the_window_cannot_deepen(monkeypatch):
@@ -307,8 +318,8 @@ def test_window_degree_refused_before_allocation(monkeypatch):
     # the window reads the room once, and each elimination checks what it
     # holds against it: with room for one byte less than the elimination of
     # the map into degree 4 holds at its start, degrees 0..3 are computed,
-    # degree 4 eliminates its map out, and its transposed map in is refused
-    # before it is eliminated
+    # and degree 4's first elimination, of its transposed map in, is
+    # refused before it is eliminated
     R = make_ring(101, 3, identity_form(3))
     M = cyclic_module(R, [R.x(1)])[0]
     N = cyclic_module(R, [R.x(2)])[0]
@@ -333,11 +344,11 @@ def test_window_degree_refused_before_allocation(monkeypatch):
     assert len(vals) > 1 and (
         f"of {len(vals)} entries outgrows the {room / 2**10:.1f} KiB the process "
         f"can get, room for {len(vals) - 1} stored entries") in str(exc.value)
-    # two kernels each for degrees 0..3, then degree 4's two; the last
-    # elimination ran once nine kernels had been asked for, so the tenth
-    # was refused before it was eliminated
-    assert len(counting.kernels) == 10 and counting.kernels[-1] == (n, m)
-    assert eliminated[-1] == 9
+    # two eliminations each for degrees 0..3, then degree 4's first; the
+    # last elimination ran once eight had been asked for, so the ninth was
+    # refused before it was eliminated
+    assert len(counting.shapes) == 9 and counting.shapes[-1] == (n, m)
+    assert counting.reads[-1] == "kernel" and eliminated[-1] == 8
 
 
 def test_radical_excess_refused_before_its_products(monkeypatch):
@@ -362,6 +373,9 @@ def test_radical_excess_refused_before_its_products(monkeypatch):
         def kernel_rref(self, rows, cols, vals, shape, p, room):
             return super().kernel_rref(rows, cols, vals, shape, p, np.inf)
 
+        def rank_triplets(self, rows, cols, vals, shape, p, room):
+            return super().rank_triplets(rows, cols, vals, shape, p, np.inf)
+
         def dense(self, *args):
             blocks.append(args[3])
             return linalg.dense(*args)
@@ -376,7 +390,7 @@ def test_radical_excess_refused_before_its_products(monkeypatch):
                     f"Tor degree 0: {refusal} outgrows the "
                     f"{room / 2**10:.1f} KiB the process can get")):
                 tor(M, N, 20)
-        assert len(counting.kernels) == 2 and blocks == []
+        assert counting.reads == ["kernel", "kernel"] and blocks == []
     # with one byte more, the block is made, and every later excess of the
     # table fits too
     monkeypatch.setattr(hm, "linalg", Spy())
@@ -584,16 +598,16 @@ def _radical_excess_with_w(N, Z, Bnd, block):
 
 def _with_maps_in(window, res, N, last, monkeypatch):
     """(homology, dense map into its degree, module, block) for each degree
-    0..last of the window: the map as the window built it, and the module
-    copy and layer block the window ran on, in whose coordinates its
-    cycles and left kernel are written."""
+    0..last of the window, asked for its cycles at every degree: the map as
+    the window built it, and the module copy and layer block the window ran
+    on, in whose coordinates its cycles and left kernel are written."""
     maps, run = {}, hm._window
 
-    def spying(X, diff, ranks, step, block, last):
+    def spying(X, diff, ranks, step, block, last, cycles=False):
         def kept(j):
             maps[j] = diff(j)
             return maps[j]
-        for i, h in enumerate(run(X, kept, ranks, step, block, last)):
+        for i, h in enumerate(run(X, kept, ranks, step, block, last, cycles=True)):
             yield h, linalg.dense(*maps[i + step]), X, block
 
     with monkeypatch.context() as mp:
@@ -685,13 +699,19 @@ def test_radical_excess_matches_the_rank_identity(e, p, gm, gn, rn, seed):
 
 class _LosingLinalg(_CountingLinalg):
     """linalg whose first nonzero left kernel of a map with entries (one
-    inside the complex) comes back one row short."""
+    inside the complex) comes back one row short.  A left kernel is told by
+    its role: it is the kernel of a transposed map, whose rows are the
+    columns of a map the window built (`built`, filled by the caller)."""
 
     lost = False
 
+    def __init__(self):
+        super().__init__()
+        self.built = []
+
     def kernel_rref(self, rows, cols, vals, shape, p, room):
         kr, kc, kv, pivots = super().kernel_rref(rows, cols, vals, shape, p, room)
-        if (len(self.matrices) % 2 == 0 and self.matrices[-1].size
+        if (any(rows is c for _, c, _, _ in self.built) and len(vals)
                 and pivots and not self.lost):
             self.lost = True
             keep = kr < len(pivots) - 1
@@ -710,9 +730,16 @@ def test_left_kernel_rank_is_cross_checked(kind, monkeypatch):
     res = resolve(M, 4)
     window = hm._homology_window if kind == "Tor" else hm._cohomology_window
     assert list(window(res, N, 3))
-    monkeypatch.setattr(hm, "linalg", _LosingLinalg())
+    losing = _LosingLinalg()
+    for name in ("_tor_block", "_ext_diff"):
+        def build(*args, f=getattr(hm, name)):
+            losing.built.append(f(*args))
+            return losing.built[-1]
+        monkeypatch.setattr(hm, name, build)
+    monkeypatch.setattr(hm, "linalg", losing)
     with pytest.raises(CertificateError, match=f"{kind} map .* left kernel"):
         list(window(res, N, 3))
+    assert losing.lost
 
 
 def _in_random_basis(N, seed):
@@ -864,6 +891,97 @@ def test_homology_work_does_not_depend_on_the_basis_of_N(build, monkeypatch):
         M, N = _trial_4()
         rebased = _kernel_entries(build, M, _in_random_basis(N, seed), monkeypatch)
         assert rebased <= 1.25 * drawn, (seed, rebased, drawn)
+
+
+def _same_up_to_columns(X, Y):
+    """Whether X is Y with its columns permuted, as homology relabels them."""
+    return X.shape == Y.shape and sorted(X.T.tolist()) == sorted(Y.T.tolist())
+
+
+@pytest.mark.parametrize("kind", ["Tor", "Ext"])
+def test_window_reads_a_rank_exactly_where_the_left_kernel_is_zero(kind, monkeypatch):
+    # each degree first eliminates the transpose of its map in, for its left
+    # kernel K, then its map out: for its kernel where K is nonzero, and for
+    # its rank alone where K is zero, as the excess is then 0 without the
+    # cycles.  So every map read both as a map in and as a map out is
+    # eliminated exactly twice, and every other once
+    M, N = _trial_4()
+    res = resolve(M, 25)
+    table, window, step = ((tor, hm._homology_window, 1) if kind == "Tor"
+                           else (ext, hm._cohomology_window, -1))
+    last = table(M, N, 25).window
+    maps, run = {}, hm._window
+
+    def spying(X, diff, ranks, step, block, last, cycles=False):
+        def kept(j):
+            maps[j] = diff(j)
+            return maps[j]
+        return run(X, kept, ranks, step, block, last, cycles)
+
+    counting = _CountingLinalg()
+    monkeypatch.setattr(hm, "_window", spying)
+    monkeypatch.setattr(hm, "linalg", counting)
+    hom = list(window(res, N, last))
+    assert len(counting.reads) == 2 * len(hom) == 2 * (last + 1)
+    times = {}
+    for i, h in enumerate(hom):
+        (read_in, A_in), (read_out, A_out) = (
+            (counting.reads[k], counting.matrices[k]) for k in (2 * i, 2 * i + 1))
+        assert read_in == "kernel" and _same_up_to_columns(A_in, linalg.dense(*maps[i + step]).T)
+        assert _same_up_to_columns(A_out, linalg.dense(*maps[i]))
+        assert read_out == ("rank" if h.left_kernel[3][0] == 0 else "kernel")
+        assert (h.cycles is None) == (read_out == "rank")
+        for j in (i, i + step):
+            times[j] = times.get(j, 0) + 1
+    twice = set(range(last + 1)) & {i + step for i in range(last + 1)}
+    assert {j for j, k in times.items() if k == 2} == twice and max(times.values()) == 2
+    # Tor's window on trial 4 takes both branches; Ext's left kernels there
+    # are all nonzero
+    assert set(counting.reads[1::2]) == ({"rank", "kernel"} if kind == "Tor" else {"kernel"})
+
+
+def test_tor_induced_source_window_yields_cycles(monkeypatch):
+    # tor_induced maps A's cycles into B's copies, so A's window eliminates
+    # every map out for its kernel, a zero left kernel or not; B's window
+    # reads only its left kernels and yields cycles only where the excess
+    # needed them
+    M, N = _trial_4()
+    phi = _iota(M)
+    run, seen = hm._homology_window, []
+
+    def spying(res, N, last, cycles=False):
+        for h in run(res, N, last, cycles):
+            seen.append((res.module is phi.source, cycles, h))
+            yield h
+
+    monkeypatch.setattr(hm, "_homology_window", spying)
+    ranks = [r.rank for r in tor_induced(phi, N, 5)]
+    source = [h for is_source, cycles, h in seen if is_source and cycles]
+    target = [h for is_source, cycles, h in seen if not is_source and not cycles]
+    assert len(source) == len(target) == len(ranks) == len(seen) // 2
+    assert all(h.cycles is not None for h in source)
+    assert [h.cycles is None for h in target] == [h.left_kernel[3][0] == 0 for h in target]
+    assert any(h.left_kernel[3][0] == 0 for h in source)
+
+
+class _Unread:
+    """Triplets that fail when unpacked."""
+
+    def __iter__(self):
+        raise AssertionError("Z was unpacked")
+
+
+def test_radical_excess_is_zero_before_it_reads_the_cycles():
+    # with a zero left kernel every vector of the last t coordinates is a
+    # boundary, so the excess is 0 and the cycles, which the window does
+    # not eliminate then, are never unpacked
+    R = make_ring(101, 3, identity_form(3))
+    N = cyclic_module(R, [R.x(2)])[0]
+    L, layers = hm._loewy(N)
+    s, t = hm._block(layers)
+    empty = np.zeros(0, dtype=np.int64)
+    for Z in (None, _Unread()):
+        assert hm._radical_excess(L, Z, (empty, empty, empty, (0, 2 * t)), (s, t), 0) == 0
 
 
 @pytest.mark.parametrize("p", [2, 101])

@@ -12,6 +12,7 @@ from gorlab.linalg import (
     kernel_rref,
     matmul_mod,
     rank_array,
+    rank_triplets,
     reduce_mod_rowspace,
     row_space,
     rref_array,
@@ -490,3 +491,276 @@ def test_kernel_rref_routes_eliminate_once(kind, monkeypatch):
         calls.clear()
         _on_route(route, *_triplets(A), p)
         assert len(calls) == 1
+
+
+def _gauss_jordan(rows, where, columns, p, budget=float("inf"), stored=0):
+    """Reference elimination, one pass: the Gauss-Jordan engine that
+    `linalg._eliminate` and `linalg._back_substitute` replace.  Each column
+    takes as pivot the sparsest unused row nonzero there (the lowest index
+    on a tie) and is cleared from every other row, the used ones too.
+    Returns {pivot column: row} in pivot order, or None once more than
+    `budget` entries are stored, checked after each row update."""
+    used = bytearray(len(rows))
+    pivot_row = {}
+    for c in columns:
+        col = where.pop(c)
+        free = [i for i in col if not used[i]]
+        if not free:
+            continue
+        best = min(free, key=lambda i: (len(rows[i]), i))
+        prow = rows[best]
+        inv = pow(prow[c], p - 2, p)
+        for j in prow:
+            prow[j] = prow[j] * inv % p
+        used[best] = 1
+        pivot_row[c] = best
+        for i in col:
+            if i == best:
+                continue
+            row = rows[i]
+            f = p - row.pop(c)
+            for j, v in prow.items():
+                if j == c:
+                    continue
+                x = (row.get(j, 0) + f * v) % p
+                if x and j not in row:
+                    where[j].add(i)
+                    stored += 1
+                elif not x:
+                    where[j].discard(i)
+                    stored -= 1
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            stored -= 1
+            if stored > budget:
+                return None
+    return pivot_row
+
+
+def _two_passes(A, p, order, budget=float("inf")):
+    """(rows, pivots) of `_eliminate` then `_back_substitute` on A's rows,
+    the columns taken in `order`, or None where either pass refuses."""
+    ri, ci = np.nonzero(A)
+    rows, where = linalg._sparse_rows(ri, ci, A[ri, ci], A.shape[0])
+    done = linalg._eliminate(rows, where, order(where), p, budget, len(ri))
+    if done is None or not linalg._back_substitute(rows, where, done[0], p, budget, done[1]):
+        return None
+    return rows, done[0]
+
+
+def _reference(A, p, order, budget=float("inf")):
+    """(rows, pivots) of the reference `_gauss_jordan`, or None."""
+    ri, ci = np.nonzero(A)
+    rows, where = linalg._sparse_rows(ri, ci, A[ri, ci], A.shape[0])
+    pivot_row = _gauss_jordan(rows, where, order(where), p, budget, len(ri))
+    return None if pivot_row is None else (rows, pivot_row)
+
+
+def _by_count(where):
+    """The columns fewest entries first, ties by index, as homology
+    relabels them."""
+    return sorted(where, key=lambda c: (len(where[c]), c))
+
+
+ORDERS = (list, lambda where: sorted(where, reverse=True), _by_count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_for_kernel_rref())
+def test_forward_pass_and_back_substitution_are_gauss_jordan(mp):
+    # the same pivots, in the same order and on the same rows, and the same
+    # rows at the end, the pivot rows reduced and every other row emptied,
+    # in every column order: left to right (rref_inplace), right to left
+    # (kernel_rref) and fewest entries first.  The inputs draw empty,
+    # rank-deficient and all-singleton matrices mod 2, 3, 101 and 65521
+    A, p = mp
+    for order in ORDERS:
+        rows, pivots = _two_passes(A, p, order)
+        want_rows, want_pivots = _reference(A, p, order)
+        assert list(pivots.items()) == list(want_pivots.items())
+        assert rows == want_rows
+
+
+def test_the_forward_pass_may_hold_more_than_gauss_jordan():
+    # the peak of stored entries is not bounded by Gauss-Jordan's: the
+    # forward pass keeps a used row as it pivoted until the
+    # back-substitution, where Gauss-Jordan shrinks it at once.  Row 0
+    # (columns 0..10) pivots, then row 1 (columns 1..10), which shrinks
+    # row 0 to its pivot in Gauss-Jordan only; clearing column 11 then
+    # grows row 3 by one entry.  Gauss-Jordan stays within the 27 input
+    # entries, the forward pass needs 28, and both end with the same rows
+    A = np.zeros((4, 24), dtype=np.int64)
+    A[0, :11] = 1
+    A[1, 1:11] = 1
+    A[2, [11, 20, 21]] = 1
+    A[3, [11, 22, 23]] = 1
+    assert np.count_nonzero(A) == 27
+    assert _reference(A, 101, list, budget=27) is not None
+    assert _two_passes(A, 101, list, budget=27) is None
+    assert _two_passes(A, 101, list, budget=28) == _reference(A, 101, list)
+
+
+@pytest.mark.parametrize("route", [NUMPY_ROUTE, PYTHON_ROUTE])
+def test_kernel_rref_of_full_column_rank_skips_the_back_substitution(route, monkeypatch):
+    # the kernel of a full-column-rank input is zero, so no reduced row is
+    # read: the forward pass runs, the back-substitution does not; an input
+    # with a free column runs both once
+    rng, p = np.random.default_rng(5), 101
+    full = np.concatenate([np.triu(rng.integers(1, p, size=(8, 8))),
+                           rng.integers(0, p, size=(3, 8))])
+    assert rank_array(full, p) == 8
+    free = full[:, :7] @ rng.integers(0, p, size=(7, 9)) % p
+    calls, real = [], (linalg._eliminate, linalg._back_substitute)
+
+    def eliminate(*args):
+        calls.append("forward")
+        return real[0](*args)
+
+    def back_substitute(*args):
+        calls.append("back")
+        return real[1](*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    monkeypatch.setattr(linalg, "_back_substitute", back_substitute)
+    for A, want in ((full, ["forward"]), (free, ["forward", "back"])):
+        calls.clear()
+        kr, kc, kv, piv = _on_route(route, *_triplets(A), p)
+        assert calls == want
+        assert len(piv) == A.shape[1] - rank_array(A, p)
+        assert kr.dtype == kc.dtype == kv.dtype == np.int64
+    # the zero kernel comes back empty, as lists to a list caller
+    assert _on_route(route, *(x.tolist() for x in _triplets(full)[:3]), full.shape, p) \
+        == ([], [], [], [])
+
+
+def _bidiagonal(m, n, rng, p):
+    """The m x n matrix with nonzeros on its diagonal and the one above:
+    for n > m no row has one entry, and peeling the singleton column 0
+    leaves column 1 with one, and so on along the chain."""
+    A = np.zeros((m, n), dtype=np.int64)
+    k = min(m, n)
+    A[np.arange(k), np.arange(k)] = rng.integers(1, p, size=k)
+    up = np.arange(min(m, n - 1))
+    A[up, up + 1] = rng.integers(1, p, size=len(up))
+    return A
+
+
+@st.composite
+def sparse_for_rank(draw):
+    """An input of `sparse_for_kernel_rref` or its transpose, whose planted
+    singleton rows are singleton columns, or a bidiagonal matrix, whose
+    singleton columns peel one at a time, or [[a, b]], two singleton
+    columns in one row."""
+    kind = draw(st.sampled_from(("as drawn", "transposed", "bidiagonal", "one row")))
+    A, p = draw(sparse_for_kernel_rref())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "transposed":
+        A = A.T.copy()
+    elif kind == "bidiagonal":
+        m = draw(st.integers(1, 30))
+        A = _bidiagonal(m, max(m + draw(st.integers(-2, 2)), 1), rng, p)
+        A = A[rng.permutation(A.shape[0])][:, rng.permutation(A.shape[1])]
+    elif kind == "one row":
+        A = rng.integers(1, p, size=(1, 2))
+    return A, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_for_rank())
+def test_rank_triplets_is_the_rank(mp):
+    # the rank of the forward pass after peeling singleton rows and columns,
+    # on both conversion routes, equals the dense rank, for the matrix and
+    # its transpose; the peel leaves the forward pass no row and no column
+    # with one entry
+    A, p = mp
+    real = linalg._SMALL_ENTRIES, linalg._eliminate
+    handed = []
+
+    def eliminate(rows, where, *args):
+        handed.append(([len(r) for r in rows if r], [len(c) for c in where.values()]))
+        return real[1](rows, where, *args)
+
+    for B in (A, A.T):
+        want = rank_array(B, p)
+        for route in (NUMPY_ROUTE, PYTHON_ROUTE):
+            linalg._SMALL_ENTRIES, linalg._eliminate = route, eliminate
+            try:
+                assert rank_triplets(*_triplets(B), p) == want
+            finally:
+                linalg._SMALL_ENTRIES, linalg._eliminate = real
+    assert len(handed) == 4 and all(1 not in x + y for x, y in handed)
+
+
+def test_rank_triplets_peels_singleton_columns():
+    # [[1, 1]]: both columns have one entry, in the same row, so the row is
+    # peeled once and the rank is 1 with no arithmetic; a bidiagonal chain
+    # peels whole, and the two-row input that kernel_rref eliminates (see
+    # test_kernel_rref_routes_refuse_alike) peels whole too
+    rng, p = np.random.default_rng(3), 101
+    handed, real = [], linalg._eliminate
+
+    def eliminate(rows, where, columns, p, budget=float("inf"), stored=0):
+        handed.append(stored)
+        return real(rows, where, columns, p, budget, stored)
+
+    for A, rank in ((np.array([[1, 1]]), 1), (_bidiagonal(12, 13, rng, p), 12),
+                    (np.array([[1, 1, 0, 0, 1], [0, 0, 1, 1, 1]]), 2)):
+        for route in (NUMPY_ROUTE, PYTHON_ROUTE):
+            handed.clear()
+            linalg._eliminate, real_small = eliminate, linalg._SMALL_ENTRIES
+            linalg._SMALL_ENTRIES = route
+            try:
+                assert rank_triplets(*_triplets(A), p) == rank
+            finally:
+                linalg._eliminate, linalg._SMALL_ENTRIES = real, real_small
+            assert handed == [0]
+
+
+@pytest.mark.parametrize("entries", [linalg._SMALL_ENTRIES, linalg._SMALL_ENTRIES + 1])
+def test_rank_triplets_routes_agree_on_both_sides_of_the_threshold(entries, monkeypatch):
+    # inputs of as many entries as the plain route takes and one more, each
+    # sent down its own route and then down the other: the same rank, and
+    # `_eliminate` handed the same rows, columns and stored count
+    rng, p = np.random.default_rng(entries), 101
+    for _ in range(20):
+        m, n = (int(x) for x in rng.integers(8, 20, size=2))
+        A = np.zeros((m, n), dtype=np.int64)
+        A.flat[rng.permutation(m * n)[:entries]] = rng.integers(1, p, size=entries)
+        handed, real = [], linalg._eliminate
+
+        def eliminate(rows, where, columns, p, budget=float("inf"), stored=0):
+            handed.append(([r for r in rows], list(columns), stored))
+            return real(rows, where, columns, p, budget, stored)
+
+        monkeypatch.setattr(linalg, "_eliminate", eliminate)
+        ranks = [rank_triplets(*_triplets(A), p)]
+        for route in (NUMPY_ROUTE, PYTHON_ROUTE):
+            monkeypatch.setattr(linalg, "_SMALL_ENTRIES", route)
+            ranks.append(rank_triplets(*_triplets(A), p))
+        monkeypatch.undo()
+        assert ranks == [rank_array(A, p)] * 3
+        assert handed[0] in handed[1:] and handed[1] == handed[2]
+
+
+@pytest.mark.parametrize("route", [NUMPY_ROUTE, PYTHON_ROUTE])
+def test_rank_triplets_refuses_before_eliminating(route, monkeypatch):
+    # room for one entry less than the input: NotMaterialized with
+    # kernel_rref's text, before the pre-pass and before `_eliminate` sees
+    # the input
+    A = np.array([[1, 1, 0, 0, 1], [0, 0, 1, 1, 1]], dtype=np.int64)
+    rows, cols, vals, (m, n) = _triplets(A)
+    room = linalg.ENTRY_BYTES * (len(vals) - 1) + linalg.LINE_BYTES * (m + n)
+    seen = []
+    monkeypatch.setattr(linalg, "_eliminate", lambda *args: seen.append(args))
+    monkeypatch.setattr(linalg, "_peel", lambda *args: seen.append(args))
+    monkeypatch.setattr(linalg, "_small_peel", lambda *args: seen.append(args))
+    monkeypatch.setattr(linalg, "_SMALL_ENTRIES", route)
+    texts = []
+    for read in (rank_triplets, kernel_rref):
+        with pytest.raises(NotMaterialized) as exc:
+            read(rows, cols, vals, (m, n), 101, room)
+        texts.append(str(exc.value))
+    assert seen == [] and texts[0] == texts[1]
+    assert texts[0].endswith(f"room for {len(vals) - 1} stored entries")

@@ -141,28 +141,35 @@ def test_fresh_certification_reads_the_room_twice(build, want, monkeypatch):
 def test_step_refused_before_allocation(R3, monkeypatch):
     # extend reads the room once, and the step's elimination stores no more
     # entries than fit in it: with room for exactly the rows, columns and
-    # entries of step 5's linear part, the first fill crosses the room, and
-    # the step is refused there
+    # entries of step 5's linear part, the forward pass stores no more than
+    # the input, the back-substitution's fill crosses the room, and the step
+    # is refused there
     res = MinimalFreeResolution(random_module(R3, 2, 2, seed=5))
     res.extend(4)
     _, _, vals, (m, n) = rs._linear_part(R3, res.nonzeros[-1])
     room = linalg.ENTRY_BYTES * len(vals) + linalg.LINE_BYTES * (m + n)
     monkeypatch.setattr(rs, "available_bytes", lambda: room)
-    crossed, real = [], linalg._eliminate
+    crossed, real = [], (linalg._eliminate, linalg._back_substitute)
 
     def eliminate(*args):
-        out = real(*args)
+        out = real[0](*args)
         crossed.append(out is None)
         return out
 
+    def back_substitute(*args):
+        out = real[1](*args)
+        crossed.append(not out)
+        return out
+
     monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    monkeypatch.setattr(linalg, "_back_substitute", back_substitute)
     with pytest.raises(NotMaterialized, match=f"resolution step 5: a {m} x {n} elimination") as exc:
         res.extend(6)
     # the refusal shows the sizes: the room stores exactly the input's entries
     assert len(vals) and (f"of {len(vals)} entries outgrows the {room / 2**10:.1f} KiB "
                           f"the process can get, room for {len(vals)} stored entries"
                           ) in str(exc.value)
-    assert crossed == [True] and res.head == 4
+    assert crossed == [False, True] and res.head == 4
 
 
 def test_available_bytes_reads_the_memory_cgroup(tmp_path, monkeypatch, fresh_process):
