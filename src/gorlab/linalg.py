@@ -41,14 +41,15 @@ into and out of it.  Most of their calls are small (a resolution step after
 the first eliminates the linear part of a differential, a median of about a
 dozen entries), and for them numpy's per-call overhead, not the elimination,
 was most of the time.  An input with at most `_SMALL_ENTRIES` entries
-(`plain_route`, the one size threshold, which a resolution step reads too)
-therefore takes the peel, the row maps and the kernel entries in plain
-Python; a larger one takes them with numpy, whose fixed cost pays off there.
-Both hand `_eliminate` the same rows, budget and stored count, so the route
-changes the time of a call, never its output or its refusals.  The entries
-come back as they came in: lists to a caller that passes lists (a small
-resolution step, which stays on Python ints), int64 arrays to one that
-passes arrays, so a small call converts only for array callers.
+(`plain_route`, the one size threshold, by which a resolution step also
+picks the builder of its linear part) therefore takes the peel, the row
+maps and the kernel entries in plain Python; a larger one takes them with
+numpy, whose fixed cost pays off there.  Both hand `_eliminate` the same
+rows, budget and stored count, so the route changes the time of a call,
+never its output or its refusals.  The entries come back as they came in:
+lists to a caller that passes lists (the resolution step's cover matrix and
+the linear part of a small differential), int64 arrays to one that passes
+arrays, so a small call converts only for array callers.
 
 One rule bounds memory: `kernel_rref` and `rank_triplets` take the room
 their caller can still allocate and store no more entries than fit in it,
@@ -479,7 +480,8 @@ def _outgrown(m: int, n: int, entries: int, room: float, budget: float):
 def plain_route(entries: int) -> bool:
     """Whether work on this many entries takes the plain-Python route: at
     most `_SMALL_ENTRIES`, the one size threshold of `kernel_rref`, of
-    `rank_triplets` and of a resolution step."""
+    `rank_triplets` and of the choice of a resolution step's linear-part
+    builder."""
     return entries <= _SMALL_ENTRIES
 
 

@@ -52,15 +52,16 @@ ends.  Either kernel then goes through one assembly, which writes only the
 rows the step keeps, once, into del_{i+1}: after the cover every row of
 del_{i+1} is x-only or a single w-unit 1.
 
-A step takes one of two routes, by one threshold, `linalg.plain_route` on
-the nonzeros of the cover matrix or of del_i.  Most steps are small (a
-median of about a dozen nonzeros in a perfbench batch), and on them numpy's
-fixed cost per call was most of the time, so a small step works on Python
-ints from start to finish (`_small_step`): L built as a dict through the
-nonzero entries of the form, kernel_rref on lists, the leads of S tested
-with a set, and one Nonzeros built at the end.  A larger step works on
-arrays, whose fixed cost pays off there.  Both give the same kernel_rref
-call, so the same room check and refusal, and the same differential.
+Every step runs one body (`_step`) on Python ints: the kernel's rows
+merged by pivot, the leads of S tested with a set, and one Nonzeros built
+at the end.  Most steps are small (a median of about a dozen nonzeros in a
+perfbench batch), where numpy's fixed cost per call would be most of the
+time, and on the large ones the lists cost no more than arrays did.  One
+size choice is left, by `linalg.plain_route` on the nonzeros of del_i: L is
+built as a dict through the nonzero entries of the form
+(`_small_linear_part`) for a small del_i and by one numpy join
+(`_linear_part`) for a larger one.  Both builders give the same triplets,
+so the same kernel_rref call, room check, refusal and differential.
 
 The step also reads nu(m M_i) = dim m K, for its kernel K, and leaves out of
 the differential the rows of K's rref basis that m K covers.  K lies in m F,
@@ -406,21 +407,10 @@ def _slice_pivots(rows, cols, vals, blocks: int, p: int) -> list[int]:
     """Pivots of rref(S), for the span S of the x-slot slices of kernel rows
     given by their nonzeros: vals[k] at slice rows[k] (one slice per kernel
     row and x-slot) and column cols[k] < blocks.  These are the blocks whose
-    w-pivot row m K covers.  Every nonzero vector of S leads at a pivot of
-    rref(S); when the leading entries of the slices already cover every
-    block, S is everything, and only otherwise are the nonzero slices
-    eliminated."""
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    start = _run_starts(rows)
-    lead = cols[start]
-    covered = np.zeros(blocks, dtype=bool)
-    covered[lead] = True
-    if len(rows) and covered.all():
-        return list(range(blocks))
-    at = np.cumsum(start) - 1   # the slice of each entry
-    S = np.zeros((len(lead), blocks), dtype=np.int64)
-    S[at, cols] = vals
+    w-pivot row m K covers.  Only the nonzero slices are made dense."""
+    slices, at = np.unique(np.asarray(rows, dtype=np.int64), return_inverse=True)
+    S = np.zeros((len(slices), blocks), dtype=np.int64)
+    S[at, np.asarray(cols, dtype=np.int64)] = vals
     return linalg.rref_array(S, p)[1]
 
 
@@ -481,22 +471,22 @@ class MinimalFreeResolution:
         return dims
 
     def _step(self, room: float):
-        # two routes, one threshold: a step whose cover matrix or del_i has
-        # few nonzeros (`linalg.plain_route`) runs on Python ints
-        # (`_small_step`), where numpy's fixed cost per call would be most of
-        # its time; a larger one runs on arrays, here.  Both give the same
-        # kernel_rref call, rows and Nonzeros
+        """Append del_{i+1} and nu(m M_{i+1}), from the kernel of the cover
+        matrix (i = 0) or of L (module docstring), on Python ints: the
+        kernel's rows merged by pivot, S read off them and del_{i+1} written
+        once.  The one size choice is L's builder, `_small_linear_part` for
+        a del_i of at most `linalg.plain_route` nonzeros and `_linear_part`
+        above; kernel_rref hands back lists for the first and int64 arrays
+        for the second."""
         ring = self.ring
         p, e, D = ring.p, ring.e, ring.dim
         b = self.betti_head[-1]
         if self.head == 0:
             C = self.cover_matrix
             ri, ci = np.nonzero(C)
-            if linalg.plain_route(len(ri)):
-                return self._small_step(room, (ri.tolist(), ci.tolist(),
-                                               C[ri, ci].tolist(), C.shape))
-            kr, kc, kv, kpiv = linalg.kernel_rref(ri, ci, C[ri, ci], C.shape, p, room)
-            if (kc % D == 0).any():
+            kr, kc, kv, kpiv = linalg.kernel_rref(ri.tolist(), ci.tolist(),
+                                                  C[ri, ci].tolist(), C.shape, p, room)
+            if any(c % D == 0 for c in kc):
                 raise CertificateError(
                     "kernel escapes the radical; cover not minimal")
             # only this kernel can be zero: every later one holds w F_i != 0
@@ -505,81 +495,39 @@ class MinimalFreeResolution:
             # w-pivot rows, and all nk only if every row has a w-pivot, when
             # S's column for the earliest w-pivot block is zero
             self.finite = not kpiv
-            kpiv = np.asarray(kpiv, dtype=np.int64)
-        elif linalg.plain_route(len(self.nonzeros[-1].val)):
-            return self._small_step(room)
-        else:
-            # ker del = ker(L) + wF: the rows of rref(ker L) on their x-slots
-            # (column a*e + g of L is slot a*D + 1 + g of F) and one w-unit
-            # row per block, numbered by pivot, are the rref of ker del
-            kr, kc, kv, lpiv = linalg.kernel_rref(
-                *_linear_part(ring, self.nonzeros[-1]), p, room)
-            lp = np.asarray(lpiv, dtype=np.int64)
-            xpiv, wpiv = lp // e * D + 1 + lp % e, np.arange(b) * D + D - 1
-            kpiv = np.sort(np.concatenate([xpiv, wpiv]))
-            kr = np.concatenate([np.searchsorted(kpiv, xpiv)[kr],
-                                 np.searchsorted(kpiv, wpiv)])
-            order = np.argsort(kr, kind="stable")
-            kr = kr[order]
-            kc = np.concatenate([kc // e * D + 1 + kc % e, wpiv])[order]
-            kv = np.concatenate([kv, np.ones(b, dtype=np.int64)])[order]
-        # m*K lies on the w-slots; in coordinates w.r.t. K's rows (their
-        # pivot-column entries) it is S, read on the blocks of the rows with
-        # a w-pivot (K is nonzero inside mF, so it meets the socle wF);
-        # generators = the rows of K that S's pivots leave
-        blk, slot = np.divmod(kc, D)
-        wrows = np.flatnonzero(kpiv % D == D - 1)
-        col = np.full(b, -1)
-        col[kpiv[wrows] // D] = np.arange(len(wrows))
-        x = (col[blk] >= 0) & (slot <= e)
-        drop = _slice_pivots(kr[x] * e + slot[x] - 1, col[blk[x]], kv[x],
-                             len(wrows), p)
-        kept = np.ones(len(kpiv), dtype=bool)
-        kept[wrows[drop]] = False
-        gen = np.cumsum(kept) - 1
-        x = kept[kr]
-        G = Nonzeros(gen[kr[x]], blk[x], slot[x], kv[x], (int(kept.sum()), b, D))
-        self._append(G, len(drop))
-
-    def _small_step(self, room: float, cover=None):
-        """`_step` on Python ints from start to finish, for the cover
-        matrix's nonzeros `cover` (rows, cols, vals, shape), or, without
-        them, for a del_i with few nonzeros: the same kernel_rref call, rows,
-        S and Nonzeros as the array route."""
-        ring = self.ring
-        p, e, D = ring.p, ring.e, ring.dim
-        b = self.betti_head[-1]
-        if cover is not None:
-            kr, kc, kv, kpiv = linalg.kernel_rref(*cover, p, room)
-            if any(c % D == 0 for c in kc):
-                raise CertificateError(
-                    "kernel escapes the radical; cover not minimal")
-            self.finite = not kpiv
             rows = [(c, []) for c in kpiv]
         else:
-            kr, kc, kv, lpiv = linalg.kernel_rref(
-                *_small_linear_part(ring, self.nonzeros[-1]), p, room)
+            G = self.nonzeros[-1]
+            linear_part = (_small_linear_part if linalg.plain_route(len(G.val))
+                           else _linear_part)
+            kr, kc, kv, lpiv = linalg.kernel_rref(*linear_part(ring, G), p, room)
             if len({c // e for c in lpiv}) == b:
                 # every block holds the pivot of a row of ker L, and that
                 # row's slice at the pivot's slot leads there: S is
                 # everything, every w-unit row drops, and the rows of ker L
                 # on their x-slots are del_{i+1}
-                blk, slot = np.divmod(np.array(kc, dtype=np.int64), e)
+                blk, slot = np.divmod(np.asarray(kc, dtype=np.int64), e)
                 slot += 1
-                return self._append(Nonzeros(np.array(kr, dtype=np.int64), blk, slot,
-                                             np.array(kv, dtype=np.int64),
+                return self._append(Nonzeros(np.asarray(kr, dtype=np.int64), blk, slot,
+                                             np.asarray(kv, dtype=np.int64),
                                              (len(lpiv), b, D)), b)
-            # the rows of ker L in F's coordinates and the w-unit rows,
-            # merged by pivot
+            if isinstance(kv, np.ndarray):
+                kr, kc, kv = kr.tolist(), kc.tolist(), kv.tolist()
+            # ker del = ker(L) + wF: the rows of rref(ker L) on their x-slots
+            # (column a*e + g of L is slot a*D + 1 + g of F) and one w-unit
+            # row per block, merged by pivot, are the rref of ker del
             kc = [c // e * D + 1 + c % e for c in kc]
             rows = sorted([(c // e * D + 1 + c % e, []) for c in lpiv]
                           + [(a * D + D - 1, [(a * D + D - 1, 1)]) for a in range(b)])
             kr = [r + lpiv[r] // e for r in kr]   # each x-row's place among them
         for r, c, v in zip(kr, kc, kv):
             rows[r][1].append((c, v))
-        # S's nonzeros, as `_slice_pivots` takes them: slice r e + slot - 1
-        # of row r on the blocks of the w-pivot rows, numbered by pivot.  A
-        # row's entries go by column, so each slice's first entry is its lead
+        # m*K lies on the w-slots; in coordinates w.r.t. K's rows (their
+        # pivot-column entries) it is S, read on the blocks of the rows with
+        # a w-pivot (K is nonzero inside mF, so it meets the socle wF).  S's
+        # nonzeros, as `_slice_pivots` takes them: slice r e + slot - 1 of
+        # row r on those blocks, numbered by pivot.  A row's entries go by
+        # column, so each slice's first entry is its lead
         wblocks = [c // D for c, _ in rows if c % D == D - 1]
         col = {blk: k for k, blk in enumerate(wblocks)}
         sr: list[int] = []
@@ -597,11 +545,13 @@ class MinimalFreeResolution:
                     sr.append(s)
                     sc.append(col[blk])
                     sv.append(v)
+        # every nonzero vector of S leads at a pivot of rref(S): when the
+        # leads cover every block, S is everything, and only otherwise are
+        # the slices eliminated.  Generators = the rows S's pivots leave
         if sv and len(leads) == len(wblocks):
             drop = wblocks
         else:
-            drop = [wblocks[k] for k in _slice_pivots(
-                *(np.array(x, dtype=np.int64) for x in (sr, sc, sv)), len(wblocks), p)]
+            drop = [wblocks[k] for k in _slice_pivots(sr, sc, sv, len(wblocks), p)]
         dropped = {blk * D + D - 1 for blk in drop}
         gen: list[int] = []
         cols: list[int] = []

@@ -39,6 +39,7 @@ from gorlab.resolution import (
 )
 from gorlab.modules import (
     ModuleMap,
+    direct_sum,
     matlis_dual,
     radical_rows,
     radical_square_rows,
@@ -711,9 +712,12 @@ def test_w_unit_rows_are_the_split_copies_of_k(M):
 FALLBACK_STEPS = [("bv_r2", 1, 2), ("rm2", 1, 0)]
 
 
-# `linalg._SMALL_ENTRIES` values that send every step down one route, and
-# the threshold itself, under which a small step can still hand kernel_rref
-# more entries than the threshold (L has up to e entries per nonzero of G)
+# `linalg._SMALL_ENTRIES` values under which every step builds L with numpy
+# (`_linear_part`) and kernel_rref converts every input with numpy, or both
+# work on Python ints (`_small_linear_part`, the plain route), and the
+# threshold itself, under which the L of a small del_i can still hand
+# kernel_rref more entries than the threshold (L has up to e entries per
+# nonzero of G).  Every setting runs the one step body
 ARRAY_ROUTE, PLAIN_ROUTE, BY_SIZE = -1, 10**6, linalg._SMALL_ENTRIES
 
 
@@ -753,8 +757,9 @@ def route_modules(draw):
 
 
 def _routes_agree(M):
-    # a step on Python ints writes the same differential, Betti number and
-    # nu(m M_i) as a step on arrays, the cover step's included
+    """Each step, the cover step's included, writes the same differential,
+    Betti number and nu(m M_i) whichever builder made its L and whichever
+    route kernel_rref converted on, and every array it stores is int64."""
     arrays = _resolved_on_route(M, ARRAY_ROUTE, 4)
     for route in (PLAIN_ROUTE, BY_SIZE):
         res = _resolved_on_route(M, route, 4)
@@ -779,6 +784,23 @@ def test_step_routes_agree(M):
 def test_step_routes_agree_on_pinned_modules(name):
     _routes_agree(_pinned_module(name) if name != "free" else
                   FiniteModule.free(make_ring(101, 3, identity_form(3)), 2))
+
+
+def test_large_merge_step_agrees_on_every_route(R3):
+    # step 2 of this sum merges the rows of ker L with the w-unit rows (it
+    # keeps a w-unit row, which the early return never does) on a del_1 of
+    # 87 nonzeros, above the threshold, so its L comes from `_linear_part`
+    # and its kernel as arrays; the routes agree, and the step matches the
+    # generic kernel and the form-weighted w-images
+    M = direct_sum(random_module(R3, 6, 6, seed=5), random_module(R3, 3, 1, seed=0))[0]
+    _routes_agree(M)
+    res = _resolved_on_route(M, BY_SIZE, 2)
+    assert len(res.nonzeros[0].val) == 87 > linalg._SMALL_ENTRIES
+    assert res.nu_m[1] < res.betti_head[1]
+    K, piv, nu, nu_m = _generic_step(R3, _cover_or_kmat(res, 1))
+    assert np.array_equal(res.syzygy(2)[1].matrix.T, K)
+    assert (res.betti_head[2], res.nu_m[1]) == (nu, nu_m)
+    assert _step_drop(res, 1, piv) == _form_weighted_w(R3, K, piv)
 
 
 @pytest.mark.parametrize("name, step, nu_m", FALLBACK_STEPS)

@@ -274,6 +274,17 @@ def test_the_room_is_read_only_per_extension_or_window():
     assert _callers(probe, "available_bytes") == {"f.g", "f", "C.h"}
 
 
+def test_a_resolution_has_one_step_method():
+    # every resolution step, the cover's and the large ones included, runs
+    # one body; a second step method is a duplicate route coming back
+    tree = ast.parse((SRC / "resolution.py").read_text())
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+              and node.name == "MinimalFreeResolution"]
+    steps = [node.name for node in cls.body
+             if isinstance(node, ast.FunctionDef) and "step" in node.name]
+    assert steps == ["_step"], f"step methods: {steps}"
+
+
 def test_no_dense_kmatrix_route_in_resolution_or_homology():
     # resolution and homology build every k-matrix as triplets
     # (`kmat_triplets`); an einsum there is a dense route coming back.
