@@ -13,7 +13,10 @@ into one degree and as the map out of another, and the two ranks must
 agree.  The radical excess is such a rank, of a product tiny since m^3 = 0,
 read off two sparse joins (`_radical_excess`); it is 0 when K is zero, and
 the map out is then read for its rank alone, with no kernel basis
-(`linalg.rank_triplets`), unless the caller reads the cycles.
+(`linalg.rank_triplets`), unless the caller reads the cycles.  The tables
+read nu from it; `tor_induced` reads lengths, cycles and left kernels only,
+so its windows compute no excess and read every map out whose cycles they
+do not yield for its rank alone.
 
 Both routes run on the Loewy copy L of N (`_loewy`), written in a basis
 adapted to N > mN > m^2 N with layers N_0, N_1, N_2, the layers re-based
@@ -379,8 +382,8 @@ class _Homology:
     window's layer block (s, t)."""
 
     length: int
-    nu: int
-    m_annihilated: bool
+    nu: int | None              # None, as m_annihilated, where the window
+    m_annihilated: bool | None  # computes no radical excess (`tor_induced`)
     cycles: tuple | None  # triplets of the kernel of the block out (first s
                           # coords), as `linalg.kernel_rref` returns them;
                           # None where neither the caller nor the excess
@@ -390,7 +393,7 @@ class _Homology:
 
 
 def _window(N: FiniteModule, diff, ranks, step: int, block, last: int,
-            cycles: bool = False):
+            cycles: bool = False, excess: bool = True):
     """Honest homology of a complex of k-spaces built on N: yields one
     `_Homology` per degree 0..last, in order, so a caller stops reading once
     it has what it needs.  diff(i) is the map out of degree i, diff(i + step)
@@ -417,9 +420,13 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int,
     alone (`linalg.rank_triplets`, no back-substitution), unless the caller
     reads cycles (`cycles`, which `tor_induced` sets for its source);
     otherwise its kernel Z is eliminated and the excess is a rank against
-    K (`_radical_excess`).  Every map is thus eliminated twice, as the map
-    into one degree and as the map out of another, and the two ranks must
-    agree, or CertificateError is raised.  Each block is built once and at
+    K (`_radical_excess`).  A caller that reads no nu (`excess` False, as
+    both of `tor_induced`'s windows are) gets no excess: each degree's nu
+    and m_annihilated are None, not a value a caller could take for one,
+    and A_i is read for its rank alone in every degree unless the caller
+    reads cycles.  Every map is thus eliminated twice, as the map into one
+    degree and as the map out of another, and the two ranks must agree, or
+    CertificateError is raised.  Each block is built once and at
     most two are held: before the radical excess, every one that degree
     i + 1 will not read is dropped, and at degree `last` all of them.  The
     room the process can get is read once, before degree 0, and every
@@ -476,8 +483,8 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int,
             K = kernel(cols, rows, vals, (n, m))
             into = check_rank(i + step, m - K[3][0], "left kernel")
             rows, cols, vals, (m, n) = mat(i)
-            Z = None
-            if cycles or K[3][0]:
+            Z = nu = annihilated = None
+            if cycles or (excess and K[3][0]):
                 Z = kernel(rows, cols, vals, (m, n))
                 out = check_rank(i, n - Z[3][0], "kernel")
             else:
@@ -489,10 +496,12 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int,
             del rows, cols, vals
             for j in [j for j in mats if i == last or j not in (i + 1, i + 1 + step)]:
                 del mats[j]
-            extra = _radical_excess(N, Z, K, block, room)
+            if excess:
+                extra = _radical_excess(N, Z, K, block, room)
+                nu, annihilated = li - extra, extra == 0
         except NotMaterialized as exc:
             raise NotMaterialized(f"{kind} degree {i}: {exc}") from None
-        yield _Homology(li, li - extra, extra == 0, Z, K)
+        yield _Homology(li, nu, annihilated, Z, K)
 
 
 def _ranks(res: MinimalFreeResolution):
@@ -501,7 +510,7 @@ def _ranks(res: MinimalFreeResolution):
 
 
 def _homology_window(res: MinimalFreeResolution, N: FiniteModule, last: int,
-                     cycles: bool = False):
+                     cycles: bool = False, excess: bool = True):
     """Honest Tor homology of F_*(res.module) tensor N, on the Loewy copy of
     N, degree by degree through `last` (see `_window`, which yields every
     degree's cycles when `cycles` is set); each differential is
@@ -517,7 +526,7 @@ def _homology_window(res: MinimalFreeResolution, N: FiniteModule, last: int,
             return _tor_block(res.nonzeros[i - 1], L, layers)
         return _no_entries(beta(i - 1) * t, beta(i) * s)
 
-    return _window(L, diff, beta, 1, block, last, cycles)
+    return _window(L, diff, beta, 1, block, last, cycles, excess)
 
 
 def _plan(beta, J: int | None, d: int, n: int) -> range:
@@ -707,8 +716,8 @@ def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResul
     room = resolution.available_bytes()
     out = []
     for i, (f, ha, hb) in enumerate(zip(lift_chain_map(phi, w),
-                                        _homology_window(ra, N, w, cycles=True),
-                                        _homology_window(rb, N, w))):
+                                        _homology_window(ra, N, w, cycles=True, excess=False),
+                                        _homology_window(rb, N, w, excess=False))):
         rank = 0
         if hb.length:
             (zr, zc, zv, (nz, _)), (kr, kc, kv, (nk, _)) = ha.cycles, hb.left_kernel

@@ -36,20 +36,25 @@ pivots in every column order, so the dict engine never sees them.
 also peels columns with a single entry, which a rank allows and a canonical
 basis does not.
 
-`kernel_rref` and `rank_triplets` have one engine and two conversion routes
-into and out of it.  Most of their calls are small (a resolution step after
-the first eliminates the linear part of a differential, a median of about a
-dozen entries), and for them numpy's per-call overhead, not the elimination,
-was most of the time.  An input with at most `_SMALL_ENTRIES` entries
-(`plain_route`, the one size threshold, by which a resolution step also
-picks the builder of its linear part) therefore takes the peel, the row
-maps and the kernel entries in plain Python; a larger one takes them with
-numpy, whose fixed cost pays off there.  Both hand `_eliminate` the same
-rows, budget and stored count, so the route changes the time of a call,
-never its output or its refusals.  The entries come back as they came in:
-lists to a caller that passes lists (the resolution step's cover matrix and
-the linear part of a small differential), int64 arrays to one that passes
-arrays, so a small call converts only for array callers.
+Every elimination builds its rows in plain Python, by one loop over the
+entries as lists (`_sparse_rows`): the matrices are sparse enough that the
+loop costs less than numpy's sorts and per-call overhead would.  Beyond
+that, `kernel_rref` and `rank_triplets` have two routes, which differ only
+in the peel and the kernel entries.  Most of their calls are small (a
+resolution step after the first eliminates the linear part of a
+differential, a median of about a dozen entries), and for them numpy's
+per-call overhead, not the elimination, was most of the time.  An input
+with at most `_SMALL_ENTRIES` entries (`plain_route`, the one size
+threshold, by which a resolution step also picks the builder of its linear
+part) therefore takes the peel and the kernel entries in plain Python; a
+larger one takes them with numpy, whose fixed cost pays off there, and
+hands the entries left to the row builder as lists.  Both hand `_eliminate`
+the same rows, column order, budget and stored count, so the route changes
+the time of a call, never its output or its refusals.  The entries come
+back as they came in: lists to a caller that passes lists (the resolution
+step's cover matrix and the linear part of a small differential), int64
+arrays to one that passes arrays, so a small call converts only for array
+callers.
 
 One rule bounds memory: `kernel_rref` and `rank_triplets` take the room
 their caller can still allocate and store no more entries than fit in it,
@@ -75,21 +80,25 @@ from .errors import NotMaterialized, NotPrime
 # to ENTRY_BYTES per stored entry and LINE_BYTES per row and column (a dict,
 # a set, kernel entries: at most 310 bytes under tracemalloc at e = 3, 4, 5).
 # The input's entries are checked before the singleton pre-pass, so the check
-# also covers what the pre-pass holds: per input entry, two rounds' int64
-# copies of the entries and a few boolean masks (under 60 bytes), and per row
-# and column an int64 count or a boolean.  An input of at most
-# `_SMALL_ENTRIES` entries holds lists of Python ints instead, with no numpy
-# overhead: on the small inputs of a perfbench batch it peaked at most 1.07
-# times its check under tracemalloc, where numpy's route peaked up to 4.3
-# times.
+# also covers what the pre-pass holds: above `_SMALL_ENTRIES` entries, per
+# input entry two rounds' int64 copies of the entries and a few boolean masks
+# (under 60 bytes), per row and column an int64 count or a boolean, and then
+# the entries left as the three lists of Python ints the rows are built from;
+# at most `_SMALL_ENTRIES` entries, lists alone.  Under tracemalloc, calls
+# above `_SMALL_ENTRIES` entries peaked at most 0.88 times their check in
+# the e = 4 lemma suite, 0.69 times in the e = 6 main theorem and 0.83 times
+# in perfbench batches (0.98, 0.81 and 0.99 when numpy built the rows);
+# smaller calls can exceed a check of a few KiB by about 1 KiB of fixed cost.
 ENTRY_BYTES = 130
 LINE_BYTES = 400
-# `kernel_rref` and `rank_triplets` convert an input of at most this many
-# entries in plain Python.  Replaying the inputs of a perfbench
-# `betti_verdicts` and `tor_ext_pairs` batch through both routes
+# `kernel_rref` and `rank_triplets` peel an input of at most this many
+# entries and read its kernel back in plain Python.  Replaying the inputs of
+# a perfbench `betti_verdicts` and `tor_ext_pairs` batch through both routes
 # (BENCH_32.json), the two broke even between about 64 and 128 entries, and
 # the total over both batches was flat from 48 to 128 entries and near the
-# best route for every input.
+# best route for every input.  With the rows built from lists on both routes
+# (BENCH_40.json), 32 and 64 entries stayed within 2% of each other, and 128,
+# 256 and 512 were slower on both batches.
 _SMALL_ENTRIES = 64
 
 
@@ -126,9 +135,9 @@ def rref_inplace(R: np.ndarray, p: int):
     (`_back_substitute`) reduces its pivot rows, which in pivot order are
     then the canonical rref; R is written only at the end."""
     ri, ci = np.nonzero(R)
-    rows, where = _sparse_rows(ri, ci, R[ri, ci], R.shape[0])
+    rows, where = _sparse_rows(ri.tolist(), ci.tolist(), R[ri, ci].tolist(), R.shape[0])
     del ri, ci   # freed before the fill grows
-    pivot_row, _ = _eliminate(rows, where, list(where), p)
+    pivot_row, _ = _eliminate(rows, where, sorted(where), p)
     _back_substitute(rows, where, pivot_row, p)
     R.fill(0)
     ix: list[int] = []
@@ -142,31 +151,26 @@ def rref_inplace(R: np.ndarray, p: int):
     return list(pivot_row)
 
 
-def _sparse_rows(ri, ci, vi, m: int):
+def _sparse_rows(ri: list, ci: list, vi: list, m: int):
     """(rows, where) for the m-row matrix with nonzero entries vi at (ri,
-    ci): rows[i] maps the columns of row i to its entries (None for a zero
-    row, which elimination never touches), and where[c] is the set of rows
-    with an entry in column c, its keys in increasing order.  Each map is
-    built whole, at its final size."""
+    ci), given as lists: rows[i] maps the columns of row i to its entries
+    (None for a zero row, which elimination never touches), and where[c] is
+    the set of rows with an entry in column c, its keys in the order the
+    columns first appear, so each caller hands `_eliminate` its own column
+    order.  One loop over the entries, with no numpy call."""
     rows: list = [None] * m
-    order, nz, ends = _runs(ri)
-    cl, vals = ci[order].tolist(), vi[order].tolist()
-    for i, a, b in zip(nz, [0] + ends, ends):
-        rows[i] = dict(zip(cl[a:b], vals[a:b]))
-    order, cols, ends = _runs(ci)
-    by_col = ri[order].tolist()
-    where = {c: set(by_col[a:b]) for c, a, b in zip(cols, [0] + ends, ends)}
+    where: dict = {}
+    for i, c, v in zip(ri, ci, vi):
+        row = rows[i]
+        if row is None:
+            row = rows[i] = {}
+        row[c] = v
+        col = where.get(c)
+        if col is None:
+            where[c] = {i}
+        else:
+            col.add(i)
     return rows, where
-
-
-def _runs(keys):
-    """(order, values, ends): the stable order that sorts the int array
-    `keys`, its distinct values in increasing order, and where each one's
-    run ends in the sorted keys."""
-    count = np.bincount(keys)
-    values = np.flatnonzero(count)
-    return (np.argsort(keys, kind="stable"), values.tolist(),
-            np.cumsum(count[values]).tolist())
 
 
 def _eliminate(rows: list, where: dict, columns, p: int,
@@ -358,14 +362,15 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
     canonical basis the resolution writes (a rank does not change, and
     `rank_triplets` peels them).
 
-    An input with at most `_SMALL_ENTRIES` entries is converted in plain
-    Python (`_small_peel`, `_small_rows`, `_small_kernel`), a larger one
-    with numpy (`_peel`, `_sparse_rows`, `_kernel_entries`): small calls are
-    most calls, and numpy's fixed cost per call outweighs their
-    elimination.  Both routes peel the same rows, run `_eliminate` once on
-    the same rows with the same budget and stored count, and return the
-    same triplets: as lists when `vals` is not an array, as int64 arrays
-    when it is.
+    The rows are built in plain Python on every input (`_sparse_rows`, on
+    lists).  An input with at most `_SMALL_ENTRIES` entries is peeled and
+    read back in plain Python (`_small_peel`, `_small_kernel`), a larger one
+    with numpy (`_peel`, `_kernel_entries`): small calls are most calls, and
+    numpy's fixed cost per call outweighs their elimination.  Both routes
+    peel the same rows, run `_eliminate` once on the same rows with the
+    same column order, budget and stored count, and return the same
+    triplets: as lists when `vals` is not an array, as int64 arrays when it
+    is.
 
     `room` is the bytes the caller can still allocate.  The elimination
     stores no more entries than fit in it (see `ENTRY_BYTES`): an input
@@ -383,13 +388,13 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
         if arrays:
             rows, cols, vals = (np.asarray(x).tolist() for x in (rows, cols, vals))
         ri, ci, vi, pinned = _small_peel(rows, cols, vals)
-        data, where = _small_rows(ri, ci, vi, m)
         left = n - len(pinned)
     else:
         ri, ci, vi, pinned = _peel(np.asarray(rows, dtype=np.int64),
                                    np.asarray(cols, dtype=np.int64), np.asarray(vals), n)
-        data, where = _sparse_rows(ri, ci, vi, m)
+        ri, ci, vi = ri.tolist(), ci.tolist(), vi.tolist()
         left = n - int(np.count_nonzero(pinned))
+    data, where = _sparse_rows(ri, ci, vi, m)
     stored = len(vi)
     del ri, ci, vi   # freed before the fill grows
     done = _eliminate(data, where, sorted(where, reverse=True), p, budget, stored)
@@ -433,12 +438,13 @@ def rank_triplets(rows, cols, vals, shape, p: int, room: float = float("inf")) -
     left.  A canonical basis could not peel singleton columns (see
     `kernel_rref`); a rank can.
 
-    The conversion routes and the room are those of `kernel_rref`: at most
-    `_SMALL_ENTRIES` entries take plain Python (`_small_peel`,
-    `_small_rows`), a larger input numpy (`_peel`, `_sparse_rows`), and an
-    input that does not fit `room`, checked at its full size before the
-    pre-pass, or whose fill outgrows it, raises NotMaterialized with the
-    text of `kernel_rref`'s refusal before more is allocated."""
+    The routes and the room are those of `kernel_rref`: at most
+    `_SMALL_ENTRIES` entries are peeled in plain Python (`_small_peel`), a
+    larger input with numpy (`_peel`), the rows are built from lists on
+    both (`_sparse_rows`), and an input that does not fit `room`, checked
+    at its full size before the pre-pass, or whose fill outgrows it, raises
+    NotMaterialized with the text of `kernel_rref`'s refusal before more is
+    allocated."""
     m, n = shape
     entries, budget = len(vals), _budget(room, m, n)
     if entries > budget:
@@ -449,12 +455,12 @@ def rank_triplets(rows, cols, vals, shape, p: int, room: float = float("inf")) -
         ri, ci, vi, pinned = _small_peel(rows, cols, vals)
         ci, ri, vi, marked = _small_peel(ci, ri, vi)
         rank = len(pinned) + len(marked)
-        data, where = _small_rows(ri, ci, vi, m)
     else:
         ri, ci, vi, pinned = _peel(*(np.asarray(x, dtype=np.int64) for x in (rows, cols, vals)), n)
         ci, ri, vi, marked = _peel(ci, ri, vi, m)
         rank = int(np.count_nonzero(pinned) + np.count_nonzero(marked))
-        data, where = _sparse_rows(ri, ci, vi, m)
+        ri, ci, vi = ri.tolist(), ci.tolist(), vi.tolist()
+    data, where = _sparse_rows(ri, ci, vi, m)
     stored = len(vi)
     del ri, ci, vi   # freed before the fill grows
     done = _eliminate(data, where, sorted(where, reverse=True), p, budget, stored)
@@ -497,23 +503,6 @@ def _small_peel(ri: list, ci: list, vi: list):
         pinned |= single
         keep = [k for k, c in enumerate(ci) if c not in single]
         ri, ci, vi = [ri[k] for k in keep], [ci[k] for k in keep], [vi[k] for k in keep]
-
-
-def _small_rows(ri: list, ci: list, vi: list, m: int):
-    """`_sparse_rows` in plain Python, for a small input given as lists."""
-    data: list = [None] * m
-    where: dict = {}
-    for i, c, v in zip(ri, ci, vi):
-        row = data[i]
-        if row is None:
-            row = data[i] = {}
-        row[c] = v
-        col = where.get(c)
-        if col is None:
-            where[c] = {i}
-        else:
-            col.add(i)
-    return data, where
 
 
 def _small_kernel(data: list, pivot_row: dict, pinned: set, n: int, p: int):

@@ -603,11 +603,11 @@ def _with_maps_in(window, res, N, last, monkeypatch):
     on, in whose coordinates its cycles and left kernel are written."""
     maps, run = {}, hm._window
 
-    def spying(X, diff, ranks, step, block, last, cycles=False):
+    def spying(X, diff, ranks, step, block, last, cycles=False, excess=True):
         def kept(j):
             maps[j] = diff(j)
             return maps[j]
-        for i, h in enumerate(run(X, kept, ranks, step, block, last, cycles=True)):
+        for i, h in enumerate(run(X, kept, ranks, step, block, last, True, excess)):
             yield h, linalg.dense(*maps[i + step]), X, block
 
     with monkeypatch.context() as mp:
@@ -912,11 +912,11 @@ def test_window_reads_a_rank_exactly_where_the_left_kernel_is_zero(kind, monkeyp
     last = table(M, N, 25).window
     maps, run = {}, hm._window
 
-    def spying(X, diff, ranks, step, block, last, cycles=False):
+    def spying(X, diff, ranks, step, block, last, cycles=False, excess=True):
         def kept(j):
             maps[j] = diff(j)
             return maps[j]
-        return run(X, kept, ranks, step, block, last, cycles)
+        return run(X, kept, ranks, step, block, last, cycles, excess)
 
     counting = _CountingLinalg()
     monkeypatch.setattr(hm, "_window", spying)
@@ -943,25 +943,57 @@ def test_window_reads_a_rank_exactly_where_the_left_kernel_is_zero(kind, monkeyp
 def test_tor_induced_source_window_yields_cycles(monkeypatch):
     # tor_induced maps A's cycles into B's copies, so A's window eliminates
     # every map out for its kernel, a zero left kernel or not; B's window
-    # reads only its left kernels and yields cycles only where the excess
-    # needed them
+    # reads only its left kernels and yields no cycles.  Neither window
+    # computes a radical excess, so neither yields nu
     M, N = _trial_4()
     phi = _iota(M)
     run, seen = hm._homology_window, []
 
-    def spying(res, N, last, cycles=False):
-        for h in run(res, N, last, cycles):
-            seen.append((res.module is phi.source, cycles, h))
+    def spying(res, N, last, cycles=False, excess=True):
+        for h in run(res, N, last, cycles, excess):
+            seen.append((res.module is phi.source, cycles, excess, h))
             yield h
 
     monkeypatch.setattr(hm, "_homology_window", spying)
     ranks = [r.rank for r in tor_induced(phi, N, 5)]
-    source = [h for is_source, cycles, h in seen if is_source and cycles]
-    target = [h for is_source, cycles, h in seen if not is_source and not cycles]
+    source = [h for is_source, cycles, excess, h in seen if is_source and cycles]
+    target = [h for is_source, cycles, excess, h in seen if not is_source and not cycles]
     assert len(source) == len(target) == len(ranks) == len(seen) // 2
+    assert not any(excess for _, _, excess, _ in seen)
     assert all(h.cycles is not None for h in source)
-    assert [h.cycles is None for h in target] == [h.left_kernel[3][0] == 0 for h in target]
+    assert all(h.cycles is None for h in target)
     assert any(h.left_kernel[3][0] == 0 for h in source)
+    assert any(h.left_kernel[3][0] for h in target)
+    assert all(h.nu is None and h.m_annihilated is None for h in source + target)
+
+
+def test_tor_induced_reads_no_radical_excess(monkeypatch):
+    # tor_induced reads the windows' lengths, the source's cycles and the
+    # target's left kernels, never nu: it computes no radical excess, the
+    # target's maps out are read for their ranks alone in every degree, and
+    # the ranks and lengths are those recorded before the windows dropped
+    # the excess, on trial 2 of `verify main-theorem` at the README
+    # defaults, which has a nonzero rank in every degree of its window
+    cfg = TrialConfig(trials=25, cutoff=25)
+    rng = np.random.default_rng(cfg.seed + 2)
+    ring = _ring_for(cfg)
+    M, N = _draw_module(ring, cfg, rng), _draw_module(ring, cfg, rng)
+    w = tor(M, N, 25).window
+    phi = _iota(M)
+
+    def excess(*args):
+        raise AssertionError("tor_induced computed a radical excess")
+
+    counting = _CountingLinalg()
+    monkeypatch.setattr(hm, "_radical_excess", excess)
+    monkeypatch.setattr(hm, "linalg", counting)
+    out = tor_induced(phi, N, w)
+    assert [(r.rank, r.source_length, r.target_length) for r in out] == \
+        [(7, 16, 13), (3, 24, 3), (2, 56, 2)]
+    assert all(r.provenance == COMPUTED for r in out)
+    # per degree: the source's map in and map out for kernels, then the
+    # target's map in for its left kernel and its map out for its rank
+    assert counting.reads == ["kernel", "kernel", "kernel", "rank"] * len(out)
 
 
 class _Unread:

@@ -285,6 +285,18 @@ def test_a_resolution_has_one_step_method():
     assert steps == ["_step"], f"step methods: {steps}"
 
 
+def test_linalg_has_one_row_builder():
+    # every elimination gets its row maps and column sets from
+    # `_sparse_rows`, one loop on lists with no numpy call; a second
+    # builder (a plain-Python `_small_rows` beside a numpy one, or `_runs`'
+    # sorted grouping) is a duplicate conversion route coming back
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    builders = sorted(name for name in functions if name.endswith("_rows") or name == "_runs")
+    assert builders == ["_sparse_rows"], f"row builders: {builders}"
+    assert "np" not in _names_read(functions["_sparse_rows"])
+
+
 def test_no_dense_kmatrix_route_in_resolution_or_homology():
     # resolution and homology build every k-matrix as triplets
     # (`kmat_triplets`); an einsum there is a dense route coming back.
