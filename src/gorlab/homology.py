@@ -66,8 +66,8 @@ differential, so every table computes each degree once; `tor_induced` reads
 the lifts of `lift_chain_map` and the windows of its source and target
 together, degree by degree.  `_window` reads the room the process can get
 (`resolution.available_bytes`) once, before degree 0, and holds every
-kernel as its triplets; `tor_induced` reads it once for its products.  One
-rule checks a degree against a room: the eliminations
+kernel as its triplets; `tor_induced` reads it once, for its lifts and its
+products.  One rule checks a degree against a room: the eliminations
 (`linalg.kernel_rref`, `rank_triplets`) count `linalg.ENTRY_BYTES` per
 entry and `LINE_BYTES` per row and column, the joins the first per entry
 and pair, the blocks of `_rank` both per cell and line.  A degree that
@@ -326,7 +326,7 @@ def _loewy(N: FiniteModule):
         if d:
             I = np.eye(d, dtype=np.int64)
             Q = np.concatenate([I[top], U1[mid], U2]).T
-            Qinv = np.stack(linalg.solve_many(Q, I, p), axis=1)
+            Qinv = _rref_bases([Q], p)[0][0]   # Q is invertible: T Q = I
             built = _conjugate(Qinv, N.all_ops[1:], Q, p)
             s, t = _block(h)
             # the candidates: as built, the target side and the source side
@@ -511,10 +511,10 @@ def _ranks(res: MinimalFreeResolution):
 
 def _homology_window(res: MinimalFreeResolution, N: FiniteModule, last: int,
                      cycles: bool = False, excess: bool = True):
-    """Honest Tor homology of F_*(res.module) tensor N, on the Loewy copy of
-    N, degree by degree through `last` (see `_window`, which yields every
-    degree's cycles when `cycles` is set); each differential is
-    materialized when the window first reads it."""
+    """Honest Tor homology of F_*(M) tensor N, for M the module `res`
+    resolves, on the Loewy copy of N, degree by degree through `last` (see
+    `_window`, which yields every degree's cycles when `cycles` is set);
+    each differential is materialized when the window first reads it."""
     L, layers = _loewy(N)
     s, t = block = _block(layers)
     beta = _ranks(res)
@@ -601,14 +601,19 @@ def _build_table(M: FiniteModule, N: FiniteModule, n: int, kind,
     if kind is ExtTable:
         # Ext^i(M, N) is the dual of Tor_i(M, N*): honest degrees from the
         # Hom complex only through the dual table's window, and past it the
-        # dual's certified entries, where m kills everything so length and
-        # nu agree
+        # dual's entries.  nu of a dual is the socle's dimension, not nu, so
+        # an entry is copied only where m kills it and length and nu agree:
+        # every certified entry, and a computed one past w that m kills
         tdual = tor(M, matlis_dual(N), n)
         w, = _plan(res.betti(n + 1), None, N.dim, tdual.window)
         ent = _computed(window(res, N, w))
         for i in range(len(ent)):
             if ent[i].length != tdual.entries[i].length:
                 raise CertificateError(f"Ext/Tor duality violated at degree {i}")
+        for t in tdual.entries[w + 1: n + 1]:
+            if not t.m_annihilated:
+                raise CertificateError(
+                    f"Ext degree {t.i} copied from the dual table is not m-annihilated")
         return kind(M, N, ent + tdual.entries[w + 1: n + 1], w, tdual.junction)
 
     if not M.all_ops[1:].any():
@@ -666,9 +671,9 @@ def tor(M: FiniteModule, N: FiniteModule, n: int) -> TorTable:
 
 
 def _cohomology_window(res: MinimalFreeResolution, N: FiniteModule, last: int):
-    """Honest Ext cohomology of Hom(F_*(res.module), N), on the Loewy copy
-    L of N with the full matrices (the trivial block), degree by degree
-    through `last` (see `_window`)."""
+    """Honest Ext cohomology of Hom(F_*(M), N), for M the module `res`
+    resolves, on the Loewy copy L of N with the full matrices (the trivial
+    block), degree by degree through `last` (see `_window`)."""
     L = _loewy(N)[0]
     d = L.dim
     beta = _ranks(res)
@@ -699,8 +704,8 @@ def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResul
     cycles, on the first s coordinates of each copy, and one unit row per
     dropped coordinate, a cycle.  The rank is that of the images modulo B's
     boundaries: their last t coordinates of each B copy joined with B's
-    left kernel, beside their first d - t as they are (`_rank`).  Joins and
-    blocks check against one room, read before degree 0."""
+    left kernel, beside their first d - t as they are (`_rank`).  The
+    lifts, joins and blocks check against one room, read before degree 0."""
     A, B = phi.source, phi.target
     if N.ring != A.ring:
         raise RingMismatch("modules over different rings")
@@ -715,7 +720,7 @@ def tor_induced(phi: ModuleMap, N: FiniteModule, n: int) -> list[InducedMapResul
     (s, t), d = _block(layers), L.dim
     room = resolution.available_bytes()
     out = []
-    for i, (f, ha, hb) in enumerate(zip(lift_chain_map(phi, w),
+    for i, (f, ha, hb) in enumerate(zip(lift_chain_map(phi, w, room),
                                         _homology_window(ra, N, w, cycles=True, excess=False),
                                         _homology_window(rb, N, w, excess=False))):
         rank = 0

@@ -7,11 +7,15 @@ Each question has one route.  Ranks and row spaces (`rref_array`,
 `row_space`), kernels (`kernel_array`, and `kernel_rref` for a canonical
 basis), ranks of triplets (`rank_triplets`) and solutions (`solve_many`) all
 rest on one sparse elimination over rows held as {column: value} maps, and
-products mod p go through `matmul_mod`.  The matrices gorlab eliminates have
-their entries in m, and m^3 = 0 leaves them a few nonzeros per row (0.4-1.3%
-of the entries of one perfbench batch), so the elimination does only the
-work the nonzeros need.  Reduced row-echelon form is canonical, so these
-routines are deterministic and reproducible bit for bit.
+products mod p go through `matmul_mod`.  The package solves on triplets,
+with `kernel_rref` (chain-map lifts, slice pivots); `solve_many` and
+`solve_array`, dense and unchecked by any room, have no caller in it and
+are kept for the benchmark's trace targets and the tests.  The matrices
+gorlab eliminates have their entries in m, and m^3 = 0 leaves them a few
+nonzeros per row (0.4-1.3% of the entries of one perfbench batch), so the
+elimination does only the work the nonzeros need.  Reduced row-echelon
+form is canonical, so these routines are deterministic and reproducible
+bit for bit.
 
 The elimination has two passes.  The forward pass (`_eliminate`) clears each
 pivot column from the rows not yet used only, which fixes the pivots and so

@@ -75,7 +75,9 @@ the cover these are the w-unit rows, one per block).  Every nonzero vector
 of S has its leading entry at a pivot of rref(S), so when the leading
 entries of the slices already cover every column, S is everything and
 nothing is eliminated; only otherwise, in a few percent of the steps, does
-the step eliminate the slices.
+the step eliminate the slices, by `linalg.kernel_rref` with S's columns
+reversed: its right-to-left pass then takes them left to right, and the
+columns it does not leave free are the pivots of rref(S).
 
 A resolution stores each differential as its nonzeros (`Nonzeros`: the
 generator, target, slot and value of every nonzero entry), the cover matrix,
@@ -83,12 +85,14 @@ the Betti numbers and nu(m M_i) of each syzygy, the one syzygy number the
 tail certificate reads; nothing else of a syzygy is kept.  A minimal
 differential has its entries in m, about 1.4 nonzeros per row, so the README
 module's del_1..del_8 hold 2876 nonzeros in 90 KiB, against 25.4 MiB as
-dense arrays.  Steps and homology read the nonzeros; `diff(i)` builds the
-dense entry array on demand for the readers that want one (syzygies,
-chain-map lifts, the presentation and the `resolve` output).  By exactness
-M_i is the image of del_i, the R-span of its rows, so `syzygy` rebuilds
-M_i's rref basis on demand with `span_closure`: the rref of a subspace is
-unique, so it is the basis of the kernel the step found.  Exactness also
+dense arrays.  Steps, chain-map lifts and homology read the nonzeros;
+`diff(i)` builds the dense entry array on demand for the readers that want
+one (syzygies, the presentation and the `resolve` output).  A lift solves
+each degree as one `linalg.kernel_rref` on triplets, against the room its
+caller passes (`lift_chain_map`).  By exactness M_i is the image of del_i,
+the R-span of its rows, so `syzygy` rebuilds M_i's rref basis on demand
+with `span_closure`: the rref of a subspace is unique, so it is the basis
+of the kernel the step found.  Exactness also
 gives dim M_i from the Betti numbers alone,
 dim M_i = beta_{i-1} (e+2) - dim M_{i-1} (`syzygy_dims`), and a span of
 another dimension, a step that dropped a generator, raises CertificateError.
@@ -403,15 +407,17 @@ def _small_linear_part(ring: ShortGorensteinRing, G: Nonzeros):
             [L[key] % p for key in keys], (G.shape[1], G.shape[0] * e))
 
 
-def _slice_pivots(rows, cols, vals, blocks: int, p: int) -> list[int]:
+def _slice_pivots(rows, cols, vals, blocks: int, p: int, room: float) -> list[int]:
     """Pivots of rref(S), for the span S of the x-slot slices of kernel rows
     given by their nonzeros: vals[k] at slice rows[k] (one slice per kernel
     row and x-slot) and column cols[k] < blocks.  These are the blocks whose
-    w-pivot row m K covers.  Only the nonzero slices are made dense."""
-    slices, at = np.unique(np.asarray(rows, dtype=np.int64), return_inverse=True)
-    S = np.zeros((len(slices), blocks), dtype=np.int64)
-    S[at, np.asarray(cols, dtype=np.int64)] = vals
-    return linalg.rref_array(S, p)[1]
+    w-pivot row m K covers.  They are the columns that `linalg.kernel_rref`
+    does not leave free on S with its columns reversed (c -> blocks-1-c), so
+    that its right-to-left pass takes S's columns left to right, as rref
+    does; the elimination checks against `room`."""
+    free = set(linalg.kernel_rref(rows, [blocks - 1 - c for c in cols], vals,
+                                  (max(rows, default=-1) + 1, blocks), p, room)[3])
+    return [c for c in range(blocks) if blocks - 1 - c not in free]
 
 
 @dataclass
@@ -424,11 +430,15 @@ class TailCertificate:
 
 
 class MinimalFreeResolution:
-    """Growable minimal free resolution of a finite module."""
+    """Growable minimal free resolution of a finite module.  It keeps of
+    the module only its dimension and whether m^2 acts nonzero on it, the
+    two facts `syzygy_dims` and `junction` read, so a module and the
+    resolution cached on it form no reference cycle."""
 
     def __init__(self, module: FiniteModule):
         ring = module.ring
-        self.module = module
+        self.module_dim = module.dim
+        self.w_acts = bool(module.action_w.any())
         self.ring = ring
         pivset = set(radical_rows(module)[1])
         gens = [c for c in range(module.dim) if c not in pivset]
@@ -465,7 +475,7 @@ class MinimalFreeResolution:
     def syzygy_dims(self) -> list[int]:
         """dim M_0, ..., dim M_{head+1}, by exactness of
         0 -> M_{i+1} -> F_i -> M_i -> 0: dim M_{i+1} = beta_i (e+2) - dim M_i."""
-        dims = [self.module.dim]
+        dims = [self.module_dim]
         for b in self.betti_head:
             dims.append(b * self.ring.dim - dims[-1])
         return dims
@@ -551,7 +561,7 @@ class MinimalFreeResolution:
         if sv and len(leads) == len(wblocks):
             drop = wblocks
         else:
-            drop = [wblocks[k] for k in _slice_pivots(sr, sc, sv, len(wblocks), p)]
+            drop = [wblocks[k] for k in _slice_pivots(sr, sc, sv, len(wblocks), p, room)]
         dropped = {blk * D + D - 1 for blk in drop}
         gen: list[int] = []
         cols: list[int] = []
@@ -598,13 +608,12 @@ class MinimalFreeResolution:
         k, so M_J is Koszul.  A split at index j needs a summand
         k_{-j'} of M (or of M_1 when m^2 M != 0) with dim k_{j'} below the
         module's dimension."""
-        M = self.module
-        if not M.action_w.any():
-            bound = M.dim
+        if not self.w_acts:
+            bound = self.module_dim
             shift = 0
         else:
             # splits at index j >= 1 come from summands k_{-(j-1)} of M_1
-            bound = self.betti_head[0] * self.ring.dim - M.dim
+            bound = self.betti_head[0] * self.ring.dim - self.module_dim
             shift = 1
         dims = k_syzygy_dims(self.ring, bound)
         i_max = shift + max([j for j in range(1, len(dims)) if dims[j] <= bound],
@@ -701,14 +710,23 @@ def syzygy(M: FiniteModule, i: int) -> FiniteModule:
     return res.syzygy(i)[0]
 
 
-def lift_chain_map(phi: ModuleMap, n: int) -> list[Nonzeros]:
+def lift_chain_map(phi: ModuleMap, n: int, room: float = float("inf")) -> list[Nonzeros]:
     """Lifts f_i: F_i^A -> F_i^B of phi: A -> B to the minimal resolutions,
     as the nonzeros of their entry arrays (beta_i(A), beta_i(B), e+2), for
     degrees 0..n (capped at the materialized heads).  The cover is del_0 and
     phi is f_{-1}: f_i solves del_i^B f_i = f_{i-1} del_i^A, for i = 0 too,
-    on the generators of F_i^A.  The image of generator a is column a*D of
+    on the q generators of F_i^A.  The image of generator a is column a*D of
     the cover, or row a of del_i^A's entry array (basis_reg[c][:, 0] is the
-    c-th unit vector), so only del_i^B's and f_{i-1}'s k-matrices are built."""
+    c-th unit vector), so Y = f_{i-1} del_i^A on them is one join of del_i^A's
+    nonzeros with f_{i-1}'s k-matrix, and only del_i^B's k-matrix KB is
+    built besides, all as triplets.
+
+    Each degree is one `linalg.kernel_rref` of [-Y | KB], whose right-to-left
+    pass takes KB's columns first: every generator has a lift exactly when
+    the first q columns are all free, and then kernel row a, past column q,
+    lifts generator a (KB's free columns 0).  Homotopic lifts induce the
+    same maps on Tor.  The joins and the elimination check against `room`,
+    and a degree that does not fit raises NotMaterialized naming it."""
     A, B = phi.source, phi.target
     ring = A.ring
     p, D = ring.p, ring.dim
@@ -716,21 +734,31 @@ def lift_chain_map(phi: ModuleMap, n: int) -> list[Nonzeros]:
     rb = resolve(B, n, min_head=n)
     lifts: list[Nonzeros] = []
     for i in range(min(n, ra.head, rb.head) + 1):
-        if i == 0:
-            prev, gens, KB = phi.matrix, ra.cover_matrix[:, ::D], rb.cover_matrix
-        else:
-            G = ra.diff(i)
-            prev, KB = (linalg.dense(*kmat_triplets(X, ring.basis_reg, p))
-                        for X in (lifts[-1], rb.nonzeros[i - 1]))
-            gens = G.reshape(G.shape[0], G.shape[1] * D).T
-        f = np.zeros((ra.betti_head[i], rb.betti_head[i], D), dtype=np.int64)
-        for a, x in enumerate(linalg.solve_many(KB, linalg.matmul_mod(prev, gens, p), p)):
-            if x is None:
-                raise CertificateError(
-                    f"resolution is exact, yet no lift in degree {i}")
-            f[a] = x.reshape(rb.betti_head[i], D)
-        gen, target, slot = np.nonzero(f)
-        lifts.append(Nonzeros(gen, target, slot, f[gen, target, slot], f.shape))
+        q, b = ra.betti_head[i], rb.betti_head[i]
+        try:
+            # Y's nonzeros yv at the indices pos = row q + generator
+            if i == 0:
+                Y = linalg.matmul_mod(phi.matrix, ra.cover_matrix[:, ::D], p).ravel()
+                pos = np.flatnonzero(Y)
+                yv, C = Y[pos], rb.cover_matrix
+                KB = (*np.nonzero(C), C[C != 0], C.shape)
+            else:
+                # f_{i-1}'s k-matrix transposed, its entries by column
+                G = ra.nonzeros[i - 1]
+                fc, fr, fv, _ = kmat_triplets(lifts[-1].transpose(),
+                                              ring.basis_reg.transpose(0, 2, 1), p, room)
+                pos, yv = join_sum(G.target * D + G.slot, G.gen, G.val, fc, fr * q, fv, p, room)
+                KB = kmat_triplets(rb.nonzeros[i - 1], ring.basis_reg, p, room)
+            yr, yc = np.divmod(pos, max(q, 1))
+            kr, kc, kv, free = linalg.kernel_rref(
+                np.concatenate([yr, KB[0]]), np.concatenate([yc, KB[1] + q]),
+                np.concatenate([p - yv, KB[2]]), (KB[3][0], q + b * D), p, room)
+        except NotMaterialized as exc:
+            raise NotMaterialized(f"lift degree {i}: {exc}") from None
+        if free[:q] != list(range(q)):
+            raise CertificateError(f"resolution is exact, yet no lift in degree {i}")
+        lift = (kr < q) & (kc >= q)
+        lifts.append(Nonzeros(kr[lift], *np.divmod(kc[lift] - q, D), kv[lift], (q, b, D)))
     return lifts
 
 

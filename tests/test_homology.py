@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import subprocess
@@ -18,6 +19,7 @@ from gorlab import (
     identity_form,
     io,
     iota_vanishing,
+    is_koszul,
     length_count_audit,
     make_ring,
     matlis_dual,
@@ -399,12 +401,13 @@ def test_radical_excess_refused_before_its_products(monkeypatch):
 
 
 def test_induced_map_refused_before_its_products(monkeypatch):
-    # tor_induced reads the room once, before degree 0, and its joins and
-    # blocks check against that reading, while each window reads its own.
-    # With a first reading of one byte and every later one unlimited, the
-    # windows pass, and the first degree with Tor_i(B, N) != 0 is refused,
-    # naming the degree: F's join before it counts its pairs, or, with the
-    # joins let through, the rank block
+    # tor_induced reads the room once, before degree 0, and its lifts,
+    # joins and blocks check against that reading, while each window reads
+    # its own.  With a first reading of one byte and every later one
+    # unlimited, the lifts let through (their refusal has its own test),
+    # the windows pass, and the first degree with Tor_i(B, N) != 0 is
+    # refused, naming the degree: F's join before it counts its pairs, or,
+    # with the joins let through, the rank block
     R = make_ring(101, 3, identity_form(3))
     M = random_module(R, 2, 2, seed=17)
     N = random_module(R, 1, 1, seed=18)
@@ -415,6 +418,7 @@ def test_induced_map_refused_before_its_products(monkeypatch):
         reads = iter([1])
         with monkeypatch.context() as mp:
             mp.setattr(rs, "available_bytes", lambda: next(reads, np.inf))
+            mp.setattr(hm, "lift_chain_map", lambda phi, n, room: rs.lift_chain_map(phi, n))
             if refusal == refusals[1]:
                 mp.setattr(hm, "join_sum", lambda *args: rs.join_sum(*args[:7]))
                 mp.setattr(hm, "kmat_triplets", lambda *args: rs.kmat_triplets(*args[:3]))
@@ -951,7 +955,7 @@ def test_tor_induced_source_window_yields_cycles(monkeypatch):
 
     def spying(res, N, last, cycles=False, excess=True):
         for h in run(res, N, last, cycles, excess):
-            seen.append((res.module is phi.source, cycles, excess, h))
+            seen.append((res is phi.source._cache["resolution"], cycles, excess, h))
             yield h
 
     monkeypatch.setattr(hm, "_homology_window", spying)
@@ -965,6 +969,34 @@ def test_tor_induced_source_window_yields_cycles(monkeypatch):
     assert any(h.left_kernel[3][0] == 0 for h in source)
     assert any(h.left_kernel[3][0] for h in target)
     assert all(h.nu is None and h.m_annihilated is None for h in source + target)
+
+
+def test_a_trial_leaves_no_module_or_resolution_in_a_cycle():
+    # a resolution keeps two numbers of its module, not the module, so a
+    # module and the resolution cached on it form no reference cycle: once
+    # a main-theorem trial's names are dropped, with the collector off, a
+    # collection finds no module or resolution among its garbage.  The ring
+    # stays alive, as it and its residue field refer to each other
+    R = make_ring(101, 3, identity_form(3))
+    gc.collect()
+    gc.disable()
+    try:
+        M = random_module(R, 2, 2, seed=17)
+        N = random_module(R, 1, 1, seed=18)
+        tor(M, N, 12)
+        ext(M, N, 12)
+        tor_induced(_iota(M), N, 5)
+        is_koszul(M)
+        del M, N
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        cyclic = sorted(type(x).__name__ for x in gc.garbage
+                        if isinstance(x, (FiniteModule, rs.MinimalFreeResolution)))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert cyclic == []
 
 
 def test_tor_induced_reads_no_radical_excess(monkeypatch):
@@ -1109,6 +1141,29 @@ def test_ext_diff_matches_dense_einsum(p, e):
                                   want.reshape(a * d, j * d))
 
 
+def test_ext_refuses_a_dual_entry_that_m_does_not_kill(monkeypatch):
+    # past its Hom window Ext copies the entries of tor(M, N*), whose nu is
+    # that of Tor, while nu of the dual Ext is the socle's dimension: the two
+    # agree only where m kills the entry, so a copied entry that m does not
+    # kill refuses the table, naming the degree.  Here the Hom window ends at
+    # 5 and the dual's computed window at 6
+    R = make_ring(101, 3, identity_form(3))
+    M = random_module(R, 2, 2, seed=1)
+    N = random_module(R, 2, 1, seed=11)
+    assert (ext(M, N, 12).window, tor(M, matlis_dual(N), 12).window) == (5, 6)
+    real = hm.tor
+
+    def not_killed(M, N, n):
+        table = real(M, N, n)
+        table.entries[6] = replace(table.entries[6], m_annihilated=False)
+        return table
+
+    monkeypatch.setattr(hm, "tor", not_killed)
+    with pytest.raises(CertificateError, match=(
+            "^Ext degree 6 copied from the dual table is not m-annihilated$")):
+        ext(M, N, 12)
+
+
 CORRUPTIONS = ["tor-window", "ext-window", "tail", "duality", "tor-block", "loewy-basis"]
 
 
@@ -1118,11 +1173,11 @@ def _serve_corrupted(kind):
     copy, which `_tor_block`'s adaptedness check refuses, and "tor-block"
     a unit entry in a differential of the resolution, which `_tor_block`
     refuses too, and "loewy-basis" a Loewy copy re-based by zero layer
-    transforms, which `_loewy`'s check Q Q^-1 = I refuses.  The Ext window
-    gets identity matrices for its differentials, so D_i D_{i+1} != 0 and
-    a homology length goes negative.  The tail gets a negative length count in degree n, past the
-    materialized window, and the duality check a Tor_0(M, N*) one too
-    long."""
+    transforms (Q^-1 among them), which `_loewy`'s check Q Q^-1 = I
+    refuses.  The Ext window gets identity matrices for its differentials,
+    so D_i D_{i+1} != 0 and a homology length goes negative.  The tail gets
+    a negative length count in degree n, past the materialized window, and
+    the duality check a Tor_0(M, N*) one too long."""
     R = make_ring(101, 3, identity_form(3))
     M = random_module(R, 1, 1, seed=41)
     N = random_module(R, 1, 1, seed=42)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import subprocess
@@ -41,9 +42,11 @@ from gorlab.modules import (
     ModuleMap,
     direct_sum,
     matlis_dual,
+    quotient,
     radical_rows,
     radical_square_rows,
     socle_rows,
+    span_closure,
     submodule,
 )
 from conftest import _kmat
@@ -437,6 +440,88 @@ def test_lifts_commute_with_the_differentials(R3):
         assert len(lift) == 5 and lift[0].shape[2] == D
 
 
+def test_a_resolution_extends_after_its_module_is_gone():
+    # a resolution keeps only its module's dimension and whether m^2 acts
+    # on it, so it extends and certifies its tail with the module freed
+    R = make_ring(101, 3, identity_form(3))
+    twin = resolve(random_module(R, 2, 2, seed=8), 12)
+    res = resolve(random_module(R, 2, 2, seed=8), 1)
+    gc.collect()
+    assert res.betti(12) == twin.betti(12) and res.junction() == twin.junction()
+    assert res.syzygy_dims() == twin.syzygy_dims()
+
+
+@st.composite
+def module_maps(draw):
+    """A random map of small modules at p in {2, 3, 101}: the identity of
+    M, or the inclusion of, or the projection by, the submodule spanned by
+    random vectors of M."""
+    p = draw(st.sampled_from((2, 3, 101)))
+    e = draw(st.sampled_from((2, 3)))
+    seed = draw(st.integers(0, 10**6))
+    ring = make_ring(p, e, identity_form(e))
+    M = random_module(ring, draw(st.integers(1, 3)), draw(st.integers(0, 3)), seed)
+    kind = draw(st.sampled_from(("identity", "inclusion", "projection")))
+    if kind == "identity":
+        return ModuleMap(M, M, np.eye(M.dim, dtype=np.int64))
+    V = np.random.default_rng(seed).integers(0, p, size=(draw(st.integers(1, 2)), M.dim))
+    U, piv = span_closure(M, V)
+    return (submodule if kind == "inclusion" else quotient)(M, U, piv)[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(module_maps())
+def test_lifts_commute_on_random_maps(phi):
+    # each degree's lift is the kernel of [-Y | KB] on triplets; on the full
+    # k-matrices del^B f_i = f_{i-1} del^A, with the cover as del_0 and phi
+    # as f_{-1}, and the identity lifts to isomorphisms
+    ring = phi.source.ring
+    p = ring.p
+    lift = lift_chain_map(phi, 3)
+    ra, rb = resolve(phi.source, 3, min_head=3), resolve(phi.target, 3, min_head=3)
+    assert len(lift) == min(3, ra.head, rb.head) + 1
+    kmat = [_kmat(f.dense(), ring.basis_reg, p) for f in lift]
+    assert np.array_equal(rb.cover_matrix @ kmat[0] % p,
+                          phi.matrix @ ra.cover_matrix % p)
+    for i in range(1, len(lift)):
+        dA = _kmat(ra.diff(i), ring.basis_reg, p)
+        dB = _kmat(rb.diff(i), ring.basis_reg, p)
+        assert np.array_equal(dB @ kmat[i] % p, kmat[i - 1] @ dA % p)
+    for i, (f, F) in enumerate(zip(lift, kmat)):
+        assert f.shape == (ra.betti_head[i], rb.betti_head[i], ring.dim)
+        assert np.all((f.val > 0) & (f.val < p))
+        if phi.source is phi.target:
+            assert rank_array(F, p) == F.shape[0] == F.shape[1]
+
+
+def test_lift_refused_by_a_tiny_room_before_its_elimination(monkeypatch):
+    # the lift's joins and elimination check against the room its caller
+    # passes: a room too small for degree 0's elimination refuses it,
+    # naming the degree, before any elimination runs, and a room that fits
+    # gives the lifts an unlimited room gives
+    R = make_ring(101, 3, identity_form(3))
+    M = random_module(R, 2, 2, seed=8)
+    phi = submodule(M, *radical_rows(M))[1]
+    want = lift_chain_map(phi, 3)
+    eliminations = []
+    real = linalg._eliminate
+
+    def spy(*args):
+        eliminations.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    with pytest.raises(NotMaterialized, match=(
+            r"^lift degree 0: a \d+ x \d+ elimination of \d+ entries outgrows "
+            r"the 0.1 KiB the process can get")):
+        lift_chain_map(phi, 3, 100)
+    assert eliminations == []
+    got = lift_chain_map(phi, 3, 2**30)
+    assert len(got) == len(want) and all(
+        g.shape == w.shape and all(np.array_equal(x, y) for x, y in zip(g[:4], w[:4]))
+        for g, w in zip(got, want))
+
+
 def test_kmat_triplets_is_block_regular_representation(R3):
     G = np.zeros((1, 1, 5), dtype=np.int64)
     G[0, 0, 1] = 1  # multiplication by x_1 on R
@@ -809,14 +894,14 @@ def test_step_eliminates_when_leading_entries_fall_short(
     M = _pinned_module(name)
     res = MinimalFreeResolution(M)
     calls = []
-    real = rs.linalg.rref_array
+    real = rs.linalg.kernel_rref
 
-    def spy(A, p):
+    def spy(*args):
         if sys._getframe(1).f_code.co_name == "_slice_pivots":
             calls.append(res.head + 1)
-        return real(A, p)
+        return real(*args)
 
-    monkeypatch.setattr(rs.linalg, "rref_array", spy)
+    monkeypatch.setattr(rs.linalg, "kernel_rref", spy)
     # the two steps after it read their ranks off the leading entries
     res.extend(step + 2)
     assert res.head == step + 2 and calls == [step]

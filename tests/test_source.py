@@ -306,6 +306,35 @@ def test_no_dense_kmatrix_route_in_resolution_or_homology():
     assert not found, f"einsum in {found}"
 
 
+def _dense_reads(tree, names) -> list:
+    """The reads of `names` as linalg functions in a module: `linalg.x` or
+    `from .linalg import x`."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == "linalg"):
+            found.append(f"{node.lineno} linalg.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "linalg":
+            found += [f"{node.lineno} {a.name}" for a in node.names if a.name in names]
+    return found
+
+
+def test_no_dense_solve_in_resolution_or_homology():
+    # chain-map lifts, slice pivots and the Loewy inverse run on the one
+    # sparse engine (`linalg.kernel_rref`, `rank_triplets`); a dense solve
+    # or rref there is a second route, unchecked by the room, coming back,
+    # and the resolution makes no triplets dense
+    solves = {"solve_many", "solve_array", "rref_array"}
+    found = [f"{name}:{hit}" for name, names in (("resolution.py", solves | {"dense"}),
+                                                 ("homology.py", solves))
+             for hit in _dense_reads(ast.parse((SRC / name).read_text()), names)]
+    assert not found, f"dense routes in {found}"
+    # the guard sees both ways in and leaves other attributes alone
+    probe = ast.parse("from .linalg import solve_many\nlinalg.dense(x)\n"
+                      "G.dense()\nlinalg.kernel_rref(x)\n")
+    assert _dense_reads(probe, solves | {"dense"}) == ["1 solve_many", "2 linalg.dense"]
+
+
 def test_the_parser_is_built_only_in_main():
     # cli.build_parser is cached so that a process builds its parser once;
     # a call anywhere but cli.main, say a per-command helper that builds a
@@ -337,6 +366,8 @@ CERTIFICATE_TESTS = {
         "test_homology.py::test_corrupted_homology_raises_certificate_error[ext-window]",
     ("homology.py", "Ext/Tor duality violated at degree {}"):
         "test_homology.py::test_corrupted_homology_raises_certificate_error[duality]",
+    ("homology.py", "Ext degree {} copied from the dual table is not m-annihilated"):
+        "test_homology.py::test_ext_refuses_a_dual_entry_that_m_does_not_kill",
     ("homology.py", "negative length count {} in degree {}"):
         "test_homology.py::test_corrupted_homology_raises_certificate_error[tail]",
     ("resolution.py", "kernel escapes the radical; cover not minimal"):
