@@ -64,14 +64,13 @@ entries it serves past its own.  `_window` yields one degree at a time and
 builds each block once, and the head is extended only when it reads a
 differential, so every table computes each degree once; `tor_induced` reads
 the lifts of `lift_chain_map` and the windows of its source and target
-together, degree by degree.  `_window` reads the room the process can get
+together, degree by degree.  `_window` reads the room
 (`resolution.available_bytes`) once, before degree 0, and holds every
 kernel as its triplets; `tor_induced` reads it once, for its lifts and its
-products.  One rule checks a degree against a room: the eliminations
-(`linalg.kernel_rref`, `rank_triplets`) count `linalg.ENTRY_BYTES` per
-entry and `LINE_BYTES` per row and column, the joins the first per entry
-and pair, the blocks of `_rank` both per cell and line.  A degree that
-does not fit is refused with NotMaterialized before it allocates.
+products.  Every block a window builds, every join and elimination and
+every block `_rank` makes dense checks against that room by the one memory
+rule of `linalg`: a degree that does not fit is refused with
+NotMaterialized, naming the degree, before it allocates.
 
 Degrees past the materialized window are certified by the length count of
 a module X with m^2 X = 0, where L_t is the image of Tor_t(iota_X, N):
@@ -173,12 +172,12 @@ def _no_entries(m: int, n: int):
     return empty, empty, empty, (m, n)
 
 
-def _ext_diff(G: Nonzeros, N: FiniteModule):
+def _ext_diff(G: Nonzeros, N: FiniteModule, room: float = float("inf")):
     """k-matrix of Hom(del, N): N^j -> N^a (precomposition with del), for
     the nonzeros G of del's entry array, on the basis N is written in (the
     windows pass the Loewy copy) with all its dim N x dim N tiles, as
-    triplets."""
-    return kmat_triplets(G.transpose(), N.all_ops, N.ring.p)
+    triplets, from a join that checks against `room`."""
+    return kmat_triplets(G.transpose(), N.all_ops, N.ring.p, room)
 
 
 def _radical_excess(N: FiniteModule, Z, K, block, room: float) -> int:
@@ -215,14 +214,11 @@ def _radical_excess(N: FiniteModule, Z, K, block, room: float) -> int:
 
 def _rank(pos, vals, n: int, p: int, room: float, what: str) -> int:
     """Rank of the n-column matrix with vals at the indices pos = row n + col,
-    from its nonzero rows and columns made dense once that block, at
-    `linalg.ENTRY_BYTES` per cell and `LINE_BYTES` per line, fits `room`."""
+    from its nonzero rows and columns made dense once that block, each cell
+    an entry and each row and column a line, fits `room`."""
     (rows, ri), (cols, ci) = (np.unique(x, return_inverse=True) for x in np.divmod(pos, n))
     m, n = len(rows), len(cols)
-    if linalg.ENTRY_BYTES * m * n + linalg.LINE_BYTES * (m + n) > room:
-        raise NotMaterialized(
-            f"{what} {m} x {n} block outgrows the "
-            f"{max(room, 0) / 2**10:.1f} KiB the process can get")
+    linalg.check_room(f"{what} {m} x {n} block", room, m * n, m + n)
     return linalg.rank_array(linalg.dense(ri, ci, vals, (m, n)), p)
 
 
@@ -311,9 +307,9 @@ def _loewy(N: FiniteModule):
     L.all_ops[1:, d-t:, :s] of the layer block (s, t) = `_block(h)` is
     kept, the first on a tie, so a basis already sparse stays as built.
     Its layer changes are folded into the one basis Q, and L is N
-    conjugated by Q.  Q Q^-1 = I mod p is checked, else CertificateError
-    is raised, and L is validated as a module: so L is isomorphic to N, and
-    Tor and Ext over L are Tor and Ext over N."""
+    conjugated by Q: the candidate kept.  Q Q^-1 = I mod p is checked, else
+    CertificateError is raised, and L is validated as a module: so L is
+    isomorphic to N, and Tor and Ext over L are Tor and Ext over N."""
     if "loewy" not in N._cache:
         p, d = N.ring.p, N.dim
         U1, piv1 = radical_rows(N)
@@ -339,7 +335,7 @@ def _loewy(N: FiniteModule):
                 Qinv = linalg.matmul_mod(Binv[best - 1], Qinv, p)
             if (linalg.matmul_mod(Q, Qinv, p) != I).any():
                 raise CertificateError("Loewy basis change is not invertible")
-            ops = _conjugate(Qinv, N.all_ops[1:], Q, p)
+            ops = (built, *rebased)[best]
             L = FiniteModule(N.ring, ops[:-1], ops[-1])
         N._cache["loewy"] = (L, h)
     return N._cache["loewy"]
@@ -352,14 +348,15 @@ def _block(h) -> tuple[int, int]:
     return h0 + h1 + h2 - (h2 or h1 or h0), h1 + h2
 
 
-def _tor_block(G: Nonzeros, L: FiniteModule, layers):
+def _tor_block(G: Nonzeros, L: FiniteModule, layers, room: float = float("inf")):
     """Layer block of del tensor L for the nonzeros G of del's entry array
     (a, j, D) and the Loewy copy (L, layers) of `_loewy`: the (j t) x (a s)
     matrix of the maps from the first s coordinates of each of the a source
     copies of L into the last t of each of the j target copies, for (s, t)
-    = `_block(layers)`, as triplets (`kmat_triplets`): each nonzero of
-    del's m-part places its multiple of the t x s corner of its action.
-    Neither del, nor the full matrix, nor the dense block is ever built.
+    = `_block(layers)`, as triplets (`kmat_triplets`, whose join checks
+    against `room`): each nonzero of del's m-part places its multiple of
+    the t x s corner of its action.  Neither del, nor the full matrix, nor
+    the dense block is ever built.
 
     del tensor L vanishes outside the block when del has no unit entry and
     x_1..x_e, w map each layer of L into the layers after it; either
@@ -373,7 +370,7 @@ def _tor_block(G: Nonzeros, L: FiniteModule, layers):
     if ops[:, :h0].any() or ops[:, h0:h0 + h1, h0:].any() or ops[:, :, h0 + h1:].any():
         raise CertificateError("module copy is not adapted to its Loewy layers")
     # slot 0 holds no entry, so its identity corner places nothing
-    return kmat_triplets(G, L.all_ops[:, d - t:, :s], p)
+    return kmat_triplets(G, L.all_ops[:, d - t:, :s], p, room)
 
 
 @dataclass
@@ -396,10 +393,10 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int,
             cycles: bool = False, excess: bool = True):
     """Honest homology of a complex of k-spaces built on N: yields one
     `_Homology` per degree 0..last, in order, so a caller stops reading once
-    it has what it needs.  diff(i) is the map out of degree i, diff(i + step)
-    the map into it (step +1 for a chain complex, -1 for a cochain complex);
-    ranks(i) is the number of copies of N in degree i, 0 outside the
-    complex.
+    it has what it needs.  diff(i, room) is the map out of degree i, built
+    within `room`, and diff(i + step, room) the map into it (step +1 for a
+    chain complex, -1 for a cochain complex); ranks(i) is the number of
+    copies of N in degree i, 0 outside the complex.
 
     block = (s, t): every differential vanishes outside the first s columns
     and the last t rows of each N-block, and diff(j) returns only that
@@ -429,10 +426,9 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int,
     CertificateError is raised.  Each block is built once and at
     most two are held: before the radical excess, every one that degree
     i + 1 will not read is dropped, and at degree `last` all of them.  The
-    room the process can get is read once, before degree 0, and every
-    elimination and the excess's joins and block check against it before
-    they allocate: a degree that does not fit raises NotMaterialized,
-    naming the degree."""
+    room is read once, before degree 0, and every block, elimination and
+    the excess's joins and block check against it before they allocate: a
+    degree that does not fit raises NotMaterialized, naming the degree."""
     p, d = N.ring.p, N.dim
     s = block[0]
     kind = "Tor" if step > 0 else "Ext"
@@ -442,7 +438,7 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int,
         # built on first use, as the map into one degree or out of it, and
         # held until the loop drops it once no later degree reads it
         if j not in mats:
-            mats[j] = diff(j)
+            mats[j] = diff(j, room)
         return mats[j]
 
     def relabel(cols, n):
@@ -519,11 +515,11 @@ def _homology_window(res: MinimalFreeResolution, N: FiniteModule, last: int,
     s, t = block = _block(layers)
     beta = _ranks(res)
 
-    def diff(i):
+    def diff(i, room):
         # block of D_i: C_i -> C_{i-1}, zero outside 1 <= i <= head
         res.extend(i)
         if 1 <= i <= res.head:
-            return _tor_block(res.nonzeros[i - 1], L, layers)
+            return _tor_block(res.nonzeros[i - 1], L, layers, room)
         return _no_entries(beta(i - 1) * t, beta(i) * s)
 
     return _window(L, diff, beta, 1, block, last, cycles, excess)
@@ -678,11 +674,11 @@ def _cohomology_window(res: MinimalFreeResolution, N: FiniteModule, last: int):
     d = L.dim
     beta = _ranks(res)
 
-    def diff(i):
+    def diff(i, room):
         # E_i: C^i -> C^{i+1}, built from del_{i+1}, zero outside 0 <= i < head
         res.extend(i + 1)
         if 0 <= i < res.head:
-            return _ext_diff(res.nonzeros[i], L)
+            return _ext_diff(res.nonzeros[i], L, room)
         return _no_entries(beta(i + 1) * d, beta(i) * d)
 
     return _window(L, diff, beta, -1, (d, d), last)

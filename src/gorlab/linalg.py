@@ -42,11 +42,12 @@ basis does not.
 
 Every elimination builds its rows in plain Python, by one loop over the
 entries as lists (`_sparse_rows`): the matrices are sparse enough that the
-loop costs less than numpy's sorts and per-call overhead would.  Beyond
-that, `kernel_rref` and `rank_triplets` have two routes, which differ only
-in the peel and the kernel entries.  Most of their calls are small (a
-resolution step after the first eliminates the linear part of a
-differential, a median of about a dozen entries), and for them numpy's
+loop costs less than numpy's sorts and per-call overhead would.
+`kernel_rref` and `rank_triplets` share one front end (`_forward`): the
+room check, the peel, the rows and the forward pass.  They have two routes,
+which differ only in the peel and the kernel entries.  Most of their calls
+are small (a resolution step after the first eliminates the linear part of
+a differential, a median of about a dozen entries), and for them numpy's
 per-call overhead, not the elimination, was most of the time.  An input
 with at most `_SMALL_ENTRIES` entries (`plain_route`, the one size
 threshold, by which a resolution step also picks the builder of its linear
@@ -60,13 +61,20 @@ step's cover matrix and the linear part of a small differential), int64
 arrays to one that passes arrays, so a small call converts only for array
 callers.
 
-One rule bounds memory: `kernel_rref` and `rank_triplets` take the room
-their caller can still allocate and store no more entries than fit in it,
-at `ENTRY_BYTES` per entry and `LINE_BYTES` per row and column
-(`resolution.join_sum` counts its entries and pairs alike), in either pass.
-An elimination that the room stops raises NotMaterialized before it
-allocates more.  The forward pass holds the used rows as they pivoted until
-the back-substitution, so its peak can lie a few entries above that of
+One rule bounds memory, and this module holds it.  The sparse work of
+gorlab counts `ENTRY_BYTES` per entry it holds and `LINE_BYTES` per row and
+column against a room: the bytes the process can still allocate
+(`resolution.available_bytes`), read once per resolution extension, per
+homology window and per induced-map call, and passed to every elimination
+and product that call makes.  An elimination (`kernel_rref`,
+`rank_triplets`) checks its input at its full size before the peel, then
+its fill in either pass; a sparse product (`resolution.join_sum`, under
+every `kmat_triplets`) checks its inputs, then its pairs before it forms
+them; and a block made dense from a product (`homology._rank`) checks its
+cells and lines (`check_room`).  What does not fit is refused with
+NotMaterialized before it allocates more, in the one text of `_refusal`.
+The forward pass holds the used rows as they pivoted until the
+back-substitution, so its peak can lie a few entries above that of
 Gauss-Jordan elimination, which shrinks them at once.
 """
 
@@ -341,8 +349,8 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
     distinct positions: (rows, cols, vals, pivots), the nonzero entries of
     the kernel's rows in row-major order and the pivot of each row.
 
-    Equal to rref_array(kernel_array(A)) restricted to its rank, from one
-    forward pass (`_eliminate`) with the columns taken right to left and
+    Equal to rref_array(kernel_array(A)) restricted to its rank, from the
+    forward pass of `_forward`, with the columns taken right to left, and
     one back-substitution (`_back_substitute`).  A row is zero on every
     column done when it pivots, so each reduced pivot row ends with its
     pivot column and free columns to the left of it.  The kernel vector of
@@ -366,53 +374,23 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
     canonical basis the resolution writes (a rank does not change, and
     `rank_triplets` peels them).
 
-    The rows are built in plain Python on every input (`_sparse_rows`, on
-    lists).  An input with at most `_SMALL_ENTRIES` entries is peeled and
-    read back in plain Python (`_small_peel`, `_small_kernel`), a larger one
-    with numpy (`_peel`, `_kernel_entries`): small calls are most calls, and
-    numpy's fixed cost per call outweighs their elimination.  Both routes
-    peel the same rows, run `_eliminate` once on the same rows with the
-    same column order, budget and stored count, and return the same
-    triplets: as lists when `vals` is not an array, as int64 arrays when it
-    is.
-
-    `room` is the bytes the caller can still allocate.  The elimination
-    stores no more entries than fit in it (see `ENTRY_BYTES`): an input
-    that does not fit, checked at its full size before the pre-pass, or
-    whose fill outgrows the room in either pass, raises NotMaterialized
-    before more is allocated.
+    An input on the plain route is read back in plain Python
+    (`_small_kernel`), a larger one with numpy (`_kernel_entries`); both
+    return the same triplets: as lists when `vals` is not an array, as
+    int64 arrays when it is.  `room` bounds both passes (`_forward`, the
+    module docstring's rule).
     """
     m, n = shape
-    entries, budget = len(vals), _budget(room, m, n)
-    if entries > budget:
-        raise _outgrown(m, n, entries, room, budget)
-    small = plain_route(entries)
     arrays = isinstance(vals, np.ndarray)
-    if small:
-        if arrays:
-            rows, cols, vals = (np.asarray(x).tolist() for x in (rows, cols, vals))
-        ri, ci, vi, pinned = _small_peel(rows, cols, vals)
-        left = n - len(pinned)
-    else:
-        ri, ci, vi, pinned = _peel(np.asarray(rows, dtype=np.int64),
-                                   np.asarray(cols, dtype=np.int64), np.asarray(vals), n)
-        ri, ci, vi = ri.tolist(), ci.tolist(), vi.tolist()
-        left = n - int(np.count_nonzero(pinned))
-    data, where = _sparse_rows(ri, ci, vi, m)
-    stored = len(vi)
-    del ri, ci, vi   # freed before the fill grows
-    done = _eliminate(data, where, sorted(where, reverse=True), p, budget, stored)
-    if done is None:
-        raise _outgrown(m, n, entries, room, budget)
-    pivot_row, stored = done
-    if len(pivot_row) == left:
+    data, where, pinned, pivot_row, stored, rank = _forward(rows, cols, vals, shape, p, room)
+    if rank == n:
         # no free column: the kernel is zero, and no reduced row is read
         if arrays:
             return (*(np.zeros(0, dtype=np.int64) for _ in range(3)), [])
         return [], [], [], []
-    if not _back_substitute(data, where, pivot_row, p, budget, stored):
-        raise _outgrown(m, n, entries, room, budget)
-    if small:
+    if not _back_substitute(data, where, pivot_row, p, _budget(room, m, n), stored):
+        raise _outgrown(m, n, len(vals), room)
+    if plain_route(len(vals)):
         kr, kc, kv, free = _small_kernel(data, pivot_row, pinned, n, p)
         if arrays:
             kr, kc, kv = (np.array(x, dtype=np.int64) for x in (kr, kc, kv))
@@ -428,7 +406,8 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
 def rank_triplets(rows, cols, vals, shape, p: int, room: float = float("inf")) -> int:
     """Rank of the m x n matrix `shape` whose nonzero entries are vals[k] in
     [1, p) at (rows[k], cols[k]), distinct positions, from the forward pass
-    alone: no row is reduced, as only the count of pivots is read.
+    of `_forward` alone: no row is reduced, as only the count of pivots is
+    read.
 
     Singleton rows are peeled first, then singleton columns, with no
     arithmetic (`_peel`, then `_peel` of the transpose): a row with one
@@ -440,37 +419,54 @@ def rank_triplets(rows, cols, vals, shape, p: int, room: float = float("inf")) -
     column as it was, and peeling a column drops one row, which leaves
     every other row as it was, so after both no singleton row or column is
     left.  A canonical basis could not peel singleton columns (see
-    `kernel_rref`); a rank can.
+    `kernel_rref`); a rank can."""
+    return _forward(rows, cols, vals, shape, p, room, peel_columns=True)[-1]
 
-    The routes and the room are those of `kernel_rref`: at most
-    `_SMALL_ENTRIES` entries are peeled in plain Python (`_small_peel`), a
-    larger input with numpy (`_peel`), the rows are built from lists on
-    both (`_sparse_rows`), and an input that does not fit `room`, checked
-    at its full size before the pre-pass, or whose fill outgrows it, raises
-    NotMaterialized with the text of `kernel_rref`'s refusal before more is
+
+def _forward(rows, cols, vals, shape, p: int, room: float, peel_columns: bool = False):
+    """The front end of `kernel_rref` and `rank_triplets`, for the m x n
+    matrix `shape` with entries vals at (rows, cols): the room check, the
+    peel (singleton rows, then singleton columns if `peel_columns`), the
+    rows (`_sparse_rows`) and the forward pass (`_eliminate`) with the
+    columns right to left.  Returns (rows, where, pinned, pivot_row, stored,
+    rank): the rows and column sets the pass leaves, the columns the peeled
+    rows pin (a set on the plain route, a mask on the numpy route), {pivot
+    column: its row}, the entries stored and the rank, peeled lines
+    included.
+
+    A small input (`plain_route`) is peeled in plain Python (`_small_peel`),
+    a larger one with numpy (`_peel`); both peel the same lines and hand
+    `_eliminate` the same rows, column order, budget and stored count.  An
+    input that does not fit the room, checked at its full size before the
+    peel, or whose fill outgrows it raises NotMaterialized before more is
     allocated."""
     m, n = shape
     entries, budget = len(vals), _budget(room, m, n)
     if entries > budget:
-        raise _outgrown(m, n, entries, room, budget)
+        raise _outgrown(m, n, entries, room)
     if plain_route(entries):
         if isinstance(vals, np.ndarray):
             rows, cols, vals = (np.asarray(x).tolist() for x in (rows, cols, vals))
         ri, ci, vi, pinned = _small_peel(rows, cols, vals)
-        ci, ri, vi, marked = _small_peel(ci, ri, vi)
-        rank = len(pinned) + len(marked)
+        peeled = len(pinned)
+        if peel_columns:
+            ci, ri, vi, marked = _small_peel(ci, ri, vi)
+            peeled += len(marked)
     else:
         ri, ci, vi, pinned = _peel(*(np.asarray(x, dtype=np.int64) for x in (rows, cols, vals)), n)
-        ci, ri, vi, marked = _peel(ci, ri, vi, m)
-        rank = int(np.count_nonzero(pinned) + np.count_nonzero(marked))
+        peeled = int(np.count_nonzero(pinned))
+        if peel_columns:
+            ci, ri, vi, marked = _peel(ci, ri, vi, m)
+            peeled += int(np.count_nonzero(marked))
         ri, ci, vi = ri.tolist(), ci.tolist(), vi.tolist()
     data, where = _sparse_rows(ri, ci, vi, m)
     stored = len(vi)
     del ri, ci, vi   # freed before the fill grows
     done = _eliminate(data, where, sorted(where, reverse=True), p, budget, stored)
     if done is None:
-        raise _outgrown(m, n, entries, room, budget)
-    return rank + len(done[0])
+        raise _outgrown(m, n, entries, room)
+    pivot_row, stored = done
+    return data, where, pinned, pivot_row, stored, peeled + len(pivot_row)
 
 
 def _budget(room: float, m: int, n: int) -> float:
@@ -478,13 +474,26 @@ def _budget(room: float, m: int, n: int) -> float:
     return (room - LINE_BYTES * (m + n)) / ENTRY_BYTES
 
 
-def _outgrown(m: int, n: int, entries: int, room: float, budget: float):
+def _outgrown(m: int, n: int, entries: int, room: float):
     """The refusal of an m x n elimination of `entries` entries that does
-    not fit `room` bytes, room for `budget` stored entries."""
+    not fit `room` bytes."""
+    return _refusal(f"a {m} x {n} elimination of {entries} entries", room,
+                    f", room for {max(int(_budget(room, m, n)), 0)} stored entries")
+
+
+def check_room(what: str, room: float, entries: int, lines: int = 0):
+    """Refuse `what`, work that holds `entries` entries and `lines` rows
+    and columns, with NotMaterialized when it does not fit `room` bytes
+    (the module docstring's rule): the check of every sparse product and
+    dense block outside an elimination, made before it allocates."""
+    if ENTRY_BYTES * entries + LINE_BYTES * lines > room:
+        raise _refusal(what, room)
+
+
+def _refusal(what: str, room: float, tail: str = "") -> NotMaterialized:
+    """The one text of a refusal by the memory rule."""
     return NotMaterialized(
-        f"a {m} x {n} elimination of {entries} entries outgrows the "
-        f"{max(room, 0) / 2**10:.1f} KiB the process can get, room for "
-        f"{max(int(budget), 0)} stored entries")
+        f"{what} outgrows the {max(room, 0) / 2**10:.1f} KiB the process can get{tail}")
 
 
 def plain_route(entries: int) -> bool:

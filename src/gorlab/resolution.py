@@ -6,14 +6,14 @@ k-linear kernel per homological degree.  Matrix sizes grow like e^i, so
 least of physical RAM, RLIMIT_AS and the limits of the process's own memory
 cgroup and its ancestors, each less what is already in use, and the
 kernel's MemAvailable) once, before its first step, and each step's
-eliminations check what they hold against it (`linalg.kernel_rref`): a step
-that does not fit is refused with NotMaterialized before its elimination
-allocates more.  Whether a step is refused thus depends on the machine and
-on what the process holds, never on a tunable.  Every reading is taken
-afresh, from files the process keeps open (`_read`) and opens again after a
-fork, so a read costs microseconds, not the opening of four files.  The head
-holds only the degrees that the tail certificate, the
-homology windows and the syzygy and lifting calls ask for.  `extend` takes
+products and eliminations check what they hold against it by the one
+memory rule of `linalg`: a step that does not fit is refused with
+NotMaterialized before it allocates more.  Whether a step is refused thus
+depends on the machine and on what the process holds, never on a tunable.
+Every reading is taken afresh, from files the process keeps open (`_read`)
+and opens again after a fork, so a read costs microseconds, not the opening
+of four files.  The head holds only the degrees that the tail certificate,
+the homology windows and the syzygy and lifting calls ask for.  `extend` takes
 one width rule for every head: it stops silently before a kernel problem
 wider than its column budget, DEFAULT_BUDGET for the CLI `resolve` verb and
 none for the other callers.  Tail certification materializes a head that
@@ -310,21 +310,16 @@ def join_sum(akey, apos, aval, bkey, bpos, bval, p: int,
     order, at apos[i] + bpos[j], positions increasing, zero sums dropped,
     exact in int64.  One join, no loop over the keys: each entry of a is
     repeated once per entry of b with its key, found by `np.searchsorted`.
-    Every input entry and pair counts `linalg.ENTRY_BYTES` against `room`,
-    the inputs before the pairs are counted and the pairs before any is
-    formed: a join that does not fit raises NotMaterialized."""
-    def check(pairs, what=""):
-        if linalg.ENTRY_BYTES * (len(aval) + len(bval) + pairs) > room:
-            raise NotMaterialized(
-                f"a join of {len(aval)} by {len(bval)} entries{what} outgrows "
-                f"the {max(room, 0) / 2**10:.1f} KiB the process can get")
-
-    check(0)
+    Every input entry and pair is an entry to `linalg.check_room`, the
+    inputs before the pairs are counted and the pairs before any is formed:
+    a join that does not fit raises NotMaterialized."""
+    what = f"a join of {len(aval)} by {len(bval)} entries"
+    linalg.check_room(what, room, len(aval) + len(bval))
     lo = np.searchsorted(bkey, akey)      # the first partner of each a entry
     reps = np.searchsorted(bkey, akey, "right") - lo
     ends = np.cumsum(reps)
     pairs = int(ends[-1]) if len(ends) else 0
-    check(pairs, f" into {pairs} pairs")
+    linalg.check_room(f"{what} into {pairs} pairs", room, len(aval) + len(bval) + pairs)
     ai = np.repeat(np.arange(len(aval)), reps)
     # the pair's b entry: its key's first plus its place in the run
     bi = np.arange(pairs) + np.repeat(lo - ends + reps, reps)
@@ -372,16 +367,16 @@ def _run_starts(keys):
     return start
 
 
-def _linear_part(ring: ShortGorensteinRing, G: Nonzeros):
+def _linear_part(ring: ShortGorensteinRing, G: Nonzeros, room: float = float("inf")):
     """Triplets of the matrix L with ker del = ker(L) + wF for a minimal
     differential with nonzeros G (shape (a, j, e+2)): entry [j, a*e + g] is
     the w-coefficient in block j of del(x_g * gen a), sum_h form[g, h]
     G[a, j, 1+h], so L is the k-matrix whose op of slot 1+h is the row
-    form[:, h]."""
+    form[:, h]; its join checks against `room`."""
     e = ring.e
     ops = np.zeros((ring.dim, 1, e), dtype=np.int64)
     ops[1:e + 1, 0] = ring.form.T
-    return kmat_triplets(G, ops, ring.p)
+    return kmat_triplets(G, ops, ring.p, room)
 
 
 def _small_linear_part(ring: ShortGorensteinRing, G: Nonzeros):
@@ -508,9 +503,9 @@ class MinimalFreeResolution:
             rows = [(c, []) for c in kpiv]
         else:
             G = self.nonzeros[-1]
-            linear_part = (_small_linear_part if linalg.plain_route(len(G.val))
-                           else _linear_part)
-            kr, kc, kv, lpiv = linalg.kernel_rref(*linear_part(ring, G), p, room)
+            L = (_small_linear_part(ring, G) if linalg.plain_route(len(G.val))
+                 else _linear_part(ring, G, room))
+            kr, kc, kv, lpiv = linalg.kernel_rref(*L, p, room)
             if len({c // e for c in lpiv}) == b:
                 # every block holds the pivot of a row of ker L, and that
                 # row's slice at the pivot's slot leads there: S is
@@ -588,9 +583,9 @@ class MinimalFreeResolution:
     def extend(self, steps: int, budget: float = float("inf")):
         """Materialize differentials up to index `steps`, stopping without
         an error before a kernel problem wider than `budget` columns
-        (beta_i (e+2) for step i + 1).  The room the process can get
-        (`available_bytes`) is read once, before the first step, and a step
-        whose eliminations do not fit in it raises NotMaterialized."""
+        (beta_i (e+2) for step i + 1).  The room (`available_bytes`) is
+        read once, before the first step, and a step whose products or
+        eliminations do not fit in it raises NotMaterialized."""
         room = None
         while (self.head < steps and not self.finite
                and self.betti_head[-1] * self.ring.dim <= budget):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from gorlab import (
     FiniteModule,
     cyclic_module,
+    direct_sum,
     ext,
     hyperbolic_form,
     identity_form,
@@ -361,15 +362,16 @@ def test_radical_excess_refused_before_its_products(monkeypatch):
     # P's 1 x 1 block.  With room for one byte less than the first join's
     # entries and pair, or than the block's cell and lines, the excess is
     # refused, naming the degree, before that join forms its pair or the
-    # block is made.  This window's eliminations need more room than its
-    # excess, so they are given all they ask here
+    # block is made.  This window's blocks and eliminations need more room
+    # than its excess, so they are given all they ask here
     R = make_ring(101, 3, identity_form(3))
     M = cyclic_module(R, [R.x(1)])[0]
     N = cyclic_module(R, [R.x(2)])[0]
     resolve(M, 20)
     resolve(N, 20)
     entry, line = linalg.ENTRY_BYTES, linalg.LINE_BYTES
-    blocks = []
+    blocks, tor_block = [], hm._tor_block
+    monkeypatch.setattr(hm, "_tor_block", lambda G, L, layers, room: tor_block(G, L, layers))
 
     class Spy(_CountingLinalg):
         def kernel_rref(self, rows, cols, vals, shape, p, room):
@@ -428,6 +430,109 @@ def test_induced_map_refused_before_its_products(monkeypatch):
     # the refusals leave nothing behind
     ranks = [r.rank for r in tor_induced(phi, N, 5)]
     assert ranks == _reference_induced(phi, N, len(ranks) - 1)
+
+
+def _large_step_module(R):
+    """A module whose del_1 has 87 nonzeros, above `linalg._SMALL_ENTRIES`,
+    so its resolution's step 2 builds L by a join (`_linear_part`)."""
+    return direct_sum(random_module(R, 6, 6, seed=5), random_module(R, 3, 1, seed=0))[0]
+
+
+def test_every_sparse_product_gets_the_room_its_caller_read(monkeypatch):
+    # resolve, tor and ext read the room once per extension or window, and
+    # every k-matrix they build, the linear parts of large steps, the Tor
+    # blocks and the Hom differentials among them, checks against that
+    # reading: each reading here is a distinct finite room with space for
+    # everything, and no product gets another room
+    R = make_ring(101, 3, identity_form(3))
+    M = _large_step_module(R)
+    N = random_module(R, 2, 1, seed=4)
+    readings, rooms, builders, real = [], [], set(), rs.kmat_triplets
+
+    def read():
+        readings.append(2.0 ** 40 + len(readings))
+        return readings[-1]
+
+    def spy(G, ops, p, room=np.inf):
+        rooms.append(room)
+        builders.add(sys._getframe(1).f_code.co_name)
+        return real(G, ops, p, room)
+
+    monkeypatch.setattr(rs, "available_bytes", read)
+    monkeypatch.setattr(rs, "kmat_triplets", spy)
+    monkeypatch.setattr(hm, "kmat_triplets", spy)
+    resolve(M, 3, min_head=3)
+    tor(M, N, 3)
+    ext(M, N, 3)
+    assert {"_linear_part", "_tor_block", "_ext_diff"} <= builders
+    assert rooms and set(rooms) <= set(readings)
+
+
+class _CountingNumpy:
+    """numpy as resolution sees it, counting the calls of np.repeat, by
+    which a join forms its pairs."""
+
+    def __init__(self):
+        self.repeats = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def repeat(self, *args):
+        self.repeats += 1
+        return np.repeat(*args)
+
+
+@pytest.mark.parametrize("builder", ["_linear_part", "_tor_block", "_ext_diff"])
+def test_a_product_is_refused_before_it_forms_its_pairs(builder, monkeypatch):
+    # the first join of resolution step 2 (L), of Tor degree 0 (the block
+    # of del_1) and of Ext degree 0 (Hom(del_1, N)), each with room for one
+    # byte less than its entries and pairs: refused, naming the step or
+    # degree, before np.repeat forms a pair; with that byte, the pairs
+    # are formed
+    R = make_ring(101, 3, identity_form(3))
+    if builder == "_linear_part":
+        M = _large_step_module(R)
+        res = rs.MinimalFreeResolution(M)
+        res.extend(1)
+        G, ops = res.nonzeros[0], np.zeros((R.dim, 1, R.e), dtype=np.int64)
+        ops[1:R.e + 1, 0] = R.form.T
+        where, run = "resolution step 2", lambda: res.extend(2)
+    else:
+        M = random_module(R, 2, 2, seed=3)
+        N = random_module(R, 2, 3, seed=5)
+        res = resolve(M, 4, min_head=4)
+        L, layers = hm._loewy(N)
+        if builder == "_tor_block":
+            s, t = hm._block(layers)
+            G, ops = res.nonzeros[0], L.all_ops[:, L.dim - t:, :s]
+            where, window = "Tor degree 0", hm._homology_window
+        else:
+            G, ops = res.nonzeros[0].transpose(), L.all_ops
+            where, window = "Ext degree 0", hm._cohomology_window
+
+        def run():
+            list(window(res, N, 3))
+    slots = np.nonzero(ops)[0]
+    a, b = len(G.val), len(slots)
+    pairs = int(np.bincount(slots, minlength=R.dim)[G.slot].sum())
+    need = linalg.ENTRY_BYTES * (a + b + pairs)
+    for room, formed in ((need - 1, False), (need, True)):
+        counting = _CountingNumpy()
+        with monkeypatch.context() as mp:
+            mp.setattr(rs, "np", counting)
+            mp.setattr(rs, "available_bytes", lambda: room)
+            if formed:
+                try:
+                    run()
+                except NotMaterialized:
+                    pass
+            else:
+                with pytest.raises(NotMaterialized, match=(
+                        f"^{where}: a join of {a} by {b} entries into {pairs} pairs "
+                        f"outgrows the {room / 2**10:.1f} KiB the process can get$")):
+                    run()
+        assert (counting.repeats > 0) == formed
 
 
 # sha256 of the canonical JSON of tor (with its tor_induced ranks) and of
@@ -608,8 +713,8 @@ def _with_maps_in(window, res, N, last, monkeypatch):
     maps, run = {}, hm._window
 
     def spying(X, diff, ranks, step, block, last, cycles=False, excess=True):
-        def kept(j):
-            maps[j] = diff(j)
+        def kept(j, room):
+            maps[j] = diff(j, room)
             return maps[j]
         for i, h in enumerate(run(X, kept, ranks, step, block, last, True, excess)):
             yield h, linalg.dense(*maps[i + step]), X, block
@@ -917,8 +1022,8 @@ def test_window_reads_a_rank_exactly_where_the_left_kernel_is_zero(kind, monkeyp
     maps, run = {}, hm._window
 
     def spying(X, diff, ranks, step, block, last, cycles=False, excess=True):
-        def kept(j):
-            maps[j] = diff(j)
+        def kept(j, room):
+            maps[j] = diff(j, room)
             return maps[j]
         return run(X, kept, ranks, step, block, last, cycles, excess)
 
@@ -1190,17 +1295,17 @@ def _serve_corrupted(kind):
     elif kind == "ext-window":
         name, orig = "_ext_diff", hm._ext_diff
 
-        def fake(G, N):
-            shape = orig(G, N)[3]
+        def fake(G, N, room):
+            shape = orig(G, N, room)[3]
             diagonal = np.arange(min(shape))
             return diagonal, diagonal, np.ones_like(diagonal), shape
     elif kind == "tor-block":
         name, orig = "_tor_block", hm._tor_block
 
-        def fake(G, L, layers):
+        def fake(G, L, layers, room):
             G = G.dense()
             G[0, 0, 0] = 1
-            return orig(_nonzeros(G), L, layers)
+            return orig(_nonzeros(G), L, layers, room)
     elif kind == "loewy-basis":
         name, orig = "_rref_bases", hm._rref_bases
 

@@ -335,6 +335,45 @@ def test_no_dense_solve_in_resolution_or_homology():
     assert _dense_reads(probe, solves | {"dense"}) == ["1 solve_many", "2 linalg.dense"]
 
 
+def test_the_memory_rule_lives_in_linalg():
+    # the byte costs and the refusal text of the one memory rule belong to
+    # linalg; another module that reads them or writes its own refusal is a
+    # second copy of the rule coming back
+    words = ("ENTRY_BYTES", "LINE_BYTES", "the process can get")
+    found = [f"{path.name}: {word}" for path in sorted(SRC.rglob("*.py"))
+             if path.name != "linalg.py" for word in words if word in path.read_text()]
+    assert not found, f"the memory rule outside linalg: {found}"
+
+
+def _roomless_calls(tree, names) -> list:
+    """The lines of the calls of `names`, as plain names or attributes,
+    whose last argument, positional or keyword, is not the name `room`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in names:
+            last = node.keywords[-1].value if node.keywords else (node.args or [None])[-1]
+            if getattr(last, "id", None) != "room":
+                found.append(node.lineno)
+    return found
+
+
+def test_every_sparse_product_and_elimination_gets_a_room():
+    # the room read once per extension or window reaches every sparse
+    # product, block builder and elimination of resolution and homology; a
+    # call that leaves it out falls back to an unbounded room, unchecked
+    names = {"kmat_triplets", "join_sum", "kernel_rref", "rank_triplets",
+             "_linear_part", "_tor_block", "_ext_diff"}
+    found = [f"{name}:{line}" for name in ("resolution.py", "homology.py")
+             for line in _roomless_calls(ast.parse((SRC / name).read_text()), names)]
+    assert not found, f"calls without the room: {found}"
+    # the guard reads positional and keyword rooms, and starred inputs
+    probe = ast.parse("join_sum(*a, p, room)\nlinalg.kernel_rref(a, p)\n"
+                      "kmat_triplets(G, ops, p, room=room)\n_tor_block(G, L, h, np.inf)\n"
+                      "kernel_rref()\n")
+    assert _roomless_calls(probe, names) == [2, 4, 5]
+
+
 def test_the_parser_is_built_only_in_main():
     # cli.build_parser is cached so that a process builds its parser once;
     # a call anywhere but cli.main, say a per-command helper that builds a
