@@ -33,33 +33,30 @@ to left leave the canonical rref basis of the kernel, which it returns as
 triplets read off the pivot rows.  It serves the resolution, whose kernels
 are written out, and homology, which reads only their ranks and spans and
 relabels the columns so the pass takes them fewest entries first, which
-fills least; `dense` writes such triplets out as an array.  Before the
-elimination, `kernel_rref` peels rows with a single entry: their columns are
-pivots in every column order, so the dict engine never sees them.
-`rank_triplets`, which homology reads where it needs a map's rank alone,
-also peels columns with a single entry, which a rank allows and a canonical
-basis does not.
+fills least; `dense` writes such triplets out as an array, and
+`kernel_array` is `kernel_rref` with the columns reversed.  Before the
+elimination of a large input, `kernel_rref` peels rows with a single entry:
+their columns are pivots in every column order, so the dict engine never
+sees them.  `rank_triplets`, which homology reads where it needs a map's
+rank alone, also peels columns with a single entry, which a rank allows and
+a canonical basis does not.
 
 Every elimination builds its rows in plain Python, by one loop over the
 entries as lists (`_sparse_rows`): the matrices are sparse enough that the
 loop costs less than numpy's sorts and per-call overhead would.
 `kernel_rref` and `rank_triplets` share one front end (`_forward`): the
-room check, the peel, the rows and the forward pass.  They have two routes,
-which differ only in the peel and the kernel entries.  Most of their calls
-are small (a resolution step after the first eliminates the linear part of
-a differential, a median of about a dozen entries), and for them numpy's
-per-call overhead, not the elimination, was most of the time.  An input
-with at most `_SMALL_ENTRIES` entries (`plain_route`, the one size
-threshold, by which a resolution step also picks the builder of its linear
-part) therefore takes the peel and the kernel entries in plain Python; a
-larger one takes them with numpy, whose fixed cost pays off there, and
-hands the entries left to the row builder as lists.  Both hand `_eliminate`
-the same rows, column order, budget and stored count, so the route changes
-the time of a call, never its output or its refusals.  The entries come
-back as they came in: lists to a caller that passes lists (the resolution
-step's cover matrix and the linear part of a small differential), int64
-arrays to one that passes arrays, so a small call converts only for array
-callers.
+room check, the peel, the rows and the forward pass.  The peel is the one
+step that depends on size.  An input with more than `_SMALL_ENTRIES`
+entries is peeled with numpy, which at e = 6 keeps nearly all entries away
+from the Python loops; one with at most that many (`plain_route`, the one
+size threshold, by which a resolution step also picks the builder of its
+linear part) goes to `_eliminate` whole, which takes a singleton row as its
+column's pivot and clears that column without fill.  The two routes give
+the same output, as the rref is unique, but not always the same refusals:
+the fill check of an unpeeled input also counts the singleton entries a
+peel would have dropped.  Every kernel is read back by `_kernel_entries`
+and one row-major argsort, and comes back as int64 arrays, whatever the
+caller passed.
 
 One rule bounds memory, and this module holds it.  The sparse work of
 gorlab counts `ENTRY_BYTES` per entry it holds and `LINE_BYTES` per row and
@@ -80,8 +77,6 @@ Gauss-Jordan elimination, which shrinks them at once.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,21 +91,25 @@ from .errors import NotMaterialized, NotPrime
 # input entry two rounds' int64 copies of the entries and a few boolean masks
 # (under 60 bytes), per row and column an int64 count or a boolean, and then
 # the entries left as the three lists of Python ints the rows are built from;
-# at most `_SMALL_ENTRIES` entries, lists alone.  Under tracemalloc, calls
-# above `_SMALL_ENTRIES` entries peaked at most 0.88 times their check in
-# the e = 4 lemma suite, 0.69 times in the e = 6 main theorem and 0.83 times
-# in perfbench batches (0.98, 0.81 and 0.99 when numpy built the rows);
-# smaller calls can exceed a check of a few KiB by about 1 KiB of fixed cost.
+# at most `_SMALL_ENTRIES` entries, an int64 copy and those lists.  Under
+# tracemalloc, calls above `_SMALL_ENTRIES` entries peaked at most 0.88 times
+# their check in the e = 4 lemma suite, 0.69 times in the e = 6 main theorem
+# and 0.83 times in perfbench batches (0.98, 0.81 and 0.99 when numpy built
+# the rows).  Smaller calls can exceed a check of a few KiB by numpy's fixed
+# cost per call, the kernel read's arrays and argsort: about 5 KiB at most
+# (BENCH_44.json, ROADMAP item 5).
 ENTRY_BYTES = 130
 LINE_BYTES = 400
-# `kernel_rref` and `rank_triplets` peel an input of at most this many
-# entries and read its kernel back in plain Python.  Replaying the inputs of
-# a perfbench `betti_verdicts` and `tor_ext_pairs` batch through both routes
-# (BENCH_32.json), the two broke even between about 64 and 128 entries, and
-# the total over both batches was flat from 48 to 128 entries and near the
-# best route for every input.  With the rows built from lists on both routes
-# (BENCH_40.json), 32 and 64 entries stayed within 2% of each other, and 128,
-# 256 and 512 were slower on both batches.
+# `kernel_rref` and `rank_triplets` hand an input of at most this many
+# entries to the forward pass unpeeled, and a resolution step with at most
+# this many nonzeros builds its linear part in plain Python.  The value was
+# set when small inputs were also peeled and read back in plain Python:
+# replaying the inputs of a perfbench `betti_verdicts` and `tor_ext_pairs`
+# batch (BENCH_32.json, BENCH_40.json), that route and numpy's broke even
+# between about 64 and 128 entries, and 32 and 64 stayed within 2% of each
+# other.  Without that peel and kernel read, the same replay takes about 1.07
+# times as long for `betti_verdicts` and as long for `tor_ext_pairs`
+# (BENCH_44.json); the value was not tuned again.
 _SMALL_ENTRIES = 64
 
 
@@ -332,15 +331,17 @@ def kernel_array(A: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel {v : A v = 0}, one vector per row.
 
     Deterministic: free columns in increasing order, each set to 1 in turn.
+    This is `kernel_rref` of A with its columns reversed (c -> n-1-c): its
+    right-to-left pass then takes A's columns left to right, so its free
+    columns are those of rref(A), and its vector of each free column is 1
+    there and -v at the pivot of each row of rref(A) with an entry v there.
+    It lists them last free column first, so they are read back in reverse.
     """
+    A = np.asarray(A, dtype=np.int64) % p
     n = A.shape[1]
-    R, pivots, rank = rref_array(A, p)
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    K = np.zeros((len(free), n), dtype=np.int64)
-    K[np.arange(len(free)), free] = 1
-    K[:, pivots] = (-R[:rank, free].T) % p
-    return K
+    ri, ci = np.nonzero(A)
+    kr, kc, kv, free = kernel_rref(ri, n - 1 - ci, A[ri, ci], A.shape, p)
+    return dense(len(free) - 1 - kr, n - 1 - kc, kv, (len(free), n))
 
 
 def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
@@ -360,47 +361,37 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
     pivots.  When the forward pass leaves no free column, the kernel is
     zero and no reduced row is read, so the back-substitution is skipped.
 
-    Singleton rows are peeled first, with no arithmetic (`_peel`): until no
-    row has exactly one entry, the column of every row with one entry is
-    marked a pivot and every entry in a marked column is dropped.  The
-    output does not change.  A row with one entry, at column c,
-    puts e_c in the row space, so c is a pivot in every column order, its
-    reduced row is e_c, and every other reduced row is zero at c; each
-    kernel vector is zero at c, and the rest of the kernel is that of the
-    matrix without column c.  The rref is unique, so the triplets returned
-    are those of the elimination without the pre-pass.  Singleton columns
-    are not peeled: in [[1, 1]] with the columns left to right, the second
-    column has one entry but is not a pivot, so peeling it would change the
-    canonical basis the resolution writes (a rank does not change, and
-    `rank_triplets` peels them).
+    Above `_SMALL_ENTRIES` entries, singleton rows are peeled first, with
+    no arithmetic (`_peel`): until no row has exactly one entry, the column
+    of every row with one entry is marked a pivot and every entry in a
+    marked column is dropped.  The output does not change.  A row with one
+    entry, at column c, puts e_c in the row space, so c is a pivot in every
+    column order, its reduced row is e_c, and every other reduced row is
+    zero at c; each kernel vector is zero at c, and the rest of the kernel
+    is that of the matrix without column c.  The rref is unique, so the
+    triplets returned are those of the elimination without the pre-pass,
+    which is what a smaller input gets: `_eliminate` takes a singleton row
+    as its column's pivot, and clearing that column adds no entry.
+    Singleton columns are not peeled: in [[1, 1]] with the columns left to
+    right, the second column has one entry but is not a pivot, so peeling
+    it would change the canonical basis the resolution writes (a rank does
+    not change, and `rank_triplets` peels them).
 
-    An input on the plain route is read back in plain Python
-    (`_small_kernel`), a larger one with numpy (`_kernel_entries`); both
-    return the same triplets: as lists when `vals` is not an array, as
-    int64 arrays when it is.  `room` bounds both passes (`_forward`, the
+    Every input, lists or arrays, of any size, is read back by
+    `_kernel_entries` and one row-major argsort, as int64 arrays; the
+    pivots come as a list.  `room` bounds both passes (`_forward`, the
     module docstring's rule).
     """
     m, n = shape
-    arrays = isinstance(vals, np.ndarray)
     data, where, pinned, pivot_row, stored, rank = _forward(rows, cols, vals, shape, p, room)
     if rank == n:
         # no free column: the kernel is zero, and no reduced row is read
-        if arrays:
-            return (*(np.zeros(0, dtype=np.int64) for _ in range(3)), [])
-        return [], [], [], []
+        return (*(np.zeros(0, dtype=np.int64) for _ in range(3)), [])
     if not _back_substitute(data, where, pivot_row, p, _budget(room, m, n), stored):
         raise _outgrown(m, n, len(vals), room)
-    if plain_route(len(vals)):
-        kr, kc, kv, free = _small_kernel(data, pivot_row, pinned, n, p)
-        if arrays:
-            kr, kc, kv = (np.array(x, dtype=np.int64) for x in (kr, kc, kv))
-        return kr, kc, kv, free
     kr, kc, kv, free = _kernel_entries(data, pivot_row, pinned, n, p)
     order = np.argsort(kr * n + kc)
-    kr, kc, kv = kr[order], kc[order], kv[order]
-    if not arrays:
-        kr, kc, kv = kr.tolist(), kc.tolist(), kv.tolist()
-    return kr, kc, kv, free.tolist()
+    return kr[order], kc[order], kv[order], free.tolist()
 
 
 def rank_triplets(rows, cols, vals, shape, p: int, room: float = float("inf")) -> int:
@@ -409,9 +400,10 @@ def rank_triplets(rows, cols, vals, shape, p: int, room: float = float("inf")) -
     of `_forward` alone: no row is reduced, as only the count of pivots is
     read.
 
-    Singleton rows are peeled first, then singleton columns, with no
-    arithmetic (`_peel`, then `_peel` of the transpose): a row with one
-    entry, at column c, and likewise a column with one entry, in row r, add
+    Above `_SMALL_ENTRIES` entries, singleton rows are peeled first, then
+    singleton columns, with no arithmetic (`_peel`, then `_peel` of the
+    transpose); a smaller input goes to the forward pass whole.  A row with
+    one entry, at column c, and likewise a column with one entry, in row r, add
     one to the rank of what is left once that line and its entries are
     dropped (a row with one entry at column c clears c from the other rows,
     and a column with one entry in row r clears r from the other columns).
@@ -425,41 +417,35 @@ def rank_triplets(rows, cols, vals, shape, p: int, room: float = float("inf")) -
 
 def _forward(rows, cols, vals, shape, p: int, room: float, peel_columns: bool = False):
     """The front end of `kernel_rref` and `rank_triplets`, for the m x n
-    matrix `shape` with entries vals at (rows, cols): the room check, the
-    peel (singleton rows, then singleton columns if `peel_columns`), the
-    rows (`_sparse_rows`) and the forward pass (`_eliminate`) with the
-    columns right to left.  Returns (rows, where, pinned, pivot_row, stored,
-    rank): the rows and column sets the pass leaves, the columns the peeled
-    rows pin (a set on the plain route, a mask on the numpy route), {pivot
+    matrix `shape` with entries vals at (rows, cols), lists or arrays: the
+    room check, the peel of a large input (singleton rows, then singleton
+    columns if `peel_columns`), the rows (`_sparse_rows`) and the forward
+    pass (`_eliminate`) with the columns right to left.  Returns (rows,
+    where, pinned, pivot_row, stored, rank): the rows and column sets the
+    pass leaves, the mask of the columns the peeled rows pin, {pivot
     column: its row}, the entries stored and the rank, peeled lines
     included.
 
-    A small input (`plain_route`) is peeled in plain Python (`_small_peel`),
-    a larger one with numpy (`_peel`); both peel the same lines and hand
-    `_eliminate` the same rows, column order, budget and stored count.  An
-    input that does not fit the room, checked at its full size before the
-    peel, or whose fill outgrows it raises NotMaterialized before more is
-    allocated."""
+    An input of at most `_SMALL_ENTRIES` entries (`plain_route`) is not
+    peeled: its singleton lines go to `_eliminate`, which pivots on them
+    without fill, so the output is that of the peel, but the fill check
+    counts their entries too.  An input that does not fit the room,
+    checked at its full size before the peel, or whose fill outgrows it
+    raises NotMaterialized before more is allocated."""
     m, n = shape
     entries, budget = len(vals), _budget(room, m, n)
     if entries > budget:
         raise _outgrown(m, n, entries, room)
+    ri, ci, vi = (np.asarray(x, dtype=np.int64) for x in (rows, cols, vals))
     if plain_route(entries):
-        if isinstance(vals, np.ndarray):
-            rows, cols, vals = (np.asarray(x).tolist() for x in (rows, cols, vals))
-        ri, ci, vi, pinned = _small_peel(rows, cols, vals)
-        peeled = len(pinned)
-        if peel_columns:
-            ci, ri, vi, marked = _small_peel(ci, ri, vi)
-            peeled += len(marked)
+        pinned, peeled = np.zeros(n, dtype=bool), 0
     else:
-        ri, ci, vi, pinned = _peel(*(np.asarray(x, dtype=np.int64) for x in (rows, cols, vals)), n)
+        ri, ci, vi, pinned = _peel(ri, ci, vi, n)
         peeled = int(np.count_nonzero(pinned))
         if peel_columns:
             ci, ri, vi, marked = _peel(ci, ri, vi, m)
             peeled += int(np.count_nonzero(marked))
-        ri, ci, vi = ri.tolist(), ci.tolist(), vi.tolist()
-    data, where = _sparse_rows(ri, ci, vi, m)
+    data, where = _sparse_rows(ri.tolist(), ci.tolist(), vi.tolist(), m)
     stored = len(vi)
     del ri, ci, vi   # freed before the fill grows
     done = _eliminate(data, where, sorted(where, reverse=True), p, budget, stored)
@@ -498,56 +484,10 @@ def _refusal(what: str, room: float, tail: str = "") -> NotMaterialized:
 
 def plain_route(entries: int) -> bool:
     """Whether work on this many entries takes the plain-Python route: at
-    most `_SMALL_ENTRIES`, the one size threshold of `kernel_rref`, of
-    `rank_triplets` and of the choice of a resolution step's linear-part
-    builder."""
+    most `_SMALL_ENTRIES`, the one size threshold, below which
+    `kernel_rref` and `rank_triplets` do not peel and a resolution step
+    builds its linear part on Python ints."""
     return entries <= _SMALL_ENTRIES
-
-
-def _small_peel(ri: list, ci: list, vi: list):
-    """`_peel` in plain Python, for a small input given as lists: the
-    entries left and the set of marked columns."""
-    pinned: set = set()
-    while True:
-        count = Counter(ri)
-        single = {c for i, c in zip(ri, ci) if count[i] == 1}
-        if not single:
-            return ri, ci, vi, pinned
-        pinned |= single
-        keep = [k for k, c in enumerate(ci) if c not in single]
-        ri, ci, vi = [ri[k] for k in keep], [ci[k] for k in keep], [vi[k] for k in keep]
-
-
-def _small_kernel(data: list, pivot_row: dict, pinned: set, n: int, p: int):
-    """`_kernel_entries` and the row-major sort in plain Python, for a
-    small input: the kernel's (rows, cols, vals, pivots) as lists.  Vector
-    k is the unit at its free column, then the entries of the pivot rows
-    there in increasing pivot; only the vectors with such entries are
-    visited."""
-    free = sorted(set(range(n)).difference(pivot_row, pinned))
-    below = []
-    for c, i in pivot_row.items():
-        row = data[i]
-        del row[c]
-        below.extend((bisect_left(free, j), c, p - v) for j, v in row.items())
-    below.sort()
-    kr: list[int] = []
-    kc: list[int] = []
-    kv: list[int] = []
-    done = 0   # the vectors whose unit entries are written
-    for k, c, v in below:
-        if k >= done:
-            kr.extend(range(done, k + 1))
-            kc.extend(free[done:k + 1])
-            kv.extend([1] * (k + 1 - done))
-            done = k + 1
-        kr.append(k)
-        kc.append(c)
-        kv.append(v)
-    kr.extend(range(done, len(free)))
-    kc.extend(free[done:])
-    kv.extend([1] * (len(free) - done))
-    return kr, kc, kv, free
 
 
 def _peel(ri, ci, vi, n: int):

@@ -344,9 +344,11 @@ def direct_sum(M: FiniteModule, N: FiniteModule) -> tuple[FiniteModule, ModuleMa
 
 def random_module(ring: ShortGorensteinRing, g: int, r: int, seed: int) -> FiniteModule:
     """Cokernel of a random g x r matrix with entries uniform in m, for
-    g >= 1 and r >= 0."""
+    g >= 1, r >= 0 and seed >= 0."""
     if g < 1 or r < 0:
         raise ConfigError(f"need g >= 1 generators and r >= 0 relations: {g}, {r}")
+    if seed < 0:
+        raise ConfigError(f"seed {seed} < 0")
     rng = np.random.default_rng(seed)
     entries = np.zeros((g, r, ring.dim), dtype=np.int64)
     entries[:, :, 1:] = rng.integers(0, ring.p, size=(g, r, ring.dim - 1))

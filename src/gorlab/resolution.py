@@ -52,14 +52,15 @@ ends.  Either kernel then goes through one assembly, which writes only the
 rows the step keeps, once, into del_{i+1}: after the cover every row of
 del_{i+1} is x-only or a single w-unit 1.
 
-Every step runs one body (`_step`) on Python ints: the kernel's rows
-merged by pivot, the leads of S tested with a set, and one Nonzeros built
-at the end.  Most steps are small (a median of about a dozen nonzeros in a
-perfbench batch), where numpy's fixed cost per call would be most of the
-time, and on the large ones the lists cost no more than arrays did.  One
-size choice is left, by `linalg.plain_route` on the nonzeros of del_i: L is
-built as a dict through the nonzero entries of the form
-(`_small_linear_part`) for a small del_i and by one numpy join
+Every step runs one body (`_step`) on Python ints: the kernel's rows,
+which `linalg.kernel_rref` returns as int64 arrays and the step turns into
+lists once, merged by pivot, the leads of S tested with a set, and one
+Nonzeros built at the end.  Most steps are small (a median of about a
+dozen nonzeros in a perfbench batch), where numpy's fixed cost per call
+would be most of the time, and on the large ones the lists cost no more
+than arrays did.  One size choice is left, by `linalg.plain_route` on the
+nonzeros of del_i: L is built as a dict through the nonzero entries of the
+form (`_small_linear_part`) for a small del_i and by one numpy join
 (`_linear_part`) for a larger one.  Both builders give the same triplets,
 so the same kernel_rref call, room check, refusal and differential.
 
@@ -481,17 +482,17 @@ class MinimalFreeResolution:
         kernel's rows merged by pivot, S read off them and del_{i+1} written
         once.  The one size choice is L's builder, `_small_linear_part` for
         a del_i of at most `linalg.plain_route` nonzeros and `_linear_part`
-        above; kernel_rref hands back lists for the first and int64 arrays
-        for the second."""
+        above.  kernel_rref hands back int64 arrays either way, which the
+        all-pivots case stores as they come and every other step turns into
+        lists once."""
         ring = self.ring
         p, e, D = ring.p, ring.e, ring.dim
         b = self.betti_head[-1]
         if self.head == 0:
             C = self.cover_matrix
             ri, ci = np.nonzero(C)
-            kr, kc, kv, kpiv = linalg.kernel_rref(ri.tolist(), ci.tolist(),
-                                                  C[ri, ci].tolist(), C.shape, p, room)
-            if any(c % D == 0 for c in kc):
+            kr, kc, kv, kpiv = linalg.kernel_rref(ri, ci, C[ri, ci], C.shape, p, room)
+            if (kc % D == 0).any():
                 raise CertificateError(
                     "kernel escapes the radical; cover not minimal")
             # only this kernel can be zero: every later one holds w F_i != 0
@@ -511,21 +512,17 @@ class MinimalFreeResolution:
                 # row's slice at the pivot's slot leads there: S is
                 # everything, every w-unit row drops, and the rows of ker L
                 # on their x-slots are del_{i+1}
-                blk, slot = np.divmod(np.asarray(kc, dtype=np.int64), e)
+                blk, slot = np.divmod(kc, e)
                 slot += 1
-                return self._append(Nonzeros(np.asarray(kr, dtype=np.int64), blk, slot,
-                                             np.asarray(kv, dtype=np.int64),
-                                             (len(lpiv), b, D)), b)
-            if isinstance(kv, np.ndarray):
-                kr, kc, kv = kr.tolist(), kc.tolist(), kv.tolist()
+                return self._append(Nonzeros(kr, blk, slot, kv, (len(lpiv), b, D)), b)
             # ker del = ker(L) + wF: the rows of rref(ker L) on their x-slots
             # (column a*e + g of L is slot a*D + 1 + g of F) and one w-unit
             # row per block, merged by pivot, are the rref of ker del
-            kc = [c // e * D + 1 + c % e for c in kc]
+            kc = kc // e * D + 1 + kc % e
             rows = sorted([(c // e * D + 1 + c % e, []) for c in lpiv]
                           + [(a * D + D - 1, [(a * D + D - 1, 1)]) for a in range(b)])
-            kr = [r + lpiv[r] // e for r in kr]   # each x-row's place among them
-        for r, c, v in zip(kr, kc, kv):
+            kr = kr + np.array(lpiv, dtype=np.int64)[kr] // e   # each x-row's place
+        for r, c, v in zip(kr.tolist(), kc.tolist(), kv.tolist()):
             rows[r][1].append((c, v))
         # m*K lies on the w-slots; in coordinates w.r.t. K's rows (their
         # pivot-column entries) it is S, read on the blocks of the rows with

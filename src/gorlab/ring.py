@@ -184,12 +184,14 @@ FORM_CHOICES = ("identity", "hyperbolic", "random")
 
 def named_form(name: str, e: int, p: int, seed: int) -> np.ndarray:
     """The form of FORM_CHOICES called `name`; "random" is drawn from
-    numpy's default_rng(seed)."""
+    numpy's default_rng(seed), for seed >= 0."""
     if name == "identity":
         return identity_form(e)
     if name == "hyperbolic":
         return hyperbolic_form(e)
     if name == "random":
+        if seed < 0:
+            raise ConfigError(f"seed {seed} < 0")
         return random_nondegenerate_form(e, p, np.random.default_rng(seed))
     raise ConfigError(f"form must be one of {FORM_CHOICES}")
 

@@ -64,6 +64,8 @@ class TrialConfig:
             raise ConfigError("trial counts and size caps must be positive")
         if self.max_relations < 0:
             raise ConfigError("negative configuration value")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} < 0")
         if self.margin < 1:
             # a certificate on no tail degree certifies nothing
             raise ConfigError(f"margin {self.margin} < 1")

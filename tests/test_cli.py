@@ -166,6 +166,20 @@ def test_verify_main_theorem_e4_under_an_address_space_limit(tmp_path):
     assert usage.ru_maxrss < 256 * 1024   # KiB
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "lofwall", "--seed", "-5"),
+    ("ring", "new", "--e", "3", "--form", "random", "--seed", "-1"),
+    ("module", "random", "--ring", None, "--seed", "-1"),
+], ids=["verify", "ring", "module"])
+def test_a_negative_seed_exits_2(tmp_path, capsys, argv):
+    # a negative seed is a usage error: exit 2 and one ConfigError line,
+    # not numpy's traceback, nor exit 1, which means a failed verification
+    ring = make_ring_file(tmp_path, capsys)
+    code, out, err = run(capsys, *(ring if a is None else a for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"ConfigError: seed {argv[-1]} < 0\n"
+
+
 def test_verify_failure_exit_1(capsys):
     code, out, err = run(capsys, "verify", "main-theorem", "--trials", "1",
                          "--cutoff", "10", "--margin", "9")

@@ -291,8 +291,10 @@ def test_kernel_rref_agrees_with_sympy(mp):
 @given(sparse_or_dense())
 def test_kernel_rref_matches_kernel_array(mp):
     # the basis is the canonical one: sympy's, and the rref of the span of
-    # kernel_array's basis
+    # kernel_array's basis; kernel_array's is the free-column basis, on
+    # inputs above `_SMALL_ENTRIES` entries (which take the peel) too
     A, p = mp
+    assert np.array_equal(kernel_array(A, p), _kernel_loop(A, p))
     out = kernel_rref(*_triplets(A), p)
     _check_kernel(A, out, p)
     R, rpiv = row_space(kernel_array(A, p), p)
@@ -428,20 +430,18 @@ def _on_route(route, *args):
 @given(sparse_for_kernel_rref())
 def test_kernel_rref_routes_agree(mp):
     # for the matrix and its transpose (not in row-major order): the same
-    # rows, cols, vals (int64) and pivots from either conversion, and the
-    # same as lists for a caller that passes lists
+    # rows, cols, vals (int64 arrays) and pivots from either route, for a
+    # caller that passes arrays and one that passes lists
     A, p = mp
     rows, cols, vals, (m, n) = _triplets(A)
     for args in ((rows, cols, vals, (m, n), p), (cols, rows, vals, (n, m), p)):
-        a, b = _on_route(NUMPY_ROUTE, *args), _on_route(PYTHON_ROUTE, *args)
-        assert a[3] == b[3]
-        for x, y in zip(a[:3], b[:3]):
-            assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+        a = _on_route(NUMPY_ROUTE, *args)
         lists = [x.tolist() for x in args[:3]] + list(args[3:])
         for route in (NUMPY_ROUTE, PYTHON_ROUTE):
-            out = _on_route(route, *lists)
-            assert all(type(x) is list for x in out)
-            assert list(out) == [x.tolist() for x in a[:3]] + [a[3]]
+            for b in (_on_route(route, *args), _on_route(route, *lists)):
+                assert b[3] == a[3]
+                for x, y in zip(a[:3], b[:3]):
+                    assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("entries", [5, 6])
@@ -649,9 +649,9 @@ def test_kernel_rref_of_full_column_rank_skips_the_back_substitution(route, monk
         assert calls == want
         assert len(piv) == A.shape[1] - rank_array(A, p)
         assert kr.dtype == kc.dtype == kv.dtype == np.int64
-    # the zero kernel comes back empty, as lists to a list caller
-    assert _on_route(route, *(x.tolist() for x in _triplets(full)[:3]), full.shape, p) \
-        == ([], [], [], [])
+    # the zero kernel comes back as empty int64 arrays to a list caller too
+    *out, piv = _on_route(route, *(x.tolist() for x in _triplets(full)[:3]), full.shape, p)
+    assert piv == [] and all(x.dtype == np.int64 and x.shape == (0,) for x in out)
 
 
 def _bidiagonal(m, n, rng, p):
@@ -689,16 +689,17 @@ def sparse_for_rank(draw):
 @settings(max_examples=300, deadline=None)
 @given(sparse_for_rank())
 def test_rank_triplets_is_the_rank(mp):
-    # the rank of the forward pass after peeling singleton rows and columns,
-    # on both conversion routes, equals the dense rank, for the matrix and
-    # its transpose; the peel leaves the forward pass no row and no column
-    # with one entry
+    # the rank of the forward pass, after peeling singleton rows and columns
+    # on the numpy route and unpeeled on the plain one, equals the dense
+    # rank, for the matrix and its transpose; the numpy route's peel leaves
+    # the forward pass no row and no column with one entry
     A, p = mp
     real = linalg._SMALL_ENTRIES, linalg._eliminate
     handed = []
 
     def eliminate(rows, where, *args):
-        handed.append(([len(r) for r in rows if r], [len(c) for c in where.values()]))
+        if linalg._SMALL_ENTRIES == NUMPY_ROUTE:
+            handed.append(([len(r) for r in rows if r], [len(c) for c in where.values()]))
         return real[1](rows, where, *args)
 
     for B in (A, A.T):
@@ -709,14 +710,15 @@ def test_rank_triplets_is_the_rank(mp):
                 assert rank_triplets(*_triplets(B), p) == want
             finally:
                 linalg._SMALL_ENTRIES, linalg._eliminate = real
-    assert len(handed) == 4 and all(1 not in x + y for x, y in handed)
+    assert len(handed) == 2 and all(1 not in x + y for x, y in handed)
 
 
 def test_rank_triplets_peels_singleton_columns():
     # [[1, 1]]: both columns have one entry, in the same row, so the row is
     # peeled once and the rank is 1 with no arithmetic; a bidiagonal chain
     # peels whole, and the two-row input that kernel_rref eliminates (see
-    # test_kernel_rref_routes_refuse_alike) peels whole too
+    # test_kernel_rref_routes_refuse_alike) peels whole too.  The plain
+    # route peels nothing and finds the same rank
     rng, p = np.random.default_rng(3), 101
     handed, real = [], linalg._eliminate
 
@@ -734,14 +736,16 @@ def test_rank_triplets_peels_singleton_columns():
                 assert rank_triplets(*_triplets(A), p) == rank
             finally:
                 linalg._eliminate, linalg._SMALL_ENTRIES = real, real_small
-            assert handed == [0]
+            assert handed == [0] or route == PYTHON_ROUTE
 
 
 @pytest.mark.parametrize("entries", [linalg._SMALL_ENTRIES, linalg._SMALL_ENTRIES + 1])
 def test_rank_triplets_routes_agree_on_both_sides_of_the_threshold(entries, monkeypatch):
     # inputs of as many entries as the plain route takes and one more, each
-    # sent down its own route and then down the other: the same rank, and
-    # `_eliminate` handed the same rows, columns and stored count
+    # sent down its own route and then down both: the same rank, and the
+    # numpy route hands `_eliminate` the plain route's rows less the lines
+    # `_peel` drops (the columns of singleton rows, then the rows of
+    # singleton columns), with the columns and stored count those rows hold
     rng, p = np.random.default_rng(entries), 101
     for _ in range(20):
         m, n = (int(x) for x in rng.integers(8, 20, size=2))
@@ -750,7 +754,8 @@ def test_rank_triplets_routes_agree_on_both_sides_of_the_threshold(entries, monk
         handed, real = [], linalg._eliminate
 
         def eliminate(rows, where, columns, p, budget=float("inf"), stored=0):
-            handed.append(([r for r in rows], list(columns), stored))
+            handed.append(([None if r is None else dict(r) for r in rows],
+                           list(columns), stored))
             return real(rows, where, columns, p, budget, stored)
 
         monkeypatch.setattr(linalg, "_eliminate", eliminate)
@@ -760,7 +765,15 @@ def test_rank_triplets_routes_agree_on_both_sides_of_the_threshold(entries, monk
             ranks.append(rank_triplets(*_triplets(A), p))
         monkeypatch.undo()
         assert ranks == [rank_array(A, p)] * 3
-        assert handed[0] in handed[1:] and handed[1] == handed[2]
+        own, peeled, plain = handed
+        assert own == (plain if linalg.plain_route(entries) else peeled)
+        ri, ci, vi, pinned = linalg._peel(*_triplets(A)[:3], n)
+        marked = linalg._peel(ci, ri, vi, m)[3]
+        left = [None if r is None or marked[i]
+                else {c: v for c, v in r.items() if not pinned[c]} or None
+                for i, r in enumerate(plain[0])]
+        assert peeled == (left, sorted({c for r in left if r for c in r}, reverse=True),
+                          sum(len(r) for r in left if r))
 
 
 @pytest.mark.parametrize("route", [NUMPY_ROUTE, PYTHON_ROUTE])
@@ -774,7 +787,6 @@ def test_rank_triplets_refuses_before_eliminating(route, monkeypatch):
     seen = []
     monkeypatch.setattr(linalg, "_eliminate", lambda *args: seen.append(args))
     monkeypatch.setattr(linalg, "_peel", lambda *args: seen.append(args))
-    monkeypatch.setattr(linalg, "_small_peel", lambda *args: seen.append(args))
     monkeypatch.setattr(linalg, "_SMALL_ENTRIES", route)
     texts = []
     for read in (rank_triplets, kernel_rref):

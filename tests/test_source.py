@@ -297,6 +297,21 @@ def test_linalg_has_one_row_builder():
     assert "np" not in _names_read(functions["_sparse_rows"])
 
 
+def test_linalg_has_one_kernel_read_and_one_output_type():
+    # every kernel is read by `_kernel_entries` and comes back as int64
+    # arrays; a plain-Python `_small_peel` or `_small_kernel` beside the
+    # numpy steps, or a kernel_rref that answers lists to a list caller, is
+    # a duplicate route coming back
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    small = sorted(name for name in functions if name.startswith("_small_"))
+    assert small == [], f"plain-Python duplicates: {small}"
+    switches = [node.lineno for node in ast.walk(functions["kernel_rref"])
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and "ndarray" in ast.unparse(node)]
+    assert switches == [], f"output-type switches in kernel_rref at lines {switches}"
+
+
 def test_no_dense_kmatrix_route_in_resolution_or_homology():
     # resolution and homology build every k-matrix as triplets
     # (`kmat_triplets`); an einsum there is a dense route coming back.
