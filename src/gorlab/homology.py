@@ -443,10 +443,12 @@ def _window(N: FiniteModule, diff, ranks, step: int, block, last: int,
 
     def relabel(cols, n):
         # any basis will do, since only ranks and spans are read: the
-        # columns are relabelled so that the right-to-left forward pass
-        # takes them fewest entries first (ties by index), as structured
-        # Gaussian elimination does, which keeps the fill low in whatever
-        # basis N is written; returns the new labels and their order
+        # columns are relabelled fewest entries highest, so that the
+        # forward pass, which leads each row at its highest column, pivots
+        # and reduces rows at their columns with the fewest entries, as
+        # structured Gaussian elimination does, which keeps the fill low in
+        # whatever basis N is written; returns the new labels and their
+        # order
         order = np.argsort(np.bincount(cols, minlength=n), kind="stable")[::-1]
         label = np.empty(n, dtype=np.int64)
         label[order] = np.arange(n)

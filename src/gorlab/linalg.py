@@ -17,29 +17,32 @@ elimination does only the work the nonzeros need.  Reduced row-echelon
 form is canonical, so these routines are deterministic and reproducible
 bit for bit.
 
-The elimination has two passes.  The forward pass (`_eliminate`) clears each
-pivot column from the rows not yet used only, which fixes the pivots and so
-the rank; the back-substitution (`_back_substitute`) then clears the pivot
-columns from the earlier pivot rows, in reverse order, which leaves the
-rows Gauss-Jordan elimination leaves.  Each caller runs the back-substitution
-only where it reads reduced rows: `rref_inplace` always, `kernel_rref` only
-when a free column is left, so a zero kernel skips it, and `rank_triplets`
-never.
+The elimination has two passes and keeps no set of rows per column.  The
+forward pass (`_eliminate`) inserts the rows one at a time, sparsest first:
+each is reduced by the pivot row of its leading column, read off the row
+itself, until it leads at a column with no pivot row, where it becomes
+that column's pivot row, or vanishes.  That fixes the pivots and so the
+rank.  The back-substitution (`_back_substitute`) then clears from each
+pivot row the pivot columns it holds, with their own rows reduced first,
+which leaves the rows Gauss-Jordan elimination leaves.  Each caller runs
+the back-substitution only where it reads reduced rows: `rref_inplace`
+always, `kernel_rref` only when a free column is left, so a zero kernel
+skips it, and `rank_triplets` never.
 
-`rref_inplace` takes the columns left to right and writes the rref back
+`rref_inplace` leads each row at its lowest column and writes the rref back
 into its array.  `kernel_rref` takes a matrix as (row, column, value)
-triplets and builds no dense array: the two passes with the columns right
-to left leave the canonical rref basis of the kernel, which it returns as
-triplets read off the pivot rows.  It serves the resolution, whose kernels
-are written out, and homology, which reads only their ranks and spans and
-relabels the columns so the pass takes them fewest entries first, which
-fills least; `dense` writes such triplets out as an array, and
-`kernel_array` is `kernel_rref` with the columns reversed.  Before the
-elimination of a large input, `kernel_rref` peels rows with a single entry:
-their columns are pivots in every column order, so the dict engine never
-sees them.  `rank_triplets`, which homology reads where it needs a map's
-rank alone, also peels columns with a single entry, which a rank allows and
-a canonical basis does not.
+triplets and builds no dense array: the two passes with each row led at its
+highest column leave the canonical rref basis of the kernel, which it
+returns as triplets read off the pivot rows.  It serves the resolution,
+whose kernels are written out, and homology, which reads only their ranks
+and spans and relabels the columns so that rows lead at their columns with
+the fewest entries, which fills least; `dense` writes such triplets out as
+an array, and `kernel_array` is `kernel_rref` with the columns reversed.
+Before the elimination of a large input, `kernel_rref` peels rows with a
+single entry: their columns are pivots in every column order, so the dict
+engine never sees them.  `rank_triplets`, which homology reads where it
+needs a map's rank alone, also peels columns with a single entry, which a
+rank allows and a canonical basis does not.
 
 Every elimination builds its rows in plain Python, by one loop over the
 entries as lists (`_sparse_rows`): the matrices are sparse enough that the
@@ -70,9 +73,10 @@ every `kmat_triplets`) checks its inputs, then its pairs before it forms
 them; and a block made dense from a product (`homology._rank`) checks its
 cells and lines (`check_room`).  What does not fit is refused with
 NotMaterialized before it allocates more, in the one text of `_refusal`.
-The forward pass holds the used rows as they pivoted until the
-back-substitution, so its peak can lie a few entries above that of
-Gauss-Jordan elimination, which shrinks them at once.
+The forward pass holds each pivot row as it was inserted until the
+back-substitution, and reduces later rows by it, so its peak can lie a few
+entries above that of Gauss-Jordan elimination, which shrinks the pivot
+rows at once.
 """
 
 from __future__ import annotations
@@ -84,20 +88,22 @@ import numpy as np
 from .errors import NotMaterialized, NotPrime
 
 # What `kernel_rref` and `rank_triplets` hold, checked against the room: up
-# to ENTRY_BYTES per stored entry and LINE_BYTES per row and column (a dict,
-# a set, kernel entries: at most 310 bytes under tracemalloc at e = 3, 4, 5).
+# to ENTRY_BYTES per stored entry and LINE_BYTES per row and column (a row's
+# dict, kernel entries: at most 310 bytes under tracemalloc at e = 3, 4, 5,
+# measured when a set of rows per column was held as well).
 # The input's entries are checked before the singleton pre-pass, so the check
 # also covers what the pre-pass holds: above `_SMALL_ENTRIES` entries, per
 # input entry two rounds' int64 copies of the entries and a few boolean masks
 # (under 60 bytes), per row and column an int64 count or a boolean, and then
 # the entries left as the three lists of Python ints the rows are built from;
-# at most `_SMALL_ENTRIES` entries, an int64 copy and those lists.  Under
-# tracemalloc, calls above `_SMALL_ENTRIES` entries peaked at most 0.88 times
-# their check in the e = 4 lemma suite, 0.69 times in the e = 6 main theorem
-# and 0.83 times in perfbench batches (0.98, 0.81 and 0.99 when numpy built
-# the rows).  Smaller calls can exceed a check of a few KiB by numpy's fixed
-# cost per call, the kernel read's arrays and argsort: about 5 KiB at most
-# (BENCH_44.json, ROADMAP item 5).
+# at most `_SMALL_ENTRIES` entries, the caller's lists, or lists made from
+# its arrays.  Under tracemalloc, calls above `_SMALL_ENTRIES` entries
+# peaked at most 0.64 times their check in the e = 4 lemma suite, 0.60 times
+# in the e = 6 main theorem and 0.68 times in two perfbench batches of
+# `tor_ext_pairs` and `betti_verdicts` (0.88, 0.69 and 0.83 with the column
+# sets of the engine before row insertion).  Smaller calls can exceed a
+# check of a few KiB by numpy's fixed cost per call, the kernel read's
+# arrays and argsort: about 6 KiB at most (BENCH_45.json, ROADMAP item 5).
 ENTRY_BYTES = 130
 LINE_BYTES = 400
 # `kernel_rref` and `rank_triplets` hand an input of at most this many
@@ -142,152 +148,118 @@ def rref_inplace(R: np.ndarray, p: int):
 
     R holds entries in [0, p); on return its first rank rows are the rref
     rows and the rows below are zero.  The forward pass (`_eliminate`)
-    takes the columns left to right, and the back-substitution
-    (`_back_substitute`) reduces its pivot rows, which in pivot order are
-    then the canonical rref; R is written only at the end."""
+    leads each row at its lowest column, and the back-substitution
+    (`_back_substitute`) reduces the pivot rows, which in increasing pivot
+    column are then the canonical rref; R is written only at the end."""
     ri, ci = np.nonzero(R)
-    rows, where = _sparse_rows(ri.tolist(), ci.tolist(), R[ri, ci].tolist(), R.shape[0])
+    rows = _sparse_rows(ri.tolist(), ci.tolist(), R[ri, ci].tolist(), R.shape[0])
     del ri, ci   # freed before the fill grows
-    pivot_row, _ = _eliminate(rows, where, sorted(where), p)
-    _back_substitute(rows, where, pivot_row, p)
+    pivots, _ = _eliminate(rows, min, p)
+    _back_substitute(pivots, min, p)
+    columns = sorted(pivots)
     R.fill(0)
-    ix: list[int] = []
-    jx: list[int] = []
-    vx: list[int] = []
-    for k, i in enumerate(pivot_row.values()):
-        ix.extend([k] * len(rows[i]))
-        jx.extend(rows[i])
-        vx.extend(rows[i].values())
+    ix = list(range(len(columns)))
+    jx = columns.copy()
+    vx = [1] * len(columns)
+    for k, c in enumerate(columns):
+        row = pivots[c]
+        ix.extend([k] * len(row))
+        jx.extend(row)
+        vx.extend(row.values())
     R[ix, jx] = vx
-    return list(pivot_row)
+    return columns
 
 
-def _sparse_rows(ri: list, ci: list, vi: list, m: int):
-    """(rows, where) for the m-row matrix with nonzero entries vi at (ri,
-    ci), given as lists: rows[i] maps the columns of row i to its entries
-    (None for a zero row, which elimination never touches), and where[c] is
-    the set of rows with an entry in column c, its keys in the order the
-    columns first appear, so each caller hands `_eliminate` its own column
-    order.  One loop over the entries, with no numpy call."""
+def _sparse_rows(ri: list, ci: list, vi: list, m: int) -> list:
+    """The rows of the m-row matrix with nonzero entries vi at (ri, ci),
+    given as lists: rows[i] maps the columns of row i to its entries, and
+    is None for a zero row.  One loop over the entries, with no numpy
+    call."""
     rows: list = [None] * m
-    where: dict = {}
     for i, c, v in zip(ri, ci, vi):
         row = rows[i]
         if row is None:
             row = rows[i] = {}
         row[c] = v
-        col = where.get(c)
-        if col is None:
-            where[c] = {i}
-        else:
-            col.add(i)
-    return rows, where
+    return rows
 
 
-def _eliminate(rows: list, where: dict, columns, p: int,
-               budget: float = float("inf"), stored: int = 0):
-    """Forward pass of the elimination of the rows and column sets of
-    `_sparse_rows`, in place, taking the columns in the order `columns`
-    (every column of `where`): ({pivot column: its row}, in the order
-    pivoted, and the count of entries stored), or None once more than
+def _eliminate(rows: list, lead, p: int, budget: float = float("inf"), stored: int = 0):
+    """Forward pass: insert the rows of `_sparse_rows`, in place, sparsest
+    first (ties in row order), where `lead` (max or min) reads a row's
+    leading column off the row, so the columns go right to left for max
+    and left to right for min.  Returns ({pivot column: its row}, in the
+    order pivoted, and the count of entries stored), or None once more than
     `budget` entries are stored, counting from the `stored` entries of the
-    input.
+    input and checked after each row update.
 
-    Each column takes as pivot the sparsest row not yet used that is
-    nonzero there (the lowest index on a tie), scales it to a unit, and
-    clears the column from every row not yet used; the rows used already
-    keep their entry there, and where[c] is left holding them for
-    `_back_substitute`.  A row not yet used is zero on every column done,
-    so a pivot row holds its pivot column and columns after it, and fill
-    only copies a column where some row already has an entry and never
-    reaches a column done, in whatever order the columns go.  The pivots
-    are those of Gauss-Jordan elimination in the same order, since the rows
-    not yet used, which alone choose them, go through the same updates; the
-    count of pivots is the rank."""
-    used = bytearray(len(rows))
-    pivot_row: dict = {}
-    for c in columns:
-        col = where.pop(c)
-        best, size = -1, 0
-        for i in col:
-            if not used[i]:
-                k = len(rows[i])
-                if best < 0 or k < size or (k == size and i < best):
-                    best, size = i, k
-        if best < 0:
-            continue
-        prow = rows[best]
-        inv = pow(prow[c], p - 2, p)
-        if inv != 1:
-            for j in prow:
-                prow[j] = prow[j] * inv % p
-        used[best] = 1
-        pivot_row[c] = best
-        if len(col) == 1:
-            continue   # no other row to clear, none above
-        items = [(j, v) for j, v in prow.items() if j != c]
-        above = []
-        for i in col:
-            if used[i]:
-                if i != best:
-                    above.append(i)
-                continue
-            row = rows[i]
-            f = p - row.pop(c)
-            for j, v in items:
-                x = row.get(j)
-                if x is None:
-                    row[j] = f * v % p
-                    where[j].add(i)
-                    stored += 1
-                else:
-                    x = (x + f * v) % p
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-                        where[j].discard(i)
-                        stored -= 1
-            stored -= 1
+    A row is reduced by the pivot row of its leading column, which clears
+    that column and adds only columns after it in the order, until it leads
+    at a column with no pivot row or vanishes; each reduction moves the
+    lead strictly along the order, so the loop ends.  A row that finds no
+    pivot row is scaled to a unit lead and becomes that column's pivot row,
+    held without its lead, which stays counted as stored.  The pivot rows
+    span the row space and lead at distinct columns, so they are an echelon
+    basis of it: their leads are the pivots of the rref in this order, and
+    their count is the rank."""
+    pivots: dict = {}
+    for row in sorted(filter(None, rows), key=len):
+        while row:
+            c = lead(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(row.pop(c), p - 2, p)
+                if inv != 1:
+                    for j in row:
+                        row[j] = row[j] * inv % p
+                pivots[c] = row
+                break
+            stored = _clear(row, c, prow, p, stored)
             if stored > budget:
                 return None
-        if above:
-            where[c] = above
-    return pivot_row, stored
+    return pivots, stored
 
 
-def _back_substitute(rows: list, where: dict, pivot_row: dict, p: int,
-                     budget: float = float("inf"), stored: int = 0) -> bool:
-    """Reduce the pivot rows that `_eliminate` leaves, in place: for each
-    pivot column c, in reverse pivot order, clear c from the earlier pivot
-    rows where[c] with the row of c, already reduced.  That row then holds
-    c and only columns without a pivot, so the clearing brings no pivot
-    column back, and each pivot row ends with its own pivot column and
-    columns without a pivot alone: the rows of Gauss-Jordan elimination, as
-    a reduced row is the one vector of the row space with a unit at its
-    pivot and zeros at the others.  Returns False once more than `budget`
-    entries are stored, counting on from `stored`, else True."""
-    for c in reversed(pivot_row):
-        above = where.get(c)
-        if above is None:
-            continue
-        items = [(j, v) for j, v in rows[pivot_row[c]].items() if j != c]
-        for i in above:
-            row = rows[i]
-            f = p - row.pop(c)
-            for j, v in items:
-                x = row.get(j)
-                if x is None:
-                    row[j] = f * v % p
-                    stored += 1
-                else:
-                    x = (x + f * v) % p
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-                        stored -= 1
-            stored -= 1
+def _clear(row: dict, c: int, prow: dict, p: int, stored: int) -> int:
+    """Clear column c from `row` with the pivot row `prow` of c, held
+    without its unit lead, in place; returns the count of stored entries,
+    updated from `stored`."""
+    f = p - row.pop(c)
+    for j, v in prow.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = f * v % p
+            stored += 1
+        else:
+            x = (x + f * v) % p
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+                stored -= 1
+    return stored - 1
+
+
+def _back_substitute(pivots: dict, lead, p: int, budget: float = float("inf"),
+                     stored: int = 0) -> bool:
+    """Reduce the pivot rows that `_eliminate` leaves with `lead`, in
+    place.  A pivot row holds only columns after its lead in the order, so
+    the rows go in reverse order of their leads (lowest first for max,
+    highest first for min): each clears the pivot columns it holds with
+    their rows, already reduced, which hold their lead and columns without
+    a pivot alone, so the clearing brings no pivot column back.  Each
+    pivot row then ends with its lead and columns without a pivot: the
+    rows of Gauss-Jordan elimination, as a reduced row is the one vector of
+    the row space with a unit at its pivot and zeros at the others.
+    Returns False once more than `budget` entries are stored, counting on
+    from `stored`, else True."""
+    held = pivots.keys()
+    for c in sorted(pivots, reverse=lead is min):
+        row = pivots[c]
+        if held.isdisjoint(row):
+            continue   # no pivot column to clear
+        for j in [j for j in row if j in held]:
+            stored = _clear(row, j, pivots[j], p, stored)
             if stored > budget:
                 return False
     return True
@@ -351,10 +323,10 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
     the kernel's rows in row-major order and the pivot of each row.
 
     Equal to rref_array(kernel_array(A)) restricted to its rank, from the
-    forward pass of `_forward`, with the columns taken right to left, and
-    one back-substitution (`_back_substitute`).  A row is zero on every
-    column done when it pivots, so each reduced pivot row ends with its
-    pivot column and free columns to the left of it.  The kernel vector of
+    forward pass of `_forward`, each row led by its highest column, and one
+    back-substitution (`_back_substitute`).  A pivot row holds only columns
+    left of its lead, so each reduced pivot row ends with its pivot column
+    and free columns to the left of it.  The kernel vector of
     a free column f is 1 at f and -v at the pivot c > f of each pivot row
     with an entry v at f: f leads, no other vector has an entry there, so
     the vectors in increasing f are the rref and the free columns its
@@ -383,13 +355,13 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
     module docstring's rule).
     """
     m, n = shape
-    data, where, pinned, pivot_row, stored, rank = _forward(rows, cols, vals, shape, p, room)
+    pivots, pinned, stored, rank = _forward(rows, cols, vals, shape, p, room)
     if rank == n:
         # no free column: the kernel is zero, and no reduced row is read
         return (*(np.zeros(0, dtype=np.int64) for _ in range(3)), [])
-    if not _back_substitute(data, where, pivot_row, p, _budget(room, m, n), stored):
+    if not _back_substitute(pivots, max, p, _budget(room, m, n), stored):
         raise _outgrown(m, n, len(vals), room)
-    kr, kc, kv, free = _kernel_entries(data, pivot_row, pinned, n, p)
+    kr, kc, kv, free = _kernel_entries(pivots, pinned, n, p)
     order = np.argsort(kr * n + kc)
     return kr[order], kc[order], kv[order], free.tolist()
 
@@ -397,8 +369,8 @@ def kernel_rref(rows, cols, vals, shape, p: int, room: float = float("inf")):
 def rank_triplets(rows, cols, vals, shape, p: int, room: float = float("inf")) -> int:
     """Rank of the m x n matrix `shape` whose nonzero entries are vals[k] in
     [1, p) at (rows[k], cols[k]), distinct positions, from the forward pass
-    of `_forward` alone: no row is reduced, as only the count of pivots is
-    read.
+    of `_forward` alone, each row led by its highest column: no pivot row
+    is reduced, as only the count of pivots is read.
 
     Above `_SMALL_ENTRIES` entries, singleton rows are peeled first, then
     singleton columns, with no arithmetic (`_peel`, then `_peel` of the
@@ -420,39 +392,43 @@ def _forward(rows, cols, vals, shape, p: int, room: float, peel_columns: bool = 
     matrix `shape` with entries vals at (rows, cols), lists or arrays: the
     room check, the peel of a large input (singleton rows, then singleton
     columns if `peel_columns`), the rows (`_sparse_rows`) and the forward
-    pass (`_eliminate`) with the columns right to left.  Returns (rows,
-    where, pinned, pivot_row, stored, rank): the rows and column sets the
-    pass leaves, the mask of the columns the peeled rows pin, {pivot
-    column: its row}, the entries stored and the rank, peeled lines
-    included.
+    pass (`_eliminate`), each row led by its highest column.  Returns
+    (pivots, pinned, stored, rank): {pivot column: its row} as the pass
+    leaves them, the mask of the columns the peeled rows pin, the entries
+    stored and the rank, peeled lines included.
 
     An input of at most `_SMALL_ENTRIES` entries (`plain_route`) is not
     peeled: its singleton lines go to `_eliminate`, which pivots on them
     without fill, so the output is that of the peel, but the fill check
-    counts their entries too.  An input that does not fit the room,
-    checked at its full size before the peel, or whose fill outgrows it
-    raises NotMaterialized before more is allocated."""
+    counts their entries too.  Its lists go to `_sparse_rows` as they come,
+    and only arrays are turned into lists.  An input that does not fit the
+    room, checked at its full size before the peel, or whose fill outgrows
+    it raises NotMaterialized before more is allocated."""
     m, n = shape
     entries, budget = len(vals), _budget(room, m, n)
     if entries > budget:
         raise _outgrown(m, n, entries, room)
-    ri, ci, vi = (np.asarray(x, dtype=np.int64) for x in (rows, cols, vals))
     if plain_route(entries):
         pinned, peeled = np.zeros(n, dtype=bool), 0
+        lists = [x if isinstance(x, list) else np.asarray(x, dtype=np.int64).tolist()
+                 for x in (rows, cols, vals)]
     else:
+        ri, ci, vi = (np.asarray(x, dtype=np.int64) for x in (rows, cols, vals))
         ri, ci, vi, pinned = _peel(ri, ci, vi, n)
         peeled = int(np.count_nonzero(pinned))
         if peel_columns:
             ci, ri, vi, marked = _peel(ci, ri, vi, m)
             peeled += int(np.count_nonzero(marked))
-    data, where = _sparse_rows(ri.tolist(), ci.tolist(), vi.tolist(), m)
-    stored = len(vi)
-    del ri, ci, vi   # freed before the fill grows
-    done = _eliminate(data, where, sorted(where, reverse=True), p, budget, stored)
+        lists = [ri.tolist(), ci.tolist(), vi.tolist()]
+        del ri, ci, vi
+    data = _sparse_rows(*lists, m)
+    stored = len(lists[2])
+    del lists   # freed before the fill grows
+    done = _eliminate(data, max, p, budget, stored)
     if done is None:
         raise _outgrown(m, n, entries, room)
-    pivot_row, stored = done
-    return data, where, pinned, pivot_row, stored, peeled + len(pivot_row)
+    pivots, stored = done
+    return pivots, pinned, stored, peeled + len(pivots)
 
 
 def _budget(room: float, m: int, n: int) -> float:
@@ -513,26 +489,25 @@ def dense(rows, cols, vals, shape) -> np.ndarray:
     return A
 
 
-def _kernel_entries(data: list, pivot_row: dict, pinned, n: int, p: int):
-    """The kernel of the reduced system `_eliminate` leaves in `data`, over
+def _kernel_entries(pivots: dict, pinned, n: int, p: int):
+    """The kernel of the reduced pivot rows `_back_substitute` leaves, over
     n columns, one vector per free column f: 1 at f and -v at the pivot of
     each pivot row with an entry v at f.  The `pinned` columns (a mask)
     are pivots whose rows hold nothing else.  Returns (vector, column,
-    value, free columns), the entries in no order.  Each pivot row is read
-    whole, its pivot entry dropped first."""
+    value, free columns), the entries in no order.  A pivot row is held
+    without its lead, and one that holds nothing else is skipped."""
     is_free = ~pinned
-    is_free[list(pivot_row)] = False
+    is_free[list(pivots)] = False
     free = np.flatnonzero(is_free)
     at = np.cumsum(is_free) - 1   # the kernel vector of each free column
     kx: list[int] = []
     cx: list[int] = []
     vx: list[int] = []
-    for c, i in pivot_row.items():
-        row = data[i]
-        del row[c]
-        kx.extend(row)
-        cx.extend([c] * len(row))
-        vx.extend(row.values())
+    for c, row in pivots.items():
+        if row:
+            kx.extend(row)
+            cx.extend([c] * len(row))
+            vx.extend(row.values())
     kr = np.concatenate([np.arange(len(free)), at[np.asarray(kx, dtype=np.int64)]])
     kc = np.concatenate([free, np.asarray(cx, dtype=np.int64)])
     kv = np.concatenate([np.ones(len(free), dtype=np.int64),

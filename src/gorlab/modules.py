@@ -57,12 +57,16 @@ class FiniteModule:
     @classmethod
     def free(cls, ring: ShortGorensteinRing, rank: int) -> "FiniteModule":
         """Free module R^rank; basis index j*(e+2)+b is basis element b of
-        the j-th copy, so generator j sits at coordinate j*(e+2)."""
+        the j-th copy, so generator j sits at coordinate j*(e+2).  Each
+        operator is block diagonal, kron(I_rank, ring.basis_reg[i]), written
+        by one scatter into zeros.  The dense (e + 1) (rank D)^2 array is
+        not checked against the room (ROADMAP item 5)."""
         D = ring.dim
-        I = np.eye(rank, dtype=np.int64)
-        actions = np.stack([np.kron(I, ring.basis_reg[i]) for i in range(1, ring.e + 1)])
-        action_w = np.kron(I, ring.basis_reg[D - 1])
-        return cls(ring, actions, action_w, validate=False)
+        ops = np.zeros((D - 1, rank, D, rank, D), dtype=np.int64)
+        diag = np.arange(rank)
+        ops[:, diag, :, diag, :] = ring.basis_reg[1:]
+        ops = ops.reshape(D - 1, rank * D, rank * D)
+        return cls(ring, ops[:-1], ops[-1], validate=False)
 
     @classmethod
     def residue_field(cls, ring: ShortGorensteinRing) -> "FiniteModule":
@@ -194,9 +198,23 @@ def span_closure(M: FiniteModule, V: np.ndarray):
 
 
 def radical_rows(M: FiniteModule):
-    """rref basis of mM."""
-    stacked = np.concatenate([A.T for A in M.actions] + [M.action_w.T], axis=0)
-    return _rref_span(M, stacked)
+    """rref basis of mM, (rows, pivots), eliminated once per module
+    (`_cached_span`)."""
+    return _cached_span(M, "radical_rows", lambda: np.concatenate(
+        [A.T for A in M.actions] + [M.action_w.T], axis=0))
+
+
+def _cached_span(M: FiniteModule, key: str, spanning):
+    """`_rref_span` of the rows `spanning()` builds, held in M._cache under
+    `key`: a module is immutable, so the value cannot depend on which call
+    computed it.  The rows are read-only and the pivots a fresh list, so no
+    caller can change what the cache holds."""
+    if key not in M._cache:
+        U, piv = _rref_span(M, spanning())
+        U.setflags(write=False)
+        M._cache[key] = U, tuple(piv)
+    U, piv = M._cache[key]
+    return U, list(piv)
 
 
 def radical_submodule(M: FiniteModule) -> tuple[FiniteModule, ModuleMap]:
@@ -205,8 +223,9 @@ def radical_submodule(M: FiniteModule) -> tuple[FiniteModule, ModuleMap]:
 
 
 def radical_square_rows(M: FiniteModule):
-    """rref basis of m^2 M = wM."""
-    return _rref_span(M, M.action_w.T.copy())
+    """rref basis of m^2 M = wM, (rows, pivots), eliminated once per
+    module (`_cached_span`)."""
+    return _cached_span(M, "radical_square_rows", lambda: M.action_w.T.copy())
 
 
 def nu(M: FiniteModule) -> int:

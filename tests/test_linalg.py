@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -398,10 +400,10 @@ def test_kernel_rref_peels_a_full_rank_input_before_eliminating(kind, monkeypatc
     A = _peeled_away(n, kind, np.random.default_rng(7), p)
     handed, real = [], linalg._eliminate
 
-    def eliminate(rows, where, columns, p, budget=float("inf"), stored=0):
+    def eliminate(rows, lead, p, budget=float("inf"), stored=0):
         handed.append((sum(len(r) for r in rows if r is not None),
-                       len(where), stored))
-        return real(rows, where, columns, p, budget, stored)
+                       sum(r is not None for r in rows), stored))
+        return real(rows, lead, p, budget, stored)
 
     monkeypatch.setattr(linalg, "_eliminate", eliminate)
     K, piv = _kernel_rref_rows(A, p)
@@ -497,32 +499,29 @@ def test_kernel_rref_routes_eliminate_once(kind, monkeypatch):
 @given(sparse_or_dense(), st.integers(0, 2**32 - 1))
 def test_sparse_rows_is_the_incidence_of_the_matrix(mp, seed):
     # on lists, in any order of the entries, empty inputs included: rows[i]
-    # maps the columns of row i to its entries (None for a zero row), and
-    # where[c] is the set of rows nonzero in column c, for exactly the
-    # nonzero columns
+    # maps the columns of row i to its entries (None for a zero row)
     A, _ = mp
     ri, ci = np.nonzero(A)
     order = np.random.default_rng(seed).permutation(len(ri))
     ri, ci = ri[order], ci[order]
-    rows, where = linalg._sparse_rows(ri.tolist(), ci.tolist(), A[ri, ci].tolist(), A.shape[0])
+    rows = linalg._sparse_rows(ri.tolist(), ci.tolist(), A[ri, ci].tolist(), A.shape[0])
     assert rows == [{c: A[i, c] for c in np.flatnonzero(A[i]).tolist()} or None
                     for i in range(A.shape[0])]
-    assert where == {c: set(np.flatnonzero(A[:, c]).tolist())
-                     for c in range(A.shape[1]) if A[:, c].any()}
-    assert linalg._sparse_rows([], [], [], 3) == ([None] * 3, {})
+    assert linalg._sparse_rows([], [], [], 3) == [None] * 3
 
 
-def _gauss_jordan(rows, where, columns, p, budget=float("inf"), stored=0):
+def _gauss_jordan(rows, columns, p, budget=float("inf"), stored=0):
     """Reference elimination, one pass: the Gauss-Jordan engine that
     `linalg._eliminate` and `linalg._back_substitute` replace.  Each column
-    takes as pivot the sparsest unused row nonzero there (the lowest index
-    on a tie) and is cleared from every other row, the used ones too.
-    Returns {pivot column: row} in pivot order, or None once more than
-    `budget` entries are stored, checked after each row update."""
+    in the order `columns` takes as pivot the sparsest unused row nonzero
+    there (the lowest index on a tie) and is cleared from every other row,
+    the used ones too.  Returns {pivot column: row} in pivot order, or None
+    once more than `budget` entries are stored, checked after each row
+    update."""
     used = bytearray(len(rows))
     pivot_row = {}
     for c in columns:
-        col = where.pop(c)
+        col = [i for i, row in enumerate(rows) if row and c in row]
         free = [i for i in col if not used[i]]
         if not free:
             continue
@@ -543,10 +542,8 @@ def _gauss_jordan(rows, where, columns, p, budget=float("inf"), stored=0):
                     continue
                 x = (row.get(j, 0) + f * v) % p
                 if x and j not in row:
-                    where[j].add(i)
                     stored += 1
                 elif not x:
-                    where[j].discard(i)
                     stored -= 1
                 if x:
                     row[j] = x
@@ -558,67 +555,112 @@ def _gauss_jordan(rows, where, columns, p, budget=float("inf"), stored=0):
     return pivot_row
 
 
-def _two_passes(A, p, order, budget=float("inf")):
-    """(rows, pivots) of `_eliminate` then `_back_substitute` on A's rows,
-    the columns taken in `order`, or None where either pass refuses."""
+def _rows_of(A):
+    """A's rows as `linalg._sparse_rows` builds them, and their entries."""
     ri, ci = np.nonzero(A)
-    rows, where = linalg._sparse_rows(ri.tolist(), ci.tolist(), A[ri, ci].tolist(), A.shape[0])
-    done = linalg._eliminate(rows, where, order(where), p, budget, len(ri))
-    if done is None or not linalg._back_substitute(rows, where, done[0], p, budget, done[1]):
+    return linalg._sparse_rows(ri.tolist(), ci.tolist(), A[ri, ci].tolist(), A.shape[0]), len(ri)
+
+
+def _two_passes(A, p, lead, budget=float("inf")):
+    """{pivot column: reduced row, its unit lead included} of `_eliminate`
+    then `_back_substitute` on A's rows with `lead`, or None where either
+    pass refuses."""
+    rows, stored = _rows_of(A)
+    done = linalg._eliminate(rows, lead, p, budget, stored)
+    if done is None or not linalg._back_substitute(done[0], lead, p, budget, done[1]):
         return None
-    return rows, done[0]
+    return {c: {c: 1, **row} for c, row in done[0].items()}
 
 
-def _reference(A, p, order, budget=float("inf")):
-    """(rows, pivots) of the reference `_gauss_jordan`, or None."""
-    ri, ci = np.nonzero(A)
-    rows, where = linalg._sparse_rows(ri.tolist(), ci.tolist(), A[ri, ci].tolist(), A.shape[0])
-    pivot_row = _gauss_jordan(rows, where, order(where), p, budget, len(ri))
-    return None if pivot_row is None else (rows, pivot_row)
+def _reference(A, p, lead, budget=float("inf")):
+    """{pivot column: reduced row} of the reference `_gauss_jordan`, its
+    columns in the order `lead` reads them (right to left for max, left to
+    right for min), or None."""
+    rows, stored = _rows_of(A)
+    columns = sorted({c for row in rows if row for c in row}, reverse=lead is max)
+    pivot_row = _gauss_jordan(rows, columns, p, budget, stored)
+    return None if pivot_row is None else {c: rows[i] for c, i in pivot_row.items()}
 
 
-def _by_count(where):
-    """The columns fewest entries first, ties by index, as homology
-    relabels them."""
-    return sorted(where, key=lambda c: (len(where[c]), c))
-
-
-ORDERS = (sorted, lambda where: sorted(where, reverse=True), _by_count)
+@st.composite
+def engine_inputs(draw):
+    """A matrix mod 2, 3, 101 or 65521 for the engine: a draw of
+    `sparse_for_kernel_rref` (empty and zero matrices among them), a
+    rank-deficient product of two thin matrices, or an all-singleton
+    matrix, every row with at most one entry and columns shared."""
+    kind = draw(st.sampled_from(("drawn", "rank deficient", "all singletons")))
+    A, p = draw(sparse_for_kernel_rref())
+    if kind == "drawn":
+        return A, p
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    if kind == "rank deficient":
+        r = draw(st.integers(0, 4))
+        A = rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n)) % p
+    else:
+        A = np.zeros((m, n), dtype=np.int64)
+        if n:
+            A[np.arange(m), rng.integers(0, n, size=m)] = rng.integers(1, p, size=m)
+    return A.astype(np.int64), p
 
 
 @settings(max_examples=200, deadline=None)
-@given(sparse_for_kernel_rref())
+@given(engine_inputs())
 def test_forward_pass_and_back_substitution_are_gauss_jordan(mp):
-    # the same pivots, in the same order and on the same rows, and the same
-    # rows at the end, the pivot rows reduced and every other row emptied,
-    # in every column order: left to right (rref_inplace), right to left
-    # (kernel_rref) and fewest entries first.  The inputs draw empty,
-    # rank-deficient and all-singleton matrices mod 2, 3, 101 and 65521
+    # the same pivot columns, each with the same reduced row, for both
+    # leads: the highest column (kernel_rref, rank_triplets) against the
+    # columns right to left, and the lowest (rref_inplace) against them left
+    # to right.  The inputs draw empty, rank-deficient and all-singleton
+    # matrices mod 2, 3, 101 and 65521
     A, p = mp
-    for order in ORDERS:
-        rows, pivots = _two_passes(A, p, order)
-        want_rows, want_pivots = _reference(A, p, order)
-        assert list(pivots.items()) == list(want_pivots.items())
-        assert rows == want_rows
+    for lead in (max, min):
+        assert _two_passes(A, p, lead) == _reference(A, p, lead)
 
 
 def test_the_forward_pass_may_hold_more_than_gauss_jordan():
-    # the peak of stored entries is not bounded by Gauss-Jordan's: the
-    # forward pass keeps a used row as it pivoted until the
-    # back-substitution, where Gauss-Jordan shrinks it at once.  Row 0
-    # (columns 0..10) pivots, then row 1 (columns 1..10), which shrinks
-    # row 0 to its pivot in Gauss-Jordan only; clearing column 11 then
-    # grows row 3 by one entry.  Gauss-Jordan stays within the 27 input
-    # entries, the forward pass needs 28, and both end with the same rows
+    # the peak of stored entries is not bounded by Gauss-Jordan's: row
+    # insertion reduces a row by a pivot row Gauss-Jordan has already
+    # shrunk.  Led by their lowest columns, rows 2 and 3 (three entries
+    # each) go in first and both lead at column 11, so row 3 is reduced by
+    # row 2 and grows by one entry; Gauss-Jordan first pivots row 0 on
+    # column 0 and row 1 on column 1, which shrinks row 0 to its pivot,
+    # before that growth.  Gauss-Jordan stays within the 27 input entries,
+    # row insertion needs 28, and both end with the same rows
     A = np.zeros((4, 24), dtype=np.int64)
     A[0, :11] = 1
     A[1, 1:11] = 1
     A[2, [11, 20, 21]] = 1
     A[3, [11, 22, 23]] = 1
     assert np.count_nonzero(A) == 27
-    assert _reference(A, 101, sorted, budget=27) is not None
-    assert _two_passes(A, 101, sorted, budget=27) is None
-    assert _two_passes(A, 101, sorted, budget=28) == _reference(A, 101, sorted)
+    assert _reference(A, 101, min, budget=27) is not None
+    assert _two_passes(A, 101, min, budget=27) is None
+    assert _two_passes(A, 101, min, budget=28) == _reference(A, 101, min)
+
+
+@settings(max_examples=200, deadline=None)
+@given(engine_inputs())
+def test_row_insertion_stores_what_it_holds_and_agrees_with_a_dense_reference(mp):
+    # for both leads the forward pass counts as stored exactly the entries
+    # its pivot rows hold, their unit leads included, and empties every
+    # other row; kernel_rref, rank_triplets and rref_inplace, which run it
+    # with the back-substitution, agree with sympy's dense rref of the same
+    # draw (test_forward_pass_and_back_substitution_are_gauss_jordan
+    # compares the two passes with Gauss-Jordan on these draws)
+    A, p = mp
+    for lead in (max, min):
+        rows, stored = _rows_of(A)
+        pivots, held = linalg._eliminate(rows, lead, p, stored=stored)
+        assert held == sum(len(row) + 1 for row in pivots.values())
+        # every row that found no pivot column vanished on the way
+        kept = {id(row) for row in pivots.values()}
+        assert not any(row for row in rows if row is not None and id(row) not in kept)
+        # each pivot row is held without its lead, before all its columns
+        assert all(c not in row and lead([c, *row]) == c for c, row in pivots.items())
+    want, wpiv = _sympy_rref(A, p)
+    R = A.copy()
+    assert rref_inplace(R, p) == wpiv and np.array_equal(R, want)
+    assert rank_triplets(*_triplets(A), p) == len(wpiv)
+    _check_kernel(A, kernel_rref(*_triplets(A), p), p)
 
 
 @pytest.mark.parametrize("route", [NUMPY_ROUTE, PYTHON_ROUTE])
@@ -697,10 +739,11 @@ def test_rank_triplets_is_the_rank(mp):
     real = linalg._SMALL_ENTRIES, linalg._eliminate
     handed = []
 
-    def eliminate(rows, where, *args):
+    def eliminate(rows, *args):
         if linalg._SMALL_ENTRIES == NUMPY_ROUTE:
-            handed.append(([len(r) for r in rows if r], [len(c) for c in where.values()]))
-        return real[1](rows, where, *args)
+            columns = Counter(c for r in rows if r for c in r)
+            handed.append(([len(r) for r in rows if r], list(columns.values())))
+        return real[1](rows, *args)
 
     for B in (A, A.T):
         want = rank_array(B, p)
@@ -722,9 +765,9 @@ def test_rank_triplets_peels_singleton_columns():
     rng, p = np.random.default_rng(3), 101
     handed, real = [], linalg._eliminate
 
-    def eliminate(rows, where, columns, p, budget=float("inf"), stored=0):
+    def eliminate(rows, lead, p, budget=float("inf"), stored=0):
         handed.append(stored)
-        return real(rows, where, columns, p, budget, stored)
+        return real(rows, lead, p, budget, stored)
 
     for A, rank in ((np.array([[1, 1]]), 1), (_bidiagonal(12, 13, rng, p), 12),
                     (np.array([[1, 1, 0, 0, 1], [0, 0, 1, 1, 1]]), 2)):
@@ -745,7 +788,8 @@ def test_rank_triplets_routes_agree_on_both_sides_of_the_threshold(entries, monk
     # sent down its own route and then down both: the same rank, and the
     # numpy route hands `_eliminate` the plain route's rows less the lines
     # `_peel` drops (the columns of singleton rows, then the rows of
-    # singleton columns), with the columns and stored count those rows hold
+    # singleton columns), with the stored count those rows hold, each route
+    # leading rows by their highest column
     rng, p = np.random.default_rng(entries), 101
     for _ in range(20):
         m, n = (int(x) for x in rng.integers(8, 20, size=2))
@@ -753,10 +797,9 @@ def test_rank_triplets_routes_agree_on_both_sides_of_the_threshold(entries, monk
         A.flat[rng.permutation(m * n)[:entries]] = rng.integers(1, p, size=entries)
         handed, real = [], linalg._eliminate
 
-        def eliminate(rows, where, columns, p, budget=float("inf"), stored=0):
-            handed.append(([None if r is None else dict(r) for r in rows],
-                           list(columns), stored))
-            return real(rows, where, columns, p, budget, stored)
+        def eliminate(rows, lead, p, budget=float("inf"), stored=0):
+            handed.append(([None if r is None else dict(r) for r in rows], lead, stored))
+            return real(rows, lead, p, budget, stored)
 
         monkeypatch.setattr(linalg, "_eliminate", eliminate)
         ranks = [rank_triplets(*_triplets(A), p)]
@@ -772,8 +815,7 @@ def test_rank_triplets_routes_agree_on_both_sides_of_the_threshold(entries, monk
         left = [None if r is None or marked[i]
                 else {c: v for c, v in r.items() if not pinned[c]} or None
                 for i, r in enumerate(plain[0])]
-        assert peeled == (left, sorted({c for r in left if r for c in r}, reverse=True),
-                          sum(len(r) for r in left if r))
+        assert peeled == (left, max, sum(len(r) for r in left if r))
 
 
 @pytest.mark.parametrize("route", [NUMPY_ROUTE, PYTHON_ROUTE])

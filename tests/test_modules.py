@@ -8,16 +8,20 @@ from gorlab import (
     from_presentation,
     hilbert_function,
     hom_space,
+    hyperbolic_form,
     identity_form,
     make_ring,
     matlis_dual,
     nu,
     radical_submodule,
     random_module,
+    resolve,
     socle,
     split_extension,
 )
+from gorlab import modules
 from gorlab.errors import ConfigError, UnitIdeal
+from gorlab.homology import tor
 from gorlab.modules import (
     Presentation,
     quotient,
@@ -133,6 +137,59 @@ def test_random_module_is_seeded(R3):
 def test_random_module_refuses_bad_sizes(R3, g, r):
     with pytest.raises(ConfigError):
         random_module(R3, g, r, seed=0)
+
+
+@pytest.mark.parametrize("e", range(2, 7))
+def test_free_module_is_the_kronecker_construction(e):
+    # the scatter into zeros writes kron(I_rank, basis_reg[i]) for every
+    # x_i and w, ranks 0..6, over an identity and, for even e, a
+    # hyperbolic ring
+    forms = [identity_form(e)] + ([hyperbolic_form(e)] if e % 2 == 0 else [])
+    for form in forms:
+        R = make_ring(101, e, form)
+        for rank in range(7):
+            F = FiniteModule.free(R, rank)
+            I = np.eye(rank, dtype=np.int64)
+            want = [np.kron(I, R.basis_reg[i]) for i in range(1, R.dim)]
+            assert np.array_equal(F.actions, np.stack(want[:-1]))
+            assert np.array_equal(F.action_w, want[-1])
+            assert F.actions.dtype == F.action_w.dtype == np.int64
+
+
+def test_radical_rows_are_eliminated_once_per_module(R3, monkeypatch):
+    # across resolve, tor and hilbert_function each module's stacked
+    # actions (mM) and w-action (m^2 M) are eliminated once, whichever call
+    # comes first; the cached rows are read-only and the pivots handed out
+    # are the caller's own
+    spans, real = [], modules._rref_span
+
+    def spy(M, V):
+        spans.append((M, np.asarray(V).tobytes()))
+        return real(M, V)
+
+    monkeypatch.setattr(modules, "_rref_span", spy)
+    M, N = random_module(R3, 2, 2, seed=1), random_module(R3, 2, 1, seed=4)
+    resolve(M, 4)
+    tor(M, N, 6)
+    for X in (M, N):
+        hilbert_function(X)
+        nu(X)
+    def eliminations(X):
+        # how often X's stacked actions and its w-action were eliminated
+        stacks = (np.concatenate([A.T for A in X.actions] + [X.action_w.T]).tobytes(),
+                  X.action_w.T.tobytes())
+        return [sum(Y is X and V == stack for Y, V in spans) for stack in stacks]
+
+    assert all(max(eliminations(X)) <= 1 for X, _ in spans)
+    assert eliminations(M) == eliminations(N) == [1, 1]
+    F = FiniteModule.free(R3, 1)
+    for rows_of in (radical_rows, radical_square_rows):
+        U, piv = rows_of(F)
+        assert U.shape[0] > 0
+        with pytest.raises(ValueError):
+            U[0, 0] = 1
+        piv.append(-1)
+        assert rows_of(F)[1] == piv[:-1]
 
 
 def test_hilbert_function_sums_to_dim(R3):

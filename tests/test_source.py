@@ -286,8 +286,8 @@ def test_a_resolution_has_one_step_method():
 
 
 def test_linalg_has_one_row_builder():
-    # every elimination gets its row maps and column sets from
-    # `_sparse_rows`, one loop on lists with no numpy call; a second
+    # every elimination gets its row maps from `_sparse_rows`, one loop on
+    # lists with no numpy call; a second
     # builder (a plain-Python `_small_rows` beside a numpy one, or `_runs`'
     # sorted grouping) is a duplicate conversion route coming back
     tree = ast.parse((SRC / "linalg.py").read_text())
@@ -310,6 +310,25 @@ def test_linalg_has_one_kernel_read_and_one_output_type():
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
                 and "ndarray" in ast.unparse(node)]
     assert switches == [], f"output-type switches in kernel_rref at lines {switches}"
+
+
+def test_linalg_keeps_no_column_sets():
+    # the engine inserts rows and reads each row's leading column off the
+    # row itself: `_sparse_rows` returns the rows alone, `_eliminate` takes
+    # a lead (max or min) rather than a column order, and no set of rows per
+    # column is built or kept up to date anywhere in linalg
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    returns = [node.value for node in ast.walk(functions["_sparse_rows"])
+               if isinstance(node, ast.Return)]
+    assert returns and not any(isinstance(value, ast.Tuple) for value in returns)
+    args = [a.arg for a in functions["_eliminate"].args.args]
+    assert args == ["rows", "lead", "p", "budget", "stored"], f"_eliminate{tuple(args)}"
+    sets = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Set, ast.SetComp))
+            or (isinstance(node, ast.Attribute) and node.attr in ("add", "discard"))
+            or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "set")]
+    assert sets == [], f"column sets in linalg at lines {sets}"
 
 
 def test_no_dense_kmatrix_route_in_resolution_or_homology():
